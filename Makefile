@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-self race race-core race-engine race-service race-tools chaos crash crashfuzz crashfuzz-deep serve-crash loadgen-det check bench bench-short bench-paper clean
+.PHONY: all build test vet lint lint-self race race-core race-engine race-service race-tools race-cover chaos crash crashfuzz crashfuzz-deep serve-crash loadgen-det check bench bench-short bench-paper clean
 
 all: build
 
@@ -37,20 +37,30 @@ lint-self:
 # concurrency hot spots; run the whole tree under the race detector. The
 # shards below partition the package tree so `make -j4 race` runs them in
 # parallel; `race` depends on all of them and stays correct sequentially.
+RACE_CORE = ./internal/core/... ./internal/query/... ./internal/analyze/... \
+	./internal/langs/... ./internal/datasets/... ./internal/lint/...
+RACE_ENGINE = ./internal/engine/... ./internal/shard/... ./internal/faultsim/... \
+	./internal/runlog/... ./internal/fsatomic/... ./internal/errfs/...
+RACE_SERVICE = ./internal/harness/... ./internal/jobqueue/... ./internal/obs/... \
+	./internal/loadgen/... ./cmd/betze-web/...
+RACE_TOOLS = . ./benchmark ./cmd/betze ./cmd/betze-bench/... ./cmd/betze-lint/... \
+	./examples/... ./internal/bsonlite/... ./internal/jsonblite/... \
+	./internal/jsonstats/... ./internal/jsonval/... ./internal/lz/...
 race-core:
-	$(GO) test -race ./internal/core/... ./internal/query/... ./internal/analyze/... \
-		./internal/langs/... ./internal/datasets/... ./internal/lint/...
+	$(GO) test -race $(RACE_CORE)
 race-engine:
-	$(GO) test -race ./internal/engine/... ./internal/shard/... ./internal/faultsim/... \
-		./internal/runlog/... ./internal/fsatomic/...
+	$(GO) test -race $(RACE_ENGINE)
 race-service:
-	$(GO) test -race ./internal/harness/... ./internal/jobqueue/... ./internal/obs/... \
-		./internal/loadgen/... ./cmd/betze-web/...
+	$(GO) test -race $(RACE_SERVICE)
 race-tools:
-	$(GO) test -race . ./cmd/betze ./cmd/betze-bench/... ./cmd/betze-lint/... \
-		./examples/... ./internal/bsonlite/... ./internal/jsonblite/... \
-		./internal/jsonstats/... ./internal/jsonval/... ./internal/lz/...
+	$(GO) test -race $(RACE_TOOLS)
 race: race-core race-engine race-service race-tools
+
+# A package that no shard pattern matches would never run under the race
+# detector; fail when `go list ./...` has one.
+race-cover:
+	@missing=$$($(GO) list ./... | grep -vxF "$$($(GO) list $(RACE_CORE) $(RACE_ENGINE) $(RACE_SERVICE) $(RACE_TOOLS))"); \
+	if [ -n "$$missing" ]; then echo "packages in no race shard:"; echo "$$missing"; exit 1; fi
 
 # Fault-injection suite: every retry/breaker/crash-recovery/cancellation test
 # runs with the deterministic injector active, under the race detector.
@@ -100,7 +110,7 @@ loadgen-det:
 		| grep -v 'took' > /tmp/betze-loadgen-b.txt
 	cmp /tmp/betze-loadgen-a.txt /tmp/betze-loadgen-b.txt
 
-check: vet lint lint-self race chaos crash crashfuzz serve-crash loadgen-det bench-short
+check: vet lint lint-self race-cover race chaos crash crashfuzz serve-crash loadgen-det bench-short
 
 # Perf suite: compiled predicates vs. the interface-dispatch path, the shared
 # scan kernel, zone-map shard pruning (adaptive: probes deactivate it where

@@ -367,17 +367,40 @@ func BenchmarkPredicateEval(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateSession times one intermediate session per iteration on a
+// few-path summary (Twitter, 168 paths) and a many-path one (NoBench, 1013),
+// verified by a JODA backend and from estimates alone. A step's cost follows
+// the paths it touches, so the estimated NoBench row must stay near the
+// Twitter one's order of magnitude; the verified rows are the backend's scans.
 func BenchmarkGenerateSession(b *testing.B) {
-	docs := betze.TwitterSource().Generate(3000, 29)
-	stats := betze.AnalyzeValues("Twitter", docs, betze.AnalyzeOptions{})
-	backend := betze.NewJODA(betze.JODAOptions{})
-	backend.ImportValues("Twitter", docs)
-	defer backend.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := betze.Generate(betze.Options{Preset: betze.Intermediate, Seed: int64(i), Backend: backend}, stats); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name     string
+		source   betze.DatasetSource
+		verified bool
+	}{
+		{"twitter/verified", betze.TwitterSource(), true},
+		{"nobench/verified", betze.NoBenchSource(), true},
+		{"nobench/estimated", betze.NoBenchSource(), false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			docs := c.source.Generate(3000, 29)
+			stats := betze.AnalyzeValues(c.source.Name, docs, betze.AnalyzeOptions{})
+			opts := betze.Options{Preset: betze.Intermediate}
+			if c.verified {
+				backend := betze.NewJODA(betze.JODAOptions{})
+				backend.ImportValues(c.source.Name, docs)
+				defer backend.Close()
+				opts.Backend = backend
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opts.Seed = int64(i)
+				if _, err := betze.Generate(opts, stats); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

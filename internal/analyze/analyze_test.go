@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/jsonstats"
 	"github.com/joda-explore/betze/internal/jsonval"
 )
@@ -24,7 +25,7 @@ func genDocs(t *testing.T, n int, seed int64) ([]jsonval.Value, []byte) {
 			{Key: "id", Value: jsonval.IntValue(int64(i))},
 			{Key: "score", Value: jsonval.FloatValue(r.Float64() * 100)},
 			// Distinct-value count stays under jsonstats.DefaultMaxValues:
-			// overflow sampling is legitimately shard-order-dependent.
+			// which strings survive an overflow depends on the shard split.
 			{Key: "name", Value: jsonval.StringValue(fmt.Sprintf("user_%03d", r.Intn(30)))},
 		}
 		if r.Intn(3) == 0 {
@@ -228,5 +229,37 @@ func TestSampling(t *testing.T) {
 	// A sampled summary still feeds the generator.
 	if err := sv.Validate(); err != nil {
 		t.Errorf("sampled summary invalid: %v", err)
+	}
+}
+
+// TestParallelAnalysisFileRepeats: the shard split is deterministic, so the
+// merged summary must be too. In 1100 NoBench documents every sparse
+// attribute holds eleven distinct strings, about three per shard, so a value
+// table capped at eight fills part-way through folding the third shard in
+// and the rest of that shard's strings are dropped. (At the default cap of
+// 32 the same happens from 4400 documents on.)
+func TestParallelAnalysisFileRepeats(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nobench.json")
+	if err := datasets.NewNoBench().WriteFile(path, 1100, 17); err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for run := 0; run < 20; run++ {
+		d, err := File("NoBench", path, Options{Workers: 4, Stats: jsonstats.Config{MaxValues: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := d.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = buf.Bytes()
+			if st := d.Paths["/sparse_000"].Str; !st.ValueOverflow || len(st.Values) != 8 {
+				t.Fatalf("/sparse_000 value table did not overflow: %d values", len(st.Values))
+			}
+		} else if !bytes.Equal(first, buf.Bytes()) {
+			t.Fatalf("run %d: analysis file differs from run 0", run)
+		}
 	}
 }

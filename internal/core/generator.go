@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"github.com/joda-explore/betze/internal/jsonstats"
 	"github.com/joda-explore/betze/internal/jsonval"
@@ -72,7 +73,7 @@ func (g *generator) run() error {
 		// empty; only when repeated jumps find no generatable dataset is
 		// the session truly stuck.
 		for tries := 0; errors.Is(err, errNoPredicate) && tries < 2*len(g.session.Nodes); tries++ {
-			jumped, jerr := g.forcedJump(current, i)
+			jumped, jerr := g.forcedJump(current)
 			if jerr != nil {
 				return fmt.Errorf("core: query %d: %w", i, jerr)
 			}
@@ -112,7 +113,7 @@ func (g *generator) run() error {
 
 // forcedJump moves to a random other dataset after predicate generation
 // failed on current.
-func (g *generator) forcedJump(current *Node, queryIdx int) (*Node, error) {
+func (g *generator) forcedJump(current *Node) (*Node, error) {
 	candidates := make([]*Node, 0, len(g.session.Nodes))
 	for _, n := range g.session.Nodes {
 		if n != current {
@@ -124,7 +125,6 @@ func (g *generator) forcedJump(current *Node, queryIdx int) (*Node, error) {
 	}
 	target := candidates[g.rng.Intn(len(candidates))]
 	g.session.Steps = append(g.session.Steps, Step{Kind: StepJump, From: current.ID, To: target.ID})
-	_ = queryIdx
 	return target, nil
 }
 
@@ -326,41 +326,21 @@ func (g *generator) leafPredicate(current *Node, lo, hi float64) (query.Predicat
 }
 
 // pickPath selects the attribute to filter on: uniformly by default, or
-// weighted inversely to path depth when WeightedPaths is set (§IV-C).
+// weighted inversely to path depth when WeightedPaths is set (§IV-C). Either
+// way it is one draw against the summary's shared attribute index.
 func (g *generator) pickPath(stats *jsonstats.Dataset) (jsonval.Path, *jsonstats.PathStats, bool) {
-	paths := stats.SortedPaths()
-	candidates := paths[:0:0]
-	for _, p := range paths {
-		if p == jsonval.RootPath {
-			continue // the root is not an attribute
-		}
-		if stats.Paths[p].Count > 0 {
-			candidates = append(candidates, p)
-		}
-	}
-	if len(candidates) == 0 {
+	paths, invDepthCum := stats.Attributes()
+	if len(paths) == 0 {
 		return jsonval.RootPath, nil, false
 	}
-	if !g.opts.WeightedPaths {
-		p := candidates[g.rng.Intn(len(candidates))]
-		return p, stats.Paths[p], true
+	var i int
+	if g.opts.WeightedPaths {
+		r := g.rng.Float64() * invDepthCum[len(paths)-1]
+		i = min(sort.SearchFloat64s(invDepthCum, r), len(paths)-1)
+	} else {
+		i = g.rng.Intn(len(paths))
 	}
-	var total float64
-	weights := make([]float64, len(candidates))
-	for i, p := range candidates {
-		w := 1 / float64(p.Depth())
-		weights[i] = w
-		total += w
-	}
-	r := g.rng.Float64() * total
-	for i, w := range weights {
-		r -= w
-		if r <= 0 {
-			return candidates[i], stats.Paths[candidates[i]], true
-		}
-	}
-	p := candidates[len(candidates)-1]
-	return p, stats.Paths[p], true
+	return paths[i], stats.Lookup(paths[i]), true
 }
 
 // generateAggregation builds the optional aggregation stage: pick a path at

@@ -58,7 +58,7 @@ func (g *generator) generateTransform(stats *jsonstats.Dataset, idx int) *query.
 // in every document. Parent object child-count ranges become approximate,
 // which is acceptable for the size/selectivity estimation they feed.
 func applyTransformToStats(stats *jsonstats.Dataset, t *query.Transform) *jsonstats.Dataset {
-	out := stats.Scale(stats.Name, 1) // deep-ish copy with identical counts
+	out := stats.Materialize() // a view has no Paths map to edit
 	for _, op := range t.Ops {
 		switch op.Kind {
 		case query.TransformRename:

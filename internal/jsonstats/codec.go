@@ -55,6 +55,9 @@ type stringStatsJSON struct {
 
 // MarshalJSON encodes the summary in the analysis-file format.
 func (d *Dataset) MarshalJSON() ([]byte, error) {
+	if d.parent != nil {
+		d = d.Materialize()
+	}
 	out := datasetJSON{
 		Name:     d.Name,
 		DocCount: d.DocCount,

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/joda-explore/betze/internal/jsonval"
 )
@@ -75,6 +76,10 @@ func (c Config) histogramsEnabled() bool { return c.HistogramBuckets > 0 }
 // Dataset is the statistical summary of one dataset. It is the unit the
 // generator works on: initial datasets get a summary from the analyzer, and
 // derived datasets get one by scaling their parent's summary (§IV-D).
+//
+// A complete summary with its own Paths may be shared by concurrent generator
+// sessions: Attributes and Lookup write nothing after the first call. A view
+// returned by Scale belongs to the session that derived it.
 type Dataset struct {
 	// Name identifies the dataset (e.g. "Twitter").
 	Name string
@@ -82,10 +87,23 @@ type Dataset struct {
 	DocCount int64
 	// Paths maps every attribute path seen in the dataset to its
 	// statistics. The root path is present whenever DocCount > 0 and
-	// describes the documents themselves.
+	// describes the documents themselves. Paths is nil on a view returned
+	// by Scale: read a view through Lookup, or Materialize it.
 	Paths map[jsonval.Path]*PathStats
 
 	cfg Config
+
+	// attrPaths and attrCum (see Attributes) are built once per analysed
+	// summary, under attrsOnce, and handed on to every view derived from it.
+	attrsOnce sync.Once
+	attrPaths []jsonval.Path
+	attrCum   []float64
+
+	// A view's statistics are its parent's scaled by sel, computed per
+	// path on first Lookup and kept in scaled.
+	parent *Dataset
+	sel    float64
+	scaled map[jsonval.Path]*PathStats
 }
 
 // NewDataset returns an empty summary with the given string-stat bounds.
@@ -180,6 +198,7 @@ func (d *Dataset) stats(p jsonval.Path) *PathStats {
 
 // AddDocument folds one document into the summary.
 func (d *Dataset) AddDocument(doc jsonval.Value) {
+	d.attrsOnce = sync.Once{} // the paths change: index them again on next use
 	d.DocCount++
 	d.observe(jsonval.RootPath, doc)
 }
@@ -290,6 +309,7 @@ func prefixOf(s string, n int) string {
 // are combined regardless. Merge supports the parallel analyzer: workers
 // build shard summaries that are merged pairwise.
 func (d *Dataset) Merge(other *Dataset) {
+	d.attrsOnce = sync.Once{}
 	d.DocCount += other.DocCount
 	for p, ops := range other.Paths {
 		ps := d.stats(p)
@@ -333,19 +353,11 @@ func (d *Dataset) Merge(other *Dataset) {
 			st.MaxLen = max(st.MaxLen, ops.Str.MaxLen)
 			st.PrefixOverflow = st.PrefixOverflow || ops.Str.PrefixOverflow
 			st.ValueOverflow = st.ValueOverflow || ops.Str.ValueOverflow
-			for pre, c := range ops.Str.Prefixes {
-				if _, ok := st.Prefixes[pre]; ok || len(st.Prefixes) < d.cfg.MaxPrefixes {
-					st.Prefixes[pre] += c
-				} else {
-					st.PrefixOverflow = true
-				}
+			if foldCounted(st.Prefixes, ops.Str.Prefixes, d.cfg.MaxPrefixes) {
+				st.PrefixOverflow = true
 			}
-			for s, c := range ops.Str.Values {
-				if _, ok := st.Values[s]; ok || len(st.Values) < d.cfg.MaxValues {
-					st.Values[s] += c
-				} else {
-					st.ValueOverflow = true
-				}
+			if foldCounted(st.Values, ops.Str.Values, d.cfg.MaxValues) {
+				st.ValueOverflow = true
 			}
 		}
 		if ops.Obj != nil {
@@ -373,12 +385,43 @@ func (d *Dataset) Merge(other *Dataset) {
 	}
 }
 
+// foldCounted adds src's counts to dst, admitting a new key only while dst
+// holds fewer than limit, and reports whether a key was dropped. Where that
+// can happen, keys are folded in sorted order so that the survivors of a
+// full table do not depend on Go's map iteration order.
+func foldCounted(dst, src map[string]int64, limit int) (dropped bool) {
+	if len(dst)+len(src) <= limit {
+		for k, c := range src {
+			dst[k] += c
+		}
+		return false
+	}
+	keys := make([]string, 0, len(src))
+	for k := range src {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if _, ok := dst[k]; ok || len(dst) < limit {
+			dst[k] += src[k]
+		} else {
+			dropped = true
+		}
+	}
+	return dropped
+}
+
 // Scale derives the summary of a sub-dataset selected with the given
 // selectivity, without re-analysing documents (§IV-D: when no verification
 // backend is configured, "the statistics of each generated sub-dataset are
 // then calculated by scaling the statistics of the base dataset"). All
 // counts shrink proportionally; value ranges are kept because nothing better
 // is known.
+//
+// The result is a view: it shares d's attribute index and scales one path's
+// statistics when Lookup first asks for them, so deriving a dataset costs
+// the paths the generator goes on to touch, not the paths d has. d must not
+// change afterwards.
 func (d *Dataset) Scale(name string, selectivity float64) *Dataset {
 	if selectivity < 0 {
 		selectivity = 0
@@ -386,60 +429,105 @@ func (d *Dataset) Scale(name string, selectivity float64) *Dataset {
 	if selectivity > 1 {
 		selectivity = 1
 	}
-	out := NewDataset(name, d.cfg)
-	out.DocCount = scaleCount(d.DocCount, selectivity)
-	for p, ps := range d.Paths {
-		nps := &PathStats{
-			Count:     scaleCount(ps.Count, selectivity),
-			NullCount: scaleCount(ps.NullCount, selectivity),
+	out := &Dataset{
+		Name:     name,
+		DocCount: scaleCount(d.DocCount, selectivity),
+		cfg:      d.cfg,
+		parent:   d,
+		sel:      selectivity,
+		scaled:   make(map[jsonval.Path]*PathStats),
+	}
+	// scaleCount keeps a non-zero count alive under any positive factor,
+	// so the view has exactly its parent's attributes, or none.
+	if selectivity > 0 {
+		out.attrPaths, out.attrCum = d.Attributes()
+	}
+	return out
+}
+
+// Lookup returns the statistics of p, or nil when the dataset has no such
+// path. The result is shared and must not be modified.
+func (d *Dataset) Lookup(p jsonval.Path) *PathStats {
+	if d.parent == nil {
+		return d.Paths[p]
+	}
+	ps, ok := d.scaled[p]
+	if !ok {
+		ps = scalePathStats(d.parent.Lookup(p), d.sel)
+		d.scaled[p] = ps
+	}
+	return ps
+}
+
+// Materialize returns a summary that holds all of d's statistics in its own
+// Paths map, for callers that range over or edit the paths of a view. The
+// PathStats values stay shared with d.
+func (d *Dataset) Materialize() *Dataset {
+	out := NewDataset(d.Name, d.cfg)
+	out.DocCount = d.DocCount
+	paths, _ := d.Attributes()
+	for _, p := range append([]jsonval.Path{jsonval.RootPath}, paths...) {
+		if ps := d.Lookup(p); ps != nil {
+			out.Paths[p] = ps
 		}
-		if nps.Count == 0 {
-			continue
+	}
+	return out
+}
+
+// scalePathStats scales one path's statistics; nil when ps is nil or no
+// document with the path is left.
+func scalePathStats(ps *PathStats, selectivity float64) *PathStats {
+	if ps == nil {
+		return nil
+	}
+	nps := &PathStats{
+		Count:     scaleCount(ps.Count, selectivity),
+		NullCount: scaleCount(ps.NullCount, selectivity),
+	}
+	if nps.Count == 0 {
+		return nil
+	}
+	if ps.Bool != nil {
+		nps.Bool = &BoolStats{
+			Count:     scaleCount(ps.Bool.Count, selectivity),
+			TrueCount: scaleCount(ps.Bool.TrueCount, selectivity),
 		}
-		if ps.Bool != nil {
-			nps.Bool = &BoolStats{
-				Count:     scaleCount(ps.Bool.Count, selectivity),
-				TrueCount: scaleCount(ps.Bool.TrueCount, selectivity),
-			}
+	}
+	if ps.Int != nil {
+		nps.Int = &IntStats{Count: scaleCount(ps.Int.Count, selectivity), Min: ps.Int.Min, Max: ps.Int.Max}
+	}
+	if ps.Float != nil {
+		nps.Float = &FloatStats{Count: scaleCount(ps.Float.Count, selectivity), Min: ps.Float.Min, Max: ps.Float.Max}
+	}
+	if ps.Str != nil {
+		nps.Str = &StringStats{
+			Count:          scaleCount(ps.Str.Count, selectivity),
+			Prefixes:       scaleCounted(ps.Str.Prefixes, selectivity),
+			Values:         scaleCounted(ps.Str.Values, selectivity),
+			PrefixOverflow: ps.Str.PrefixOverflow,
+			ValueOverflow:  ps.Str.ValueOverflow,
+			MinLen:         ps.Str.MinLen,
+			MaxLen:         ps.Str.MaxLen,
 		}
-		if ps.Int != nil {
-			nps.Int = &IntStats{Count: scaleCount(ps.Int.Count, selectivity), Min: ps.Int.Min, Max: ps.Int.Max}
+	}
+	if ps.Obj != nil {
+		nps.Obj = &ObjectStats{Count: scaleCount(ps.Obj.Count, selectivity), MinChildren: ps.Obj.MinChildren, MaxChildren: ps.Obj.MaxChildren}
+	}
+	if ps.Arr != nil {
+		nps.Arr = &ArrayStats{Count: scaleCount(ps.Arr.Count, selectivity), MinSize: ps.Arr.MinSize, MaxSize: ps.Arr.MaxSize}
+	}
+	if ps.NumHist != nil {
+		nps.NumHist = ps.NumHist.Scale(selectivity)
+	}
+	return nps
+}
+
+func scaleCounted(m map[string]int64, f float64) map[string]int64 {
+	out := make(map[string]int64, len(m))
+	for k, c := range m {
+		if sc := scaleCount(c, f); sc > 0 {
+			out[k] = sc
 		}
-		if ps.Float != nil {
-			nps.Float = &FloatStats{Count: scaleCount(ps.Float.Count, selectivity), Min: ps.Float.Min, Max: ps.Float.Max}
-		}
-		if ps.Str != nil {
-			ns := &StringStats{
-				Count:          scaleCount(ps.Str.Count, selectivity),
-				Prefixes:       make(map[string]int64, len(ps.Str.Prefixes)),
-				Values:         make(map[string]int64, len(ps.Str.Values)),
-				PrefixOverflow: ps.Str.PrefixOverflow,
-				ValueOverflow:  ps.Str.ValueOverflow,
-				MinLen:         ps.Str.MinLen,
-				MaxLen:         ps.Str.MaxLen,
-			}
-			for pre, c := range ps.Str.Prefixes {
-				if sc := scaleCount(c, selectivity); sc > 0 {
-					ns.Prefixes[pre] = sc
-				}
-			}
-			for s, c := range ps.Str.Values {
-				if sc := scaleCount(c, selectivity); sc > 0 {
-					ns.Values[s] = sc
-				}
-			}
-			nps.Str = ns
-		}
-		if ps.Obj != nil {
-			nps.Obj = &ObjectStats{Count: scaleCount(ps.Obj.Count, selectivity), MinChildren: ps.Obj.MinChildren, MaxChildren: ps.Obj.MaxChildren}
-		}
-		if ps.Arr != nil {
-			nps.Arr = &ArrayStats{Count: scaleCount(ps.Arr.Count, selectivity), MinSize: ps.Arr.MinSize, MaxSize: ps.Arr.MaxSize}
-		}
-		if ps.NumHist != nil {
-			nps.NumHist = ps.NumHist.Scale(selectivity)
-		}
-		out.Paths[p] = nps
 	}
 	return out
 }
@@ -452,15 +540,39 @@ func scaleCount(c int64, f float64) int64 {
 	return scaled
 }
 
-// SortedPaths returns all paths in lexicographic order, for deterministic
-// iteration by the seeded generator.
-func (d *Dataset) SortedPaths() []jsonval.Path {
+// Attributes returns the paths a predicate or aggregation can be generated
+// on: every non-root path with Count > 0, in lexicographic order so that a
+// seeded generator draws reproducibly. invDepthCum[i] is the sum of 1/depth
+// over the first i+1 of them, the table behind depth-weighted draws (§IV-C).
+// Both slices are shared down a chain of views and must not be modified.
+func (d *Dataset) Attributes() (paths []jsonval.Path, invDepthCum []float64) {
+	if d.parent == nil {
+		d.attrsOnce.Do(d.buildIndex)
+	}
+	return d.attrPaths, d.attrCum
+}
+
+// buildIndex also fixes the bucket bounds of histograms that are still
+// buffering, which FractionLE and Quantile would otherwise do on first
+// read: after it, readers of a shared summary write nothing.
+func (d *Dataset) buildIndex() {
 	paths := make([]jsonval.Path, 0, len(d.Paths))
-	for p := range d.Paths {
-		paths = append(paths, p)
+	for p, ps := range d.Paths {
+		if ps.NumHist != nil {
+			ps.NumHist.finalize()
+		}
+		if p != jsonval.RootPath && ps.Count > 0 {
+			paths = append(paths, p)
+		}
 	}
 	sort.Slice(paths, func(i, j int) bool { return paths[i] < paths[j] })
-	return paths
+	cum := make([]float64, len(paths))
+	var total float64
+	for i, p := range paths {
+		total += 1 / float64(p.Depth())
+		cum[i] = total
+	}
+	d.attrPaths, d.attrCum = paths, cum
 }
 
 // Validate checks internal consistency of the summary: per-type counts must

@@ -280,11 +280,11 @@ func TestScale(t *testing.T) {
 	if half.DocCount != 2 {
 		t.Errorf("scaled DocCount = %d", half.DocCount)
 	}
-	n := half.Paths[jsonval.Path("/n")]
+	n := half.Lookup("/n")
 	if n.Count != 2 || n.Int.Min != 1 || n.Int.Max != 4 {
 		t.Errorf("scaled /n = %+v int=%+v", n, n.Int)
 	}
-	s := half.Paths[jsonval.Path("/s")]
+	s := half.Lookup("/s")
 	if s.Count != 2 { // round(3*0.5)=2
 		t.Errorf("scaled /s count = %d", s.Count)
 	}
@@ -293,7 +293,7 @@ func TestScale(t *testing.T) {
 func TestScaleTinySelectivityKeepsPaths(t *testing.T) {
 	d := buildDataset(t, `{"a":1}`, `{"a":2}`)
 	tiny := d.Scale("tiny", 0.0001)
-	if ps := tiny.Paths[jsonval.Path("/a")]; ps == nil || ps.Count < 1 {
+	if ps := tiny.Lookup("/a"); ps == nil || ps.Count < 1 {
 		t.Errorf("tiny scale dropped path stats: %+v", ps)
 	}
 }
@@ -308,16 +308,26 @@ func TestScaleClampsFactor(t *testing.T) {
 	}
 }
 
-func TestSortedPathsDeterministic(t *testing.T) {
+func TestAttributesSortedWithoutRoot(t *testing.T) {
 	d := buildDataset(t, `{"b":1,"a":{"z":1,"m":2},"c":3}`)
-	got := d.SortedPaths()
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("paths not sorted: %v", got)
-		}
+	d.Paths["/gone"] = &PathStats{} // Count 0: not an attribute
+	got, cum := d.Attributes()
+	want := []jsonval.Path{"/a", "/a/m", "/a/z", "/b", "/c"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("attributes = %v, want %v", got, want)
 	}
-	if len(got) != 6 { // root, /a, /a/m, /a/z, /b, /c
-		t.Errorf("path count = %d: %v", len(got), got)
+	if len(cum) != len(got) || cum[0] != 1 || cum[1] != 1.5 || cum[4] != 4 {
+		t.Errorf("cumulative 1/depth = %v", cum)
+	}
+	// Folding more documents in rebuilds the index.
+	d.AddDocument(doc(t, `{"aa":1}`))
+	if got, _ := d.Attributes(); len(got) != 6 || got[3] != "/aa" {
+		t.Errorf("attributes after AddDocument = %v", got)
+	}
+	other := buildDataset(t, `{"d":1}`)
+	d.Merge(other)
+	if got, _ := d.Attributes(); len(got) != 7 || got[6] != "/d" {
+		t.Errorf("attributes after Merge = %v", got)
 	}
 }
 
