@@ -169,21 +169,19 @@ func BenchmarkAblationVerification(b *testing.B) {
 }
 
 // BenchmarkAblationLazyBSON compares mongosim's lazy path walks against full
-// per-document decoding.
+// per-document decoding, and its BSON-to-JSON cursor streaming against the
+// decode-then-serialise path a transform forces.
 func BenchmarkAblationLazyBSON(b *testing.B) {
 	docs, session := ablationWorkload(b, 4000)
-	for _, full := range []bool{false, true} {
-		name := "lazy"
-		if full {
-			name = "fulldecode"
-		}
+	run := func(name string, opts betze.MongoOptions, queries []*query.Query) {
 		b.Run(name, func(b *testing.B) {
-			eng := betze.NewMongoDB(betze.MongoOptions{FullDecode: full})
+			eng := betze.NewMongoDB(opts)
 			eng.ImportValues("Twitter", docs)
 			defer eng.Close()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, q := range session.Queries {
+				for _, q := range queries {
 					if _, err := eng.Execute(context.Background(), q, io.Discard); err != nil {
 						b.Fatal(err)
 					}
@@ -191,6 +189,13 @@ func BenchmarkAblationLazyBSON(b *testing.B) {
 			}
 		})
 	}
+	run("lazy", betze.MongoOptions{}, session.Queries)
+	run("fulldecode", betze.MongoOptions{FullDecode: true}, session.Queries)
+	// Return every document: removing an absent attribute changes nothing
+	// but makes the cursor materialise each document first.
+	noop := &query.Transform{Ops: []query.TransformOp{{Kind: query.TransformRemove, Path: "/no_such_attribute"}}}
+	run("decode+serialise", betze.MongoOptions{}, []*query.Query{{Base: "Twitter", Transform: noop}})
+	run("transcode", betze.MongoOptions{}, []*query.Query{{Base: "Twitter"}})
 }
 
 // BenchmarkAblationPgLazyLookup compares pgsim's default per-leaf-detoast
@@ -304,6 +309,7 @@ func BenchmarkBSONLookupVsDecode(b *testing.B) {
 	}
 	path := jsonval.ParsePath("/user/verified")
 	b.Run("lookup", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, e := range encoded {
 				if _, _, err := bsonlite.Lookup(e, path); err != nil {
@@ -313,9 +319,34 @@ func BenchmarkBSONLookupVsDecode(b *testing.B) {
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, e := range encoded {
 				if _, err := bsonlite.Decode(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	var buf []byte
+	b.Run("decode+serialise", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, e := range encoded {
+				v, err := bsonlite.Decode(e)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf = jsonval.AppendJSON(buf[:0], v)
+			}
+		}
+	})
+	b.Run("transcode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, e := range encoded {
+				var err error
+				if buf, err = bsonlite.AppendJSON(buf[:0], e); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,10 +10,12 @@
 package bsonlite
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 
 	"github.com/joda-explore/betze/internal/jsonval"
 )
@@ -143,17 +145,12 @@ func Decode(data []byte) (jsonval.Value, error) {
 }
 
 func decodeDoc(data []byte, off int, asArray bool) (jsonval.Value, int, error) {
-	if off+5 > len(data) {
-		return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: "truncated document header"}
-	}
-	total := int(binary.LittleEndian.Uint32(data[off:]))
-	end := off + total
-	if total < 5 || end > len(data) {
-		return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: "document length out of bounds"}
+	i, end, err := docBounds(data, off)
+	if err != nil {
+		return jsonval.Value{}, 0, err
 	}
 	var members []jsonval.Member
 	var elems []jsonval.Value
-	i := off + 4
 	for {
 		if i >= end {
 			return jsonval.Value{}, 0, &CorruptError{Offset: i, Msg: "missing terminator"}
@@ -165,13 +162,11 @@ func decodeDoc(data []byte, off int, asArray bool) (jsonval.Value, int, error) {
 			}
 			break
 		}
-		i++
-		key, n, err := readCString(data, i)
+		key, val, err := elementKey(data, i, end)
 		if err != nil {
 			return jsonval.Value{}, 0, err
 		}
-		i += n
-		v, n, err := decodeValue(data, i, tag)
+		v, n, err := decodeValue(data, val, tag)
 		if err != nil {
 			return jsonval.Value{}, 0, err
 		}
@@ -179,7 +174,7 @@ func decodeDoc(data []byte, off int, asArray bool) (jsonval.Value, int, error) {
 		if asArray {
 			elems = append(elems, v)
 		} else {
-			members = append(members, jsonval.Member{Key: key, Value: v})
+			members = append(members, jsonval.Member{Key: string(key), Value: v})
 		}
 	}
 	if asArray {
@@ -228,37 +223,56 @@ func decodeValue(data []byte, off int, tag byte) (jsonval.Value, int, error) {
 	}
 }
 
-func readCString(data []byte, off int) (string, int, error) {
-	for i := off; i < len(data); i++ {
-		if data[i] == 0 {
-			return string(data[off:i]), i - off + 1, nil
-		}
+// docBounds validates the header of the document at off and returns the
+// offset of its first element and its end.
+func docBounds(data []byte, off int) (first, end int, err error) {
+	if off+5 > len(data) {
+		return 0, 0, &CorruptError{Offset: off, Msg: "truncated document header"}
 	}
-	return "", 0, &CorruptError{Offset: off, Msg: "unterminated key"}
+	total := int(binary.LittleEndian.Uint32(data[off:]))
+	end = off + total
+	if total < 5 || end > len(data) {
+		return 0, 0, &CorruptError{Offset: off, Msg: "document length out of bounds"}
+	}
+	return off + 4, end, nil
+}
+
+// elementKey returns the key of the element whose tag byte is at i, as a
+// sub-slice of data so callers can match it in place, and the offset of the
+// element's value. The key must terminate inside its document.
+func elementKey(data []byte, i, end int) (key []byte, val int, err error) {
+	n := bytes.IndexByte(data[i+1:end], 0)
+	if n < 0 {
+		return nil, 0, &CorruptError{Offset: i + 1, Msg: "unterminated key"}
+	}
+	return data[i+1 : i+1+n], i + n + 2, nil
 }
 
 // skipValue returns the offset just past a value, without materialising it.
+// The result never exceeds len(data).
 func skipValue(data []byte, off int, tag byte) (int, error) {
+	n := 0
 	switch tag {
 	case tagNull:
-		return off, nil
 	case tagBool:
-		return off + 1, nil
+		n = 1
 	case tagInt64, tagDouble:
-		return off + 8, nil
-	case tagString:
+		n = 8
+	case tagString, tagDoc, tagArray:
 		if off+4 > len(data) {
-			return 0, &CorruptError{Offset: off, Msg: "truncated string header"}
+			return 0, &CorruptError{Offset: off, Msg: "truncated length header"}
 		}
-		return off + 4 + int(binary.LittleEndian.Uint32(data[off:])), nil
-	case tagDoc, tagArray:
-		if off+4 > len(data) {
-			return 0, &CorruptError{Offset: off, Msg: "truncated document header"}
+		n = int(binary.LittleEndian.Uint32(data[off:]))
+		if tag == tagString {
+			n += 4
 		}
-		return off + int(binary.LittleEndian.Uint32(data[off:])), nil
 	default:
 		return 0, &CorruptError{Offset: off, Msg: fmt.Sprintf("unknown tag 0x%02x", tag)}
 	}
+	if off+n > len(data) {
+		return 0, &CorruptError{Offset: off, Msg: "value length out of bounds"}
+	}
+	return off + n, nil
 }
 
 // Raw is an undecoded value inside a document: its tag and the byte range of
@@ -273,42 +287,34 @@ type Raw struct {
 // mirroring how MongoDB navigates BSON. It returns ok=false when any segment
 // is missing or traverses a non-document.
 func Lookup(doc []byte, path jsonval.Path) (Raw, bool, error) {
-	segs := path.Segments()
-	off := 0
-	data := doc
-	cur := Raw{Tag: tagDoc, data: doc, off: 0}
-	if len(segs) == 0 {
-		return cur, true, nil
-	}
-	for _, seg := range segs {
+	return LookupSteps(doc, path.Steps())
+}
+
+// LookupSteps is Lookup over a pre-split step slice (from Path.Steps). Keys
+// are matched in place, so the walk allocates nothing.
+func LookupSteps(doc []byte, steps []string) (Raw, bool, error) {
+	cur := Raw{Tag: tagDoc, data: doc}
+	for _, seg := range steps {
 		if cur.Tag != tagDoc {
 			return Raw{}, false, nil
 		}
+		i, end, err := docBounds(doc, cur.off)
+		if err != nil {
+			return Raw{}, false, err
+		}
 		found := false
-		if off+5 > len(data) {
-			return Raw{}, false, &CorruptError{Offset: off, Msg: "truncated document header"}
-		}
-		end := off + int(binary.LittleEndian.Uint32(data[off:]))
-		if end > len(data) {
-			return Raw{}, false, &CorruptError{Offset: off, Msg: "document length out of bounds"}
-		}
-		i := off + 4
-		for i < end && data[i] != 0 {
-			tag := data[i]
-			i++
-			key, n, err := readCString(data, i)
+		for i < end && doc[i] != 0 {
+			tag := doc[i]
+			key, val, err := elementKey(doc, i, end)
 			if err != nil {
 				return Raw{}, false, err
 			}
-			i += n
-			if key == seg {
-				cur = Raw{Tag: tag, data: data, off: i}
-				off = i
+			if string(key) == seg {
+				cur = Raw{Tag: tag, data: doc, off: val}
 				found = true
 				break
 			}
-			i, err = skipValue(data, i, tag)
-			if err != nil {
+			if i, err = skipValue(doc, val, tag); err != nil {
 				return Raw{}, false, err
 			}
 		}
@@ -367,17 +373,31 @@ func (r Raw) Bool() (bool, bool) {
 	return r.data[r.off] != 0, true
 }
 
-// Str returns the string payload without copying.
-func (r Raw) Str() (string, bool) {
+// str returns the string payload in place.
+func (r Raw) str() ([]byte, bool) {
 	if r.Tag != tagString || r.off+4 > len(r.data) {
-		return "", false
+		return nil, false
 	}
 	n := int(binary.LittleEndian.Uint32(r.data[r.off:]))
 	start := r.off + 4
 	if n < 1 || start+n > len(r.data) {
-		return "", false
+		return nil, false
 	}
-	return string(r.data[start : start+n-1]), true
+	return r.data[start : start+n-1], true
+}
+
+// EqualString reports whether the value is a string equal to s, comparing
+// the payload in place.
+func (r Raw) EqualString(s string) bool {
+	b, ok := r.str()
+	return ok && string(b) == s
+}
+
+// HasPrefix reports whether the value is a string starting with prefix,
+// comparing the payload in place.
+func (r Raw) HasPrefix(prefix string) bool {
+	b, ok := r.str()
+	return ok && len(b) >= len(prefix) && string(b[:len(prefix)]) == prefix
 }
 
 // Len counts the elements of a document or array value by walking headers.
@@ -385,26 +405,17 @@ func (r Raw) Len() (int, bool) {
 	if r.Tag != tagDoc && r.Tag != tagArray {
 		return 0, false
 	}
-	data, off := r.data, r.off
-	if off+5 > len(data) {
+	i, end, err := docBounds(r.data, r.off)
+	if err != nil {
 		return 0, false
 	}
-	end := off + int(binary.LittleEndian.Uint32(data[off:]))
-	if end > len(data) {
-		return 0, false
-	}
-	i := off + 4
 	count := 0
-	for i < end && data[i] != 0 {
-		tag := data[i]
-		i++
-		_, n, err := readCString(data, i)
+	for i < end && r.data[i] != 0 {
+		_, val, err := elementKey(r.data, i, end)
 		if err != nil {
 			return 0, false
 		}
-		i += n
-		i, err = skipValue(data, i, tag)
-		if err != nil {
+		if i, err = skipValue(r.data, val, r.data[i]); err != nil {
 			return 0, false
 		}
 		count++
@@ -416,4 +427,102 @@ func (r Raw) Len() (int, bool) {
 func (r Raw) Value() (jsonval.Value, error) {
 	v, _, err := decodeValue(r.data, r.off, r.Tag)
 	return v, err
+}
+
+// AppendJSON appends the JSON text of the encoded document to dst, byte for
+// byte what jsonval.AppendJSON(dst, v) appends for the v that Decode(doc)
+// returns, and fails exactly when Decode fails — without building the value
+// tree. On error dst is returned unextended.
+func AppendJSON(dst, doc []byte) ([]byte, error) {
+	base := len(dst)
+	dst, n, err := appendDoc(dst, doc, 0, false, true)
+	if err == nil && n != len(doc) {
+		err = &CorruptError{Offset: n, Msg: "trailing bytes"}
+	}
+	if err != nil {
+		return dst[:base], err
+	}
+	return dst, nil
+}
+
+// appendDoc mirrors decodeDoc. At the root, a document whose only element
+// has the empty key is written as that element's bare value, the unwrap
+// Decode applies to non-object roots.
+func appendDoc(dst, data []byte, off int, asArray, root bool) ([]byte, int, error) {
+	i, end, err := docBounds(data, off)
+	if err != nil {
+		return dst, 0, err
+	}
+	bare := false
+	if root && i+1 < end && data[i] != 0 && data[i+1] == 0 {
+		p, err := skipValue(data, i+2, data[i])
+		bare = err == nil && p == end-1
+	}
+	open, close := byte('{'), byte('}')
+	if asArray {
+		open, close = '[', ']'
+	}
+	if !bare {
+		dst = append(dst, open)
+	}
+	for first := true; ; first = false {
+		if i >= end {
+			return dst, 0, &CorruptError{Offset: i, Msg: "missing terminator"}
+		}
+		tag := data[i]
+		if tag == 0 {
+			if i != end-1 {
+				return dst, 0, &CorruptError{Offset: i, Msg: "terminator before document end"}
+			}
+			break
+		}
+		key, val, err := elementKey(data, i, end)
+		if err != nil {
+			return dst, 0, err
+		}
+		if !first {
+			dst = append(dst, ',')
+		}
+		if !asArray && !bare {
+			dst = append(jsonval.AppendQuoted(dst, inPlace(key)), ':')
+		}
+		if dst, i, err = appendValue(dst, data, val, tag); err != nil {
+			return dst, 0, err
+		}
+	}
+	if !bare {
+		dst = append(dst, close)
+	}
+	return dst, end, nil
+}
+
+// appendValue mirrors decodeValue.
+func appendValue(dst, data []byte, off int, tag byte) ([]byte, int, error) {
+	switch tag {
+	case tagString:
+		r := Raw{Tag: tag, data: data, off: off}
+		s, ok := r.str()
+		if !ok {
+			return dst, 0, &CorruptError{Offset: off, Msg: "string out of bounds"}
+		}
+		return jsonval.AppendQuoted(dst, inPlace(s)), off + 4 + len(s) + 1, nil
+	case tagDoc:
+		return appendDoc(dst, data, off, false, false)
+	case tagArray:
+		return appendDoc(dst, data, off, true, false)
+	default:
+		// Scalars carry no bytes worth streaming: decode the fixed-size
+		// payload and let jsonval format it.
+		v, n, err := decodeValue(data, off, tag)
+		if err != nil {
+			return dst, 0, err
+		}
+		return jsonval.AppendJSON(dst, v), n, nil
+	}
+}
+
+// inPlace views b as a string without copying, for callees that only read
+// their argument for the duration of the call.
+func inPlace(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }

@@ -146,8 +146,11 @@ func TestRawAccessors(t *testing.T) {
 	if n, ok := get("/f").Number(); !ok || n != 1.5 {
 		t.Errorf("float Number = %g, %v", n, ok)
 	}
-	if s, ok := get("/s").Str(); !ok || s != "txt" {
-		t.Errorf("Str = %q, %v", s, ok)
+	if s := get("/s"); !s.EqualString("txt") || s.EqualString("tx") || !s.HasPrefix("tx") || s.HasPrefix("txts") {
+		t.Errorf("EqualString/HasPrefix disagree with the payload %q", "txt")
+	}
+	if get("/i").EqualString("42") || get("/i").HasPrefix("") {
+		t.Errorf("non-string matched a string test")
 	}
 	if b, ok := get("/b").Bool(); !ok || !b {
 		t.Errorf("Bool = %v, %v", b, ok)

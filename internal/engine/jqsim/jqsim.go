@@ -326,31 +326,14 @@ func evalAny(doc any, p query.Predicate) bool {
 			return false
 		}
 		arr, isArr := v.([]any)
-		return isArr && cmpInt(n.Op, len(arr), n.Value)
+		return isArr && n.Op.HoldsInt(len(arr), n.Value)
 	case query.ObjSize:
 		v, ok := lookupAny(doc, n.Path)
 		if !ok {
 			return false
 		}
 		obj, isObj := v.(map[string]any)
-		return isObj && cmpInt(n.Op, len(obj), n.Value)
-	default:
-		return false
-	}
-}
-
-func cmpInt(op query.CmpOp, a, b int) bool {
-	switch op {
-	case query.Lt:
-		return a < b
-	case query.Le:
-		return a <= b
-	case query.Gt:
-		return a > b
-	case query.Ge:
-		return a >= b
-	case query.Eq:
-		return a == b
+		return isObj && n.Op.HoldsInt(len(obj), n.Value)
 	default:
 		return false
 	}

@@ -6,6 +6,13 @@
 // MongoDB competitive on large nested documents (Twitter) while the per-
 // document block-decompression overhead dominates on many small shallow
 // ones (NoBench), reproducing the paper's MongoDB/PostgreSQL crossover.
+//
+// What a query pays for is that modelled work — one inflate per unpruned
+// block, one path walk per evaluated leaf, a decode only where a value tree
+// is needed (transform, store zones, aggregated attributes). The read path
+// itself allocates nothing per document: blocks inflate into one buffer per
+// Execute, keys are matched in place, the filter is compiled once, and
+// returned documents stream from BSON to JSON text.
 package mongosim
 
 import (
@@ -94,8 +101,14 @@ func newBlockWriter(opts Options, coll *collection) *blockWriter {
 	return &blockWriter{opts: opts, coll: coll, zones: shard.NewZoneBuilder()}
 }
 
-func (w *blockWriter) add(doc jsonval.Value) {
-	w.buf = bsonlite.Encode(w.buf, doc)
+// add appends doc to the pending block. encoded, when non-nil, is doc's BSON
+// form and is copied instead of encoding doc again.
+func (w *blockWriter) add(doc jsonval.Value, encoded []byte) {
+	if encoded != nil {
+		w.buf = append(w.buf, encoded...)
+	} else {
+		w.buf = bsonlite.Encode(w.buf, doc)
+	}
 	w.zones.Add(doc)
 	w.n++
 	w.coll.docs++
@@ -126,7 +139,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 	coll := &collection{}
 	w := newBlockWriter(e.opts, coll)
 	docs, rawBytes, err := engine.ReadFile(ctx, path, func(doc jsonval.Value) error {
-		w.add(doc)
+		w.add(doc, nil)
 		return nil
 	})
 	if err != nil {
@@ -152,7 +165,7 @@ func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
 	coll := &collection{}
 	w := newBlockWriter(e.opts, coll)
 	for _, d := range docs {
-		w.add(d)
+		w.add(d, nil)
 	}
 	w.seal()
 	e.mu.Lock()
@@ -161,12 +174,19 @@ func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
 }
 
 // open restores a block's BSON byte stream, decompressing per access as
-// the storage engine does per block read.
-func (b block) open() ([]byte, error) {
+// the storage engine does per block read. The inflated bytes live in
+// *scratch, which open reuses and grows; they are valid until the next open
+// with the same scratch.
+func (b block) open(scratch *[]byte) ([]byte, error) {
 	if !b.compressed {
 		return b.data, nil
 	}
-	return lz.Decompress(nil, b.data)
+	raw, err := lz.Decompress((*scratch)[:0], b.data)
+	if err != nil {
+		return nil, err
+	}
+	*scratch = raw
+	return raw, nil
 }
 
 // Execute implements engine.Engine: a single-threaded block scan with lazy
@@ -206,7 +226,14 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	pruner := query.NewAdaptivePruner(compiled, len(coll.blocks), func(i int) query.Zone {
 		return coll.blocks[i].zone
 	})
-	var outBuf []byte
+	match := e.matcher(compiled)
+	var aggSteps, groupSteps []string
+	if agg != nil {
+		aggSteps, groupSteps = q.Agg.Path.Steps(), q.Agg.GroupBy.Steps()
+	}
+	// scratch and outBuf belong to this call: concurrent Executes on one
+	// engine share nothing mutable but the collection map.
+	var scratch, outBuf []byte
 	if _, err := scan.StreamShards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks),
 		func(i int) bool {
 			if !pruner.CanSkip(i, coll.blocks[i].zone) {
@@ -216,7 +243,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 			return true
 		},
 		func(i int) (int64, error) {
-			raw, oerr := coll.blocks[i].open()
+			raw, oerr := coll.blocks[i].open(&scratch)
 			if oerr != nil {
 				return 0, fmt.Errorf("mongosim: opening block: %w", oerr)
 			}
@@ -231,47 +258,29 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 				off += docLen
 				stats.Scanned++
 				walked++
-				var match bool
-				if e.opts.FullDecode {
-					v, verr := bsonlite.Decode(doc)
-					if verr != nil {
-						return walked, fmt.Errorf("mongosim: decoding document: %w", verr)
-					}
-					match = compiled.Eval(v)
-				} else {
-					var ferr error
-					match, ferr = evalFilter(doc, q.Filter)
-					if ferr != nil {
-						return walked, ferr
-					}
+				ok, merr := match(doc)
+				if merr != nil {
+					return walked, merr
 				}
-				if !match {
+				if !ok {
 					continue
 				}
 				stats.Matched++
 				switch {
 				case agg != nil && q.Transform == nil:
-					if aerr := addLazy(agg, doc, q.Agg); aerr != nil {
+					if aerr := addLazy(agg, doc, q.Agg, aggSteps, groupSteps); aerr != nil {
 						return walked, aerr
 					}
 				case agg != nil:
 					// Transform stages force materialisation, as $set/$unset
 					// pipelines do.
-					v, merr := e.materialise(doc, q)
-					if merr != nil {
-						return walked, merr
+					v, derr := decode(doc)
+					if derr != nil {
+						return walked, derr
 					}
 					agg.Add(q.ApplyTransform(v))
 				default:
-					v, merr := e.materialise(doc, q)
-					if merr != nil {
-						return walked, merr
-					}
-					v = q.ApplyTransform(v)
-					if storeWriter != nil {
-						storeWriter.add(v)
-					}
-					n, werr := engine.WriteDoc(sink, &outBuf, v)
+					n, werr := emit(q, doc, storeWriter, sink, &outBuf)
 					if werr != nil {
 						return walked, werr
 					}
@@ -305,8 +314,51 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	return stats, nil
 }
 
-// materialise decodes a full document (cursor output or store path).
-func (e *Engine) materialise(doc []byte, _ *query.Query) (jsonval.Value, error) {
+// matcher builds the per-query document test: lazy per-leaf walks over the
+// raw BSON by default, the compiled predicate over the materialised document
+// in FullDecode mode.
+func (e *Engine) matcher(compiled query.CompiledPredicate) func(doc []byte) (bool, error) {
+	if e.opts.FullDecode {
+		return func(doc []byte) (bool, error) {
+			v, err := decode(doc)
+			return err == nil && compiled.Eval(v), err
+		}
+	}
+	return engine.CompileLazy(compiled.Source(), bsonlite.LookupSteps, decode)
+}
+
+// emit returns one matching document: to the sink, and to the store when the
+// query has one. Without transform and store the cursor streams BSON to JSON
+// text and no value tree is built. A store needs the tree for its zone maps,
+// but an untransformed document keeps its encoded bytes.
+func emit(q *query.Query, doc []byte, store *blockWriter, sink io.Writer, outBuf *[]byte) (int64, error) {
+	if q.Transform == nil && store == nil {
+		out, err := bsonlite.AppendJSON((*outBuf)[:0], doc)
+		if err != nil {
+			return 0, fmt.Errorf("mongosim: decoding document: %w", err)
+		}
+		*outBuf = append(out, '\n')
+		n, err := sink.Write(*outBuf)
+		return int64(n), err
+	}
+	v, err := decode(doc)
+	if err != nil {
+		return 0, err
+	}
+	// Encode(v) reproduces doc unless Decode unwrapped an empty-key wrapper
+	// around an object, which Encode would not wrap again.
+	encoded := doc
+	if q.Transform != nil || (v.Kind() == jsonval.Object && len(doc) > 5 && doc[5] == 0) {
+		v, encoded = q.ApplyTransform(v), nil
+	}
+	if store != nil {
+		store.add(v, encoded)
+	}
+	return engine.WriteDoc(sink, outBuf, v)
+}
+
+// decode materialises a full document (transform, store and ablation paths).
+func decode(doc []byte) (jsonval.Value, error) {
 	v, err := bsonlite.Decode(doc)
 	if err != nil {
 		return jsonval.Value{}, fmt.Errorf("mongosim: decoding document: %w", err)
@@ -316,34 +368,27 @@ func (e *Engine) materialise(doc []byte, _ *query.Query) (jsonval.Value, error) 
 
 // addLazy folds a matching raw document into the aggregation, materialising
 // only the referenced attributes (the $group projection path).
-func addLazy(agg *query.Aggregator, doc []byte, spec *query.Aggregation) error {
-	var v jsonval.Value
-	var vok bool
-	if raw, ok, err := bsonlite.Lookup(doc, spec.Path); err != nil {
+func addLazy(agg *query.Aggregator, doc []byte, spec *query.Aggregation, aggSteps, groupSteps []string) error {
+	var v, g jsonval.Value
+	raw, vok, err := bsonlite.LookupSteps(doc, aggSteps)
+	if err != nil {
 		return err
-	} else if ok {
-		if spec.Func == query.Count {
-			// COUNT only needs existence, not the value.
-			vok = true
-		} else {
-			val, err := raw.Value()
-			if err != nil {
-				return err
-			}
-			v, vok = val, true
+	}
+	// COUNT only needs existence, not the value.
+	if vok && spec.Func != query.Count {
+		if v, err = raw.Value(); err != nil {
+			return err
 		}
 	}
-	var g jsonval.Value
-	var gok bool
+	gok := false
 	if spec.Grouped {
-		if raw, ok, err := bsonlite.Lookup(doc, spec.GroupBy); err != nil {
+		if raw, gok, err = bsonlite.LookupSteps(doc, groupSteps); err != nil {
 			return err
-		} else if ok {
-			val, err := raw.Value()
-			if err != nil {
+		}
+		if gok {
+			if g, err = raw.Value(); err != nil {
 				return err
 			}
-			g, gok = val, true
 		}
 	}
 	agg.AddValues(v, vok, g, gok)
@@ -361,111 +406,6 @@ func docLength(raw []byte) (int, error) {
 		return 0, fmt.Errorf("mongosim: document length %d out of bounds", n)
 	}
 	return n, nil
-}
-
-// evalFilter evaluates the predicate tree over the raw BSON document with
-// per-leaf lazy path lookups.
-func evalFilter(doc []byte, p query.Predicate) (bool, error) {
-	if p == nil {
-		return true, nil
-	}
-	switch n := p.(type) {
-	case query.And:
-		l, err := evalFilter(doc, n.Left)
-		if err != nil || !l {
-			return false, err
-		}
-		return evalFilter(doc, n.Right)
-	case query.Or:
-		l, err := evalFilter(doc, n.Left)
-		if err != nil || l {
-			return l, err
-		}
-		return evalFilter(doc, n.Right)
-	case query.Exists:
-		_, ok, err := bsonlite.Lookup(doc, n.Path)
-		return ok, err
-	case query.IsString:
-		raw, ok, err := bsonlite.Lookup(doc, n.Path)
-		return ok && err == nil && raw.Kind() == jsonval.String, err
-	case query.IntEq:
-		raw, ok, err := bsonlite.Lookup(doc, n.Path)
-		if err != nil || !ok {
-			return false, err
-		}
-		num, isNum := raw.Number()
-		return isNum && num == float64(n.Value), nil
-	case query.FloatCmp:
-		raw, ok, err := bsonlite.Lookup(doc, n.Path)
-		if err != nil || !ok {
-			return false, err
-		}
-		num, isNum := raw.Number()
-		return isNum && cmpHolds(n.Op, num, n.Value), nil
-	case query.StrEq:
-		raw, ok, err := bsonlite.Lookup(doc, n.Path)
-		if err != nil || !ok {
-			return false, err
-		}
-		s, isStr := raw.Str()
-		return isStr && s == n.Value, nil
-	case query.HasPrefix:
-		raw, ok, err := bsonlite.Lookup(doc, n.Path)
-		if err != nil || !ok {
-			return false, err
-		}
-		s, isStr := raw.Str()
-		return isStr && len(s) >= len(n.Prefix) && s[:len(n.Prefix)] == n.Prefix, nil
-	case query.BoolEq:
-		raw, ok, err := bsonlite.Lookup(doc, n.Path)
-		if err != nil || !ok {
-			return false, err
-		}
-		b, isBool := raw.Bool()
-		return isBool && b == n.Value, nil
-	case query.ArrSize:
-		raw, ok, err := bsonlite.Lookup(doc, n.Path)
-		if err != nil || !ok || raw.Kind() != jsonval.Array {
-			return false, err
-		}
-		l, lok := raw.Len()
-		return lok && cmpHoldsInt(n.Op, l, n.Value), nil
-	case query.ObjSize:
-		raw, ok, err := bsonlite.Lookup(doc, n.Path)
-		if err != nil || !ok || raw.Kind() != jsonval.Object {
-			return false, err
-		}
-		l, lok := raw.Len()
-		return lok && cmpHoldsInt(n.Op, l, n.Value), nil
-	default:
-		// Unknown node types fall back to materialised evaluation.
-		v, err := bsonlite.Decode(doc)
-		if err != nil {
-			return false, err
-		}
-		return p.Eval(v), nil
-	}
-}
-
-func cmpHolds(op query.CmpOp, a, b float64) bool {
-	switch op {
-	case query.Lt:
-		return a < b
-	case query.Le:
-		return a <= b
-	case query.Gt:
-		return a > b
-	case query.Ge:
-		return a >= b
-	case query.Eq:
-		return a == b
-	default:
-		return false
-	}
-}
-
-func cmpHoldsInt(op query.CmpOp, a, b int) bool {
-	return cmpHolds(op, float64(a), float64(b))
 }
 
 // Reset implements engine.Engine.

@@ -136,12 +136,54 @@ func (e *Engine) encodeRow(doc jsonval.Value) (row, error) {
 }
 
 // open detoasts the row: a fresh decompression per call, as PostgreSQL's
-// pglz pays per jsonb function invocation.
-func (r row) open() ([]byte, error) {
+// pglz pays per jsonb function invocation. The detoasted bytes live in
+// *scratch, which open reuses and grows; they are valid until the next open
+// with the same scratch.
+func (r row) open(scratch *[]byte) ([]byte, error) {
 	if !r.compressed {
 		return r.data, nil
 	}
-	return lz.Decompress(nil, r.data)
+	data, err := lz.Decompress((*scratch)[:0], r.data)
+	if err != nil {
+		return nil, fmt.Errorf("pgsim: detoasting row: %w", err)
+	}
+	*scratch = data
+	return data, nil
+}
+
+// decode detoasts the row and rebuilds its value tree.
+func (r row) decode(scratch *[]byte) (jsonval.Value, error) {
+	data, err := r.open(scratch)
+	if err != nil {
+		return jsonval.Value{}, err
+	}
+	doc, err := jsonblite.Decode(data)
+	if err != nil {
+		return jsonval.Value{}, fmt.Errorf("pgsim: decoding row: %w", err)
+	}
+	return doc, nil
+}
+
+// matcher builds the per-query row test. By default each leaf detoasts the
+// row anew — PostgreSQL detoasts per jsonb function call, so a composed
+// BETZE predicate chain pays the decompression repeatedly on TOASTed rows —
+// and then resolves its path with binary search. FullDecode mode evaluates
+// the compiled predicate on the materialised row instead.
+func (e *Engine) matcher(compiled query.CompiledPredicate, scratch *[]byte) func(row) (bool, error) {
+	decode := func(r row) (jsonval.Value, error) { return r.decode(scratch) }
+	if e.opts.FullDecode {
+		return func(r row) (bool, error) {
+			doc, err := decode(r)
+			return err == nil && compiled.Eval(doc), err
+		}
+	}
+	return engine.CompileLazy(compiled.Source(), func(r row, steps []string) (jsonblite.Raw, bool, error) {
+		data, err := r.open(scratch)
+		if err != nil {
+			return jsonblite.Raw{}, false, err
+		}
+		return jsonblite.LookupSteps(data, steps)
+	}, decode)
 }
 
 // ImportFile implements engine.Engine. Like PostgreSQL's json input, every
@@ -295,7 +337,10 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	if q.Store != "" {
 		storeTB = newTableBuilder()
 	}
-	var outBuf []byte
+	// scratch and outBuf belong to this call: concurrent Executes on one
+	// engine share nothing mutable but the table map.
+	var scratch, outBuf []byte
+	match := e.matcher(compiled, &scratch)
 	if _, err := scan.StreamShards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards),
 		func(i int) bool {
 			sh := tbl.shards[i]
@@ -312,37 +357,19 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 				r := tbl.rows[ri]
 				stats.Scanned++
 				walked++
-				var match bool
-				if e.opts.FullDecode {
-					data, derr := r.open()
-					if derr != nil {
-						return walked, fmt.Errorf("pgsim: detoasting row: %w", derr)
-					}
-					doc, derr := jsonblite.Decode(data)
-					if derr != nil {
-						return walked, fmt.Errorf("pgsim: decoding row: %w", derr)
-					}
-					match = compiled.Eval(doc)
-				} else {
-					var ferr error
-					match, ferr = evalRow(r, q.Filter)
-					if ferr != nil {
-						return walked, ferr
-					}
+				ok, merr := match(r)
+				if merr != nil {
+					return walked, merr
 				}
-				if !match {
+				if !ok {
 					continue
 				}
 				stats.Matched++
 				// Producing output (or aggregating) accesses the whole value:
 				// one more detoast plus a decode, as returning jsonb does.
-				data, derr := r.open()
+				doc, derr := r.decode(&scratch)
 				if derr != nil {
-					return walked, fmt.Errorf("pgsim: detoasting row: %w", derr)
-				}
-				doc, derr := jsonblite.Decode(data)
-				if derr != nil {
-					return walked, fmt.Errorf("pgsim: decoding row: %w", derr)
+					return walked, derr
 				}
 				if q.Transform != nil {
 					doc = q.Transform.Apply(doc)
@@ -397,122 +424,6 @@ func (e *Engine) emit(q *query.Query, doc jsonval.Value, r row, storeTB *tableBu
 	stats.Returned++
 	stats.OutputBytes += n
 	return nil
-}
-
-// evalRow evaluates the predicate tree over one row. Each leaf detoasts the
-// row anew — PostgreSQL detoasts per jsonb function call, so a composed
-// BETZE predicate chain pays the decompression repeatedly on TOASTed rows —
-// and then resolves its path with binary search.
-func evalRow(r row, p query.Predicate) (bool, error) {
-	if p == nil {
-		return true, nil
-	}
-	switch n := p.(type) {
-	case query.And:
-		l, err := evalRow(r, n.Left)
-		if err != nil || !l {
-			return false, err
-		}
-		return evalRow(r, n.Right)
-	case query.Or:
-		l, err := evalRow(r, n.Left)
-		if err != nil || l {
-			return l, err
-		}
-		return evalRow(r, n.Right)
-	default:
-		data, err := r.open() // per-leaf detoast
-		if err != nil {
-			return false, fmt.Errorf("pgsim: detoasting row: %w", err)
-		}
-		path, ok := query.LeafPath(p)
-		if !ok {
-			doc, err := jsonblite.Decode(data)
-			if err != nil {
-				return false, err
-			}
-			return p.Eval(doc), nil
-		}
-		v, found, err := jsonblite.LookupBinary(data, path)
-		if err != nil {
-			return false, err
-		}
-		if !found {
-			return false, nil
-		}
-		// Apply the leaf to the value resolved at its path.
-		return evalOnValue(p, v), nil
-	}
-}
-
-// evalOnValue applies a leaf predicate to the value already resolved at its
-// path.
-func evalOnValue(p query.Predicate, v jsonval.Value) bool {
-	switch n := p.(type) {
-	case query.Exists:
-		return true
-	case query.IsString:
-		return v.Kind() == jsonval.String
-	case query.IntEq:
-		num, ok := v.Number()
-		return ok && num == float64(n.Value)
-	case query.FloatCmp:
-		num, ok := v.Number()
-		if !ok {
-			return false
-		}
-		switch n.Op {
-		case query.Lt:
-			return num < n.Value
-		case query.Le:
-			return num <= n.Value
-		case query.Gt:
-			return num > n.Value
-		case query.Ge:
-			return num >= n.Value
-		default:
-			return num == n.Value
-		}
-	case query.StrEq:
-		return v.Kind() == jsonval.String && v.Str() == n.Value
-	case query.HasPrefix:
-		s := ""
-		if v.Kind() == jsonval.String {
-			s = v.Str()
-		}
-		return v.Kind() == jsonval.String && len(s) >= len(n.Prefix) && s[:len(n.Prefix)] == n.Prefix
-	case query.BoolEq:
-		return v.Kind() == jsonval.Bool && v.Bool() == n.Value
-	case query.ArrSize:
-		if v.Kind() != jsonval.Array {
-			return false
-		}
-		return cmpInt(n.Op, v.Len(), n.Value)
-	case query.ObjSize:
-		if v.Kind() != jsonval.Object {
-			return false
-		}
-		return cmpInt(n.Op, v.Len(), n.Value)
-	default:
-		return false
-	}
-}
-
-func cmpInt(op query.CmpOp, a, b int) bool {
-	switch op {
-	case query.Lt:
-		return a < b
-	case query.Le:
-		return a <= b
-	case query.Gt:
-		return a > b
-	case query.Ge:
-		return a >= b
-	case query.Eq:
-		return a == b
-	default:
-		return false
-	}
 }
 
 // Reset implements engine.Engine.

@@ -116,8 +116,9 @@ func Encode(dst []byte, v jsonval.Value) ([]byte, error) {
 	}
 }
 
-// Decode materialises the whole document — the per-evaluation cost of the
-// PostgreSQL stand-in, which (like detoasted JSONB) rebuilds the value tree.
+// Decode materialises the whole document — what the PostgreSQL stand-in pays
+// per returned or aggregated row, rebuilding the value tree as returning a
+// detoasted JSONB does. Filters go through LookupSteps instead.
 func Decode(data []byte) (jsonval.Value, error) {
 	v, n, err := decode(data, 0)
 	if err != nil {
@@ -161,16 +162,11 @@ func decode(data []byte, off int) (jsonval.Value, int, error) {
 		}
 		return jsonval.StringValue(string(data[start : start+n])), start + n, nil
 	case tagArray:
-		if off+5 > len(data) {
-			return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: "truncated array header"}
-		}
-		count := int(binary.LittleEndian.Uint32(data[off+1:]))
-		pos := off + 5 + 4*count
-		if pos > len(data) {
-			return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: "array index out of bounds"}
+		count, pos, err := index(data, off, 4)
+		if err != nil {
+			return jsonval.Value{}, 0, err
 		}
 		elems := make([]jsonval.Value, count)
-		var err error
 		for i := 0; i < count; i++ {
 			elems[i], pos, err = decode(data, pos)
 			if err != nil {
@@ -179,28 +175,20 @@ func decode(data []byte, off int) (jsonval.Value, int, error) {
 		}
 		return jsonval.ArrayValue(elems...), pos, nil
 	case tagObject:
-		if off+5 > len(data) {
-			return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: "truncated object header"}
-		}
-		count := int(binary.LittleEndian.Uint32(data[off+1:]))
-		idx := off + 5
-		keysStart := idx + 12*count
-		if keysStart > len(data) {
-			return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: "object index out of bounds"}
+		count, keysStart, err := index(data, off, 12)
+		if err != nil {
+			return jsonval.Value{}, 0, err
 		}
 		members := make([]jsonval.Member, count)
 		pos := keysStart
 		// Keys first (they precede the values section).
 		for i := 0; i < count; i++ {
-			kOff := int(binary.LittleEndian.Uint32(data[idx+12*i:]))
-			kLen := int(binary.LittleEndian.Uint32(data[idx+12*i+4:]))
-			if keysStart+kOff+kLen > len(data) {
-				return jsonval.Value{}, 0, &CorruptError{Offset: idx, Msg: "key out of bounds"}
+			var key []byte
+			if key, pos, err = objectKey(data, off+5, keysStart, i); err != nil {
+				return jsonval.Value{}, 0, err
 			}
-			members[i].Key = string(data[keysStart+kOff : keysStart+kOff+kLen])
-			pos = keysStart + kOff + kLen
+			members[i].Key = string(key)
 		}
-		var err error
 		for i := 0; i < count; i++ {
 			members[i].Value, pos, err = decode(data, pos)
 			if err != nil {
@@ -213,63 +201,184 @@ func decode(data []byte, off int) (jsonval.Value, int, error) {
 	}
 }
 
-// LookupBinary resolves a path via binary search over the sorted key
-// indexes, without materialising the document. pgsim uses full Decode for
-// query evaluation (matching detoast behaviour); LookupBinary backs the
-// lazy-access ablation benchmark.
-func LookupBinary(data []byte, path jsonval.Path) (jsonval.Value, bool, error) {
-	off := 0
-	segs := path.Segments()
-	for si, seg := range segs {
-		if off >= len(data) || data[off] != tagObject {
-			return jsonval.Value{}, false, nil
-		}
-		count := int(binary.LittleEndian.Uint32(data[off+1:]))
-		if count == 0 {
-			return jsonval.Value{}, false, nil
-		}
-		idx := off + 5
-		keysStart := idx + 12*count
-		key := func(i int) string {
-			kOff := int(binary.LittleEndian.Uint32(data[idx+12*i:]))
-			kLen := int(binary.LittleEndian.Uint32(data[idx+12*i+4:]))
-			return string(data[keysStart+kOff : keysStart+kOff+kLen])
-		}
-		lo, hi := 0, count-1
-		found := -1
-		for lo <= hi {
-			mid := (lo + hi) / 2
-			switch k := key(mid); {
-			case k == seg:
-				found = mid
-				lo = hi + 1
-			case k < seg:
-				lo = mid + 1
-			default:
-				hi = mid - 1
-			}
-		}
-		if found < 0 {
-			return jsonval.Value{}, false, nil
-		}
-		// Values start after the last key; compute the values section
-		// start from the last key's end.
-		lastOff := int(binary.LittleEndian.Uint32(data[idx+12*(count-1):]))
-		lastLen := int(binary.LittleEndian.Uint32(data[idx+12*(count-1)+4:]))
-		valsStart := keysStart + lastOff + lastLen
-		vOff := int(binary.LittleEndian.Uint32(data[idx+12*found+8:]))
-		off = valsStart + vOff
-		if si == len(segs)-1 {
-			v, _, err := decode(data, off)
-			if err != nil {
-				return jsonval.Value{}, false, err
-			}
-			return v, true, nil
-		}
+// index validates the header of the array or object at off, whose index
+// entries are entry bytes wide, and returns the element count and the offset
+// just past the index.
+func index(data []byte, off, entry int) (count, end int, err error) {
+	if off+5 > len(data) {
+		return 0, 0, &CorruptError{Offset: off, Msg: "truncated container header"}
 	}
-	v, _, err := decode(data, off)
-	if err != nil {
+	count = int(binary.LittleEndian.Uint32(data[off+1:]))
+	end = off + 5 + entry*count
+	if end > len(data) {
+		return 0, 0, &CorruptError{Offset: off, Msg: "container index out of bounds"}
+	}
+	return count, end, nil
+}
+
+// objectKey returns the i-th key of an object, in place, and the offset just
+// past it; idx and keysStart are the offsets of the object's index and keys.
+func objectKey(data []byte, idx, keysStart, i int) (key []byte, end int, err error) {
+	start := keysStart + int(binary.LittleEndian.Uint32(data[idx+12*i:]))
+	end = start + int(binary.LittleEndian.Uint32(data[idx+12*i+4:]))
+	if end > len(data) {
+		return nil, 0, &CorruptError{Offset: idx + 12*i, Msg: "key out of bounds"}
+	}
+	return data[start:end], end, nil
+}
+
+// Raw is an undecoded value inside a document; data[off] is its tag.
+type Raw struct {
+	data []byte
+	off  int
+}
+
+// LookupBinary resolves a path via binary search over the sorted key
+// indexes and materialises only the value found there.
+func LookupBinary(data []byte, path jsonval.Path) (jsonval.Value, bool, error) {
+	r, ok, err := LookupSteps(data, path.Steps())
+	if err != nil || !ok {
 		return jsonval.Value{}, false, err
 	}
-	return v, true, nil
+	v, err := r.Value()
+	return v, err == nil, err
+}
+
+// LookupSteps is pgsim's evaluation path: it resolves a pre-split step slice
+// (from Path.Steps) by binary search without materialising anything. Index
+// keys are compared in place, so the walk allocates nothing. Among duplicate
+// keys the first wins, as in jsonval.Value.Field.
+func LookupSteps(data []byte, steps []string) (Raw, bool, error) {
+	off := 0
+	for _, seg := range steps {
+		if off >= len(data) {
+			return Raw{}, false, &CorruptError{Offset: off, Msg: "truncated value"}
+		}
+		if data[off] != tagObject {
+			return Raw{}, false, nil
+		}
+		count, keysStart, err := index(data, off, 12)
+		if err != nil {
+			return Raw{}, false, err
+		}
+		idx := off + 5
+		// Lower bound: the first key >= seg.
+		lo, hi := 0, count
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			k, _, err := objectKey(data, idx, keysStart, mid)
+			if err != nil {
+				return Raw{}, false, err
+			}
+			if string(k) < seg {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == count {
+			return Raw{}, false, nil
+		}
+		if k, _, err := objectKey(data, idx, keysStart, lo); err != nil || string(k) != seg {
+			return Raw{}, false, err
+		}
+		// The values section starts where the last key ends.
+		_, valsStart, err := objectKey(data, idx, keysStart, count-1)
+		if err != nil {
+			return Raw{}, false, err
+		}
+		off = valsStart + int(binary.LittleEndian.Uint32(data[idx+12*lo+8:]))
+	}
+	if off >= len(data) {
+		return Raw{}, false, &CorruptError{Offset: off, Msg: "truncated value"}
+	}
+	return Raw{data: data, off: off}, true, nil
+}
+
+// Kind maps the raw tag to the JSON kind.
+func (r Raw) Kind() jsonval.Kind {
+	switch r.data[r.off] {
+	case tagFalse, tagTrue:
+		return jsonval.Bool
+	case tagInt:
+		return jsonval.Int
+	case tagFloat:
+		return jsonval.Float
+	case tagString:
+		return jsonval.String
+	case tagArray:
+		return jsonval.Array
+	case tagObject:
+		return jsonval.Object
+	default:
+		return jsonval.Null
+	}
+}
+
+// Number returns the numeric payload of an int or float value.
+func (r Raw) Number() (float64, bool) {
+	if r.off+9 > len(r.data) {
+		return 0, false
+	}
+	switch bits := binary.LittleEndian.Uint64(r.data[r.off+1:]); r.data[r.off] {
+	case tagInt:
+		return float64(int64(bits)), true
+	case tagFloat:
+		return math.Float64frombits(bits), true
+	default:
+		return 0, false
+	}
+}
+
+// Bool returns the boolean payload.
+func (r Raw) Bool() (bool, bool) {
+	tag := r.data[r.off]
+	return tag == tagTrue, tag == tagTrue || tag == tagFalse
+}
+
+// str returns the string payload in place.
+func (r Raw) str() ([]byte, bool) {
+	if r.data[r.off] != tagString || r.off+5 > len(r.data) {
+		return nil, false
+	}
+	start := r.off + 5
+	end := start + int(binary.LittleEndian.Uint32(r.data[r.off+1:]))
+	if end > len(r.data) {
+		return nil, false
+	}
+	return r.data[start:end], true
+}
+
+// EqualString reports whether the value is a string equal to s, comparing
+// the payload in place.
+func (r Raw) EqualString(s string) bool {
+	b, ok := r.str()
+	return ok && string(b) == s
+}
+
+// HasPrefix reports whether the value is a string starting with prefix,
+// comparing the payload in place.
+func (r Raw) HasPrefix(prefix string) bool {
+	b, ok := r.str()
+	return ok && len(b) >= len(prefix) && string(b[:len(prefix)]) == prefix
+}
+
+// Len returns the element count of an array or object value from its header.
+func (r Raw) Len() (int, bool) {
+	entry := 4
+	switch r.data[r.off] {
+	case tagArray:
+	case tagObject:
+		entry = 12
+	default:
+		return 0, false
+	}
+	count, _, err := index(r.data, r.off, entry)
+	return count, err == nil
+}
+
+// Value materialises the raw value.
+func (r Raw) Value() (jsonval.Value, error) {
+	v, _, err := decode(r.data, r.off)
+	return v, err
 }

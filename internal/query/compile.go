@@ -621,7 +621,7 @@ func compileLeaf(b *trieBuilder, p Predicate) node {
 	case FloatCmp:
 		test := compileFloatTest(n.Op, n.Value)
 		if test == nil {
-			// Unknown operators hold for nothing, matching CmpOp.holds.
+			// Unknown operators hold for nothing, matching CmpOp.Holds.
 			return constNode(false)
 		}
 		return pathLeaf(b, costNumeric, n.Path, zoneNumCmp(n.Op, n.Value),

@@ -46,8 +46,8 @@ func (op CmpOp) String() string {
 	}
 }
 
-// holds reports whether "a op b" is true.
-func (op CmpOp) holds(a, b float64) bool {
+// Holds reports whether "a op b" is true.
+func (op CmpOp) Holds(a, b float64) bool {
 	switch op {
 	case Lt:
 		return a < b
@@ -64,8 +64,8 @@ func (op CmpOp) holds(a, b float64) bool {
 	}
 }
 
-// holdsInt reports whether "a op b" is true for integers.
-func (op CmpOp) holdsInt(a, b int) bool {
+// HoldsInt reports whether "a op b" is true for integers.
+func (op CmpOp) HoldsInt(a, b int) bool {
 	switch op {
 	case Lt:
 		return a < b
@@ -185,7 +185,7 @@ func (p FloatCmp) Eval(doc jsonval.Value) bool {
 		return false
 	}
 	n, ok := v.Number()
-	return ok && p.Op.holds(n, p.Value)
+	return ok && p.Op.Holds(n, p.Value)
 }
 
 // String implements Predicate.
@@ -256,7 +256,7 @@ type ArrSize struct {
 // Eval implements Predicate.
 func (p ArrSize) Eval(doc jsonval.Value) bool {
 	v, ok := p.Path.Lookup(doc)
-	return ok && v.Kind() == jsonval.Array && p.Op.holdsInt(v.Len(), p.Value)
+	return ok && v.Kind() == jsonval.Array && p.Op.HoldsInt(v.Len(), p.Value)
 }
 
 // String implements Predicate.
@@ -275,7 +275,7 @@ type ObjSize struct {
 // Eval implements Predicate.
 func (p ObjSize) Eval(doc jsonval.Value) bool {
 	v, ok := p.Path.Lookup(doc)
-	return ok && v.Kind() == jsonval.Object && p.Op.holdsInt(v.Len(), p.Value)
+	return ok && v.Kind() == jsonval.Object && p.Op.HoldsInt(v.Len(), p.Value)
 }
 
 // String implements Predicate.

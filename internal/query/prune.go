@@ -151,7 +151,7 @@ func zoneNumCmp(op CmpOp, want float64) zoneTest {
 }
 
 // rangeSatisfies reports whether some x in [lo, hi] satisfies "x op want".
-// Unknown operators hold for nothing (CmpOp.holds), so nothing satisfies.
+// Unknown operators hold for nothing (CmpOp.Holds), so nothing satisfies.
 func rangeSatisfies(op CmpOp, lo, hi, want float64) bool {
 	switch op {
 	case Lt:
