@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-self race race-core race-engine race-service race-tools race-cover chaos crash crashfuzz crashfuzz-deep serve-crash loadgen-det check bench bench-short bench-paper clean
+.PHONY: all build test vet lint lint-self race race-core race-engine race-service race-tools race-cover crashfuzz crashfuzz-deep check bench-paper clean
 
 all: build
 
@@ -62,20 +62,6 @@ race-cover:
 	@missing=$$($(GO) list ./... | grep -vxF "$$($(GO) list $(RACE_CORE) $(RACE_ENGINE) $(RACE_SERVICE) $(RACE_TOOLS))"); \
 	if [ -n "$$missing" ]; then echo "packages in no race shard:"; echo "$$missing"; exit 1; fi
 
-# Fault-injection suite: every retry/breaker/crash-recovery/cancellation test
-# runs with the deterministic injector active, under the race detector.
-chaos:
-	$(GO) test -race -run 'Fault|Resilien|Recovery|Breaker|Retry|Skip|Cancel|Crash|MultiUser' \
-		./internal/faultsim/... ./internal/harness/... ./internal/engine/...
-
-# Durability suite: journal torn-write/bit-flip recovery, atomic publication,
-# session-file corruption, and the SIGKILL-and-resume integration test, all
-# under the race detector.
-crash:
-	$(GO) test -race -run 'Runlog|Journal|Resume|Atomic|Torn|Truncat|Corrupt|RoundTrip|Segment|BitFlip|Oversized|KillAndResume|Replay|WorkKey|SessionFile' \
-		./internal/runlog/... ./internal/fsatomic/... ./internal/harness/... \
-		./internal/core/... ./cmd/betze-bench/...
-
 # Crash-point consistency harness: record the durability stack's op traces
 # over the in-memory errfs, simulate power loss at every sync boundary (and
 # between them, under torn/keep-all policies), re-run recovery at each point
@@ -83,6 +69,8 @@ crash:
 # under a final name, jobqueue replay consistent with the ack history, and
 # byte-identical exports from a resumed campaign. Bounded sampling; the
 # schedule derives from -errfs-seed (default 1) and is fully reproducible.
+# On demand: `make check` already runs this bounded harness under -race in
+# race-tools (TestCrashFuzzBoundedPasses, TestCrashFuzzCLIDispatch).
 crashfuzz:
 	$(GO) run ./cmd/betze-bench -crashfuzz
 
@@ -92,38 +80,10 @@ crashfuzz:
 crashfuzz-deep:
 	$(GO) run ./cmd/betze-bench -crashfuzz-deep
 
-# Service-level durability gate: SIGKILL a betze-web subprocess mid-campaign,
-# restart it over the same data directory, and require the recovered server
-# to publish an artifact byte-identical to an uninterrupted baseline run,
-# then drain gracefully on SIGTERM with a sealed journal.
-serve-crash:
-	$(GO) test -race -run 'TestServeCrashResume' -v ./cmd/betze-web/
-
-# Deterministic loadgen smoke: under -det-timing the open-loop verdict table
-# is a pure function of the seed (virtual-time scheduler over work-counter
-# service times), so two runs must emit byte-identical tables. The one line
-# filtered out is the wall-clock "took" footer.
-loadgen-det:
-	$(GO) run ./cmd/betze-bench -exp loadgen -det-timing -twitter-docs 2000 \
-		| grep -v 'took' > /tmp/betze-loadgen-a.txt
-	$(GO) run ./cmd/betze-bench -exp loadgen -det-timing -twitter-docs 2000 \
-		| grep -v 'took' > /tmp/betze-loadgen-b.txt
-	cmp /tmp/betze-loadgen-a.txt /tmp/betze-loadgen-b.txt
-
-check: vet lint lint-self race-cover race chaos crash crashfuzz serve-crash loadgen-det bench-short
-
-# Perf suite: compiled predicates vs. the interface-dispatch path, the shared
-# scan kernel, zone-map shard pruning (adaptive: probes deactivate it where
-# zones prove nothing), the lock-free metrics hot path vs. a mutex baseline,
-# and the open-loop saturation sweep over the engine sims. Refreshes the
-# tracked BENCH_10.json (the repo's perf trajectory; see README).
-bench:
-	$(GO) run ./cmd/betze-bench -perf -perf-out BENCH_10.json
-
-# Short perf pass for `make check`: same suite with fewer repeats, stdout
-# only — the tracked artifact is not overwritten.
-bench-short:
-	$(GO) run ./cmd/betze-bench -perf -perf-repeats 2
+# The gate. Fault injection, journal/crash recovery, the betze-web
+# SIGKILL-and-resume test and the loadgen determinism check are ordinary
+# tests of their packages, so `race` runs each of them once, under -race.
+check: vet lint lint-self race-cover race
 
 # A quick laptop-scale pass over every experiment of the paper.
 bench-paper:

@@ -61,7 +61,12 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("betze-bench", flag.ContinueOnError)
 	var cfg harness.Config
-	exp := fs.String("exp", "all", "experiment id (table1, fig5..fig10, table2..table4, gencost, skew) or 'all'")
+	experiments := harness.Experiments()
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.ID
+	}
+	exp := fs.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
 	fs.StringVar(&cfg.Dir, "dir", "", "working directory for dataset files (default: temp)")
 	fs.IntVar(&cfg.TwitterDocs, "twitter-docs", 0, "Twitter-like dataset size (default 8000; paper 29.6M)")
 	fs.IntVar(&cfg.NoBenchDocs, "nobench-docs", 0, "NoBench dataset size (default 20000; paper 10M)")
@@ -82,18 +87,14 @@ func run(args []string, out io.Writer) error {
 	journalDir := fs.String("journal", "", "write a crash-safe run journal to this directory (must not already hold one)")
 	resumeDir := fs.String("resume", "", "resume from the run journal in this directory, skipping completed work")
 	fs.BoolVar(&cfg.DetTiming, "det-timing", false, "replace measured durations with deterministic work-counter timings")
-	perf := fs.Bool("perf", false, "run the perf suite (compiled predicates + scan kernel) instead of the paper experiments")
-	perfOut := fs.String("perf-out", "", "write the perf report (BENCH_*.json format) atomically to this file")
-	perfDocs := fs.Int("perf-docs", 0, "perf suite document count (default 800)")
-	perfRepeats := fs.Int("perf-repeats", 0, "perf suite passes per measurement, fastest wins (default 5)")
 	crashfuzz := fs.Bool("crashfuzz", false, "run the bounded crash-point consistency harness over the durability stack and exit")
 	crashfuzzDeep := fs.Bool("crashfuzz-deep", false, "exhaustive crash-point enumeration (slow); implies -crashfuzz")
 	errfsSeed := fs.Int64("errfs-seed", 1, "seed for the storage-fault schedule and torn-crash choices (crashfuzz)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *perf {
-		return runPerf(perfOptions{Docs: *perfDocs, Repeats: *perfRepeats, Seed: cfg.Seed, Out: *perfOut}, out)
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (experiments are selected with -exp)", fs.Arg(0))
 	}
 	if *crashfuzz || *crashfuzzDeep {
 		return runCrashFuzz(out, *errfsSeed, *crashfuzzDeep)
@@ -194,7 +195,6 @@ func run(args []string, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	experiments := harness.Experiments()
 	if *exp != "all" {
 		e, err := harness.ByID(*exp)
 		if err != nil {

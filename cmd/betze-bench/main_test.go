@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/joda-explore/betze/internal/harness"
 	"github.com/joda-explore/betze/internal/runlog"
 )
 
@@ -230,6 +233,77 @@ func TestResumeMissingJournal(t *testing.T) {
 	err := run([]string{"-resume", filepath.Join(t.TempDir(), "nope")}, io.Discard)
 	if err == nil {
 		t.Error("missing journal accepted")
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected to a file (the flag
+// package prints usage there) and returns what was written.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestArgumentErrors pins the CLI's rejections: a positional argument (a
+// forgotten -exp used to run every experiment, and flag parsing stops at the
+// first positional, silently dropping the flags after it) and the retired
+// -perf flag.
+func TestArgumentErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"positional", []string{"table2"}, `unexpected argument "table2"`},
+		{"positional before flags", []string{"table2", "-det-timing"}, `unexpected argument "table2"`},
+		{"positional after flags", []string{"-exp", "table1", "stray"}, `unexpected argument "stray"`},
+		{"positional with crashfuzz", []string{"-crashfuzz", "stray"}, `unexpected argument "stray"`},
+		{"retired perf flag", []string{"-perf"}, "flag provided but not defined: -perf"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			var err error
+			captureStderr(t, func() { err = run(tc.args, &out) })
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("run(%q) did work before rejecting its arguments:\n%s", tc.args, out.String())
+			}
+		})
+	}
+}
+
+// TestExpHelpListsEveryExperiment: the -exp help is built from the
+// experiment registry, so it cannot omit an experiment again.
+func TestExpHelpListsEveryExperiment(t *testing.T) {
+	var err error
+	usage := captureStderr(t, func() { err = run([]string{"-h"}, io.Discard) })
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	var help string
+	for _, line := range strings.Split(usage, "\n") {
+		if strings.Contains(line, "experiment id (") {
+			help = line
+		}
+	}
+	for _, e := range harness.Experiments() {
+		if !strings.Contains(help, e.ID+",") && !strings.Contains(help, e.ID+")") {
+			t.Errorf("-exp help %q does not list %s", help, e.ID)
+		}
 	}
 }
 

@@ -149,7 +149,7 @@ func measureLoadService(ctx context.Context, e *Env, exec engine.Engine, pool []
 // percentiles and SLO verdict. Open loop means arrivals never slow down for
 // a saturated engine — late completions count in full, and queries beyond
 // the queue bound are shed. With -det-timing the whole table is
-// byte-identical across runs (the make-check smoke relies on that); without
+// byte-identical across runs (TestLoadGenDeterministic pins that); without
 // it, service times are measured and rows vary with the machine.
 func LoadGen(ctx context.Context, e *Env) (*Result, error) {
 	ds, err := e.Twitter()

@@ -16,9 +16,8 @@ import (
 // The jobqueue and the web service are in scope too: both inject clocks
 // (Options.Now, Server latencies) and every residual wall-clock read must
 // carry an explained //lint:ignore, so new ones can't creep in silently.
-// The load generator's virtual-time path (Simulate) must be byte-identical
-// under a seed; its one sanctioned wall-clock read (the realtime Run base)
-// carries a //lint:ignore.
+// The load generator runs in virtual time only (Simulate) and must be
+// byte-identical under a seed.
 var DeterminismScope = []string{
 	"internal/core",
 	"internal/query",

@@ -12,17 +12,11 @@
 // Backlog is explicit — queries due but not yet started are counted, and
 // beyond QueueCap they are shed rather than silently stretching the run.
 //
-// Two runners share all of the model:
-//
-//   - Simulate (sim.go) advances virtual time over a min-heap of events and
-//     a W-server FIFO queue. It is fully deterministic under a seed — the
-//     same Config yields a byte-identical Report — and costs no wall time
-//     per simulated second, so it scales to millions of virtual users.
-//     Service supplies each execution's duration (measured, modelled, or
-//     deterministic).
-//   - Run (realtime.go) schedules the same session machines on the wall
-//     clock over a pool of worker goroutines, measuring real latencies.
-//     Its hot path records through the lock-free obs cells.
+// Simulate (sim.go) advances virtual time over a min-heap of events and a
+// W-server FIFO queue. It is fully deterministic under a seed — the same
+// Config yields a byte-identical Report — and costs no wall time per
+// simulated second, so it scales to millions of virtual users. Service
+// supplies each execution's duration (measured, modelled, or deterministic).
 package loadgen
 
 import (
@@ -46,9 +40,9 @@ type User struct {
 }
 
 // Service executes one query for a virtual user and reports its service
-// time. Simulate advances the virtual clock by the returned duration; Run
-// ignores it and measures wall time around the call. A failed execution
-// still consumes its returned duration (the engine was busy failing).
+// time. Simulate advances the virtual clock by the returned duration. A
+// failed execution still consumes its returned duration (the engine was
+// busy failing).
 type Service func(u User) (time.Duration, error)
 
 // SLO is the verdict contract of a run. Zero bounds are unchecked; a run
@@ -76,8 +70,8 @@ type Config struct {
 	Rate float64
 	// Arrivals selects and shapes the arrival process (Poisson default).
 	Arrivals ArrivalSpec
-	// Workers bounds the pool executing queries: virtual servers in
-	// Simulate, goroutines in Run. Default 4.
+	// Workers bounds the pool executing queries: the virtual servers of
+	// Simulate. Default 4.
 	Workers int
 	// QueueCap bounds the backlog of due-but-unstarted queries; beyond
 	// it queries are shed (counted, not executed). Default 4096.
@@ -88,8 +82,9 @@ type Config struct {
 	// PoolSize is the number of workload slots users cycle through (see
 	// User.Pool). Default 1.
 	PoolSize int
-	// ThinkScale multiplies the preset think times — real-time smokes
-	// compress hours of thinking into milliseconds. Default 1.
+	// ThinkScale multiplies the preset think times — the harness
+	// experiment compresses seconds of thinking into milliseconds.
+	// Default 1.
 	ThinkScale float64
 	// SLO is the verdict contract.
 	SLO SLO
@@ -155,8 +150,8 @@ type Report struct {
 	Late      int64 `json:"late"`
 	// MaxBacklog is the high-water mark of due-but-unstarted queries.
 	MaxBacklog int `json:"max_backlog"`
-	// Horizon is the span from the first arrival to the last completion
-	// (virtual for Simulate, wall for Run).
+	// Horizon is the virtual-time span from the first arrival to the last
+	// completion.
 	Horizon time.Duration `json:"horizon_ns"`
 	// Latency is the arrival-anchored (due → completion) distribution;
 	// QueueWait the due → start share of it.

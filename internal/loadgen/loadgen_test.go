@@ -301,118 +301,3 @@ func TestSimulatePublish(t *testing.T) {
 		t.Errorf("%s count = %+v, want %d samples", obs.MLoadLatency, h, rep.Latency.Count)
 	}
 }
-
-// TestRunRealtime drives the wall-clock runner with compressed think times.
-// Exercised under -race in make check; only sanity properties are asserted
-// because latencies are real.
-func TestRunRealtime(t *testing.T) {
-	cfg := Config{
-		Seed: 6, Sessions: 40, Rate: 2000,
-		Workers: 4, ThinkScale: 1e-6,
-		Service: fixedService(100 * time.Microsecond),
-		SLO:     SLO{Late: 500 * time.Millisecond},
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rep, err := Run(ctx, cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if rep.Sessions != 40 {
-		t.Fatalf("sessions = %d, want 40", rep.Sessions)
-	}
-	if rep.Queries != rep.Completed+rep.Errors+rep.Shed {
-		t.Errorf("queries %d != completed %d + errors %d + shed %d",
-			rep.Queries, rep.Completed, rep.Errors, rep.Shed)
-	}
-	if rep.Latency.Count != rep.Completed+rep.Errors {
-		t.Errorf("latency samples %d != executed %d", rep.Latency.Count, rep.Completed+rep.Errors)
-	}
-}
-
-func TestRunContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := Config{
-		Seed: 6, Sessions: 1000, Rate: 50,
-		Service: fixedService(time.Millisecond),
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(ctx, cfg)
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not stop after cancel")
-	}
-}
-
-func TestSweep(t *testing.T) {
-	// A synthetic knee at 120/s: runs pass strictly below it.
-	run := func(rate float64) (Report, error) {
-		return Report{Rate: rate, Pass: rate < 120}, nil
-	}
-	sr, err := Sweep(10, 1000, 12, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.MaxRate < 110 || sr.MaxRate >= 120 {
-		t.Errorf("max rate %.2f, want in [110, 120)", sr.MaxRate)
-	}
-	if len(sr.Probes) != 14 {
-		t.Errorf("probes = %d, want bracket 2 + steps 12", len(sr.Probes))
-	}
-
-	// Saturated below the bracket.
-	sr, err = Sweep(10, 1000, 4, func(float64) (Report, error) { return Report{}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.MaxRate != 0 {
-		t.Errorf("max rate %.2f, want 0 when lo already fails", sr.MaxRate)
-	}
-
-	// Unsaturated above the bracket.
-	sr, err = Sweep(10, 1000, 4, func(rate float64) (Report, error) { return Report{Pass: true}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.MaxRate != 1000 {
-		t.Errorf("max rate %.2f, want hi when everything passes", sr.MaxRate)
-	}
-
-	if _, err := Sweep(0, 10, 4, run); err == nil {
-		t.Error("lo <= 0 must be rejected")
-	}
-}
-
-// TestSweepDeterministicSimulate: a sweep over Simulate closures must be
-// reproducible end to end.
-func TestSweepDeterministicSimulate(t *testing.T) {
-	sweepOnce := func() SweepResult {
-		run := func(rate float64) (Report, error) {
-			return Simulate(context.Background(), Config{
-				Seed: 13, Sessions: 200, Rate: rate,
-				Workers: 2, QueueCap: 64, ThinkScale: 1e-6,
-				Service: fixedService(4 * time.Millisecond),
-				SLO:     SLO{P99: 100 * time.Millisecond},
-			})
-		}
-		sr, err := Sweep(5, 5000, 8, run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sr
-	}
-	a, _ := json.Marshal(sweepOnce())
-	b, _ := json.Marshal(sweepOnce())
-	if string(a) != string(b) {
-		t.Error("sweep over seeded Simulate was not reproducible")
-	}
-}

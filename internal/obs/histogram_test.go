@@ -203,8 +203,6 @@ func (c *mutexCounter) Add(n int64) {
 // The ≥5x-at-8-goroutines acceptance comparison: run with
 //
 //	go test -bench 'Record|CounterAdd' -cpu 8 ./internal/obs/
-//
-// or via betze-bench -perf, which records both sides in BENCH_10.json.
 func BenchmarkHistogramRecord(b *testing.B) {
 	h := &Histogram{}
 	b.RunParallel(func(pb *testing.PB) {

@@ -44,8 +44,9 @@ func adaptiveProbe(t *testing.T, skippable []bool) *AdaptivePruner {
 }
 
 func TestAdaptivePrunerBypassesUnprofitableZones(t *testing.T) {
-	// 13 shards (the perf corpus shape), none skippable: 4 probes, all
-	// misses, pruning deactivates and later shards never consult zones.
+	// 13 shards (the internal/shard drill-down corpus shape), none
+	// skippable: 4 probes, all misses, pruning deactivates and later shards
+	// never consult zones.
 	skippable := make([]bool, 13)
 	a := adaptiveProbe(t, skippable)
 	if got, want := a.Probed(), 4; got != want {
