@@ -1,9 +1,9 @@
 # Developer targets for the BETZE reproduction. Everything is stdlib-only Go;
-# `make check` is the full CI gate (vet + lint + race-enabled tests).
+# `make check` is the full CI gate (gofmt + vet + lint + race-enabled tests).
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-self race race-core race-engine race-service race-tools race-cover crashfuzz crashfuzz-deep check bench-paper clean
+.PHONY: all build test fmt vet lint lint-self race race-core race-engine race-service race-tools race-cover crashfuzz crashfuzz-deep check bench-paper clean
 
 all: build
 
@@ -12,6 +12,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fails, listing them, when any file is not gofmt-clean.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -83,7 +87,7 @@ crashfuzz-deep:
 # The gate. Fault injection, journal/crash recovery, the betze-web
 # SIGKILL-and-resume test and the loadgen determinism check are ordinary
 # tests of their packages, so `race` runs each of them once, under -race.
-check: vet lint lint-self race-cover race
+check: fmt vet lint lint-self race-cover race
 
 # A quick laptop-scale pass over every experiment of the paper.
 bench-paper:

@@ -136,9 +136,10 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 		go func(w int) {
 			defer wg.Done()
 			ds := jsonstats.NewDataset(name, opts.Stats)
+			var parser jsonval.Parser
 			for batch := range perWorker[w] {
 				for _, raw := range batch {
-					doc, err := jsonval.Parse(raw)
+					doc, err := parser.Parse(raw)
 					if err != nil {
 						errOnce.Do(func() { workerErr = fmt.Errorf("analyze: %w", err) })
 						continue

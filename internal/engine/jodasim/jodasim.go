@@ -45,6 +45,10 @@ type Engine struct {
 	derived  map[string][]jsonval.Value
 	cache    map[string][]jsonval.Value // base name + predicate -> matching docs
 	cacheHit int64
+
+	// parsers pools the *jsonval.Parser of parseAll's workers (scan.Map hands
+	// out no worker index): one per document would share no chunk and no key.
+	parsers sync.Pool
 }
 
 type dataset struct {
@@ -62,6 +66,7 @@ func New(opts Options) *Engine {
 		base:    make(map[string]*dataset),
 		derived: make(map[string][]jsonval.Value),
 		cache:   make(map[string][]jsonval.Value),
+		parsers: sync.Pool{New: func() any { return new(jsonval.Parser) }},
 	}
 }
 
@@ -325,23 +330,10 @@ func (e *Engine) parseAll(ctx context.Context, raw []byte) ([]jsonval.Value, err
 		off += n
 	}
 	return scan.Map(ctx, e.scanOptions(), spans, func(_ int, sp [2]int) (jsonval.Value, error) {
-		return jsonval.Parse(trimSpace(raw[sp[0]:sp[1]]))
+		p := e.parsers.Get().(*jsonval.Parser)
+		defer e.parsers.Put(p)
+		return p.Parse(raw[sp[0]:sp[1]])
 	})
-}
-
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\n' || b[0] == '\t' || b[0] == '\r') {
-		b = b[1:]
-	}
-	for len(b) > 0 {
-		last := b[len(b)-1]
-		if last == ' ' || last == '\n' || last == '\t' || last == '\r' {
-			b = b[:len(b)-1]
-			continue
-		}
-		break
-	}
-	return b
 }
 
 func (e *Engine) evictAll() {

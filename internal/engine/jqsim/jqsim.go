@@ -147,10 +147,12 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 
 	// The aggregation pipelines of the paper run TWO jq processes: the
 	// filter pass prints its matches, and a second slurping instance
-	// re-parses that stream to reduce it. pipeBuf models the pipe between
-	// them — matched documents are serialised here and parsed again below,
-	// which is why jq "benefits from this the least" (Table III).
-	var pipeBuf []byte
+	// re-parses that stream to reduce it. For them out models the pipe
+	// between the two — matched documents are serialised here and parsed
+	// again below, which is why jq "benefits from this the least" (Table
+	// III). Otherwise out holds one printed document at a time.
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out) // Marshal's bytes plus the newline, without Marshal's copy
 
 	// The decode loop runs on the sequential scan kernel as an unbounded
 	// stream: the document count is unknown until the decoder hits EOF.
@@ -172,30 +174,25 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 			// rebuilding the tree around the edit.
 			doc = fromValue(q.Transform.Apply(toValue(doc)))
 		}
+		if agg == nil {
+			out.Reset()
+		}
+		if merr := enc.Encode(doc); merr != nil {
+			return false, fmt.Errorf("jqsim: %w", merr)
+		}
 		if agg != nil {
-			out, merr := json.Marshal(doc)
-			if merr != nil {
-				return false, fmt.Errorf("jqsim: %w", merr)
-			}
-			pipeBuf = append(pipeBuf, out...)
-			pipeBuf = append(pipeBuf, '\n')
 			return true, nil
 		}
 		// jq always prints its output (the paper: "jq queries would
 		// always output the whole content over stdout").
-		out, merr := json.Marshal(doc)
-		if merr != nil {
-			return false, fmt.Errorf("jqsim: %w", merr)
-		}
-		out = append(out, '\n')
-		n, werr := sink.Write(out)
+		n, werr := sink.Write(out.Bytes())
 		if werr != nil {
 			return false, werr
 		}
 		stats.Returned++
 		stats.OutputBytes += int64(n)
 		if storeWriter != nil {
-			if _, werr := storeWriter.Write(out); werr != nil {
+			if _, werr := storeWriter.Write(out.Bytes()); werr != nil {
 				return false, werr
 			}
 		}
@@ -205,7 +202,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	if agg != nil {
 		// Second jq instance: slurp the filtered stream and reduce it.
-		slurp := json.NewDecoder(bytes.NewReader(pipeBuf))
+		slurp := json.NewDecoder(&out)
 		for {
 			var doc any
 			if err := slurp.Decode(&doc); err == io.EOF {

@@ -294,8 +294,8 @@ func (h *faultFile) Sync() error {
 func (h *faultFile) Seek(offset int64, whence int) (int64, error) {
 	return h.inner.Seek(offset, whence)
 }
-func (h *faultFile) Truncate(size int64) error      { return h.inner.Truncate(size) }
-func (h *faultFile) Chmod(mode os.FileMode) error   { return h.inner.Chmod(mode) }
-func (h *faultFile) Stat() (os.FileInfo, error)     { return h.inner.Stat() }
-func (h *faultFile) Name() string                   { return h.inner.Name() }
-func (h *faultFile) Close() error                   { return h.inner.Close() }
+func (h *faultFile) Truncate(size int64) error    { return h.inner.Truncate(size) }
+func (h *faultFile) Chmod(mode os.FileMode) error { return h.inner.Chmod(mode) }
+func (h *faultFile) Stat() (os.FileInfo, error)   { return h.inner.Stat() }
+func (h *faultFile) Name() string                 { return h.inner.Name() }
+func (h *faultFile) Close() error                 { return h.inner.Close() }

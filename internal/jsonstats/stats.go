@@ -8,12 +8,24 @@
 // the number of true values for booleans, child-count ranges for objects and
 // arrays, and counted string prefixes (plus a bounded sample of exact string
 // values, an extension that makes string-equality predicates estimable).
+//
+// AddDocument, the analyzer's per-document cost, builds no path strings: it
+// descends a trie keyed by member name whose nodes cache the path's
+// *PathStats, rendering a path once, when its node is created. Two rules
+// keep that equivalent to keying every value by its rendered path. One slot
+// per rendered path: distinct member chains can render the same path (a
+// member "a/b" and the chain a→b), so a new node takes its statistics from
+// Paths, never a PathStats of its own. And whatever outlives its document
+// clones the string it keeps: parsed strings point into slab chunks shared
+// with neighbouring documents (see jsonval.Parser), so the Prefixes and
+// Values tables and the trie hold copies, never a Str or a member Key.
 package jsonstats
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/joda-explore/betze/internal/jsonval"
@@ -88,10 +100,14 @@ type Dataset struct {
 	// Paths maps every attribute path seen in the dataset to its
 	// statistics. The root path is present whenever DocCount > 0 and
 	// describes the documents themselves. Paths is nil on a view returned
-	// by Scale: read a view through Lookup, or Materialize it.
+	// by Scale: read a view through Lookup, or Materialize it. Between
+	// AddDocument calls entries may be added (Merge does) but not replaced
+	// or deleted: the trie caches them.
 	Paths map[jsonval.Path]*PathStats
 
 	cfg Config
+
+	trie *pathNode // root of the trie AddDocument descends; nil until the first document
 
 	// attrPaths and attrCum (see Attributes) are built once per analysed
 	// summary, under attrsOnce, and handed on to every view derived from it.
@@ -196,15 +212,42 @@ func (d *Dataset) stats(p jsonval.Path) *PathStats {
 	return ps
 }
 
+// pathNode is one member chain: the path it renders to, the statistics all
+// chains rendering that path share, and the chains one member longer.
+type pathNode struct {
+	path  jsonval.Path
+	stats *PathStats
+	kids  map[string]*pathNode
+}
+
+// child returns the node of n's member name, creating it on first sight.
+func (d *Dataset) child(n *pathNode, name string) *pathNode {
+	if kid := n.kids[name]; kid != nil {
+		return kid
+	}
+	// Child concatenates, so path is a fresh string that pins nothing of the
+	// document; its tail serves as the map key.
+	path := n.path.Child(name)
+	kid := &pathNode{path: path, stats: d.stats(path)}
+	if n.kids == nil {
+		n.kids = make(map[string]*pathNode)
+	}
+	n.kids[string(path[len(path)-len(name):])] = kid
+	return kid
+}
+
 // AddDocument folds one document into the summary.
 func (d *Dataset) AddDocument(doc jsonval.Value) {
 	d.attrsOnce = sync.Once{} // the paths change: index them again on next use
 	d.DocCount++
-	d.observe(jsonval.RootPath, doc)
+	if d.trie == nil {
+		d.trie = &pathNode{path: jsonval.RootPath, stats: d.stats(jsonval.RootPath)}
+	}
+	d.observe(d.trie, doc)
 }
 
-func (d *Dataset) observe(p jsonval.Path, v jsonval.Value) {
-	ps := d.stats(p)
+func (d *Dataset) observe(node *pathNode, v jsonval.Value) {
+	ps := node.stats
 	ps.Count++
 	switch v.Kind() {
 	case jsonval.Null:
@@ -249,15 +292,10 @@ func (d *Dataset) observe(p jsonval.Path, v jsonval.Value) {
 		st.Count++
 		st.MinLen = min(st.MinLen, len(s))
 		st.MaxLen = max(st.MaxLen, len(s))
-		pre := prefixOf(s, d.cfg.PrefixLen)
-		if _, ok := st.Prefixes[pre]; ok || len(st.Prefixes) < d.cfg.MaxPrefixes {
-			st.Prefixes[pre]++
-		} else {
+		if !countString(st.Prefixes, prefixOf(s, d.cfg.PrefixLen), d.cfg.MaxPrefixes) {
 			st.PrefixOverflow = true
 		}
-		if _, ok := st.Values[s]; ok || len(st.Values) < d.cfg.MaxValues {
-			st.Values[s]++
-		} else {
+		if !countString(st.Values, s, d.cfg.MaxValues) {
 			st.ValueOverflow = true
 		}
 	case jsonval.Object:
@@ -268,8 +306,9 @@ func (d *Dataset) observe(p jsonval.Path, v jsonval.Value) {
 		ps.Obj.Count++
 		ps.Obj.MinChildren = min(ps.Obj.MinChildren, n)
 		ps.Obj.MaxChildren = max(ps.Obj.MaxChildren, n)
-		for _, m := range v.Members() {
-			d.observe(p.Child(m.Key), m.Value)
+		members := v.Members()
+		for i := range members {
+			d.observe(d.child(node, members[i].Key), members[i].Value)
 		}
 	case jsonval.Array:
 		n := v.Len()
@@ -291,6 +330,20 @@ func (d *Dataset) observeNumber(ps *PathStats, f float64) {
 		ps.NumHist = NewHistogram(d.cfg.HistogramBuckets)
 	}
 	ps.NumHist.Observe(f)
+}
+
+// countString counts one occurrence of s in m, admitting a new key only while
+// m holds fewer than limit, and reports whether s was counted. It always
+// assigns through a clone, not only on insertion: assigning to a present
+// string key stores the key again ("the backing storage may differ", says the
+// runtime), so m[s]++ would re-point the table at the latest document's slab
+// chunk.
+func countString(m map[string]int64, s string, limit int) bool {
+	if _, ok := m[s]; !ok && len(m) >= limit {
+		return false
+	}
+	m[strings.Clone(s)]++
+	return true
 }
 
 func prefixOf(s string, n int) string {

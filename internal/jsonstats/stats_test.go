@@ -146,6 +146,84 @@ func TestStringCapsAndOverflow(t *testing.T) {
 	}
 }
 
+// TestStringTablesMatchStringKeyedOracle compares AddDocument's capped string
+// tables with the plain map code the analyzer ran before the trie, under
+// small caps. The vocabulary holds "" (its own prefix), and three member
+// chains render /a/b, so a trie node sees its first string when the table it
+// shares is already full.
+func TestStringTablesMatchStringKeyedOracle(t *testing.T) {
+	type table struct {
+		prefixes, values    map[string]int64
+		prefixOver, valOver bool
+	}
+	vocab := []string{"", "", "x", "y", "xx", "xy", "yz", "é", "éé", "long-value"}
+	for seed := int64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		cfg := Config{PrefixLen: 1 + r.Intn(3), MaxPrefixes: 1 + r.Intn(4), MaxValues: 1 + r.Intn(4)}
+		d := NewDataset("oracle", cfg)
+		want := map[jsonval.Path]*table{}
+		count := func(p jsonval.Path, s string) jsonval.Value {
+			tb := want[p]
+			if tb == nil {
+				tb = &table{prefixes: map[string]int64{}, values: map[string]int64{}}
+				want[p] = tb
+			}
+			pre := prefixOf(s, cfg.PrefixLen)
+			if _, ok := tb.prefixes[pre]; ok || len(tb.prefixes) < cfg.MaxPrefixes {
+				tb.prefixes[pre]++
+			} else {
+				tb.prefixOver = true
+			}
+			if _, ok := tb.values[s]; ok || len(tb.values) < cfg.MaxValues {
+				tb.values[s]++
+			} else {
+				tb.valOver = true
+			}
+			return jsonval.StringValue(s)
+		}
+		for i := 0; i < 40; i++ {
+			s := vocab[r.Intn(len(vocab))]
+			var v jsonval.Value
+			switch r.Intn(4) {
+			case 0:
+				v = jsonval.ObjectValue(jsonval.Member{Key: "a/b", Value: count("/a/b", s)})
+			case 1:
+				v = jsonval.ObjectValue(jsonval.Member{Key: "a", Value: jsonval.ObjectValue(jsonval.Member{Key: "b", Value: count("/a/b", s)})})
+			case 2:
+				v = jsonval.ObjectValue(jsonval.Member{Key: "", Value: jsonval.ObjectValue(jsonval.Member{Key: "a/b", Value: count("//a/b", s)})})
+			default:
+				v = jsonval.ObjectValue(jsonval.Member{Key: "c", Value: count("/c", s)})
+			}
+			if i == 20 { // a merged-in summary fills tables no node of d's trie has seen
+				other := NewDataset("oracle", cfg)
+				other.AddDocument(v)
+				d.Merge(other)
+			} else {
+				d.AddDocument(v)
+			}
+		}
+		for p, tb := range want {
+			st := d.Paths[p].Str
+			if !reflect.DeepEqual(st.Prefixes, tb.prefixes) || st.PrefixOverflow != tb.prefixOver {
+				t.Fatalf("seed %d %+v %s: prefixes %v overflow=%v, oracle %v overflow=%v", seed, cfg, p, st.Prefixes, st.PrefixOverflow, tb.prefixes, tb.prefixOver)
+			}
+			if !reflect.DeepEqual(st.Values, tb.values) || st.ValueOverflow != tb.valOver {
+				t.Fatalf("seed %d %+v %s: values %v overflow=%v, oracle %v overflow=%v", seed, cfg, p, st.Values, st.ValueOverflow, tb.values, tb.valOver)
+			}
+		}
+	}
+	// Spelled out: x and y fill the table through the member "a/b"; the chain
+	// a→b, a node of its own, then brings "".
+	d := NewDataset("empty-last", Config{PrefixLen: 4, MaxPrefixes: 2, MaxValues: 2})
+	for _, s := range []string{`{"a/b":"x"}`, `{"a/b":"y"}`, `{"a":{"b":""}}`} {
+		d.AddDocument(doc(t, s))
+	}
+	st := d.Paths[jsonval.Path("/a/b")].Str
+	if len(st.Values) != 2 || !st.ValueOverflow || len(st.Prefixes) != 2 || !st.PrefixOverflow {
+		t.Errorf("\"\" admitted past the caps: values %v overflow=%v, prefixes %v overflow=%v", st.Values, st.ValueOverflow, st.Prefixes, st.PrefixOverflow)
+	}
+}
+
 func TestMergeEquivalentToSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	docs := make([]jsonval.Value, 200)

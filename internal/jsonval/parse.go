@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // MaxDepth bounds parser recursion. Real-world exploration datasets (Twitter,
@@ -27,53 +28,129 @@ func (e *SyntaxError) Error() string {
 // Parse decodes a single JSON value from data. Trailing non-whitespace input
 // is an error.
 func Parse(data []byte) (Value, error) {
-	p := parser{data: data}
-	p.skipSpace()
-	v, err := p.parseValue(0)
-	if err != nil {
-		return Value{}, err
-	}
-	p.skipSpace()
-	if p.pos != len(p.data) {
-		return Value{}, p.errf("unexpected trailing data")
-	}
-	return v, nil
+	var p Parser
+	return p.Parse(data)
 }
 
 // ParsePrefix decodes one JSON value from the front of data and returns the
 // number of bytes consumed. It is the building block for streams of
 // concatenated or newline-delimited documents.
 func ParsePrefix(data []byte) (Value, int, error) {
-	p := parser{data: data}
+	var p Parser
+	return p.ParsePrefix(data)
+}
+
+const (
+	// Chunks double from minChunk to maxChunk elements ([]Member, []Value) and
+	// from 64× that in bytes (1 to 64 KiB, strings): one small document
+	// allocates little, a file allocates rarely.
+	minChunk, maxChunk = 16, 1024
+	strChunkScale      = 64
+	// The intern table holds at most maxKeys member names of at most
+	// maxKeyLen bytes; the rest are copied like string values.
+	maxKeys, maxKeyLen = 4096, 64
+)
+
+// slab hands out exact-size pieces of chunked backing arrays. Chunks are not
+// reused: they die with the last value that points into them.
+type slab[T any] struct {
+	chunk []T // the current chunk; chunk[:used] has been handed out
+	used  int
+	mark  int // where the parse in progress started in chunk; a failed one resets used to it
+	next  int // nominal size of the current chunk; the next one doubles it
+}
+
+// carve returns n elements with cap == len, starting a new chunk when the
+// current one is too short; room bounds how many more the caller can still
+// need, so that no chunk is larger than its input could fill.
+func (s *slab[T]) carve(n, room, scale int) []T {
+	if n > len(s.chunk)-s.used {
+		s.next = min(max(2*s.next, minChunk*scale), maxChunk*scale)
+		s.chunk, s.used, s.mark = make([]T, max(n, min(s.next, n+room))), 0, 0
+	}
+	s.used += n
+	return s.chunk[s.used-n : s.used : s.used]
+}
+
+// Parser decodes JSON values into slab-backed trees. The zero value is ready;
+// one goroutine at a time. Reusing a Parser for the documents of a file is
+// what makes parsing cheap: composites are assembled on scratch stacks and
+// carved exact-size out of shared chunks, string payloads are copied into a
+// byte slab, and member names — the same in every document — are interned.
+// Returned values never alias the input and are never overwritten by later
+// calls. A parser's first document, which is all the one-shot Parse and
+// ParsePrefix ever see, is parsed frugally: chunks bounded by what the rest
+// of the input could need, no intern table.
+type Parser struct {
+	data []byte
+	pos  int
+	// short: the last parse ran out of input — an error at len(data) (or in
+	// a literal or \u escape cut by it), or a number ending there. Only then
+	// can more input change the outcome; Decoder refills on nothing else.
+	short  bool
+	reused bool
+
+	elemStack []Value  // elements of the arrays being parsed
+	memStack  []Member // members of the objects being parsed
+	esc       []byte   // a string with escapes, decoded
+
+	elems slab[Value]
+	mems  slab[Member]
+	strs  slab[byte]
+	keys  map[string]string
+}
+
+// Parse decodes a single JSON value from data, like the package-level Parse.
+func (p *Parser) Parse(data []byte) (Value, error) {
+	v, n, err := p.ParsePrefix(data)
+	for ; err == nil && n < len(data); n++ {
+		if !isSpace(data[n]) {
+			return Value{}, &SyntaxError{Offset: n, Msg: "unexpected trailing data"}
+		}
+	}
+	return v, err
+}
+
+// ParsePrefix decodes one JSON value from the front of data and returns the
+// number of bytes consumed, like the package-level ParsePrefix.
+func (p *Parser) ParsePrefix(data []byte) (Value, int, error) {
+	if p.reused && p.keys == nil {
+		p.keys = make(map[string]string)
+	}
+	p.data, p.pos, p.short = data, 0, false
+	p.elemStack, p.memStack = p.elemStack[:0], p.memStack[:0]
+	p.elems.mark, p.mems.mark, p.strs.mark = p.elems.used, p.mems.used, p.strs.used
 	p.skipSpace()
 	v, err := p.parseValue(0)
 	if err != nil {
-		return Value{}, p.pos, err
+		// Nothing of a failed parse is returned: carve its pieces again.
+		p.elems.used, p.mems.used, p.strs.used = p.elems.mark, p.mems.mark, p.strs.mark
 	}
-	return v, p.pos, nil
+	p.data, p.reused = nil, true
+	return v, p.pos, err
 }
 
-type parser struct {
-	data []byte
-	pos  int
+// room bounds how many more elements of at least per bytes each the rest of
+// the input can hold; it binds only on a parser's first document.
+func (p *Parser) room(per int) int {
+	if p.reused {
+		return maxChunk * strChunkScale
+	}
+	return (len(p.data) - p.pos) / per
 }
 
-func (p *parser) errf(format string, args ...any) error {
+func (p *Parser) errf(format string, args ...any) error {
+	p.short = p.pos >= len(p.data)
 	return &SyntaxError{Offset: p.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) skipSpace() {
-	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
+func (p *Parser) skipSpace() {
+	for p.pos < len(p.data) && isSpace(p.data[p.pos]) {
+		p.pos++
 	}
 }
 
-func (p *parser) parseValue(depth int) (Value, error) {
+func (p *Parser) parseValue(depth int) (Value, error) {
 	if depth > MaxDepth {
 		return Value{}, p.errf("maximum nesting depth %d exceeded", MaxDepth)
 	}
@@ -86,7 +163,7 @@ func (p *parser) parseValue(depth int) (Value, error) {
 	case '[':
 		return p.parseArray(depth)
 	case '"':
-		s, err := p.parseString()
+		s, err := p.parseString(false)
 		if err != nil {
 			return Value{}, err
 		}
@@ -114,28 +191,31 @@ func (p *parser) parseValue(depth int) (Value, error) {
 	}
 }
 
-func (p *parser) expect(lit string) error {
-	if len(p.data)-p.pos < len(lit) || string(p.data[p.pos:p.pos+len(lit)]) != lit {
-		return p.errf("invalid literal, expected %q", lit)
+func (p *Parser) expect(lit string) error {
+	rest := p.data[p.pos:]
+	if len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
+		p.pos += len(lit)
+		return nil
 	}
-	p.pos += len(lit)
-	return nil
+	err := p.errf("invalid literal, expected %q", lit)
+	p.short = len(rest) < len(lit) && string(rest) == lit[:len(rest)]
+	return err
 }
 
-func (p *parser) parseObject(depth int) (Value, error) {
+func (p *Parser) parseObject(depth int) (Value, error) {
 	p.pos++ // '{'
 	p.skipSpace()
 	if p.pos < len(p.data) && p.data[p.pos] == '}' {
 		p.pos++
 		return ObjectValue(), nil
 	}
-	var members []Member
+	base := len(p.memStack)
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.data) || p.data[p.pos] != '"' {
 			return Value{}, p.errf("expected object key string")
 		}
-		key, err := p.parseString()
+		key, err := p.parseString(true)
 		if err != nil {
 			return Value{}, err
 		}
@@ -149,7 +229,10 @@ func (p *parser) parseObject(depth int) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		members = append(members, Member{Key: key, Value: v})
+		if cap(p.memStack) == 0 {
+			p.memStack = make([]Member, 0, min(minChunk, 1+p.room(5)))
+		}
+		p.memStack = append(p.memStack, Member{Key: key, Value: v})
 		p.skipSpace()
 		if p.pos >= len(p.data) {
 			return Value{}, p.errf("unterminated object")
@@ -159,6 +242,10 @@ func (p *parser) parseObject(depth int) (Value, error) {
 			p.pos++
 		case '}':
 			p.pos++
+			// `"":0,` — a member takes at least five input bytes.
+			members := p.mems.carve(len(p.memStack)-base, p.room(5), 1)
+			copy(members, p.memStack[base:])
+			p.memStack = p.memStack[:base]
 			return ObjectValue(members...), nil
 		default:
 			return Value{}, p.errf("expected ',' or '}' in object")
@@ -166,21 +253,24 @@ func (p *parser) parseObject(depth int) (Value, error) {
 	}
 }
 
-func (p *parser) parseArray(depth int) (Value, error) {
+func (p *Parser) parseArray(depth int) (Value, error) {
 	p.pos++ // '['
 	p.skipSpace()
 	if p.pos < len(p.data) && p.data[p.pos] == ']' {
 		p.pos++
 		return ArrayValue(), nil
 	}
-	var elems []Value
+	base := len(p.elemStack)
 	for {
 		p.skipSpace()
 		v, err := p.parseValue(depth + 1)
 		if err != nil {
 			return Value{}, err
 		}
-		elems = append(elems, v)
+		if cap(p.elemStack) == 0 {
+			p.elemStack = make([]Value, 0, min(minChunk, 1+p.room(2)))
+		}
+		p.elemStack = append(p.elemStack, v)
 		p.skipSpace()
 		if p.pos >= len(p.data) {
 			return Value{}, p.errf("unterminated array")
@@ -190,6 +280,10 @@ func (p *parser) parseArray(depth int) (Value, error) {
 			p.pos++
 		case ']':
 			p.pos++
+			// `0,` — an element takes at least two input bytes.
+			elems := p.elems.carve(len(p.elemStack)-base, p.room(2), 1)
+			copy(elems, p.elemStack[base:])
+			p.elemStack = p.elemStack[:base]
 			return ArrayValue(elems...), nil
 		default:
 			return Value{}, p.errf("expected ',' or ']' in array")
@@ -197,14 +291,35 @@ func (p *parser) parseArray(depth int) (Value, error) {
 	}
 }
 
-func (p *parser) parseString() (string, error) {
+// keep returns b as a string that outlives the input: an interned member
+// name, or a copy in the string slab.
+func (p *Parser) keep(b []byte, key bool) string {
+	if key && len(b) <= maxKeyLen {
+		if s, ok := p.keys[string(b)]; ok {
+			return s
+		}
+		if p.keys != nil && len(p.keys) < maxKeys {
+			s := string(b)
+			p.keys[s] = s
+			return s
+		}
+	}
+	if len(b) == 0 {
+		return ""
+	}
+	out := p.strs.carve(len(b), p.room(1), strChunkScale)
+	copy(out, b)
+	return unsafe.String(&out[0], len(out))
+}
+
+func (p *Parser) parseString(key bool) (string, error) {
 	p.pos++ // opening quote
 	start := p.pos
 	// Fast path: no escapes, no control characters.
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
 		if c == '"' {
-			s := string(p.data[start:p.pos])
+			s := p.keep(p.data[start:p.pos], key)
 			p.pos++
 			return s, nil
 		}
@@ -213,15 +328,20 @@ func (p *parser) parseString() (string, error) {
 		}
 		p.pos++
 	}
-	// Slow path with escape handling.
-	buf := make([]byte, 0, p.pos-start+16)
-	buf = append(buf, p.data[start:p.pos]...)
+	return p.parseEscaped(start, key)
+}
+
+// parseEscaped is parseString's slow path, from the first escape or control
+// character on: decode into p.esc, then keep that.
+func (p *Parser) parseEscaped(start int, key bool) (string, error) {
+	buf := append(p.esc[:0], p.data[start:p.pos]...)
+	defer func() { p.esc = buf }()
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
 		switch {
 		case c == '"':
 			p.pos++
-			return string(buf), nil
+			return p.keep(buf, key), nil
 		case c < 0x20:
 			return "", p.errf("unescaped control character 0x%02x in string", c)
 		case c == '\\':
@@ -265,7 +385,7 @@ func (p *parser) parseString() (string, error) {
 	return "", p.errf("unterminated string")
 }
 
-func (p *parser) parseUnicodeEscape() (rune, error) {
+func (p *Parser) parseUnicodeEscape() (rune, error) {
 	p.pos++ // 'u'
 	r1, err := p.hex4()
 	if err != nil {
@@ -289,9 +409,11 @@ func (p *parser) parseUnicodeEscape() (rune, error) {
 	return rune(r1), nil
 }
 
-func (p *parser) hex4() (uint32, error) {
+func (p *Parser) hex4() (uint32, error) {
 	if p.pos+4 > len(p.data) {
-		return 0, p.errf("truncated \\u escape")
+		err := p.errf("truncated \\u escape")
+		p.short = true
+		return 0, err
 	}
 	var r uint32
 	for i := 0; i < 4; i++ {
@@ -311,33 +433,34 @@ func (p *parser) hex4() (uint32, error) {
 	return r, nil
 }
 
-func (p *parser) parseNumber() (Value, error) {
+// digits advances over a run of decimal digits and returns its length.
+func (p *Parser) digits() int {
 	start := p.pos
-	isFloat := false
-	if p.pos < len(p.data) && p.data[p.pos] == '-' {
-		p.pos++
-	}
-	digits := 0
 	for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
 		p.pos++
-		digits++
 	}
+	return p.pos - start
+}
+
+func (p *Parser) parseNumber() (Value, error) {
+	start := p.pos
+	isFloat := false
+	if p.data[p.pos] == '-' {
+		p.pos++
+	}
+	first := p.pos
+	digits := p.digits()
 	if digits == 0 {
 		return Value{}, p.errf("invalid number")
 	}
 	// Reject leading zeros ("007") per RFC 8259.
-	if first := p.data[start]; digits > 1 && (first == '0' || (first == '-' && p.data[start+1] == '0')) {
+	if digits > 1 && p.data[first] == '0' {
 		return Value{}, p.errf("number has leading zero")
 	}
 	if p.pos < len(p.data) && p.data[p.pos] == '.' {
 		isFloat = true
 		p.pos++
-		fdigits := 0
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-			fdigits++
-		}
-		if fdigits == 0 {
+		if p.digits() == 0 {
 			return Value{}, p.errf("missing digits after decimal point")
 		}
 	}
@@ -347,16 +470,24 @@ func (p *parser) parseNumber() (Value, error) {
 		if p.pos < len(p.data) && (p.data[p.pos] == '+' || p.data[p.pos] == '-') {
 			p.pos++
 		}
-		edigits := 0
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-			edigits++
-		}
-		if edigits == 0 {
+		if p.digits() == 0 {
 			return Value{}, p.errf("missing digits in exponent")
 		}
 	}
-	text := string(p.data[start:p.pos])
+	// "-2" at the end of the input may be the prefix of "-2.5e9".
+	p.short = p.pos == len(p.data)
+	if !isFloat && digits <= 18 { // cannot overflow an int64
+		var n int64
+		for _, c := range p.data[first:p.pos] {
+			n = n*10 + int64(c-'0')
+		}
+		if first > start {
+			n = -n
+		}
+		return IntValue(n), nil
+	}
+	// strconv keeps no reference to its argument, so a view will do.
+	text := unsafe.String(&p.data[start], p.pos-start)
 	if !isFloat {
 		if n, err := strconv.ParseInt(text, 10, 64); err == nil {
 			return IntValue(n), nil
@@ -373,6 +504,7 @@ func (p *parser) parseNumber() (Value, error) {
 // Decoder reads a stream of concatenated and/or newline-delimited JSON
 // documents, the on-disk format of all BETZE datasets.
 type Decoder struct {
+	p      Parser
 	r      io.Reader
 	buf    []byte
 	start  int // unconsumed data begins here
@@ -392,25 +524,20 @@ func (d *Decoder) Decode() (Value, error) {
 	for {
 		d.skipBufferedSpace()
 		if d.start < d.end {
-			v, n, err := ParsePrefix(d.buf[d.start:d.end])
-			if err == nil {
-				// A parse that consumes the whole buffer is ambiguous for
-				// numbers ("-2" may be the prefix of "-2.5e9"): fetch more
-				// input before accepting it, unless the stream is done.
-				if d.start+n == d.end && d.err == nil {
-					if ferr := d.fill(); ferr == nil {
-						continue
-					}
-				}
-				d.start += n
-				return v, nil
-			}
-			if d.err == nil {
-				// The document may simply be split across reads; a parse
-				// error is only authoritative once the source is exhausted.
+			v, n, err := d.p.ParsePrefix(d.buf[d.start:d.end])
+			// Only a parse that ran out of input can come out differently
+			// with more of it: the document is split across reads, or a
+			// number touches the end of the buffer ("-2" may be the prefix of
+			// "-2.5e9"). Any other error is authoritative at once, as is
+			// every outcome once the source is exhausted.
+			if d.p.short && d.err == nil {
 				if ferr := d.fill(); ferr == nil {
 					continue
 				}
+			}
+			if err == nil {
+				d.start += n
+				return v, nil
 			}
 			if se, ok := err.(*SyntaxError); ok {
 				se.Offset += d.offset + d.start
@@ -427,13 +554,8 @@ func (d *Decoder) Decode() (Value, error) {
 }
 
 func (d *Decoder) skipBufferedSpace() {
-	for d.start < d.end {
-		switch d.buf[d.start] {
-		case ' ', '\t', '\n', '\r':
-			d.start++
-		default:
-			return
-		}
+	for d.start < d.end && isSpace(d.buf[d.start]) {
+		d.start++
 	}
 }
 

@@ -4,6 +4,15 @@
 // integer from floating-point numbers (the dataset analyzer keeps separate
 // statistics for them, cf. §IV-A of the paper) and preserves object member
 // order, which keeps serialisation deterministic for seeded benchmark runs.
+//
+// A Value is three words — base pointer, payload-or-length, kind — so that
+// copying one (every Field result, every element a scan touches) moves 24
+// bytes. Strings, arrays and objects are base pointer plus length, rebuilt
+// with unsafe.String / unsafe.Slice inside the accessors; no other package
+// sees the layout, and -race (checkptr) checks every rebuild. The Parser
+// builds values in slabs it never reuses, so a Value stays valid while it is
+// referenced — and keeps the chunks it points into alive: whatever outlives
+// its document must strings.Clone what it keeps of a Str or a member Key.
 package jsonval
 
 import (
@@ -12,6 +21,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the JSON types recognised by BETZE.
@@ -60,13 +70,9 @@ type Member struct {
 
 // Value is an immutable JSON value. The zero Value is JSON null.
 type Value struct {
+	p    unsafe.Pointer // first byte (String), element (Array) or member (Object)
+	n    uint64         // Int payload, Float bits, Bool 0/1, or the length of what p points to
 	kind Kind
-	b    bool
-	n    int64   // Int payload
-	f    float64 // Float payload
-	s    string  // String payload
-	arr  []Value
-	obj  []Member
 }
 
 // Constructors.
@@ -75,24 +81,44 @@ type Value struct {
 func NullValue() Value { return Value{kind: Null} }
 
 // BoolValue returns a JSON boolean.
-func BoolValue(b bool) Value { return Value{kind: Bool, b: b} }
+func BoolValue(b bool) Value {
+	if b {
+		return Value{kind: Bool, n: 1}
+	}
+	return Value{kind: Bool}
+}
 
 // IntValue returns a JSON integer number.
-func IntValue(n int64) Value { return Value{kind: Int, n: n} }
+func IntValue(n int64) Value { return Value{kind: Int, n: uint64(n)} }
 
 // FloatValue returns a JSON floating-point number.
-func FloatValue(f float64) Value { return Value{kind: Float, f: f} }
+func FloatValue(f float64) Value { return Value{kind: Float, n: math.Float64bits(f)} }
 
 // StringValue returns a JSON string.
-func StringValue(s string) Value { return Value{kind: String, s: s} }
+func StringValue(s string) Value {
+	return Value{kind: String, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
 // ArrayValue returns a JSON array wrapping elems. The slice is not copied;
 // callers must not mutate it afterwards.
-func ArrayValue(elems ...Value) Value { return Value{kind: Array, arr: elems} }
+func ArrayValue(elems ...Value) Value {
+	return Value{kind: Array, p: unsafe.Pointer(unsafe.SliceData(elems)), n: uint64(len(elems))}
+}
 
 // ObjectValue returns a JSON object with the given members in order. The
 // slice is not copied; callers must not mutate it afterwards.
-func ObjectValue(members ...Member) Value { return Value{kind: Object, obj: members} }
+func ObjectValue(members ...Member) Value {
+	return Value{kind: Object, p: unsafe.Pointer(unsafe.SliceData(members)), n: uint64(len(members))}
+}
+
+// The payload views. Each is valid only for the kind that stored it; the
+// exported accessors check the kind first.
+func (v Value) boolean() bool  { return v.n != 0 }
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
+func (v Value) mems() []Member { return unsafe.Slice((*Member)(v.p), int(v.n)) }
 
 // Kind reports the JSON type of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -103,28 +129,28 @@ func (v Value) IsNull() bool { return v.kind == Null }
 // Bool returns the boolean payload; it panics unless Kind is Bool.
 func (v Value) Bool() bool {
 	v.mustBe(Bool)
-	return v.b
+	return v.boolean()
 }
 
 // Int returns the integer payload; it panics unless Kind is Int.
 func (v Value) Int() int64 {
 	v.mustBe(Int)
-	return v.n
+	return v.int()
 }
 
 // Float returns the floating-point payload; it panics unless Kind is Float.
 func (v Value) Float() float64 {
 	v.mustBe(Float)
-	return v.f
+	return v.float()
 }
 
 // Number returns the numeric payload as float64 for Int or Float kinds.
 func (v Value) Number() (float64, bool) {
 	switch v.kind {
 	case Int:
-		return float64(v.n), true
+		return float64(v.int()), true
 	case Float:
-		return v.f, true
+		return v.float(), true
 	default:
 		return 0, false
 	}
@@ -133,33 +159,29 @@ func (v Value) Number() (float64, bool) {
 // Str returns the string payload; it panics unless Kind is String.
 func (v Value) Str() string {
 	v.mustBe(String)
-	return v.s
+	return v.str()
 }
 
 // Array returns the element slice; it panics unless Kind is Array. The
 // returned slice must not be mutated.
 func (v Value) Array() []Value {
 	v.mustBe(Array)
-	return v.arr
+	return v.elems()
 }
 
 // Members returns the member slice; it panics unless Kind is Object. The
 // returned slice must not be mutated.
 func (v Value) Members() []Member {
 	v.mustBe(Object)
-	return v.obj
+	return v.mems()
 }
 
 // Len returns the number of elements (Array), members (Object) or bytes
 // (String). Other kinds have length 0.
 func (v Value) Len() int {
 	switch v.kind {
-	case Array:
-		return len(v.arr)
-	case Object:
-		return len(v.obj)
-	case String:
-		return len(v.s)
+	case Array, Object, String:
+		return int(v.n)
 	default:
 		return 0
 	}
@@ -172,11 +194,11 @@ func (v Value) Field(key string) (Value, bool) {
 	if v.kind != Object {
 		return Value{}, false
 	}
-	// Index rather than range: a Member is over a hundred bytes, and the
-	// per-iteration copy a range would make dominates scan profiles.
-	for i := range v.obj {
-		if v.obj[i].Key == key {
-			return v.obj[i].Value, true
+	// Index rather than range: a range would copy each 40-byte Member.
+	members := v.mems()
+	for i := range members {
+		if members[i].Key == key {
+			return members[i].Value, true
 		}
 	}
 	return Value{}, false
@@ -184,10 +206,10 @@ func (v Value) Field(key string) (Value, bool) {
 
 // Index returns the i-th array element.
 func (v Value) Index(i int) (Value, bool) {
-	if v.kind != Array || i < 0 || i >= len(v.arr) {
+	if v.kind != Array || i < 0 || i >= int(v.n) {
 		return Value{}, false
 	}
-	return v.arr[i], true
+	return v.elems()[i], true
 }
 
 func (v Value) mustBe(k Kind) {
@@ -211,24 +233,25 @@ func (v Value) Equal(w Value) bool {
 	case Null:
 		return true
 	case Bool:
-		return v.b == w.b
+		return v.n == w.n
 	case String:
-		return v.s == w.s
+		return v.str() == w.str()
 	case Array:
-		if len(v.arr) != len(w.arr) {
+		if v.n != w.n {
 			return false
 		}
-		for i := range v.arr {
-			if !v.arr[i].Equal(w.arr[i]) {
+		we := w.elems()
+		for i, e := range v.elems() {
+			if !e.Equal(we[i]) {
 				return false
 			}
 		}
 		return true
 	case Object:
-		if len(v.obj) != len(w.obj) {
+		if v.n != w.n {
 			return false
 		}
-		for _, m := range v.obj {
+		for _, m := range v.mems() {
 			wv, ok := w.Field(m.Key)
 			if !ok || !m.Value.Equal(wv) {
 				return false
@@ -266,22 +289,17 @@ func (v Value) Compare(w Value) int {
 	case Null:
 		return 0
 	case Bool:
-		if v.b == w.b {
-			return 0
-		}
-		if !v.b {
-			return -1
-		}
-		return 1
+		return int(v.n) - int(w.n)
 	case String:
-		return strings.Compare(v.s, w.s)
+		return strings.Compare(v.str(), w.str())
 	case Array:
-		for i := 0; i < len(v.arr) && i < len(w.arr); i++ {
-			if c := v.arr[i].Compare(w.arr[i]); c != 0 {
+		ve, we := v.elems(), w.elems()
+		for i := 0; i < len(ve) && i < len(we); i++ {
+			if c := ve[i].Compare(we[i]); c != 0 {
 				return c
 			}
 		}
-		return len(v.arr) - len(w.arr)
+		return len(ve) - len(we)
 	case Object:
 		// Compare canonical serialisations; objects rarely act as group keys.
 		return strings.Compare(v.String(), w.String())
@@ -303,39 +321,41 @@ func (v Value) groupKey(sb *strings.Builder) {
 	case Null:
 		sb.WriteString("n")
 	case Bool:
-		if v.b {
+		if v.boolean() {
 			sb.WriteString("t")
 		} else {
 			sb.WriteString("f")
 		}
 	case Int:
 		sb.WriteByte('i')
-		sb.WriteString(strconv.FormatInt(v.n, 10))
+		sb.WriteString(strconv.FormatInt(v.int(), 10))
 	case Float:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
+		f := v.float()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
 			// Align with equal ints so 5 and 5.0 group together.
 			sb.WriteByte('i')
-			sb.WriteString(strconv.FormatInt(int64(v.f), 10))
+			sb.WriteString(strconv.FormatInt(int64(f), 10))
 			return
 		}
 		sb.WriteByte('d')
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
 	case String:
+		s := v.str()
 		sb.WriteByte('s')
-		sb.WriteString(strconv.Itoa(len(v.s)))
+		sb.WriteString(strconv.Itoa(len(s)))
 		sb.WriteByte(':')
-		sb.WriteString(v.s)
+		sb.WriteString(s)
 	case Array:
 		sb.WriteByte('[')
-		for _, e := range v.arr {
+		for _, e := range v.elems() {
 			e.groupKey(sb)
 			sb.WriteByte(',')
 		}
 		sb.WriteByte(']')
 	case Object:
 		// Canonical order so member order does not split groups.
-		keys := make([]string, len(v.obj))
-		for i, m := range v.obj {
+		keys := make([]string, v.n)
+		for i, m := range v.mems() {
 			keys[i] = m.Key
 		}
 		sort.Strings(keys)

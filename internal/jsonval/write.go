@@ -15,19 +15,19 @@ func AppendJSON(dst []byte, v Value) []byte {
 	case Null:
 		return append(dst, "null"...)
 	case Bool:
-		if v.b {
+		if v.boolean() {
 			return append(dst, "true"...)
 		}
 		return append(dst, "false"...)
 	case Int:
-		return strconv.AppendInt(dst, v.n, 10)
+		return strconv.AppendInt(dst, v.int(), 10)
 	case Float:
-		return appendFloat(dst, v.f)
+		return appendFloat(dst, v.float())
 	case String:
-		return AppendQuoted(dst, v.s)
+		return AppendQuoted(dst, v.str())
 	case Array:
 		dst = append(dst, '[')
-		for i, e := range v.arr {
+		for i, e := range v.elems() {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -36,7 +36,7 @@ func AppendJSON(dst []byte, v Value) []byte {
 		return append(dst, ']')
 	case Object:
 		dst = append(dst, '{')
-		for i, m := range v.obj {
+		for i, m := range v.mems() {
 			if i > 0 {
 				dst = append(dst, ',')
 			}

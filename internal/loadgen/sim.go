@@ -12,11 +12,11 @@ import (
 // millions of concurrent sessions fit comfortably. The scheduler owns it;
 // services only ever see the User view.
 type user struct {
-	id    int64
-	rng   prng
-	pool  int32
-	idx   int32 // next query ordinal
-	total int32
+	id     int64
+	rng    prng
+	pool   int32
+	idx    int32 // next query ordinal
+	total  int32
 	preset int8
 }
 

@@ -15,11 +15,25 @@
 // jsonval.Path.Lookup can resolve in any document of the shard either has a
 // summary entry or the zone reports Complete() == false, which happens when
 // the per-shard path or depth caps overflow.
+//
+// ZoneBuilder renders a path once per distinct member chain, not per value:
+// it descends a trie keyed by member name, kept across shards, whose nodes
+// lead to the slot of their rendered key; a slot's position in the current
+// shard's stats is valid while its generation stamp is the builder's. Two
+// rules keep this equivalent to keying every value by its rendered path.
+// One slot per rendered key: distinct chains render the same key (the root's
+// "" member renders "/" like the root, a member "a/b" like the chain a→b),
+// so a new node looks its slot up by key — while staying a node of its own,
+// because the children of root→"" render "//r", not "/r". And whatever
+// outlives its document clones the string it keeps: keys come from
+// concatenation and are shared by all zone maps of the dataset, dictionary
+// entries are cloned, so no zone map pins a parsed document's slab chunk.
 package shard
 
 import (
 	"math"
 	"sort"
+	"strings"
 
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/query"
@@ -120,13 +134,13 @@ func (s *Store) Shard(i int) Shard { return s.shards[i] }
 
 // pathStat accumulates everything observed at one path across one shard.
 type pathStat struct {
-	kinds                query.KindMask
-	numMin, numMax       float64
-	arrMin, arrMax       int
-	objMin, objMax       int
-	trueSeen, falseSeen  bool
-	dict                 []string
-	dictOverflow, sorted bool
+	kinds               query.KindMask
+	numMin, numMax      float64
+	arrMin, arrMax      int
+	objMin, objMax      int
+	trueSeen, falseSeen bool
+	dict                []string
+	dictOverflow        bool
 }
 
 func newPathStat() pathStat {
@@ -170,63 +184,85 @@ func (z *ZoneMap) Summary(path string) (query.PathSummary, bool) {
 // Complete implements query.Zone.
 func (z *ZoneMap) Complete() bool { return z != nil && !z.incomplete }
 
-// Paths returns the number of indexed paths (tests and perf reporting).
-func (z *ZoneMap) Paths() int {
-	if z == nil {
-		return 0
-	}
-	return len(z.stats)
-}
-
 // ZoneBuilder accumulates documents into a zone map. One builder is reused
 // across the shards of a dataset: Finish seals the current map and resets
 // the builder for the next shard. Engines that buffer documents into their
 // own storage blocks (mongosim, pgsim) feed the builder document-by-document
 // as they go, so zone construction rides along with the import pass.
 type ZoneBuilder struct {
-	z   *ZoneMap
-	buf []byte // current path key, "/" for the root
+	z     *ZoneMap
+	gen   int // the current shard; stamps the slots it has touched
+	root  *zoneNode
+	nodes int
+	slots map[string]*zoneSlot // rendered key → its one slot
+	used  []*zoneSlot          // the current shard's slots, in stats order
 }
+
+// zoneNode is one member chain; zoneSlot the path key it renders to.
+type zoneNode struct {
+	slot *zoneSlot
+	kids map[string]*zoneNode
+}
+
+type zoneSlot struct {
+	key string
+	idx int32 // position in the current shard's stats while gen matches
+	gen int
+}
+
+// maxTrieNodes bounds the trie carried from shard to shard (a dataset that
+// keys objects by identifier has a chain per document): past it, the next
+// shard starts a fresh one.
+const maxTrieNodes = 16 * maxPaths
 
 // NewZoneBuilder returns an empty builder.
 func NewZoneBuilder() *ZoneBuilder {
-	return &ZoneBuilder{z: emptyZone()}
+	b := &ZoneBuilder{z: &ZoneMap{}}
+	b.resetTrie()
+	return b
 }
 
-func emptyZone() *ZoneMap {
-	return &ZoneMap{idx: make(map[string]int32)}
+func (b *ZoneBuilder) resetTrie() {
+	root := &zoneSlot{key: "/", gen: -1}
+	b.root, b.nodes = &zoneNode{slot: root}, 1
+	b.slots = map[string]*zoneSlot{root.key: root}
 }
 
 // Add folds one document into the zone map under construction.
 func (b *ZoneBuilder) Add(doc jsonval.Value) {
-	b.buf = append(b.buf[:0], '/')
-	b.walk(doc, 0, true)
+	b.walk(b.root, doc, 0)
 }
 
-// Finish seals and returns the accumulated zone map (sorting each path's
-// string dictionary for the binary searches pruning runs) and resets the
-// builder for the next shard. Finishing an empty builder yields a valid,
-// complete zone map that indexes nothing — correct for an empty shard.
+// Finish seals and returns the accumulated zone map (indexing its paths and
+// sorting each path's string dictionary for the binary searches pruning
+// runs) and resets the builder for the next shard, whose tables it sizes
+// from this one's. Finishing an empty builder yields a valid, complete zone
+// map that indexes nothing — correct for an empty shard.
 func (b *ZoneBuilder) Finish() *ZoneMap {
 	z := b.z
+	z.idx = make(map[string]int32, len(b.used))
+	for i, slot := range b.used {
+		z.idx[slot.key] = int32(i)
+	}
 	for i := range z.stats {
-		st := &z.stats[i]
-		if !st.sorted && len(st.dict) > 1 {
+		if st := &z.stats[i]; len(st.dict) > 1 {
 			sort.Strings(st.dict)
 		}
-		st.sorted = true
 	}
-	b.z = emptyZone()
+	b.z = &ZoneMap{stats: make([]pathStat, 0, len(z.stats))}
+	b.used = b.used[:0]
+	b.gen++
+	if b.nodes > maxTrieNodes {
+		b.resetTrie()
+	}
 	return z
 }
 
-// walk records v under the current path key in b.buf, then recurses into
-// object members. Arrays are summarised (kind + length) but not descended:
-// jsonval.Path cannot address array elements, so no predicate can reach
-// them. root distinguishes the "/" key, whose child keys drop the lone
-// slash ("/a", not "//a") to match jsonval.Path rendering.
-func (b *ZoneBuilder) walk(v jsonval.Value, depth int, root bool) {
-	st := b.record(v)
+// walk records v in node's slot, then recurses into object members. Arrays
+// are summarised (kind + length) but not descended: jsonval.Path cannot
+// address array elements, so no predicate can reach them.
+func (b *ZoneBuilder) walk(node *zoneNode, v jsonval.Value, depth int) {
+	st := b.record(node.slot, v)
 	if v.Kind() != jsonval.Object {
 		return
 	}
@@ -237,34 +273,63 @@ func (b *ZoneBuilder) walk(v jsonval.Value, depth int, root bool) {
 		}
 		return
 	}
-	prefix := len(b.buf)
-	if root {
-		prefix = 0
-	}
 	for i := range members {
-		b.buf = append(b.buf[:prefix], '/')
-		b.buf = append(b.buf, members[i].Key...)
-		b.walk(members[i].Value, depth+1, false)
+		b.walk(b.child(node, members[i].Key), members[i].Value, depth+1)
 	}
-	b.buf = b.buf[:prefix]
 }
 
-// record widens the stat entry for the current path key with v, creating
-// the entry unless the path cap is hit (which marks the zone incomplete and
-// returns nil).
-func (b *ZoneBuilder) record(v jsonval.Value) *pathStat {
+// child returns the node of n's member name, creating it on first sight.
+// The root's key is "/" and its children drop the lone slash ("/a", not
+// "//a") to match jsonval.Path rendering. Once the shard is at its path cap a
+// key without a slot cannot get an entry any more, so its node is a
+// throw-away one (record turns the zone incomplete, the walk below it still
+// reaches keys that have entries): a shard adds at most maxPaths slots.
+func (b *ZoneBuilder) child(n *zoneNode, name string) *zoneNode {
+	if kid := n.kids[name]; kid != nil {
+		return kid
+	}
+	key := "/" + name
+	if n != b.root {
+		key = n.slot.key + key
+	}
+	slot := b.slots[key]
+	if slot == nil {
+		slot = &zoneSlot{key: key, gen: -1}
+		if len(b.z.stats) >= maxPaths {
+			return &zoneNode{slot: slot}
+		}
+		b.slots[key] = slot
+	}
+	if n.kids == nil {
+		n.kids = make(map[string]*zoneNode)
+	}
+	kid := &zoneNode{slot: slot}
+	n.kids[key[len(key)-len(name):]] = kid
+	b.nodes++
+	return kid
+}
+
+// record widens the slot's stat entry with v, creating the entry on the
+// slot's first value in this shard unless the path cap is hit (which marks
+// the zone incomplete and returns nil).
+func (b *ZoneBuilder) record(slot *zoneSlot, v jsonval.Value) *pathStat {
 	z := b.z
-	i, ok := z.idx[string(b.buf)]
-	if !ok {
+	if slot.gen != b.gen {
 		if len(z.stats) >= maxPaths {
 			z.incomplete = true
 			return nil
 		}
-		i = int32(len(z.stats))
+		slot.gen, slot.idx = b.gen, int32(len(z.stats))
 		z.stats = append(z.stats, newPathStat())
-		z.idx[string(b.buf)] = i
+		b.used = append(b.used, slot)
 	}
-	st := &z.stats[i]
+	st := &z.stats[slot.idx]
+	st.widen(v)
+	return st
+}
+
+// widen folds one value into the path's summary.
+func (st *pathStat) widen(v jsonval.Value) {
 	st.kinds |= query.MaskOf(v.Kind())
 	switch v.Kind() {
 	case jsonval.Int, jsonval.Float:
@@ -300,13 +365,12 @@ func (b *ZoneBuilder) record(v jsonval.Value) *pathStat {
 			st.objMax = n
 		}
 	}
-	return st
 }
 
-// addString inserts s into the path's dictionary unless it overflowed. The
-// dictionary is kept as an unsorted unique list during the build (it holds
-// at most maxDict entries, so the linear membership test is a handful of
-// compares) and sorted once in Finish.
+// addString inserts a copy of s into the path's dictionary unless it
+// overflowed. The dictionary is kept as an unsorted unique list during the
+// build (it holds at most maxDict entries, so the linear membership test is a
+// handful of compares) and sorted once in Finish.
 func (st *pathStat) addString(s string) {
 	if st.dictOverflow {
 		return
@@ -320,5 +384,8 @@ func (st *pathStat) addString(s string) {
 		st.dict, st.dictOverflow = nil, true
 		return
 	}
-	st.dict = append(st.dict, s)
+	if st.dict == nil {
+		st.dict = make([]string, 0, 4) // most paths hold few distinct strings per shard
+	}
+	st.dict = append(st.dict, strings.Clone(s))
 }

@@ -354,9 +354,25 @@ func TestZonePathCapMarksIncomplete(t *testing.T) {
 		members[i] = jsonval.Member{Key: fmt.Sprintf("k%05d", i), Value: jsonval.IntValue(int64(i))}
 	}
 	b.Add(jsonval.ObjectValue(members...))
+	// A shard of documents keyed by identifier: every document brings member
+	// chains of its own. Past the cap they must cost the builder nothing it
+	// keeps until Finish.
+	for d := 0; d < 64; d++ {
+		for i := range members {
+			members[i].Key = fmt.Sprintf("id%d_%d", d, i)
+			members[i].Value = jsonval.ObjectValue(jsonval.Member{Key: "n", Value: jsonval.IntValue(1)})
+		}
+		b.Add(jsonval.ObjectValue(members...))
+	}
+	if len(b.slots) > maxPaths || b.nodes > maxPaths {
+		t.Errorf("one shard grew the builder to %d slots and %d trie nodes, cap %d", len(b.slots), b.nodes, maxPaths)
+	}
 	z := b.Finish()
 	if z.Complete() {
 		t.Fatalf("zone with %d paths reports complete", len(members)+1)
+	}
+	if len(z.stats) != maxPaths || len(z.idx) != maxPaths {
+		t.Errorf("zone indexes %d paths in %d entries, cap %d", len(z.idx), len(z.stats), maxPaths)
 	}
 }
 
