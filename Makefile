@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet lint lint-self race race-core race-engine race-service race-tools race-cover crashfuzz crashfuzz-deep check bench-paper clean
+.PHONY: all build test fmt vet lint race race-core race-engine race-service race-tools race-cover crashfuzz crashfuzz-deep check bench-paper clean
 
 all: build
 
@@ -27,15 +27,6 @@ vet:
 # Exits non-zero on any finding; suppress with //lint:ignore <analyzer> <reason>.
 lint:
 	$(GO) run ./cmd/betze-lint ./...
-
-# Self-check gate: the linter's own CFG, dataflow, analyzer-golden,
-# suppression and baseline tests, plus a smoke run of the driver's flag
-# surface. A broken analyzer must fail the gate itself, not just report
-# nothing.
-lint-self:
-	$(GO) test ./internal/lint/ ./cmd/betze-lint/
-	$(GO) run ./cmd/betze-lint -list >/dev/null
-	$(GO) run ./cmd/betze-lint -format=json ./... >/dev/null
 
 # The multiuser harness, the jodasim worker pool and the obs registry are the
 # concurrency hot spots; run the whole tree under the race detector. The
@@ -87,7 +78,7 @@ crashfuzz-deep:
 # The gate. Fault injection, journal/crash recovery, the betze-web
 # SIGKILL-and-resume test and the loadgen determinism check are ordinary
 # tests of their packages, so `race` runs each of them once, under -race.
-check: fmt vet lint lint-self race-cover race
+check: fmt vet lint race-cover race
 
 # A quick laptop-scale pass over every experiment of the paper.
 bench-paper:

@@ -13,10 +13,10 @@
 // dir defaults to the current module root (the first parent directory with
 // a go.mod). The exit code is 0 on a clean tree, 1 on findings, 2 on usage
 // or load errors. -format=json emits a sorted, CI-diffable JSON array
-// instead of text (-json is the legacy spelling). -baseline reads a JSON
-// report captured earlier (betze-lint -format=json > lint.baseline) and
-// fails only on findings not in it, so a tree with accepted debt still
-// gates new violations. Findings are suppressed in source with
+// instead of text. -baseline reads a JSON report captured earlier
+// (betze-lint -format=json > lint.baseline) and fails only on findings not
+// in it, so a tree with accepted debt still gates new violations. Findings
+// are suppressed in source with
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -42,15 +42,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("betze-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	format := fs.String("format", "text", "output format: text or json")
-	jsonOut := fs.Bool("json", false, "legacy alias for -format=json")
 	baselinePath := fs.String("baseline", "", "JSON report of accepted findings; fail only on findings not in it")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *jsonOut {
-		*format = "json"
 	}
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(stderr, "betze-lint: unknown -format=%s (want text or json)\n", *format)

@@ -20,17 +20,6 @@ func TestRunCleanTree(t *testing.T) {
 	}
 }
 
-// TestRunJSONClean checks a clean -json run emits the literal empty array.
-func TestRunJSONClean(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-json", "../.."}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, want 0\nstderr:\n%s", code, errOut.String())
-	}
-	if got := strings.TrimSpace(out.String()); got != "[]" {
-		t.Errorf("clean -json run = %q, want []", got)
-	}
-}
-
 // TestRunViolatingModule builds a throwaway module with a determinism
 // violation and checks the driver reports it and exits 1.
 func TestRunViolatingModule(t *testing.T) {
@@ -76,8 +65,9 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-// TestRunFormatJSON checks -format=json matches the legacy -json spelling,
-// and that an unknown format is a usage error.
+// TestRunFormatJSON checks a clean -format=json run emits the literal empty
+// array, and that an unknown format — or the retired -json spelling — is a
+// usage error.
 func TestRunFormatJSON(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-format=json", "../.."}, &out, &errOut); code != 0 {
@@ -89,6 +79,9 @@ func TestRunFormatJSON(t *testing.T) {
 	out.Reset()
 	if code := run([]string{"-format=yaml", "../.."}, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d for unknown format, want 2", code)
+	}
+	if code := run([]string{"-json", "../.."}, &out, &errOut); code != 2 {
+		t.Fatalf("exit %d for the retired -json flag, want 2", code)
 	}
 }
 

@@ -286,6 +286,9 @@ type Raw struct {
 // Lookup walks the document along path without materialising values,
 // mirroring how MongoDB navigates BSON. It returns ok=false when any segment
 // is missing or traverses a non-document.
+//
+// No production caller (engines pre-split the path and call LookupSteps);
+// kept for benchmark/replay.go until a benchmark PR drops the row.
 func Lookup(doc []byte, path jsonval.Path) (Raw, bool, error) {
 	return LookupSteps(doc, path.Steps())
 }

@@ -135,21 +135,18 @@ func WriteDoc(sink io.Writer, buf *[]byte, doc jsonval.Value) (int64, error) {
 	return int64(n), err
 }
 
-// RunAggregation folds pre-filtered documents into the query's aggregation
-// and writes the aggregate rows to sink.
-func RunAggregation(agg *query.Aggregation, docs []jsonval.Value, sink io.Writer) (returned, outputBytes int64, err error) {
-	a := query.NewAggregator(*agg)
-	for _, d := range docs {
-		a.Add(d)
-	}
+// RunAggregation writes the rows of an aggregator the engine has fed its
+// matching documents to sink, counting them into stats.Returned and
+// stats.OutputBytes.
+func RunAggregation(agg *query.Aggregator, sink io.Writer, stats *ExecStats) error {
 	var buf []byte
-	for _, row := range a.Result() {
+	for _, row := range agg.Result() {
 		n, err := WriteDoc(sink, &buf, row)
 		if err != nil {
-			return returned, outputBytes, err
+			return err
 		}
-		returned++
-		outputBytes += n
+		stats.Returned++
+		stats.OutputBytes += n
 	}
-	return returned, outputBytes, nil
+	return nil
 }

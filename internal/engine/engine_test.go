@@ -63,17 +63,19 @@ func TestWriteDoc(t *testing.T) {
 }
 
 func TestRunAggregation(t *testing.T) {
-	docs := []jsonval.Value{
-		jsonval.ObjectValue(jsonval.Member{Key: "n", Value: jsonval.IntValue(2)}),
-		jsonval.ObjectValue(jsonval.Member{Key: "n", Value: jsonval.IntValue(3)}),
-	}
+	agg := query.NewAggregator(query.Aggregation{Func: query.Sum, Path: "/n"})
+	agg.Add(jsonval.ObjectValue(jsonval.Member{Key: "n", Value: jsonval.IntValue(2)}))
+	agg.Add(jsonval.ObjectValue(jsonval.Member{Key: "n", Value: jsonval.IntValue(3)}))
 	var sink bytes.Buffer
-	returned, outBytes, err := RunAggregation(&query.Aggregation{Func: query.Sum, Path: "/n"}, docs, &sink)
-	if err != nil || returned != 1 || outBytes == 0 {
-		t.Fatalf("RunAggregation = %d, %d, %v", returned, outBytes, err)
+	stats := ExecStats{Matched: 2}
+	if err := RunAggregation(agg, &sink, &stats); err != nil {
+		t.Fatal(err)
 	}
 	if sink.String() != "{\"sum\":5}\n" {
 		t.Errorf("sink = %q", sink.String())
+	}
+	if want := (ExecStats{Matched: 2, Returned: 1, OutputBytes: int64(sink.Len())}); stats != want {
+		t.Errorf("stats = %+v, want %+v", stats, want)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,10 +46,6 @@ type Engine struct {
 	derived  map[string][]jsonval.Value
 	cache    map[string][]jsonval.Value // base name + predicate -> matching docs
 	cacheHit int64
-
-	// parsers pools the *jsonval.Parser of parseAll's workers (scan.Map hands
-	// out no worker index): one per document would share no chunk and no key.
-	parsers sync.Pool
 }
 
 type dataset struct {
@@ -66,7 +63,6 @@ func New(opts Options) *Engine {
 		base:    make(map[string]*dataset),
 		derived: make(map[string][]jsonval.Value),
 		cache:   make(map[string][]jsonval.Value),
-		parsers: sync.Pool{New: func() any { return new(jsonval.Parser) }},
 	}
 }
 
@@ -143,19 +139,20 @@ func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
 // the residual predicate still to evaluate, reusing the deepest cached
 // ancestor of the composed predicate chain. Base datasets come back with
 // their zone maps; derived datasets and cached results come back as views
-// (sharded for the batch kernel but zoneless — they are scanned at most a
-// handful of times, so zone construction would not pay for itself). The hit
-// flag reports whether any cached result (full or ancestor) served the
-// lookup.
-func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Predicate) (st *shard.Store, residual query.Predicate, hit bool, err error) {
+// (sharded for the shared walk but zoneless — they are scanned at most a
+// handful of times, so zone construction would not pay for itself).
+// consulted reports whether the cache was looked up at all — it holds
+// results of filtered queries on base datasets only — and hit whether any
+// cached result (full or ancestor) served the lookup.
+func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Predicate) (st *shard.Store, residual query.Predicate, consulted, hit bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if docs, ok := e.derived[baseName]; ok {
-		return shard.View(docs, shard.DefaultSize), filter, false, nil
+		return shard.View(docs, shard.DefaultSize), filter, false, false, nil
 	}
 	ds, ok := e.base[baseName]
 	if !ok {
-		return nil, nil, false, engine.UnknownDataset("jodasim", baseName)
+		return nil, nil, false, false, engine.UnknownDataset("jodasim", baseName)
 	}
 	if ds.store == nil {
 		// Evicted: re-parse the retained bytes and rebuild the shard store,
@@ -163,18 +160,18 @@ func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Pred
 		// deployment covers re-indexing too).
 		docs, err := e.parseAll(ctx, ds.raw)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("jodasim: re-parsing evicted dataset %s: %w", baseName, err)
+			return nil, nil, false, false, fmt.Errorf("jodasim: re-parsing evicted dataset %s: %w", baseName, err)
 		}
 		ds.store = shard.Build(docs, shard.DefaultSize)
 	}
 	if filter == nil || e.opts.DisableCache {
-		return ds.store, filter, false, nil
+		return ds.store, filter, false, false, nil
 	}
 	// Walk the AND-chain from the full predicate towards its prefix,
 	// taking the deepest cached subset.
 	if docs, ok := e.cache[cacheKey(baseName, filter)]; ok {
 		e.cacheHit++
-		return shard.View(docs, shard.DefaultSize), nil, true, nil
+		return shard.View(docs, shard.DefaultSize), nil, true, true, nil
 	}
 	pred := filter
 	for {
@@ -190,10 +187,10 @@ func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Pred
 		pred = and.Left
 		if docs, ok := e.cache[cacheKey(baseName, pred)]; ok {
 			e.cacheHit++
-			return shard.View(docs, shard.DefaultSize), residual, true, nil
+			return shard.View(docs, shard.DefaultSize), residual, true, true, nil
 		}
 	}
-	return ds.store, filter, false, nil
+	return ds.store, filter, true, false, nil
 }
 
 func cacheKey(base string, pred query.Predicate) string {
@@ -206,12 +203,12 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (e
 		return engine.ExecStats{}, fmt.Errorf("jodasim: %w", err)
 	}
 	start := time.Now()
-	st, residual, hit, err := e.resolve(ctx, q.Base, q.Filter)
+	st, residual, consulted, hit, err := e.resolve(ctx, q.Base, q.Filter)
 	if err != nil {
 		engine.ObserveExec(ctx, e.Name(), q, engine.ExecStats{}, err)
 		return engine.ExecStats{}, err
 	}
-	if q.Filter != nil && !e.opts.DisableCache {
+	if consulted {
 		engine.ObserveCache(ctx, e.Name(), q, hit)
 	}
 	matched, skipped, err := e.scan(ctx, st, residual)
@@ -225,7 +222,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (e
 		Matched: int64(len(matched)),
 	}
 
-	if q.Filter != nil && !e.opts.DisableCache && !e.opts.Evict {
+	if consulted && !e.opts.Evict {
 		e.mu.Lock()
 		e.cache[cacheKey(q.Base, q.Filter)] = matched
 		e.mu.Unlock()
@@ -244,11 +241,13 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (e
 	}
 
 	if q.Agg != nil {
-		ret, out, err := engine.RunAggregation(q.Agg, matched, sink)
-		if err != nil {
+		agg := query.NewAggregator(*q.Agg)
+		for _, d := range matched {
+			agg.Add(d)
+		}
+		if err := engine.RunAggregation(agg, sink, &stats); err != nil {
 			return stats, err
 		}
-		stats.Returned, stats.OutputBytes = ret, out
 	} else {
 		var buf []byte
 		for i, d := range matched {
@@ -272,49 +271,52 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (e
 	return stats, nil
 }
 
-// scan filters the store on the sharded kernel, compiling the predicate
-// once per query. Shards whose zone map the compiled predicate proves empty
-// are skipped whole (skipped counts their documents); surviving shards are
-// batch-evaluated with one EvalBlock call each, through one per-worker
-// Evaluator so the per-document work is a generation bump and a closure
-// call with zero cross-worker sharing. The kernel preserves document order.
+// scan filters the store on the shared walk, compiling the predicate once per
+// query. Shards whose zone map the compiled predicate proves empty are
+// skipped whole (skipped counts their documents); a surviving shard is
+// evaluated through its worker's own Evaluator — per document a generation
+// bump and a closure call, nothing shared across workers — and its matches
+// stay in the shard's slot, so concatenating the slots is document order.
 func (e *Engine) scan(ctx context.Context, st *shard.Store, filter query.Predicate) ([]jsonval.Value, int64, error) {
 	if filter == nil {
 		return st.Docs(), 0, nil
 	}
 	compiled := query.Compile(filter)
-	// The adaptive pruner probes a deterministic shard prefix up front (so
-	// parallel claim order cannot perturb Skipped counts) and drops zone
-	// probing for the rest of the scan when the layout is not paying for it.
-	pruner := query.NewAdaptivePruner(compiled, st.NumShards(), func(i int) query.Zone {
-		return st.Shard(i).Zone
-	})
-	workers := e.opts.Threads
-	if workers < 1 {
-		workers = 1
-	}
-	evals := make([]*query.Evaluator, workers)
-	return scan.FilterShards(ctx, e.scanOptions(), st.NumShards(),
-		func(i int) ([]jsonval.Value, bool) {
+	evals := make([]*query.Evaluator, e.opts.Threads)
+	kept := make([][]jsonval.Value, st.NumShards())
+	skipped, err := scan.Shards(ctx, e.scanOptions(), st.NumShards(), compiled,
+		func(i int) (query.Zone, int) {
 			sh := st.Shard(i)
-			return sh.Docs, pruner.CanSkip(i, sh.Zone)
+			return sh.Zone, len(sh.Docs)
 		},
-		func(w int, docs []jsonval.Value, keep []bool) (int, error) {
-			ev := evals[w]
-			if ev == nil {
-				ev = compiled.Evaluator()
-				evals[w] = ev
+		func(w, i int) (int64, error) {
+			if evals[w] == nil {
+				evals[w] = compiled.Evaluator()
 			}
-			return ev.EvalBlock(docs, keep), nil
+			ev, docs := evals[w], st.Shard(i).Docs
+			var out []jsonval.Value
+			for j := range docs {
+				if ev.EvalAt(&docs[j]) {
+					out = append(out, docs[j])
+				}
+			}
+			kept[i] = out
+			return int64(len(docs)), nil
 		})
+	if err != nil {
+		return nil, 0, err
+	}
+	return slices.Concat(kept...), skipped, nil
 }
 
 func (e *Engine) scanOptions() scan.Options {
 	return scan.Options{Workers: e.opts.Threads, Engine: e.Name()}
 }
 
-// parseAll re-parses newline-delimited bytes on the shared kernel: find the
-// document boundaries sequentially, then parse the spans in parallel.
+// parseAll re-parses newline-delimited bytes on the shared walk: find the
+// document boundaries sequentially, then parse them in parallel, a chunk of
+// spans per claim and one Parser per worker (one per document would share no
+// slab chunk and no interned key).
 func (e *Engine) parseAll(ctx context.Context, raw []byte) ([]jsonval.Value, error) {
 	var spans [][2]int
 	off := 0
@@ -329,11 +331,26 @@ func (e *Engine) parseAll(ctx context.Context, raw []byte) ([]jsonval.Value, err
 		spans = append(spans, [2]int{off, off + n})
 		off += n
 	}
-	return scan.Map(ctx, e.scanOptions(), spans, func(_ int, sp [2]int) (jsonval.Value, error) {
-		p := e.parsers.Get().(*jsonval.Parser)
-		defer e.parsers.Put(p)
-		return p.Parse(raw[sp[0]:sp[1]])
-	})
+	const chunk = scan.DefaultBatch
+	docs := make([]jsonval.Value, len(spans))
+	parsers := make([]jsonval.Parser, e.opts.Threads)
+	_, err := scan.Shards(ctx, e.scanOptions(), (len(spans)+chunk-1)/chunk, query.CompiledPredicate{}, nil,
+		func(w, c int) (int64, error) {
+			start := c * chunk
+			end := min(start+chunk, len(spans))
+			for i := start; i < end; i++ {
+				doc, err := parsers[w].Parse(raw[spans[i][0]:spans[i][1]])
+				if err != nil {
+					return int64(i - start), err
+				}
+				docs[i] = doc
+			}
+			return int64(end - start), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return docs, nil
 }
 
 func (e *Engine) evictAll() {
@@ -352,7 +369,7 @@ func (e *Engine) evictAll() {
 func (e *Engine) CountMatching(base string, pred query.Predicate) (int64, error) {
 	//lint:ignore ctxplumb core.Backend carries no context; resolve and scan read ctx only for cancellation, which generation cannot request
 	ctx := context.Background()
-	st, residual, _, err := e.resolve(ctx, base, pred)
+	st, residual, consulted, _, err := e.resolve(ctx, base, pred)
 	if err != nil {
 		return 0, err
 	}
@@ -360,7 +377,7 @@ func (e *Engine) CountMatching(base string, pred query.Predicate) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	if pred != nil && !e.opts.DisableCache && !e.opts.Evict {
+	if consulted && !e.opts.Evict {
 		e.mu.Lock()
 		e.cache[cacheKey(base, pred)] = matched
 		e.mu.Unlock()

@@ -3,13 +3,16 @@ package jodasim
 import (
 	"bytes"
 	"context"
+	"io"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/engine/simtest"
 	"github.com/joda-explore/betze/internal/jsonval"
+	"github.com/joda-explore/betze/internal/obs"
 	"github.com/joda-explore/betze/internal/query"
 )
 
@@ -28,7 +31,7 @@ func results(t *testing.T, e *Engine, qs ...*query.Query) string {
 }
 
 // TestMatchesPredicateEval: for predicates of every kind over every document
-// shape simtest knows, a scan — compiled, batch-evaluated, zone-pruned,
+// shape simtest knows, a scan — compiled, sharded, zone-pruned,
 // cached — returns exactly the documents Predicate.Eval accepts, in order.
 func TestMatchesPredicateEval(t *testing.T) {
 	docs := simtest.Docs(t)
@@ -107,7 +110,7 @@ func TestImportFileEqualsImportValues(t *testing.T) {
 }
 
 // TestEvictedEqualsResident: re-parsing the retained bytes before every query
-// (pooled per-worker parsers) changes no result and no statistic of a
+// (one parser per worker) changes no result and no statistic of a
 // cache-less resident engine, and a cached one returns the same documents.
 func TestEvictedEqualsResident(t *testing.T) {
 	path, _ := nobenchFile(t, 1500)
@@ -121,7 +124,7 @@ func TestEvictedEqualsResident(t *testing.T) {
 }
 
 // TestConcurrentExecute runs under -race: per-worker evaluators, the shared
-// result cache and the evicted engine's pooled parsers belong to one Execute
+// result cache and the evicted engine's per-worker parsers belong to one Execute
 // at a time or are locked.
 func TestConcurrentExecute(t *testing.T) {
 	path, _ := nobenchFile(t, 1500)
@@ -159,5 +162,45 @@ func TestCachedSubsetOutlivesItsDecoder(t *testing.T) {
 	}
 	if e.CacheHits() != 1 {
 		t.Errorf("%d cache hits, want the follow-up to start from the cached subset", e.CacheHits())
+	}
+}
+
+// TestDerivedBaseBypassesCache: resolve never consults the cache for a
+// stored dataset, so queries on one must neither pin their result under a
+// key nobody reads nor report a miss for a lookup that never happened —
+// while the same filter on the base dataset still caches and hits.
+func TestDerivedBaseBypassesCache(t *testing.T) {
+	reg := obs.NewRegistry()
+	ctx := obs.With(ctx, obs.Scope{Metrics: reg})
+	e := New(Options{})
+	e.ImportValues("NoBench", datasets.NewNoBench().Generate(600, 11))
+	misses := reg.Counter(obs.EngineMetric(e.Name(), obs.EMCacheMisses))
+	run := func(q *query.Query) {
+		t.Helper()
+		if _, err := e.Execute(ctx, q, io.Discard); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	onDerived := query.BoolEq{Path: "/bool", Value: true}
+	run(&query.Query{Base: "NoBench", Filter: query.HasPrefix{Path: "/str1", Prefix: "G"}, Store: "derived"})
+	if misses.Value() != 1 {
+		t.Fatalf("%d cache misses after the first query on the base dataset, want 1", misses.Value())
+	}
+	run(&query.Query{Base: "derived", Filter: onDerived})
+	run(&query.Query{Base: "derived", Filter: onDerived, Store: "derived2"})
+	if n, err := e.CountMatching("derived2", onDerived); err != nil || n == 0 {
+		t.Fatalf("CountMatching on a stored dataset = %d, %v", n, err)
+	}
+	for key := range e.cache {
+		if !strings.HasPrefix(key, "NoBench\x00") {
+			t.Errorf("the cache holds %q, a result keyed by a stored dataset", key)
+		}
+	}
+	if misses.Value() != 1 || e.CacheHits() != 0 {
+		t.Errorf("queries on stored datasets moved the cache counters: %d misses, %d hits", misses.Value(), e.CacheHits())
+	}
+	run(&query.Query{Base: "NoBench", Filter: query.HasPrefix{Path: "/str1", Prefix: "G"}})
+	if e.CacheHits() != 1 {
+		t.Errorf("%d cache hits, want the repeated base query served from the cache", e.CacheHits())
 	}
 }

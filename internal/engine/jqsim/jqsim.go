@@ -132,17 +132,21 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	var storeFile *os.File
 	var storeWriter *bufio.Writer
 	if q.Store != "" {
-		storePath := filepath.Join(e.workdir, q.Store+".json")
-		storeFile, err = os.Create(storePath)
+		// The store is written under a temporary name and published (renamed,
+		// registered) only once it is complete: a query that fails half-way
+		// leaves no dataset behind, and a later query on its name gets
+		// engine.ErrUnknownDataset rather than a readable prefix.
+		storeFile, err = os.CreateTemp(e.workdir, q.Store+".*.tmp")
 		if err != nil {
 			return stats, fmt.Errorf("jqsim: creating store file: %w", err)
 		}
 		storeWriter = bufio.NewWriter(storeFile)
-		defer storeFile.Close()
-		e.mu.Lock()
-		e.files[q.Store] = storePath
-		e.derived[q.Store] = true
-		e.mu.Unlock()
+		defer func() {
+			if err != nil {
+				storeFile.Close()
+				os.Remove(storeFile.Name())
+			}
+		}()
 	}
 
 	// The aggregation pipelines of the paper run TWO jq processes: the
@@ -154,8 +158,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	var out bytes.Buffer
 	enc := json.NewEncoder(&out) // Marshal's bytes plus the newline, without Marshal's copy
 
-	// The decode loop runs on the sequential scan kernel as an unbounded
-	// stream: the document count is unknown until the decoder hits EOF.
+	// The decode loop is an unbounded stream: the document count is unknown
+	// until the decoder hits EOF.
+	match := matcher(q.Filter)
 	dec := json.NewDecoder(bufio.NewReaderSize(f, 256*1024))
 	if _, err := scan.Stream(ctx, scan.Options{Engine: e.Name()}, -1, func(int) (bool, error) {
 		var doc any
@@ -165,7 +170,11 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 			return false, fmt.Errorf("jqsim: parsing %s: %w", path, derr)
 		}
 		stats.Scanned++
-		if !evalAny(doc, q.Filter) {
+		ok, merr := match(doc)
+		if merr != nil {
+			return false, merr
+		}
+		if !ok {
 			return true, nil
 		}
 		stats.Matched++
@@ -202,6 +211,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	if agg != nil {
 		// Second jq instance: slurp the filtered stream and reduce it.
+		aggSteps, groupSteps := q.Agg.Path.Steps(), q.Agg.GroupBy.Steps()
 		slurp := json.NewDecoder(&out)
 		for {
 			var doc any
@@ -210,142 +220,102 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 			} else if err != nil {
 				return stats, fmt.Errorf("jqsim: re-parsing pipe: %w", err)
 			}
-			addAny(agg, doc, q.Agg)
-		}
-		var buf []byte
-		for _, row := range agg.Result() {
-			n, err := engine.WriteDoc(sink, &buf, row)
-			if err != nil {
-				return stats, err
+			v, vok, _ := lookupAny(doc, aggSteps)
+			var g boxed
+			var gok bool
+			if q.Agg.Grouped {
+				g, gok, _ = lookupAny(doc, groupSteps)
 			}
-			stats.Returned++
-			stats.OutputBytes += n
+			// Only the referenced attributes are converted.
+			agg.AddValues(toValue(v.v), vok, toValue(g.v), gok)
+		}
+		if err := engine.RunAggregation(agg, sink, &stats); err != nil {
+			return stats, err
 		}
 	}
 	if storeWriter != nil {
 		if err := storeWriter.Flush(); err != nil {
-			return stats, err
+			return stats, fmt.Errorf("jqsim: writing store file: %w", err)
 		}
+		if err := storeFile.Close(); err != nil {
+			return stats, fmt.Errorf("jqsim: writing store file: %w", err)
+		}
+		storePath := filepath.Join(e.workdir, q.Store+".json")
+		if err := os.Rename(storeFile.Name(), storePath); err != nil {
+			return stats, fmt.Errorf("jqsim: publishing store file: %w", err)
+		}
+		e.mu.Lock()
+		e.files[q.Store] = storePath
+		e.derived[q.Store] = true
+		e.mu.Unlock()
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
 }
 
-// lookupAny resolves a path inside a boxed document.
-func lookupAny(doc any, path jsonval.Path) (any, bool) {
-	cur := doc
-	for _, seg := range path.Segments() {
-		obj, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = obj[seg]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
+// matcher builds the per-query document test over boxed values.
+func matcher(p query.Predicate) func(doc any) (bool, error) {
+	return engine.CompileLazy(p, lookupAny, func(doc any) (jsonval.Value, error) { return toValue(doc), nil })
 }
 
-// evalAny evaluates the predicate tree over boxed values. Numbers are
-// float64 throughout, like jq's doubles.
-func evalAny(doc any, p query.Predicate) bool {
-	if p == nil {
-		return true
-	}
-	switch n := p.(type) {
-	case query.And:
-		return evalAny(doc, n.Left) && evalAny(doc, n.Right)
-	case query.Or:
-		return evalAny(doc, n.Left) || evalAny(doc, n.Right)
-	case query.Exists:
-		_, ok := lookupAny(doc, n.Path)
-		return ok
-	case query.IsString:
-		v, ok := lookupAny(doc, n.Path)
-		if !ok {
-			return false
-		}
-		_, isStr := v.(string)
-		return isStr
-	case query.IntEq:
-		v, ok := lookupAny(doc, n.Path)
-		if !ok {
-			return false
-		}
-		f, isNum := v.(float64)
-		return isNum && f == float64(n.Value)
-	case query.FloatCmp:
-		v, ok := lookupAny(doc, n.Path)
-		if !ok {
-			return false
-		}
-		f, isNum := v.(float64)
-		if !isNum {
-			return false
-		}
-		switch n.Op {
-		case query.Lt:
-			return f < n.Value
-		case query.Le:
-			return f <= n.Value
-		case query.Gt:
-			return f > n.Value
-		case query.Ge:
-			return f >= n.Value
-		default:
-			return f == n.Value
-		}
-	case query.StrEq:
-		v, ok := lookupAny(doc, n.Path)
-		if !ok {
-			return false
-		}
-		s, isStr := v.(string)
-		return isStr && s == n.Value
-	case query.HasPrefix:
-		v, ok := lookupAny(doc, n.Path)
-		if !ok {
-			return false
-		}
-		s, isStr := v.(string)
-		return isStr && strings.HasPrefix(s, n.Prefix)
-	case query.BoolEq:
-		v, ok := lookupAny(doc, n.Path)
-		if !ok {
-			return false
-		}
-		b, isBool := v.(bool)
-		return isBool && b == n.Value
-	case query.ArrSize:
-		v, ok := lookupAny(doc, n.Path)
-		if !ok {
-			return false
-		}
-		arr, isArr := v.([]any)
-		return isArr && n.Op.HoldsInt(len(arr), n.Value)
-	case query.ObjSize:
-		v, ok := lookupAny(doc, n.Path)
-		if !ok {
-			return false
-		}
-		obj, isObj := v.(map[string]any)
-		return isObj && n.Op.HoldsInt(len(obj), n.Value)
+// boxed is a jq-style boxed value (encoding/json's any; every number a
+// float64, like jq's doubles) seen through engine.RawValue, so the filter
+// runs on the leaf table the binary-format engines use.
+type boxed struct{ v any }
+
+func (b boxed) Kind() jsonval.Kind {
+	switch b.v.(type) {
+	case nil:
+		return jsonval.Null
+	case bool:
+		return jsonval.Bool
+	case float64:
+		return jsonval.Float
+	case string:
+		return jsonval.String
+	case []any:
+		return jsonval.Array
 	default:
-		return false
+		return jsonval.Object
 	}
 }
 
-// addAny folds a boxed document into the aggregation, converting only the
-// referenced attributes.
-func addAny(agg *query.Aggregator, doc any, spec *query.Aggregation) {
-	v, vok := lookupAny(doc, spec.Path)
-	var g any
-	var gok bool
-	if spec.Grouped {
-		g, gok = lookupAny(doc, spec.GroupBy)
+func (b boxed) Number() (float64, bool) { f, ok := b.v.(float64); return f, ok }
+func (b boxed) Bool() (bool, bool)      { t, ok := b.v.(bool); return t, ok }
+
+func (b boxed) EqualString(s string) bool {
+	str, ok := b.v.(string)
+	return ok && str == s
+}
+
+func (b boxed) HasPrefix(prefix string) bool {
+	str, ok := b.v.(string)
+	return ok && strings.HasPrefix(str, prefix)
+}
+
+func (b boxed) Len() (int, bool) {
+	switch t := b.v.(type) {
+	case []any:
+		return len(t), true
+	case map[string]any:
+		return len(t), true
 	}
-	agg.AddValues(toValue(v), vok, toValue(g), gok)
+	return 0, false
+}
+
+// lookupAny resolves pre-split path steps inside a boxed document. It never
+// fails; the error result is engine.CompileLazy's lookup signature.
+func lookupAny(doc any, steps []string) (boxed, bool, error) {
+	for _, seg := range steps {
+		obj, ok := doc.(map[string]any)
+		if !ok {
+			return boxed{}, false, nil
+		}
+		if doc, ok = obj[seg]; !ok {
+			return boxed{}, false, nil
+		}
+	}
+	return boxed{doc}, true, nil
 }
 
 // toValue converts a boxed value into the typed model for aggregation.

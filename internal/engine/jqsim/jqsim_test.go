@@ -5,14 +5,163 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/joda-explore/betze/internal/datasets"
+	"github.com/joda-explore/betze/internal/engine"
+	"github.com/joda-explore/betze/internal/engine/simtest"
+	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/query"
 )
+
+var ctx = context.Background()
+
+// box parses a document the way Execute does: encoding/json into any.
+func box(t *testing.T, doc jsonval.Value) any {
+	t.Helper()
+	var boxed any
+	if err := json.Unmarshal(jsonval.AppendJSON(nil, doc), &boxed); err != nil {
+		t.Fatal(err)
+	}
+	return boxed
+}
+
+// TestMatcherEqualsPredicateEval: the shared lazy leaf table over boxed
+// values accepts exactly the documents Predicate.Eval accepts on their typed
+// form — for every leaf kind and AND/OR trees over simtest's documents, for
+// absent paths, the root path, JSON null members and paths that run through
+// scalars and arrays.
+func TestMatcherEqualsPredicateEval(t *testing.T) {
+	docs := simtest.Docs(t)
+	docs = append(docs, simtest.Parse(t, `{"a":null,"b":{"c":null,"d":[null]},"user":null}`))
+	sample := []jsonval.Value{docs[len(docs)-1], docs[len(docs)-2], docs[40], docs[41], docs[80], docs[0]}
+	preds := simtest.LeafPredicates(sample)
+	if len(preds) < 300 {
+		t.Fatalf("only %d predicates derived", len(preds))
+	}
+	// LeafPredicates leaves the root to the binary formats' wrappers; a boxed
+	// document's root is the document.
+	preds = append(preds, nil,
+		query.Exists{Path: jsonval.RootPath}, query.IsString{Path: jsonval.RootPath},
+		query.IntEq{Path: jsonval.RootPath, Value: 7}, query.FloatCmp{Path: jsonval.RootPath, Op: query.Ge, Value: 7},
+		query.ObjSize{Path: jsonval.RootPath, Op: query.Eq, Value: 0}, query.ArrSize{Path: jsonval.RootPath, Op: query.Ge, Value: 0},
+		query.Or{Left: query.ObjSize{Path: jsonval.RootPath, Op: query.Gt, Value: 3}, Right: query.Exists{Path: "/user/name"}})
+	boxed := make([]any, len(docs))
+	for i, d := range docs {
+		boxed[i] = box(t, d)
+	}
+	for _, p := range preds {
+		match := matcher(p)
+		for i := range docs {
+			got, err := match(boxed[i])
+			if err != nil {
+				t.Fatalf("%v on %s: %v", p, docs[i], err)
+			}
+			if want := p == nil || p.Eval(toValue(boxed[i])); got != want {
+				t.Fatalf("matcher(%v) = %v on %s, Predicate.Eval says %v", p, got, docs[i], want)
+			}
+		}
+	}
+}
+
+// engineOn returns an engine over a fresh workdir with docs imported as name.
+func engineOn(t *testing.T, name string, docs ...jsonval.Value) *Engine {
+	t.Helper()
+	dir := t.TempDir()
+	var raw []byte
+	for _, d := range docs {
+		raw = append(jsonval.AppendJSON(raw, d), '\n')
+	}
+	path := filepath.Join(dir, name+".src")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if _, err := e.ImportFile(ctx, name, path); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func TestRejections(t *testing.T) {
+	e := engineOn(t, "one", simtest.Parse(t, simtest.RejectedDoc))
+	for _, p := range simtest.Rejections() {
+		stats, err := e.Execute(ctx, &query.Query{Base: "one", Filter: p}, io.Discard)
+		if err != nil || stats.Matched != 0 || stats.Scanned != 1 {
+			t.Errorf("%v: %+v, %v; want a clean rejection of the one document", p, stats, err)
+		}
+	}
+}
+
+// Everything an Execute touches but the name registry belongs to that call,
+// store files included: each is written under its own temporary name (run
+// under -race).
+func TestConcurrentExecute(t *testing.T) {
+	e := engineOn(t, "NoBench", datasets.NewNoBench().Generate(600, 11)...)
+	simtest.ConcurrentExecute(ctx, t, e, []*query.Query{
+		{Base: "NoBench", Filter: query.FloatCmp{Path: "/num", Op: query.Ge, Value: 0}},
+		{Base: "NoBench", Filter: query.Exists{Path: "/str1"}, Agg: &query.Aggregation{Func: query.Count, Path: "/str1", Grouped: true, GroupBy: "/str2"}},
+		{Base: "NoBench", Filter: query.BoolEq{Path: "/bool", Value: true}, Agg: &query.Aggregation{Func: query.Sum, Path: "/num", Grouped: true, GroupBy: "/nested_obj/str"}},
+		{Base: "NoBench", Filter: query.HasPrefix{Path: "/str1", Prefix: "G"}, Store: "derived"},
+		{Base: "derived"},
+	})
+}
+
+// failAfter is a sink whose writes start failing.
+type failAfter struct{ writes int }
+
+var errSink = errors.New("sink failed")
+
+func (s *failAfter) Write(p []byte) (int, error) {
+	if s.writes--; s.writes < 0 {
+		return 0, errSink
+	}
+	return len(p), nil
+}
+
+// TestFailedStorePublishesNothing: a store query that fails half-way (sink
+// error, cancellation) must not leave its name registered over a partial
+// file — a follow-up on it is an unknown dataset, as on the other engines,
+// not a scan of a prefix — and must not damage the dataset an earlier,
+// successful query stored under the same name.
+func TestFailedStorePublishesNothing(t *testing.T) {
+	e := engineOn(t, "Twitter", datasets.NewTwitter().Generate(200, 5)...)
+	store := &query.Query{Base: "Twitter", Store: "named"}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for name, run := range map[string]func() error{
+		"sink error": func() error { _, err := e.Execute(ctx, store, &failAfter{writes: 50}); return err },
+		"cancelled":  func() error { _, err := e.Execute(cancelled, store, io.Discard); return err },
+	} {
+		if err := run(); err == nil {
+			t.Fatalf("%s: the store query succeeded", name)
+		}
+		if stats, err := e.Execute(ctx, &query.Query{Base: "named"}, io.Discard); !errors.Is(err, engine.ErrUnknownDataset) {
+			t.Errorf("%s: follow-up on the failed store: %+v, %v; want ErrUnknownDataset", name, stats, err)
+		}
+		if left, _ := filepath.Glob(filepath.Join(e.workdir, "named*")); len(left) != 0 {
+			t.Errorf("%s: the failed store left %v behind", name, left)
+		}
+	}
+
+	if _, err := e.Execute(ctx, store, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(ctx, store, &failAfter{writes: 50}); err == nil {
+		t.Fatal("the second store query succeeded")
+	}
+	if stats, err := e.Execute(ctx, &query.Query{Base: "named"}, io.Discard); err != nil || stats.Scanned != 200 {
+		t.Errorf("after a failed re-store the dataset reads %+v, %v; want the 200 documents stored first", stats, err)
+	}
+}
 
 // TestOutputIsMarshalPlusNewline pins the bytes jq prints. Execute streams
 // every matched document through one json.Encoder into a reused buffer; what
@@ -39,7 +188,7 @@ func TestOutputIsMarshalPlusNewline(t *testing.T) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		if !evalAny(doc, filter) {
+		if ok, _ := matcher(filter)(doc); !ok {
 			continue
 		}
 		out, err := json.Marshal(doc)
@@ -57,11 +206,11 @@ func TestOutputIsMarshalPlusNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.ImportFile(context.Background(), "Twitter", path); err != nil {
+	if _, err := e.ImportFile(ctx, "Twitter", path); err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	stats, err := e.Execute(context.Background(), &query.Query{Base: "Twitter", Filter: filter, Store: "named"}, &got)
+	stats, err := e.Execute(ctx, &query.Query{Base: "Twitter", Filter: filter, Store: "named"}, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +227,11 @@ func TestOutputIsMarshalPlusNewline(t *testing.T) {
 	// An aggregation pipes the same bytes into the second jq instance.
 	agg := &query.Query{Base: "Twitter", Filter: filter, Agg: &query.Aggregation{Func: query.Count, Path: "/user/name", Grouped: true, GroupBy: "/lang"}}
 	var fromBase, fromStored bytes.Buffer
-	if _, err := e.Execute(context.Background(), agg, &fromBase); err != nil {
+	if _, err := e.Execute(ctx, agg, &fromBase); err != nil {
 		t.Fatal(err)
 	}
 	agg.Base, agg.Filter = "named", nil
-	if _, err := e.Execute(context.Background(), agg, &fromStored); err != nil {
+	if _, err := e.Execute(ctx, agg, &fromStored); err != nil {
 		t.Fatal(err)
 	}
 	if fromBase.Len() == 0 || !bytes.Equal(fromBase.Bytes(), fromStored.Bytes()) {

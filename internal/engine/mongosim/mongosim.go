@@ -215,17 +215,14 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		storeWriter = newBlockWriter(e.opts, storeColl)
 	}
 
-	// The walk runs on the sequential shard kernel (MongoDB's modelled
-	// execution is single-threaded), one block per step. A block whose zone
-	// map rules out every document is skipped without being decompressed —
-	// the pruning win here is the whole flate inflate, not just the per-
-	// document predicate calls. FullDecode mode evaluates the compiled
-	// predicate over materialised documents; the default mode keeps the
-	// lazy per-leaf walks over raw BSON.
+	// MongoDB's modelled execution is single-threaded: the walk runs on the
+	// calling goroutine, one block per step. A block whose zone map rules out
+	// every document is skipped without being decompressed — the pruning win
+	// here is the whole flate inflate, not just the per-document predicate
+	// calls. FullDecode mode evaluates the compiled predicate over
+	// materialised documents; the default mode keeps the lazy per-leaf walks
+	// over raw BSON.
 	compiled := query.Compile(q.Filter)
-	pruner := query.NewAdaptivePruner(compiled, len(coll.blocks), func(i int) query.Zone {
-		return coll.blocks[i].zone
-	})
 	match := e.matcher(compiled)
 	var aggSteps, groupSteps []string
 	if agg != nil {
@@ -234,15 +231,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	// scratch and outBuf belong to this call: concurrent Executes on one
 	// engine share nothing mutable but the collection map.
 	var scratch, outBuf []byte
-	if _, err := scan.StreamShards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks),
-		func(i int) bool {
-			if !pruner.CanSkip(i, coll.blocks[i].zone) {
-				return false
-			}
-			stats.Skipped += int64(coll.blocks[i].docCount)
-			return true
-		},
-		func(i int) (int64, error) {
+	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks), compiled,
+		func(i int) (query.Zone, int) { return coll.blocks[i].zone, coll.blocks[i].docCount },
+		func(_, i int) (int64, error) {
 			raw, oerr := coll.blocks[i].open(&scratch)
 			if oerr != nil {
 				return 0, fmt.Errorf("mongosim: opening block: %w", oerr)
@@ -289,18 +280,13 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 				}
 			}
 			return walked, nil
-		}); err != nil {
+		})
+	if err != nil {
 		return stats, err
 	}
 	if agg != nil {
-		var buf []byte
-		for _, row := range agg.Result() {
-			n, err := engine.WriteDoc(sink, &buf, row)
-			if err != nil {
-				return stats, err
-			}
-			stats.Returned++
-			stats.OutputBytes += n
+		if err := engine.RunAggregation(agg, sink, &stats); err != nil {
+			return stats, err
 		}
 	}
 	if storeWriter != nil {

@@ -323,16 +323,13 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	if q.Agg != nil {
 		agg = query.NewAggregator(*q.Agg)
 	}
-	// The row walk runs on the sequential shard kernel (PostgreSQL's
-	// modelled execution is single-threaded), one BRIN-style row range per
-	// step: a range whose zone map rules out every row is skipped without
-	// detoasting any of it. FullDecode mode evaluates the compiled
-	// predicate over materialised rows; the default mode keeps the
-	// per-leaf detoast + binary-searched lookups.
+	// PostgreSQL's modelled execution is single-threaded: the walk runs on
+	// the calling goroutine, one BRIN-style row range per step, and a range
+	// whose zone map rules out every row is skipped without detoasting any of
+	// it. FullDecode mode evaluates the compiled predicate over materialised
+	// rows; the default mode keeps the per-leaf detoast + binary-searched
+	// lookups.
 	compiled := query.Compile(q.Filter)
-	pruner := query.NewAdaptivePruner(compiled, len(tbl.shards), func(i int) query.Zone {
-		return tbl.shards[i].zone
-	})
 	var storeTB *tableBuilder
 	if q.Store != "" {
 		storeTB = newTableBuilder()
@@ -341,16 +338,12 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	// engine share nothing mutable but the table map.
 	var scratch, outBuf []byte
 	match := e.matcher(compiled, &scratch)
-	if _, err := scan.StreamShards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards),
-		func(i int) bool {
+	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards), compiled,
+		func(i int) (query.Zone, int) {
 			sh := tbl.shards[i]
-			if !pruner.CanSkip(i, sh.zone) {
-				return false
-			}
-			stats.Skipped += int64(sh.end - sh.start)
-			return true
+			return sh.zone, sh.end - sh.start
 		},
-		func(i int) (int64, error) {
+		func(_, i int) (int64, error) {
 			sh := tbl.shards[i]
 			var walked int64
 			for ri := sh.start; ri < sh.end; ri++ {
@@ -384,18 +377,13 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 				}
 			}
 			return walked, nil
-		}); err != nil {
+		})
+	if err != nil {
 		return stats, err
 	}
 	if agg != nil {
-		var buf []byte
-		for _, rowDoc := range agg.Result() {
-			n, err := engine.WriteDoc(sink, &buf, rowDoc)
-			if err != nil {
-				return stats, err
-			}
-			stats.Returned++
-			stats.OutputBytes += n
+		if err := engine.RunAggregation(agg, sink, &stats); err != nil {
+			return stats, err
 		}
 	}
 	if storeTB != nil {

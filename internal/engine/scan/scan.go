@@ -1,17 +1,17 @@
-// Package scan is the shared chunked scan kernel the engine sims execute
-// their document walks on. One kernel replaces the four private worker
-// loops the sims used to carry: parallel engines call Filter or Map,
-// engines whose real counterpart is single-threaded call Stream, and all
-// three share the same batch planning, per-batch cancellation and obs
-// accounting.
+// Package scan is the one document walk the engine sims execute on. A sim
+// supplies what differs between the modelled systems — how many shards its
+// storage has, the zone map and size of each, and a body that opens one
+// shard (inflate, detoast, evaluate, emit) — and Shards owns everything the
+// systems share: zone-map pruning, skip accounting, work distribution,
+// per-shard cancellation, deterministic error reporting and the obs
+// accounting. Stream is the same walk for an input whose length is unknown
+// (jqsim's decoder), where there is nothing to cut into shards.
 //
-// Parallel kernels distribute work through an atomic cursor over small
-// batches instead of one fixed chunk per worker: under skew (one expensive
-// document) a fixed chunk stalls its worker while the others drain, whereas
-// cursor batches rebalance automatically. Each worker keeps its results in
-// private runs tagged with the batch start index, and the final merge sorts
-// runs by start, so Filter output is in document order regardless of which
-// worker claimed which batch.
+// The parallel walk distributes shards through an atomic cursor instead of
+// one fixed range per worker: under skew (one expensive shard) a fixed range
+// stalls its worker while the others drain, whereas cursor claims rebalance
+// automatically. Bodies leave their results in per-shard slots, so output
+// order never depends on which worker claimed which shard.
 //
 // The package is inside the determinism lint scope: it never reads the
 // clock, so its trace events carry no Duration.
@@ -20,26 +20,27 @@ package scan
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/joda-explore/betze/internal/obs"
+	"github.com/joda-explore/betze/internal/query"
 )
 
-// DefaultBatch is the cursor claim size when Options.Batch is unset. Small
-// batches keep workers balanced under skew while still amortising the
-// atomic increment; cancellation is checked once per claim, so the batch
-// size also bounds cancellation latency.
+// DefaultBatch is the item count between two cancellation checks of Filter
+// and Stream when Options.Batch is unset.
 const DefaultBatch = 64
 
 // Options configures one scan pass.
 type Options struct {
-	// Workers is the goroutine count for the parallel kernels (Filter,
-	// Map). Values below 1 run single-threaded; Stream ignores it.
+	// Workers is the goroutine count of a parallel walk. Shards runs on the
+	// calling goroutine when it is below 1; Filter treats values below 1 as
+	// 1; Stream ignores it.
 	Workers int
-	// Batch is the item count of one cursor claim. Values below 1 use
-	// DefaultBatch.
+	// Batch is the item count Filter and Stream process between two
+	// cancellation checks. Values below 1 use DefaultBatch; Shards ignores
+	// it (its unit is the caller's shard).
 	Batch int
 	// Engine labels the pass's trace events.
 	Engine string
@@ -70,266 +71,147 @@ func plan(o Options, n int) (workers, batch int) {
 	return workers, batch
 }
 
-// run is one worker's kept items from one claimed batch, tagged with the
-// batch start index so the merge can restore document order.
-type run[T any] struct {
-	start int
-	items []T
+// walk is the state the workers of one Shards call share.
+type walk struct {
+	cursor                                      atomic.Int64
+	items, scanned, skippedShards, skippedItems atomic.Int64
+	stop                                        atomic.Bool
+
+	mu    sync.Mutex
+	errAt int
+	err   error
 }
 
-// cursorLoop is the shared worker body of the parallel kernels: claim a
-// batch through the cursor, check cancellation, walk it. walk returns the
-// index of the first failing item, or end on success.
-type cursorLoop struct {
-	n       int
-	batch   int
-	cursor  atomic.Int64
-	batches atomic.Int64
-	walked  atomic.Int64
-	stop    atomic.Bool
-
-	mu      sync.Mutex
-	errAt   int
-	firstEr error
-}
-
-// fail records err at item index at, keeping the lowest-index error so the
+// fail records err at shard index at, keeping the lowest-index error so the
 // reported failure is deterministic under any worker interleaving.
-func (c *cursorLoop) fail(at int, err error) {
-	c.mu.Lock()
-	if c.firstEr == nil || at < c.errAt {
-		c.errAt, c.firstEr = at, err
+func (w *walk) fail(at int, err error) {
+	w.mu.Lock()
+	if w.err == nil || at < w.errAt {
+		w.errAt, w.err = at, err
 	}
-	c.mu.Unlock()
-	c.stop.Store(true)
+	w.mu.Unlock()
+	w.stop.Store(true)
 }
 
-func (c *cursorLoop) work(ctx context.Context, walk func(start, end int) int) {
-	for !c.stop.Load() {
-		start := int(c.cursor.Add(int64(c.batch))) - c.batch
-		if start >= c.n {
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			c.fail(start, err)
-			return
-		}
-		c.batches.Add(1)
-		end := start + c.batch
-		if end > c.n {
-			end = c.n
-		}
-		stopped := walk(start, end)
-		c.walked.Add(int64(stopped - start))
-		if stopped < end {
-			return // walk recorded its failure through fail
+// Shards walks the n shards of a sim's storage. filter and zone drive
+// pruning: zone returns shard i's zone map and item count, an adaptive
+// pruner (query.NewAdaptivePruner) probes the deterministic shard prefix
+// before the first claim — so what is skipped never depends on claim order —
+// and a shard the compiled filter proves empty is skipped whole, its item
+// count summed into skippedItems. A nil zone is the zoneless case: nothing
+// is skipped. Every surviving shard is handed whole to body exactly once;
+// body returns the item count it consumed.
+//
+// With o.Workers < 1 the walk runs on the calling goroutine in shard order
+// with worker 0, so body may mutate unlocked state; otherwise
+// min(o.Workers, n) goroutines claim shards through an atomic cursor, and
+// worker — stable per goroutine, in [0, o.Workers) — lets body pin
+// per-worker state (an Evaluator, a Parser) without locking. Cancellation is
+// checked once per claimed shard. A body error or cancellation stops the
+// walk; the lowest-index error is returned, together with the items skipped
+// so far. One scan event and the scan.* counters report the pass.
+func Shards(ctx context.Context, o Options, n int, filter query.CompiledPredicate,
+	zone func(i int) (query.Zone, int),
+	body func(worker, i int) (int64, error),
+) (skippedItems int64, err error) {
+	var pruner *query.AdaptivePruner
+	if zone != nil {
+		pruner = query.NewAdaptivePruner(filter, n, func(i int) query.Zone {
+			z, _ := zone(i)
+			return z
+		})
+	}
+	var w walk
+	work := func(worker int) {
+		for !w.stop.Load() {
+			i := int(w.cursor.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				w.fail(i, err)
+				return
+			}
+			if pruner != nil {
+				if z, size := zone(i); pruner.CanSkip(i, z) {
+					w.skippedShards.Add(1)
+					w.skippedItems.Add(int64(size))
+					continue
+				}
+			}
+			w.scanned.Add(1)
+			items, err := body(worker, i)
+			w.items.Add(items)
+			if err != nil {
+				w.fail(i, err)
+				return
+			}
 		}
 	}
+	workers, kind := 1, obs.KindSequential
+	if o.Workers < 1 {
+		work(0)
+	} else {
+		workers, _ = plan(o, n)
+		kind = obs.KindParallel
+		var wg sync.WaitGroup
+		for worker := 0; worker < workers; worker++ {
+			wg.Add(1)
+			go func(worker int) {
+				defer wg.Done()
+				work(worker)
+			}(worker)
+		}
+		wg.Wait()
+	}
+	scanned, skipped := w.scanned.Load(), w.skippedShards.Load()
+	observe(ctx, o, kind, workers, w.items.Load(), scanned+skipped, scanned, skipped, w.err)
+	return w.skippedItems.Load(), w.err
 }
 
-// Filter scans items with workers goroutines and returns the items keep
-// accepted, in document order. keep may be called from multiple goroutines
-// concurrently; an error (or context cancellation) aborts the scan and the
-// lowest-index error is returned.
+// Filter returns the items keep accepted, in input order: Shards over the
+// input cut into batches, one per-batch result slot each. keep may be called
+// from multiple goroutines concurrently; an error (or context cancellation)
+// aborts the scan and the lowest-index error is returned.
+//
+// No production caller; kept for benchmark/replay.go until a benchmark PR
+// drops the scan.filter_ns_per_item row.
 func Filter[T any](ctx context.Context, o Options, items []T, keep func(i int, item T) (bool, error)) ([]T, error) {
 	workers, batch := plan(o, len(items))
-	c := &cursorLoop{n: len(items), batch: batch}
-	runs := make([][]run[T], workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c.work(ctx, func(start, end int) int {
-				var kept []T
-				for i := start; i < end; i++ {
-					ok, err := keep(i, items[i])
-					if err != nil {
-						c.fail(i, err)
-						return i
-					}
-					if ok {
-						kept = append(kept, items[i])
-					}
+	kept := make([][]T, (len(items)+batch-1)/batch)
+	_, err := Shards(ctx, Options{Workers: workers, Engine: o.Engine}, len(kept), query.CompiledPredicate{}, nil,
+		func(_, b int) (int64, error) {
+			start := b * batch
+			end := min(start+batch, len(items))
+			var out []T
+			for i := start; i < end; i++ {
+				ok, err := keep(i, items[i])
+				if err != nil {
+					return int64(i - start), err
 				}
-				if len(kept) > 0 {
-					runs[w] = append(runs[w], run[T]{start: start, items: kept})
+				if ok {
+					out = append(out, items[i])
 				}
-				return end
-			})
-		}(w)
+			}
+			kept[b] = out
+			return int64(end - start), nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	observe(ctx, o, obs.KindParallel, workers, c.walked.Load(), c.batches.Load(), c.firstEr)
-	if c.firstEr != nil {
-		return nil, c.firstEr
-	}
-	return mergeRuns(runs), nil
+	return slices.Concat(kept...), nil
 }
 
-// mergeRuns flattens per-worker runs back into document order.
-func mergeRuns[T any](perWorker [][]run[T]) []T {
-	var all []run[T]
-	total := 0
-	for _, rs := range perWorker {
-		for _, r := range rs {
-			total += len(r.items)
-		}
-		all = append(all, rs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].start < all[j].start })
-	out := make([]T, 0, total)
-	for _, r := range all {
-		out = append(out, r.items...)
-	}
-	return out
-}
-
-// FilterShards is Filter at shard granularity: the unit of work handed to a
-// worker is one whole shard, evaluated by a single eval call into a
-// per-worker reusable keep buffer — one indirect call per shard instead of
-// one per document. shard returns shard i's items plus a skip verdict
-// (typically a zone-map prune proof); skipped shards are never evaluated
-// but their item counts are summed into the returned skipped total. eval
-// receives a stable worker index in [0, workers) so callers can pin
-// per-worker state (e.g. a query.Evaluator) without locking; its keep
-// buffer is valid only for the duration of the call. Kept items are
-// returned in document order. Cancellation is checked once per claimed
-// shard, so a cancel lands mid-scan at shard granularity.
-func FilterShards[T any](ctx context.Context, o Options, ns int,
-	shard func(i int) (items []T, skip bool),
-	eval func(worker int, items []T, keep []bool) (int, error),
-) ([]T, int64, error) {
-	workers, _ := plan(o, ns)
-	c := &cursorLoop{n: ns, batch: 1}
-	runs := make([][]run[T], workers)
-	var items, scanned, skippedShards, skippedItems atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var keep []bool
-			c.work(ctx, func(start, end int) int {
-				for i := start; i < end; i++ {
-					docs, skip := shard(i)
-					if skip {
-						skippedShards.Add(1)
-						skippedItems.Add(int64(len(docs)))
-						continue
-					}
-					scanned.Add(1)
-					items.Add(int64(len(docs)))
-					if cap(keep) < len(docs) {
-						keep = make([]bool, len(docs))
-					}
-					kb := keep[:len(docs)]
-					n, err := eval(w, docs, kb)
-					if err != nil {
-						c.fail(i, err)
-						return i
-					}
-					if n > 0 {
-						kept := make([]T, 0, n)
-						for j := range docs {
-							if kb[j] {
-								kept = append(kept, docs[j])
-							}
-						}
-						runs[w] = append(runs[w], run[T]{start: i, items: kept})
-					}
-				}
-				return end
-			})
-		}(w)
-	}
-	wg.Wait()
-	observeShards(ctx, o, obs.KindParallel, workers, items.Load(), c.batches.Load(), scanned.Load(), skippedShards.Load(), c.firstEr)
-	if c.firstEr != nil {
-		return nil, 0, c.firstEr
-	}
-	return mergeRuns(runs), skippedItems.Load(), nil
-}
-
-// StreamShards is the sequential shard walk for the engines whose modelled
-// system is single-threaded: shard i is either skipped (skip true — a
-// zone-map prune proof; body is never called for it) or walked by body,
-// which returns the item count it consumed. Cancellation is checked once
-// per shard. StreamShards returns the number of shards skipped; callers
-// track skipped item counts themselves, since only they know a skipped
-// shard's size without opening it.
-func StreamShards(ctx context.Context, o Options, ns int,
-	skip func(i int) bool,
-	body func(i int) (int64, error),
-) (skippedShards int64, err error) {
-	var items, scanned, skipped int64
-	defer func() {
-		observeShards(ctx, o, obs.KindSequential, 1, items, scanned+skipped, scanned, skipped, err)
-	}()
-	for i := 0; i < ns; i++ {
-		if err = ctx.Err(); err != nil {
-			return skipped, err
-		}
-		if skip(i) {
-			skipped++
-			continue
-		}
-		scanned++
-		n, berr := body(i)
-		items += n
-		if berr != nil {
-			err = berr
-			return skipped, err
-		}
-	}
-	return skipped, nil
-}
-
-// Map scans items with workers goroutines, producing one output per input
-// at the same index. fn may be called from multiple goroutines
-// concurrently; an error aborts the scan and the partial output is
-// discarded.
-func Map[T, R any](ctx context.Context, o Options, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	workers, batch := plan(o, len(items))
-	c := &cursorLoop{n: len(items), batch: batch}
-	out := make([]R, len(items))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.work(ctx, func(start, end int) int {
-				for i := start; i < end; i++ {
-					r, err := fn(i, items[i])
-					if err != nil {
-						c.fail(i, err)
-						return i
-					}
-					out[i] = r
-				}
-				return end
-			})
-		}()
-	}
-	wg.Wait()
-	observe(ctx, o, obs.KindParallel, workers, c.walked.Load(), c.batches.Load(), c.firstEr)
-	if c.firstEr != nil {
-		return nil, c.firstEr
-	}
-	return out, nil
-}
-
-// Stream runs a sequential scan for the engines whose modelled system is
-// single-threaded. A negative n scans an unbounded input (a decoder stream
-// whose length is unknown upfront). step reports whether item i was
-// consumed and the scan should continue; returning false stops without
-// counting that call (end of input, result limits). Cancellation is checked
-// once per batch, like the parallel kernels. Stream returns the number of
-// items consumed.
+// Stream is the sequential walk over an input that cannot be cut into
+// shards because its length is unknown upfront — a decoder stream (pass a
+// negative n). step reports whether item i was consumed and the scan should
+// continue; returning false stops without counting that call (end of input,
+// result limits). Cancellation is checked once per batch. Stream returns the
+// number of items consumed.
 func Stream(ctx context.Context, o Options, n int, step func(i int) (bool, error)) (done int, err error) {
-	_, batch := plan(Options{Batch: o.Batch, Engine: o.Engine}, n)
+	_, batch := plan(Options{Batch: o.Batch}, n)
 	var batches int64
-	defer func() { observe(ctx, o, obs.KindSequential, 1, int64(done), batches, err) }()
+	defer func() { observe(ctx, o, obs.KindSequential, 1, int64(done), batches, 0, 0, err) }()
 	for n < 0 || done < n {
 		if cerr := ctx.Err(); cerr != nil {
 			return done, cerr
@@ -357,21 +239,7 @@ func Stream(ctx context.Context, o Options, n int, step func(i int) (bool, error
 // scan.* counters plus one scan trace event. A cancelled pass also bumps
 // the cancel counter. No Duration is recorded — this package never reads
 // the clock.
-func observe(ctx context.Context, o Options, kind string, workers int, items, batches int64, err error) {
-	sc := obs.From(ctx)
-	if !sc.Enabled() {
-		return
-	}
-	sc.Counter(obs.MScanItems).Add(items)
-	sc.Counter(obs.MScanBatches).Add(batches)
-	sc.Counter(obs.MScanWorkers).Add(int64(workers))
-	sc.Record(scanEvent(o, kind, workers, items, 0, err, sc))
-}
-
-// observeShards is observe for the shard kernels: the same scan.* counters
-// plus the shard accounting — scanned and skipped shard counters and the
-// Skipped field on the trace event.
-func observeShards(ctx context.Context, o Options, kind string, workers int, items, batches, shardsScanned, shardsSkipped int64, err error) {
+func observe(ctx context.Context, o Options, kind string, workers int, items, batches, shardsScanned, shardsSkipped int64, err error) {
 	sc := obs.From(ctx)
 	if !sc.Enabled() {
 		return
@@ -381,18 +249,12 @@ func observeShards(ctx context.Context, o Options, kind string, workers int, ite
 	sc.Counter(obs.MScanWorkers).Add(int64(workers))
 	sc.Counter(obs.MScanShardsScanned).Add(shardsScanned)
 	sc.Counter(obs.MScanShardsSkipped).Add(shardsSkipped)
-	sc.Record(scanEvent(o, kind, workers, items, shardsSkipped, err, sc))
-}
-
-// scanEvent assembles the scan trace event shared by both observers, bumping
-// the cancel counter for cancelled passes.
-func scanEvent(o Options, kind string, workers int, items, skipped int64, err error, sc obs.Scope) obs.Event {
 	ev := obs.Event{
 		Type:    obs.EvScan,
 		Engine:  o.Engine,
 		Kind:    kind,
 		Scanned: items,
-		Skipped: skipped,
+		Skipped: shardsSkipped,
 		Workers: workers,
 	}
 	if err != nil {
@@ -401,5 +263,5 @@ func scanEvent(o Options, kind string, workers int, items, skipped int64, err er
 			sc.Counter(obs.MScanCancels).Inc()
 		}
 	}
-	return ev
+	sc.Record(ev)
 }

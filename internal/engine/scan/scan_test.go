@@ -111,28 +111,6 @@ func TestFilterPreservesDocumentOrder(t *testing.T) {
 	}
 }
 
-func TestMapWritesEveryIndex(t *testing.T) {
-	r := rand.New(rand.NewSource(59))
-	for round := 0; round < 40; round++ {
-		n := r.Intn(400)
-		o := scan.Options{Workers: 1 + r.Intn(8), Batch: 1 + r.Intn(13)}
-		out, err := scan.Map(context.Background(), o, ints(n), func(i, v int) (string, error) {
-			return fmt.Sprintf("#%d", v), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != n {
-			t.Fatalf("got %d outputs, want %d", len(out), n)
-		}
-		for i, s := range out {
-			if s != fmt.Sprintf("#%d", i) {
-				t.Fatalf("out[%d] = %q", i, s)
-			}
-		}
-	}
-}
-
 // TestFilterReportsLowestIndexError pins the deterministic error contract:
 // whatever the interleaving, the error reported is the one at the lowest
 // item index.
@@ -288,11 +266,9 @@ func TestScanEmptyInput(t *testing.T) {
 	if err != nil || len(out) != 0 {
 		t.Errorf("Filter(nil) = (%v, %v)", out, err)
 	}
-	mapped, err := scan.Map(context.Background(), scan.Options{Workers: 8}, []int{}, func(i, v int) (int, error) {
-		return v, nil
-	})
-	if err != nil || len(mapped) != 0 {
-		t.Errorf("Map(empty) = (%v, %v)", mapped, err)
+	skipped, err := scan.Shards(context.Background(), scan.Options{Workers: 8}, 0, needsX, nil, nil)
+	if err != nil || skipped != 0 {
+		t.Errorf("Shards(0) = (%d, %v)", skipped, err)
 	}
 	done, err := scan.Stream(context.Background(), scan.Options{}, 0, func(i int) (bool, error) {
 		return true, nil

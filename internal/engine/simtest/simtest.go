@@ -1,5 +1,5 @@
-// Package simtest holds the documents and predicates the binary-format
-// engines' own tests (mongosim, pgsim) share.
+// Package simtest holds the documents, predicates and concurrency check the
+// four engines' own tests share.
 package simtest
 
 import (

@@ -235,6 +235,9 @@ type Raw struct {
 
 // LookupBinary resolves a path via binary search over the sorted key
 // indexes and materialises only the value found there.
+//
+// No production caller (engines pre-split the path and call LookupSteps);
+// kept for benchmark/replay.go until a benchmark PR drops the row.
 func LookupBinary(data []byte, path jsonval.Path) (jsonval.Value, bool, error) {
 	r, ok, err := LookupSteps(data, path.Steps())
 	if err != nil || !ok {

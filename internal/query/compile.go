@@ -41,11 +41,9 @@ import (
 // AND/OR/leaf closure of a tree would copy it once per node per document.
 type evalFunc func(sc *scratch) bool
 
-// leafTest is a pure check of the value found at a leaf's path; ok is false
-// when the path is absent, and the pointer must not be dereferenced then.
-// Pointer, not value: a jsonval.Value is ~90 bytes, and leaf tests run once
-// per document per leaf.
-type leafTest func(v *jsonval.Value, ok bool) bool
+// leafTest is a pure check of the value found at a leaf's path; v is nil
+// when the path is absent.
+type leafTest func(v *jsonval.Value) bool
 
 // Static leaf costs for operand ordering. Only the relative order matters:
 // existence and type checks are cheapest, numeric comparisons add a kind
@@ -437,10 +435,13 @@ func (e *Evaluator) EvalAt(doc *jsonval.Value) bool {
 
 // EvalBlock evaluates one whole block of documents in a single call,
 // writing per-document verdicts into keep (which must be at least
-// len(docs) long) and returning the match count. This is the batch entry
-// point sharded scans use: one indirect call per shard instead of one per
-// document, with the per-document loop reduced to a generation bump, a
-// pointer store and the compiled closure. Allocates nothing.
+// len(docs) long) and returning the match count: one indirect call per
+// shard instead of one per document, with the per-document loop reduced to
+// a generation bump, a pointer store and the compiled closure. Allocates
+// nothing.
+//
+// No production caller (scans call EvalAt per document and keep no verdict
+// buffer); kept for benchmark/replay.go until a benchmark PR drops the row.
 func (e *Evaluator) EvalBlock(docs []jsonval.Value, keep []bool) int {
 	if len(keep) < len(docs) {
 		panic("query: EvalBlock keep buffer shorter than the document block")
@@ -568,11 +569,9 @@ func compileNode(b *trieBuilder, p Predicate) node {
 }
 
 // compileLeaf specialises one leaf into a pure test over its resolved value,
-// attached to a slot in the shared resolver. Every kind supplies the generic
-// test (for root paths and trie overflow) plus a fused slot closure with the
-// test inlined, so the hot slot path pays one indirect call per leaf instead
-// of two. Unknown leaf types (external Predicate implementations) fall back
-// to their own Eval so Compile stays total.
+// attached to a slot in the shared resolver. Unknown leaf types (external
+// Predicate implementations) fall back to their own Eval so Compile stays
+// total.
 func compileLeaf(b *trieBuilder, p Predicate) node {
 	switch n := p.(type) {
 	case Exists:
@@ -580,146 +579,72 @@ func compileLeaf(b *trieBuilder, p Predicate) node {
 			// EXISTS('/') — the root always exists.
 			return constNode(true)
 		}
-		return pathLeaf(b, costExists, n.Path, zoneExists,
-			func(_ *jsonval.Value, ok bool) bool { return ok },
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					return leafValue(sc, res, idx) != nil
-				}
-			})
+		return pathLeaf(b, costExists, n.Path, zoneExists, func(v *jsonval.Value) bool { return v != nil })
 	case IsString:
-		return pathLeaf(b, costTypeOnly, n.Path, zoneIsString,
-			func(v *jsonval.Value, ok bool) bool {
-				return ok && v.Kind() == jsonval.String
-			},
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					v := leafValue(sc, res, idx)
-					return v != nil && v.Kind() == jsonval.String
-				}
-			})
+		return pathLeaf(b, costTypeOnly, n.Path, zoneIsString, func(v *jsonval.Value) bool {
+			return v != nil && v.Kind() == jsonval.String
+		})
 	case IntEq:
 		want := float64(n.Value)
-		test := func(v *jsonval.Value, ok bool) bool {
-			if !ok {
+		return pathLeaf(b, costNumeric, n.Path, zoneNumCmp(Eq, want), func(v *jsonval.Value) bool {
+			if v == nil {
 				return false
 			}
 			f, ok := v.Number()
 			return ok && f == want
-		}
-		return pathLeaf(b, costNumeric, n.Path, zoneNumCmp(Eq, want), test,
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					v := leafValue(sc, res, idx)
-					if v == nil {
-						return false
-					}
-					f, ok := v.Number()
-					return ok && f == want
-				}
-			})
+		})
 	case FloatCmp:
 		test := compileFloatTest(n.Op, n.Value)
 		if test == nil {
 			// Unknown operators hold for nothing, matching CmpOp.Holds.
 			return constNode(false)
 		}
-		return pathLeaf(b, costNumeric, n.Path, zoneNumCmp(n.Op, n.Value),
-			func(v *jsonval.Value, ok bool) bool {
-				if !ok {
-					return false
-				}
-				f, ok := v.Number()
-				return ok && test(f)
-			},
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					v := leafValue(sc, res, idx)
-					if v == nil {
-						return false
-					}
-					f, ok := v.Number()
-					return ok && test(f)
-				}
-			})
+		return pathLeaf(b, costNumeric, n.Path, zoneNumCmp(n.Op, n.Value), func(v *jsonval.Value) bool {
+			if v == nil {
+				return false
+			}
+			f, ok := v.Number()
+			return ok && test(f)
+		})
 	case StrEq:
 		want := n.Value
-		return pathLeaf(b, costStrEq, n.Path, zoneStrEq(want),
-			func(v *jsonval.Value, ok bool) bool {
-				return ok && v.Kind() == jsonval.String && v.Str() == want
-			},
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					v := leafValue(sc, res, idx)
-					return v != nil && v.Kind() == jsonval.String && v.Str() == want
-				}
-			})
+		return pathLeaf(b, costStrEq, n.Path, zoneStrEq(want), func(v *jsonval.Value) bool {
+			return v != nil && v.Kind() == jsonval.String && v.Str() == want
+		})
 	case HasPrefix:
 		if n.Prefix == "" {
 			// Every string has the empty prefix: fold to a type check.
 			return compileLeaf(b, IsString{Path: n.Path})
 		}
 		prefix := n.Prefix
-		return pathLeaf(b, costPrefix, n.Path, zoneHasPrefix(prefix),
-			func(v *jsonval.Value, ok bool) bool {
-				if !ok || v.Kind() != jsonval.String {
-					return false
-				}
-				s := v.Str()
-				return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-			},
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					v := leafValue(sc, res, idx)
-					if v == nil || v.Kind() != jsonval.String {
-						return false
-					}
-					s := v.Str()
-					return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-				}
-			})
+		return pathLeaf(b, costPrefix, n.Path, zoneHasPrefix(prefix), func(v *jsonval.Value) bool {
+			if v == nil || v.Kind() != jsonval.String {
+				return false
+			}
+			s := v.Str()
+			return len(s) >= len(prefix) && s[:len(prefix)] == prefix
+		})
 	case BoolEq:
 		want := n.Value
-		return pathLeaf(b, costTypeOnly, n.Path, zoneBoolEq(want),
-			func(v *jsonval.Value, ok bool) bool {
-				return ok && v.Kind() == jsonval.Bool && v.Bool() == want
-			},
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					v := leafValue(sc, res, idx)
-					return v != nil && v.Kind() == jsonval.Bool && v.Bool() == want
-				}
-			})
+		return pathLeaf(b, costTypeOnly, n.Path, zoneBoolEq(want), func(v *jsonval.Value) bool {
+			return v != nil && v.Kind() == jsonval.Bool && v.Bool() == want
+		})
 	case ArrSize:
 		if neverHoldsForLen(n.Op, n.Value) {
 			return constNode(false)
 		}
 		cmp := compileIntCmp(n.Op, n.Value)
-		return pathLeaf(b, costSize, n.Path, zoneArrSize(n.Op, n.Value),
-			func(v *jsonval.Value, ok bool) bool {
-				return ok && v.Kind() == jsonval.Array && cmp(v.Len())
-			},
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					v := leafValue(sc, res, idx)
-					return v != nil && v.Kind() == jsonval.Array && cmp(v.Len())
-				}
-			})
+		return pathLeaf(b, costSize, n.Path, zoneArrSize(n.Op, n.Value), func(v *jsonval.Value) bool {
+			return v != nil && v.Kind() == jsonval.Array && cmp(v.Len())
+		})
 	case ObjSize:
 		if neverHoldsForLen(n.Op, n.Value) {
 			return constNode(false)
 		}
 		cmp := compileIntCmp(n.Op, n.Value)
-		return pathLeaf(b, costSize, n.Path, zoneObjSize(n.Op, n.Value),
-			func(v *jsonval.Value, ok bool) bool {
-				return ok && v.Kind() == jsonval.Object && cmp(v.Len())
-			},
-			func(res *resolver, idx int32) evalFunc {
-				return func(sc *scratch) bool {
-					v := leafValue(sc, res, idx)
-					return v != nil && v.Kind() == jsonval.Object && cmp(v.Len())
-				}
-			})
+		return pathLeaf(b, costSize, n.Path, zoneObjSize(n.Op, n.Value), func(v *jsonval.Value) bool {
+			return v != nil && v.Kind() == jsonval.Object && cmp(v.Len())
+		})
 	default:
 		// External leaf types keep their interpreted behaviour. Their prune
 		// stays nil: nothing is known about what they match, so no shard can
@@ -730,8 +655,8 @@ func compileLeaf(b *trieBuilder, p Predicate) node {
 
 // leafValue returns the memoised — or, on a generation miss, freshly
 // resolved — value at trie node idx; nil means the path is absent. Small
-// enough for the inliner, so fused leaf closures get the memo check inline
-// and pay a plain direct call only when the resolver must actually advance.
+// enough for the inliner, so slot closures get the memo check inline and pay
+// a plain direct call only when the resolver must actually advance.
 func leafValue(sc *scratch, res *resolver, idx int32) *jsonval.Value {
 	if s := &sc.slots[idx]; s.gen == sc.gen {
 		return s.v
@@ -740,25 +665,27 @@ func leafValue(sc *scratch, res *resolver, idx int32) *jsonval.Value {
 }
 
 // pathLeaf assembles a leaf node around a pure test of the value found at
-// path (ok is false when the path is absent). Root-path leaves test the
-// document itself and trie-overflow leaves fall back to a private
-// LookupSteps walk, both through the generic test; slot leaves — the hot
-// case — use the kind's fused closure. The leaf's prune proof is the same
-// ztest either way: pruning consults the zone map, not the trie.
-func pathLeaf(b *trieBuilder, opCost int, path jsonval.Path, ztest zoneTest, test leafTest, fused func(res *resolver, idx int32) evalFunc) node {
+// path. Root-path leaves test the document itself, slot leaves — the hot
+// case — the value memoised in the shared resolver, and trie-overflow leaves
+// fall back to a private LookupSteps walk. The leaf's prune proof is the
+// same ztest every way: pruning consults the zone map, not the trie.
+func pathLeaf(b *trieBuilder, opCost int, path jsonval.Path, ztest zoneTest, test leafTest) node {
 	steps := path.Steps()
-	cost := opCost + costStep*len(steps)
-	prune := pruneAt(path, ztest)
+	n := node{prune: pruneAt(path, ztest), cost: opCost + costStep*len(steps)}
 	if len(steps) == 0 {
-		return node{fn: func(sc *scratch) bool { return test(sc.doc, true) }, prune: prune, cost: cost}
+		n.fn = func(sc *scratch) bool { return test(sc.doc) }
+	} else if idx, ok := b.slotFor(steps); ok {
+		res := b.res
+		n.fn = func(sc *scratch) bool { return test(leafValue(sc, res, idx)) }
+	} else {
+		n.fn = func(sc *scratch) bool {
+			if v, ok := jsonval.LookupSteps(*sc.doc, steps); ok {
+				return test(&v)
+			}
+			return test(nil)
+		}
 	}
-	if idx, ok := b.slotFor(steps); ok {
-		return node{fn: fused(b.res, idx), prune: prune, cost: cost}
-	}
-	return node{fn: func(sc *scratch) bool {
-		v, ok := jsonval.LookupSteps(*sc.doc, steps)
-		return test(&v, ok)
-	}, prune: prune, cost: cost}
+	return n
 }
 
 // compileFloatTest specialises the comparison operator into its own closure,

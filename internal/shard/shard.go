@@ -85,7 +85,7 @@ func Build(docs []jsonval.Value, size int) *Store {
 
 // View cuts docs into shards without building zone maps: every shard gets a
 // nil Zone and is never skipped. Derived datasets (cached query results)
-// use views so batch kernels still apply without paying zone construction
+// use views so the shard walk still applies without paying zone construction
 // for data that is scanned at most a handful of times.
 func View(docs []jsonval.Value, size int) *Store {
 	return build(docs, size, false)
