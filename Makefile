@@ -23,13 +23,14 @@ vet:
 # Machine-checked invariants (DESIGN.md): determinism, sentinel wrapping,
 # context plumbing, the closed observability vocabulary, resource release,
 # atomic artifact publication, and the CFG/dataflow concurrency suite
-# (lockbalance, goleak, atomicmix, wgdiscipline, journalorder).
+# (lockbalance, goleak, wgdiscipline, journalorder).
 # Exits non-zero on any finding; suppress with //lint:ignore <analyzer> <reason>.
 lint:
 	$(GO) run ./cmd/betze-lint ./...
 
-# The multiuser harness, the jodasim worker pool and the obs registry are the
-# concurrency hot spots; run the whole tree under the race detector. The
+# The multiuser harness, the jodasim worker pool, the campaign queue and
+# betze-web are the concurrency hot spots; run the whole tree under the race
+# detector. The
 # shards below partition the package tree so `make -j4 race` runs them in
 # parallel; `race` depends on all of them and stays correct sequentially.
 RACE_CORE = ./internal/core/... ./internal/query/... ./internal/analyze/... \
@@ -37,7 +38,7 @@ RACE_CORE = ./internal/core/... ./internal/query/... ./internal/analyze/... \
 RACE_ENGINE = ./internal/engine/... ./internal/shard/... ./internal/faultsim/... \
 	./internal/runlog/... ./internal/fsatomic/... ./internal/errfs/...
 RACE_SERVICE = ./internal/harness/... ./internal/jobqueue/... ./internal/obs/... \
-	./internal/loadgen/... ./cmd/betze-web/...
+	./cmd/betze-web/...
 RACE_TOOLS = . ./benchmark ./cmd/betze ./cmd/betze-bench/... ./cmd/betze-lint/... \
 	./examples/... ./internal/bsonlite/... ./internal/jsonblite/... \
 	./internal/jsonstats/... ./internal/jsonval/... ./internal/lz/...
@@ -75,9 +76,9 @@ crashfuzz:
 crashfuzz-deep:
 	$(GO) run ./cmd/betze-bench -crashfuzz-deep
 
-# The gate. Fault injection, journal/crash recovery, the betze-web
-# SIGKILL-and-resume test and the loadgen determinism check are ordinary
-# tests of their packages, so `race` runs each of them once, under -race.
+# The gate. Fault injection, journal/crash recovery and the betze-web
+# SIGKILL-and-resume test are ordinary tests of their packages, so `race`
+# runs each of them once, under -race.
 check: fmt vet lint race-cover race
 
 # A quick laptop-scale pass over every experiment of the paper.

@@ -57,7 +57,7 @@ func TestRunList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"closecheck", "ctxplumb", "determinism", "errwrap", "obsvocab",
-		"lockbalance", "goleak", "atomicmix", "wgdiscipline", "journalorder",
+		"lockbalance", "goleak", "wgdiscipline", "journalorder",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output lacks %s:\n%s", name, out.String())

@@ -317,7 +317,10 @@ func (e *Env) SetJournal(j *RunJournal, rp *Replay) {
 // RunExperiment executes one experiment under checkpointing: a completed
 // experiment found in the replay is returned without running (resumed=true),
 // otherwise the experiment runs with session-granular journaling and its
-// result is checkpointed on success.
+// result is checkpointed on success. An experiment whose context ends while
+// it runs (Ctrl-C) returns the context's error and is not checkpointed: its
+// sessions failed because of the interruption, not because of the engines,
+// and a resume must re-run them.
 func (e *Env) RunExperiment(ctx context.Context, exp Experiment) (res *Result, resumed bool, err error) {
 	if e.replay != nil {
 		if res, ok := e.replay.ExperimentResult(exp.ID); ok {
@@ -332,6 +335,9 @@ func (e *Env) RunExperiment(ctx context.Context, exp Experiment) (res *Result, r
 	res, err = exp.Run(ctx, e)
 	if err != nil {
 		return nil, false, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, fmt.Errorf("harness: %s interrupted: %w", exp.ID, err)
 	}
 	e.journal.EndExperiment(exp.ID, res)
 	return res, false, nil

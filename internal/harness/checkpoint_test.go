@@ -237,6 +237,93 @@ func TestResumeDeterminism(t *testing.T) {
 	}
 }
 
+// TestInterruptedRunCheckpointsNothing pins the Ctrl-C path: an experiment
+// run under an already-cancelled context fails every session at once, and
+// none of those failures may reach the journal — otherwise a resume would
+// replay a table of "load failed" cells as a completed result. Resuming
+// from what the interrupted run left must reproduce the uninterrupted
+// exports byte for byte.
+func TestInterruptedRunCheckpointsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs table2 twice at tiny scale")
+	}
+	exp, err := ByID("table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyConfig(t)
+	cfg.DetTiming = true
+	baseline, _ := journaledRun(t, cfg, exp, t.TempDir(), nil)
+	wantText, wantCSV, wantJSON := exports(t, baseline)
+
+	jdir := t.TempDir()
+	w, err := runlog.Create(jdir, runlog.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewRunJournal(w, cfg.Obs)
+	j.RunStart(testFingerprint)
+	cancelledCfg := cfg
+	cancelledCfg.Dir = t.TempDir()
+	env, err := NewEnv(cancelledCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.SetJournal(j, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, _, err := env.RunExperiment(ctx, exp)
+	env.Close()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: res=%v err=%v, want context.Canceled", res, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("journal close: %v", err)
+	}
+	if got := countRecords(t, jdir); got[recSession] != 0 || got[recExperimentEnd] != 0 {
+		t.Fatalf("interrupted run checkpointed work: %v", got)
+	}
+
+	rec, err := runlog.Recover(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := NewReplay(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeCfg := cfg
+	resumeCfg.Dir = t.TempDir()
+	got, resumed := journaledRun(t, resumeCfg, exp, jdir, rp)
+	if resumed {
+		t.Fatal("interrupted experiment replayed as complete")
+	}
+	gotText, gotCSV, gotJSON := exports(t, got)
+	if gotText != wantText || gotCSV != wantCSV || gotJSON != wantJSON {
+		t.Errorf("resumed exports differ from the uninterrupted run:\n--- want\n%s\n--- got\n%s", wantText, gotText)
+	}
+}
+
+// TestSessionTimeoutIsJournaled is the other side of the same line: a
+// session that hit only its own Cfg.Timeout, not a cancelled parent
+// context, is a genuine result and is checkpointed like any other.
+func TestSessionTimeoutIsJournaled(t *testing.T) {
+	exp, err := ByID("table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyConfig(t)
+	cfg.Timeout = time.Nanosecond
+	jdir := t.TempDir()
+	res, _ := journaledRun(t, cfg, exp, jdir, nil)
+	if cell := res.Tables[0].Rows[0][1]; cell != "load failed" {
+		t.Errorf("timed-out session cell = %q, want load failed", cell)
+	}
+	if got := countRecords(t, jdir); got[recSession] != 10 || got[recExperimentEnd] != 1 {
+		t.Errorf("journal counts %v, want 10 sessions and 1 experiment_end", got)
+	}
+}
+
 func TestReplayRejectsFingerprintChange(t *testing.T) {
 	mk := func(fp string) []byte {
 		b, _ := json.Marshal(journalRecord{Type: recRunStart, Fingerprint: fp})

@@ -39,7 +39,6 @@ func Experiments() []Experiment {
 		{ID: "skew", Title: "Sec. VI-C: attribute reference skew", Run: Skew},
 		{ID: "multiuser", Title: "Sec. III (beyond the paper): concurrent sessions on one JODA instance", Run: MultiUser},
 		{ID: "resilience", Title: "Beyond the paper: queries completed vs injected fault rate, retries on vs off", Run: Resilience},
-		{ID: "loadgen", Title: "Beyond the paper: open-loop virtual-user load, SLO verdicts per engine and arrival rate", Run: LoadGen},
 	}
 }
 

@@ -372,7 +372,10 @@ func (e *Env) runSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s
 func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionResult {
 	// Under checkpointing every session gets a deterministic work key; a
 	// resumed run returns the journaled result of a completed key instead
-	// of re-executing, and journals every key it does execute.
+	// of re-executing, and journals every key it does execute — unless the
+	// caller's context ended, which makes the result an artifact of the
+	// interruption. A session that hit only its own Cfg.Timeout is a
+	// genuine result and is journaled.
 	key, tracked := e.nextKey(spec.name, ds.name, s.Seed)
 	if tracked {
 		if prev, ok := e.replay.SessionResult(key); ok {
@@ -385,7 +388,7 @@ func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEn
 		}
 	}
 	res := e.execSession(ctx, spec, ds, s, faults, retry)
-	if tracked {
+	if tracked && ctx.Err() == nil {
 		e.journal.Session(key, res)
 	}
 	return res

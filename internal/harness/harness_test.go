@@ -72,8 +72,8 @@ func TestBoxStats(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 15 {
-		t.Fatalf("expected 15 experiments, got %d", len(exps))
+	if len(exps) != 14 {
+		t.Fatalf("expected 14 experiments, got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, exp := range exps {

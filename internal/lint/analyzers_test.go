@@ -51,7 +51,6 @@ func TestAnalyzerGolden(t *testing.T) {
 		// The CFG/dataflow-backed concurrency analyzers, fixture-wide scope.
 		{"lockbalance", lint.NewLockbalance()},
 		{"goleak", lint.NewGoleak()},
-		{"atomicmix", lint.NewAtomicmix()},
 		{"wgdiscipline", lint.NewWgdiscipline()},
 		{"journalorder", lint.NewJournalorder()},
 	}

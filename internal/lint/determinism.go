@@ -16,8 +16,6 @@ import (
 // The jobqueue and the web service are in scope too: both inject clocks
 // (Options.Now, Server latencies) and every residual wall-clock read must
 // carry an explained //lint:ignore, so new ones can't creep in silently.
-// The load generator runs in virtual time only (Simulate) and must be
-// byte-identical under a seed.
 var DeterminismScope = []string{
 	"internal/core",
 	"internal/query",
@@ -28,7 +26,6 @@ var DeterminismScope = []string{
 	"internal/engine/scan",
 	"internal/shard",
 	"internal/jobqueue",
-	"internal/loadgen",
 	"cmd/betze-web",
 }
 

@@ -5,9 +5,9 @@ import (
 )
 
 // goleak flags fire-and-forget goroutines: every `go` statement must be
-// joinable or cancellable, or it outlives its spawner silently — the
-// classic leak under the million-user load generator, where an unjoined
-// goroutine per session is an unbounded heap.
+// joinable or cancellable, or it outlives its spawner silently — an
+// unjoined goroutine per session or campaign is an unbounded heap in a
+// long-running server.
 //
 // A goroutine counts as joinable/cancellable when any of these hold:
 //

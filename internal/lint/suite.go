@@ -5,7 +5,6 @@ package lint
 // invariants", in report order.
 func Analyzers() []Analyzer {
 	return []Analyzer{
-		NewAtomicmix(),
 		NewAtomicwrite(AtomicWriteScope...),
 		NewClosecheck(),
 		NewCtxplumb(),

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -13,16 +12,18 @@ import (
 // 1/16 ≈ 6% across the full time.Duration range — good enough to read p99s
 // off a benchmark run without pre-declaring bucket bounds.
 //
-// Recording is lock-free and allocation-free: samples go to one of
-// cellCount cache-line-padded cells of fixed-size atomic buckets (picked by
-// cellIndex, so concurrent recorders rarely share a cell), and readers merge
-// the cells on demand. The zero value is ready to use; the cells are
-// installed by the first Record. Snapshots taken while recorders are active
-// see each atomic individually consistent but not a single instant across
-// all of them — exact totals need external quiescence, which every caller
-// (end-of-run exports, tests after Wait) already has.
+// One mutex guards the whole state, so Observe is allocation-free and a
+// Snapshot reads one instant: its count, extremes and quantiles always
+// agree with each other. Samples arrive per query, per scan pass or per
+// campaign — never per document — so the lock is never hot. The zero value
+// is ready to use.
 type Histogram struct {
-	cells atomic.Pointer[histCells]
+	mu      sync.Mutex
+	count   int64
+	sum     int64 // nanoseconds
+	min     int64 // nanoseconds; meaningful only when count > 0
+	max     int64 // nanoseconds; meaningful only when count > 0
+	buckets [histBuckets]int64
 }
 
 const (
@@ -30,27 +31,9 @@ const (
 	histSub     = 1 << histSubBits // linear sub-buckets per octave
 	// histBuckets covers every representable microsecond count: a
 	// non-negative int64 has at most 63 bits, so octaves histSubBits..62
-	// (plus the linear run below histSub) need this many buckets. The
-	// layout is fixed so cells can be merged index-by-index.
+	// (plus the linear run below histSub) need this many buckets.
 	histBuckets = histSub + (63-histSubBits)*histSub
 )
-
-// histCell is one writer shard. The hot header (sum and the CAS'd extremes)
-// is padded to its own cache line; the bucket array behind it is shared
-// across lines but concurrent writers rarely increment the same bucket.
-// Count is derived from the buckets, so a cell with every bucket zero is
-// empty and its min/max sentinels are ignored.
-type histCell struct {
-	sum     atomic.Int64 // nanoseconds
-	min     atomic.Int64 // nanoseconds; math.MaxInt64 when empty
-	max     atomic.Int64 // nanoseconds; math.MinInt64 when empty
-	_       [40]byte     // pad the header to a 64-byte line
-	buckets [histBuckets]atomic.Int64
-}
-
-type histCells struct {
-	cells []histCell
-}
 
 // bucketIndex maps a microsecond value to its bucket.
 func bucketIndex(us int64) int {
@@ -80,149 +63,42 @@ func bucketBounds(idx int) (lo, width int64) {
 	return lo, width
 }
 
-// initCells installs the cell array on first use. Exactly one caller wins
-// the CAS; losers adopt the winner's array, so the pointer is written once
-// and the hot path never sees it change.
-func (h *Histogram) initCells() *histCells {
-	fresh := &histCells{cells: make([]histCell, cellCount)}
-	for i := range fresh.cells {
-		fresh.cells[i].min.Store(math.MaxInt64)
-		fresh.cells[i].max.Store(math.MinInt64)
-	}
-	if h.cells.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return h.cells.Load()
-}
-
-// Record folds one duration into the histogram: one bucket increment, one
-// sum add and two bounded CAS loops on a per-writer cell — lock-free and
-// allocation-free (after the first call installs the cells).
-func (h *Histogram) Record(d time.Duration) {
+// Observe folds one duration into the histogram.
+func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	st := h.cells.Load()
-	if st == nil {
-		st = h.initCells()
-	}
-	c := &st.cells[cellIndex()]
 	ns := int64(d)
-	c.buckets[bucketIndex(ns/int64(time.Microsecond))].Add(1)
-	c.sum.Add(ns)
-	for {
-		old := c.min.Load()
-		if ns >= old || c.min.CompareAndSwap(old, ns) {
-			break
-		}
+	idx := bucketIndex(ns / int64(time.Microsecond))
+	h.mu.Lock()
+	if h.count == 0 || ns < h.min {
+		h.min = ns
 	}
-	for {
-		old := c.max.Load()
-		if ns <= old || c.max.CompareAndSwap(old, ns) {
-			break
-		}
+	if h.count == 0 || ns > h.max {
+		h.max = ns
 	}
+	h.count++
+	h.sum += ns
+	h.buckets[idx]++
+	h.mu.Unlock()
 }
 
-// Observe folds one duration into the histogram. It is Record under the
-// registry's historical name; both entry points are the same hot path.
-func (h *Histogram) Observe(d time.Duration) { h.Record(d) }
-
-// histMerged is the point-in-time merge of every cell, the input to all
-// read-side computation.
-type histMerged struct {
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
-	buckets [histBuckets]int64
-}
-
-// merged folds the cells into one summary. Bucket addition is commutative
-// and associative and min/max are lattice joins, so the merge is
-// order-independent: any grouping of cells (or of whole histograms, see
-// Merge) yields the same summary.
-func (h *Histogram) merged() histMerged {
-	m := histMerged{min: math.MaxInt64, max: math.MinInt64}
-	if h == nil {
-		return m
-	}
-	st := h.cells.Load()
-	if st == nil {
-		return m
-	}
-	for i := range st.cells {
-		c := &st.cells[i]
-		for b := range c.buckets {
-			if n := c.buckets[b].Load(); n != 0 {
-				m.buckets[b] += n
-				m.count += n
-			}
-		}
-		m.sum += c.sum.Load()
-		if mn := c.min.Load(); mn < m.min {
-			m.min = mn
-		}
-		if mx := c.max.Load(); mx > m.max {
-			m.max = mx
-		}
-	}
-	return m
-}
-
-// Merge folds o's current contents into h (o is unchanged). Merging is
-// commutative and associative — the per-shard summaries of a partitioned
-// run can be combined in any order and yield the same quantiles as one
-// shared histogram.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	m := o.merged()
-	if m.count == 0 {
-		return
-	}
-	st := h.cells.Load()
-	if st == nil {
-		st = h.initCells()
-	}
-	c := &st.cells[0]
-	for b := range m.buckets {
-		if m.buckets[b] != 0 {
-			c.buckets[b].Add(m.buckets[b])
-		}
-	}
-	c.sum.Add(m.sum)
-	for {
-		old := c.min.Load()
-		if m.min >= old || c.min.CompareAndSwap(old, m.min) {
-			break
-		}
-	}
-	for {
-		old := c.max.Load()
-		if m.max <= old || c.max.CompareAndSwap(old, m.max) {
-			break
-		}
-	}
-}
-
-// quantile estimates the q-th quantile of a merged summary by linear
-// interpolation within the covering bucket, clamped to the exact observed
-// min/max.
-func (m *histMerged) quantile(q float64) time.Duration {
-	if m.count == 0 {
+// quantile estimates the q-th quantile by linear interpolation within the
+// covering bucket, clamped to the exact observed min/max. The caller holds
+// h.mu.
+func (h *Histogram) quantile(q float64) time.Duration {
+	if h.count == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return time.Duration(m.min)
+		return time.Duration(h.min)
 	}
 	if q >= 1 {
-		return time.Duration(m.max)
+		return time.Duration(h.max)
 	}
-	rank := q * float64(m.count)
+	rank := q * float64(h.count)
 	var cum float64
-	for idx, n := range m.buckets {
+	for idx, n := range h.buckets {
 		if n == 0 {
 			continue
 		}
@@ -232,24 +108,22 @@ func (m *histMerged) quantile(q float64) time.Duration {
 			frac := (rank - cum) / float64(n)
 			us := float64(lo) + frac*float64(width)
 			d := time.Duration(us * float64(time.Microsecond))
-			if d < time.Duration(m.min) {
-				d = time.Duration(m.min)
-			}
-			if d > time.Duration(m.max) {
-				d = time.Duration(m.max)
-			}
-			return d
+			return min(max(d, time.Duration(h.min)), time.Duration(h.max))
 		}
 		cum = next
 	}
-	return time.Duration(m.max)
+	return time.Duration(h.max)
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1). Returns 0 for an
 // empty histogram.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	m := h.merged()
-	return m.quantile(q)
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantile(q)
 }
 
 // HistogramSnapshot is the exportable summary of a histogram.
@@ -265,21 +139,25 @@ type HistogramSnapshot struct {
 	P999  time.Duration `json:"p999_ns"`
 }
 
-// Snapshot summarises the histogram from one merge of its cells.
+// Snapshot summarises the histogram at one instant.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	m := h.merged()
-	if m.count == 0 {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
 		return HistogramSnapshot{}
 	}
 	return HistogramSnapshot{
-		Count: m.count,
-		Sum:   time.Duration(m.sum),
-		Min:   time.Duration(m.min),
-		Max:   time.Duration(m.max),
-		Mean:  time.Duration(m.sum / m.count),
-		P50:   m.quantile(0.5),
-		P90:   m.quantile(0.9),
-		P99:   m.quantile(0.99),
-		P999:  m.quantile(0.999),
+		Count: h.count,
+		Sum:   time.Duration(h.sum),
+		Min:   time.Duration(h.min),
+		Max:   time.Duration(h.max),
+		Mean:  time.Duration(h.sum / h.count),
+		P50:   h.quantile(0.5),
+		P90:   h.quantile(0.9),
+		P99:   h.quantile(0.99),
+		P999:  h.quantile(0.999),
 	}
 }

@@ -7,7 +7,10 @@
 // harness spent its wall clock, whether a session hit its timeout. Engines
 // and the harness are instrumented against this package; everything is
 // opt-in and nil-safe, so an uninstrumented run pays only a context lookup
-// and a nil check per call site.
+// and a nil check per call site. Metrics are written per query, per scan
+// pass or per campaign, never per document, so a counter is one atomic word
+// and a histogram one mutex-guarded bucket array; both write without
+// allocating.
 //
 // Plumbing is context-based: callers attach a Scope (a registry plus a
 // recorder, either may be nil) with With, and instrumented code retrieves it

@@ -10,73 +10,34 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing integer metric. The nil counter
-// discards all writes, so Registry lookups never need an enabled-check.
-//
-// Increments go to one of cellCount cache-line-padded atomic cells (picked
-// per goroutine by cellIndex) so concurrent writers never contend on one
-// line; Value merges the cells. The zero value works — the first Add
-// installs the cells — and registry-created counters are pre-installed so
-// the hot path never branches into initialisation.
+// Counter is a monotonically increasing integer metric: one atomic word.
+// The nil counter discards all writes, so Registry lookups never need an
+// enabled-check. The zero value is ready to use.
 type Counter struct {
-	cells atomic.Pointer[counterCells]
-}
-
-// paddedInt64 spaces the cells a cache line apart: 8 bytes of value, 56 of
-// padding.
-type paddedInt64 struct {
 	v atomic.Int64
-	_ [56]byte
 }
 
-type counterCells struct {
-	cells []paddedInt64
-}
-
-func (c *Counter) initCells() *counterCells {
-	fresh := &counterCells{cells: make([]paddedInt64, cellCount)}
-	if c.cells.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return c.cells.Load()
-}
-
-// Add increments the counter by n: one atomic add on a per-writer cell.
+// Add increments the counter by n.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	cs := c.cells.Load()
-	if cs == nil {
-		cs = c.initCells()
-	}
-	cs.cells[cellIndex()].v.Add(n)
+	c.v.Add(n)
 }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value reads the current count (0 for the nil counter) by merging the
-// cells. Concurrent with writers the merge is not a single instant; at
-// quiescence it is exact.
+// Value reads the current count (0 for the nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	cs := c.cells.Load()
-	if cs == nil {
-		return 0
-	}
-	var total int64
-	for i := range cs.cells {
-		total += cs.cells[i].v.Load()
-	}
-	return total
+	return c.v.Load()
 }
 
-// Gauge is a settable float metric (resident documents, pool size, …).
-// Gauges are set-dominated and read rarely, so they stay a single atomic
-// word — sharding would make Set (last-writer-wins) ambiguous.
+// Gauge is a settable float metric (resident documents, pool size, …):
+// one atomic word holding the float's bits.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -113,30 +74,31 @@ func (g *Gauge) Value() float64 {
 // Registry is a concurrency-safe, name-keyed collection of metrics.
 // Metrics are created on first use; the nil registry hands out nil
 // (discarding) metrics, making instrumentation free when observability is
-// off.
-//
-// Lookup is lock-free: the name maps are immutable copy-on-write snapshots
-// behind atomic pointers, so the steady-state path (every call site after
-// its first) is one pointer load and one map read. Creation takes the
-// mutex, clones the map and publishes the extended copy — rare by
-// construction, since the vocabulary of names is closed (vocab.go).
+// off. One mutex guards the three name maps; it is held for a map lookup
+// (or insert) only, never while a metric is written. The zero value is
+// ready to use.
 type Registry struct {
-	mu         sync.Mutex // serialises creation only; lookups never take it
-	counters   atomic.Pointer[map[string]*Counter]
-	gauges     atomic.Pointer[map[string]*Gauge]
-	histograms atomic.Pointer[map[string]*Histogram]
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	histograms map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	r := &Registry{}
-	counters := map[string]*Counter{}
-	gauges := map[string]*Gauge{}
-	histograms := map[string]*Histogram{}
-	r.counters.Store(&counters)
-	r.gauges.Store(&gauges)
-	r.histograms.Store(&histograms)
-	return r
+func NewRegistry() *Registry { return &Registry{} }
+
+// lookup returns (*m)[name], creating the map and the metric on first use.
+// The caller holds the registry's mutex.
+func lookup[T any](m *map[string]*T, name string) *T {
+	v, ok := (*m)[name]
+	if !ok {
+		if *m == nil {
+			*m = map[string]*T{}
+		}
+		v = new(T)
+		(*m)[name] = v
+	}
+	return v
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -144,28 +106,9 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	if m := r.counters.Load(); m != nil {
-		if c, ok := (*m)[name]; ok {
-			return c
-		}
-	}
-	return r.counterSlow(name)
-}
-
-func (r *Registry) counterSlow(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.counters.Load()
-	if old != nil {
-		if c, ok := (*old)[name]; ok {
-			return c
-		}
-	}
-	c := &Counter{}
-	c.initCells() // pre-install: registry-served counters never init on the hot path
-	next := cloneInsert(old, name, c)
-	r.counters.Store(&next)
-	return c
+	return lookup(&r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -173,27 +116,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	if m := r.gauges.Load(); m != nil {
-		if g, ok := (*m)[name]; ok {
-			return g
-		}
-	}
-	return r.gaugeSlow(name)
-}
-
-func (r *Registry) gaugeSlow(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.gauges.Load()
-	if old != nil {
-		if g, ok := (*old)[name]; ok {
-			return g
-		}
-	}
-	g := &Gauge{}
-	next := cloneInsert(old, name, g)
-	r.gauges.Store(&next)
-	return g
+	return lookup(&r.gauges, name)
 }
 
 // Histogram returns the named duration histogram, creating it on first use.
@@ -201,46 +126,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	if m := r.histograms.Load(); m != nil {
-		if h, ok := (*m)[name]; ok {
-			return h
-		}
-	}
-	return r.histogramSlow(name)
-}
-
-func (r *Registry) histogramSlow(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.histograms.Load()
-	if old != nil {
-		if h, ok := (*old)[name]; ok {
-			return h
-		}
-	}
-	h := &Histogram{}
-	h.initCells() // pre-install: registry-served histograms never init on the hot path
-	next := cloneInsert(old, name, h)
-	r.histograms.Store(&next)
-	return h
-}
-
-// cloneInsert returns a copy of *old (nil treated as empty) extended with
-// one entry. The published maps are never mutated in place — that is the
-// whole copy-on-write contract lock-free readers rely on.
-func cloneInsert[T any](old *map[string]T, name string, v T) map[string]T {
-	var n int
-	if old != nil {
-		n = len(*old)
-	}
-	next := make(map[string]T, n+1)
-	if old != nil {
-		for k, e := range *old {
-			next[k] = e
-		}
-	}
-	next[name] = v
-	return next
+	return lookup(&r.histograms, name)
 }
 
 // Snapshot is the exportable state of a registry at one point in time.
@@ -252,7 +140,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures every metric. It is safe to call concurrently with
-// metric updates; each metric merges its cells atomically.
+// metric updates; each histogram is summarised at one instant.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
@@ -262,20 +150,16 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	if m := r.counters.Load(); m != nil {
-		for k, c := range *m {
-			s.Counters[k] = c.Value()
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, c := range r.counters {
+		s.Counters[k] = c.Value()
 	}
-	if m := r.gauges.Load(); m != nil {
-		for k, g := range *m {
-			s.Gauges[k] = g.Value()
-		}
+	for k, g := range r.gauges {
+		s.Gauges[k] = g.Value()
 	}
-	if m := r.histograms.Load(); m != nil {
-		for k, h := range *m {
-			s.Histograms[k] = h.Snapshot()
-		}
+	for k, h := range r.histograms {
+		s.Histograms[k] = h.Snapshot()
 	}
 	return s
 }
@@ -297,21 +181,17 @@ func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var names []string
-	if m := r.counters.Load(); m != nil {
-		for k := range *m {
-			names = append(names, k)
-		}
+	for k := range r.counters {
+		names = append(names, k)
 	}
-	if m := r.gauges.Load(); m != nil {
-		for k := range *m {
-			names = append(names, k)
-		}
+	for k := range r.gauges {
+		names = append(names, k)
 	}
-	if m := r.histograms.Load(); m != nil {
-		for k := range *m {
-			names = append(names, k)
-		}
+	for k := range r.histograms {
+		names = append(names, k)
 	}
 	sort.Strings(names)
 	return names

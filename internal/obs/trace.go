@@ -66,10 +66,6 @@ const (
 	// the worker goroutine count. Scan events carry no Duration: the
 	// kernel is in the determinism lint scope and never reads the clock.
 	EvScan = "scan"
-	// EvLoadRun records one completed load-generation run; Kind is the
-	// arrival process ("poisson", "bursty"), Queries the issued-query
-	// count, Workers the pool bound and Duration the run horizon.
-	EvLoadRun = "load_run"
 )
 
 // Event is one structured trace record. Zero-valued fields are omitted from
@@ -93,7 +89,8 @@ type Event struct {
 	Session string `json:"session,omitempty"`
 	// Lang is the target language of a query_translate event.
 	Lang string `json:"lang,omitempty"`
-	// Kind subtypes fault, skip and breaker events.
+	// Kind subtypes fault, skip, breaker, checkpoint, resume_skip and scan
+	// events (see each Ev* constant for its kinds).
 	Kind string `json:"kind,omitempty"`
 	// Attempt is the zero-based attempt number of retry/fault events.
 	Attempt int `json:"attempt,omitempty"`
