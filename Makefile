@@ -1,5 +1,6 @@
 # Developer targets for the BETZE reproduction. Everything is stdlib-only Go;
-# `make check` is the full CI gate (gofmt + vet + lint + race-enabled tests).
+# `make check` is the full CI gate (gofmt + vet + race-enabled tests, the
+# lint suite among them).
 
 GO ?= go
 
@@ -20,11 +21,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Machine-checked invariants (DESIGN.md): determinism, sentinel wrapping,
-# context plumbing, the closed observability vocabulary, resource release,
-# atomic artifact publication, and the CFG/dataflow concurrency suite
-# (lockbalance, goleak, wgdiscipline, journalorder).
+# Machine-checked invariants (DESIGN.md): seeded determinism, atomic
+# artifact publication, the errfs storage seam, the closed observability
+# vocabulary, and the jobqueue's journal-before-memory ordering.
 # Exits non-zero on any finding; suppress with //lint:ignore <analyzer> <reason>.
+# `make check` does not call this target: `race` runs the same suite over
+# the tree once, as TestTreeIsLintClean.
 lint:
 	$(GO) run ./cmd/betze-lint ./...
 
@@ -76,10 +78,10 @@ crashfuzz:
 crashfuzz-deep:
 	$(GO) run ./cmd/betze-bench -crashfuzz-deep
 
-# The gate. Fault injection, journal/crash recovery and the betze-web
-# SIGKILL-and-resume test are ordinary tests of their packages, so `race`
-# runs each of them once, under -race.
-check: fmt vet lint race-cover race
+# The gate. Fault injection, journal/crash recovery, the betze-web
+# SIGKILL-and-resume test and the tree-is-lint-clean test are ordinary tests
+# of their packages, so `race` runs each of them once, under -race.
+check: fmt vet race-cover race
 
 # A quick laptop-scale pass over every experiment of the paper.
 bench-paper:

@@ -189,9 +189,9 @@ func run(args []string, out io.Writer) error {
 	defer env.Close()
 	env.SetJournal(journal, replay)
 
-	// The experiment layer is fully context-plumbed (see the ctxplumb
-	// invariant in DESIGN.md): one interrupt-aware root context cancels
-	// every in-flight session, import and query cleanly.
+	// The experiment layer is fully context-plumbed: one interrupt-aware
+	// root context cancels every in-flight session, import and query
+	// cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

@@ -1,22 +1,17 @@
 // Command betze-lint runs the repository's machine-checked invariants (see
-// DESIGN.md §"Machine-checked invariants") over the module tree: the
-// internal/lint analyzers guarding determinism, sentinel-error wrapping,
-// context plumbing, the observability vocabulary, resource release, atomic
-// artifact publication, and — via the CFG/dataflow layer — lock balance,
-// goroutine joinability, atomic-access consistency, WaitGroup discipline
-// and the jobqueue's journal-before-memory ordering.
+// DESIGN.md §"Machine-checked invariants") over the module tree: the five
+// internal/lint analyzers guarding seeded determinism, atomic artifact
+// publication, the durability packages' errfs storage seam, the
+// observability vocabulary, and — on the CFG layer — the jobqueue's
+// journal-before-memory ordering.
 //
 // Usage:
 //
-//	betze-lint [-format=text|json] [-baseline file] [-list] [-analyzers a,b,...] [dir]
+//	betze-lint [-list] [-analyzers a,b,...] [dir]
 //
 // dir defaults to the current module root (the first parent directory with
 // a go.mod). The exit code is 0 on a clean tree, 1 on findings, 2 on usage
-// or load errors. -format=json emits a sorted, CI-diffable JSON array
-// instead of text. -baseline reads a JSON report captured earlier
-// (betze-lint -format=json > lint.baseline) and fails only on findings not
-// in it, so a tree with accepted debt still gates new violations. Findings
-// are suppressed in source with
+// or load errors. Findings are suppressed in source with
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -41,15 +36,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("betze-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	format := fs.String("format", "text", "output format: text or json")
-	baselinePath := fs.String("baseline", "", "JSON report of accepted findings; fail only on findings not in it")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(stderr, "betze-lint: unknown -format=%s (want text or json)\n", *format)
 		return 2
 	}
 	analyzers := lint.Analyzers()
@@ -66,20 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		analyzers = subset
-	}
-	var baseline lint.Baseline
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "betze-lint: %v\n", err)
-			return 2
-		}
-		baseline, err = lint.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "betze-lint: %v\n", err)
-			return 2
-		}
 	}
 
 	root := fs.Arg(0)
@@ -105,13 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	diags := lint.Run(pkgs, analyzers)
 	lint.Relativize(moduleRoot, diags)
-	diags = lint.FilterBaseline(diags, baseline)
-	if *format == "json" {
-		if err := lint.WriteJSON(stdout, diags); err != nil {
-			fmt.Fprintf(stderr, "betze-lint: %v\n", err)
-			return 2
-		}
-	} else if err := lint.WriteText(stdout, diags); err != nil {
+	if err := lint.WriteText(stdout, diags); err != nil {
 		fmt.Fprintf(stderr, "betze-lint: %v\n", err)
 		return 2
 	}

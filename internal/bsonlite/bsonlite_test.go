@@ -209,6 +209,28 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// FuzzDecode: Decode may reject arbitrary bytes but never panics, and the
+// encoding of every value it accepts decodes again. Bytes and values are not
+// asserted to round-trip: Decode unwraps a root {"": v}, so a document
+// {"": {"": 1}} decodes to {"": 1}, whose encoding decodes to 1. The
+// checked-in corpus under testdata/fuzz holds hostile shapes: a forged
+// document length, a truncated value, an unknown tag, a string length past
+// the end and trailing bytes.
+func FuzzDecode(f *testing.F) {
+	for _, s := range lookupSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if _, err := Decode(Encode(nil, v)); err != nil {
+			t.Fatalf("encoding of the value of %x does not decode: %v", data, err)
+		}
+	})
+}
+
 func TestLookupCorrupt(t *testing.T) {
 	if _, _, err := Lookup([]byte{5, 0, 0, 0, 1}, jsonval.ParsePath("/a")); err == nil {
 		t.Errorf("corrupt lookup did not error")

@@ -367,7 +367,8 @@ func (e *Engine) evictAll() {
 // CountMatching implements the generator's verification backend
 // (core.Backend) on top of the same cached scan machinery.
 func (e *Engine) CountMatching(base string, pred query.Predicate) (int64, error) {
-	//lint:ignore ctxplumb core.Backend carries no context; resolve and scan read ctx only for cancellation, which generation cannot request
+	// core.Backend carries no context; resolve and scan read ctx only for
+	// cancellation, which generation cannot request.
 	ctx := context.Background()
 	st, residual, consulted, _, err := e.resolve(ctx, base, pred)
 	if err != nil {

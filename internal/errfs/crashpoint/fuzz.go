@@ -305,7 +305,6 @@ func FuzzJobqueue(seed int64, maxPoints int) Report {
 		return snap.ID
 	}
 	claim := func() string {
-		//lint:ignore ctxplumb scripted crash workload, no caller to thread a context from
 		snap, err := q.Claim(context.Background())
 		if err != nil {
 			rep.violate(Point{}, "workload", "claim: %v", err)

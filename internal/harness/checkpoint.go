@@ -161,7 +161,6 @@ func (j *RunJournal) append(rec journalRecord) {
 	// The mutex exists precisely to serialise appends: every writer must
 	// queue behind the fsync, and the journal has no other critical section
 	// to stall. Holding it across AppendSync is the design, not an accident.
-	//lint:ignore lockbalance serialising appends through the fsync is this mutex's entire purpose
 	if err := j.w.AppendSync(payload); err != nil {
 		j.err = fmt.Errorf("harness: appending journal record: %w", err)
 		return

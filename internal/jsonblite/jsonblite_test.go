@@ -1,6 +1,7 @@
 package jsonblite
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,7 +11,7 @@ import (
 	"github.com/joda-explore/betze/internal/jsonval"
 )
 
-func doc(t *testing.T, s string) jsonval.Value {
+func doc(t testing.TB, s string) jsonval.Value {
 	t.Helper()
 	v, err := jsonval.Parse([]byte(s))
 	if err != nil {
@@ -19,7 +20,7 @@ func doc(t *testing.T, s string) jsonval.Value {
 	return v
 }
 
-func mustEncode(t *testing.T, v jsonval.Value) []byte {
+func mustEncode(t testing.TB, v jsonval.Value) []byte {
 	t.Helper()
 	data, err := Encode(nil, v)
 	if err != nil {
@@ -149,6 +150,34 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Errorf("case %d: corrupt input decoded to %s", i, v)
 		}
 	}
+}
+
+// FuzzDecode: Decode may reject arbitrary bytes but never panics, and every
+// value it accepts round-trips — its encoding decodes to a value that
+// encodes to the same bytes. The checked-in corpus under testdata/fuzz holds
+// hostile shapes: a forged container count, a truncated string, a key range
+// past the end, an unknown tag and trailing bytes.
+func FuzzDecode(f *testing.F) {
+	for _, s := range []string{`{"user":{"screen_name":"a","n":[1,2.5,null]},"b":true}`, `{}`, `"s"`} {
+		f.Add(mustEncode(f, doc(f, s)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := Decode(data)
+		if err != nil {
+			return
+		}
+		canon, err := Encode(nil, v)
+		if err != nil {
+			return // U+0000 in a string or key: Decode accepts it, Encode refuses it
+		}
+		back, err := Decode(canon)
+		if err != nil {
+			t.Fatalf("encoding of the value of %x does not decode: %v", data, err)
+		}
+		if again := mustEncode(t, back); !bytes.Equal(again, canon) {
+			t.Fatalf("value of %x does not round-trip:\n%x\n%x", data, canon, again)
+		}
+	})
 }
 
 func TestFloatKindsPreserved(t *testing.T) {

@@ -5,12 +5,11 @@ import (
 	"go/token"
 )
 
-// This file is the intra-procedural control-flow layer the concurrency
-// analyzers (lockbalance, wgdiscipline, journalorder) run on: a basic-block
-// CFG over one function body, dominance, and (in dataflow.go) a small
-// forward dataflow framework. It deliberately stays on go/ast — no SSA, no
-// x/tools — because nothing may be installed into the build image and the
-// analyses only need statement-level precision.
+// This file is the intra-procedural control-flow layer journalorder runs its
+// must-reach pass on: a basic-block CFG over one function body. It
+// deliberately stays on go/ast — no SSA, no x/tools — because nothing may be
+// installed into the build image and the analysis only needs
+// statement-level precision.
 //
 // Partition contract: every ast.Stmt of the body (excluding statements
 // inside nested *ast.FuncLit bodies, which are their own functions with
@@ -44,19 +43,6 @@ type CFG struct {
 	// Exit is the synthetic (statement-less) block every return, panic and
 	// the final fallthrough edge to.
 	Exit *Block
-}
-
-// BlockOf returns the block a statement was placed in, or nil for
-// statements outside the body (e.g. inside a nested function literal).
-func (g *CFG) BlockOf(s ast.Stmt) *Block {
-	for _, b := range g.Blocks {
-		for _, bs := range b.Stmts {
-			if bs == s {
-				return b
-			}
-		}
-	}
-	return nil
 }
 
 // cfgBuilder carries the state of one build: the block under construction,
@@ -445,90 +431,5 @@ func OwnedExprs(s ast.Stmt) []ast.Node {
 		return nil // pure structure; children are placed individually
 	default:
 		return []ast.Node{s}
-	}
-}
-
-// Dominators computes the immediate-dominator relation with the classic
-// iterative algorithm over a reverse-postorder numbering (Cooper, Harvey,
-// Kennedy). The returned slice maps Block.Index to the immediate
-// dominator's index; the entry maps to itself and unreachable blocks to -1.
-func (g *CFG) Dominators() []int {
-	// Reverse postorder over the reachable subgraph.
-	rpo := make([]*Block, 0, len(g.Blocks))
-	seen := make([]bool, len(g.Blocks))
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
-		}
-		rpo = append(rpo, b)
-	}
-	dfs(g.Entry)
-	for i, j := 0, len(rpo)-1; i < j; i, j = i+1, j-1 {
-		rpo[i], rpo[j] = rpo[j], rpo[i]
-	}
-	order := make([]int, len(g.Blocks)) // block index -> rpo position
-	for i, b := range rpo {
-		order[b.Index] = i
-	}
-
-	idom := make([]int, len(g.Blocks))
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[g.Entry.Index] = g.Entry.Index
-	intersect := func(a, bIdx int) int {
-		for a != bIdx {
-			for order[a] > order[bIdx] {
-				a = idom[a]
-			}
-			for order[bIdx] > order[a] {
-				bIdx = idom[bIdx]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == g.Entry {
-				continue
-			}
-			newIdom := -1
-			for _, p := range b.Preds {
-				if idom[p.Index] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p.Index
-				} else {
-					newIdom = intersect(newIdom, p.Index)
-				}
-			}
-			if newIdom != -1 && idom[b.Index] != newIdom {
-				idom[b.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether block a dominates block b (every path from the
-// entry to b passes through a). A block dominates itself.
-func (g *CFG) Dominates(idom []int, a, b *Block) bool {
-	if idom[b.Index] == -1 {
-		return false // unreachable: no path to dominate
-	}
-	for x := b.Index; ; x = idom[x] {
-		if x == a.Index {
-			return true
-		}
-		if idom[x] == x || idom[x] == -1 {
-			return false
-		}
 	}
 }

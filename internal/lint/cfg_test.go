@@ -210,116 +210,6 @@ func containsBlock(bs []*Block, b *Block) bool {
 	return false
 }
 
-// stmtBlock finds the block holding the statement matching pred.
-func stmtBlock(t *testing.T, g *CFG, pred func(ast.Stmt) bool) *Block {
-	t.Helper()
-	for _, b := range g.Blocks {
-		for _, s := range b.Stmts {
-			if pred(s) {
-				return b
-			}
-		}
-	}
-	t.Fatalf("no block holds the wanted statement")
-	return nil
-}
-
-// isAssignTo matches `name = ...` / `name := ...` statements.
-func isAssignTo(name string) func(ast.Stmt) bool {
-	return func(s ast.Stmt) bool {
-		as, ok := s.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 {
-			return false
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		return ok && id.Name == name
-	}
-}
-
-func TestDominanceDiamond(t *testing.T) {
-	body := parseBody(t, `
-a := 1
-if a > 0 {
-	b := 2
-	_ = b
-} else {
-	c := 3
-	_ = c
-}
-d := 4
-_ = d`)
-	g := BuildCFG(body)
-	idom := g.Dominators()
-
-	header := stmtBlock(t, g, isAssignTo("a"))
-	then := stmtBlock(t, g, isAssignTo("b"))
-	els := stmtBlock(t, g, isAssignTo("c"))
-	join := stmtBlock(t, g, isAssignTo("d"))
-
-	for _, b := range []*Block{then, els, join, g.Exit} {
-		if !g.Dominates(idom, header, b) {
-			t.Errorf("header must dominate block %d", b.Index)
-		}
-	}
-	if g.Dominates(idom, then, join) {
-		t.Errorf("then branch must not dominate the join (else path bypasses it)")
-	}
-	if g.Dominates(idom, els, join) {
-		t.Errorf("else branch must not dominate the join (then path bypasses it)")
-	}
-	if g.Dominates(idom, join, header) {
-		t.Errorf("join must not dominate the header")
-	}
-	if !g.Dominates(idom, join, join) {
-		t.Errorf("a block dominates itself")
-	}
-}
-
-func TestDominanceLoop(t *testing.T) {
-	body := parseBody(t, `
-a := 0
-for a < 10 {
-	a++
-}
-z := a
-_ = z`)
-	g := BuildCFG(body)
-	idom := g.Dominators()
-
-	pre := stmtBlock(t, g, isAssignTo("a"))
-	loopBody := stmtBlock(t, g, func(s ast.Stmt) bool {
-		_, ok := s.(*ast.IncDecStmt)
-		return ok
-	})
-	after := stmtBlock(t, g, isAssignTo("z"))
-
-	if !g.Dominates(idom, pre, loopBody) || !g.Dominates(idom, pre, after) {
-		t.Errorf("preheader must dominate loop body and after block")
-	}
-	if g.Dominates(idom, loopBody, after) {
-		t.Errorf("loop body must not dominate the after block (zero-trip path bypasses it)")
-	}
-	if g.Dominates(idom, after, loopBody) {
-		t.Errorf("after block must not dominate the loop body")
-	}
-}
-
-func TestDominanceUnreachable(t *testing.T) {
-	body := parseBody(t, `
-return
-x := 1
-_ = x`)
-	g := BuildCFG(body)
-	idom := g.Dominators()
-	dead := stmtBlock(t, g, isAssignTo("x"))
-	if idom[dead.Index] != -1 {
-		t.Errorf("dead block should have idom -1, got %d", idom[dead.Index])
-	}
-	if g.Dominates(idom, g.Entry, dead) {
-		t.Errorf("nothing dominates an unreachable block")
-	}
-}
-
 // FuzzCFGPartition feeds arbitrary Go source through the builder and checks
 // the partition contract — every statement in exactly one block, edges
 // symmetric — on whatever parses.
@@ -362,7 +252,6 @@ func FuzzCFGPartition(f *testing.F) {
 					}
 				}
 			}
-			g.Dominators() // must not panic on any shape
 		}
 	})
 }

@@ -145,7 +145,7 @@ func bodyCallsAppendSync(body *ast.BlockStmt) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false
 		}
-		if _, name, _, ok := selCall(n); ok && name == "AppendSync" {
+		if _, name, ok := selCall(n); ok && name == "AppendSync" {
 			found = true
 		}
 		return !found
@@ -230,7 +230,7 @@ func (j *journalorder) checkMethod(pass *Pass, fd *ast.FuncDecl, recv string, wr
 	isJournalPoint := func(s ast.Stmt) bool {
 		found := false
 		inspectOwned(s, func(n ast.Node) bool {
-			recvExpr, name, _, ok := selCall(n)
+			recvExpr, name, ok := selCall(n)
 			if !ok {
 				return true
 			}
@@ -292,24 +292,55 @@ func (j *journalorder) checkMethod(pass *Pass, fd *ast.FuncDecl, recv string, wr
 		return keys
 	}
 
-	// Must analysis: "a journal append definitely executed on every path".
-	in := ForwardFlow(g, Flow[bool]{
-		Entry: false,
-		Top:   true,
-		Join:  func(a, b bool) bool { return a && b },
-		Equal: func(a, b bool) bool { return a == b },
-		Transfer: func(s ast.Stmt, f bool) bool {
-			return f || isJournalPoint(s)
-		},
-	})
-	WalkFacts(g, in, func(s ast.Stmt, f bool) bool {
-		return f || isJournalPoint(s)
-	}, func(s ast.Stmt, f bool) {
-		if f || isJournalPoint(s) {
-			return
+	// Replay each block from its entry fact; once a journal point has
+	// executed, the rest of the block is covered.
+	journaled := mustReach(g, isJournalPoint)
+	for _, b := range g.Blocks {
+		done := journaled[b.Index]
+		for _, s := range b.Stmts {
+			if done = done || isJournalPoint(s); done {
+				break
+			}
+			for _, key := range mutationKeys(s) {
+				pass.Report(s, "mutation of %q before journal append: AppendSync must dominate in-memory mutation (crash here loses the update); append first, mark the field volatile, or //lint:ignore journalorder", key)
+			}
 		}
-		for _, key := range mutationKeys(s) {
-			pass.Report(s, "mutation of %q before journal append: AppendSync must dominate in-memory mutation (crash here loses the update); append first, mark the field volatile, or //lint:ignore journalorder", key)
+	}
+}
+
+// mustReach computes, per block index, whether a journal point definitely
+// executed on every path from the entry to the block's first statement.
+// Facts start optimistic (true) everywhere but the entry — so loop
+// back-edges not yet visited and unreachable code do not weaken a join — and
+// only ever fall, so the round-robin sweep reaches its fixpoint.
+func mustReach(g *CFG, point func(ast.Stmt) bool) []bool {
+	in := make([]bool, len(g.Blocks))
+	out := make([]bool, len(g.Blocks))
+	for i := range in {
+		in[i], out[i] = true, true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, b := range g.Blocks {
+			f := b != g.Entry
+			for _, p := range b.Preds {
+				f = f && out[p.Index]
+			}
+			o := f
+			for _, s := range b.Stmts {
+				o = o || point(s)
+			}
+			if f != in[b.Index] || o != out[b.Index] {
+				in[b.Index], out[b.Index] = f, o
+				changed = true
+			}
 		}
-	})
+	}
+	return in
+}
+
+// baseIdent returns the leading identifier of a dotted key ("q.jobs" -> "q").
+func baseIdent(key string) string {
+	base, _, _ := strings.Cut(key, ".")
+	return base
 }

@@ -1,9 +1,10 @@
 // Package lint is a small static-analysis framework on the standard
 // library's go/ast, go/parser and go/types, purpose-built to machine-check
-// the invariants this repository's correctness story rests on: generated
-// sessions, fault schedules and traces must be byte-deterministic from a
-// seed, sentinel errors must survive wrapping, contexts must be plumbed
-// rather than re-rooted, and the observability vocabulary must stay closed.
+// five invariants this repository's correctness story rests on: seeded
+// packages stay byte-deterministic, artifacts are published atomically,
+// durability packages reach storage only through the errfs seam, the
+// jobqueue journals before it mutates memory, and the observability
+// vocabulary stays closed.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis at a
 // distance — an Analyzer runs over one type-checked package at a time and
@@ -14,7 +15,8 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // on the offending line or the line directly above it; the reason is
-// mandatory, so every escape hatch documents itself.
+// mandatory and the analyzer must belong to the suite (or be "all"), so
+// every escape hatch documents itself and none outlives its analyzer.
 package lint
 
 import (
@@ -39,20 +41,16 @@ type Analyzer interface {
 // Diagnostic is one finding, anchored to a source position.
 type Diagnostic struct {
 	// Analyzer names the analyzer that produced the finding.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Pos is the finding's position ("file:line:col" once formatted).
-	Pos token.Position `json:"-"`
-	// File, Line and Col mirror Pos for the JSON reporter.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	Pos token.Position
 	// Message states the violation and the expected idiom.
-	Message string `json:"message"`
+	Message string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
 // Pass carries one package through one analyzer. Type information is
@@ -69,30 +67,24 @@ type Pass struct {
 
 // Report records a finding at the node's position.
 func (p *Pass) Report(node ast.Node, format string, args ...any) {
-	p.ReportPos(node.Pos(), format, args...)
-}
-
-// ReportPos records a finding at an explicit position.
-func (p *Pass) ReportPos(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name(),
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
+		Pos:      p.Pkg.Fset.Position(node.Pos()),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
 // Run applies every analyzer to every package, drops findings suppressed by
 // //lint:ignore comments, and returns the remainder sorted by position (then
-// analyzer, then message) so output is stable across runs — the property the
-// JSON reporter needs to be CI-diffable.
+// analyzer, then message) so output is stable across runs.
 func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
+	known := map[string]bool{"all": true}
+	for _, a := range Analyzers() {
+		known[a.Name()] = true
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		sup := collectSuppressions(pkg)
+		sup := collectSuppressions(pkg, known)
 		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{Pkg: pkg, Analyzer: a, diags: &pkgDiags}
@@ -105,7 +97,8 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 			diags = append(diags, d)
 		}
 		// Malformed ignore comments are findings themselves: a suppression
-		// without a reason (or naming no analyzer) silently rots.
+		// without a reason, or naming an analyzer outside the suite,
+		// silently rots.
 		diags = append(diags, sup.malformed...)
 	}
 	Sort(diags)
@@ -116,14 +109,14 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 func Sort(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
 		}
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
@@ -148,11 +141,11 @@ type suppressionSet struct {
 const IgnorePrefix = "//lint:ignore"
 
 // collectSuppressions parses every //lint:ignore comment of the package.
-// The expected form is "//lint:ignore <analyzer> <reason>"; "all" matches
-// every analyzer. A suppression covers findings on its own line and on the
-// line immediately below (so it can sit on its own line above a long
-// statement, staticcheck-style).
-func collectSuppressions(pkg *Package) *suppressionSet {
+// The expected form is "//lint:ignore <analyzer> <reason>", where analyzer
+// is one of known; "all" matches every analyzer. A suppression covers
+// findings on its own line and on the line immediately below (so it can sit
+// on its own line above a long statement, staticcheck-style).
+func collectSuppressions(pkg *Package, known map[string]bool) *suppressionSet {
 	set := &suppressionSet{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -163,22 +156,21 @@ func collectSuppressions(pkg *Package) *suppressionSet {
 				pos := pkg.Fset.Position(c.Pos())
 				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, IgnorePrefix))
 				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					set.malformed = append(set.malformed, Diagnostic{
-						Analyzer: "lint",
-						Pos:      pos,
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Message:  "malformed //lint:ignore: want \"//lint:ignore <analyzer> <reason>\"",
+				var msg string
+				switch {
+				case len(fields) < 2:
+					msg = "malformed //lint:ignore: want \"//lint:ignore <analyzer> <reason>\""
+				case !known[fields[0]]:
+					msg = fmt.Sprintf("//lint:ignore names unknown analyzer %q: want an analyzer of the suite or \"all\"", fields[0])
+				default:
+					set.entries = append(set.entries, suppression{
+						file:     pos.Filename,
+						line:     pos.Line,
+						analyzer: fields[0],
 					})
 					continue
 				}
-				set.entries = append(set.entries, suppression{
-					file:     pos.Filename,
-					line:     pos.Line,
-					analyzer: fields[0],
-				})
+				set.malformed = append(set.malformed, Diagnostic{Analyzer: "lint", Pos: pos, Message: msg})
 			}
 		}
 	}
@@ -187,13 +179,13 @@ func collectSuppressions(pkg *Package) *suppressionSet {
 
 func (s *suppressionSet) suppresses(d Diagnostic) bool {
 	for _, e := range s.entries {
-		if e.file != d.File {
+		if e.file != d.Pos.Filename {
 			continue
 		}
 		if e.analyzer != "all" && e.analyzer != d.Analyzer {
 			continue
 		}
-		if d.Line == e.line || d.Line == e.line+1 {
+		if d.Pos.Line == e.line || d.Pos.Line == e.line+1 {
 			return true
 		}
 	}

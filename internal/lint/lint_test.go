@@ -2,7 +2,7 @@ package lint_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"go/token"
 	"strings"
 	"testing"
 
@@ -12,7 +12,8 @@ import (
 // TestSuppression checks the //lint:ignore machinery over the suppress
 // fixture: same-line and line-above suppressions drop their findings, an
 // unsuppressed violation survives, and a reason-less ignore is reported as
-// malformed while suppressing nothing.
+// malformed while suppressing nothing, as is an ignore naming an unknown
+// analyzer.
 func TestSuppression(t *testing.T) {
 	diags := runFixture(t, lint.NewDeterminism(), "suppress")
 
@@ -24,70 +25,81 @@ func TestSuppression(t *testing.T) {
 		{"determinism", 21}, // Unsuppressed()
 		{"lint", 27},        // the malformed ignore comment itself
 		{"determinism", 28}, // the finding the malformed ignore fails to cover
+		{"lint", 32},        // the ignore naming an unknown analyzer
 	}
 	if len(diags) != len(wants) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(diags), len(wants), render(diags))
 	}
 	for i, w := range wants {
-		if diags[i].Analyzer != w.analyzer || diags[i].Line != w.line {
-			t.Errorf("finding %d = %s:%d (%s), want line %d (%s)",
-				i, diags[i].File, diags[i].Line, diags[i].Analyzer, w.line, w.analyzer)
+		if diags[i].Analyzer != w.analyzer || diags[i].Pos.Line != w.line {
+			t.Errorf("finding %d = %s (%s), want line %d (%s)",
+				i, diags[i].Pos, diags[i].Analyzer, w.line, w.analyzer)
 		}
 	}
-	for _, d := range diags {
-		if d.Analyzer == "lint" && !strings.Contains(d.Message, "malformed") {
-			t.Errorf("lint finding should flag the malformed ignore, got: %s", d.Message)
-		}
+	if !strings.Contains(diags[1].Message, "malformed") {
+		t.Errorf("lint finding should flag the malformed ignore, got: %s", diags[1].Message)
 	}
 }
 
-// TestIgnoreAllMatchesAnyAnalyzer checks the "all" wildcard via a synthetic
-// in-memory check: the suppress fixture's valid ignores name "determinism",
-// so running a different analyzer must NOT be suppressed by them — while
-// "all" would be. The fixture has no ctxplumb findings, so this only
-// asserts the determinism ignores don't leak across analyzers.
+// TestUnknownAnalyzerSuppression checks that an ignore naming an analyzer
+// outside the suite — a retired one, or a typo — is reported whichever
+// analyzers run, instead of silently exempting nothing.
+func TestUnknownAnalyzerSuppression(t *testing.T) {
+	var found bool
+	for _, d := range runFixture(t, lint.NewObsvocab(), "suppress") {
+		if d.Analyzer == "lint" && d.Pos.Line == 32 {
+			found = strings.Contains(d.Message, `unknown analyzer "nonesuch"`)
+			if !found {
+				t.Errorf("finding at the unknown-analyzer ignore does not name it: %s", d.Message)
+			}
+		}
+	}
+	if !found {
+		t.Error("ignore naming an unknown analyzer was accepted silently")
+	}
+}
+
+// TestIgnoreDoesNotLeakAcrossAnalyzers runs a different analyzer over the
+// suppress fixture, whose valid ignores name "determinism". The fixture has
+// no atomicwrite findings, so this only asserts the determinism ignores
+// don't leak across analyzers.
 func TestIgnoreDoesNotLeakAcrossAnalyzers(t *testing.T) {
-	diags := runFixture(t, lint.NewCtxplumb(""), "suppress")
+	diags := runFixture(t, lint.NewAtomicwrite(), "suppress")
 	for _, d := range diags {
-		if d.Analyzer == "ctxplumb" {
-			t.Errorf("unexpected ctxplumb finding in suppress fixture: %s", d)
+		if d.Analyzer == "atomicwrite" {
+			t.Errorf("unexpected atomicwrite finding in suppress fixture: %s", d)
 		}
 	}
 }
 
 // TestRunStable checks that two runs over the same fixture produce
-// byte-identical text and JSON reports — the property CI diffing rests on.
+// byte-identical reports.
 func TestRunStable(t *testing.T) {
-	render := func() (string, string) {
+	render := func() string {
 		diags := runFixture(t, lint.NewDeterminism(), "determinism/bad")
-		var text, js bytes.Buffer
+		var text bytes.Buffer
 		if err := lint.WriteText(&text, diags); err != nil {
 			t.Fatalf("WriteText: %v", err)
 		}
-		if err := lint.WriteJSON(&js, diags); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		return text.String(), js.String()
+		return text.String()
 	}
-	t1, j1 := render()
-	t2, j2 := render()
-	if t1 != t2 {
-		t.Errorf("text report unstable:\n--- first ---\n%s--- second ---\n%s", t1, t2)
-	}
-	if j1 != j2 {
-		t.Errorf("JSON report unstable:\n--- first ---\n%s--- second ---\n%s", j1, j2)
+	if t1, t2 := render(), render(); t1 != t2 {
+		t.Errorf("report unstable:\n--- first ---\n%s--- second ---\n%s", t1, t2)
 	}
 }
 
 // TestSortOrder checks the diagnostic ordering contract directly.
 func TestSortOrder(t *testing.T) {
+	at := func(file string, line, col int) token.Position {
+		return token.Position{Filename: file, Line: line, Column: col}
+	}
 	diags := []lint.Diagnostic{
-		{File: "b.go", Line: 1, Col: 1, Analyzer: "x", Message: "m"},
-		{File: "a.go", Line: 2, Col: 1, Analyzer: "x", Message: "m"},
-		{File: "a.go", Line: 1, Col: 5, Analyzer: "x", Message: "m"},
-		{File: "a.go", Line: 1, Col: 1, Analyzer: "y", Message: "m"},
-		{File: "a.go", Line: 1, Col: 1, Analyzer: "x", Message: "n"},
-		{File: "a.go", Line: 1, Col: 1, Analyzer: "x", Message: "m"},
+		{Pos: at("b.go", 1, 1), Analyzer: "x", Message: "m"},
+		{Pos: at("a.go", 2, 1), Analyzer: "x", Message: "m"},
+		{Pos: at("a.go", 1, 5), Analyzer: "x", Message: "m"},
+		{Pos: at("a.go", 1, 1), Analyzer: "y", Message: "m"},
+		{Pos: at("a.go", 1, 1), Analyzer: "x", Message: "n"},
+		{Pos: at("a.go", 1, 1), Analyzer: "x", Message: "m"},
 	}
 	lint.Sort(diags)
 	got := render(diags)
@@ -102,27 +114,11 @@ func TestSortOrder(t *testing.T) {
 	}
 }
 
-// TestWriteJSONEmpty checks a clean run renders the literal empty array,
-// never null.
-func TestWriteJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := lint.WriteJSON(&buf, nil); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if got := strings.TrimSpace(buf.String()); got != "[]" {
-		t.Errorf("empty report = %q, want []", got)
-	}
-	var arr []lint.Diagnostic
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
-		t.Errorf("empty report does not parse: %v", err)
-	}
-}
-
 // TestByName checks suite lookup by analyzer name.
 func TestByName(t *testing.T) {
-	as, ok := lint.ByName([]string{"errwrap", "determinism"})
-	if !ok || len(as) != 2 || as[0].Name() != "errwrap" || as[1].Name() != "determinism" {
-		t.Errorf("ByName(errwrap, determinism) = %v, %v", as, ok)
+	as, ok := lint.ByName([]string{"obsvocab", "determinism"})
+	if !ok || len(as) != 2 || as[0].Name() != "obsvocab" || as[1].Name() != "determinism" {
+		t.Errorf("ByName(obsvocab, determinism) = %v, %v", as, ok)
 	}
 	if _, ok := lint.ByName([]string{"nonesuch"}); ok {
 		t.Error("ByName(nonesuch) should fail")

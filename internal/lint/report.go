@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -12,9 +11,8 @@ import (
 // where the tree is checked out. File names outside base are left alone.
 func Relativize(base string, diags []Diagnostic) {
 	for i := range diags {
-		if rel, err := filepath.Rel(base, diags[i].File); err == nil && !filepath.IsAbs(rel) {
-			diags[i].File = filepath.ToSlash(rel)
-			diags[i].Pos.Filename = diags[i].File
+		if rel, err := filepath.Rel(base, diags[i].Pos.Filename); err == nil && !filepath.IsAbs(rel) {
+			diags[i].Pos.Filename = filepath.ToSlash(rel)
 		}
 	}
 }
@@ -34,15 +32,4 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders diagnostics as one sorted JSON array (never null, so a
-// clean run is the literal "[]"), suitable for diffing in CI.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
 }

@@ -6,16 +6,10 @@ package lint
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		NewAtomicwrite(AtomicWriteScope...),
-		NewClosecheck(),
-		NewCtxplumb(),
 		NewDeterminism(DeterminismScope...),
-		NewErrwrap(),
 		NewFsboundary(FsboundaryScope...),
-		NewGoleak("internal/", "cmd/"),
 		NewJournalorder("internal/jobqueue"),
-		NewLockbalance(),
 		NewObsvocab(),
-		NewWgdiscipline(),
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package suppress exercises the //lint:ignore machinery: one suppressed
-// finding on the same line, one suppressed from the line above, one
-// unsuppressed finding, and one malformed ignore comment.
+// Package suppress exercises the //lint:ignore machinery: same-line and
+// line-above suppressions, an unsuppressed finding, a malformed ignore
+// comment, and an ignore naming an analyzer outside the suite.
 package suppress
 
 import "time"
@@ -27,3 +27,6 @@ func Malformed() int64 {
 	//lint:ignore determinism
 	return time.Now().UnixNano()
 }
+
+// Unknown names an analyzer outside the suite, which is itself a finding.
+func Unknown() {} //lint:ignore nonesuch the analyzer this names does not exist

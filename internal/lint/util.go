@@ -65,36 +65,6 @@ func containsStringLit(expr ast.Expr) bool {
 	return found
 }
 
-// inspectFuncs walks every function declaration and literal of the file,
-// invoking fn with the function's body and, for declarations, the
-// declaration itself (nil for literals).
-func inspectFuncs(f *ast.File, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncDecl:
-			if v.Body != nil {
-				fn(v, v.Body)
-			}
-		case *ast.FuncLit:
-			fn(nil, v.Body)
-		}
-		return true
-	})
-}
-
-// identUsed reports whether the identifier name is referenced anywhere
-// inside node.
-func identUsed(node ast.Node, name string) bool {
-	used := false
-	ast.Inspect(node, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			used = true
-		}
-		return !used
-	})
-	return used
-}
-
 // exprKey renders an ident/selector/index chain as a stable string key
 // ("mu", "q.mu", "q.jobs[id]" collapses to "q.jobs") for matching the same
 // lvalue across statements within one function. Expressions outside that
@@ -121,16 +91,16 @@ func exprKey(e ast.Expr) string {
 
 // selCall matches the X.Sel(...) call shape, returning the receiver
 // expression and the selected method name.
-func selCall(n ast.Node) (recv ast.Expr, name string, call *ast.CallExpr, ok bool) {
+func selCall(n ast.Node) (recv ast.Expr, name string, ok bool) {
 	call, isCall := n.(*ast.CallExpr)
 	if !isCall {
-		return nil, "", nil, false
+		return nil, "", false
 	}
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return nil, "", nil, false
+		return nil, "", false
 	}
-	return sel.X, sel.Sel.Name, call, true
+	return sel.X, sel.Sel.Name, true
 }
 
 // inspectOwned walks only the parts of a statement evaluated in the

@@ -133,6 +133,25 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 }
 
+// FuzzDecompress: the decoder may reject arbitrary bytes but never panics,
+// and output it accepts stays within the expansion bound its length-header
+// check enforces; every input also round-trips through Compress. The
+// checked-in corpus under testdata/fuzz holds the hostile shapes: a forged
+// length header, a truncated literal length, copy offset 0, an offset
+// beyond the output and a reserved tag.
+func FuzzDecompress(f *testing.F) {
+	f.Add(Compress(nil, []byte("hello hello hello hello")))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if out, err := Decompress(nil, src); err == nil && len(out) > 32*len(src)+64 {
+			t.Fatalf("accepted %d input bytes expanding to %d", len(src), len(out))
+		}
+		back, err := Decompress(nil, Compress(nil, src))
+		if err != nil || !bytes.Equal(back, src) {
+			t.Fatalf("round trip of %d bytes: err=%v, %d bytes back", len(src), err, len(back))
+		}
+	})
+}
+
 func TestDecompressAppendsToDst(t *testing.T) {
 	prefix := []byte("prefix:")
 	compressed := Compress(nil, []byte("payload"))
