@@ -98,19 +98,31 @@ func ReadSessionFile(path string) (*SessionFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	f, err := decodeSessionFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, path)
+	}
+	return f, nil
+}
+
+// decodeSessionFile is ReadSessionFile's byte boundary: a session file is
+// outside input, so whatever data holds yields a valid file or an error
+// wrapping ErrCorruptSession.
+func decodeSessionFile(data []byte) (*SessionFile, error) {
 	var f SessionFile
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%w: decoding %s: %v", ErrCorruptSession, path, err)
+		return nil, fmt.Errorf("%w: decoding: %v", ErrCorruptSession, err)
 	}
 	if err := f.validate(); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptSession, path, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorruptSession, err)
 	}
 	return &f, nil
 }
 
 // validate rejects structurally inconsistent session files: a truncated or
 // hand-edited file can decode cleanly yet break every consumer that walks
-// the query list or the dependency graph.
+// the query list or the dependency graph, and a query every engine must
+// reject (query.Validate) would fail differently on each.
 func (f *SessionFile) validate() error {
 	for i, q := range f.Queries {
 		if q == nil {
@@ -118,6 +130,9 @@ func (f *SessionFile) validate() error {
 		}
 		if q.ID == "" {
 			return fmt.Errorf("query %d has no id", i)
+		}
+		if err := q.Validate(); err != nil {
+			return err
 		}
 	}
 	ids := make(map[int]bool, len(f.Nodes))

@@ -132,6 +132,8 @@ func TestSessionFileValidate(t *testing.T) {
 		{"query without id", `{"queries":[{"id":""}]}`},
 		{"duplicate node id", `{"nodes":[{"id":1,"parent":-1},{"id":1,"parent":-1}]}`},
 		{"missing parent", `{"nodes":[{"id":1,"parent":7}]}`},
+		{"query without base", `{"queries":[{"id":"q1"}]}`},
+		{"stored aggregation", `{"queries":[{"id":"q1","base":"ds","store":"out","agg":{"func":"COUNT","path":""}}]}`},
 	}
 	dir := t.TempDir()
 	for _, c := range cases {
@@ -143,6 +145,38 @@ func TestSessionFileValidate(t *testing.T) {
 			t.Errorf("%s: %v, want ErrCorruptSession", c.label, err)
 		}
 	}
+}
+
+// FuzzReadSessionFile: whatever bytes a session file holds, decoding never
+// panics and either rejects them with ErrCorruptSession or accepts a file
+// that WriteTo writes out and decodes back to the same bytes. The corpus
+// under testdata/fuzz holds the edge cases: an unknown predicate kind, an
+// AND missing a child, a store named like its base, store names "" and
+// "../x", and deep nesting.
+func FuzzReadSessionFile(f *testing.F) {
+	f.Add([]byte(`{"preset":{"Name":"novice","Alpha":0.5,"Beta":0.3,"Queries":1},"seed":3,` +
+		`"queries":[{"id":"q1","base":"ds","store":"d","filter":{"kind":"exists","path":"/a"}}],` +
+		`"nodes":[{"id":0,"name":"ds","root":"ds","parent":-1,"count":5,"verified":false}],"steps":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sf, err := decodeSessionFile(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSession) {
+				t.Fatalf("rejection %v does not wrap ErrCorruptSession", err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if _, err := sf.WriteTo(&first); err != nil {
+			t.Fatalf("accepted file does not write: %v", err)
+		}
+		back, err := decodeSessionFile(first.Bytes())
+		if err != nil {
+			t.Fatalf("written file does not decode: %v\n%s", err, first.Bytes())
+		}
+		if _, err := back.WriteTo(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the file (%v):\n%s\n---\n%s", err, first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func mustReadErr(t *testing.T, path string) error {

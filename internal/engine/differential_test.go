@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/query"
 )
@@ -227,8 +226,6 @@ func TestDifferentialFuzzAcrossEngines(t *testing.T) {
 		}
 	}
 }
-
-var _ = engine.ErrUnknownDataset // keep the import if helpers change
 
 // clusteredDoc builds a fuzz document with a monotone /seq and a banded
 // /bucket string, so datasets built from it in index order are clustered the

@@ -51,33 +51,36 @@ type ExecStats struct {
 	Duration time.Duration
 }
 
-// Engine is a system under test.
+// Engine is a system under test. Its datasets follow the rules of Catalog,
+// which every engine keeps its names in.
 type Engine interface {
 	// Name is the display name used in result tables.
 	Name() string
-	// ImportFile loads a newline-delimited JSON file as the named
-	// dataset, converting it into the engine's storage format.
+	// ImportFile loads a newline-delimited JSON file as the named base
+	// dataset, converting it into the engine's storage format. It
+	// replaces a base or derived dataset of that name at once, and the
+	// import survives Reset.
 	ImportFile(ctx context.Context, name, path string) (ImportStats, error)
 	// Execute runs one query. Result documents are serialised to sink
-	// (pass io.Discard to drop them, the paper's /dev/null setup). When
-	// the query stores its result, the engine additionally creates the
-	// derived dataset under the query's Store name.
+	// (pass io.Discard to drop them, the paper's /dev/null setup). A
+	// query whose Store is set publishes its result as a derived dataset
+	// only once it has succeeded, output included; a failed one leaves
+	// the name as it was. A derived dataset shadows a base of the same
+	// name. A name that is neither wraps ErrUnknownDataset, and an
+	// invalid query (query.Validate) is rejected.
 	Execute(ctx context.Context, q *query.Query, sink io.Writer) (ExecStats, error)
 	// Reset drops derived datasets and caches but keeps imported base
-	// datasets, preparing the engine for another session run.
+	// datasets, un-shadowing any a store hid, preparing the engine for
+	// another session run. A crash (faultsim) is a Reset.
 	Reset() error
-	// Close releases all resources.
+	// Close releases derived datasets and whatever the engine created.
+	// No call after Close panics.
 	Close() error
 }
 
 // ErrUnknownDataset is wrapped by engines when a query references a dataset
 // that was never imported or stored.
 var ErrUnknownDataset = fmt.Errorf("engine: unknown dataset")
-
-// UnknownDataset builds the canonical error for a missing dataset.
-func UnknownDataset(engine, name string) error {
-	return fmt.Errorf("%s: %w %q", engine, ErrUnknownDataset, name)
-}
 
 // checkEvery is how many documents an engine processes between context
 // cancellation checks.

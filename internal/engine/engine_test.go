@@ -80,7 +80,7 @@ func TestRunAggregation(t *testing.T) {
 }
 
 func TestUnknownDatasetError(t *testing.T) {
-	err := UnknownDataset("x", "ghost")
+	err := unknownDataset("x", "ghost")
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("ghost")) {
 		t.Errorf("error = %v", err)
 	}

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -191,74 +190,6 @@ func TestEnginesAgree(t *testing.T) {
 			if got != reference {
 				t.Errorf("%s output differs for %s:\n--- got ---\n%.400s\n--- want ---\n%.400s", e.Name(), q, got, reference)
 			}
-		}
-	}
-}
-
-func TestEnginesAgreeOnStoredDatasets(t *testing.T) {
-	docs := corpus(1500, 52)
-	engines := allEngines(t, "ds", docs)
-	ctx := context.Background()
-	store := &query.Query{ID: "s1", Base: "ds", Store: "derived",
-		Filter: query.FloatCmp{Path: "/score", Op: query.Ge, Value: 30}}
-	followup := &query.Query{ID: "s2", Base: "derived",
-		Filter: query.BoolEq{Path: "/active", Value: true}}
-	var want int64 = -1
-	for _, e := range engines {
-		if _, err := e.Execute(ctx, store, io.Discard); err != nil {
-			t.Fatalf("%s store: %v", e.Name(), err)
-		}
-		stats, err := e.Execute(ctx, followup, io.Discard)
-		if err != nil {
-			t.Fatalf("%s follow-up: %v", e.Name(), err)
-		}
-		if want == -1 {
-			want = stats.Matched
-		} else if stats.Matched != want {
-			t.Errorf("%s matched %d on stored dataset, want %d", e.Name(), stats.Matched, want)
-		}
-	}
-	if want <= 0 {
-		t.Fatalf("derived query matched nothing")
-	}
-}
-
-func TestEnginesResetDropsDerived(t *testing.T) {
-	docs := corpus(300, 53)
-	engines := allEngines(t, "ds", docs)
-	ctx := context.Background()
-	store := &query.Query{ID: "s", Base: "ds", Store: "tmp", Filter: query.Exists{Path: "/id"}}
-	q := &query.Query{ID: "r", Base: "tmp"}
-	for _, e := range engines {
-		if _, err := e.Execute(ctx, store, io.Discard); err != nil {
-			t.Fatalf("%s store: %v", e.Name(), err)
-		}
-		if _, err := e.Execute(ctx, q, io.Discard); err != nil {
-			t.Fatalf("%s pre-reset read: %v", e.Name(), err)
-		}
-		if err := e.Reset(); err != nil {
-			t.Fatalf("%s reset: %v", e.Name(), err)
-		}
-		if _, err := e.Execute(ctx, q, io.Discard); err == nil {
-			t.Errorf("%s kept derived dataset across Reset", e.Name())
-		}
-		// Base dataset must survive.
-		if _, err := e.Execute(ctx, &query.Query{ID: "b", Base: "ds"}, io.Discard); err != nil {
-			t.Errorf("%s lost base dataset on Reset: %v", e.Name(), err)
-		}
-	}
-}
-
-func TestEnginesUnknownDataset(t *testing.T) {
-	engines := allEngines(t, "ds", corpus(10, 54))
-	for _, e := range engines {
-		_, err := e.Execute(context.Background(), &query.Query{Base: "ghost"}, io.Discard)
-		if err == nil {
-			t.Errorf("%s accepted unknown dataset", e.Name())
-		} else if !errors.Is(err, engine.ErrUnknownDataset) {
-			// The resilient executor classifies errors with errors.Is, so a
-			// sim returning an unwrapped error breaks crash detection.
-			t.Errorf("%s unknown-dataset error not wrapped: %v", e.Name(), err)
 		}
 	}
 }
@@ -560,22 +491,6 @@ func TestEnginesAgreeOnTransforms(t *testing.T) {
 	}
 	if want <= 0 {
 		t.Fatalf("transformed follow-up matched nothing")
-	}
-}
-
-func TestEnginesRejectInvalidQueries(t *testing.T) {
-	engines := allEngines(t, "ds", corpus(50, 70))
-	bad := []*query.Query{
-		{ID: "noBase"},
-		{ID: "storeAgg", Base: "ds", Store: "out",
-			Agg: &query.Aggregation{Func: query.Count, Path: jsonval.RootPath}},
-	}
-	for _, e := range engines {
-		for _, q := range bad {
-			if _, err := e.Execute(context.Background(), q, io.Discard); err == nil {
-				t.Errorf("%s accepted invalid query %s", e.Name(), q.ID)
-			}
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/query"
 )
@@ -68,29 +67,6 @@ func TestEnginesCancelDuringInjectedLatency(t *testing.T) {
 		}
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
 			t.Errorf("%s sat out the full latency spike (%v)", inner.Name(), elapsed)
-		}
-	}
-}
-
-// TestEnginesUnknownDatasetTable is the table-driven error-contract check:
-// a fresh engine with nothing imported and an engine with data imported
-// must both wrap engine.ErrUnknownDataset for a ghost dataset, with the
-// store-query variant included.
-func TestEnginesUnknownDatasetTable(t *testing.T) {
-	engines := allEngines(t, "ds", corpus(20, 62))
-	cases := []struct {
-		label string
-		q     *query.Query
-	}{
-		{"plain read", &query.Query{ID: "q1", Base: "ghost"}},
-		{"store from ghost", &query.Query{ID: "q2", Base: "ghost", Store: "out"}},
-	}
-	for _, e := range engines {
-		for _, c := range cases {
-			_, err := e.Execute(context.Background(), c.q, io.Discard)
-			if !errors.Is(err, engine.ErrUnknownDataset) {
-				t.Errorf("%s %s: error %v does not wrap ErrUnknownDataset", e.Name(), c.label, err)
-			}
 		}
 	}
 }

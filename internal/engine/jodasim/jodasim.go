@@ -40,17 +40,21 @@ type Options struct {
 // Engine implements engine.Engine and core.Backend.
 type Engine struct {
 	opts Options
+	cat  *engine.Catalog[*dataset]
 
-	mu       sync.Mutex
-	base     map[string]*dataset // imported datasets by name
-	derived  map[string][]jsonval.Value
-	cache    map[string][]jsonval.Value // base name + predicate -> matching docs
+	mu       sync.Mutex // guards every dataset's store and cache, and cacheHit
 	cacheHit int64
 }
 
+// dataset is one named dataset. A base dataset holds zone-mapped shards, the
+// raw bytes eviction mode rebuilds them from, and the results of filtered
+// queries on it by predicate. A derived dataset is a zoneless view with no
+// cache: it is scanned at most a handful of times, so zone construction and
+// cached results would not pay for themselves.
 type dataset struct {
-	store *shard.Store // zone-mapped shards; nil while evicted
-	raw   []byte       // retained source bytes for eviction mode
+	store *shard.Store // nil while evicted
+	raw   []byte
+	cache map[string][]jsonval.Value
 }
 
 // New returns an engine with the given options.
@@ -58,12 +62,7 @@ func New(opts Options) *Engine {
 	if opts.Threads <= 0 {
 		opts.Threads = runtime.NumCPU()
 	}
-	return &Engine{
-		opts:    opts,
-		base:    make(map[string]*dataset),
-		derived: make(map[string][]jsonval.Value),
-		cache:   make(map[string][]jsonval.Value),
-	}
+	return &Engine{opts: opts, cat: engine.NewCatalog[*dataset]("jodasim")}
 }
 
 // Name implements engine.Engine.
@@ -104,16 +103,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 		engine.ObserveImport(ctx, e.Name(), name, engine.ImportStats{}, err)
 		return engine.ImportStats{}, err
 	}
-	var raw []byte
-	if e.opts.Evict {
-		for _, d := range docs {
-			raw = jsonval.AppendJSON(raw, d)
-			raw = append(raw, '\n')
-		}
-	}
-	e.mu.Lock()
-	e.base[name] = &dataset{store: shard.Build(docs, shard.DefaultSize), raw: raw}
-	e.mu.Unlock()
+	e.ImportValues(name, docs)
 	stats := engine.ImportStats{Docs: n, Bytes: bytes, StoredBytes: bytes, Duration: time.Since(start)}
 	engine.ObserveImport(ctx, e.Name(), name, stats, nil)
 	return stats, nil
@@ -121,57 +111,46 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 
 // ImportValues loads an in-memory document slice as a base dataset.
 func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
-	ds := &dataset{store: shard.Build(docs, shard.DefaultSize)}
+	ds := &dataset{store: shard.Build(docs, shard.DefaultSize), cache: map[string][]jsonval.Value{}}
 	if e.opts.Evict {
-		var raw []byte
 		for _, d := range docs {
-			raw = jsonval.AppendJSON(raw, d)
-			raw = append(raw, '\n')
+			ds.raw = append(jsonval.AppendJSON(ds.raw, d), '\n')
 		}
-		ds.raw = raw
 	}
-	e.mu.Lock()
-	e.base[name] = ds
-	e.mu.Unlock()
+	e.cat.Import(name, ds)
 }
 
 // resolve finds the sharded store of the query's base dataset together with
 // the residual predicate still to evaluate, reusing the deepest cached
-// ancestor of the composed predicate chain. Base datasets come back with
-// their zone maps; derived datasets and cached results come back as views
-// (sharded for the shared walk but zoneless — they are scanned at most a
-// handful of times, so zone construction would not pay for itself).
-// consulted reports whether the cache was looked up at all — it holds
-// results of filtered queries on base datasets only — and hit whether any
+// ancestor of the composed predicate chain; cached results come back as
+// zoneless views. cache is the dataset's result cache when it was consulted
+// — filtered queries on base datasets only — and hit reports whether any
 // cached result (full or ancestor) served the lookup.
-func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Predicate) (st *shard.Store, residual query.Predicate, consulted, hit bool, err error) {
+func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Predicate) (st *shard.Store, residual query.Predicate, cache map[string][]jsonval.Value, hit bool, err error) {
+	ds, err := e.cat.Get(baseName)
+	if err != nil {
+		return nil, nil, nil, false, err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if docs, ok := e.derived[baseName]; ok {
-		return shard.View(docs, shard.DefaultSize), filter, false, false, nil
-	}
-	ds, ok := e.base[baseName]
-	if !ok {
-		return nil, nil, false, false, engine.UnknownDataset("jodasim", baseName)
-	}
 	if ds.store == nil {
 		// Evicted: re-parse the retained bytes and rebuild the shard store,
 		// zone maps included (the re-read cost of a memory-limited
 		// deployment covers re-indexing too).
 		docs, err := e.parseAll(ctx, ds.raw)
 		if err != nil {
-			return nil, nil, false, false, fmt.Errorf("jodasim: re-parsing evicted dataset %s: %w", baseName, err)
+			return nil, nil, nil, false, fmt.Errorf("jodasim: re-parsing evicted dataset %s: %w", baseName, err)
 		}
 		ds.store = shard.Build(docs, shard.DefaultSize)
 	}
-	if filter == nil || e.opts.DisableCache {
-		return ds.store, filter, false, false, nil
+	if filter == nil || ds.cache == nil || e.opts.DisableCache {
+		return ds.store, filter, nil, false, nil
 	}
 	// Walk the AND-chain from the full predicate towards its prefix,
 	// taking the deepest cached subset.
-	if docs, ok := e.cache[cacheKey(baseName, filter)]; ok {
+	if docs, ok := ds.cache[filter.String()]; ok {
 		e.cacheHit++
-		return shard.View(docs, shard.DefaultSize), nil, true, true, nil
+		return shard.View(docs, shard.DefaultSize), nil, ds.cache, true, nil
 	}
 	pred := filter
 	for {
@@ -185,59 +164,54 @@ func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Pred
 			residual = query.And{Left: and.Right, Right: residual}
 		}
 		pred = and.Left
-		if docs, ok := e.cache[cacheKey(baseName, pred)]; ok {
+		if docs, ok := ds.cache[pred.String()]; ok {
 			e.cacheHit++
-			return shard.View(docs, shard.DefaultSize), residual, true, true, nil
+			return shard.View(docs, shard.DefaultSize), residual, ds.cache, true, nil
 		}
 	}
-	return ds.store, filter, true, false, nil
+	return ds.store, filter, ds.cache, false, nil
 }
 
-func cacheKey(base string, pred query.Predicate) string {
-	return base + "\x00" + pred.String()
+// remember caches matched as the result of filter, unless eviction mode
+// drops everything after each query anyway.
+func (e *Engine) remember(cache map[string][]jsonval.Value, filter query.Predicate, matched []jsonval.Value) {
+	if cache != nil && !e.opts.Evict {
+		e.mu.Lock()
+		cache[filter.String()] = matched
+		e.mu.Unlock()
+	}
 }
 
 // Execute implements engine.Engine with a parallel filter scan.
-func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (engine.ExecStats, error) {
+func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (stats engine.ExecStats, err error) {
 	if err := q.Validate(); err != nil {
 		return engine.ExecStats{}, fmt.Errorf("jodasim: %w", err)
 	}
 	start := time.Now()
-	st, residual, consulted, hit, err := e.resolve(ctx, q.Base, q.Filter)
+	defer func() { engine.ObserveExec(ctx, e.Name(), q, stats, err) }()
+	st, residual, cache, hit, err := e.resolve(ctx, q.Base, q.Filter)
 	if err != nil {
-		engine.ObserveExec(ctx, e.Name(), q, engine.ExecStats{}, err)
 		return engine.ExecStats{}, err
 	}
-	if consulted {
+	if cache != nil {
 		engine.ObserveCache(ctx, e.Name(), q, hit)
 	}
 	matched, skipped, err := e.scan(ctx, st, residual)
 	if err != nil {
-		engine.ObserveExec(ctx, e.Name(), q, engine.ExecStats{}, err)
 		return engine.ExecStats{}, err
 	}
-	stats := engine.ExecStats{
+	stats = engine.ExecStats{
 		Scanned: int64(st.Len()) - skipped,
 		Skipped: skipped,
 		Matched: int64(len(matched)),
 	}
-
-	if consulted && !e.opts.Evict {
-		e.mu.Lock()
-		e.cache[cacheKey(q.Base, q.Filter)] = matched
-		e.mu.Unlock()
-	}
+	e.remember(cache, q.Filter, matched)
 	if q.Transform != nil {
 		transformed := make([]jsonval.Value, len(matched))
 		for i, d := range matched {
 			transformed[i] = q.Transform.Apply(d)
 		}
 		matched = transformed
-	}
-	if q.Store != "" {
-		e.mu.Lock()
-		e.derived[q.Store] = matched
-		e.mu.Unlock()
 	}
 
 	if q.Agg != nil {
@@ -262,12 +236,14 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (e
 			stats.OutputBytes += n
 		}
 	}
+	if q.Store != "" {
+		e.cat.Store(q.Store, &dataset{store: shard.View(matched, shard.DefaultSize)})
+	}
 	if e.opts.Evict {
 		e.evictAll()
 		engine.ObserveEviction(ctx, e.Name())
 	}
 	stats.Duration = time.Since(start)
-	engine.ObserveExec(ctx, e.Name(), q, stats, nil)
 	return stats, nil
 }
 
@@ -354,14 +330,12 @@ func (e *Engine) parseAll(ctx context.Context, raw []byte) ([]jsonval.Value, err
 }
 
 func (e *Engine) evictAll() {
+	bases := e.cat.Bases()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, ds := range e.base {
-		if ds.raw != nil {
-			ds.store = nil
-		}
+	for _, ds := range bases {
+		ds.store = nil
 	}
-	e.cache = make(map[string][]jsonval.Value)
 }
 
 // CountMatching implements the generator's verification backend
@@ -370,7 +344,7 @@ func (e *Engine) CountMatching(base string, pred query.Predicate) (int64, error)
 	// core.Backend carries no context; resolve and scan read ctx only for
 	// cancellation, which generation cannot request.
 	ctx := context.Background()
-	st, residual, consulted, _, err := e.resolve(ctx, base, pred)
+	st, residual, cache, _, err := e.resolve(ctx, base, pred)
 	if err != nil {
 		return 0, err
 	}
@@ -378,30 +352,22 @@ func (e *Engine) CountMatching(base string, pred query.Predicate) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	if consulted && !e.opts.Evict {
-		e.mu.Lock()
-		e.cache[cacheKey(base, pred)] = matched
-		e.mu.Unlock()
-	}
+	e.remember(cache, pred, matched)
 	return int64(len(matched)), nil
 }
 
-// Reset implements engine.Engine.
+// Reset implements engine.Engine: stored datasets and cached results go.
 func (e *Engine) Reset() error {
+	e.cat.Reset()
+	bases := e.cat.Bases()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.derived = make(map[string][]jsonval.Value)
-	e.cache = make(map[string][]jsonval.Value)
+	for _, ds := range bases {
+		clear(ds.cache)
+	}
 	e.cacheHit = 0
 	return nil
 }
 
 // Close implements engine.Engine.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.base = nil
-	e.derived = nil
-	e.cache = nil
-	return nil
-}
+func (e *Engine) Close() error { return e.Reset() }

@@ -6,10 +6,10 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"github.com/joda-explore/betze/internal/datasets"
+	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/engine/simtest"
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/obs"
@@ -191,9 +191,9 @@ func TestDerivedBaseBypassesCache(t *testing.T) {
 	if n, err := e.CountMatching("derived2", onDerived); err != nil || n == 0 {
 		t.Fatalf("CountMatching on a stored dataset = %d, %v", n, err)
 	}
-	for key := range e.cache {
-		if !strings.HasPrefix(key, "NoBench\x00") {
-			t.Errorf("the cache holds %q, a result keyed by a stored dataset", key)
+	for _, name := range []string{"derived", "derived2"} {
+		if ds, err := e.cat.Get(name); err != nil || len(ds.cache) != 0 {
+			t.Errorf("stored dataset %s: %v, cache %v; want no cached results", name, err, ds.cache)
 		}
 	}
 	if misses.Value() != 1 || e.CacheHits() != 0 {
@@ -203,4 +203,13 @@ func TestDerivedBaseBypassesCache(t *testing.T) {
 	if e.CacheHits() != 1 {
 		t.Errorf("%d cache hits, want the repeated base query served from the cache", e.CacheHits())
 	}
+}
+
+// TestConformance runs the engine contract on a resident and an evicting
+// engine.
+func TestConformance(t *testing.T) {
+	simtest.Conformance(t, func(*testing.T, string) engine.Engine { return New(Options{Threads: 2}) })
+	t.Run("evict", func(t *testing.T) {
+		simtest.Conformance(t, func(*testing.T, string) engine.Engine { return New(Options{Threads: 2, Evict: true}) })
+	})
 }

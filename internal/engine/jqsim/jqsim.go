@@ -7,7 +7,7 @@
 // allocation costs are the reason the paper concludes that "using jq to
 // explore large sets of JSON files is unfeasible". Stored results become new
 // files in the engine's working directory, which is how jq materialises
-// datasets.
+// datasets; the engine writes and deletes no other file.
 //
 // jqsim is deliberately the unprunable baseline of the engine fleet: with no
 // import phase there is nowhere to build zone maps, so every query walks the
@@ -20,10 +20,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -40,22 +40,18 @@ type Engine struct {
 	// ownsDir marks a workdir the engine created itself and removes
 	// wholesale on Close.
 	ownsDir bool
+	cat     *engine.Catalog[string] // dataset name -> file path
 
-	mu      sync.Mutex
-	files   map[string]string // dataset name -> file path
-	derived map[string]bool
+	// mu is held from resolving a name to opening its file, and while a
+	// store file the catalog dropped is deleted, so no query opens a
+	// deleted file.
+	mu sync.Mutex
 }
 
 // New returns an engine materialising derived datasets under workdir; an
-// empty workdir uses a fresh temporary directory removed on Close. Two
-// engines must not share a workdir — their derived datasets would collide
-// on file names; give each its own directory (see NewTempIn).
+// empty workdir uses a fresh temporary directory removed on Close.
 func New(workdir string) (*Engine, error) {
-	e := &Engine{
-		workdir: workdir,
-		files:   make(map[string]string),
-		derived: make(map[string]bool),
-	}
+	e := &Engine{workdir: workdir, cat: engine.NewCatalog[string]("jqsim")}
 	if workdir == "" {
 		dir, err := os.MkdirTemp("", "jqsim-*")
 		if err != nil {
@@ -69,7 +65,7 @@ func New(workdir string) (*Engine, error) {
 
 // NewTempIn returns an engine whose workdir is a fresh subdirectory of
 // parent, removed on Close — the per-session isolation the harness uses so
-// consecutive or concurrent sessions cannot collide on store-file names.
+// that no session sees another's store files.
 func NewTempIn(parent string) (*Engine, error) {
 	dir, err := os.MkdirTemp(parent, "jqsim-*")
 	if err != nil {
@@ -97,9 +93,9 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 		engine.ObserveImport(ctx, e.Name(), name, engine.ImportStats{}, err)
 		return engine.ImportStats{}, err
 	}
-	e.mu.Lock()
-	e.files[name] = path
-	e.mu.Unlock()
+	if dropped, ok := e.cat.Import(name, path); ok {
+		_ = e.remove(dropped) // a file left behind costs disk space, not results
+	}
 	stats := engine.ImportStats{Bytes: info.Size(), StoredBytes: info.Size(), Duration: time.Since(start)}
 	engine.ObserveImport(ctx, e.Name(), name, stats, nil)
 	return stats, nil
@@ -113,15 +109,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	start := time.Now()
 	defer func() { engine.ObserveExec(ctx, e.Name(), q, stats, err) }()
-	e.mu.Lock()
-	path, ok := e.files[q.Base]
-	e.mu.Unlock()
-	if !ok {
-		return engine.ExecStats{}, engine.UnknownDataset("jqsim", q.Base)
-	}
-	f, err := os.Open(path)
+	f, err := e.open(q.Base)
 	if err != nil {
-		return engine.ExecStats{}, fmt.Errorf("jqsim: %w", err)
+		return engine.ExecStats{}, err
 	}
 	defer f.Close()
 
@@ -132,11 +122,11 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	var storeFile *os.File
 	var storeWriter *bufio.Writer
 	if q.Store != "" {
-		// The store is written under a temporary name and published (renamed,
-		// registered) only once it is complete: a query that fails half-way
-		// leaves no dataset behind, and a later query on its name gets
+		// The store is written to a file of its own and published only once
+		// it is complete: a query that fails half-way leaves no dataset
+		// behind, and a later query on its name gets
 		// engine.ErrUnknownDataset rather than a readable prefix.
-		storeFile, err = os.CreateTemp(e.workdir, q.Store+".*.tmp")
+		storeFile, err = os.CreateTemp(e.workdir, "store-*.json")
 		if err != nil {
 			return stats, fmt.Errorf("jqsim: creating store file: %w", err)
 		}
@@ -167,7 +157,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		if derr := dec.Decode(&doc); derr == io.EOF {
 			return false, nil
 		} else if derr != nil {
-			return false, fmt.Errorf("jqsim: parsing %s: %w", path, derr)
+			return false, fmt.Errorf("jqsim: parsing %s: %w", f.Name(), derr)
 		}
 		stats.Scanned++
 		ok, merr := match(doc)
@@ -240,14 +230,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		if err := storeFile.Close(); err != nil {
 			return stats, fmt.Errorf("jqsim: writing store file: %w", err)
 		}
-		storePath := filepath.Join(e.workdir, q.Store+".json")
-		if err := os.Rename(storeFile.Name(), storePath); err != nil {
-			return stats, fmt.Errorf("jqsim: publishing store file: %w", err)
+		if replaced, ok := e.cat.Store(q.Store, storeFile.Name()); ok {
+			_ = e.remove(replaced) // a file left behind costs disk space, not results
 		}
-		e.mu.Lock()
-		e.files[q.Store] = storePath
-		e.derived[q.Store] = true
-		e.mu.Unlock()
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
@@ -377,25 +362,41 @@ func fromValue(v jsonval.Value) any {
 	}
 }
 
-// Reset implements engine.Engine: derived files are removed.
-func (e *Engine) Reset() error {
+// open opens the file a query on name reads.
+func (e *Engine) open(name string) (*os.File, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for name := range e.derived {
-		os.Remove(e.files[name])
-		delete(e.files, name)
+	path, err := e.cat.Get(name)
+	if err != nil {
+		return nil, err
 	}
-	e.derived = make(map[string]bool)
-	return nil
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("jqsim: %w", err)
+	}
+	return f, nil
+}
+
+// remove deletes store files the catalog dropped, once no Execute is
+// between resolving one of them and opening it.
+func (e *Engine) remove(paths ...string) (err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, p := range paths {
+		err = errors.Join(err, os.Remove(p))
+	}
+	return err
+}
+
+// Reset implements engine.Engine: derived files are removed.
+func (e *Engine) Reset() error {
+	return e.remove(e.cat.Reset()...)
 }
 
 // Close implements engine.Engine. An owned workdir (New("") or NewTempIn)
 // is removed entirely.
 func (e *Engine) Close() error {
 	err := e.Reset()
-	e.mu.Lock()
-	e.files = nil
-	e.mu.Unlock()
 	if e.ownsDir {
 		if rmErr := os.RemoveAll(e.workdir); err == nil {
 			err = rmErr

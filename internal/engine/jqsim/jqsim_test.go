@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -115,51 +114,41 @@ func TestConcurrentExecute(t *testing.T) {
 	})
 }
 
-// failAfter is a sink whose writes start failing.
-type failAfter struct{ writes int }
-
-var errSink = errors.New("sink failed")
-
-func (s *failAfter) Write(p []byte) (int, error) {
-	if s.writes--; s.writes < 0 {
-		return 0, errSink
+// TestStoresLeaveForeignFilesAlone: a file in the workdir that the engine
+// did not write — here an imported source named like a store file — is
+// never written over by a store of any name, nor deleted by a re-store,
+// Reset or Close.
+func TestStoresLeaveForeignFilesAlone(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "ds.json")
+	var raw []byte
+	for _, d := range datasets.NewNoBench().Generate(50, 4) {
+		raw = append(jsonval.AppendJSON(raw, d), '\n')
 	}
-	return len(p), nil
-}
-
-// TestFailedStorePublishesNothing: a store query that fails half-way (sink
-// error, cancellation) must not leave its name registered over a partial
-// file — a follow-up on it is an unknown dataset, as on the other engines,
-// not a scan of a prefix — and must not damage the dataset an earlier,
-// successful query stored under the same name.
-func TestFailedStorePublishesNothing(t *testing.T) {
-	e := engineOn(t, "Twitter", datasets.NewTwitter().Generate(200, 5)...)
-	store := &query.Query{Base: "Twitter", Store: "named"}
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	for name, run := range map[string]func() error{
-		"sink error": func() error { _, err := e.Execute(ctx, store, &failAfter{writes: 50}); return err },
-		"cancelled":  func() error { _, err := e.Execute(cancelled, store, io.Discard); return err },
-	} {
-		if err := run(); err == nil {
-			t.Fatalf("%s: the store query succeeded", name)
-		}
-		if stats, err := e.Execute(ctx, &query.Query{Base: "named"}, io.Discard); !errors.Is(err, engine.ErrUnknownDataset) {
-			t.Errorf("%s: follow-up on the failed store: %+v, %v; want ErrUnknownDataset", name, stats, err)
-		}
-		if left, _ := filepath.Glob(filepath.Join(e.workdir, "named*")); len(left) != 0 {
-			t.Errorf("%s: the failed store left %v behind", name, left)
-		}
-	}
-
-	if _, err := e.Execute(ctx, store, io.Discard); err != nil {
+	if err := os.WriteFile(src, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(ctx, store, &failAfter{writes: 50}); err == nil {
-		t.Fatal("the second store query succeeded")
+	e, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats, err := e.Execute(ctx, &query.Query{Base: "named"}, io.Discard); err != nil || stats.Scanned != 200 {
-		t.Errorf("after a failed re-store the dataset reads %+v, %v; want the 200 documents stored first", stats, err)
+	if _, err := e.ImportFile(ctx, "ds", src); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := e.Execute(ctx, &query.Query{Base: "ds", Filter: query.Exists{Path: "/nope"}, Store: "ds"}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := e.Execute(ctx, &query.Query{Base: "ds"}, io.Discard); err != nil || stats.Scanned != 50 {
+		t.Errorf("after Reset the import reads %+v, %v; want its 50 documents", stats, err)
+	}
+	e.Close()
+	if got, err := os.ReadFile(src); err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("source file: %d of %d bytes, %v", len(got), len(raw), err)
 	}
 }
 
@@ -220,7 +209,11 @@ func TestOutputIsMarshalPlusNewline(t *testing.T) {
 	if stats.OutputBytes != int64(len(want)) || stats.Returned != int64(bytes.Count(want, []byte("\n"))) {
 		t.Errorf("stats %+v for %d bytes in %d documents", stats, len(want), bytes.Count(want, []byte("\n")))
 	}
-	if stored, err := os.ReadFile(filepath.Join(dir, "named.json")); err != nil || !bytes.Equal(stored, want) {
+	storePath, err := e.cat.Get("named")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, err := os.ReadFile(storePath); err != nil || !bytes.Equal(stored, want) {
 		t.Errorf("store file: %d bytes, %v; want the %d printed", len(stored), err, len(want))
 	}
 
@@ -237,4 +230,16 @@ func TestOutputIsMarshalPlusNewline(t *testing.T) {
 	if fromBase.Len() == 0 || !bytes.Equal(fromBase.Bytes(), fromStored.Bytes()) {
 		t.Errorf("aggregating the filtered stream gives %q, aggregating the stored copy %q", fromBase.Bytes(), fromStored.Bytes())
 	}
+}
+
+// TestConformance runs the engine contract with the store files in dir,
+// which Reset must leave empty.
+func TestConformance(t *testing.T) {
+	simtest.Conformance(t, func(t *testing.T, dir string) engine.Engine {
+		e, err := New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	})
 }

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"github.com/joda-explore/betze/internal/bsonlite"
@@ -49,10 +48,7 @@ type Options struct {
 // Engine implements engine.Engine.
 type Engine struct {
 	opts Options
-
-	mu          sync.Mutex
-	collections map[string]*collection
-	derivedKeys map[string]bool
+	cat  *engine.Catalog[*collection]
 }
 
 // collection stores BSON documents in compressed blocks.
@@ -77,11 +73,7 @@ func New(opts Options) *Engine {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
 	}
-	return &Engine{
-		opts:        opts,
-		collections: make(map[string]*collection),
-		derivedKeys: make(map[string]bool),
-	}
+	return &Engine{opts: opts, cat: engine.NewCatalog[*collection]("mongosim")}
 }
 
 // Name implements engine.Engine.
@@ -148,9 +140,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 		return engine.ImportStats{}, err
 	}
 	w.seal()
-	e.mu.Lock()
-	e.collections[name] = coll
-	e.mu.Unlock()
+	e.cat.Import(name, coll)
 	var stored int64
 	for _, b := range coll.blocks {
 		stored += int64(len(b.data))
@@ -168,9 +158,7 @@ func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
 		w.add(d, nil)
 	}
 	w.seal()
-	e.mu.Lock()
-	e.collections[name] = coll
-	e.mu.Unlock()
+	e.cat.Import(name, coll)
 }
 
 // open restores a block's BSON byte stream, decompressing per access as
@@ -197,11 +185,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	start := time.Now()
 	defer func() { engine.ObserveExec(ctx, e.Name(), q, stats, err) }()
-	e.mu.Lock()
-	coll, ok := e.collections[q.Base]
-	e.mu.Unlock()
-	if !ok {
-		return engine.ExecStats{}, engine.UnknownDataset("mongosim", q.Base)
+	coll, err := e.cat.Get(q.Base)
+	if err != nil {
+		return engine.ExecStats{}, err
 	}
 
 	var agg *query.Aggregator
@@ -229,7 +215,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		aggSteps, groupSteps = q.Agg.Path.Steps(), q.Agg.GroupBy.Steps()
 	}
 	// scratch and outBuf belong to this call: concurrent Executes on one
-	// engine share nothing mutable but the collection map.
+	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
 	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks), compiled,
 		func(i int) (query.Zone, int) { return coll.blocks[i].zone, coll.blocks[i].docCount },
@@ -291,10 +277,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	if storeWriter != nil {
 		storeWriter.seal()
-		e.mu.Lock()
-		e.collections[q.Store] = storeColl
-		e.derivedKeys[q.Store] = true
-		e.mu.Unlock()
+		e.cat.Store(q.Store, storeColl)
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
@@ -396,20 +379,9 @@ func docLength(raw []byte) (int, error) {
 
 // Reset implements engine.Engine.
 func (e *Engine) Reset() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for name := range e.derivedKeys {
-		delete(e.collections, name)
-	}
-	e.derivedKeys = make(map[string]bool)
+	e.cat.Reset()
 	return nil
 }
 
 // Close implements engine.Engine.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.collections = nil
-	e.derivedKeys = nil
-	return nil
-}
+func (e *Engine) Close() error { return e.Reset() }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/joda-explore/betze/internal/bsonlite"
 	"github.com/joda-explore/betze/internal/datasets"
+	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/engine/simtest"
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/query"
@@ -71,10 +72,19 @@ func nobenchEngine(opts Options, n int) *Engine {
 	return e
 }
 
+func mustGet(t *testing.T, e *Engine, name string) *collection {
+	t.Helper()
+	coll, err := e.cat.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coll
+}
+
 // Once the per-Execute scratch has grown to the largest block, opening a
 // block costs no allocation (the gate allows one, amortised).
 func TestBlockOpenReusesScratch(t *testing.T) {
-	blocks := nobenchEngine(Options{BlockSize: 8 << 10}, 2000).collections["NoBench"].blocks
+	blocks := mustGet(t, nobenchEngine(Options{BlockSize: 8 << 10}, 2000), "NoBench").blocks
 	if len(blocks) < 20 {
 		t.Fatalf("only %d blocks", len(blocks))
 	}
@@ -133,7 +143,7 @@ func TestStoreKeepsEncodedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got, want []byte
-	for _, b := range e.collections["copy"].blocks {
+	for _, b := range mustGet(t, e, "copy").blocks {
 		got = append(got, b.data...)
 	}
 	for _, d := range docs {
@@ -146,4 +156,8 @@ func TestStoreKeepsEncodedBytes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("stored %d bytes differ from the %d re-encoding produces", len(got), len(want))
 	}
+}
+
+func TestConformance(t *testing.T) {
+	simtest.Conformance(t, func(*testing.T, string) engine.Engine { return New(Options{BlockSize: 4 << 10}) })
 }

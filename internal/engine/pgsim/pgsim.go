@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/joda-explore/betze/internal/engine"
@@ -52,10 +51,7 @@ type Options struct {
 // Engine implements engine.Engine.
 type Engine struct {
 	opts Options
-
-	mu      sync.Mutex
-	tables  map[string]*table
-	derived map[string]bool
+	cat  *engine.Catalog[*table]
 }
 
 type table struct {
@@ -114,11 +110,7 @@ func New(opts Options) *Engine {
 	if opts.ToastThreshold <= 0 {
 		opts.ToastThreshold = DefaultToastThreshold
 	}
-	return &Engine{
-		opts:    opts,
-		tables:  make(map[string]*table),
-		derived: make(map[string]bool),
-	}
+	return &Engine{opts: opts, cat: engine.NewCatalog[*table]("pgsim")}
 }
 
 // Name implements engine.Engine.
@@ -230,9 +222,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (stats engin
 		docs++
 	}
 	tbl := tb.finish()
-	e.mu.Lock()
-	e.tables[name] = tbl
-	e.mu.Unlock()
+	e.cat.Import(name, tbl)
 	var stored int64
 	for _, r := range tbl.rows {
 		stored += int64(len(r.data))
@@ -297,9 +287,7 @@ func (e *Engine) ImportValues(name string, docs []jsonval.Value) error {
 		}
 		tb.add(d, r)
 	}
-	e.mu.Lock()
-	e.tables[name] = tb.finish()
-	e.mu.Unlock()
+	e.cat.Import(name, tb.finish())
 	return nil
 }
 
@@ -312,11 +300,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	start := time.Now()
 	defer func() { engine.ObserveExec(ctx, e.Name(), q, stats, err) }()
-	e.mu.Lock()
-	tbl, ok := e.tables[q.Base]
-	e.mu.Unlock()
-	if !ok {
-		return engine.ExecStats{}, engine.UnknownDataset("pgsim", q.Base)
+	tbl, err := e.cat.Get(q.Base)
+	if err != nil {
+		return engine.ExecStats{}, err
 	}
 
 	var agg *query.Aggregator
@@ -335,7 +321,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		storeTB = newTableBuilder()
 	}
 	// scratch and outBuf belong to this call: concurrent Executes on one
-	// engine share nothing mutable but the table map.
+	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
 	match := e.matcher(compiled, &scratch)
 	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards), compiled,
@@ -387,10 +373,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		}
 	}
 	if storeTB != nil {
-		e.mu.Lock()
-		e.tables[q.Store] = storeTB.finish()
-		e.derived[q.Store] = true
-		e.mu.Unlock()
+		e.cat.Store(q.Store, storeTB.finish())
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
@@ -416,20 +399,9 @@ func (e *Engine) emit(q *query.Query, doc jsonval.Value, r row, storeTB *tableBu
 
 // Reset implements engine.Engine.
 func (e *Engine) Reset() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for name := range e.derived {
-		delete(e.tables, name)
-	}
-	e.derived = make(map[string]bool)
+	e.cat.Reset()
 	return nil
 }
 
 // Close implements engine.Engine.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.tables = nil
-	e.derived = nil
-	return nil
-}
+func (e *Engine) Close() error { return e.Reset() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/joda-explore/betze/internal/datasets"
+	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/engine/simtest"
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/query"
@@ -93,7 +94,11 @@ func twitterEngine(t testing.TB, opts Options, n int) *Engine {
 // Once the per-Execute scratch has grown to the largest row, a detoast
 // costs no allocation (the gate allows one, amortised).
 func TestRowOpenReusesScratch(t *testing.T) {
-	rows := twitterEngine(t, Options{}, 300).tables["Twitter"].rows
+	tbl, err := twitterEngine(t, Options{}, 300).cat.Get("Twitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tbl.rows
 	toasted := 0
 	var scratch []byte
 	openAll := func() {
@@ -158,4 +163,8 @@ func TestMatcherReportsCorruptRows(t *testing.T) {
 	if _, err := (row{data: []byte{0x07, 1}}).decode(&scratch); err == nil {
 		t.Errorf("corrupt row decoded")
 	}
+}
+
+func TestConformance(t *testing.T) {
+	simtest.Conformance(t, func(*testing.T, string) engine.Engine { return New(Options{}) })
 }

@@ -318,8 +318,8 @@ func pgSpec() engineSpec {
 
 func jqSpec() engineSpec {
 	return engineSpec{name: "jq", make: func(dir string) (engine.Engine, error) {
-		// A per-engine temp subdirectory, not the shared dir: store files
-		// from consecutive or concurrent sessions must not collide.
+		// A per-engine temp subdirectory, not the shared dir: Close
+		// removes it with every store file the session left.
 		return jqsim.NewTempIn(dir)
 	}}
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/obs"
@@ -85,37 +87,42 @@ func (*slowOnceEngine) Close() error { return nil }
 type amnesiacEngine struct {
 	forgetAt int
 	execs    int
-	base     map[string]bool
-	derived  map[string]bool
+	cat      *engine.Catalog[bool]
 }
 
 func newAmnesiac(forgetAt int) *amnesiacEngine {
-	return &amnesiacEngine{forgetAt: forgetAt, base: map[string]bool{}, derived: map[string]bool{}}
+	return &amnesiacEngine{forgetAt: forgetAt, cat: engine.NewCatalog[bool]("amnesiac")}
 }
 
 func (*amnesiacEngine) Name() string { return "amnesiac" }
 
 func (e *amnesiacEngine) ImportFile(ctx context.Context, name, path string) (engine.ImportStats, error) {
-	e.base[name] = true
+	e.cat.Import(name, true)
 	return engine.ImportStats{Docs: 1}, nil
 }
 
 func (e *amnesiacEngine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (engine.ExecStats, error) {
 	e.execs++
 	if e.execs == e.forgetAt {
-		e.derived = map[string]bool{}
+		e.cat.Reset()
 	}
-	if !e.base[q.Base] && !e.derived[q.Base] {
-		return engine.ExecStats{}, engine.UnknownDataset("amnesiac", q.Base)
+	if _, err := e.cat.Get(q.Base); err != nil {
+		return engine.ExecStats{}, err
 	}
 	if q.Store != "" {
-		e.derived[q.Store] = true
+		e.cat.Store(q.Store, true)
 	}
 	return engine.ExecStats{Duration: time.Millisecond}, nil
 }
 
+// has reports whether name resolves to a dataset.
+func (e *amnesiacEngine) has(name string) bool {
+	_, err := e.cat.Get(name)
+	return err == nil
+}
+
 func (e *amnesiacEngine) Reset() error {
-	e.derived = map[string]bool{}
+	e.cat.Reset()
 	return nil
 }
 
@@ -193,8 +200,8 @@ func TestCrashRecoveryReplaysLineage(t *testing.T) {
 	if rs.Recovered == 0 {
 		t.Error("no recoveries recorded despite injected crashes")
 	}
-	if !inner.derived["d1"] || !inner.derived["d2"] {
-		t.Errorf("derived datasets not rebuilt: %v", inner.derived)
+	if !inner.has("d1") || !inner.has("d2") {
+		t.Error("derived datasets not rebuilt")
 	}
 	if got := reg.Counter("harness.recoveries").Value(); got == 0 {
 		t.Error("harness.recoveries counter not incremented")
@@ -211,6 +218,47 @@ func TestCrashRecoveryReplaysLineage(t *testing.T) {
 	}
 	if !sawRecovery {
 		t.Error("no recovery event on the trace")
+	}
+}
+
+// TestCrashRecoveryOnRealSims runs TestCrashRecoveryReplaysLineage's store
+// lineage on every sim over real data: with a crash on each query's first
+// attempt, every query must end as it does without faults.
+func TestCrashRecoveryOnRealSims(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nobench.json")
+	if err := datasets.NewNoBench().WriteFile(path, 800, 3); err != nil {
+		t.Fatal(err)
+	}
+	qs := []*query.Query{
+		{ID: "q1", Base: "base", Store: "d1", Filter: query.HasPrefix{Path: "/str1", Prefix: "G"}},
+		{ID: "q2", Base: "d1", Store: "d2", Filter: query.BoolEq{Path: "/bool", Value: true}},
+		{ID: "q3", Base: "d2"},
+	}
+	ctx := context.Background()
+	for _, spec := range systemSpecs(2) {
+		run := func(faults faultsim.Options) ([]Outcome, RunStats) {
+			inner, err := spec.make(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := faultsim.Wrap(inner, faults)
+			defer eng.Close()
+			if _, _, err := RunImport(ctx, eng, "base", path, DefaultRetryPolicy()); err != nil {
+				t.Fatal(err)
+			}
+			return RunQueries(ctx, eng, qs, DefaultRetryPolicy(), io.Discard, "t")
+		}
+		want, _ := run(faultsim.Options{})
+		got, rs := run(faultsim.Options{Seed: 5, CrashRate: 1, MaxFaultsPerOp: 1})
+		if rs.Completed != len(qs) || rs.Recovered == 0 {
+			t.Fatalf("%s: crashing session: %+v", spec.name, rs)
+		}
+		for i, w := range want {
+			g := got[i].Stats
+			if w.Err != nil || w.Stats.Matched == 0 || g.Matched != w.Stats.Matched || g.Returned != w.Stats.Returned || g.OutputBytes != w.Stats.OutputBytes {
+				t.Errorf("%s %s: crashing run %+v, fault-free run %+v (%v)", spec.name, qs[i].ID, g, w.Stats, w.Err)
+			}
+		}
 	}
 }
 
@@ -231,8 +279,8 @@ func TestSilentCrashDetectedViaLineage(t *testing.T) {
 	if rs.Completed != len(qs) || rs.Recovered != 1 {
 		t.Fatalf("silent crash not recovered: %+v", rs)
 	}
-	if !inner.derived["d1"] {
-		t.Errorf("derived dataset not rebuilt: %v", inner.derived)
+	if !inner.has("d1") {
+		t.Error("derived dataset not rebuilt")
 	}
 }
 
@@ -245,7 +293,7 @@ func TestUnknownBaseIsNotACrash(t *testing.T) {
 		{ID: "q3", Base: "ds"},
 	}
 	inner := newAmnesiac(0)
-	inner.base["ds"] = true
+	inner.cat.Import("ds", true)
 	outcomes, rs := RunQueries(context.Background(), inner, qs, DefaultRetryPolicy(), io.Discard, "t")
 	if rs.Completed != 2 || rs.Skipped != 1 || rs.Recovered != 0 || rs.Retries != 0 {
 		t.Fatalf("stats = %+v", rs)
