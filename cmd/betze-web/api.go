@@ -11,7 +11,6 @@ import (
 
 	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/obs"
-	"github.com/joda-explore/betze/internal/runlog"
 )
 
 // maxBodyBytes bounds every request body the service parses; oversized
@@ -181,11 +180,11 @@ func (s *server) handleCampaignArtifact(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleCampaignEvents is GET /api/campaigns/{id}/events: a Server-Sent
-// Events stream of the campaign's journal records, produced by tailing the
-// queue journal with a runlog Follower — replay first (records journaled
-// before the client connected), then live, closing after the terminal
-// record. Each SSE event is named by the record type and carries the raw
-// journal JSON.
+// Events stream of the campaign's journal records, read from the queue —
+// history first (everything already journaled, including what a reopened
+// queue replayed), then each record as it becomes durable, closing after
+// the terminal record or when the queue closes. Each SSE event is named by
+// the record type and carries the raw journal JSON.
 func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	queue, err := s.campaignQueue()
@@ -210,56 +209,49 @@ func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	// The server's WriteTimeout would cut a long stream mid-campaign;
-	// instead, push the write deadline forward before every event so only
+	// instead, push the write deadline forward before every write so only
 	// a genuinely stuck client times out.
 	rc := http.NewResponseController(w)
-	write := func(event string, data []byte) error {
+	write := func(format string, args ...any) error {
 		//lint:ignore determinism SSE write deadline is transport plumbing, never part of benchmark output
 		rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
+		if _, err := fmt.Fprintf(w, format, args...); err != nil {
 			return err
 		}
 		fl.Flush()
 		return nil
 	}
 
-	follower := runlog.NewFollower(s.queueDir())
-	defer follower.Close()
-	ticker := time.NewTicker(50 * time.Millisecond)
-	defer ticker.Stop()
 	heartbeat := time.NewTicker(15 * time.Second)
 	defer heartbeat.Stop()
-	for {
-		recs, err := follower.Poll()
+	for next := 0; ; {
+		recs, changed, err := queue.Events(id, next)
+		if err != nil {
+			return
+		}
 		for _, rec := range recs {
-			typ, job, derr := jobqueue.DecodeRecord(rec)
-			if derr != nil || job != id {
-				continue
+			var head struct {
+				Type string `json:"type"`
 			}
-			if werr := write(typ, rec); werr != nil {
-				return
-			}
-			switch typ {
-			case jobqueue.RecDone, jobqueue.RecFailed, jobqueue.RecCancelled:
+			if json.Unmarshal(rec, &head) != nil || write("event: %s\ndata: %s\n\n", head.Type, rec) != nil {
 				return
 			}
 		}
-		if err != nil {
-			// Journal sealed (server shutting down) or unreadable: end
-			// the stream; the client reconnects and replays.
+		next += len(recs)
+		if changed == nil {
+			// The campaign is terminal or the queue closed (server
+			// draining): end the stream; a client reconnecting to the
+			// restarted server gets the whole history again.
 			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-heartbeat.C:
-			//lint:ignore determinism SSE keepalive deadline is transport plumbing, never part of benchmark output
-			rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			if _, werr := fmt.Fprint(w, ": keepalive\n\n"); werr != nil {
+			if write(": keepalive\n\n") != nil {
 				return
 			}
-			fl.Flush()
-		case <-ticker.C:
+		case <-changed:
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/joda-explore/betze/internal/jobqueue"
+	"github.com/joda-explore/betze/internal/runlog"
 )
 
 // TestMain doubles as the child process of the crash-resume integration
@@ -198,7 +199,7 @@ func waitChildCampaignDone(t *testing.T, c *webChild, id string) {
 // campaign on a second server SIGKILLed mid-campaign, restart over the same
 // data directory, and require the recovered server to finish the campaign
 // and publish a byte-identical artifact. Finally, SIGTERM the survivor and
-// require a sealed journal (graceful drain).
+// require a clean journal (graceful drain).
 func TestServeCrashResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs one campaign three times across subprocesses")
@@ -258,8 +259,8 @@ func TestServeCrashResume(t *testing.T) {
 			len(crashArtifact), len(baseArtifact))
 	}
 
-	// Graceful drain: SIGTERM, clean exit, sealed journal (no active
-	// segment left behind).
+	// Graceful drain: SIGTERM, clean exit, and a journal that recovers
+	// whole, ending the campaign on done.
 	if err := revived.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,15 @@ func TestServeCrashResume(t *testing.T) {
 		revived.cmd.Process.Kill()
 		t.Fatalf("graceful drain hung:\n%s", revived.out)
 	}
-	if _, err := os.Stat(filepath.Join(crashDir, "queue", "current.wal")); !os.IsNotExist(err) {
-		t.Errorf("journal not sealed after graceful drain: %v", err)
+	rec, err := runlog.Recover(filepath.Join(crashDir, "queue"))
+	if err != nil {
+		t.Fatalf("journal after graceful drain: %v", err)
+	}
+	if rec.Truncated {
+		t.Errorf("journal truncated after graceful drain: %v", rec.Reason)
+	}
+	if records := journalOf(t, crashDir, id); len(records) == 0 ||
+		!strings.HasPrefix(records[len(records)-1], `{"type":"done"`) {
+		t.Errorf("campaign's last journal record is not done: %v", records)
 	}
 }

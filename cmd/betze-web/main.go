@@ -18,7 +18,7 @@
 // artifacts. Admission control (bounded queue, per-tenant token buckets)
 // sheds overload with 429/503 plus Retry-After instead of queueing without
 // bound, and SIGTERM drains gracefully: stop claiming, checkpoint and
-// release running campaigns, seal the journal.
+// release running campaigns, end open event streams, close the journal.
 package main
 
 import (
@@ -109,7 +109,8 @@ func run(args []string, out io.Writer) error {
 	}
 	// Graceful drain: admission control sheds new campaigns, in-flight
 	// executors are cancelled and their campaigns released back to the
-	// journal with checkpoints, then the journal is sealed.
+	// journal with checkpoints, then the queue closes: every open event
+	// stream ends, so Shutdown below is not held up by SSE clients.
 	log.Println("betze-web: draining")
 	srv.drain()
 	sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

@@ -73,7 +73,7 @@ type storedSession struct {
 	scripts map[string]string // language short name -> script
 }
 
-// queueDir is the campaign journal directory; the SSE followers tail it.
+// queueDir is the campaign journal directory.
 func (s *server) queueDir() string { return filepath.Join(s.cfg.dataDir, "queue") }
 
 // artifactPath is where a completed campaign's result document lives.
@@ -156,8 +156,9 @@ func (s *server) start(ctx context.Context) {
 
 // drain performs the graceful-shutdown sequence: shed new submissions,
 // interrupt and release in-flight campaigns (checkpoints make the release
-// cheap), wait for the workers, seal the journal. Safe to call while the
-// queue is still recovering (nothing to drain then).
+// cheap), wait for the workers, close the queue (which ends every open
+// event stream) and its journal. Safe to call while the queue is still
+// recovering (nothing to drain then).
 func (s *server) drain() {
 	s.queueMu.RLock()
 	q := s.queue

@@ -201,7 +201,7 @@ func (m *model) step(op errfs.TraceOp) {
 		n.durable = append([]byte(nil), n.volatile...)
 		n.pending = nil
 	case errfs.OpRename:
-		// The stack only renames within one directory (seal, publish), so
+		// The stack only renames within one directory (fsatomic publish), so
 		// the entry change is ordered in the destination directory's queue.
 		delete(m.volNS, op.Path)
 		m.volNS[op.Path2] = op.Node

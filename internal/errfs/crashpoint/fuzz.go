@@ -66,8 +66,8 @@ type ackMark struct {
 	count  int // records acked (runlog workload)
 }
 
-// FuzzRunlog drives a scripted runlog writer — appends, fsync acks,
-// rotations, a close/reopen, a seal — over a recording filesystem, then
+// FuzzRunlog drives a scripted runlog writer — appends, fsync acks, a
+// close/reopen, a final close — over a recording filesystem, then
 // re-runs Recover at every crash point and checks the write-ahead-log
 // contract: recovered records are a prefix of the appended ones, and no
 // record acked (AppendSync'd) before the crash is lost. maxPoints bounds
@@ -76,7 +76,7 @@ func FuzzRunlog(seed int64, maxPoints int) Report {
 	rep := Report{Workload: "runlog"}
 	fs := errfs.NewMem()
 	const dir = "journal"
-	opts := runlog.Options{FS: fs, SegmentBytes: 128}
+	opts := runlog.Options{FS: fs}
 
 	var appended [][]byte
 	var acks []ackMark
@@ -124,8 +124,8 @@ func FuzzRunlog(seed int64, maxPoints int) Report {
 		}
 		ack()
 	}
-	if err := w.Seal(); err != nil {
-		rep.violate(Point{}, "workload", "seal: %v", err)
+	if err := w.Close(); err != nil {
+		rep.violate(Point{}, "workload", "close: %v", err)
 		return rep
 	}
 	ack()
@@ -267,7 +267,7 @@ func FuzzJobqueue(seed int64, maxPoints int) Report {
 	const dir = "queue"
 	t0 := time.Unix(1700000000, 0)
 	mkOpts := func(fsys errfs.FS) jobqueue.Options {
-		return jobqueue.Options{FS: fsys, Now: func() time.Time { return t0 }, SegmentBytes: 512}
+		return jobqueue.Options{FS: fsys, Now: func() time.Time { return t0 }}
 	}
 
 	q, err := jobqueue.Open(dir, mkOpts(fs))

@@ -31,14 +31,12 @@ import (
 // File is the subset of *os.File the durability stack uses.
 type File interface {
 	io.Reader
-	io.ReaderAt
 	io.Writer
 	io.Closer
 	Seek(offset int64, whence int) (int64, error)
 	Sync() error
 	Truncate(size int64) error
 	Chmod(mode os.FileMode) error
-	Stat() (os.FileInfo, error)
 	Name() string
 }
 
@@ -47,10 +45,8 @@ type File interface {
 // sentinel errors (os.ErrNotExist, os.ErrExist) where the os package would.
 type FS interface {
 	// OpenFile opens a file with os.OpenFile semantics for the flags the
-	// stack uses (O_CREATE, O_WRONLY, O_RDWR, O_TRUNC).
+	// stack uses (O_RDONLY, O_CREATE, O_EXCL, O_WRONLY, O_RDWR, O_TRUNC).
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	// Open opens a file read-only.
-	Open(name string) (File, error)
 	// CreateTemp creates a uniquely-named temporary file in dir with
 	// os.CreateTemp pattern semantics.
 	CreateTemp(dir, pattern string) (File, error)
@@ -60,15 +56,8 @@ type FS interface {
 	Remove(name string) error
 	// MkdirAll creates a directory and any missing parents.
 	MkdirAll(path string, perm os.FileMode) error
-	// ReadDir lists a directory, sorted by name.
-	ReadDir(name string) ([]os.DirEntry, error)
 	// ReadFile reads a whole file.
 	ReadFile(name string) ([]byte, error)
-	// Stat describes a file by path.
-	Stat(name string) (os.FileInfo, error)
-	// SameFile reports whether two FileInfos describe the same file — the
-	// inode comparison runlog's Follower uses to detect a seal-under-read.
-	SameFile(a, b os.FileInfo) bool
 	// SyncDir fsyncs a directory, making creates/renames/removes inside it
 	// durable. Platforms refusing directory fsync degrade to best-effort.
 	SyncDir(dir string) error
@@ -85,8 +74,6 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 
-func (osFS) Open(name string) (File, error) { return os.Open(name) }
-
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return os.CreateTemp(dir, pattern)
 }
@@ -97,13 +84,7 @@ func (osFS) Remove(name string) error { return os.Remove(name) }
 
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
-func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
-
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-
-func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
-
-func (osFS) SameFile(a, b os.FileInfo) bool { return os.SameFile(a, b) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

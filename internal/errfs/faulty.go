@@ -187,15 +187,6 @@ func (f *Faulty) OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	return &faultFile{fs: f, inner: file, path: name}, nil
 }
 
-// Open implements FS.
-func (f *Faulty) Open(name string) (File, error) {
-	file, err := f.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fs: f, inner: file, path: name}, nil
-}
-
 // CreateTemp implements FS.
 func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	file, err := f.inner.CreateTemp(dir, pattern)
@@ -221,9 +212,6 @@ func (f *Faulty) MkdirAll(path string, perm os.FileMode) error {
 	return f.inner.MkdirAll(path, perm)
 }
 
-// ReadDir implements FS.
-func (f *Faulty) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.ReadDir(name) }
-
 // ReadFile implements FS.
 func (f *Faulty) ReadFile(name string) ([]byte, error) {
 	if f.decide("read", name) == FaultReadErr {
@@ -231,12 +219,6 @@ func (f *Faulty) ReadFile(name string) ([]byte, error) {
 	}
 	return f.inner.ReadFile(name)
 }
-
-// Stat implements FS.
-func (f *Faulty) Stat(name string) (os.FileInfo, error) { return f.inner.Stat(name) }
-
-// SameFile implements FS.
-func (f *Faulty) SameFile(a, b os.FileInfo) bool { return f.inner.SameFile(a, b) }
 
 // SyncDir implements FS.
 func (f *Faulty) SyncDir(dir string) error {
@@ -273,13 +255,6 @@ func (h *faultFile) Read(p []byte) (int, error) {
 	return h.inner.Read(p)
 }
 
-func (h *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if h.fs.decide("read", h.path) == FaultReadErr {
-		return 0, injected(FaultReadErr, &os.PathError{Op: "read", Path: h.path, Err: syscall.EIO})
-	}
-	return h.inner.ReadAt(p, off)
-}
-
 func (h *faultFile) Sync() error {
 	switch fault := h.fs.decide("sync", h.path); fault {
 	case FaultSyncFail:
@@ -296,6 +271,5 @@ func (h *faultFile) Seek(offset int64, whence int) (int64, error) {
 }
 func (h *faultFile) Truncate(size int64) error    { return h.inner.Truncate(size) }
 func (h *faultFile) Chmod(mode os.FileMode) error { return h.inner.Chmod(mode) }
-func (h *faultFile) Stat() (os.FileInfo, error)   { return h.inner.Stat() }
 func (h *faultFile) Name() string                 { return h.inner.Name() }
 func (h *faultFile) Close() error                 { return h.inner.Close() }

@@ -3,14 +3,11 @@ package errfs
 import (
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // TraceKind enumerates the mutating operations a Mem filesystem records.
@@ -143,6 +140,8 @@ func (m *Mem) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	switch {
 	case !ok && flag&os.O_CREATE == 0:
 		return nil, pathErr("open", name, os.ErrNotExist)
+	case ok && flag&os.O_CREATE != 0 && flag&os.O_EXCL != 0:
+		return nil, pathErr("open", name, os.ErrExist)
 	case !ok:
 		node = &memNode{id: m.nextID}
 		m.nextID++
@@ -154,11 +153,6 @@ func (m *Mem) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	}
 	writable := flag&(os.O_WRONLY|os.O_RDWR) != 0
 	return &memHandle{fs: m, node: node, name: p, writable: writable}, nil
-}
-
-// Open implements FS.
-func (m *Mem) Open(name string) (File, error) {
-	return m.OpenFile(name, os.O_RDONLY, 0)
 }
 
 // CreateTemp implements FS with os.CreateTemp's "*"-pattern semantics.
@@ -232,29 +226,6 @@ func (m *Mem) MkdirAll(dir string, perm os.FileMode) error {
 	return nil
 }
 
-// ReadDir implements FS.
-func (m *Mem) ReadDir(name string) ([]os.DirEntry, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := clean(name)
-	if !m.dirs[p] {
-		return nil, pathErr("readdir", name, os.ErrNotExist)
-	}
-	var out []os.DirEntry
-	for d := range m.dirs {
-		if d != p && path.Dir(d) == p {
-			out = append(out, memDirEntry{name: path.Base(d), dir: true})
-		}
-	}
-	for f, node := range m.files {
-		if path.Dir(f) == p {
-			out = append(out, memDirEntry{name: path.Base(f), size: int64(len(node.data)), id: node.id})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out, nil
-}
-
 // ReadFile implements FS.
 func (m *Mem) ReadFile(name string) ([]byte, error) {
 	m.mu.Lock()
@@ -264,27 +235,6 @@ func (m *Mem) ReadFile(name string) ([]byte, error) {
 		return nil, pathErr("open", name, os.ErrNotExist)
 	}
 	return append([]byte(nil), node.data...), nil
-}
-
-// Stat implements FS.
-func (m *Mem) Stat(name string) (os.FileInfo, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := clean(name)
-	if m.dirs[p] {
-		return memInfo{name: path.Base(p), dir: true, id: -1}, nil
-	}
-	if node, ok := m.files[p]; ok {
-		return memInfo{name: path.Base(p), size: int64(len(node.data)), id: node.id}, nil
-	}
-	return nil, pathErr("stat", name, os.ErrNotExist)
-}
-
-// SameFile implements FS by comparing node identity.
-func (m *Mem) SameFile(a, b os.FileInfo) bool {
-	ai, aok := a.(memInfo)
-	bi, bok := b.(memInfo)
-	return aok && bok && !ai.dir && !bi.dir && ai.id == bi.id
 }
 
 // SyncDir implements FS: a metadata barrier making the pending creates,
@@ -321,22 +271,6 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	}
 	n := copy(p, h.node.data[h.off:])
 	h.off += int64(n)
-	return n, nil
-}
-
-func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.closed {
-		return 0, pathErr("read", h.name, os.ErrClosed)
-	}
-	if off >= int64(len(h.node.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, h.node.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
 	return n, nil
 }
 
@@ -410,15 +344,6 @@ func (h *memHandle) Truncate(size int64) error {
 
 func (h *memHandle) Chmod(mode os.FileMode) error { return nil }
 
-func (h *memHandle) Stat() (os.FileInfo, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.closed {
-		return nil, pathErr("stat", h.name, os.ErrClosed)
-	}
-	return memInfo{name: path.Base(h.name), size: int64(len(h.node.data)), id: h.node.id}, nil
-}
-
 func (h *memHandle) Name() string { return h.name }
 
 func (h *memHandle) Close() error {
@@ -429,45 +354,4 @@ func (h *memHandle) Close() error {
 	}
 	h.closed = true
 	return nil
-}
-
-// memInfo is the FileInfo of Mem files and directories; id carries node
-// identity for SameFile.
-type memInfo struct {
-	name string
-	size int64
-	dir  bool
-	id   int
-}
-
-func (i memInfo) Name() string { return i.name }
-func (i memInfo) Size() int64  { return i.size }
-func (i memInfo) Mode() os.FileMode {
-	if i.dir {
-		return os.ModeDir | 0o755
-	}
-	return 0o644
-}
-func (i memInfo) ModTime() time.Time { return time.Time{} }
-func (i memInfo) IsDir() bool        { return i.dir }
-func (i memInfo) Sys() any           { return nil }
-
-// memDirEntry is one ReadDir entry.
-type memDirEntry struct {
-	name string
-	size int64
-	dir  bool
-	id   int
-}
-
-func (e memDirEntry) Name() string { return e.name }
-func (e memDirEntry) IsDir() bool  { return e.dir }
-func (e memDirEntry) Type() fs.FileMode {
-	if e.dir {
-		return fs.ModeDir
-	}
-	return 0
-}
-func (e memDirEntry) Info() (fs.FileInfo, error) {
-	return memInfo{name: e.name, size: e.size, dir: e.dir, id: e.id}, nil
 }

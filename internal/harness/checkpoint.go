@@ -216,7 +216,7 @@ func (j *RunJournal) Err() error {
 	return j.err
 }
 
-// Close seals the journal.
+// Close syncs and closes the journal.
 func (j *RunJournal) Close() error {
 	if j == nil {
 		return nil

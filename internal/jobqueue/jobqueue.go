@@ -15,9 +15,10 @@
 // HTTP layer maps the two rejection reasons onto 503 and 429. Job payloads
 // are opaque JSON; the queue never interprets them.
 //
-// The journal doubles as the progress feed: a runlog.Follower replaying it
-// sees the same records the queue appended, which is how betze-web streams
-// per-campaign events over SSE without a second event bus.
+// The journal doubles as the progress feed: the queue keeps each job's
+// records in memory once they are durable, and Events hands them out with a
+// channel that signals the next append, which is how betze-web streams
+// per-campaign events over SSE without a second event bus or a disk read.
 package jobqueue
 
 import (
@@ -108,8 +109,6 @@ type Options struct {
 	TenantRate float64
 	// TenantBurst is each bucket's capacity (default 8).
 	TenantBurst int
-	// SegmentBytes tunes journal segment rotation (runlog default).
-	SegmentBytes int64
 	// NoSync skips journal fsync (tests only).
 	NoSync bool
 	// FS is the filesystem the journal lives on. Defaults to the
@@ -146,8 +145,8 @@ func (o Options) withDefaults() Options {
 }
 
 // record is the JSON payload of one journal entry. Type is the transition
-// name; the record set is the queue's public event vocabulary (SSE streams
-// decode exactly these).
+// name; the record set is the queue's public event vocabulary (Events hands
+// out exactly these, as journaled).
 type record struct {
 	Type    string          `json:"type"`
 	Job     string          `json:"job,omitempty"`
@@ -169,17 +168,6 @@ const (
 	RecCancelled  = "cancelled"
 	RecReleased   = "released"
 )
-
-// DecodeRecord parses one journal payload into the queue's record shape —
-// the JSON the SSE layer re-emits. The boolean reports whether the payload
-// was a queue record at all.
-func DecodeRecord(payload []byte) (typ, job string, err error) {
-	var r record
-	if jerr := json.Unmarshal(payload, &r); jerr != nil || r.Type == "" {
-		return "", "", fmt.Errorf("%w: %q", ErrBadRecord, payload)
-	}
-	return r.Type, r.Job, nil
-}
 
 // job is the queue's internal job state.
 type job struct {
@@ -235,13 +223,18 @@ type Queue struct {
 	jobs    map[string]*job
 	order   []string // submission order, for List
 	pending []string // FIFO of queued job IDs
-	chk     map[string]map[string]json.RawMessage
+	// chk maps job and unit key to the job's latest checkpoint record for
+	// that key, sharing the bytes held in records.
+	chk map[string]map[string]json.RawMessage
+	// records holds each job's records as journaled; see Events.
+	records map[string][]json.RawMessage
 
 	// The remaining fields are volatile: runtime-only state rebuilt on every
 	// Open, never journaled, exempt from the journal-before-memory rule.
 	buckets  map[string]*bucket // volatile: token buckets refill from zero
 	nextID   int                // volatile: recomputed from replayed IDs
 	notify   chan struct{}      // volatile: wakes parked claimers
+	changed  chan struct{}      // volatile: closed and replaced after every append and on Close
 	draining bool               // volatile: admission gate, reset on restart
 	closed   bool               // volatile: lifecycle flag
 }
@@ -252,18 +245,22 @@ type Queue struct {
 // order) with their checkpoints, and jobs claimed MaxAttempts times are
 // failed as poison pills. Recovery tolerates a torn journal tail — the
 // record being appended when the process died is the only loss, and its
-// job simply re-runs from its last checkpoint.
+// job simply re-runs from its last checkpoint. A journal of the format that
+// predates the single journal file fails with runlog.ErrLegacyJournal
+// instead of being replayed in part or started over beside.
 func Open(dir string, opts Options) (*Queue, error) {
 	opts = opts.withDefaults()
 	q := &Queue{
 		opts:    opts,
 		jobs:    make(map[string]*job),
 		chk:     make(map[string]map[string]json.RawMessage),
+		records: make(map[string][]json.RawMessage),
 		buckets: make(map[string]*bucket),
 		nextID:  1,
 		notify:  make(chan struct{}, 1),
+		changed: make(chan struct{}),
 	}
-	rl := runlog.Options{SegmentBytes: opts.SegmentBytes, NoSync: opts.NoSync, FS: opts.FS}
+	rl := runlog.Options{NoSync: opts.NoSync, FS: opts.FS}
 	rec, err := runlog.RecoverFS(opts.FS, dir)
 	switch {
 	case errors.Is(err, runlog.ErrNoJournal):
@@ -327,6 +324,7 @@ func (q *Queue) replay(records [][]byte) error {
 		if err := json.Unmarshal(payload, &r); err != nil {
 			return fmt.Errorf("%w: record %d: %v", ErrBadRecord, i, err)
 		}
+		q.records[r.Job] = append(q.records[r.Job], payload)
 		if r.Type == RecSubmitted {
 			if r.Job == "" {
 				return fmt.Errorf("%w: record %d: submission without id", ErrBadRecord, i)
@@ -357,7 +355,7 @@ func (q *Queue) replay(records [][]byte) error {
 				m = make(map[string]json.RawMessage)
 				q.chk[j.id] = m
 			}
-			m[r.Key] = r.Data
+			m[r.Key] = payload
 		case RecDone:
 			j.state = StateDone
 		case RecFailed:
@@ -383,7 +381,9 @@ func idNumber(id string) int {
 	return n
 }
 
-// append journals one record durably. Callers hold q.mu.
+// append journals one record durably, then adds it to its job's records
+// and wakes Events waiters — never before the append is durable, so no
+// stream shows a record a crash could take back. Callers hold q.mu.
 func (q *Queue) append(r record) error {
 	payload, err := json.Marshal(r)
 	if err != nil {
@@ -392,7 +392,36 @@ func (q *Queue) append(r record) error {
 	if err := q.w.AppendSync(payload); err != nil {
 		return fmt.Errorf("jobqueue: journaling %s: %w", r.Type, err)
 	}
+	q.records[r.Job] = append(q.records[r.Job], payload)
+	q.announce()
 	return nil
+}
+
+// announce wakes every Events waiter. Callers hold q.mu.
+func (q *Queue) announce() {
+	close(q.changed)
+	q.changed = make(chan struct{})
+}
+
+// Events returns job id's records from index from on, each the record's
+// journal JSON, in journal order, together with a channel that is closed at
+// the queue's next append or at Close; the caller then asks again from the
+// index after the last record it got. A nil channel means no record will
+// follow: the job is terminal, or the queue is closed. Only durable records
+// are returned, and a reopened queue returns everything its journal holds.
+func (q *Queue) Events(id string, from int) ([]json.RawMessage, <-chan struct{}, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	j, ok := q.jobs[id]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+	}
+	recs := q.records[id]
+	recs = recs[min(max(from, 0), len(recs)):len(recs):len(recs)]
+	if j.state.Terminal() || q.closed {
+		return recs, nil, nil
+	}
+	return recs, q.changed, nil
 }
 
 // gauges refreshes the depth and in-flight gauges. Callers hold q.mu.
@@ -660,7 +689,8 @@ func (q *Queue) Checkpoint(id, key string, data json.RawMessage) error {
 		m = make(map[string]json.RawMessage)
 		q.chk[id] = m
 	}
-	m[key] = data
+	recs := q.records[id]
+	m[key] = recs[len(recs)-1]
 	q.opts.Obs.Counter(obs.MQueueCheckpoints).Inc()
 	return nil
 }
@@ -668,9 +698,13 @@ func (q *Queue) Checkpoint(id, key string, data json.RawMessage) error {
 // LoadCheckpoint returns the journaled checkpoint for (job, key), if any.
 func (q *Queue) LoadCheckpoint(id, key string) (json.RawMessage, bool) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	data, ok := q.chk[id][key]
-	return data, ok
+	payload, ok := q.chk[id][key]
+	q.mu.Unlock()
+	var r record
+	if !ok || json.Unmarshal(payload, &r) != nil {
+		return nil, false
+	}
+	return r.Data, true
 }
 
 // snapshotLocked copies a job's visible state. Callers hold q.mu.
@@ -728,7 +762,8 @@ func (q *Queue) Drain() {
 	}
 }
 
-// Close drains the queue and seals the journal. Safe to call after Drain.
+// Close drains the queue, ends every Events stream and closes the journal.
+// Safe to call after Drain.
 func (q *Queue) Close() error {
 	q.Drain()
 	q.mu.Lock()
@@ -737,8 +772,9 @@ func (q *Queue) Close() error {
 		return nil
 	}
 	q.closed = true
-	if err := q.w.Seal(); err != nil {
-		return fmt.Errorf("jobqueue: sealing journal: %w", err)
+	q.announce()
+	if err := q.w.Close(); err != nil {
+		return fmt.Errorf("jobqueue: closing journal: %w", err)
 	}
 	return nil
 }

@@ -5,17 +5,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/joda-explore/betze/internal/errfs"
 	"github.com/joda-explore/betze/internal/obs"
+	"github.com/joda-explore/betze/internal/runlog"
 )
 
 // testOpts returns fast, deterministic queue options for tests.
 func testOpts() Options {
-	return Options{NoSync: true, SegmentBytes: 512, TenantRate: 1e6, TenantBurst: 1 << 20}
+	return Options{NoSync: true, TenantRate: 1e6, TenantBurst: 1 << 20}
 }
 
 func mustOpen(t *testing.T, dir string, opts Options) *Queue {
@@ -443,4 +447,141 @@ func waitState(t *testing.T, q *Queue, id string, want State) {
 	}
 	got, _ := q.Get(id)
 	t.Fatalf("job %s stuck in %s, want %s", id, got.State, want)
+}
+
+// journalRecords returns the journal's records of job id, in order.
+func journalRecords(t *testing.T, fsys errfs.FS, dir, id string) []string {
+	t.Helper()
+	rec, err := runlog.RecoverFS(fsys, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, payload := range rec.Records {
+		var r record
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Job == id {
+			out = append(out, string(payload))
+		}
+	}
+	return out
+}
+
+func eventStrings(recs []json.RawMessage) []string {
+	var out []string
+	for _, r := range recs {
+		out = append(out, string(r))
+	}
+	return out
+}
+
+// TestEventsServeTheJournal: Events returns a job's journaled records, byte
+// for byte and in journal order, signals each append through its channel,
+// reports the end of the stream (nil channel) once the job is terminal or
+// the queue is closed, and a reopened queue serves the same history.
+func TestEventsServeTheJournal(t *testing.T) {
+	dir := t.TempDir() + "/queue"
+	q := mustOpen(t, dir, testOpts())
+	a, _ := q.Submit("t", nil)
+	b, _ := q.Submit("t", nil)
+
+	recs, changed, err := q.Events(a.ID, 0)
+	if err != nil || len(recs) != 1 || changed == nil {
+		t.Fatalf("Events after submit = %d records, channel %v, %v", len(recs), changed, err)
+	}
+	if _, err := q.Claim(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-changed:
+	default:
+		t.Fatal("an append did not signal the Events channel")
+	}
+	if recs, _, _ := q.Events(a.ID, 1); len(recs) != 1 || !strings.Contains(string(recs[0]), RecClaimed) {
+		t.Fatalf("Events from 1 = %s, want the claim", eventStrings(recs))
+	}
+	if err := q.Done(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	all, changed, _ := q.Events(a.ID, 0)
+	if changed != nil {
+		t.Fatal("a terminal job's stream did not end")
+	}
+	if recs, _, _ := q.Events(a.ID, 99); len(recs) != 0 {
+		t.Fatalf("Events past the end = %d records", len(recs))
+	}
+
+	_, bChanged, _ := q.Events(b.ID, 0)
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-bChanged:
+	default:
+		t.Fatal("Close did not signal the Events channel")
+	}
+	if recs, changed, _ := q.Events(b.ID, 0); changed != nil || len(recs) != 1 {
+		t.Fatalf("Events on a closed queue = %d records, channel %v", len(recs), changed)
+	}
+	want := journalRecords(t, errfs.OS(), dir, a.ID)
+	if got := eventStrings(all); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Events = %v\njournal = %v", got, want)
+	}
+
+	q2 := mustOpen(t, dir, testOpts())
+	defer q2.Close()
+	if recs, _, _ := q2.Events(a.ID, 0); fmt.Sprint(eventStrings(recs)) != fmt.Sprint(want) {
+		t.Fatalf("reopened Events = %v, want %v", eventStrings(recs), want)
+	}
+	if _, _, err := q2.Events("c999999", 0); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("unknown job: %v", err)
+	}
+}
+
+// TestEventsOnlyDurableRecords: a record whose fsync failed never reaches
+// Events, so no stream shows a transition a crash could take back.
+func TestEventsOnlyDurableRecords(t *testing.T) {
+	// Faultable ops: Open's read of the missing journal (0), Create's
+	// syncdir (1), the submission's two writes and fsync (2-4), the claim's
+	// two writes and fsync (5-7).
+	faulty := errfs.NewFaulty(errfs.NewMem(), errfs.Plan{7: errfs.FaultSyncFail})
+	opts := testOpts()
+	opts.NoSync = false
+	opts.FS = faulty
+	q := mustOpen(t, "queue", opts)
+	a, err := q.Submit("t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Claim(t.Context()); !errors.Is(err, runlog.ErrWriterFailed) {
+		t.Fatalf("claim over a failed fsync = %v, want ErrWriterFailed", err)
+	}
+	if recs, _, _ := q.Events(a.ID, 0); len(recs) != 1 || !strings.Contains(string(recs[0]), RecSubmitted) {
+		t.Fatalf("Events = %s, want only the durable submission", eventStrings(recs))
+	}
+}
+
+// TestOpenRefusesLegacyJournal: a queue directory holding a sealed segment
+// of the pre-single-file journal fails Open with runlog.ErrLegacyJournal
+// and no fresh journal is started beside it.
+func TestOpenRefusesLegacyJournal(t *testing.T) {
+	mem := errfs.NewMem()
+	if err := mem.MkdirAll("queue", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := mem.OpenFile("queue/000001.wal", os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	opts := testOpts()
+	opts.FS = mem
+	if _, err := Open("queue", opts); !errors.Is(err, runlog.ErrLegacyJournal) {
+		t.Fatalf("Open over a legacy journal = %v, want ErrLegacyJournal", err)
+	}
+	if _, err := mem.ReadFile("queue/current.wal"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Open started a journal beside the legacy one: %v", err)
+	}
 }

@@ -3,8 +3,6 @@ package runlog
 import (
 	"bytes"
 	"errors"
-	"io"
-	"os"
 	"syscall"
 	"testing"
 
@@ -86,13 +84,10 @@ func TestSyncFailurePoisonsWriter(t *testing.T) {
 	}
 }
 
-// TestFollowerReadErrorClassification is the regression test for the EIO
-// misclassification bug: a failed ReadAt with partial data used to fall
-// through to the record parser, whose verdict on the cut-short buffer was
-// the PERMANENT ErrTorn sentinel — on a sealed segment that wedges the
-// follower forever over a retryable I/O error. The read failure must
-// surface as a plain I/O error and the next Poll must succeed.
-func TestFollowerReadErrorClassification(t *testing.T) {
+// TestRecoverReadErrorIsIOError: a failed read of the journal is an I/O
+// error, never a torn or corrupt recovery — reporting it as truncation
+// would drop every record of a journal that is merely unreadable for now.
+func TestRecoverReadErrorIsIOError(t *testing.T) {
 	mem := errfs.NewMem()
 	w, err := Create("j", Options{FS: mem})
 	if err != nil {
@@ -101,69 +96,16 @@ func TestFollowerReadErrorClassification(t *testing.T) {
 	if err := w.AppendSync([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendSync([]byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	// First read attempt on the sealed segment fails with EIO.
+	w.Close()
 	faulty := errfs.NewFaulty(mem, errfs.Plan{0: errfs.FaultReadErr})
-	f := NewFollowerFS(faulty, "j")
-	defer f.Close()
-	_, err = f.Poll()
-	if err == nil {
-		t.Fatal("want an I/O error from the faulted read")
+	rec, err := RecoverFS(faulty, "j")
+	if !errors.Is(err, syscall.EIO) || rec != nil {
+		t.Fatalf("faulted read = %+v, %v; want an EIO error", rec, err)
 	}
 	if errors.Is(err, ErrTorn) || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTooLarge) {
-		t.Fatalf("retryable I/O error misclassified as permanent corruption: %v", err)
+		t.Fatalf("I/O error classified as journal damage: %v", err)
 	}
-	if !errors.Is(err, syscall.EIO) {
-		t.Fatalf("injected EIO not preserved: %v", err)
-	}
-	// The fault was transient: the retry drains the whole journal.
-	recs, err := f.Poll()
-	if err != nil {
-		t.Fatalf("retry after transient EIO failed: %v", err)
-	}
-	if len(recs) != 2 || !bytes.Equal(recs[0], []byte("one")) || !bytes.Equal(recs[1], []byte("two")) {
-		t.Fatalf("retry returned %q", recs)
-	}
-}
-
-// TestFollowerTornActiveStillWaits: the read-error fix must not change the
-// wait classification — a torn tail on the live active segment is an append
-// in flight, not an error.
-func TestFollowerTornActiveStillWaits(t *testing.T) {
-	mem := errfs.NewMem()
-	w, err := Create("j", Options{FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendSync([]byte("whole")); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate an append in flight: write a partial header directly.
-	f, err := mem.OpenFile("j/current.wal", os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xff, 0xff, 0xff}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	fl := NewFollowerFS(mem, "j")
-	defer fl.Close()
-	recs, err := fl.Poll()
-	if err != nil {
-		t.Fatalf("torn active tail must be a wait, got error %v", err)
-	}
-	if len(recs) != 1 || !bytes.Equal(recs[0], []byte("whole")) {
-		t.Fatalf("got %q", recs)
+	if rec, err := RecoverFS(faulty, "j"); err != nil || len(rec.Records) != 1 {
+		t.Fatalf("retry after the transient fault = %+v, %v", rec, err)
 	}
 }

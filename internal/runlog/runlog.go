@@ -1,21 +1,24 @@
 // Package runlog is an append-only, crash-safe write-ahead run journal.
-// A journal is a directory of segments; each segment is a sequence of
+// A journal is a directory holding one file, "current.wal": a sequence of
 // length-prefixed, checksummed records:
 //
 //	u32le payload length | u32le CRC-32C of payload | payload bytes
 //
-// The writer appends to the active segment ("current.wal") and fsyncs on
-// Sync (the harness syncs after every work-unit record, so a completed
-// session is durable before the next one starts). When the active segment
-// outgrows Options.SegmentBytes it is sealed by an atomic rename to
-// "NNNNNN.wal" — readers never observe a half-sealed segment.
+// The writer appends to that file and fsyncs on Sync (the harness syncs
+// after every work-unit record, so a completed session is durable before
+// the next one starts). Close syncs and closes it; a clean shutdown leaves
+// nothing else to do, because recovery needs no marker from the writer.
 //
-// Recovery reads sealed segments in order, then the active one, and
-// truncates at the first torn or checksum-corrupt record instead of
-// failing: a crash mid-append loses at most the record being written,
-// exactly the write-ahead-log contract storage engines provide. Re-opening
-// a recovered journal for append physically truncates the torn tail first,
-// so the next record lands on a clean boundary.
+// Recovery reads the file and truncates at the first torn or
+// checksum-corrupt record instead of failing: a crash mid-append loses at
+// most the record being written, exactly the write-ahead-log contract
+// storage engines provide. Re-opening a recovered journal for append
+// physically truncates the torn tail first, so the next record lands on a
+// clean boundary.
+//
+// Journals written before the single-file format could also hold sealed
+// segments named "000001.wal" and up; Create, Open and Recover refuse such
+// a directory with ErrLegacyJournal rather than replay only part of it.
 //
 // All I/O goes through an errfs.FS (Options.FS, defaulting to the
 // passthrough errfs.OS()), so storage faults can be injected and crash
@@ -30,9 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/joda-explore/betze/internal/errfs"
 )
@@ -52,7 +52,7 @@ var (
 	// journal (resume it instead of silently overwriting).
 	ErrExists = errors.New("runlog: journal already exists")
 	// ErrNoJournal is returned by Open/Recover when the directory holds no
-	// journal segments.
+	// journal file.
 	ErrNoJournal = errors.New("runlog: no journal")
 	// ErrWriterFailed marks a writer poisoned by an unrecoverable storage
 	// fault: a failed fsync (the kernel may have dropped dirty pages, so a
@@ -61,17 +61,25 @@ var (
 	// Append/Sync fails with it; the journal directory itself is still
 	// recoverable up to the last good boundary.
 	ErrWriterFailed = errors.New("runlog: writer failed")
+	// ErrLegacyJournal is returned by Create, Open and Recover for a
+	// directory holding sealed segments of the multi-segment format that
+	// preceded the single journal file. Replaying only current.wal would
+	// silently drop the sealed records, so such a journal is refused.
+	ErrLegacyJournal = errors.New("runlog: journal predates the single-file format")
 )
 
 // MaxRecord bounds one record's payload; larger length prefixes are read as
 // corruption, which keeps a flipped length byte from swallowing the rest of
-// the segment as one giant bogus record.
+// the journal as one giant bogus record.
 const MaxRecord = 16 << 20
 
 const (
-	headerSize    = 8 // u32 length + u32 crc
-	activeSegment = "current.wal"
-	sealedSuffix  = ".wal"
+	headerSize  = 8 // u32 length + u32 crc
+	journalFile = "current.wal"
+	// legacySegment is the first sealed segment of a multi-segment journal.
+	// Segment indices started at 1 and sealed segments were never deleted,
+	// so every such journal that ever sealed one still holds this file.
+	legacySegment = "000001.wal"
 )
 
 // crcTable is the Castagnoli polynomial (hardware-accelerated on amd64).
@@ -79,9 +87,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options tunes the writer.
 type Options struct {
-	// SegmentBytes seals the active segment once it grows past this size
-	// (default 8 MiB). Sealing is an atomic rename.
-	SegmentBytes int64
 	// NoSync skips fsync (tests only; production callers want the
 	// durability they came for).
 	NoSync bool
@@ -92,75 +97,60 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
-	}
 	if o.FS == nil {
 		o.FS = errfs.OS()
 	}
 	return o
 }
 
-// Writer appends records to a journal directory.
+// Writer appends records to a journal.
 type Writer struct {
-	dir       string
-	opts      Options
-	f         errfs.File
-	size      int64
-	nextSeal  int
-	appends   int64
-	rotations int64
+	opts Options
+	f    errfs.File
+	size int64
 	// failed poisons the writer after an unrecoverable fault; see
 	// ErrWriterFailed.
 	failed error
 }
 
 // Create initialises a fresh journal in dir (created if missing). It
-// refuses a directory that already holds journal segments: resuming and
-// starting over are different intents, and overwriting a journal silently
-// would destroy the recovery data it exists to provide.
+// refuses a directory that already holds a journal: resuming and starting
+// over are different intents, and overwriting a journal silently would
+// destroy the recovery data it exists to provide.
 func Create(dir string, opts Options) (*Writer, error) {
 	opts = opts.withDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runlog: %w", err)
 	}
-	segs, active, err := listSegments(opts.FS, dir)
-	if err != nil {
+	if err := refuseLegacy(opts.FS, dir); err != nil {
 		return nil, err
 	}
-	if len(segs) > 0 || active {
+	f, err := opts.FS.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if errors.Is(err, os.ErrExist) {
 		return nil, fmt.Errorf("%w in %s", ErrExists, dir)
 	}
-	return newWriter(dir, opts, 1)
+	if err != nil {
+		return nil, fmt.Errorf("runlog: %w", err)
+	}
+	if err := syncDir(opts, dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Writer{opts: opts, f: f}, nil
 }
 
-// Open re-opens an existing journal for append. The active segment's torn
-// tail (if any) is physically truncated to the last complete record, so
-// appended records always start on a clean boundary. Callers wanting the
-// surviving records run Recover first.
+// Open re-opens an existing journal for append. A torn tail (if any) is
+// physically truncated to the last complete record, so appended records
+// always start on a clean boundary. Callers wanting the surviving records
+// run Recover first.
 func Open(dir string, opts Options) (*Writer, error) {
 	opts = opts.withDefaults()
-	segs, active, err := listSegments(opts.FS, dir)
+	data, err := readJournal(opts.FS, dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 && !active {
-		return nil, fmt.Errorf("%w in %s", ErrNoJournal, dir)
-	}
-	next := 1
-	if len(segs) > 0 {
-		next = segs[len(segs)-1].index + 1
-	}
-	if !active {
-		return newWriter(dir, opts, next)
-	}
-	w := &Writer{dir: dir, opts: opts, nextSeal: next}
-	path := filepath.Join(dir, activeSegment)
-	// Scan the active segment for its last clean boundary and cut the tail.
-	good, _, _, err := scanSegment(opts.FS, path)
-	if err != nil {
-		return nil, err
-	}
+	good, _, _ := scan(data)
+	path := filepath.Join(dir, journalFile)
 	f, err := opts.FS.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("runlog: %w", err)
@@ -173,39 +163,19 @@ func Open(dir string, opts Options) (*Writer, error) {
 		f.Close()
 		return nil, fmt.Errorf("runlog: %w", err)
 	}
-	w.f = f
-	w.size = good
-	return w, nil
+	return &Writer{opts: opts, f: f, size: good}, nil
 }
 
-func newWriter(dir string, opts Options, nextSeal int) (*Writer, error) {
-	f, err := opts.FS.OpenFile(filepath.Join(dir, activeSegment), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("runlog: %w", err)
-	}
-	if err := syncDir(opts.FS, dir, opts); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Writer{dir: dir, opts: opts, f: f, nextSeal: nextSeal}, nil
-}
-
-// Append writes one record to the active segment (buffered by the OS until
-// Sync). Rotation happens before the write, so a record is never split
-// across segments. A failed write restores the last clean record boundary
-// (truncating any partial bytes) so a later append never lands after
-// garbage; if the boundary cannot be restored the writer is poisoned.
+// Append writes one record to the journal (buffered by the OS until Sync).
+// A failed write restores the last clean record boundary (truncating any
+// partial bytes) so a later append never lands after garbage; if the
+// boundary cannot be restored the writer is poisoned.
 func (w *Writer) Append(payload []byte) error {
 	if w.failed != nil {
 		return w.failed
 	}
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
-	}
-	if w.size > 0 && w.size+int64(headerSize+len(payload)) > w.opts.SegmentBytes {
-		if err := w.rotate(); err != nil {
-			return err
-		}
 	}
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -217,12 +187,11 @@ func (w *Writer) Append(payload []byte) error {
 		return w.abortAppend(err)
 	}
 	w.size += int64(headerSize + len(payload))
-	w.appends++
 	return nil
 }
 
 // abortAppend recovers from a failed record write. Partial bytes may have
-// landed and the file offset may have advanced, so the segment is truncated
+// landed and the file offset may have advanced, so the file is truncated
 // back to the last clean boundary and the offset restored; without this, a
 // later successful AppendSync would land after garbage and recovery would
 // truncate AT the garbage — losing records that were acked AFTER the
@@ -267,71 +236,9 @@ func (w *Writer) AppendSync(payload []byte) error {
 	return w.Sync()
 }
 
-// rotate seals the active segment under the next index via atomic rename
-// and starts a fresh one.
-func (w *Writer) rotate() error {
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("runlog: %w", err)
-	}
-	sealed := filepath.Join(w.dir, fmt.Sprintf("%06d%s", w.nextSeal, sealedSuffix))
-	if err := w.opts.FS.Rename(filepath.Join(w.dir, activeSegment), sealed); err != nil {
-		return fmt.Errorf("runlog: sealing segment: %w", err)
-	}
-	if err := syncDir(w.opts.FS, w.dir, w.opts); err != nil {
-		return err
-	}
-	w.nextSeal++
-	w.rotations++
-	f, err := w.opts.FS.OpenFile(filepath.Join(w.dir, activeSegment), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("runlog: %w", err)
-	}
-	w.f = f
-	w.size = 0
-	return syncDir(w.opts.FS, w.dir, w.opts)
-}
-
-// Stats reports writer-side accounting.
-func (w *Writer) Stats() (appends, rotations int64) { return w.appends, w.rotations }
-
-// Seal closes the journal for good: the active segment is synced, closed
-// and sealed under the next index (an empty active segment is simply
-// removed). A journal sealed by a graceful shutdown leaves no current.wal
-// behind, so the next Recover replays only clean segment boundaries and a
-// Follower sees the stream end exactly where the writer stopped. The
-// Writer is unusable afterwards.
-func (w *Writer) Seal() error {
-	if w.f == nil {
-		return nil
-	}
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	err := w.f.Close()
-	w.f = nil
-	if err != nil {
-		return fmt.Errorf("runlog: %w", err)
-	}
-	active := filepath.Join(w.dir, activeSegment)
-	if w.size == 0 {
-		if err := w.opts.FS.Remove(active); err != nil {
-			return fmt.Errorf("runlog: removing empty active segment: %w", err)
-		}
-		return syncDir(w.opts.FS, w.dir, w.opts)
-	}
-	sealed := filepath.Join(w.dir, fmt.Sprintf("%06d%s", w.nextSeal, sealedSuffix))
-	if err := w.opts.FS.Rename(active, sealed); err != nil {
-		return fmt.Errorf("runlog: sealing segment: %w", err)
-	}
-	w.nextSeal++
-	return syncDir(w.opts.FS, w.dir, w.opts)
-}
-
-// Close syncs and closes the active segment. A poisoned writer closes its
-// handle but still reports the poisoning fault.
+// Close syncs and closes the journal; it is the whole of a clean shutdown.
+// A poisoned writer closes its handle but still reports the poisoning
+// fault. The Writer is unusable afterwards.
 func (w *Writer) Close() error {
 	if w.f == nil {
 		return nil
@@ -344,7 +251,7 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// Recovery is the result of replaying a journal directory.
+// Recovery is the result of replaying a journal.
 type Recovery struct {
 	// Records are the intact payloads, in append order.
 	Records [][]byte
@@ -354,143 +261,99 @@ type Recovery struct {
 	// Reason wraps ErrTorn/ErrCorrupt/ErrTooLarge with position context when
 	// Truncated is set.
 	Reason error
-	// Segment and Offset locate the first bad record when Truncated.
-	Segment string
-	Offset  int64
+	// Offset is the end of the clean prefix: where the first bad record
+	// starts when Truncated, the journal's size otherwise.
+	Offset int64
 }
 
 // Recover replays every intact record of the journal in dir. Torn and
 // corrupt records do not fail the recovery — replay stops at the first one
 // (dropping it and everything after, the write-ahead-log truncation rule)
-// and the Recovery reports where and why. Only I/O errors and a missing
-// journal are returned as errors.
+// and the Recovery reports where and why. Only I/O errors, a missing
+// journal and a pre-single-file journal are returned as errors.
 func Recover(dir string) (*Recovery, error) {
 	return RecoverFS(errfs.OS(), dir)
 }
 
 // RecoverFS is Recover over an explicit filesystem.
 func RecoverFS(fsys errfs.FS, dir string) (*Recovery, error) {
-	segs, active, err := listSegments(fsys, dir)
+	data, err := readJournal(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 && !active {
-		return nil, fmt.Errorf("%w in %s", ErrNoJournal, dir)
-	}
-	rec := &Recovery{}
-	paths := make([]string, 0, len(segs)+1)
-	for _, s := range segs {
-		paths = append(paths, filepath.Join(dir, s.name))
-	}
-	if active {
-		paths = append(paths, filepath.Join(dir, activeSegment))
-	}
-	for _, path := range paths {
-		_, records, reason, err := scanSegment(fsys, path)
-		if err != nil {
-			return nil, err
-		}
-		rec.Records = append(rec.Records, records...)
-		if reason != nil {
-			rec.Truncated = true
-			rec.Reason = reason
-			rec.Segment = path
-			var off int64
-			for _, r := range records {
-				off += int64(headerSize + len(r))
-			}
-			rec.Offset = off
-			break // everything after the first bad record is unreachable
-		}
-	}
-	return rec, nil
+	good, records, reason := scan(data)
+	return &Recovery{Records: records, Truncated: reason != nil, Reason: reason, Offset: good}, nil
 }
 
-// scanSegment reads one segment file, returning the byte offset of the last
-// clean record boundary, the intact payloads, and the wrapped sentinel that
-// stopped the scan (nil when the segment ends exactly on a boundary). I/O
-// failures are reported separately — they mean the journal is unreadable,
-// not merely torn.
-func scanSegment(fsys errfs.FS, path string) (good int64, records [][]byte, reason, ioErr error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("runlog: reading %s: %w", path, err)
+// readJournal reads the journal file of dir whole. A missing file (or
+// directory) is ErrNoJournal; a read failure is an I/O error — the journal
+// is unreadable, not merely torn.
+func readJournal(fsys errfs.FS, dir string) ([]byte, error) {
+	if err := refuseLegacy(fsys, dir); err != nil {
+		return nil, err
 	}
-	off := int64(0)
-	for int64(len(data))-off > 0 {
-		rest := data[off:]
+	path := filepath.Join(dir, journalFile)
+	data, err := fsys.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w in %s", ErrNoJournal, dir)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("runlog: reading %s: %w", path, err)
+	}
+	return data, nil
+}
+
+// scan is the one parser of the record framing. It returns the byte offset
+// of the last clean record boundary, the intact payloads before it, and
+// the wrapped sentinel that stopped the scan (nil when data ends exactly on
+// a boundary).
+func scan(data []byte) (good int64, records [][]byte, reason error) {
+	for int64(len(data))-good > 0 {
+		rest := data[good:]
 		if len(rest) < headerSize {
-			return off, records, fmt.Errorf("%w: %d trailing header byte(s) at %s:%d", ErrTorn, len(rest), filepath.Base(path), off), nil
+			return good, records, fmt.Errorf("%w: %d trailing header byte(s) at %s:%d", ErrTorn, len(rest), journalFile, good)
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
 		if n > MaxRecord {
-			return off, records, fmt.Errorf("%w: length %d at %s:%d", ErrTooLarge, n, filepath.Base(path), off), nil
+			return good, records, fmt.Errorf("%w: length %d at %s:%d", ErrTooLarge, n, journalFile, good)
 		}
 		if int64(len(rest)) < headerSize+int64(n) {
-			return off, records, fmt.Errorf("%w: payload cut at %d of %d bytes at %s:%d", ErrTorn, len(rest)-headerSize, n, filepath.Base(path), off), nil
+			return good, records, fmt.Errorf("%w: payload cut at %d of %d bytes at %s:%d", ErrTorn, len(rest)-headerSize, n, journalFile, good)
 		}
 		payload := rest[headerSize : headerSize+int64(n)]
 		if crc32.Checksum(payload, crcTable) != sum {
-			return off, records, fmt.Errorf("%w: checksum mismatch at %s:%d", ErrCorrupt, filepath.Base(path), off), nil
+			return good, records, fmt.Errorf("%w: checksum mismatch at %s:%d", ErrCorrupt, journalFile, good)
 		}
 		// Copy: data is one big read buffer; callers keep payloads around.
-		rec := make([]byte, n)
-		copy(rec, payload)
-		records = append(records, rec)
-		off += headerSize + int64(n)
+		records = append(records, append([]byte(nil), payload...))
+		good += headerSize + int64(n)
 	}
-	return off, records, nil, nil
+	return good, records, nil
 }
 
-// segment is one sealed segment file.
-type segment struct {
-	name  string
-	index int
-}
-
-// listSegments enumerates sealed segments (sorted by index) and whether an
-// active segment exists. A missing directory is reported as no journal.
-func listSegments(fsys errfs.FS, dir string) ([]segment, bool, error) {
-	entries, err := fsys.ReadDir(dir)
+// refuseLegacy fails with ErrLegacyJournal when dir holds a sealed segment
+// of the multi-segment format.
+func refuseLegacy(fsys errfs.FS, dir string) error {
+	f, err := fsys.OpenFile(filepath.Join(dir, legacySegment), os.O_RDONLY, 0)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
+		return nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("runlog: %w", err)
+		return fmt.Errorf("runlog: %w", err)
 	}
-	var segs []segment
-	active := false
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if name == activeSegment {
-			active = true
-			continue
-		}
-		idx, ok := strings.CutSuffix(name, sealedSuffix)
-		if !ok {
-			continue
-		}
-		n, err := strconv.Atoi(idx)
-		if err != nil || n <= 0 {
-			continue
-		}
-		segs = append(segs, segment{name: name, index: n})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
-	return segs, active, nil
+	f.Close()
+	return fmt.Errorf("%w: %s holds sealed segment %s; finish it with the release that wrote it, or move it aside",
+		ErrLegacyJournal, dir, legacySegment)
 }
 
-// syncDir makes directory-level changes (segment create, seal rename)
-// durable; best-effort on filesystems refusing directory fsync.
-func syncDir(fsys errfs.FS, dir string, opts Options) error {
+// syncDir makes the journal file's creation durable; best-effort on
+// filesystems refusing directory fsync.
+func syncDir(opts Options, dir string) error {
 	if opts.NoSync {
 		return nil
 	}
-	if err := fsys.SyncDir(dir); err != nil {
+	if err := opts.FS.SyncDir(dir); err != nil {
 		return fmt.Errorf("runlog: %w", err)
 	}
 	return nil

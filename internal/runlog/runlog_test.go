@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/joda-explore/betze/internal/errfs"
@@ -54,49 +55,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegmentRotationAndOrder(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments force a rotation every couple of records.
-	w := mustCreate(t, dir, Options{SegmentBytes: 64, NoSync: true})
-	var want [][]byte
-	for i := 0; i < 20; i++ {
-		p := []byte(fmt.Sprintf("record-%02d-%s", i, "xxxxxxxxxxxx"))
-		want = append(want, p)
-	}
-	appendAll(t, w, want...)
-	if _, rotations := w.Stats(); rotations == 0 {
-		t.Fatal("no rotation happened; SegmentBytes ignored?")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed := 0
-	for _, e := range entries {
-		if e.Name() != activeSegment {
-			sealed++
-		}
-	}
-	if sealed == 0 {
-		t.Fatal("no sealed segments on disk")
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Truncated || len(rec.Records) != len(want) {
-		t.Fatalf("recovered %d records (truncated=%v), want %d", len(rec.Records), rec.Truncated, len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(rec.Records[i], want[i]) {
-			t.Fatalf("record %d out of order: %q != %q", i, rec.Records[i], want[i])
-		}
-	}
-}
-
 func TestCreateRefusesExistingJournal(t *testing.T) {
 	dir := t.TempDir()
 	w := mustCreate(t, dir, Options{NoSync: true})
@@ -116,8 +74,8 @@ func TestRecoverMissingJournal(t *testing.T) {
 	}
 }
 
-// writeJournal builds a small single-segment journal and returns its active
-// segment path and full payload list.
+// writeJournal builds a small journal and returns its file path and full
+// payload list.
 func writeJournal(t *testing.T, dir string) (string, [][]byte) {
 	t.Helper()
 	w := mustCreate(t, dir, Options{NoSync: true})
@@ -131,7 +89,7 @@ func writeJournal(t *testing.T, dir string) (string, [][]byte) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(dir, activeSegment), payloads
+	return filepath.Join(dir, journalFile), payloads
 }
 
 // TestTruncationAtEveryOffset cuts the journal at every possible byte length
@@ -155,7 +113,7 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 	}
 	for cut := 0; cut <= len(full); cut++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, activeSegment), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, journalFile), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rec, err := Recover(dir)
@@ -211,7 +169,7 @@ func TestBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	target := filepath.Join(dir, activeSegment)
+	target := filepath.Join(dir, journalFile)
 	for i := 0; i < len(full); i++ {
 		mutated := append([]byte(nil), full...)
 		mutated[i] ^= 0x40
@@ -236,46 +194,6 @@ func TestBitFlips(t *testing.T) {
 	}
 }
 
-// TestCorruptSealedSegmentStopsReplay puts garbage mid-journal in a sealed
-// segment: recovery must stop there and ignore later segments.
-func TestCorruptSealedSegmentStopsReplay(t *testing.T) {
-	dir := t.TempDir()
-	w := mustCreate(t, dir, Options{SegmentBytes: 40, NoSync: true})
-	for i := 0; i < 10; i++ {
-		appendAll(t, w, []byte(fmt.Sprintf("record-%d-padpadpadpad", i)))
-	}
-	w.Close()
-	segs, _, err := listSegments(errfs.OS(), dir)
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("want >=2 sealed segments, got %d (%v)", len(segs), err)
-	}
-	victim := filepath.Join(dir, segs[1].name)
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[headerSize] ^= 0xff // corrupt first payload byte of the segment
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Truncated || !errors.Is(rec.Reason, ErrCorrupt) {
-		t.Fatalf("truncated=%v reason=%v, want corrupt truncation", rec.Truncated, rec.Reason)
-	}
-	if rec.Segment != victim {
-		t.Errorf("bad segment reported: %s, want %s", rec.Segment, victim)
-	}
-	// Only records from segments before the corruption survive.
-	for _, r := range rec.Records {
-		if !bytes.HasPrefix(r, []byte("record-")) {
-			t.Errorf("garbage record recovered: %q", r)
-		}
-	}
-}
-
 func TestOversizedAppendRejected(t *testing.T) {
 	w := mustCreate(t, t.TempDir(), Options{NoSync: true})
 	defer w.Close()
@@ -284,24 +202,24 @@ func TestOversizedAppendRejected(t *testing.T) {
 	}
 }
 
-// TestSealLeavesNoActiveSegment pins the graceful-shutdown contract: Seal
-// renames the active segment under the next sealed index (or removes it
-// when empty), every record survives a subsequent Recover, and a journal
-// reopened for append starts a fresh active segment after the seal point.
-func TestSealLeavesNoActiveSegment(t *testing.T) {
+// TestCloseLeavesCleanJournal pins the graceful-shutdown contract: Close is
+// the whole of a clean shutdown — every record survives a subsequent
+// Recover untruncated, closing twice is a no-op, and a journal reopened for
+// append continues after the last record.
+func TestCloseLeavesCleanJournal(t *testing.T) {
 	dir := t.TempDir()
-	w := mustCreate(t, dir, Options{SegmentBytes: 64, NoSync: true})
+	w := mustCreate(t, dir, Options{NoSync: true})
 	const n = 20
 	for i := 0; i < n; i++ {
 		if err := w.Append([]byte(fmt.Sprintf("record-%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Seal(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, activeSegment)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("active segment survived Seal: %v", err)
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 	rec, err := Recover(dir)
 	if err != nil {
@@ -310,44 +228,56 @@ func TestSealLeavesNoActiveSegment(t *testing.T) {
 	if rec.Truncated || len(rec.Records) != n {
 		t.Fatalf("recovered %d records (truncated=%v), want %d clean", len(rec.Records), rec.Truncated, n)
 	}
-	// Sealing twice is a no-op, not an error.
-	if err := w.Seal(); err != nil {
-		t.Fatalf("second Seal: %v", err)
-	}
-
-	// Reopen-append-seal continues the sealed numbering without clashes.
 	w2, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Append([]byte("record-after-reopen")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Seal(); err != nil {
+	appendAll(t, w2, []byte("record-after-reopen"))
+	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	rec, err = Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Records) != n+1 || string(rec.Records[n]) != "record-after-reopen" {
-		t.Fatalf("after reopen+seal: %d records, want %d", len(rec.Records), n+1)
+	if rec.Truncated || len(rec.Records) != n+1 || string(rec.Records[n]) != "record-after-reopen" {
+		t.Fatalf("after reopen: %d records (truncated=%v), want %d", len(rec.Records), rec.Truncated, n+1)
 	}
 }
 
-// TestSealEmptyActiveRemoved: an active segment that never saw a record is
-// deleted rather than sealed as a zero-byte segment.
-func TestSealEmptyActiveRemoved(t *testing.T) {
-	dir := t.TempDir()
-	w := mustCreate(t, dir, Options{NoSync: true})
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("empty journal left %d files behind after Seal", len(entries))
+// TestLegacyJournalRefused: a directory holding a sealed segment of the
+// multi-segment format fails Create, Open and Recover loudly, whether or
+// not its current.wal survives — replaying current.wal alone would drop
+// every sealed record without a word.
+func TestLegacyJournalRefused(t *testing.T) {
+	for _, withActive := range []bool{false, true} {
+		mem := errfs.NewMem()
+		if err := mem.MkdirAll("j", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		files := []string{legacySegment}
+		if withActive {
+			files = append(files, journalFile)
+		}
+		for _, name := range files {
+			f, err := mem.OpenFile("j/"+name, os.O_CREATE|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+		opts := Options{FS: mem}
+		_, cerr := Create("j", opts)
+		_, oerr := Open("j", opts)
+		_, rerr := RecoverFS(mem, "j")
+		for op, err := range map[string]error{"Create": cerr, "Open": oerr, "Recover": rerr} {
+			if !errors.Is(err, ErrLegacyJournal) {
+				t.Errorf("current.wal=%v: %s = %v, want ErrLegacyJournal", withActive, op, err)
+				continue
+			}
+			if !strings.Contains(err.Error(), "predates the single-file format") {
+				t.Errorf("%s error does not say why: %v", op, err)
+			}
+		}
 	}
 }

@@ -50,10 +50,10 @@ func drilldownPredicates(seed int64, n int) []query.Predicate {
 	return preds
 }
 
-// clusterByFollowers returns the corpus sorted by /user/followers_count —
+// clusterByAudience returns the corpus sorted by /user/followers_count —
 // the data layout a drill-down session converges onto (stored intermediate
 // results of range filters), and the one where zone ranges get narrow.
-func clusterByFollowers(docs []jsonval.Value) []jsonval.Value {
+func clusterByAudience(docs []jsonval.Value) []jsonval.Value {
 	steps := jsonval.Path("/user/followers_count").Segments()
 	key := func(d jsonval.Value) float64 {
 		v, ok := jsonval.LookupSteps(d, steps)
@@ -73,7 +73,7 @@ func drilldownStores(tb testing.TB) (unclustered, clustered *Store, cps []query.
 	const seed = 123
 	docs := datasets.NewTwitter().Generate(800, seed)
 	unclustered = Build(docs, drilldownShardSize)
-	clustered = Build(clusterByFollowers(docs), drilldownShardSize)
+	clustered = Build(clusterByAudience(docs), drilldownShardSize)
 	preds := drilldownPredicates(seed+1, 16)
 	cps = make([]query.CompiledPredicate, len(preds))
 	for i, p := range preds {
