@@ -168,9 +168,8 @@ func BenchmarkAblationVerification(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLazyBSON compares mongosim's lazy path walks against full
-// per-document decoding, and its BSON-to-JSON cursor streaming against the
-// decode-then-serialise path a transform forces.
+// BenchmarkAblationLazyBSON compares mongosim's BSON-to-JSON cursor
+// streaming against the decode-then-serialise path a transform forces.
 func BenchmarkAblationLazyBSON(b *testing.B) {
 	docs, session := ablationWorkload(b, 4000)
 	run := func(name string, opts betze.MongoOptions, queries []*query.Query) {
@@ -190,39 +189,11 @@ func BenchmarkAblationLazyBSON(b *testing.B) {
 		})
 	}
 	run("lazy", betze.MongoOptions{}, session.Queries)
-	run("fulldecode", betze.MongoOptions{FullDecode: true}, session.Queries)
 	// Return every document: removing an absent attribute changes nothing
 	// but makes the cursor materialise each document first.
 	noop := &query.Transform{Ops: []query.TransformOp{{Kind: query.TransformRemove, Path: "/no_such_attribute"}}}
 	run("decode+serialise", betze.MongoOptions{}, []*query.Query{{Base: "Twitter", Transform: noop}})
 	run("transcode", betze.MongoOptions{}, []*query.Query{{Base: "Twitter"}})
-}
-
-// BenchmarkAblationPgLazyLookup compares pgsim's default per-leaf-detoast
-// lazy evaluation with a single whole-document decode per row.
-func BenchmarkAblationPgLazyLookup(b *testing.B) {
-	docs, session := ablationWorkload(b, 4000)
-	for _, full := range []bool{false, true} {
-		name := "perleaf-detoast"
-		if full {
-			name = "fulldecode"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng := betze.NewPostgreSQL(betze.PostgresOptions{FullDecode: full})
-			if err := eng.ImportValues("Twitter", docs); err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range session.Queries {
-					if _, err := eng.Execute(context.Background(), q, io.Discard); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationWeightedPaths compares generation with and without the
@@ -394,6 +365,67 @@ func BenchmarkPredicateEval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, d := range docs {
 			pred.Eval(d)
+		}
+	}
+}
+
+// recordingBackend is a verification backend that records every predicate
+// the generator asks it to count.
+type recordingBackend struct {
+	betze.Backend
+	preds []query.Predicate
+}
+
+func (r *recordingBackend) CountMatching(base string, pred query.Predicate) (int64, error) {
+	r.preds = append(r.preds, pred)
+	return r.Backend.CountMatching(base, pred)
+}
+
+// BenchmarkCompiledEval prices one compiled-predicate evaluation on the scan
+// hot path (Evaluator.EvalAt) over the predicates generation produces: the
+// filters of generated sessions, and the predicates the generator's
+// verification backend counts while choosing them. ns/eval is per document
+// per predicate.
+func BenchmarkCompiledEval(b *testing.B) {
+	for _, src := range []betze.DatasetSource{betze.TwitterSource(), betze.NoBenchSource()} {
+		docs := src.Generate(1000, 29)
+		stats := betze.AnalyzeValues(src.Name, docs, betze.AnalyzeOptions{})
+		backend := betze.NewJODA(betze.JODAOptions{})
+		backend.ImportValues(src.Name, docs)
+		rec := &recordingBackend{Backend: backend}
+		var filters []query.Predicate
+		for seed := int64(1); seed <= 5; seed++ {
+			session, err := betze.Generate(betze.Options{Preset: betze.Intermediate, Seed: seed, Backend: rec}, stats)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, q := range session.Queries {
+				if q.Filter != nil {
+					filters = append(filters, q.Filter)
+				}
+			}
+		}
+		backend.Close()
+		for _, set := range []struct {
+			name  string
+			preds []query.Predicate
+		}{{"session", filters}, {"verify", rec.preds}} {
+			b.Run(src.Name+"/"+set.name, func(b *testing.B) {
+				evals := make([]*query.Evaluator, len(set.preds))
+				for i, p := range set.preds {
+					evals[i] = query.Compile(p).Evaluator()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, e := range evals {
+						for j := range docs {
+							e.EvalAt(&docs[j])
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evals)*len(docs)), "ns/eval")
+			})
 		}
 	}
 }

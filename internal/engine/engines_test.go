@@ -363,50 +363,6 @@ func TestJodaEvictionReparses(t *testing.T) {
 	}
 }
 
-func TestMongoFullDecodeAblationAgrees(t *testing.T) {
-	docs := corpus(2000, 61)
-	lazy := mongosim.New(mongosim.Options{})
-	full := mongosim.New(mongosim.Options{FullDecode: true})
-	lazy.ImportValues("ds", docs)
-	full.ImportValues("ds", docs)
-	ctx := context.Background()
-	for _, q := range testQueries("ds") {
-		a, err := lazy.Execute(ctx, q, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := full.Execute(ctx, q, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Matched != b.Matched {
-			t.Errorf("lazy/full decode disagree on %s: %d vs %d", q, a.Matched, b.Matched)
-		}
-	}
-}
-
-func TestPgsimLazyAblationAgrees(t *testing.T) {
-	docs := corpus(2000, 62)
-	std := pgsim.New(pgsim.Options{})
-	lazy := pgsim.New(pgsim.Options{FullDecode: true})
-	std.ImportValues("ds", docs)
-	lazy.ImportValues("ds", docs)
-	ctx := context.Background()
-	for _, q := range testQueries("ds") {
-		a, err := std.Execute(ctx, q, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := lazy.Execute(ctx, q, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Matched != b.Matched {
-			t.Errorf("decode/lazy disagree on %s: %d vs %d", q, a.Matched, b.Matched)
-		}
-	}
-}
-
 func TestJodaImplementsBackend(t *testing.T) {
 	docs := corpus(1000, 63)
 	e := jodasim.New(jodasim.Options{Threads: 2})

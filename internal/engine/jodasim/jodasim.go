@@ -260,7 +260,7 @@ func (e *Engine) scan(ctx context.Context, st *shard.Store, filter query.Predica
 	compiled := query.Compile(filter)
 	evals := make([]*query.Evaluator, e.opts.Threads)
 	kept := make([][]jsonval.Value, st.NumShards())
-	skipped, err := scan.Shards(ctx, e.scanOptions(), st.NumShards(), compiled,
+	skipped, err := scan.Shards(ctx, e.scanOptions(), st.NumShards(), compiled.Prune,
 		func(i int) (query.Zone, int) {
 			sh := st.Shard(i)
 			return sh.Zone, len(sh.Docs)
@@ -310,7 +310,7 @@ func (e *Engine) parseAll(ctx context.Context, raw []byte) ([]jsonval.Value, err
 	const chunk = scan.DefaultBatch
 	docs := make([]jsonval.Value, len(spans))
 	parsers := make([]jsonval.Parser, e.opts.Threads)
-	_, err := scan.Shards(ctx, e.scanOptions(), (len(spans)+chunk-1)/chunk, query.CompiledPredicate{}, nil,
+	_, err := scan.Shards(ctx, e.scanOptions(), (len(spans)+chunk-1)/chunk, query.Prune{}, nil,
 		func(w, c int) (int64, error) {
 			start := c * chunk
 			end := min(start+chunk, len(spans))

@@ -238,14 +238,14 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	return stats, nil
 }
 
-// matcher builds the per-query document test over boxed values.
+// matcher compiles the per-query document test over boxed values.
 func matcher(p query.Predicate) func(doc any) (bool, error) {
-	return engine.CompileLazy(p, lookupAny, func(doc any) (jsonval.Value, error) { return toValue(doc), nil })
+	return query.CompileLookup(p, lookupAny, func(doc any) (jsonval.Value, error) { return toValue(doc), nil }).Match
 }
 
 // boxed is a jq-style boxed value (encoding/json's any; every number a
-// float64, like jq's doubles) seen through engine.RawValue, so the filter
-// runs on the leaf table the binary-format engines use.
+// float64, like jq's doubles) seen as a query.LeafValue, so the filter runs
+// on the compiler's one leaf table.
 type boxed struct{ v any }
 
 func (b boxed) Kind() jsonval.Kind {
@@ -265,18 +265,10 @@ func (b boxed) Kind() jsonval.Kind {
 	}
 }
 
-func (b boxed) Number() (float64, bool) { f, ok := b.v.(float64); return f, ok }
-func (b boxed) Bool() (bool, bool)      { t, ok := b.v.(bool); return t, ok }
-
-func (b boxed) EqualString(s string) bool {
-	str, ok := b.v.(string)
-	return ok && str == s
-}
-
-func (b boxed) HasPrefix(prefix string) bool {
-	str, ok := b.v.(string)
-	return ok && strings.HasPrefix(str, prefix)
-}
+func (b boxed) Number() (float64, bool)   { f, ok := b.v.(float64); return f, ok }
+func (b boxed) Bool() (bool, bool)        { t, ok := b.v.(bool); return t, ok }
+func (b boxed) EqualString(s string) bool { str, ok := b.v.(string); return ok && str == s }
+func (b boxed) HasPrefix(p string) bool   { s, ok := b.v.(string); return ok && strings.HasPrefix(s, p) }
 
 func (b boxed) Len() (int, bool) {
 	switch t := b.v.(type) {
@@ -289,7 +281,7 @@ func (b boxed) Len() (int, bool) {
 }
 
 // lookupAny resolves pre-split path steps inside a boxed document. It never
-// fails; the error result is engine.CompileLazy's lookup signature.
+// fails; the error result is query.CompileLookup's lookup signature.
 func lookupAny(doc any, steps []string) (boxed, bool, error) {
 	for _, seg := range steps {
 		obj, ok := doc.(map[string]any)

@@ -40,9 +40,6 @@ type Options struct {
 	BlockSize int
 	// DisableCompression stores blocks uncompressed (ablation knob).
 	DisableCompression bool
-	// FullDecode materialises every document instead of lazy path walks
-	// (ablation knob).
-	FullDecode bool
 }
 
 // Engine implements engine.Engine.
@@ -205,11 +202,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	// calling goroutine, one block per step. A block whose zone map rules out
 	// every document is skipped without being decompressed — the pruning win
 	// here is the whole flate inflate, not just the per-document predicate
-	// calls. FullDecode mode evaluates the compiled predicate over
-	// materialised documents; the default mode keeps the lazy per-leaf walks
-	// over raw BSON.
-	compiled := query.Compile(q.Filter)
-	match := e.matcher(compiled)
+	// calls. Documents that are scanned evaluate with one lazy walk over raw
+	// BSON per evaluated leaf.
+	filter := matcher(q.Filter)
 	var aggSteps, groupSteps []string
 	if agg != nil {
 		aggSteps, groupSteps = q.Agg.Path.Steps(), q.Agg.GroupBy.Steps()
@@ -217,7 +212,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	// scratch and outBuf belong to this call: concurrent Executes on one
 	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
-	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks), compiled,
+	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks), filter.Prune,
 		func(i int) (query.Zone, int) { return coll.blocks[i].zone, coll.blocks[i].docCount },
 		func(_, i int) (int64, error) {
 			raw, oerr := coll.blocks[i].open(&scratch)
@@ -235,7 +230,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 				off += docLen
 				stats.Scanned++
 				walked++
-				ok, merr := match(doc)
+				ok, merr := filter.Match(doc)
 				if merr != nil {
 					return walked, merr
 				}
@@ -283,17 +278,10 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	return stats, nil
 }
 
-// matcher builds the per-query document test: lazy per-leaf walks over the
-// raw BSON by default, the compiled predicate over the materialised document
-// in FullDecode mode.
-func (e *Engine) matcher(compiled query.CompiledPredicate) func(doc []byte) (bool, error) {
-	if e.opts.FullDecode {
-		return func(doc []byte) (bool, error) {
-			v, err := decode(doc)
-			return err == nil && compiled.Eval(v), err
-		}
-	}
-	return engine.CompileLazy(compiled.Source(), bsonlite.LookupSteps, decode)
+// matcher compiles the per-query document test: lazy per-leaf walks over
+// the raw BSON.
+func matcher(p query.Predicate) query.Matcher[[]byte] {
+	return query.CompileLookup(p, bsonlite.LookupSteps, decode)
 }
 
 // emit returns one matching document: to the sink, and to the store when the
@@ -326,7 +314,8 @@ func emit(q *query.Query, doc []byte, store *blockWriter, sink io.Writer, outBuf
 	return engine.WriteDoc(sink, outBuf, v)
 }
 
-// decode materialises a full document (transform, store and ablation paths).
+// decode materialises a full document (transform, store and external leaf
+// types).
 func decode(doc []byte) (jsonval.Value, error) {
 	v, err := bsonlite.Decode(doc)
 	if err != nil {

@@ -30,21 +30,15 @@ func TestMatcherEqualsPredicateEval(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, opts := range []Options{{}, {FullDecode: true}} {
-		e := New(opts)
-		for pi, p := range append(preds, nil) {
-			if opts.FullDecode && pi%8 != 0 {
-				continue // the ablation decodes per call; a sample keeps the test fast
+	for _, p := range append(preds, nil) {
+		match := matcher(p).Match
+		for i := range docs {
+			got, err := match(encoded[i])
+			if err != nil {
+				t.Fatalf("%v on %s: %v", p, docs[i], err)
 			}
-			match := e.matcher(query.Compile(p))
-			for i := range docs {
-				got, err := match(encoded[i])
-				if err != nil {
-					t.Fatalf("%v on %s: %v", p, docs[i], err)
-				}
-				if want := p == nil || p.Eval(decoded[i]); got != want {
-					t.Fatalf("FullDecode=%v: matcher(%v) = %v on %s, Predicate.Eval says %v", opts.FullDecode, p, got, docs[i], want)
-				}
+			if want := p == nil || p.Eval(decoded[i]); got != want {
+				t.Fatalf("matcher(%v) = %v on %s, Predicate.Eval says %v", p, got, docs[i], want)
 			}
 		}
 	}
@@ -54,9 +48,8 @@ func TestMatcherEqualsPredicateEval(t *testing.T) {
 // kind and whichever way the document fails to match.
 func TestMatcherAllocatesNothing(t *testing.T) {
 	encoded := bsonlite.Encode(nil, simtest.Parse(t, simtest.RejectedDoc))
-	e := New(Options{})
 	for _, p := range simtest.Rejections() {
-		match := e.matcher(query.Compile(p))
+		match := matcher(p).Match
 		if ok, err := match(encoded); ok || err != nil {
 			t.Fatalf("%v = %v, %v; want a clean rejection", p, ok, err)
 		}

@@ -42,10 +42,6 @@ type Options struct {
 	// ToastThreshold is the row size above which values are compressed;
 	// 0 means DefaultToastThreshold.
 	ToastThreshold int
-	// FullDecode materialises the whole document once per row and
-	// evaluates the filter on the value tree, instead of the default
-	// per-leaf detoast + binary-searched lookup (ablation knob).
-	FullDecode bool
 }
 
 // Engine implements engine.Engine.
@@ -156,26 +152,18 @@ func (r row) decode(scratch *[]byte) (jsonval.Value, error) {
 	return doc, nil
 }
 
-// matcher builds the per-query row test. By default each leaf detoasts the
+// matcher compiles the per-query row test. Each evaluated leaf detoasts the
 // row anew — PostgreSQL detoasts per jsonb function call, so a composed
 // BETZE predicate chain pays the decompression repeatedly on TOASTed rows —
-// and then resolves its path with binary search. FullDecode mode evaluates
-// the compiled predicate on the materialised row instead.
-func (e *Engine) matcher(compiled query.CompiledPredicate, scratch *[]byte) func(row) (bool, error) {
-	decode := func(r row) (jsonval.Value, error) { return r.decode(scratch) }
-	if e.opts.FullDecode {
-		return func(r row) (bool, error) {
-			doc, err := decode(r)
-			return err == nil && compiled.Eval(doc), err
-		}
-	}
-	return engine.CompileLazy(compiled.Source(), func(r row, steps []string) (jsonblite.Raw, bool, error) {
+// and then resolves its path with binary search.
+func matcher(p query.Predicate, scratch *[]byte) query.Matcher[row] {
+	return query.CompileLookup(p, func(r row, steps []string) (jsonblite.Raw, bool, error) {
 		data, err := r.open(scratch)
 		if err != nil {
 			return jsonblite.Raw{}, false, err
 		}
 		return jsonblite.LookupSteps(data, steps)
-	}, decode)
+	}, func(r row) (jsonval.Value, error) { return r.decode(scratch) })
 }
 
 // ImportFile implements engine.Engine. Like PostgreSQL's json input, every
@@ -292,8 +280,8 @@ func (e *Engine) ImportValues(name string, docs []jsonval.Value) error {
 }
 
 // Execute implements engine.Engine: a sequential scan that evaluates the
-// filter per row — by default with one detoast per leaf predicate (the
-// jsonb function-call behaviour) and binary-searched path lookups.
+// filter per row with one detoast per evaluated leaf (the jsonb
+// function-call behaviour) and binary-searched path lookups.
 func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (stats engine.ExecStats, err error) {
 	if err := q.Validate(); err != nil {
 		return engine.ExecStats{}, fmt.Errorf("pgsim: %w", err)
@@ -309,13 +297,6 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	if q.Agg != nil {
 		agg = query.NewAggregator(*q.Agg)
 	}
-	// PostgreSQL's modelled execution is single-threaded: the walk runs on
-	// the calling goroutine, one BRIN-style row range per step, and a range
-	// whose zone map rules out every row is skipped without detoasting any of
-	// it. FullDecode mode evaluates the compiled predicate over materialised
-	// rows; the default mode keeps the per-leaf detoast + binary-searched
-	// lookups.
-	compiled := query.Compile(q.Filter)
 	var storeTB *tableBuilder
 	if q.Store != "" {
 		storeTB = newTableBuilder()
@@ -323,8 +304,12 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	// scratch and outBuf belong to this call: concurrent Executes on one
 	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
-	match := e.matcher(compiled, &scratch)
-	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards), compiled,
+	// PostgreSQL's modelled execution is single-threaded: the walk runs on
+	// the calling goroutine, one BRIN-style row range per step, and a range
+	// whose zone map rules out every row is skipped without detoasting any of
+	// it.
+	filter := matcher(q.Filter, &scratch)
+	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards), filter.Prune,
 		func(i int) (query.Zone, int) {
 			sh := tbl.shards[i]
 			return sh.zone, sh.end - sh.start
@@ -336,7 +321,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 				r := tbl.rows[ri]
 				stats.Scanned++
 				walked++
-				ok, merr := match(r)
+				ok, merr := filter.Match(r)
 				if merr != nil {
 					return walked, merr
 				}

@@ -30,30 +30,24 @@ func TestMatcherEqualsPredicateEval(t *testing.T) {
 		t.Fatalf("only %d predicates derived", len(preds))
 	}
 	// A low threshold TOASTs the Twitter rows and leaves NoBench rows plain.
-	for _, opts := range []Options{{ToastThreshold: 600}, {ToastThreshold: 600, FullDecode: true}} {
-		e := New(opts)
-		rows := encodeRows(t, e, docs)
-		decoded := make([]jsonval.Value, len(docs))
-		var scratch []byte
-		for i, r := range rows {
-			var err error
-			if decoded[i], err = r.decode(&scratch); err != nil {
-				t.Fatal(err)
-			}
+	rows := encodeRows(t, New(Options{ToastThreshold: 600}), docs)
+	decoded := make([]jsonval.Value, len(docs))
+	var scratch []byte
+	for i, r := range rows {
+		var err error
+		if decoded[i], err = r.decode(&scratch); err != nil {
+			t.Fatal(err)
 		}
-		for pi, p := range append(preds, nil) {
-			if opts.FullDecode && pi%8 != 0 {
-				continue // the ablation decodes per call; a sample keeps the test fast
+	}
+	for _, p := range append(preds, nil) {
+		match := matcher(p, &scratch).Match
+		for i, r := range rows {
+			got, err := match(r)
+			if err != nil {
+				t.Fatalf("%v on %s: %v", p, docs[i], err)
 			}
-			match := e.matcher(query.Compile(p), &scratch)
-			for i, r := range rows {
-				got, err := match(r)
-				if err != nil {
-					t.Fatalf("%v on %s: %v", p, docs[i], err)
-				}
-				if want := p == nil || p.Eval(decoded[i]); got != want {
-					t.Fatalf("FullDecode=%v: matcher(%v) = %v on %s, Predicate.Eval says %v", opts.FullDecode, p, got, docs[i], want)
-				}
+			if want := p == nil || p.Eval(decoded[i]); got != want {
+				t.Fatalf("matcher(%v) = %v on %s, Predicate.Eval says %v", p, got, docs[i], want)
 			}
 		}
 	}
@@ -72,7 +66,7 @@ func TestMatcherAllocatesNothing(t *testing.T) {
 		}
 		var scratch []byte
 		for _, p := range simtest.Rejections() {
-			match := e.matcher(query.Compile(p), &scratch)
+			match := matcher(p, &scratch).Match
 			if ok, err := match(r); ok || err != nil {
 				t.Fatalf("%v = %v, %v; want a clean rejection", p, ok, err)
 			}
@@ -152,9 +146,8 @@ func TestConcurrentExecute(t *testing.T) {
 // bytes; a row that does not detoast or does not parse is an error, not a
 // rejection.
 func TestMatcherReportsCorruptRows(t *testing.T) {
-	e := New(Options{})
 	var scratch []byte
-	match := e.matcher(query.Compile(query.Exists{Path: "/a"}), &scratch)
+	match := matcher(query.Exists{Path: "/a"}, &scratch).Match
 	for _, r := range []row{{data: []byte{0x07}}, {data: []byte{0xff, 0xff}, compressed: true}} {
 		if ok, err := match(r); ok || err == nil {
 			t.Errorf("corrupt row %x: match = %v, %v; want an error", r.data, ok, err)

@@ -93,11 +93,11 @@ func (w *walk) fail(at int, err error) {
 	w.stop.Store(true)
 }
 
-// Shards walks the n shards of a sim's storage. filter and zone drive
+// Shards walks the n shards of a sim's storage. prune and zone drive
 // pruning: zone returns shard i's zone map and item count, an adaptive
 // pruner (query.NewAdaptivePruner) probes the deterministic shard prefix
 // before the first claim — so what is skipped never depends on claim order —
-// and a shard the compiled filter proves empty is skipped whole, its item
+// and a shard the compiled filter's proof rules out is skipped whole, its item
 // count summed into skippedItems. A nil zone is the zoneless case: nothing
 // is skipped. Every surviving shard is handed whole to body exactly once;
 // body returns the item count it consumed.
@@ -110,13 +110,13 @@ func (w *walk) fail(at int, err error) {
 // checked once per claimed shard. A body error or cancellation stops the
 // walk; the lowest-index error is returned, together with the items skipped
 // so far. One scan event and the scan.* counters report the pass.
-func Shards(ctx context.Context, o Options, n int, filter query.CompiledPredicate,
+func Shards(ctx context.Context, o Options, n int, prune query.Prune,
 	zone func(i int) (query.Zone, int),
 	body func(worker, i int) (int64, error),
 ) (skippedItems int64, err error) {
 	var pruner *query.AdaptivePruner
 	if zone != nil {
-		pruner = query.NewAdaptivePruner(filter, n, func(i int) query.Zone {
+		pruner = query.NewAdaptivePruner(prune, n, func(i int) query.Zone {
 			z, _ := zone(i)
 			return z
 		})
@@ -179,7 +179,7 @@ func Shards(ctx context.Context, o Options, n int, filter query.CompiledPredicat
 func Filter[T any](ctx context.Context, o Options, items []T, keep func(i int, item T) (bool, error)) ([]T, error) {
 	workers, batch := plan(o, len(items))
 	kept := make([][]T, (len(items)+batch-1)/batch)
-	_, err := Shards(ctx, Options{Workers: workers, Engine: o.Engine}, len(kept), query.CompiledPredicate{}, nil,
+	_, err := Shards(ctx, Options{Workers: workers, Engine: o.Engine}, len(kept), query.Prune{}, nil,
 		func(_, b int) (int64, error) {
 			start := b * batch
 			end := min(start+batch, len(items))

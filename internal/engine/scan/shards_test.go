@@ -38,7 +38,7 @@ func (l layout) String() string {
 
 // The pruning inputs of a layout: shard i's zone either has /x or provably
 // lacks it, and the filter needs /x.
-var needsX = query.Compile(query.Exists{Path: "/x"})
+var needsX = query.Compile(query.Exists{Path: "/x"}).Prune
 
 type stubZone struct{ hasX bool }
 
@@ -190,7 +190,7 @@ func TestFilterShardsWorkerIndex(t *testing.T) {
 func TestFilterShardsReportsLowestIndexError(t *testing.T) {
 	boom := errors.New("boom")
 	for round := 0; round < 20; round++ {
-		_, err := scan.Shards(context.Background(), scan.Options{Workers: 8}, 32, query.CompiledPredicate{}, nil,
+		_, err := scan.Shards(context.Background(), scan.Options{Workers: 8}, 32, query.Prune{}, nil,
 			func(_, i int) (int64, error) {
 				if i >= 5 { // shards 5+ all fail; lowest must win
 					return 0, fmt.Errorf("shard %d: %w", i, boom)
@@ -232,7 +232,7 @@ func TestStreamShardsSkipsAndCounts(t *testing.T) {
 func TestStreamShardsStopsOnBodyError(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	_, err := scan.Shards(context.Background(), scan.Options{}, 10, query.CompiledPredicate{}, nil,
+	_, err := scan.Shards(context.Background(), scan.Options{}, 10, query.Prune{}, nil,
 		func(_, i int) (int64, error) {
 			calls++
 			if i == 3 {

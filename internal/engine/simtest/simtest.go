@@ -42,7 +42,10 @@ func Docs(t testing.TB) []jsonval.Value {
 // LeafPredicates returns predicates of all nine kinds for every (path,
 // value) found in the sample — constants taken from the sample so that each
 // kind matches some documents and rejects others — and for paths that are
-// absent, of the wrong kind, or run through a non-object.
+// absent, of the wrong kind, or run through a non-object. Leaves the
+// compiler folds to constants (EXISTS('/'), unsatisfiable sizes, the empty
+// prefix) and a leaf type the compiler does not know are among them, and
+// AND/OR trees over all of them.
 func LeafPredicates(sample []jsonval.Value) []query.Predicate {
 	var preds []query.Predicate
 	seen := map[string]bool{}
@@ -58,7 +61,8 @@ func LeafPredicates(sample []jsonval.Value) []query.Predicate {
 		add(query.Exists{Path: path}, query.IsString{Path: path}, query.IntEq{Path: path, Value: 1},
 			query.FloatCmp{Path: path, Op: query.Ge, Value: 0}, query.StrEq{Path: path, Value: "x"},
 			query.HasPrefix{Path: path, Prefix: ""}, query.BoolEq{Path: path, Value: true},
-			query.ArrSize{Path: path, Op: query.Ge, Value: 0}, query.ObjSize{Path: path, Op: query.Ge, Value: 0})
+			query.ArrSize{Path: path, Op: query.Ge, Value: 0}, query.ObjSize{Path: path, Op: query.Ge, Value: 0},
+			query.ArrSize{Path: path, Op: query.Lt, Value: 0}, query.ObjSize{Path: path, Op: query.Le, Value: -1})
 	}
 	var walk func(path jsonval.Path, v jsonval.Value)
 	walk = func(path jsonval.Path, v jsonval.Value) {
@@ -102,12 +106,20 @@ func LeafPredicates(sample []jsonval.Value) []query.Predicate {
 	for _, p := range []jsonval.Path{"/nope", "/user/nope", "/user/name/deeper", "/nested_arr/0", "/str1/x/y"} {
 		everyKind(p)
 	}
+	add(query.Exists{Path: jsonval.RootPath}, external{query.Exists{Path: "/user/name"}},
+		external{query.IsString{Path: "/str1"}}, external{query.StrEq{Path: "/nope", Value: "x"}})
 	leaves := len(preds)
 	for i := 0; i+2 < leaves; i += 3 {
 		add(query.And{Left: preds[i], Right: query.Or{Left: preds[i+1], Right: preds[i+2]}})
 	}
 	return preds
 }
+
+// external is a leaf type the query compiler does not know: it evaluates
+// its wrapped leaf on the decoded document.
+type external struct{ query.Predicate }
+
+func (e external) String() string { return "EXTERNAL(" + e.Predicate.String() + ")" }
 
 // RejectedDoc is a document that Rejections' predicates all reject.
 const RejectedDoc = `{"id":4,"user":{"name":"alice","verified":false,"tags":[1,2],"geo":{"lat":1.5}},"text":7,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/joda-explore/betze/internal/jsonval"
 )
@@ -29,6 +30,31 @@ type histogramJSON struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"`
 	Total  int64     `json:"total"`
+}
+
+// validate checks Histogram's invariant: at least one bucket, one more bound
+// than buckets, non-decreasing bounds, and non-negative counts summing to the
+// total.
+func (h *histogramJSON) validate() error {
+	if len(h.Counts) == 0 || len(h.Bounds) != len(h.Counts)+1 {
+		return fmt.Errorf("histogram has %d bounds for %d buckets", len(h.Bounds), len(h.Counts))
+	}
+	for i := 1; i < len(h.Bounds); i++ {
+		if h.Bounds[i] < h.Bounds[i-1] {
+			return fmt.Errorf("histogram bounds decrease at %d", i)
+		}
+	}
+	var sum int64
+	for _, c := range h.Counts {
+		if c < 0 || c > math.MaxInt64-sum {
+			return fmt.Errorf("histogram count %d is negative or overflows the total", c)
+		}
+		sum += c
+	}
+	if sum != h.Total {
+		return fmt.Errorf("histogram counts sum to %d, total is %d", sum, h.Total)
+	}
+	return nil
 }
 
 type pathStatsJSON struct {
@@ -111,9 +137,15 @@ func (d *Dataset) UnmarshalJSON(data []byte) error {
 		MaxValues:        in.Config.MaxValues,
 		HistogramBuckets: in.Config.HistogramBuckets,
 	}
+	if in.DocCount < 0 {
+		return fmt.Errorf("jsonstats: decoding analysis file: negative doc_count %d", in.DocCount)
+	}
 	*d = *NewDataset(in.Name, cfg)
 	d.DocCount = in.DocCount
 	for ps, e := range in.Paths {
+		if e.Count < 0 || e.NullCount < 0 {
+			return fmt.Errorf("jsonstats: decoding analysis file: path %s: negative count", ps)
+		}
 		stats := &PathStats{
 			Count:     e.Count,
 			NullCount: e.NullCount,
@@ -141,6 +173,9 @@ func (d *Dataset) UnmarshalJSON(data []byte) error {
 			}
 		}
 		if e.NumHist != nil {
+			if err := e.NumHist.validate(); err != nil {
+				return fmt.Errorf("jsonstats: decoding analysis file: path %s: %w", ps, err)
+			}
 			stats.NumHist = FromSnapshot(e.NumHist.Bounds, e.NumHist.Counts, e.NumHist.Total)
 		}
 		d.Paths[jsonval.ParsePath(ps)] = stats

@@ -93,3 +93,32 @@ func TestCodecListingTwoShape(t *testing.T) {
 		t.Errorf("/user/name has no string stats")
 	}
 }
+
+// TestReadFromRejectsBrokenInvariants: a file whose counts are negative or
+// whose histogram breaks Histogram's invariant is rejected on decode, not
+// left to panic in the generator.
+func TestReadFromRejectsBrokenInvariants(t *testing.T) {
+	file := func(docCount, pathCount, hist string) string {
+		return `{"name":"ds","doc_count":` + docCount + `,"config":{},"paths":{"/n":{"count":` + pathCount +
+			`,"float":{"Count":2,"Min":0,"Max":1},"numeric_histogram":` + hist + `}}}`
+	}
+	valid := `{"bounds":[0,0.5,1],"counts":[1,1],"total":2}`
+	if _, err := ReadFrom(strings.NewReader(file("2", "2", valid))); err != nil {
+		t.Fatalf("valid file rejected: %v", err)
+	}
+	for name, data := range map[string]string{
+		"negative doc_count":  file("-1", "2", valid),
+		"negative path count": file("2", "-2", valid),
+		"no bounds":           file("2", "2", `{"bounds":[],"counts":[1],"total":1}`),
+		"bounds short":        file("2", "2", `{"bounds":[0],"counts":[1,1],"total":2}`),
+		"no buckets":          file("2", "2", `{"bounds":[0],"counts":[],"total":0}`),
+		"decreasing bounds":   file("2", "2", `{"bounds":[0,1,0.5],"counts":[1,1],"total":2}`),
+		"negative count":      file("2", "2", `{"bounds":[0,0.5,1],"counts":[3,-1],"total":2}`),
+		"counts off total":    file("2", "2", `{"bounds":[0,0.5,1],"counts":[1,1],"total":3}`),
+		"counts overflow":     file("2", "2", `{"bounds":[0,0.5,1],"counts":[9223372036854775807,2],"total":1}`),
+	} {
+		if _, err := ReadFrom(strings.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

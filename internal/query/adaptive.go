@@ -18,7 +18,7 @@ package query
 // run-dependent. Construction is single-threaded; afterwards the pruner is
 // immutable and safe for concurrent CanSkip calls.
 type AdaptivePruner struct {
-	c      CompiledPredicate
+	p      Prune
 	probes []bool
 	active bool
 }
@@ -33,9 +33,9 @@ const (
 // NewAdaptivePruner probes the first shards of a store (zone resolves shard
 // index → zone map) and returns the pruner for the whole scan. A predicate
 // that can never prune skips the probes entirely.
-func NewAdaptivePruner(c CompiledPredicate, numShards int, zone func(i int) Zone) *AdaptivePruner {
-	a := &AdaptivePruner{c: c}
-	if c.pfn == nil || numShards <= 0 {
+func NewAdaptivePruner(proof Prune, numShards int, zone func(i int) Zone) *AdaptivePruner {
+	a := &AdaptivePruner{p: proof}
+	if proof.fn == nil || numShards <= 0 {
 		return a
 	}
 	p := numShards / 8
@@ -51,7 +51,7 @@ func NewAdaptivePruner(c CompiledPredicate, numShards int, zone func(i int) Zone
 	a.probes = make([]bool, p)
 	skips := 0
 	for i := range a.probes {
-		if c.CanSkip(zone(i)) {
+		if proof.CanSkip(zone(i)) {
 			a.probes[i] = true
 			skips++
 		}
@@ -67,7 +67,7 @@ func (a *AdaptivePruner) CanSkip(i int, z Zone) bool {
 	if i < len(a.probes) {
 		return a.probes[i]
 	}
-	return a.active && a.c.CanSkip(z)
+	return a.active && a.p.CanSkip(z)
 }
 
 // Probed reports how many leading shards were probed at construction.

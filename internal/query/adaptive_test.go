@@ -37,10 +37,10 @@ func (z poisonZone) Complete() bool {
 func adaptiveProbe(t *testing.T, skippable []bool) *AdaptivePruner {
 	t.Helper()
 	c := Compile(FloatCmp{Path: "/num", Op: Eq, Value: 50})
-	if c.pfn == nil {
+	if c.Prune.fn == nil {
 		t.Fatal("test predicate should be prunable")
 	}
-	return NewAdaptivePruner(c, len(skippable), zonesOf(skippable))
+	return NewAdaptivePruner(c.Prune, len(skippable), zonesOf(skippable))
 }
 
 func TestAdaptivePrunerBypassesUnprofitableZones(t *testing.T) {
@@ -131,7 +131,7 @@ func TestAdaptivePrunerUnprunablePredicate(t *testing.T) {
 	// always false.
 	c := Compile(externalPred{})
 	called := false
-	a := NewAdaptivePruner(c, 100, func(int) Zone { called = true; return nil })
+	a := NewAdaptivePruner(c.Prune, 100, func(int) Zone { called = true; return nil })
 	if called {
 		t.Error("unprunable predicate must not probe zones")
 	}

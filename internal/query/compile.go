@@ -1,49 +1,64 @@
-// Compiled predicate execution. Compile flattens a Predicate tree into
-// allocation-free closures once per query, so the per-document hot path of a
-// scan pays no interface dispatch, no path re-splitting and no operator
-// switches. The paper's evaluation (Fig. 8–9, Table II) measures engines by
-// per-query latency over generated sessions; this layer is where the
-// reproduction spends that latency, so it is compiled rather than
+// Compiled predicate execution. The predicate tree is compiled once per
+// query into allocation-free closures, so the per-document hot path of a
+// scan pays no interface dispatch over the tree, no path re-splitting and no
+// operator switches. The paper's evaluation (Fig. 8–9, Table II) measures
+// engines by per-query latency over generated sessions; this layer is where
+// the reproduction spends that latency, so it is compiled rather than
 // interpreted.
 //
-// Four transformations happen at compile time, all semantics-preserving
-// (leaf evaluation is pure, so AND/OR operand order and eager path
-// resolution cannot change results):
+// There is one compiler, written once over a path resolver: the one part of
+// evaluation that differs between storage formats. A resolver registers
+// each leaf path at compile time, resolves it in each document, and decodes
+// the document for leaf types the compiler does not know. Compile resolves
+// parsed jsonval documents through a path trie (jodasim and the generator's
+// verification backend); CompileLookup resolves each leaf with a format's
+// own LookupSteps walk (bsonlite in mongosim, jsonblite in pgsim, boxed
+// values in jqsim). Every format gets the same transformations, all
+// semantics-preserving (leaf evaluation is pure, so AND/OR operand order and
+// eager path resolution cannot change results):
 //
-//   - every distinct leaf path is merged into one path trie; leaves
-//     resolve lazily through it with per-evaluation memoisation, sharing one
-//     resumable member scan per object level (key-hash masks reject
-//     non-candidate members with a few ANDs) that stamps every sibling path
-//     it passes and stops at the one requested, so N leaves over the same
-//     object pay at most one scan between them, and members past the last
-//     sibling a short-circuited evaluation asks for are never visited;
-//   - paths that cannot join the trie (node fan-out overflow) are still
-//     pre-resolved to step slices (jsonval.Path.Steps), making their
-//     per-document lookup a plain field walk (jsonval.LookupSteps);
 //   - comparison leaves are constant-folded: operators specialise into
 //     dedicated closures, EXISTS on the root folds to true, size comparisons
 //     that no length can satisfy fold to false, and folded constants
 //     propagate through AND/OR;
 //   - AND/OR children are ordered by a static cost model so cheap
 //     existence/type checks run before string prefix/equality work and
-//     short-circuit the expensive half away.
+//     short-circuit the expensive half away;
+//   - every node carries its shard-prune proof (prune.go).
 package query
 
 import (
+	"strings"
 	"sync"
 
 	"github.com/joda-explore/betze/internal/jsonval"
 )
 
-// evalFunc is one compiled node: a pure per-document evaluator. The
-// document travels inside the scratch (sc.doc) rather than as a parameter:
-// a jsonval.Value is ~90 bytes, and passing it by value through every
-// AND/OR/leaf closure of a tree would copy it once per node per document.
-type evalFunc func(sc *scratch) bool
+// LeafValue is the value found at a leaf path, as one document
+// representation presents it: a parsed jsonval node, an undecoded bsonlite
+// or jsonblite value, a boxed value. Each accessor reports false (or
+// ok == false) for a value of another kind.
+type LeafValue interface {
+	Kind() jsonval.Kind
+	Number() (float64, bool)
+	Bool() (bool, bool)
+	EqualString(s string) bool
+	HasPrefix(prefix string) bool
+	// Len is the element or member count of an array or object.
+	Len() (int, bool)
+}
 
-// leafTest is a pure check of the value found at a leaf's path; v is nil
-// when the path is absent.
-type leafTest func(v *jsonval.Value) bool
+// pathResolver is one document representation's path lookup. D is what one
+// evaluation receives per document.
+type pathResolver[D any, V LeafValue] interface {
+	// leaf registers steps at compile time and returns the leaf's
+	// per-document evaluation: false when the path is absent, test of the
+	// value found otherwise.
+	leaf(steps []string, test func(V) bool) func(D) bool
+	// decode materialises the document for leaf types the compiler does not
+	// know.
+	decode(D) jsonval.Value
+}
 
 // Static leaf costs for operand ordering. Only the relative order matters:
 // existence and type checks are cheapest, numeric comparisons add a kind
@@ -61,6 +76,373 @@ const (
 	costBranch   = 1
 )
 
+// compiled is what one compilation yields for any representation: the
+// per-document evaluation (nil matches everything), the shard-prune proof,
+// and the static cost.
+type compiled[D any] struct {
+	Prune
+	fn   func(D) bool
+	cost int
+}
+
+// Cost reports the static cost estimate of one evaluation, the quantity the
+// compiler minimises front-to-back when ordering AND/OR operands. Exposed
+// for tests and tooling; the unit is arbitrary.
+func (c compiled[D]) Cost() int { return c.cost }
+
+// compile compiles p over paths. A nil predicate matches everything.
+func compile[D any, V LeafValue](p Predicate, paths pathResolver[D, V]) compiled[D] {
+	if p == nil {
+		return compiled[D]{}
+	}
+	n := compileNode(paths, p)
+	if n.isConst {
+		konst := n.constVal
+		return compiled[D]{Prune: Prune{constPrune(konst)}, fn: func(D) bool { return konst }}
+	}
+	return compiled[D]{Prune: Prune{n.prune}, fn: n.fn, cost: n.cost}
+}
+
+// node is one compiled subtree: either a closure with a cost, or a folded
+// constant. prune, when non-nil, is the subtree's shard-prune proof (see
+// prune.go); a nil prune means the subtree can never rule a shard out.
+type node[D any] struct {
+	fn       func(D) bool
+	prune    pruneFunc
+	cost     int
+	isConst  bool
+	constVal bool
+}
+
+func constNode[D any](v bool) node[D] { return node[D]{isConst: true, constVal: v} }
+
+// compileNode compiles one subtree, registering leaf paths with paths.
+func compileNode[D any, V LeafValue](paths pathResolver[D, V], p Predicate) node[D] {
+	switch n := p.(type) {
+	case And:
+		return combine(compileNode(paths, n.Left), compileNode(paths, n.Right), false)
+	case Or:
+		return combine(compileNode(paths, n.Left), compileNode(paths, n.Right), true)
+	default:
+		return compileLeaf(paths, p)
+	}
+}
+
+// combine joins two compiled operands into an AND (isOr false) or an OR. A
+// constant operand either decides the node (false under AND, true under OR)
+// or drops out.
+func combine[D any](l, r node[D], isOr bool) node[D] {
+	if l.isConst {
+		if l.constVal == isOr {
+			return constNode[D](isOr)
+		}
+		return r
+	}
+	if r.isConst {
+		if r.constVal == isOr {
+			return constNode[D](isOr)
+		}
+		return l
+	}
+	// Cheap operand first; strict inequality keeps equal-cost operands in
+	// source order, so compilation is deterministic.
+	if r.cost < l.cost {
+		l, r = r, l
+	}
+	lf, rf := l.fn, r.fn
+	n := node[D]{cost: l.cost + r.cost + costBranch}
+	if isOr {
+		n.fn = func(d D) bool { return lf(d) || rf(d) }
+		// A disjunction is only provably empty when both halves are.
+		n.prune = andPrune(l.prune, r.prune)
+	} else {
+		n.fn = func(d D) bool { return lf(d) && rf(d) }
+		// Either operand alone can prove the conjunction empty.
+		n.prune = orPrune(l.prune, r.prune)
+	}
+	return n
+}
+
+// compileLeaf is the leaf table: it specialises one leaf into a pure test of
+// the value its path resolves to. Unknown leaf types (external Predicate
+// implementations) are evaluated on the decoded document, so compilation
+// stays total.
+func compileLeaf[D any, V LeafValue](paths pathResolver[D, V], p Predicate) node[D] {
+	switch n := p.(type) {
+	case Exists:
+		if len(n.Path.Steps()) == 0 {
+			// EXISTS('/') — the root always exists.
+			return constNode[D](true)
+		}
+		return pathLeaf(paths, costExists, n.Path, zoneExists, func(V) bool { return true })
+	case IsString:
+		return pathLeaf(paths, costTypeOnly, n.Path, zoneIsString, func(v V) bool { return v.Kind() == jsonval.String })
+	case IntEq:
+		want := float64(n.Value)
+		return pathLeaf(paths, costNumeric, n.Path, zoneNumCmp(Eq, want), func(v V) bool {
+			f, ok := v.Number()
+			return ok && f == want
+		})
+	case FloatCmp:
+		test := compileCmp(n.Op, n.Value)
+		if test == nil {
+			// Unknown operators hold for nothing, matching CmpOp.Holds.
+			return constNode[D](false)
+		}
+		return pathLeaf(paths, costNumeric, n.Path, zoneNumCmp(n.Op, n.Value), func(v V) bool {
+			f, ok := v.Number()
+			return ok && test(f)
+		})
+	case StrEq:
+		want := n.Value
+		return pathLeaf(paths, costStrEq, n.Path, zoneStrEq(want), func(v V) bool { return v.EqualString(want) })
+	case HasPrefix:
+		if n.Prefix == "" {
+			// Every string has the empty prefix: fold to a type check.
+			return compileLeaf(paths, IsString{Path: n.Path})
+		}
+		prefix := n.Prefix
+		return pathLeaf(paths, costPrefix, n.Path, zoneHasPrefix(prefix), func(v V) bool { return v.HasPrefix(prefix) })
+	case BoolEq:
+		want := n.Value
+		return pathLeaf(paths, costTypeOnly, n.Path, zoneBoolEq(want), func(v V) bool {
+			b, ok := v.Bool()
+			return ok && b == want
+		})
+	case ArrSize:
+		if neverHoldsForLen(n.Op, n.Value) {
+			return constNode[D](false)
+		}
+		return pathLeaf(paths, costSize, n.Path, zoneArrSize(n.Op, n.Value), sizeTest[V](jsonval.Array, n.Op, n.Value))
+	case ObjSize:
+		if neverHoldsForLen(n.Op, n.Value) {
+			return constNode[D](false)
+		}
+		return pathLeaf(paths, costSize, n.Path, zoneObjSize(n.Op, n.Value), sizeTest[V](jsonval.Object, n.Op, n.Value))
+	default:
+		// External leaf types keep their interpreted behaviour. Their prune
+		// stays nil: nothing is known about what they match, so no shard can
+		// ever be proved empty through them.
+		return node[D]{fn: func(d D) bool { return p.Eval(paths.decode(d)) }, cost: costPrefix}
+	}
+}
+
+// pathLeaf assembles a leaf node around a pure test of the value found at
+// path. The resolver decides how the value is found; the leaf's prune proof
+// consults the zone map, never the resolver.
+func pathLeaf[D any, V LeafValue](paths pathResolver[D, V], opCost int, path jsonval.Path, ztest zoneTest, test func(V) bool) node[D] {
+	steps := path.Steps()
+	return node[D]{fn: paths.leaf(steps, test), prune: pruneAt(path, ztest), cost: opCost + costStep*len(steps)}
+}
+
+// sizeTest is the ARRSIZE/OBJSIZE test: a value of the given kind whose
+// length satisfies the comparison. op is known (neverHoldsForLen folds the
+// rest).
+func sizeTest[V LeafValue](kind jsonval.Kind, op CmpOp, want int) func(V) bool {
+	cmp := compileCmp(op, want)
+	return func(v V) bool {
+		if v.Kind() != kind {
+			return false
+		}
+		l, ok := v.Len()
+		return ok && cmp(l)
+	}
+}
+
+// Matcher is a predicate compiled by CompileLookup for documents of type T.
+// An evaluation keeps a lookup or decode error it meets for Match to return,
+// so a Matcher serves one goroutine at a time.
+type Matcher[T any] struct {
+	compiled[T]
+	err *error
+}
+
+// CompileLookup compiles p for a storage format that resolves every
+// evaluated leaf with its own path walk: lookup resolves pre-split path
+// steps in a document (ok false when absent), and decode materialises a
+// document for leaf types the compiler does not know.
+func CompileLookup[T any, V LeafValue](p Predicate, lookup func(T, []string) (V, bool, error), decode func(T) (jsonval.Value, error)) Matcher[T] {
+	r := &lookupResolver[T, V]{lookup: lookup, decodeDoc: decode}
+	return Matcher[T]{compiled: compile[T, V](p, r), err: &r.err}
+}
+
+// Match reports whether doc passes the predicate. A document a lookup or
+// decode fails on yields the error instead of a verdict.
+func (m Matcher[T]) Match(doc T) (bool, error) {
+	if m.fn == nil {
+		return true, nil
+	}
+	ok := m.fn(doc)
+	if err := *m.err; err != nil {
+		*m.err = nil
+		return false, err
+	}
+	return ok, nil
+}
+
+// lookupResolver is CompileLookup's resolver. A failed lookup reads as an
+// absent path, so the evaluation finishes, and the error waits in err.
+type lookupResolver[T any, V LeafValue] struct {
+	lookup    func(T, []string) (V, bool, error)
+	decodeDoc func(T) (jsonval.Value, error)
+	err       error
+}
+
+func (r *lookupResolver[T, V]) leaf(steps []string, test func(V) bool) func(T) bool {
+	return func(doc T) bool {
+		v, ok, err := r.lookup(doc, steps)
+		if err != nil {
+			r.err = err
+			return false
+		}
+		return ok && test(v)
+	}
+}
+
+func (r *lookupResolver[T, V]) decode(doc T) jsonval.Value {
+	v, err := r.decodeDoc(doc)
+	if err != nil {
+		r.err = err
+	}
+	return v
+}
+
+// CompiledPredicate is a predicate compiled by Compile for parsed jsonval
+// documents. The zero value — and Compile(nil) — matches every document,
+// mirroring a nil Filter.
+type CompiledPredicate struct {
+	compiled[*scratch]
+	slots int // trie nodes: the scratch slots one evaluation uses
+}
+
+// Compile compiles p for parsed documents, resolving its leaf paths through
+// one shared path trie. Compiling a nil predicate yields the
+// match-everything compiled form.
+func Compile(p Predicate) CompiledPredicate {
+	var b trieBuilder
+	c := CompiledPredicate{compiled: compile[*scratch, valueRef](p, &b)}
+	if b.res != nil {
+		c.slots = len(b.res.nodes)
+	}
+	return c
+}
+
+// Eval reports whether doc passes the predicate. It borrows a pooled scratch
+// for the evaluation's path memoisation and returns it afterwards — no
+// per-call allocation once the pool is warm.
+func (c CompiledPredicate) Eval(doc jsonval.Value) bool {
+	if c.fn == nil {
+		return true
+	}
+	sc := scratchPool.Get().(*scratch)
+	if cap(sc.slots) < c.slots {
+		sc.slots = make([]slotVal, c.slots)
+	}
+	sc.slots = sc.slots[:cap(sc.slots)]
+	sc.gen++
+	sc.docv = doc
+	sc.doc = &sc.docv
+	ok := c.fn(sc)
+	scratchPool.Put(sc)
+	return ok
+}
+
+// Evaluator returns a reusable single-goroutine evaluator for the compiled
+// predicate. It owns its scratch outright, so a scan loop that evaluates the
+// same predicate over many documents skips Eval's per-document pool
+// round-trip and copy. Not safe for concurrent use: give each scan worker
+// its own.
+func (c CompiledPredicate) Evaluator() *Evaluator {
+	e := &Evaluator{fn: c.fn}
+	e.sc.slots = make([]slotVal, c.slots)
+	return e
+}
+
+// Evaluator is a compiled predicate bound to a private scratch. The zero
+// value is not useful; obtain one from CompiledPredicate.Evaluator.
+type Evaluator struct {
+	fn func(*scratch) bool
+	sc scratch
+}
+
+// EvalAt reports whether *doc passes the predicate, reading the document in
+// place: doc must stay unmodified until EvalAt returns. This is the entry
+// point for scan loops that index a document slice.
+func (e *Evaluator) EvalAt(doc *jsonval.Value) bool {
+	if e.fn == nil {
+		return true
+	}
+	e.sc.gen++
+	e.sc.doc = doc
+	return e.fn(&e.sc)
+}
+
+// EvalBlock evaluates one whole block of documents in a single call,
+// writing per-document verdicts into keep (which must be at least
+// len(docs) long) and returning the match count: one indirect call per
+// shard instead of one per document, with the per-document loop reduced to
+// a generation bump, a pointer store and the compiled closure. Allocates
+// nothing.
+//
+// No production caller (scans call EvalAt per document and keep no verdict
+// buffer); kept for benchmark/replay.go until a benchmark PR drops the row.
+func (e *Evaluator) EvalBlock(docs []jsonval.Value, keep []bool) int {
+	if len(keep) < len(docs) {
+		panic("query: EvalBlock keep buffer shorter than the document block")
+	}
+	if e.fn == nil {
+		for i := range docs {
+			keep[i] = true
+		}
+		return len(docs)
+	}
+	sc, fn := &e.sc, e.fn
+	matched := 0
+	for i := range docs {
+		sc.gen++
+		sc.doc = &docs[i]
+		ok := fn(sc)
+		keep[i] = ok
+		if ok {
+			matched++
+		}
+	}
+	return matched
+}
+
+// valueRef is a node of a parsed document seen as a LeafValue.
+type valueRef struct{ v *jsonval.Value }
+
+func (r valueRef) is(k jsonval.Kind) bool    { return r.v.Kind() == k }
+func (r valueRef) Kind() jsonval.Kind        { return r.v.Kind() }
+func (r valueRef) Number() (float64, bool)   { return r.v.Number() }
+func (r valueRef) Bool() (bool, bool)        { return r.is(jsonval.Bool) && r.v.Bool(), r.is(jsonval.Bool) }
+func (r valueRef) EqualString(s string) bool { return r.is(jsonval.String) && r.v.Str() == s }
+func (r valueRef) Len() (int, bool)          { return r.v.Len(), r.is(jsonval.Array) || r.is(jsonval.Object) }
+
+func (r valueRef) HasPrefix(prefix string) bool {
+	return r.is(jsonval.String) && strings.HasPrefix(r.v.Str(), prefix)
+}
+
+// The path trie is Compile's resolver: every distinct leaf path of a
+// predicate is merged into one trie, and leaves resolve lazily through it
+// with per-evaluation memoisation, sharing one resumable member scan per
+// object level (key-hash masks reject non-candidate members with a few ANDs)
+// that stamps every sibling path it passes and stops at the one requested.
+// So N leaves over the same object pay at most one scan between them, and
+// members past the last sibling a short-circuited evaluation asks for are
+// never visited. Paths that cannot join the trie (node fan-out overflow)
+// resolve with their own jsonval.LookupSteps walk.
+//
+// The trie stays because it is what keeps NoBench generation fast. On a
+// 2-core Intel Xeon, sending every leaf through a plain LookupSteps walk
+// instead made the benchmark's generate_ms_per_query on nobench-aggregate
+// go from 2.35 ms to 3.56 ms (every one of 4 alternating pairs 1.26–1.81×
+// worse), and an eager trie that scans each level once per evaluation was
+// 2–6× slower per evaluation on generated filters. The plain walk was
+// 1.2–2.9× faster on Twitter and Reddit session filters, so choosing one per
+// predicate is open.
+
 // maxTrieEdges bounds the fan-out of one path-trie node: the single-walk
 // resolver tracks which edges matched in a per-walk uint64 bitmask, so a
 // node that would grow a 65th edge stops accepting slots and the overflowing
@@ -74,18 +456,11 @@ const maxTrieEdges = 64
 // current gen, so reusing a pooled scratch needs no per-eval zeroing.
 type scratch struct {
 	doc      *jsonval.Value // the document under evaluation
-	docv     jsonval.Value  // copy buffer for by-value entry points
+	docv     jsonval.Value  // copy buffer for CompiledPredicate.Eval
 	gen      uint64
 	rootGen  uint64 // rootScan is initialised for this gen
 	rootScan scanState
 	slots    []slotVal
-}
-
-// setDoc points the scratch at doc for the next evaluation. The by-value
-// entry points copy into the buffer first; Evaluator.EvalAt skips the copy.
-func (sc *scratch) setDoc(doc jsonval.Value) {
-	sc.docv = doc
-	sc.doc = &sc.docv
 }
 
 // slotVal memoises one trie node for the current evaluation. v points into
@@ -324,334 +699,28 @@ func (b *trieBuilder) slotFor(steps []string) (int32, bool) {
 	return parent, true
 }
 
-// frozen returns the built resolver, or nil when no leaf claimed a slot.
-func (b *trieBuilder) frozen() *resolver {
-	if b.res == nil || len(b.res.nodes) == 0 {
-		return nil
+// leaf implements pathResolver: root-path leaves test the document itself,
+// slot leaves — the hot case — the value memoised in the trie, and
+// trie-overflow leaves walk their own path.
+func (b *trieBuilder) leaf(steps []string, test func(valueRef) bool) func(*scratch) bool {
+	if len(steps) == 0 {
+		return func(sc *scratch) bool { return test(valueRef{sc.doc}) }
 	}
-	return b.res
-}
-
-// CompiledPredicate is the compiled form of a filter tree. The zero value —
-// and Compile(nil) — matches every document, mirroring a nil Filter.
-// CompiledPredicate itself implements Predicate (String renders the source
-// tree in canonical syntax), so compiled and interpreted forms stay
-// interchangeable in tests and tools.
-type CompiledPredicate struct {
-	fn   evalFunc
-	pfn  pruneFunc
-	res  *resolver
-	cost int
-	src  Predicate
-}
-
-// Compile flattens the predicate tree into allocation-free closures with
-// pre-resolved paths, folded constants, cost-ordered AND/OR operands, and a
-// shared single-walk resolver over every distinct leaf path. Compiling a nil
-// predicate yields the match-everything compiled form.
-func Compile(p Predicate) CompiledPredicate {
-	if p == nil {
-		return CompiledPredicate{}
-	}
-	var b trieBuilder
-	n := compileNode(&b, p)
-	if n.isConst {
-		konst := n.constVal
-		return CompiledPredicate{
-			fn:   func(*scratch) bool { return konst },
-			pfn:  constPrune(konst),
-			cost: 0,
-			src:  p,
+	if idx, ok := b.slotFor(steps); ok {
+		res := b.res
+		return func(sc *scratch) bool {
+			v := leafValue(sc, res, idx)
+			return v != nil && test(valueRef{v})
 		}
 	}
-	return CompiledPredicate{fn: n.fn, pfn: n.prune, res: b.frozen(), cost: n.cost, src: p}
-}
-
-// Eval implements Predicate. A zero CompiledPredicate matches everything.
-// Trees with slot leaves borrow a pooled scratch for the evaluation's path
-// memoisation and return it afterwards — no per-call allocation once the
-// pool is warm.
-func (c CompiledPredicate) Eval(doc jsonval.Value) bool {
-	if c.fn == nil {
-		return true
-	}
-	sc := scratchPool.Get().(*scratch)
-	if c.res != nil {
-		if n := len(c.res.nodes); cap(sc.slots) < n {
-			sc.slots = make([]slotVal, n)
-		}
-		sc.slots = sc.slots[:cap(sc.slots)]
-	}
-	sc.gen++
-	sc.setDoc(doc)
-	ok := c.fn(sc)
-	scratchPool.Put(sc)
-	return ok
-}
-
-// Evaluator returns a reusable single-goroutine evaluator for the compiled
-// predicate. It owns its scratch outright, so a scan loop that evaluates the
-// same predicate over many documents skips Eval's per-document pool
-// round-trip. Not safe for concurrent use: give each scan worker its own.
-func (c CompiledPredicate) Evaluator() *Evaluator {
-	e := &Evaluator{fn: c.fn}
-	if c.res != nil {
-		e.sc.slots = make([]slotVal, len(c.res.nodes))
-	}
-	return e
-}
-
-// Evaluator is a compiled predicate bound to a private scratch. The zero
-// value is not useful; obtain one from CompiledPredicate.Evaluator.
-type Evaluator struct {
-	fn evalFunc
-	sc scratch
-}
-
-// Eval reports whether doc passes the predicate, like
-// CompiledPredicate.Eval.
-func (e *Evaluator) Eval(doc jsonval.Value) bool {
-	if e.fn == nil {
-		return true
-	}
-	e.sc.gen++
-	e.sc.setDoc(doc)
-	return e.fn(&e.sc)
-}
-
-// EvalAt is Eval without the copy-in: the evaluation reads the document
-// through doc, which must stay unmodified until EvalAt returns. This is the
-// entry point for scan loops that index a document slice — a jsonval.Value
-// is ~90 bytes, and at millions of documents per second the per-document
-// copy is measurable.
-func (e *Evaluator) EvalAt(doc *jsonval.Value) bool {
-	if e.fn == nil {
-		return true
-	}
-	e.sc.gen++
-	e.sc.doc = doc
-	return e.fn(&e.sc)
-}
-
-// EvalBlock evaluates one whole block of documents in a single call,
-// writing per-document verdicts into keep (which must be at least
-// len(docs) long) and returning the match count: one indirect call per
-// shard instead of one per document, with the per-document loop reduced to
-// a generation bump, a pointer store and the compiled closure. Allocates
-// nothing.
-//
-// No production caller (scans call EvalAt per document and keep no verdict
-// buffer); kept for benchmark/replay.go until a benchmark PR drops the row.
-func (e *Evaluator) EvalBlock(docs []jsonval.Value, keep []bool) int {
-	if len(keep) < len(docs) {
-		panic("query: EvalBlock keep buffer shorter than the document block")
-	}
-	if e.fn == nil {
-		for i := range docs {
-			keep[i] = true
-		}
-		return len(docs)
-	}
-	sc, fn := &e.sc, e.fn
-	matched := 0
-	for i := range docs {
-		sc.gen++
-		sc.doc = &docs[i]
-		ok := fn(sc)
-		keep[i] = ok
-		if ok {
-			matched++
-		}
-	}
-	return matched
-}
-
-// Matches reports whether doc passes the compiled filter; it is Eval under
-// the name engines use for whole-query matching.
-func (c CompiledPredicate) Matches(doc jsonval.Value) bool { return c.Eval(doc) }
-
-// Source returns the predicate the compiled form was built from (nil for the
-// zero value).
-func (c CompiledPredicate) Source() Predicate { return c.src }
-
-// Cost reports the static cost estimate of one evaluation, the quantity the
-// compiler minimises front-to-back when ordering AND/OR operands. Exposed
-// for tests and tooling; the unit is arbitrary.
-func (c CompiledPredicate) Cost() int { return c.cost }
-
-// String implements Predicate by rendering the source tree's canonical form,
-// so compiled predicates keep working as cache keys and display strings.
-func (c CompiledPredicate) String() string {
-	if c.src == nil {
-		return "TRUE"
-	}
-	return c.src.String()
-}
-
-// node is one compiled subtree: either a closure with a cost, or a folded
-// constant. prune, when non-nil, is the subtree's shard-prune proof (see
-// prune.go); a nil prune means the subtree can never rule a shard out.
-type node struct {
-	fn       evalFunc
-	prune    pruneFunc
-	cost     int
-	isConst  bool
-	constVal bool
-}
-
-func constNode(v bool) node { return node{isConst: true, constVal: v} }
-
-// compileNode compiles one subtree, registering leaf paths with b.
-func compileNode(b *trieBuilder, p Predicate) node {
-	switch n := p.(type) {
-	case And:
-		l, r := compileNode(b, n.Left), compileNode(b, n.Right)
-		if l.isConst {
-			if !l.constVal {
-				return constNode(false)
-			}
-			return r
-		}
-		if r.isConst {
-			if !r.constVal {
-				return constNode(false)
-			}
-			return l
-		}
-		// Cheap operand first; strict inequality keeps equal-cost operands
-		// in source order, so compilation is deterministic.
-		if r.cost < l.cost {
-			l, r = r, l
-		}
-		lf, rf := l.fn, r.fn
-		return node{
-			fn: func(sc *scratch) bool { return lf(sc) && rf(sc) },
-			// Either operand alone can prove the conjunction empty.
-			prune: orPrune(l.prune, r.prune),
-			cost:  l.cost + r.cost + costBranch,
-		}
-	case Or:
-		l, r := compileNode(b, n.Left), compileNode(b, n.Right)
-		if l.isConst {
-			if l.constVal {
-				return constNode(true)
-			}
-			return r
-		}
-		if r.isConst {
-			if r.constVal {
-				return constNode(true)
-			}
-			return l
-		}
-		if r.cost < l.cost {
-			l, r = r, l
-		}
-		lf, rf := l.fn, r.fn
-		return node{
-			fn: func(sc *scratch) bool { return lf(sc) || rf(sc) },
-			// A disjunction is only provably empty when both halves are.
-			prune: andPrune(l.prune, r.prune),
-			cost:  l.cost + r.cost + costBranch,
-		}
-	case CompiledPredicate:
-		// An already-compiled subtree is recompiled from its source so its
-		// leaves join this tree's resolver (slot indices are per-compilation;
-		// splicing the inner closure would read the wrong scratch). Compile
-		// stays idempotent over its own output: same source, same result.
-		if n.src == nil {
-			return constNode(true)
-		}
-		return compileNode(b, n.src)
-	default:
-		return compileLeaf(b, p)
+	return func(sc *scratch) bool {
+		v, ok := jsonval.LookupSteps(*sc.doc, steps)
+		return ok && test(valueRef{&v})
 	}
 }
 
-// compileLeaf specialises one leaf into a pure test over its resolved value,
-// attached to a slot in the shared resolver. Unknown leaf types (external
-// Predicate implementations) fall back to their own Eval so Compile stays
-// total.
-func compileLeaf(b *trieBuilder, p Predicate) node {
-	switch n := p.(type) {
-	case Exists:
-		if len(n.Path.Steps()) == 0 {
-			// EXISTS('/') — the root always exists.
-			return constNode(true)
-		}
-		return pathLeaf(b, costExists, n.Path, zoneExists, func(v *jsonval.Value) bool { return v != nil })
-	case IsString:
-		return pathLeaf(b, costTypeOnly, n.Path, zoneIsString, func(v *jsonval.Value) bool {
-			return v != nil && v.Kind() == jsonval.String
-		})
-	case IntEq:
-		want := float64(n.Value)
-		return pathLeaf(b, costNumeric, n.Path, zoneNumCmp(Eq, want), func(v *jsonval.Value) bool {
-			if v == nil {
-				return false
-			}
-			f, ok := v.Number()
-			return ok && f == want
-		})
-	case FloatCmp:
-		test := compileFloatTest(n.Op, n.Value)
-		if test == nil {
-			// Unknown operators hold for nothing, matching CmpOp.Holds.
-			return constNode(false)
-		}
-		return pathLeaf(b, costNumeric, n.Path, zoneNumCmp(n.Op, n.Value), func(v *jsonval.Value) bool {
-			if v == nil {
-				return false
-			}
-			f, ok := v.Number()
-			return ok && test(f)
-		})
-	case StrEq:
-		want := n.Value
-		return pathLeaf(b, costStrEq, n.Path, zoneStrEq(want), func(v *jsonval.Value) bool {
-			return v != nil && v.Kind() == jsonval.String && v.Str() == want
-		})
-	case HasPrefix:
-		if n.Prefix == "" {
-			// Every string has the empty prefix: fold to a type check.
-			return compileLeaf(b, IsString{Path: n.Path})
-		}
-		prefix := n.Prefix
-		return pathLeaf(b, costPrefix, n.Path, zoneHasPrefix(prefix), func(v *jsonval.Value) bool {
-			if v == nil || v.Kind() != jsonval.String {
-				return false
-			}
-			s := v.Str()
-			return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-		})
-	case BoolEq:
-		want := n.Value
-		return pathLeaf(b, costTypeOnly, n.Path, zoneBoolEq(want), func(v *jsonval.Value) bool {
-			return v != nil && v.Kind() == jsonval.Bool && v.Bool() == want
-		})
-	case ArrSize:
-		if neverHoldsForLen(n.Op, n.Value) {
-			return constNode(false)
-		}
-		cmp := compileIntCmp(n.Op, n.Value)
-		return pathLeaf(b, costSize, n.Path, zoneArrSize(n.Op, n.Value), func(v *jsonval.Value) bool {
-			return v != nil && v.Kind() == jsonval.Array && cmp(v.Len())
-		})
-	case ObjSize:
-		if neverHoldsForLen(n.Op, n.Value) {
-			return constNode(false)
-		}
-		cmp := compileIntCmp(n.Op, n.Value)
-		return pathLeaf(b, costSize, n.Path, zoneObjSize(n.Op, n.Value), func(v *jsonval.Value) bool {
-			return v != nil && v.Kind() == jsonval.Object && cmp(v.Len())
-		})
-	default:
-		// External leaf types keep their interpreted behaviour. Their prune
-		// stays nil: nothing is known about what they match, so no shard can
-		// ever be proved empty through them.
-		return node{fn: func(sc *scratch) bool { return p.Eval(*sc.doc) }, cost: costPrefix}
-	}
-}
+// decode implements pathResolver: the document is already parsed.
+func (*trieBuilder) decode(sc *scratch) jsonval.Value { return *sc.doc }
 
 // leafValue returns the memoised — or, on a generation miss, freshly
 // resolved — value at trie node idx; nil means the path is absent. Small
@@ -664,76 +733,37 @@ func leafValue(sc *scratch, res *resolver, idx int32) *jsonval.Value {
 	return res.resolve(sc, idx)
 }
 
-// pathLeaf assembles a leaf node around a pure test of the value found at
-// path. Root-path leaves test the document itself, slot leaves — the hot
-// case — the value memoised in the shared resolver, and trie-overflow leaves
-// fall back to a private LookupSteps walk. The leaf's prune proof is the
-// same ztest every way: pruning consults the zone map, not the trie.
-func pathLeaf(b *trieBuilder, opCost int, path jsonval.Path, ztest zoneTest, test leafTest) node {
-	steps := path.Steps()
-	n := node{prune: pruneAt(path, ztest), cost: opCost + costStep*len(steps)}
-	if len(steps) == 0 {
-		n.fn = func(sc *scratch) bool { return test(sc.doc) }
-	} else if idx, ok := b.slotFor(steps); ok {
-		res := b.res
-		n.fn = func(sc *scratch) bool { return test(leafValue(sc, res, idx)) }
-	} else {
-		n.fn = func(sc *scratch) bool {
-			if v, ok := jsonval.LookupSteps(*sc.doc, steps); ok {
-				return test(&v)
-			}
-			return test(nil)
-		}
-	}
-	return n
-}
-
-// compileFloatTest specialises the comparison operator into its own closure,
-// removing the per-document operator switch. Unknown operators return nil.
-func compileFloatTest(op CmpOp, want float64) func(float64) bool {
+// compileCmp specialises "x op want" into its own closure, removing the
+// per-document operator switch. Unknown operators return nil.
+func compileCmp[N int | float64](op CmpOp, want N) func(N) bool {
 	switch op {
 	case Lt:
-		return func(f float64) bool { return f < want }
+		return func(x N) bool { return x < want }
 	case Le:
-		return func(f float64) bool { return f <= want }
+		return func(x N) bool { return x <= want }
 	case Gt:
-		return func(f float64) bool { return f > want }
+		return func(x N) bool { return x > want }
 	case Ge:
-		return func(f float64) bool { return f >= want }
+		return func(x N) bool { return x >= want }
 	case Eq:
-		return func(f float64) bool { return f == want }
+		return func(x N) bool { return x == want }
 	default:
 		return nil
 	}
 }
 
-// compileIntCmp specialises an integer comparison against a constant.
-func compileIntCmp(op CmpOp, want int) func(int) bool {
-	switch op {
-	case Lt:
-		return func(l int) bool { return l < want }
-	case Le:
-		return func(l int) bool { return l <= want }
-	case Gt:
-		return func(l int) bool { return l > want }
-	case Ge:
-		return func(l int) bool { return l >= want }
-	case Eq:
-		return func(l int) bool { return l == want }
-	default:
-		return func(int) bool { return false }
-	}
-}
-
 // neverHoldsForLen reports whether "len op want" is unsatisfiable for any
-// length ≥ 0, letting size leaves fold to constant false.
+// length ≥ 0, letting size leaves fold to constant false. Unknown operators
+// hold for nothing, matching CmpOp.HoldsInt.
 func neverHoldsForLen(op CmpOp, want int) bool {
 	switch op {
 	case Lt:
 		return want <= 0
 	case Le, Eq:
 		return want < 0
-	default:
+	case Gt, Ge:
 		return false
+	default:
+		return true
 	}
 }

@@ -1,23 +1,6 @@
 package query
 
-import (
-	"math/rand"
-	"testing"
-
-	"github.com/joda-explore/betze/internal/jsonval"
-)
-
-// benchDocs builds a deterministic corpus of small nested documents shaped
-// like the generator's output, so Eval/Compile benchmarks exercise realistic
-// path depths and type mixes.
-func benchDocs(n int) []jsonval.Value {
-	r := rand.New(rand.NewSource(2026))
-	docs := make([]jsonval.Value, n)
-	for i := range docs {
-		docs[i] = randomSmallDoc(r)
-	}
-	return docs
-}
+import "testing"
 
 // benchPredicate is a predicate-heavy tree: deep AND/OR nesting mixing cheap
 // existence/type checks with string prefix work, the shape the cost model is
@@ -38,36 +21,6 @@ func benchPredicate() Predicate {
 				Right: BoolEq{Path: "/flag", Value: true},
 			},
 		},
-	}
-}
-
-func BenchmarkPredicateEvalInterpreted(b *testing.B) {
-	docs := benchDocs(256)
-	p := benchPredicate()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Eval(docs[i%len(docs)])
-	}
-}
-
-func BenchmarkPredicateEvalCompiled(b *testing.B) {
-	docs := benchDocs(256)
-	c := Compile(benchPredicate())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Eval(docs[i%len(docs)])
-	}
-}
-
-func BenchmarkPredicateEvalEvaluator(b *testing.B) {
-	docs := benchDocs(256)
-	e := Compile(benchPredicate()).Evaluator()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.EvalAt(&docs[i%len(docs)])
 	}
 }
 

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -17,14 +19,28 @@ func TestCompileMatchesEvalFuzz(t *testing.T) {
 	for round := 0; round < 500; round++ {
 		p := randomPredicate(r, 3)
 		c := Compile(p)
+		m := CompileLookup(p, lookupJSON, decodeJSON)
 		for i := 0; i < 20; i++ {
 			doc := randomSmallDoc(r)
-			if got, want := c.Eval(doc), p.Eval(doc); got != want {
+			want := p.Eval(doc)
+			if got := c.Eval(doc); got != want {
 				t.Fatalf("round %d: compiled=%v interpreted=%v for %s over %s", round, got, want, p, doc)
+			}
+			if got, err := m.Match(doc); got != want || err != nil {
+				t.Fatalf("round %d: lookup-compiled=%v, %v interpreted=%v for %s over %s", round, got, err, want, p, doc)
 			}
 		}
 	}
 }
+
+// lookupJSON and decodeJSON resolve parsed documents the way a
+// lookup-based storage format does: one walk per evaluated leaf.
+func lookupJSON(doc jsonval.Value, steps []string) (valueRef, bool, error) {
+	v, ok := jsonval.LookupSteps(doc, steps)
+	return valueRef{&v}, ok, nil
+}
+
+func decodeJSON(doc jsonval.Value) (jsonval.Value, error) { return doc, nil }
 
 func TestCompileNilAndZeroValueMatchEverything(t *testing.T) {
 	doc := jsonval.ObjectValue(jsonval.Member{Key: "a", Value: jsonval.IntValue(1)})
@@ -32,35 +48,15 @@ func TestCompileNilAndZeroValueMatchEverything(t *testing.T) {
 		t.Error("Compile(nil) rejected a document")
 	}
 	var zero CompiledPredicate
-	if !zero.Eval(doc) || !zero.Matches(doc) {
+	if !zero.Eval(doc) {
 		t.Error("zero CompiledPredicate rejected a document")
 	}
-	if zero.String() != "TRUE" {
-		t.Errorf("zero String = %q", zero.String())
+	if ok, err := CompileLookup(nil, lookupJSON, decodeJSON).Match(doc); !ok || err != nil {
+		t.Errorf("CompileLookup(nil) = %v, %v", ok, err)
 	}
-}
-
-func TestCompileStringKeepsCanonicalForm(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for i := 0; i < 100; i++ {
-		p := randomPredicate(r, 3)
-		if got := Compile(p).String(); got != p.String() {
-			t.Errorf("compiled String %q != source %q", got, p.String())
-		}
-	}
-}
-
-func TestCompileIsIdempotentOverItsOutput(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	for i := 0; i < 50; i++ {
-		p := randomPredicate(r, 2)
-		c := Compile(p)
-		cc := Compile(And{Left: c, Right: Exists{Path: "/a"}})
-		doc := randomSmallDoc(r)
-		want := p.Eval(doc) && Exists{Path: "/a"}.Eval(doc)
-		if got := cc.Eval(doc); got != want {
-			t.Fatalf("recompiled tree diverged for %s", p)
-		}
+	var zeroMatcher Matcher[jsonval.Value]
+	if ok, err := zeroMatcher.Match(doc); !ok || err != nil {
+		t.Errorf("zero Matcher = %v, %v", ok, err)
 	}
 }
 
@@ -88,6 +84,9 @@ func TestCompileConstantFolds(t *testing.T) {
 		{"and with const false", And{Left: ArrSize{Path: "/arr", Op: Lt, Value: 0}, Right: IsString{Path: "/s"}}},
 		{"or with const true", Or{Left: Exists{Path: jsonval.RootPath}, Right: IsString{Path: "/s"}}},
 		{"or with const false", Or{Left: ArrSize{Path: "/arr", Op: Lt, Value: -5}, Right: IsString{Path: "/s"}}},
+		{"unknown operator on arrsize", ArrSize{Path: "/arr", Op: CmpOp(99), Value: 1}},
+		{"unknown operator on objsize", ObjSize{Path: jsonval.RootPath, Op: CmpOp(99), Value: 0}},
+		{"unknown operator on floatcmp", FloatCmp{Path: "/arr", Op: CmpOp(99), Value: 1}},
 	}
 	for _, c := range cases {
 		compiled := Compile(c.pred)
@@ -103,6 +102,9 @@ func TestCompileConstantFolds(t *testing.T) {
 	}
 	if c := Compile(ArrSize{Path: "/arr", Op: Lt, Value: 0}); c.Cost() != 0 {
 		t.Errorf("ARRSIZE < 0 compiled to cost %d, want folded constant", c.Cost())
+	}
+	if c := Compile(ObjSize{Path: "/o", Op: CmpOp(99), Value: 1}); c.Cost() != 0 {
+		t.Errorf("OBJSIZE with an unknown operator compiled to cost %d, want folded constant", c.Cost())
 	}
 }
 
@@ -162,12 +164,45 @@ func TestCompileOrdersCheapOperandFirst(t *testing.T) {
 			t.Errorf("expensive operand of %s evaluated %d times; cheap succeeding check should short-circuit", p, calls.Load())
 		}
 	}
+
+	// On a lookup-based format the cheap operand is also the first — and
+	// only — path resolved, and the external leaf's document is never
+	// decoded.
+	var resolved []string
+	decodes := 0
+	countingLookup := func(doc jsonval.Value, steps []string) (valueRef, bool, error) {
+		resolved = append(resolved, strings.Join(steps, "/"))
+		return lookupJSON(doc, steps)
+	}
+	countingDecode := func(doc jsonval.Value) (jsonval.Value, error) {
+		decodes++
+		return doc, nil
+	}
+	prefix := HasPrefix{Path: "/present", Prefix: "x"}
+	for _, tc := range []struct {
+		p    Predicate
+		want bool
+		path string
+	}{
+		{And{Left: prefix, Right: missing}, false, "absent"},
+		{And{Left: missing, Right: And{Left: expensive, Right: prefix}}, false, "absent"},
+		{Or{Left: prefix, Right: present}, true, "present"},
+		{Or{Left: expensive, Right: present}, true, "present"},
+	} {
+		resolved, decodes = nil, 0
+		m := CompileLookup(tc.p, countingLookup, countingDecode)
+		if got, err := m.Match(doc); got != tc.want || err != nil {
+			t.Fatalf("%s = %v, %v", tc.p, got, err)
+		}
+		if len(resolved) != 1 || resolved[0] != tc.path || decodes != 0 {
+			t.Errorf("%s resolved %q and decoded %d times; want only %q", tc.p, resolved, decodes, tc.path)
+		}
+	}
 }
 
 // TestEvaluatorMatchesEvalFuzz checks the reusable-evaluator entry points
 // against the interpreted reference: reusing one Evaluator across many
-// documents (the scan-worker pattern) must agree with Predicate.Eval, through
-// both the copying and the in-place entry point.
+// documents (the scan-worker pattern) must agree with Predicate.Eval.
 func TestEvaluatorMatchesEvalFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for round := 0; round < 300; round++ {
@@ -176,9 +211,6 @@ func TestEvaluatorMatchesEvalFuzz(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			doc := randomSmallDoc(r)
 			want := p.Eval(doc)
-			if got := e.Eval(doc); got != want {
-				t.Fatalf("round %d: Evaluator.Eval=%v interpreted=%v for %s over %s", round, got, want, p, doc)
-			}
 			if got := e.EvalAt(&doc); got != want {
 				t.Fatalf("round %d: Evaluator.EvalAt=%v interpreted=%v for %s over %s", round, got, want, p, doc)
 			}
@@ -189,7 +221,7 @@ func TestEvaluatorMatchesEvalFuzz(t *testing.T) {
 func TestEvaluatorZeroAndNil(t *testing.T) {
 	doc := jsonval.ObjectValue(jsonval.Member{Key: "a", Value: jsonval.IntValue(1)})
 	e := Compile(nil).Evaluator()
-	if !e.Eval(doc) || !e.EvalAt(&doc) {
+	if !e.EvalAt(&doc) {
 		t.Error("Evaluator of Compile(nil) rejected a document")
 	}
 }
@@ -238,13 +270,40 @@ func TestCompiledLeafZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { c.Eval(doc) }); n != 0 {
 		t.Errorf("compiled tree allocates %v per Eval, want 0", n)
 	}
-	// The reusable evaluator is the scan-worker hot path; both entry points
-	// must be allocation-free in steady state.
+	// The reusable evaluator is the scan-worker hot path; it must be
+	// allocation-free in steady state.
 	e := c.Evaluator()
-	if n := testing.AllocsPerRun(200, func() { e.Eval(doc) }); n != 0 {
-		t.Errorf("Evaluator.Eval allocates %v per call, want 0", n)
-	}
 	if n := testing.AllocsPerRun(200, func() { e.EvalAt(&doc) }); n != 0 {
 		t.Errorf("Evaluator.EvalAt allocates %v per call, want 0", n)
+	}
+}
+
+// TestCompileLookupReportsErrors: a failed lookup or decode is the verdict
+// of the whole evaluation, even where the tree would otherwise match, and
+// the next evaluation starts clean.
+func TestCompileLookupReportsErrors(t *testing.T) {
+	broken := errors.New("corrupt")
+	lookup := func(doc jsonval.Value, steps []string) (valueRef, bool, error) {
+		if steps[0] == "bad" {
+			return valueRef{}, false, broken
+		}
+		return lookupJSON(doc, steps)
+	}
+	decode := func(jsonval.Value) (jsonval.Value, error) { return jsonval.Value{}, broken }
+	good := jsonval.ObjectValue(jsonval.Member{Key: "present", Value: jsonval.IntValue(1)})
+	for _, p := range []Predicate{
+		Or{Left: Exists{Path: "/bad"}, Right: IntEq{Path: "/present", Value: 1}},
+		Or{Left: opaquePredicate{}, Right: Exists{Path: "/absent"}},
+	} {
+		m := CompileLookup(p, lookup, decode)
+		for i := 0; i < 2; i++ {
+			if ok, err := m.Match(good); ok || !errors.Is(err, broken) {
+				t.Errorf("%s = %v, %v; want the lookup error", p, ok, err)
+			}
+		}
+	}
+	m := CompileLookup(Exists{Path: "/present"}, lookup, decode)
+	if ok, err := m.Match(good); !ok || err != nil {
+		t.Errorf("clean lookup = %v, %v", ok, err)
 	}
 }

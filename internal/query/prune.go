@@ -82,15 +82,21 @@ type pruneFunc func(z Zone) bool
 // to occur in the shard when the test runs).
 type zoneTest func(s *PathSummary) bool
 
+// Prune is a compiled predicate's shard-prune proof. It depends on the
+// predicate alone, not on how documents are stored, so every compiled form
+// carries one and scans consult it before touching a shard. The zero Prune
+// never skips.
+type Prune struct{ fn pruneFunc }
+
 // CanSkip reports whether the zone map proves that no document of the
 // summarised shard can match. A nil zone, the match-everything compiled
 // form, and predicates with unprunable leaves all answer false — the scan
 // then proceeds normally, which is always correct.
-func (c CompiledPredicate) CanSkip(z Zone) bool {
-	if c.pfn == nil || z == nil {
+func (p Prune) CanSkip(z Zone) bool {
+	if p.fn == nil || z == nil {
 		return false
 	}
-	return c.pfn(z)
+	return p.fn(z)
 }
 
 // constPrune is the prune form of a folded constant: a predicate that is

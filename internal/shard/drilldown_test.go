@@ -94,7 +94,7 @@ func drilldownScan(st *Store, cps []query.CompiledPredicate, zone func(i int) qu
 		e := c.Evaluator()
 		var pruner *query.AdaptivePruner
 		if prune {
-			pruner = query.NewAdaptivePruner(c, st.NumShards(), zone)
+			pruner = query.NewAdaptivePruner(c.Prune, st.NumShards(), zone)
 		}
 		for s := 0; s < st.NumShards(); s++ {
 			sh := st.Shard(s)
@@ -121,7 +121,7 @@ func TestAdaptivePrunerDeactivatesUnclustered(t *testing.T) {
 	countActive := func(st *Store) int {
 		n := 0
 		for _, c := range cps {
-			if query.NewAdaptivePruner(c, st.NumShards(), storeZones(st)).Active() {
+			if query.NewAdaptivePruner(c.Prune, st.NumShards(), storeZones(st)).Active() {
 				n++
 			}
 		}
@@ -172,7 +172,7 @@ func TestDeactivatedPrunerConsultsOnlyProbePrefix(t *testing.T) {
 		zone := func(i int) query.Zone {
 			return countingZone{Zone: unclustered.Shard(i).Zone, consulted: &consulted[i]}
 		}
-		pruner := query.NewAdaptivePruner(c, unclustered.NumShards(), zone)
+		pruner := query.NewAdaptivePruner(c.Prune, unclustered.NumShards(), zone)
 		if pruner.Active() {
 			continue
 		}
