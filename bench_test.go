@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -217,6 +219,57 @@ func BenchmarkAblationWeightedPaths(b *testing.B) {
 }
 
 // --- Micro benches of the substrates ---
+
+// BenchmarkSimImport times each sim's ImportFile on each dataset family at
+// the perf ledger's default document counts (600 Twitter, 3,000 NoBench,
+// 3,000 Reddit documents): MB/s of the file read, and B/op and allocs/op of
+// one import into a warm engine (a re-import replaces the dataset).
+func BenchmarkSimImport(b *testing.B) {
+	dir := b.TempDir()
+	sims := []struct {
+		name string
+		new  func() (betze.Engine, error)
+	}{
+		{"joda", func() (betze.Engine, error) { return betze.NewJODA(betze.JODAOptions{}), nil }},
+		{"mongo", func() (betze.Engine, error) { return betze.NewMongoDB(betze.MongoOptions{}), nil }},
+		{"pg", func() (betze.Engine, error) { return betze.NewPostgreSQL(betze.PostgresOptions{}), nil }},
+		{"jq", func() (betze.Engine, error) { return betze.NewJQ(b.TempDir()) }},
+	}
+	for _, ds := range []struct {
+		src  betze.DatasetSource
+		docs int
+	}{
+		{betze.TwitterSource(), 600},
+		{betze.NoBenchSource(), 3000},
+		{betze.RedditSource(betze.RedditOptions{NullByteFraction: -1}), 3000},
+	} {
+		path := filepath.Join(dir, ds.src.Name+".json")
+		if err := ds.src.WriteFile(path, ds.docs, 1); err != nil {
+			b.Fatal(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sim := range sims {
+			b.Run(sim.name+"/"+ds.src.Name, func(b *testing.B) {
+				eng, err := sim.new()
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer eng.Close()
+				b.SetBytes(info.Size())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.ImportFile(context.Background(), ds.src.Name, path); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
 
 func twitterSample(n int) ([]jsonval.Value, [][]byte) {
 	docs := betze.TwitterSource().Generate(n, 23)

@@ -6,7 +6,9 @@
 // delta-tree behaviour the paper credits for JODA's iterative-workload
 // performance. An optional eviction mode drops parsed data after each query
 // and re-parses from the imported bytes, modelling a memory-constrained
-// deployment (Table II's "JODA memory evicted" row).
+// deployment (Table II's "JODA memory evicted" row). JODA keeps no zone
+// maps, and neither does jodasim: every scan evaluates every document of the
+// dataset or cached result it starts from.
 package jodasim
 
 import (
@@ -15,6 +17,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -46,11 +49,11 @@ type Engine struct {
 	cacheHit int64
 }
 
-// dataset is one named dataset. A base dataset holds zone-mapped shards, the
-// raw bytes eviction mode rebuilds them from, and the results of filtered
-// queries on it by predicate. A derived dataset is a zoneless view with no
-// cache: it is scanned at most a handful of times, so zone construction and
-// cached results would not pay for themselves.
+// dataset is one named dataset, its documents cut into zoneless shards (the
+// unit a scan worker claims). A base dataset also holds the raw bytes
+// eviction mode re-parses, and the results of filtered queries on it keyed
+// by appendKey. A derived dataset has no cache: it is scanned at most a
+// handful of times, so cached results would not pay for themselves.
 type dataset struct {
 	store *shard.Store // nil while evicted
 	raw   []byte
@@ -88,9 +91,8 @@ func (e *Engine) CacheHits() int64 {
 }
 
 // ImportFile implements engine.Engine: parse once, cut the value trees into
-// zone-mapped shards (shard.Build — the one-time zone construction the
-// import pays for every later scan to prune against), and keep the raw
-// bytes when eviction mode needs them.
+// shards without zone maps, and keep the raw bytes when eviction mode needs
+// them.
 func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.ImportStats, error) {
 	start := time.Now()
 	var docs []jsonval.Value
@@ -111,7 +113,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 
 // ImportValues loads an in-memory document slice as a base dataset.
 func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
-	ds := &dataset{store: shard.Build(docs, shard.DefaultSize), cache: map[string][]jsonval.Value{}}
+	ds := &dataset{store: shard.View(docs, shard.DefaultSize), cache: map[string][]jsonval.Value{}}
 	if e.opts.Evict {
 		for _, d := range docs {
 			ds.raw = append(jsonval.AppendJSON(ds.raw, d), '\n')
@@ -120,66 +122,105 @@ func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
 	e.cat.Import(name, ds)
 }
 
-// resolve finds the sharded store of the query's base dataset together with
-// the residual predicate still to evaluate, reusing the deepest cached
-// ancestor of the composed predicate chain; cached results come back as
-// zoneless views. cache is the dataset's result cache when it was consulted
-// — filtered queries on base datasets only — and hit reports whether any
-// cached result (full or ancestor) served the lookup.
-func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Predicate) (st *shard.Store, residual query.Predicate, cache map[string][]jsonval.Value, hit bool, err error) {
+// resolve finds the shards of the query's base dataset together with the
+// residual predicate still to evaluate, reusing the deepest cached ancestor
+// of the composed predicate chain. cache is the dataset's result cache when
+// it was consulted — filtered queries on base datasets only — and key is
+// then the filter's cache key; hit reports whether any cached result (full
+// or ancestor) served the lookup.
+func (e *Engine) resolve(ctx context.Context, baseName string, filter query.Predicate) (st *shard.Store, residual query.Predicate, cache map[string][]jsonval.Value, key string, hit bool, err error) {
 	ds, err := e.cat.Get(baseName)
 	if err != nil {
-		return nil, nil, nil, false, err
+		return nil, nil, nil, "", false, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ds.store == nil {
-		// Evicted: re-parse the retained bytes and rebuild the shard store,
-		// zone maps included (the re-read cost of a memory-limited
-		// deployment covers re-indexing too).
+		// Evicted: re-parse the retained bytes.
 		docs, err := e.parseAll(ctx, ds.raw)
 		if err != nil {
-			return nil, nil, nil, false, fmt.Errorf("jodasim: re-parsing evicted dataset %s: %w", baseName, err)
+			return nil, nil, nil, "", false, fmt.Errorf("jodasim: re-parsing evicted dataset %s: %w", baseName, err)
 		}
-		ds.store = shard.Build(docs, shard.DefaultSize)
+		ds.store = shard.View(docs, shard.DefaultSize)
 	}
 	if filter == nil || ds.cache == nil || e.opts.DisableCache {
-		return ds.store, filter, nil, false, nil
+		return ds.store, filter, nil, "", false, nil
 	}
-	// Walk the AND-chain from the full predicate towards its prefix,
-	// taking the deepest cached subset.
-	if docs, ok := ds.cache[filter.String()]; ok {
-		e.cacheHit++
-		return shard.View(docs, shard.DefaultSize), nil, ds.cache, true, nil
-	}
+	// Unwind the AND chain, then render its keys innermost first: in postfix
+	// each prefix's key starts the next one's, so one string holds them all
+	// and ends[i] is where the key of the prefix with i right operands ends.
+	var rights []query.Predicate // outermost first
 	pred := filter
-	for {
-		and, ok := pred.(query.And)
-		if !ok {
-			break
-		}
-		if residual == nil {
-			residual = and.Right
-		} else {
-			residual = query.And{Left: and.Right, Right: residual}
-		}
-		pred = and.Left
-		if docs, ok := ds.cache[pred.String()]; ok {
+	for and, ok := pred.(query.And); ok; and, ok = pred.(query.And) {
+		rights, pred = append(rights, and.Right), and.Left
+	}
+	buf := appendKey(nil, pred)
+	ends := []int{len(buf)}
+	for i := len(rights) - 1; i >= 0; i-- {
+		buf = append(appendKey(buf, rights[i]), '&')
+		ends = append(ends, len(buf))
+	}
+	key = string(buf)
+	// Take the deepest cached prefix; the right operands it lacks are the
+	// residual, nested as (r1 && (r2 && …)).
+	for i := len(ends) - 1; i >= 0; i-- {
+		if docs, ok := ds.cache[key[:ends[i]]]; ok {
 			e.cacheHit++
-			return shard.View(docs, shard.DefaultSize), residual, ds.cache, true, nil
+			for _, r := range rights[:len(rights)-i] {
+				if residual == nil {
+					residual = r
+				} else {
+					residual = query.And{Left: r, Right: residual}
+				}
+			}
+			return shard.View(docs, shard.DefaultSize), residual, ds.cache, key, true, nil
 		}
 	}
-	return ds.store, filter, ds.cache, false, nil
+	return ds.store, filter, ds.cache, key, false, nil
 }
 
-// remember caches matched as the result of filter, unless eviction mode
-// drops everything after each query anyway.
-func (e *Engine) remember(cache map[string][]jsonval.Value, filter query.Predicate, matched []jsonval.Value) {
+// appendKey appends p's result-cache key to dst, in postfix so that the keys
+// of a left-deep AND chain extend one another: And{L, R} is L's key, R's key,
+// '&'. String alone quotes paths without escaping them, so a leaf's key is
+// its kind, Go-quoted path and Go-quoted String, which together fix it; an
+// external leaf's is its Go type and String, the Predicate contract's
+// canonical form.
+func appendKey(dst []byte, p query.Predicate) []byte {
+	switch n := p.(type) {
+	case query.And:
+		return append(appendKey(appendKey(dst, n.Left), n.Right), '&')
+	case query.Or:
+		return append(appendKey(appendKey(dst, n.Left), n.Right), '|')
+	}
+	if path, ok := query.LeafPath(p); ok {
+		dst = strconv.AppendQuote(append(dst, query.LeafKind(p)...), string(path))
+	} else {
+		dst = fmt.Appendf(dst, "%T", p)
+	}
+	return strconv.AppendQuote(dst, p.String())
+}
+
+// match returns the documents of q's base that pass its filter and how many
+// the scan evaluated, and caches them unless eviction mode drops everything
+// after each query anyway.
+func (e *Engine) match(ctx context.Context, q *query.Query) ([]jsonval.Value, int64, error) {
+	st, residual, cache, key, hit, err := e.resolve(ctx, q.Base, q.Filter)
+	if err != nil {
+		return nil, 0, err
+	}
+	if cache != nil {
+		engine.ObserveCache(ctx, e.Name(), q, hit)
+	}
+	matched, err := e.scan(ctx, st, residual)
+	if err != nil {
+		return nil, 0, err
+	}
 	if cache != nil && !e.opts.Evict {
 		e.mu.Lock()
-		cache[filter.String()] = matched
+		cache[key] = matched
 		e.mu.Unlock()
 	}
+	return matched, int64(st.Len()), nil
 }
 
 // Execute implements engine.Engine with a parallel filter scan.
@@ -189,23 +230,11 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	start := time.Now()
 	defer func() { engine.ObserveExec(ctx, e.Name(), q, stats, err) }()
-	st, residual, cache, hit, err := e.resolve(ctx, q.Base, q.Filter)
+	matched, scanned, err := e.match(ctx, q)
 	if err != nil {
 		return engine.ExecStats{}, err
 	}
-	if cache != nil {
-		engine.ObserveCache(ctx, e.Name(), q, hit)
-	}
-	matched, skipped, err := e.scan(ctx, st, residual)
-	if err != nil {
-		return engine.ExecStats{}, err
-	}
-	stats = engine.ExecStats{
-		Scanned: int64(st.Len()) - skipped,
-		Skipped: skipped,
-		Matched: int64(len(matched)),
-	}
-	e.remember(cache, q.Filter, matched)
+	stats = engine.ExecStats{Scanned: scanned, Matched: int64(len(matched))}
 	if q.Transform != nil {
 		transformed := make([]jsonval.Value, len(matched))
 		for i, d := range matched {
@@ -248,23 +277,18 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 }
 
 // scan filters the store on the shared walk, compiling the predicate once per
-// query. Shards whose zone map the compiled predicate proves empty are
-// skipped whole (skipped counts their documents); a surviving shard is
+// query. Shards have no zone maps, so none is skipped: every shard is
 // evaluated through its worker's own Evaluator — per document a generation
 // bump and a closure call, nothing shared across workers — and its matches
 // stay in the shard's slot, so concatenating the slots is document order.
-func (e *Engine) scan(ctx context.Context, st *shard.Store, filter query.Predicate) ([]jsonval.Value, int64, error) {
+func (e *Engine) scan(ctx context.Context, st *shard.Store, filter query.Predicate) ([]jsonval.Value, error) {
 	if filter == nil {
-		return st.Docs(), 0, nil
+		return st.Docs(), nil
 	}
 	compiled := query.Compile(filter)
 	evals := make([]*query.Evaluator, e.opts.Threads)
 	kept := make([][]jsonval.Value, st.NumShards())
-	skipped, err := scan.Shards(ctx, e.scanOptions(), st.NumShards(), compiled.Prune,
-		func(i int) (query.Zone, int) {
-			sh := st.Shard(i)
-			return sh.Zone, len(sh.Docs)
-		},
+	_, err := scan.Shards(ctx, e.scanOptions(), st.NumShards(), query.Prune{}, nil,
 		func(w, i int) (int64, error) {
 			if evals[w] == nil {
 				evals[w] = compiled.Evaluator()
@@ -280,9 +304,9 @@ func (e *Engine) scan(ctx context.Context, st *shard.Store, filter query.Predica
 			return int64(len(docs)), nil
 		})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return slices.Concat(kept...), skipped, nil
+	return slices.Concat(kept...), nil
 }
 
 func (e *Engine) scanOptions() scan.Options {
@@ -341,19 +365,10 @@ func (e *Engine) evictAll() {
 // CountMatching implements the generator's verification backend
 // (core.Backend) on top of the same cached scan machinery.
 func (e *Engine) CountMatching(base string, pred query.Predicate) (int64, error) {
-	// core.Backend carries no context; resolve and scan read ctx only for
-	// cancellation, which generation cannot request.
-	ctx := context.Background()
-	st, residual, cache, _, err := e.resolve(ctx, base, pred)
-	if err != nil {
-		return 0, err
-	}
-	matched, _, err := e.scan(ctx, st, residual)
-	if err != nil {
-		return 0, err
-	}
-	e.remember(cache, pred, matched)
-	return int64(len(matched)), nil
+	// core.Backend carries no context; match reads ctx only for cancellation,
+	// which generation cannot request, and for an obs scope, which it has none.
+	matched, _, err := e.match(context.Background(), &query.Query{Base: base, Filter: pred})
+	return int64(len(matched)), err
 }
 
 // Reset implements engine.Engine: stored datasets and cached results go.

@@ -3,6 +3,7 @@ package jodasim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"path/filepath"
 	"runtime"
@@ -31,8 +32,8 @@ func results(t *testing.T, e *Engine, qs ...*query.Query) string {
 }
 
 // TestMatchesPredicateEval: for predicates of every kind over every document
-// shape simtest knows, a scan — compiled, sharded, zone-pruned,
-// cached — returns exactly the documents Predicate.Eval accepts, in order.
+// shape simtest knows, a scan — compiled, sharded, cached — returns exactly
+// the documents Predicate.Eval accepts, in order.
 func TestMatchesPredicateEval(t *testing.T) {
 	docs := simtest.Docs(t)
 	preds := simtest.LeafPredicates([]jsonval.Value{docs[len(docs)-1], docs[40], docs[41], docs[80], docs[0]})
@@ -97,8 +98,7 @@ func importFile(t *testing.T, opts Options, path string) *Engine {
 
 // TestImportFileEqualsImportValues: documents decoded from a file (one
 // Decoder, so slab-backed values with interned keys) and the same documents
-// built by the generator answer every query alike — results, ExecStats, and
-// the zone maps behind Skipped.
+// built by the generator answer every query alike — results and ExecStats.
 func TestImportFileEqualsImportValues(t *testing.T) {
 	path, docs := nobenchFile(t, 1500)
 	fromValues := New(Options{})
@@ -162,6 +162,54 @@ func TestCachedSubsetOutlivesItsDecoder(t *testing.T) {
 	}
 	if e.CacheHits() != 1 {
 		t.Errorf("%d cache hits, want the follow-up to start from the cached subset", e.CacheHits())
+	}
+}
+
+// TestCacheKeyIsInjective: a path may contain the quote and operator text
+// Predicate.String puts around paths, so two different filters can render
+// alike. The second must not be answered from the first one's cached result.
+func TestCacheKeyIsInjective(t *testing.T) {
+	docs := []jsonval.Value{
+		simtest.Parse(t, `{"x' == 1 && '":{"y":2},"z":3}`),
+		simtest.Parse(t, `{"x":1,"y' == 2 && '":{"z":3}}`),
+	}
+	p1 := query.And{Left: query.IntEq{Path: "/x' == 1 && '/y", Value: 2}, Right: query.IntEq{Path: "/z", Value: 3}}
+	p2 := query.And{Left: query.IntEq{Path: "/x", Value: 1}, Right: query.IntEq{Path: "/y' == 2 && '/z", Value: 3}}
+	if p1.String() != p2.String() {
+		t.Fatalf("premise: %s and %s should render alike", p1, p2)
+	}
+	e := New(Options{})
+	e.ImportValues("d", docs)
+	for i, p := range []query.Predicate{p1, p2} {
+		want := string(jsonval.AppendJSON(nil, docs[i])) + "\n"
+		if got := results(t, e, &query.Query{Base: "d", Filter: p}); got != want {
+			t.Errorf("%s (%#v) returned %q, want %q", p, p, got, want)
+		}
+	}
+	if e.CacheHits() != 0 {
+		t.Errorf("%d cache hits, want none between two different filters", e.CacheHits())
+	}
+}
+
+// TestAppendKey: predicates that differ (in Go syntax) get different cache
+// keys, and a left-deep AND chain's key starts with its left operand's, the
+// property resolve's one-pass rendering of the chain's prefixes relies on.
+func TestAppendKey(t *testing.T) {
+	docs := simtest.Docs(t)
+	preds := simtest.LeafPredicates([]jsonval.Value{docs[0], docs[40]})
+	seen := map[string]string{}
+	for i, p := range preds {
+		and := query.And{Left: preds[(i+1)%len(preds)], Right: p}
+		for _, q := range []query.Predicate{p, and, query.Or{Left: and, Right: p}} {
+			key, syntax := string(appendKey(nil, q)), fmt.Sprintf("%#v", q)
+			if prev, ok := seen[key]; ok && prev != syntax {
+				t.Errorf("key %q shared by %s and %s", key, prev, syntax)
+			}
+			seen[key] = syntax
+		}
+		if key, left := appendKey(nil, and), appendKey(nil, and.Left); !bytes.HasPrefix(key, left) {
+			t.Errorf("key %q of %s does not start with its left operand's %q", key, and, left)
+		}
 	}
 }
 

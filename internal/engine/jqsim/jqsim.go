@@ -9,10 +9,10 @@
 // files in the engine's working directory, which is how jq materialises
 // datasets; the engine writes and deletes no other file.
 //
-// jqsim is deliberately the unprunable baseline of the engine fleet: with no
-// import phase there is nowhere to build zone maps, so every query walks the
-// whole file and ExecStats.Skipped stays zero. Comparing its scan counts
-// against the sharded engines isolates what zone-map skipping buys.
+// jqsim is deliberately an unprunable baseline, as jodasim is: with no import
+// phase there is nowhere to build zone maps, so every query walks the whole
+// file and ExecStats.Skipped stays zero. Comparing its scan counts against
+// mongosim's and pgsim's isolates what zone-map skipping buys.
 package jqsim
 
 import (

@@ -541,13 +541,17 @@ func keyHash(key string) uint {
 	return h & 63
 }
 
-// keyHash2 is the second, independent filter bit: last byte and length.
+// keyHash2 is the second, independent filter bit: the last (up to) four
+// bytes and the length, mixed multiplicatively, so sparse_000…sparse_999
+// (one length, one first byte) spread over the mask.
 func keyHash2(key string) uint {
-	h := uint(len(key)) * 3
-	if len(key) > 0 {
-		h += uint(key[len(key)-1])
+	var v uint32
+	if n := len(key); n >= 4 {
+		v = uint32(key[n-4]) | uint32(key[n-3])<<8 | uint32(key[n-2])<<16 | uint32(key[n-1])<<24
+	} else if n > 0 {
+		v = uint32(key[0]) | uint32(key[n-1])<<8
 	}
-	return h & 63
+	return uint((v ^ uint32(len(key))) * 0x9E3779B1 >> 26)
 }
 
 // resolve returns the value at node idx inside doc, nil when the path is

@@ -4,8 +4,8 @@
 // booleans, and a small sorted dictionary of the distinct strings at each
 // path. Zone maps are built once at dataset-load time; at query time a
 // compiled predicate (internal/query) consults them through the query.Zone
-// interface and skips whole shards it proves empty — the generalisation of
-// JODA's "touch only what the query needs" idea to all engine sims.
+// interface and skips whole shards it proves empty. mongosim and pgsim build
+// them per storage block; jodasim, like JODA, keeps none (View).
 //
 // The soundness contract mirrors query.Zone's: a zone map may over-claim
 // (record paths, kinds or values no document actually has — for example two
@@ -78,15 +78,15 @@ type Store struct {
 
 // Build cuts docs into size-length shards (the last one shorter when the
 // dataset is not a multiple) and builds one zone map per shard. size <= 0
-// selects DefaultSize. The docs slice must not be mutated afterwards.
+// selects DefaultSize. The docs slice must not be mutated afterwards. Outside
+// tests only benchmark/replay.go calls it, for shard.build_ns_per_doc.
 func Build(docs []jsonval.Value, size int) *Store {
 	return build(docs, size, true)
 }
 
 // View cuts docs into shards without building zone maps: every shard gets a
-// nil Zone and is never skipped. Derived datasets (cached query results)
-// use views so the shard walk still applies without paying zone construction
-// for data that is scanned at most a handful of times.
+// nil Zone and is never skipped. jodasim keeps every dataset as a view: the
+// shard walk applies, and no zone construction is paid for.
 func View(docs []jsonval.Value, size int) *Store {
 	return build(docs, size, false)
 }
