@@ -220,28 +220,43 @@ func BenchmarkAblationWeightedPaths(b *testing.B) {
 
 // --- Micro benches of the substrates ---
 
-// BenchmarkSimImport times each sim's ImportFile on each dataset family at
-// the perf ledger's default document counts (600 Twitter, 3,000 NoBench,
-// 3,000 Reddit documents): MB/s of the file read, and B/op and allocs/op of
-// one import into a warm engine (a re-import replaces the dataset).
-func BenchmarkSimImport(b *testing.B) {
-	dir := b.TempDir()
-	sims := []struct {
-		name string
-		new  func() (betze.Engine, error)
-	}{
+// benchSim is one of the four sims the per-sim micro benches run, opened
+// fresh per sub-benchmark.
+type benchSim struct {
+	name string
+	new  func() (betze.Engine, error)
+}
+
+func benchSims(b *testing.B) []benchSim {
+	return []benchSim{
 		{"joda", func() (betze.Engine, error) { return betze.NewJODA(betze.JODAOptions{}), nil }},
 		{"mongo", func() (betze.Engine, error) { return betze.NewMongoDB(betze.MongoOptions{}), nil }},
 		{"pg", func() (betze.Engine, error) { return betze.NewPostgreSQL(betze.PostgresOptions{}), nil }},
 		{"jq", func() (betze.Engine, error) { return betze.NewJQ(b.TempDir()) }},
 	}
+}
+
+// benchCorpus is one dataset family at the perf ledger's default document
+// count, written as an NDJSON file, and a filter nearly all its documents
+// pass.
+type benchCorpus struct {
+	name, path string
+	size       int64
+	broad      query.Predicate
+}
+
+// benchCorpora writes the three dataset families into dir: 600 Twitter,
+// 3,000 NoBench and 3,000 Reddit documents.
+func benchCorpora(b *testing.B, dir string) []benchCorpus {
+	var out []benchCorpus
 	for _, ds := range []struct {
-		src  betze.DatasetSource
-		docs int
+		src   betze.DatasetSource
+		docs  int
+		broad jsonval.Path
 	}{
-		{betze.TwitterSource(), 600},
-		{betze.NoBenchSource(), 3000},
-		{betze.RedditSource(betze.RedditOptions{NullByteFraction: -1}), 3000},
+		{betze.TwitterSource(), 600, "/user"},
+		{betze.NoBenchSource(), 3000, "/str1"},
+		{betze.RedditSource(betze.RedditOptions{NullByteFraction: -1}), 3000, "/author"},
 	} {
 		path := filepath.Join(dir, ds.src.Name+".json")
 		if err := ds.src.WriteFile(path, ds.docs, 1); err != nil {
@@ -251,18 +266,62 @@ func BenchmarkSimImport(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		out = append(out, benchCorpus{name: ds.src.Name, path: path, size: info.Size(), broad: query.Exists{Path: ds.broad}})
+	}
+	return out
+}
+
+// BenchmarkSimImport times each sim's ImportFile on each dataset family at
+// the perf ledger's default document counts: MB/s of the file read, and B/op
+// and allocs/op of one import into a warm engine (a re-import replaces the
+// dataset).
+func BenchmarkSimImport(b *testing.B) {
+	sims := benchSims(b)
+	for _, ds := range benchCorpora(b, b.TempDir()) {
 		for _, sim := range sims {
-			b.Run(sim.name+"/"+ds.src.Name, func(b *testing.B) {
+			b.Run(sim.name+"/"+ds.name, func(b *testing.B) {
 				eng, err := sim.new()
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer eng.Close()
-				b.SetBytes(info.Size())
+				b.SetBytes(ds.size)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.ImportFile(context.Background(), ds.src.Name, path); err != nil {
+					if _, err := eng.ImportFile(context.Background(), ds.name, ds.path); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSimStore times one materialising query per sim on each dataset
+// family at the perf ledger's default document counts: a broad filter whose
+// matches are returned and stored as a derived dataset, the store path a
+// materialising session takes on every query. Each iteration replaces the
+// stored result; jodasim answers every iteration after the first from its
+// result cache.
+func BenchmarkSimStore(b *testing.B) {
+	sims := benchSims(b)
+	for _, ds := range benchCorpora(b, b.TempDir()) {
+		for _, sim := range sims {
+			b.Run(sim.name+"/"+ds.name, func(b *testing.B) {
+				eng, err := sim.new()
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer eng.Close()
+				if _, err := eng.ImportFile(context.Background(), ds.name, ds.path); err != nil {
+					b.Fatal(err)
+				}
+				q := &query.Query{ID: "store", Base: ds.name, Filter: ds.broad, Store: "derived"}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Execute(context.Background(), q, io.Discard); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -276,9 +277,12 @@ func (blindZone) Complete() bool                           { return false }
 // zoneless engines (jodasim, jq; see zoneMapped) and the reference evaluator
 // are the ground truth the zone-mapped engines must reproduce; the zoneless
 // ones must skip nothing in any round. The zone-mapped engines' skip
-// counters, summed over the rounds whose filter does not fold to constant
-// false (a fold prunes every shard by the proof alone, zones or not), prove
-// the differential is non-vacuous — their zone maps really pruned.
+// counters, summed over the base rounds whose filter does not fold to
+// constant false (a fold prunes every shard by the proof alone, zones or
+// not), prove the differential is non-vacuous — their zone maps really
+// pruned. Every fourth round also runs against a stored broad result of the
+// corpus, still clustered, where no engine may skip: a derived dataset
+// carries no zone maps.
 func TestPruneDifferentialAcrossEngines(t *testing.T) {
 	const n = 3000
 	r := rand.New(rand.NewSource(4026))
@@ -289,19 +293,24 @@ func TestPruneDifferentialAcrossEngines(t *testing.T) {
 	engines := allEngines(t, "pz", docs)
 	ctx := context.Background()
 
-	skippedBy := make([]int64, len(engines))
-	const rounds = 80
-	zoneRounds := 0
-	for round := 0; round < rounds; round++ {
-		filter := selectivePredicate(r, n)
-		if r.Intn(2) == 0 {
-			filter = query.And{Left: filter, Right: fuzzPredicate(r, 1)}
+	broad := query.FloatCmp{Path: "/seq", Op: query.Ge, Value: 100}
+	var derived []jsonval.Value
+	for _, d := range docs {
+		if broad.Eval(d) {
+			derived = append(derived, d)
 		}
-		folded := query.Compile(filter).CanSkip(blindZone{})
-		if !folded {
-			zoneRounds++
+	}
+	for _, e := range engines {
+		if _, err := e.Execute(ctx, &query.Query{ID: "store", Base: "pz", Filter: broad, Store: "pzd"}, io.Discard); err != nil {
+			t.Fatalf("%s storing the broad result: %v", e.Name(), err)
 		}
-		q := &query.Query{ID: fmt.Sprintf("p%d", round), Base: "pz", Filter: filter}
+	}
+
+	// run executes q on every engine, requires them to agree with each other
+	// and with the reference evaluator over src, and returns what each
+	// skipped.
+	run := func(round int, q *query.Query, src []jsonval.Value) []int64 {
+		skipped := make([]int64, len(engines))
 		var refOut string
 		var refMatched int64
 		var refName string
@@ -311,12 +320,7 @@ func TestPruneDifferentialAcrossEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d: %s executing %s: %v", round, e.Name(), q, err)
 			}
-			if !zoneMapped[e.Name()] && stats.Skipped != 0 {
-				t.Errorf("round %d: %s skipped %d documents without any zone maps", round, e.Name(), stats.Skipped)
-			}
-			if !folded {
-				skippedBy[i] += stats.Skipped
-			}
+			skipped[i] = stats.Skipped
 			got := canonicalise(t, out.String())
 			if i == 0 {
 				refOut, refMatched, refName = got, stats.Matched, e.Name()
@@ -332,7 +336,7 @@ func TestPruneDifferentialAcrossEngines(t *testing.T) {
 			}
 		}
 		var evalMatched int64
-		for _, d := range docs {
+		for _, d := range src {
 			if q.Matches(d) {
 				evalMatched++
 			}
@@ -340,6 +344,37 @@ func TestPruneDifferentialAcrossEngines(t *testing.T) {
 		if evalMatched != refMatched {
 			t.Fatalf("round %d: engines matched %d, reference evaluator %d for %s",
 				round, refMatched, evalMatched, q)
+		}
+		return skipped
+	}
+
+	skippedBy := make([]int64, len(engines))
+	const rounds = 80
+	zoneRounds := 0
+	for round := 0; round < rounds; round++ {
+		filter := selectivePredicate(r, n)
+		if r.Intn(2) == 0 {
+			filter = query.And{Left: filter, Right: fuzzPredicate(r, 1)}
+		}
+		folded := query.Compile(filter).CanSkip(blindZone{})
+		if !folded {
+			zoneRounds++
+		}
+		for i, skipped := range run(round, &query.Query{ID: fmt.Sprintf("p%d", round), Base: "pz", Filter: filter}, docs) {
+			if !zoneMapped[engines[i].Name()] && skipped != 0 {
+				t.Errorf("round %d: %s skipped %d documents without any zone maps", round, engines[i].Name(), skipped)
+			}
+			if !folded {
+				skippedBy[i] += skipped
+			}
+		}
+		if round%4 != 0 {
+			continue
+		}
+		for i, skipped := range run(round, &query.Query{ID: fmt.Sprintf("d%d", round), Base: "pzd", Filter: filter}, derived) {
+			if skipped != 0 {
+				t.Errorf("round %d: %s skipped %d documents of a stored result", round, engines[i].Name(), skipped)
+			}
 		}
 	}
 	for i, e := range engines {

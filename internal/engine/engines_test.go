@@ -512,9 +512,11 @@ func TestJodaEvictionFromFile(t *testing.T) {
 	}
 }
 
-// zoneMapped names the engines whose import builds zone maps: mongosim's
-// per-block zones and pgsim's BRIN-range zones. jodasim, like JODA, and jq
-// build none, so they never skip a document.
+// zoneMapped names the engines whose base datasets carry zone maps:
+// mongosim's per-block zones and pgsim's BRIN-range zones, built at import.
+// It covers base datasets only: a stored result is zoneless in every engine.
+// jodasim, like JODA, and jq build none at all, so they never skip a
+// document.
 var zoneMapped = map[string]bool{"MongoDB": true, "PostgreSQL": true}
 
 // TestShardSkipAccounting pins the pruning stats contract across the fleet:

@@ -9,10 +9,11 @@
 //
 // What a query pays for is that modelled work — one inflate per unpruned
 // block, one path walk per evaluated leaf, a decode only where a value tree
-// is needed (transform, store zones, aggregated attributes). The read path
-// itself allocates nothing per document: blocks inflate into one buffer per
+// is needed (transform, aggregated attributes). The read path itself
+// allocates nothing per document: blocks inflate into one buffer per
 // Execute, keys are matched in place, the filter is compiled once, and
-// returned documents stream from BSON to JSON text.
+// returned documents stream from BSON to JSON text. A stored result copies
+// each untransformed match's BSON bytes, as a $out writes BSON.
 package mongosim
 
 import (
@@ -52,6 +53,7 @@ type Engine struct {
 type collection struct {
 	blocks []block
 	docs   int64
+	zoned  bool // the blocks carry zone maps; see newBlockWriter
 }
 
 type block struct {
@@ -61,7 +63,8 @@ type block struct {
 	// zone summarises the block's documents for shard pruning: a query
 	// whose compiled predicate proves the block empty skips it without
 	// even decompressing the data. Built at import time by the block
-	// writer, so it rides along with the encode pass.
+	// writer, so it rides along with the encode pass; nil in a stored
+	// result.
 	zone *shard.ZoneMap
 }
 
@@ -76,29 +79,46 @@ func New(opts Options) *Engine {
 // Name implements engine.Engine.
 func (*Engine) Name() string { return "MongoDB" }
 
-// blockWriter accumulates BSON documents and seals blocks at the target
-// size, folding each document into the pending block's zone map as it goes.
+// blockWriter accumulates BSON documents into a new collection and seals
+// blocks at the target size. A zoned writer folds each document into the
+// pending block's zone map as it goes.
 type blockWriter struct {
 	opts  Options
 	coll  *collection
-	zones *shard.ZoneBuilder
+	zones *shard.ZoneBuilder // nil unless the collection is zoned
 	buf   []byte
 	n     int
 }
 
-func newBlockWriter(opts Options, coll *collection) *blockWriter {
-	return &blockWriter{opts: opts, coll: coll, zones: shard.NewZoneBuilder()}
+// newBlockWriter starts a collection. Only an import asks for zone maps: a
+// stored result is scanned at most a handful of times, so summarising it
+// would cost more than it could ever skip.
+func newBlockWriter(opts Options, zoned bool) *blockWriter {
+	w := &blockWriter{opts: opts, coll: &collection{zoned: zoned}}
+	if zoned {
+		w.zones = shard.NewZoneBuilder()
+	}
+	return w
 }
 
-// add appends doc to the pending block. encoded, when non-nil, is doc's BSON
-// form and is copied instead of encoding doc again.
-func (w *blockWriter) add(doc jsonval.Value, encoded []byte) {
-	if encoded != nil {
-		w.buf = append(w.buf, encoded...)
-	} else {
-		w.buf = bsonlite.Encode(w.buf, doc)
+// add encodes doc into the pending block.
+func (w *blockWriter) add(doc jsonval.Value) {
+	w.buf = bsonlite.Encode(w.buf, doc)
+	if w.zones != nil {
+		w.zones.Add(doc)
 	}
-	w.zones.Add(doc)
+	w.next()
+}
+
+// addEncoded copies an encoded document into the pending block as it is.
+// Only a zoneless writer takes one: there is no value tree to summarise.
+func (w *blockWriter) addEncoded(doc []byte) {
+	w.buf = append(w.buf, doc...)
+	w.next()
+}
+
+// next counts the document just appended and seals a full block.
+func (w *blockWriter) next() {
 	w.n++
 	w.coll.docs++
 	if len(w.buf) >= w.opts.BlockSize {
@@ -110,7 +130,10 @@ func (w *blockWriter) seal() {
 	if w.n == 0 {
 		return
 	}
-	b := block{docCount: w.n, zone: w.zones.Finish()}
+	b := block{docCount: w.n}
+	if w.zones != nil {
+		b.zone = w.zones.Finish()
+	}
 	if w.opts.DisableCompression {
 		b.data = append([]byte(nil), w.buf...)
 	} else {
@@ -122,13 +145,18 @@ func (w *blockWriter) seal() {
 	w.n = 0
 }
 
+// finish seals the pending block and returns the collection.
+func (w *blockWriter) finish() *collection {
+	w.seal()
+	return w.coll
+}
+
 // ImportFile implements engine.Engine.
 func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.ImportStats, error) {
 	start := time.Now()
-	coll := &collection{}
-	w := newBlockWriter(e.opts, coll)
+	w := newBlockWriter(e.opts, true)
 	docs, rawBytes, err := engine.ReadFile(ctx, path, func(doc jsonval.Value) error {
-		w.add(doc, nil)
+		w.add(doc)
 		return nil
 	})
 	if err != nil {
@@ -136,7 +164,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 		engine.ObserveImport(ctx, e.Name(), name, engine.ImportStats{}, err)
 		return engine.ImportStats{}, err
 	}
-	w.seal()
+	coll := w.finish()
 	e.cat.Import(name, coll)
 	var stored int64
 	for _, b := range coll.blocks {
@@ -149,13 +177,11 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 
 // ImportValues loads an in-memory document slice as a collection.
 func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
-	coll := &collection{}
-	w := newBlockWriter(e.opts, coll)
+	w := newBlockWriter(e.opts, true)
 	for _, d := range docs {
-		w.add(d, nil)
+		w.add(d)
 	}
-	w.seal()
-	e.cat.Import(name, coll)
+	e.cat.Import(name, w.finish())
 }
 
 // open restores a block's BSON byte stream, decompressing per access as
@@ -192,18 +218,16 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		agg = query.NewAggregator(*q.Agg)
 	}
 	var storeWriter *blockWriter
-	var storeColl *collection
 	if q.Store != "" {
-		storeColl = &collection{}
-		storeWriter = newBlockWriter(e.opts, storeColl)
+		storeWriter = newBlockWriter(e.opts, false)
 	}
 
 	// MongoDB's modelled execution is single-threaded: the walk runs on the
-	// calling goroutine, one block per step. A block whose zone map rules out
-	// every document is skipped without being decompressed — the pruning win
-	// here is the whole flate inflate, not just the per-document predicate
-	// calls. Documents that are scanned evaluate with one lazy walk over raw
-	// BSON per evaluated leaf.
+	// calling goroutine, one block per step. In a zoned collection, a block
+	// whose zone map rules out every document is skipped without being
+	// decompressed — the pruning win here is the whole flate inflate, not just
+	// the per-document predicate calls. Documents that are scanned evaluate
+	// with one lazy walk over raw BSON per evaluated leaf.
 	filter := matcher(q.Filter)
 	var aggSteps, groupSteps []string
 	if agg != nil {
@@ -212,8 +236,11 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	// scratch and outBuf belong to this call: concurrent Executes on one
 	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
-	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks), filter.Prune,
-		func(i int) (query.Zone, int) { return coll.blocks[i].zone, coll.blocks[i].docCount },
+	var zone func(i int) (query.Zone, int)
+	if coll.zoned {
+		zone = func(i int) (query.Zone, int) { return coll.blocks[i].zone, coll.blocks[i].docCount }
+	}
+	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks), filter.Prune, zone,
 		func(_, i int) (int64, error) {
 			raw, oerr := coll.blocks[i].open(&scratch)
 			if oerr != nil {
@@ -271,8 +298,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		}
 	}
 	if storeWriter != nil {
-		storeWriter.seal()
-		e.cat.Store(q.Store, storeColl)
+		e.cat.Store(q.Store, storeWriter.finish())
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
@@ -285,14 +311,17 @@ func matcher(p query.Predicate) query.Matcher[[]byte] {
 }
 
 // emit returns one matching document: to the sink, and to the store when the
-// query has one. Without transform and store the cursor streams BSON to JSON
-// text and no value tree is built. A store needs the tree for its zone maps,
-// but an untransformed document keeps its encoded bytes.
+// query has one. Without a transform no value tree is built: the cursor
+// streams BSON to JSON text and a store copies the document's bytes. A
+// transform decodes, applies and, for a store, encodes the result.
 func emit(q *query.Query, doc []byte, store *blockWriter, sink io.Writer, outBuf *[]byte) (int64, error) {
-	if q.Transform == nil && store == nil {
+	if q.Transform == nil {
 		out, err := bsonlite.AppendJSON((*outBuf)[:0], doc)
 		if err != nil {
 			return 0, fmt.Errorf("mongosim: decoding document: %w", err)
+		}
+		if store != nil {
+			store.addEncoded(doc)
 		}
 		*outBuf = append(out, '\n')
 		n, err := sink.Write(*outBuf)
@@ -302,20 +331,14 @@ func emit(q *query.Query, doc []byte, store *blockWriter, sink io.Writer, outBuf
 	if err != nil {
 		return 0, err
 	}
-	// Encode(v) reproduces doc unless Decode unwrapped an empty-key wrapper
-	// around an object, which Encode would not wrap again.
-	encoded := doc
-	if q.Transform != nil || (v.Kind() == jsonval.Object && len(doc) > 5 && doc[5] == 0) {
-		v, encoded = q.ApplyTransform(v), nil
-	}
+	v = q.Transform.Apply(v)
 	if store != nil {
-		store.add(v, encoded)
+		store.add(v)
 	}
 	return engine.WriteDoc(sink, outBuf, v)
 }
 
-// decode materialises a full document (transform, store and external leaf
-// types).
+// decode materialises a full document (transform and external leaf types).
 func decode(doc []byte) (jsonval.Value, error) {
 	v, err := bsonlite.Decode(doc)
 	if err != nil {

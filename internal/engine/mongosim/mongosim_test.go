@@ -121,33 +121,48 @@ func TestConcurrentExecute(t *testing.T) {
 	simtest.ConcurrentExecute(context.Background(), t, e, scratchQueries[:3])
 }
 
-// A store without a transform copies the matched documents' encoded bytes;
-// the stored blocks must still be what re-encoding the decoded documents
-// produced before — including the one shape Decode does not round-trip, an
-// empty-key wrapper around an object.
+// A store without a transform copies the matched documents' encoded bytes
+// as they are: the copy's inflated blocks are the source's encoded documents,
+// byte for byte, empty-key wrappers included, and carry no zone maps.
 func TestStoreKeepsEncodedBytes(t *testing.T) {
 	docs := datasets.NewNoBench().Generate(50, 4)
 	for _, s := range []string{`{"":{"a":1}}`, `{"":5}`, `{"":1,"b":2}`, `{"":{"":{"a":1}}}`, `{}`, `[1,2]`} {
 		docs = append(docs, simtest.Parse(t, s))
 	}
-	e := New(Options{DisableCompression: true, BlockSize: 1 << 10})
+	e := New(Options{BlockSize: 1 << 10})
 	e.ImportValues("base", docs)
 	if _, err := e.Execute(context.Background(), &query.Query{Base: "base", Store: "copy"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	var got, want []byte
-	for _, b := range mustGet(t, e, "copy").blocks {
-		got = append(got, b.data...)
-	}
+	var want []byte
 	for _, d := range docs {
-		v, err := bsonlite.Decode(bsonlite.Encode(nil, d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = bsonlite.Encode(want, v)
+		want = bsonlite.Encode(want, d)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("stored %d bytes differ from the %d re-encoding produces", len(got), len(want))
+	inflate := func(coll *collection) []byte {
+		var all, scratch []byte
+		for _, b := range coll.blocks {
+			raw, err := b.open(&scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, raw...)
+		}
+		return all
+	}
+	if src := inflate(mustGet(t, e, "base")); !bytes.Equal(src, want) {
+		t.Fatalf("the source holds %d bytes, its documents encode to %d", len(src), len(want))
+	}
+	copied := mustGet(t, e, "copy")
+	if got := inflate(copied); !bytes.Equal(got, want) {
+		t.Errorf("stored %d bytes differ from the source's %d", len(got), len(want))
+	}
+	if copied.zoned {
+		t.Error("a stored result is zoned")
+	}
+	for i, b := range copied.blocks {
+		if b.zone != nil {
+			t.Errorf("stored block %d carries a zone map", i)
+		}
 	}
 }
 

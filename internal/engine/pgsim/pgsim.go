@@ -52,15 +52,16 @@ type Engine struct {
 
 type table struct {
 	rows []row
-	// shards are BRIN-style block ranges: each covers rows[start:end] and
-	// carries a zone map summarising those rows, so a scan can rule out a
-	// whole range without detoasting a single row in it.
+	// shards are BRIN-style block ranges: each covers rows[start:end]. In a
+	// zoned table each carries a zone map summarising those rows, so a scan
+	// can rule out a whole range without detoasting a single row in it.
 	shards []rowShard
+	zoned  bool // the shards carry zone maps; see newTableBuilder
 }
 
 type rowShard struct {
 	start, end int
-	zone       *shard.ZoneMap
+	zone       *shard.ZoneMap // nil in a stored result
 }
 
 type row struct {
@@ -68,21 +69,32 @@ type row struct {
 	compressed bool
 }
 
-// tableBuilder accumulates encoded rows and seals a zone-mapped row shard
-// every shard.DefaultSize rows.
+// tableBuilder accumulates encoded rows and seals a row shard every
+// shard.DefaultSize rows. A zoned builder folds each row's document into the
+// pending shard's zone map as it goes.
 type tableBuilder struct {
 	tbl   *table
-	zones *shard.ZoneBuilder
+	zones *shard.ZoneBuilder // nil unless the table is zoned
 	start int
 }
 
-func newTableBuilder() *tableBuilder {
-	return &tableBuilder{tbl: &table{}, zones: shard.NewZoneBuilder()}
+// newTableBuilder starts a table. Only an import asks for zone maps: a
+// stored result is scanned at most a handful of times, so summarising it
+// would cost more than it could ever skip.
+func newTableBuilder(zoned bool) *tableBuilder {
+	b := &tableBuilder{tbl: &table{zoned: zoned}}
+	if zoned {
+		b.zones = shard.NewZoneBuilder()
+	}
+	return b
 }
 
+// add appends row r, whose document is doc.
 func (b *tableBuilder) add(doc jsonval.Value, r row) {
 	b.tbl.rows = append(b.tbl.rows, r)
-	b.zones.Add(doc)
+	if b.zones != nil {
+		b.zones.Add(doc)
+	}
 	if len(b.tbl.rows)-b.start >= shard.DefaultSize {
 		b.seal()
 	}
@@ -92,7 +104,11 @@ func (b *tableBuilder) seal() {
 	if len(b.tbl.rows) == b.start {
 		return
 	}
-	b.tbl.shards = append(b.tbl.shards, rowShard{start: b.start, end: len(b.tbl.rows), zone: b.zones.Finish()})
+	sh := rowShard{start: b.start, end: len(b.tbl.rows)}
+	if b.zones != nil {
+		sh.zone = b.zones.Finish()
+	}
+	b.tbl.shards = append(b.tbl.shards, sh)
 	b.start = len(b.tbl.rows)
 }
 
@@ -186,7 +202,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (stats engin
 	}
 	dec := json.NewDecoder(bufio.NewReaderSize(f, 256*1024))
 	dec.UseNumber() // numerics stay exact, as PostgreSQL's numeric does
-	tb := newTableBuilder()
+	tb := newTableBuilder(true)
 	var docs int64
 	for {
 		if err := engine.Cancelled(ctx, docs); err != nil {
@@ -267,7 +283,7 @@ func fromGeneric(v any) (jsonval.Value, error) {
 
 // ImportValues loads an in-memory document slice as a table.
 func (e *Engine) ImportValues(name string, docs []jsonval.Value) error {
-	tb := newTableBuilder()
+	tb := newTableBuilder(true)
 	for i, d := range docs {
 		r, err := e.encodeRow(d)
 		if err != nil {
@@ -299,21 +315,24 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	var storeTB *tableBuilder
 	if q.Store != "" {
-		storeTB = newTableBuilder()
+		storeTB = newTableBuilder(false)
 	}
 	// scratch and outBuf belong to this call: concurrent Executes on one
 	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
 	// PostgreSQL's modelled execution is single-threaded: the walk runs on
-	// the calling goroutine, one BRIN-style row range per step, and a range
-	// whose zone map rules out every row is skipped without detoasting any of
-	// it.
+	// the calling goroutine, one BRIN-style row range per step, and in a zoned
+	// table a range whose zone map rules out every row is skipped without
+	// detoasting any of it.
 	filter := matcher(q.Filter, &scratch)
-	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards), filter.Prune,
-		func(i int) (query.Zone, int) {
+	var zone func(i int) (query.Zone, int)
+	if tbl.zoned {
+		zone = func(i int) (query.Zone, int) {
 			sh := tbl.shards[i]
 			return sh.zone, sh.end - sh.start
-		},
+		}
+	}
+	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards), filter.Prune, zone,
 		func(_, i int) (int64, error) {
 			sh := tbl.shards[i]
 			var walked int64

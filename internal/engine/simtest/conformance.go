@@ -1,12 +1,14 @@
 package simtest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/joda-explore/betze/internal/datasets"
@@ -61,6 +63,28 @@ func Conformance(t *testing.T, open func(t *testing.T, dir string) engine.Engine
 			c.want(&query.Query{Base: "ds", Filter: p, Store: "d1"}, count(a, p))
 			c.want(&query.Query{Base: "d1", Filter: q, Store: "d2"}, count(a, pq))
 			c.want(&query.Query{Base: "d2"}, count(a, pq))
+		}},
+		{"stored_copy_reads_like_source", func(c *conformance) {
+			// A copy of a copy prints the bytes its source prints, including
+			// documents whose root is, or holds, an empty-key wrapper.
+			docs := datasets.NewNoBench().Generate(100, 3)
+			for _, s := range []string{`{"":{"a":1}}`, `{"":5}`, `{"":1,"b":2}`, `{"":{"":{"a":1}}}`, `[1,2]`,
+				`{"x":{"":{"y":[1,{"":2}]}}}`} {
+				docs = append(docs, Parse(c.t, s))
+			}
+			c.imp("base", docs)
+			c.want(&query.Query{Base: "base", Store: "c1"}, int64(len(docs)))
+			c.want(&query.Query{Base: "c1", Store: "c2"}, int64(len(docs)))
+			got := strings.Split(c.output(&query.Query{Base: "c2"}), "\n")
+			want := strings.Split(c.output(&query.Query{Base: "base"}), "\n")
+			if len(got) != len(want) {
+				c.t.Fatalf("the copy printed %d lines, its source %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					c.t.Errorf("line %d: the copy prints %.200s, its source %.200s", i+1, got[i], want[i])
+				}
+			}
 		}},
 		{"reset_drops_derived_only", func(c *conformance) {
 			c.imp("ds", a)
@@ -205,6 +229,16 @@ func (c *conformance) want(q *query.Query, n int64) engine.ExecStats {
 		c.t.Errorf("%s: matched %d, want %d", q, st.Matched, n)
 	}
 	return st
+}
+
+// output runs q and returns what it wrote.
+func (c *conformance) output(q *query.Query) string {
+	c.t.Helper()
+	var out bytes.Buffer
+	if _, err := c.e.Execute(context.Background(), q, &out); err != nil {
+		c.t.Fatalf("%s: %v", q, err)
+	}
+	return out.String()
 }
 
 func (c *conformance) fails(ctx context.Context, q *query.Query, sink io.Writer) {
