@@ -22,8 +22,8 @@ vet:
 	$(GO) vet ./...
 
 # Machine-checked invariants (DESIGN.md): seeded determinism, atomic
-# artifact publication, the errfs storage seam, the closed observability
-# vocabulary, and the jobqueue's journal-before-memory ordering.
+# artifact publication, the errfs storage seam and the closed observability
+# vocabulary.
 # Exits non-zero on any finding; suppress with //lint:ignore <analyzer> <reason>.
 # `make check` does not call this target: `race` runs the same suite over
 # the tree once, as TestTreeIsLintClean.

@@ -1,9 +1,8 @@
 // Command betze-lint runs the repository's machine-checked invariants (see
-// DESIGN.md §"Machine-checked invariants") over the module tree: the five
+// DESIGN.md §"Machine-checked invariants") over the module tree: the four
 // internal/lint analyzers guarding seeded determinism, atomic artifact
-// publication, the durability packages' errfs storage seam, the
-// observability vocabulary, and — on the CFG layer — the jobqueue's
-// journal-before-memory ordering.
+// publication, the durability packages' errfs storage seam and the
+// observability vocabulary.
 //
 // Usage:
 //

@@ -60,7 +60,7 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		got = append(got, strings.Fields(line)[0])
 	}
-	want := []string{"atomicwrite", "determinism", "fsboundary", "journalorder", "obsvocab"}
+	want := []string{"atomicwrite", "determinism", "fsboundary", "obsvocab"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("-list names %v, want %v:\n%s", got, want, out.String())
 	}

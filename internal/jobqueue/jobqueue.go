@@ -230,7 +230,7 @@ type Queue struct {
 	records map[string][]json.RawMessage
 
 	// The remaining fields are volatile: runtime-only state rebuilt on every
-	// Open, never journaled, exempt from the journal-before-memory rule.
+	// Open, never journaled.
 	buckets  map[string]*bucket // volatile: token buckets refill from zero
 	nextID   int                // volatile: recomputed from replayed IDs
 	notify   chan struct{}      // volatile: wakes parked claimers
@@ -314,10 +314,10 @@ func Open(dir string, opts Options) (*Queue, error) {
 	return q, nil
 }
 
-// replay folds recovered journal records into queue state — the one method
-// where memory is written FROM the journal instead of ahead of it.
-//
-//lint:ignore journalorder replay reconstructs memory from already-durable records; appending here would duplicate them
+// replay folds recovered journal records into queue state, writing memory
+// from records that are already durable. Every other method changes memory
+// only after its append succeeds, so a live queue always equals the replay
+// of its journal.
 func (q *Queue) replay(records [][]byte) error {
 	for i, payload := range records {
 		var r record
@@ -561,19 +561,26 @@ func (q *Queue) transition(id, recType string, to State, errMsg string) error {
 }
 
 // Running marks a claimed job as executing and registers the cancel hook a
-// client-side Cancel will fire.
+// client-side Cancel will fire. A Cancel that arrived after the claim, when
+// there was no hook yet, fires the hook at once.
 func (q *Queue) Running(id string, cancel context.CancelFunc) error {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
 	if !ok {
+		q.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	if err := q.append(record{Type: RecRunning, Job: id}); err != nil {
+		q.mu.Unlock()
 		return err
 	}
 	j.state = StateRunning
 	j.cancel = cancel
+	requested := j.cancelReq
+	q.mu.Unlock()
+	if requested && cancel != nil {
+		cancel()
+	}
 	return nil
 }
 

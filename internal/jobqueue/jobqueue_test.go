@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -327,6 +328,32 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	pool.Wait()
 }
 
+// TestCancelBetweenClaimAndRunning: a Cancel after the claim and before
+// Running finds no executor hook to fire, so Running must fire the hook it
+// registers, or the campaign runs to completion before the pool sees the
+// request.
+func TestCancelBetweenClaimAndRunning(t *testing.T) {
+	q := mustOpen(t, t.TempDir()+"/queue", testOpts())
+	defer q.Close()
+	snap, err := q.Submit("t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Claim(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Cancel(snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	cancelled := false
+	if err := q.Running(snap.ID, func() { cancelled = true }); err != nil {
+		t.Fatal(err)
+	}
+	if !cancelled {
+		t.Fatal("cancel requested before Running never reaches the executor's context")
+	}
+}
+
 func TestPoolFailureBoundsAttempts(t *testing.T) {
 	q := mustOpen(t, t.TempDir()+"/queue", testOpts())
 	defer q.Close()
@@ -584,4 +611,192 @@ func TestOpenRefusesLegacyJournal(t *testing.T) {
 	if _, err := mem.ReadFile("queue/current.wal"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("Open started a journal beside the legacy one: %v", err)
 	}
+}
+
+// TestFailedAppendLeavesQueueAsJournaled: memory changes only after the
+// journal append succeeds. A workload that reaches every append site runs
+// once per faultable operation of a fault-free run, failing that operation
+// if it is a write. After every call, failed or not, the live queue must
+// equal the queue replay folds from the same journal. Only writes fail: a
+// failed fsync may leave its unacked record in the file, and recovery may
+// keep it (TestEventsOnlyDurableRecords covers that case).
+func TestFailedAppendLeavesQueueAsJournaled(t *testing.T) {
+	mem := errfs.NewMem()
+	clean := errfs.NewFaulty(mem, errfs.Plan{})
+	want := journaledWorkload(t, mem, clean, "no fault", nil)
+
+	// The fault-free journal holds a record from every append site,
+	// Open's two included.
+	rec, err := runlog.RecoverFS(mem, "queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, payload := range rec.Records {
+		var r record
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatal(err)
+		}
+		types = append(types, r.Type)
+	}
+	sites := "submitted submitted submitted submitted submitted " +
+		"claimed running checkpoint done claimed running released cancelled " +
+		"claimed claimed running failed claimed failed released"
+	if got := strings.Join(types, " "); got != sites {
+		t.Fatalf("fault-free journal = %s\nwant %s", got, sites)
+	}
+
+	failedWrites := 0
+	for k := range clean.OpCount() {
+		fault := errfs.FaultShortWrite
+		if k%2 == 1 {
+			fault = errfs.FaultENOSPC
+		}
+		mem := errfs.NewMem()
+		faulty := errfs.NewFaulty(mem, errfs.Plan{k: fault})
+		journaledWorkload(t, mem, faulty, fmt.Sprintf("%s at op %d", fault, k), want)
+		for _, inj := range faulty.Injections() {
+			if inj.Op == "write" {
+				failedWrites++
+			}
+		}
+	}
+	// Each record is two writes, header and payload, and each failed once.
+	if failedWrites != 2*len(rec.Records) {
+		t.Fatalf("%d writes failed, want %d", failedWrites, 2*len(rec.Records))
+	}
+}
+
+// journaledWorkload drives a queue on fsys through every append site and,
+// after every call, checks the queue against the journal on mem, the
+// filesystem under fsys. Calls may fail under an injected fault; the check
+// is the assertion. It returns the List of the final reopen. A reopen that
+// fails must leave a journal that a clean Open reads as want, the List of
+// a reopen that never faulted.
+func journaledWorkload(t *testing.T, mem *errfs.Mem, fsys errfs.FS, label string, want []Snapshot) []Snapshot {
+	t.Helper()
+	const dir = "queue"
+	opts := testOpts()
+	opts.FS = fsys
+	q := mustOpen(t, dir, opts)
+	check := func(call string) {
+		t.Helper()
+		assertJournaled(t, q, mem, dir, label+", after "+call)
+	}
+	for range 5 {
+		q.Submit("t", nil)
+		check("Submit")
+	}
+	claim := func() (string, bool) {
+		if q.Depth() == 0 {
+			return "", false
+		}
+		snap, err := q.Claim(t.Context())
+		check("Claim")
+		return snap.ID, err == nil
+	}
+	if id, ok := claim(); ok {
+		q.Running(id, func() {})
+		check("Running")
+		q.Checkpoint(id, "unit-1", json.RawMessage(`1`))
+		check("Checkpoint")
+		q.Done(id)
+		check("Done")
+	}
+	if id, ok := claim(); ok {
+		q.Running(id, func() {})
+		check("Running")
+		q.Release(id)
+		check("Release")
+	}
+	var queued string
+	for _, s := range q.List() {
+		if s.State == StateQueued {
+			queued = s.ID
+		}
+	}
+	q.Cancel(queued)
+	check("Cancel")
+	claim() // the released job's second claim stays in flight
+	if id, ok := claim(); ok {
+		q.Running(id, func() {})
+		check("Running")
+		q.Fail(id, errors.New("boom"))
+		check("Fail")
+	}
+	claim() // a first claim stays in flight
+	if err := q.Close(); err != nil {
+		t.Fatalf("%s: Close: %v", label, err)
+	}
+
+	// Reopening fails the job on its second claim as a poison pill and
+	// requeues the one on its first.
+	opts.MaxAttempts = 2
+	q, err := Open(dir, opts)
+	if err != nil {
+		// Open drops its memory on error; its journal must read as if
+		// the failed Open had never run.
+		opts.FS = mem
+		q = mustOpen(t, dir, opts)
+		if got := q.List(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: clean Open after a failed one lists\n%v\nwant\n%v", label, got, want)
+		}
+	}
+	check("Open")
+	defer q.Close()
+	return q.List()
+}
+
+// assertJournaled fails unless q's memory equals the fold of the journal in
+// dir on fsys: per job its state, attempt, error, checkpoint keys and record
+// count, and the pending set equals the folded queued jobs.
+func assertJournaled(t *testing.T, q *Queue, fsys errfs.FS, dir, where string) {
+	t.Helper()
+	rec, err := runlog.RecoverFS(fsys, dir)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	folded := &Queue{
+		jobs:    make(map[string]*job),
+		chk:     make(map[string]map[string]json.RawMessage),
+		records: make(map[string][]json.RawMessage),
+	}
+	if err := folded.replay(rec.Records); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	var queued []string
+	for id, j := range folded.jobs {
+		if j.state == StateQueued {
+			queued = append(queued, id)
+		}
+	}
+	q.mu.Lock()
+	live := journaledState(q, q.pending)
+	q.mu.Unlock()
+	if journal := journaledState(folded, queued); live != journal {
+		t.Fatalf("%s: memory differs from the journal\nmemory:\n%s\njournal:\n%s", where, live, journal)
+	}
+}
+
+// journaledState renders the part of q's memory the journal determines.
+func journaledState(q *Queue, pending []string) string {
+	var b strings.Builder
+	for _, id := range sortedKeys(q.jobs) {
+		j := q.jobs[id]
+		fmt.Fprintf(&b, "%s %s attempt=%d error=%q checkpoints=%v records=%d\n",
+			id, j.state, j.attempt, j.errMsg, sortedKeys(q.chk[id]), len(q.records[id]))
+	}
+	pending = slices.Clone(pending)
+	slices.Sort(pending)
+	fmt.Fprintf(&b, "pending=%v", pending)
+	return b.String()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

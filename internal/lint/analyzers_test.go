@@ -44,7 +44,6 @@ func TestAnalyzerGolden(t *testing.T) {
 		{"atomicwrite", lint.NewAtomicwrite()},
 		{"determinism", lint.NewDeterminism()},
 		{"fsboundary", lint.NewFsboundary()},
-		{"journalorder", lint.NewJournalorder()},
 		{"obsvocab", lint.NewObsvocab()},
 	}
 	for _, tc := range cases {

@@ -1,10 +1,9 @@
 // Package lint is a small static-analysis framework on the standard
 // library's go/ast, go/parser and go/types, purpose-built to machine-check
-// five invariants this repository's correctness story rests on: seeded
+// four invariants this repository's correctness story rests on: seeded
 // packages stay byte-deterministic, artifacts are published atomically,
-// durability packages reach storage only through the errfs seam, the
-// jobqueue journals before it mutates memory, and the observability
-// vocabulary stays closed.
+// durability packages reach storage only through the errfs seam, and the
+// observability vocabulary stays closed.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis at a
 // distance — an Analyzer runs over one type-checked package at a time and

@@ -8,7 +8,6 @@ func Analyzers() []Analyzer {
 		NewAtomicwrite(AtomicWriteScope...),
 		NewDeterminism(DeterminismScope...),
 		NewFsboundary(FsboundaryScope...),
-		NewJournalorder("internal/jobqueue"),
 		NewObsvocab(),
 	}
 }

@@ -65,58 +65,6 @@ func containsStringLit(expr ast.Expr) bool {
 	return found
 }
 
-// exprKey renders an ident/selector/index chain as a stable string key
-// ("mu", "q.mu", "q.jobs[id]" collapses to "q.jobs") for matching the same
-// lvalue across statements within one function. Expressions outside that
-// shape return "".
-func exprKey(e ast.Expr) string {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return v.Name
-	case *ast.SelectorExpr:
-		base := exprKey(v.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + v.Sel.Name
-	case *ast.IndexExpr:
-		return exprKey(v.X)
-	case *ast.ParenExpr:
-		return exprKey(v.X)
-	case *ast.StarExpr:
-		return exprKey(v.X)
-	}
-	return ""
-}
-
-// selCall matches the X.Sel(...) call shape, returning the receiver
-// expression and the selected method name.
-func selCall(n ast.Node) (recv ast.Expr, name string, ok bool) {
-	call, isCall := n.(*ast.CallExpr)
-	if !isCall {
-		return nil, "", false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	return sel.X, sel.Sel.Name, true
-}
-
-// inspectOwned walks only the parts of a statement evaluated in the
-// statement's own basic block (see OwnedExprs), skipping nested function
-// literals, whose bodies execute elsewhere.
-func inspectOwned(s ast.Stmt, fn func(n ast.Node) bool) {
-	for _, part := range OwnedExprs(s) {
-		ast.Inspect(part, func(n ast.Node) bool {
-			if _, isLit := n.(*ast.FuncLit); isLit {
-				return false
-			}
-			return fn(n)
-		})
-	}
-}
-
 // pathHasAny reports whether the import path contains one of the given
 // slash-delimited segments sequences (e.g. "internal/query").
 func pathHasAny(path string, segments []string) bool {
