@@ -4,22 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"github.com/joda-explore/betze"
-	"github.com/joda-explore/betze/internal/engine"
-	"github.com/joda-explore/betze/internal/engine/jodasim"
-	"github.com/joda-explore/betze/internal/engine/jqsim"
-	"github.com/joda-explore/betze/internal/engine/mongosim"
-	"github.com/joda-explore/betze/internal/engine/pgsim"
+	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/fsatomic"
 	"github.com/joda-explore/betze/internal/harness"
 	"github.com/joda-explore/betze/internal/jobqueue"
-	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/obs"
 )
 
@@ -43,22 +37,14 @@ type campaignSpec struct {
 	Queries int `json:"queries,omitempty"`
 	// Seeds are the explorer seeds; one session is generated per seed.
 	Seeds []int64 `json:"seeds"`
-	// Engines are the systems under test: joda, mongodb, postgres, jq.
+	// Engines are the systems under test, by their `betze run -systems`
+	// names: joda, joda-evicted, mongodb, postgres, jq.
 	Engines []string `json:"engines"`
 	// FaultRate injects deterministic faults at this rate in [0,1); the
 	// resilient executor retries around them (chaos testing the service).
 	FaultRate float64 `json:"fault_rate,omitempty"`
 	// FaultSeed seeds the fault schedule (default: the dataset seed).
 	FaultSeed int64 `json:"fault_seed,omitempty"`
-}
-
-// campaignEngines maps spec engine names to constructors. jq gets a private
-// temp dir under the campaign workdir so store files cannot collide.
-var campaignEngines = map[string]func(dir string) (engine.Engine, error){
-	"joda":     func(string) (engine.Engine, error) { return jodasim.New(jodasim.Options{}), nil },
-	"mongodb":  func(string) (engine.Engine, error) { return mongosim.New(mongosim.Options{}), nil },
-	"postgres": func(string) (engine.Engine, error) { return pgsim.New(pgsim.Options{}), nil },
-	"jq":       func(dir string) (engine.Engine, error) { return jqsim.NewTempIn(dir) },
 }
 
 // validate checks every field and returns a field-tagged error suitable for
@@ -85,11 +71,11 @@ func (c *campaignSpec) validate() *fieldError {
 		return &fieldError{"seeds", fmt.Sprintf("%d seeds exceed the limit of 32", len(c.Seeds))}
 	}
 	if len(c.Engines) == 0 {
-		return &fieldError{"engines", "at least one engine required (joda, mongodb, postgres, jq)"}
+		return &fieldError{"engines", fmt.Sprintf("at least one engine required (%s)", harness.SystemNames())}
 	}
 	for _, e := range c.Engines {
-		if _, ok := campaignEngines[e]; !ok {
-			return &fieldError{"engines", fmt.Sprintf("unknown engine %q (joda, mongodb, postgres, jq)", e)}
+		if _, ok := harness.Systems[e]; !ok {
+			return &fieldError{"engines", fmt.Sprintf("unknown engine %q (%s)", e, harness.SystemNames())}
 		}
 	}
 	if c.FaultRate < 0 || c.FaultRate >= 1 {
@@ -98,42 +84,15 @@ func (c *campaignSpec) validate() *fieldError {
 	return nil
 }
 
-// unitResult is one checkpointed (seed, engine) execution. Every field is a
-// deterministic function of the spec — durations are the det-timing
-// substitutes, wall-clock never appears — so an interrupted-and-resumed
-// campaign publishes a byte-identical artifact.
-type unitResult struct {
-	Engine string `json:"engine"`
-	Seed   int64  `json:"seed"`
-	Import struct {
-		Docs     int64 `json:"docs"`
-		Bytes    int64 `json:"bytes"`
-		MicrosUS int64 `json:"duration_us"`
-	} `json:"import"`
-	Queries []unitQuery `json:"queries"`
-	// Completed/Skipped/Retries are the resilient executor's accounting.
-	Completed int    `json:"completed"`
-	Skipped   int    `json:"skipped"`
-	Retries   int    `json:"retries"`
-	Error     string `json:"error,omitempty"`
-}
-
-type unitQuery struct {
-	ID       string `json:"id"`
-	Scanned  int64  `json:"scanned"`
-	Matched  int64  `json:"matched"`
-	Returned int64  `json:"returned"`
-	MicrosUS int64  `json:"duration_us"`
-	Error    string `json:"error,omitempty"`
-	Skipped  bool   `json:"skipped,omitempty"`
-}
-
 // campaignArtifact is the final result document published atomically to
-// <data>/artifacts/<id>.json when a campaign completes.
+// <data>/artifacts/<id>.json when a campaign completes. Each unit is one
+// (seed, engine) session record with det-timing durations: every field is a
+// deterministic function of the spec, so an interrupted-and-resumed
+// campaign publishes a byte-identical artifact.
 type campaignArtifact struct {
-	Campaign string       `json:"campaign"`
-	Spec     campaignSpec `json:"spec"`
-	Units    []unitResult `json:"units"`
+	Campaign string                  `json:"campaign"`
+	Spec     campaignSpec            `json:"spec"`
+	Units    []harness.SessionRecord `json:"units"`
 }
 
 // runCampaign is the jobqueue executor: it materialises the dataset,
@@ -164,7 +123,7 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 		return err
 	}
 
-	units := make([]unitResult, 0, len(spec.Seeds)*len(spec.Engines))
+	units := make([]harness.SessionRecord, 0, len(spec.Seeds)*len(spec.Engines))
 	for _, seed := range spec.Seeds {
 		var session *betze.Session
 		for _, engName := range spec.Engines {
@@ -173,7 +132,7 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 			}
 			key := fmt.Sprintf("seed-%d/%s", seed, engName)
 			if data, ok := cp.Load(key); ok {
-				var u unitResult
+				var u harness.SessionRecord
 				if err := json.Unmarshal(data, &u); err != nil {
 					return fmt.Errorf("checkpoint %s: %w", key, err)
 				}
@@ -241,37 +200,22 @@ func (s *server) materialize(spec campaignSpec, workdir string) (string, *betze.
 	if _, err := os.Stat(path); err == nil {
 		return path, stats, nil
 	}
-	f, err := fsatomic.Create(path)
-	if err != nil {
-		return "", nil, fmt.Errorf("campaign dataset: %w", err)
-	}
-	defer f.Close()
-	var buf []byte
-	for _, d := range docs {
-		buf = jsonval.AppendJSON(buf[:0], d)
-		buf = append(buf, '\n')
-		if _, err := f.Write(buf); err != nil {
-			return "", nil, fmt.Errorf("campaign dataset: %w", err)
-		}
-	}
-	if err := f.Commit(); err != nil {
+	if err := datasets.WriteDocs(path, docs); err != nil {
 		return "", nil, fmt.Errorf("campaign dataset: %w", err)
 	}
 	return path, stats, nil
 }
 
-// runUnit executes one session on one fresh engine through the resilient
-// executor and converts the outcome into the deterministic unit record.
+// runUnit executes one session on one fresh engine through
+// harness.RunSession and returns its record with det-timing durations.
 // Engine-level failures (an import the retry loop gave up on) land in the
-// unit's Error field — one broken engine does not fail the campaign.
-func (s *server) runUnit(ctx context.Context, spec campaignSpec, engName string, seed int64, dsName, dataPath string, session *betze.Session, workdir string) (unitResult, error) {
-	u := unitResult{Engine: engName, Seed: seed}
-	eng, err := campaignEngines[engName](workdir)
+// record's Error field — one broken engine does not fail the campaign.
+func (s *server) runUnit(ctx context.Context, spec campaignSpec, engName string, seed int64, dsName, dataPath string, session *betze.Session, workdir string) (harness.SessionRecord, error) {
+	eng, err := harness.Systems[engName].New(workdir, 0)
 	if err != nil {
-		return u, fmt.Errorf("engine %s: %w", engName, err)
+		return harness.SessionRecord{}, fmt.Errorf("engine %s: %w", engName, err)
 	}
 	defer eng.Close()
-	var sut engine.Engine = eng
 	if spec.FaultRate > 0 {
 		fseed := spec.FaultSeed
 		if fseed == 0 {
@@ -279,41 +223,19 @@ func (s *server) runUnit(ctx context.Context, spec campaignSpec, engName string,
 		}
 		// Mix the unit coordinates into the schedule seed so each unit
 		// sees its own (still deterministic) fault pattern.
-		sut = faultsim.Wrap(eng, faultsim.Uniform(spec.FaultRate, fseed+seed*31+int64(len(engName))))
+		eng = faultsim.Wrap(eng, faultsim.Uniform(spec.FaultRate, fseed+seed*31+int64(len(engName))))
 	}
 
 	pol := harness.DefaultRetryPolicy()
 	pol.Seed = seed
 	// Import under the analyzer's dataset name: the generated queries
 	// reference it.
-	imp, _, err := harness.RunImport(ctx, sut, dsName, dataPath, pol)
-	if err != nil {
-		if ctx.Err() != nil {
-			return u, ctx.Err()
-		}
-		u.Error = fmt.Sprintf("import: %v", err)
-		return u, nil
-	}
-	u.Import.Docs = imp.Docs
-	u.Import.Bytes = imp.Bytes
-	u.Import.MicrosUS = harness.DetImportDuration(imp).Microseconds()
-
-	outcomes, rs := harness.RunQueries(ctx, sut, session.Queries, pol, io.Discard, fmt.Sprintf("%s seed %d", engName, seed))
+	u := harness.RunSession(ctx, eng, []harness.Import{{Name: dsName, Path: dataPath}}, session.Queries, pol,
+		fmt.Sprintf("%s seed %d", engName, seed))
 	if ctx.Err() != nil {
 		return u, ctx.Err()
 	}
-	u.Completed, u.Skipped, u.Retries = rs.Completed, rs.Skipped, rs.Retries
-	for _, o := range outcomes {
-		uq := unitQuery{ID: o.Query.ID, Skipped: o.Skipped}
-		if o.Err != nil {
-			uq.Error = o.Err.Error()
-		} else {
-			uq.Scanned = o.Stats.Scanned
-			uq.Matched = o.Stats.Matched
-			uq.Returned = o.Stats.Returned
-			uq.MicrosUS = harness.DetQueryDuration(o.Stats).Microseconds()
-		}
-		u.Queries = append(u.Queries, uq)
-	}
+	u.Engine, u.Seed = engName, seed
+	u.DetTiming()
 	return u, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/joda-explore/betze/internal/harness"
 	"github.com/joda-explore/betze/internal/jobqueue"
 )
 
@@ -87,4 +88,32 @@ func TestCampaignEndpointsShedDuringRecovery(t *testing.T) {
 	}
 	snap := decodeSnapshot(t, sub)
 	waitCampaign(t, ts, snap.ID, jobqueue.StateDone)
+}
+
+// TestUnitCheckpointShapeIsStable: a unit checkpoint written before units
+// became harness.SessionRecord values (by the former unitResult type)
+// decodes and re-marshals byte for byte, so a campaign checkpointed by the
+// earlier server resumes into the same artifact.
+func TestUnitCheckpointShapeIsStable(t *testing.T) {
+	for _, checkpoint := range []string{
+		`{"engine":"joda","seed":1,"import":{"docs":300,"bytes":51234,"duration_us":301},` +
+			`"queries":[{"id":"q1","scanned":300,"matched":120,"returned":120,"duration_us":541},` +
+			`{"id":"q2","scanned":0,"matched":0,"returned":0,"duration_us":0,` +
+			`"error":"executing q2 (attempt 1): faultsim: injected transient fault","skipped":true}],` +
+			`"completed":1,"skipped":1,"retries":3}`,
+		`{"engine":"postgres","seed":2,"import":{"docs":0,"bytes":0,"duration_us":0},"queries":null,` +
+			`"completed":0,"skipped":0,"retries":0,"error":"import: pgsim: unsupported Unicode escape sequence"}`,
+	} {
+		var u harness.SessionRecord
+		if err := json.Unmarshal([]byte(checkpoint), &u); err != nil {
+			t.Fatal(err)
+		}
+		again, err := json.Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != checkpoint {
+			t.Errorf("checkpoint changed in a round trip:\n got %s\nwant %s", again, checkpoint)
+		}
+	}
 }

@@ -23,17 +23,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
 	"github.com/joda-explore/betze/internal/analyze"
 	"github.com/joda-explore/betze/internal/core"
 	"github.com/joda-explore/betze/internal/datasets"
-	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/engine/jodasim"
-	"github.com/joda-explore/betze/internal/engine/jqsim"
-	"github.com/joda-explore/betze/internal/engine/mongosim"
-	"github.com/joda-explore/betze/internal/engine/pgsim"
 	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/fsatomic"
 	"github.com/joda-explore/betze/internal/harness"
@@ -41,7 +38,6 @@ import (
 	"github.com/joda-explore/betze/internal/langs"
 	_ "github.com/joda-explore/betze/internal/langs/all"
 	"github.com/joda-explore/betze/internal/obs"
-	"github.com/joda-explore/betze/internal/query"
 )
 
 func main() {
@@ -292,7 +288,7 @@ func cmdRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	sessionPath := fs.String("session", "", "session.json from 'betze generate'")
 	data := fs.String("data", "", "dataset file, or comma-separated name=path pairs for multi-dataset sessions")
-	systems := fs.String("systems", "joda,mongodb,postgres,jq", "engines to benchmark")
+	systems := fs.String("systems", "joda,mongodb,postgres,jq", "engines to benchmark: "+harness.SystemNames())
 	timeout := fs.Duration("timeout", 10*time.Minute, "per-engine session timeout")
 	threads := fs.Int("threads", 0, "JODA worker threads (0 = all CPUs)")
 	tracePath := fs.String("trace", "", "write per-query trace events (JSON lines) to this file")
@@ -326,7 +322,7 @@ func cmdRun(args []string, out io.Writer) error {
 	if len(file.Queries) == 0 {
 		return fmt.Errorf("run: session has no queries")
 	}
-	datasets, err := resolveDatasets(*data, file)
+	imports, err := resolveDatasets(*data, file)
 	if err != nil {
 		return err
 	}
@@ -348,18 +344,22 @@ func cmdRun(args []string, out io.Writer) error {
 	}
 
 	for _, name := range strings.Split(*systems, ",") {
-		eng, err := makeEngine(strings.TrimSpace(name), *threads)
+		sys, ok := harness.Systems[strings.TrimSpace(name)]
+		if !ok {
+			return fmt.Errorf("run: unknown system %q (have %s)", name, harness.SystemNames())
+		}
+		eng, err := sys.New("", *threads)
 		if err != nil {
 			return err
 		}
 		if faults.Enabled() {
 			eng = faultsim.Wrap(eng, faults)
 		}
-		if err := benchmarkEngine(out, sc, eng, datasets, file.Queries, *timeout, pol); err != nil {
-			eng.Close()
-			return err
-		}
+		ctx, cancel := context.WithTimeout(obs.With(context.Background(), sc), *timeout)
+		rec := harness.RunSession(ctx, eng, imports, file.Queries, pol, "run")
+		cancel()
 		eng.Close()
+		printRecord(out, rec, imports, *timeout)
 	}
 	if closeTrace != nil {
 		if err := closeTrace(); err != nil {
@@ -402,10 +402,11 @@ func newTraceRecorder(path string) (*obs.Recorder, func() error, error) {
 	}, nil
 }
 
-// resolveDatasets maps the session's root dataset names to files. A single
-// bare path serves the session's first base dataset; multi-dataset sessions
-// take comma-separated name=path pairs.
-func resolveDatasets(spec string, file *core.SessionFile) (map[string]string, error) {
+// resolveDatasets maps the session's root dataset names to files, sorted by
+// name so the imports run in the same order every time. A single bare path
+// serves the session's first base dataset; multi-dataset sessions take
+// comma-separated name=path pairs.
+func resolveDatasets(spec string, file *core.SessionFile) ([]harness.Import, error) {
 	roots := make(map[string]bool)
 	for _, n := range file.Nodes {
 		if n.Parent == -1 {
@@ -425,8 +426,7 @@ func resolveDatasets(spec string, file *core.SessionFile) (map[string]string, er
 		if len(roots) > 1 {
 			return nil, fmt.Errorf("run: session uses %d datasets; pass -data name=path,name=path", len(roots))
 		}
-		out[file.Queries[0].Base] = spec
-		return out, nil
+		return []harness.Import{{Name: file.Queries[0].Base, Path: spec}}, nil
 	}
 	for _, pair := range strings.Split(spec, ",") {
 		name, path, ok := strings.Cut(strings.TrimSpace(pair), "=")
@@ -440,64 +440,39 @@ func resolveDatasets(spec string, file *core.SessionFile) (map[string]string, er
 			return nil, fmt.Errorf("run: no -data mapping for dataset %q", root)
 		}
 	}
-	return out, nil
+	imports := make([]harness.Import, 0, len(out))
+	for name, path := range out {
+		imports = append(imports, harness.Import{Name: name, Path: path})
+	}
+	sort.Slice(imports, func(i, j int) bool { return imports[i].Name < imports[j].Name })
+	return imports, nil
 }
 
-func makeEngine(name string, threads int) (engine.Engine, error) {
-	switch name {
-	case "joda":
-		return jodasim.New(jodasim.Options{Threads: threads}), nil
-	case "joda-evicted":
-		return jodasim.New(jodasim.Options{Threads: threads, Evict: true}), nil
-	case "mongodb":
-		return mongosim.New(mongosim.Options{}), nil
-	case "postgres":
-		return pgsim.New(pgsim.Options{}), nil
-	case "jq":
-		return jqsim.New("")
-	default:
-		return nil, fmt.Errorf("run: unknown system %q (have joda, joda-evicted, mongodb, postgres, jq)", name)
+// printRecord reports one engine's session: a line per import and per
+// query, then the totals and, when any fired, the resilience counters.
+func printRecord(out io.Writer, rec harness.SessionRecord, imports []harness.Import, timeout time.Duration) {
+	for i, imp := range rec.Imports {
+		fmt.Fprintf(out, "%-22s import %s: %8s (%d docs)\n", rec.Engine, imports[i].Name, imp.Duration.Round(time.Millisecond), imp.Docs)
 	}
-}
-
-func benchmarkEngine(out io.Writer, sc obs.Scope, eng engine.Engine, datasets map[string]string, queries []*query.Query, timeout time.Duration, pol harness.RetryPolicy) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	ctx = obs.With(ctx, sc)
-	var importTotal time.Duration
-	importRetries := 0
-	for base, data := range datasets {
-		imp, retries, err := harness.RunImport(ctx, eng, base, data, pol)
-		importRetries += retries
-		if err != nil {
-			if ctx.Err() != nil {
-				sc.Record(obs.Event{Type: obs.EvTimeout, Engine: eng.Name(), Dataset: base, TimedOut: true})
-				sc.Counter(obs.MRunTimeouts).Inc()
-			}
-			fmt.Fprintf(out, "%-22s could not load dataset: %v\n", eng.Name(), err)
-			return nil
-		}
-		importTotal += imp.Duration
-		fmt.Fprintf(out, "%-22s import %s: %8s (%d docs)\n", eng.Name(), base, imp.Duration.Round(time.Millisecond), imp.Docs)
+	if rec.Error != "" {
+		fmt.Fprintf(out, "%-22s could not load dataset (%s)\n", rec.Engine, rec.Error)
+		return
 	}
-	outcomes, rs := harness.RunQueries(ctx, eng, queries, pol, io.Discard, "run")
-	var total time.Duration
-	for _, o := range outcomes {
-		if o.Err != nil {
-			fmt.Fprintf(out, "%-22s %6s: skipped after %d attempts: %v\n", eng.Name(), o.Query.ID, o.Attempts, o.Err)
+	for _, q := range rec.Queries {
+		if q.Error != "" {
+			fmt.Fprintf(out, "%-22s %6s: skipped: %s\n", rec.Engine, q.ID, q.Error)
 			continue
 		}
-		total += o.Stats.Duration
-		fmt.Fprintf(out, "%-22s %6s: %10s  (%d matched)\n", eng.Name(), o.Query.ID, o.Stats.Duration.Round(time.Microsecond), o.Stats.Matched)
+		d := time.Duration(q.DurationUS) * time.Microsecond
+		fmt.Fprintf(out, "%-22s %6s: %10s  (%d matched)\n", rec.Engine, q.ID, d, q.Matched)
 	}
-	if rs.TimedOut {
-		fmt.Fprintf(out, "%-22s timed out after %v\n", eng.Name(), timeout)
+	if rec.TimedOut {
+		fmt.Fprintf(out, "%-22s timed out after %v\n", rec.Engine, timeout)
 	}
-	fmt.Fprintf(out, "%-22s total w/o import: %s, wall: %s\n", eng.Name(),
-		total.Round(time.Millisecond), (total + importTotal).Round(time.Millisecond))
-	if r := importRetries + rs.Retries; r > 0 || rs.Skipped > 0 || rs.Recovered > 0 {
+	fmt.Fprintf(out, "%-22s total w/o import: %s, wall: %s\n", rec.Engine,
+		rec.Total().Round(time.Millisecond), rec.Wall().Round(time.Millisecond))
+	if rec.Retries > 0 || rec.Skipped > 0 || rec.Recovered > 0 {
 		fmt.Fprintf(out, "%-22s resilience: %d retried, %d skipped, %d recovered\n",
-			eng.Name(), r, rs.Skipped, rs.Recovered)
+			rec.Engine, rec.Retries, rec.Skipped, rec.Recovered)
 	}
-	return nil
 }

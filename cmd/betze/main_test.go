@@ -188,6 +188,18 @@ func TestRunMultiDataset(t *testing.T) {
 	if !strings.Contains(out, "import A:") {
 		t.Errorf("mapped import not reported:\n%s", out)
 	}
+	// Extra mappings are imported too, in name order on every run.
+	for i := 0; i < 8; i++ {
+		out, err := runCmd(t, "run", "-session", filepath.Join(sess, "session.json"),
+			"-data", "B="+dataB+",A="+dataA, "-systems", "joda")
+		if err != nil {
+			t.Fatalf("run with two mappings: %v", err)
+		}
+		a, b := strings.Index(out, "import A:"), strings.Index(out, "import B:")
+		if a < 0 || b < 0 || a > b {
+			t.Fatalf("run %d: imports not in name order:\n%s", i, out)
+		}
+	}
 	// A mapping that misses the root dataset must fail clearly.
 	if _, err := runCmd(t, "run", "-session", filepath.Join(sess, "session.json"),
 		"-data", "WRONG="+dataA, "-systems", "joda"); err == nil {

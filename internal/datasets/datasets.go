@@ -70,6 +70,14 @@ func (s Source) WriteFile(path string, n int, seed int64) error {
 	return nil
 }
 
+// WriteDocs writes already generated documents into a newline-delimited
+// JSON file, published atomically like WriteFile. The documents are written
+// as they are, not regenerated.
+func WriteDocs(path string, docs []jsonval.Value) error {
+	stored := Source{next: func(_ *rand.Rand, i int) jsonval.Value { return docs[i] }}
+	return stored.WriteFile(path, len(docs), 0)
+}
+
 // m is shorthand for building object members.
 func m(key string, v jsonval.Value) jsonval.Member { return jsonval.Member{Key: key, Value: v} }
 

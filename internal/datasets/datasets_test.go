@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -229,5 +230,29 @@ func TestWriteFile(t *testing.T) {
 	}
 	if err := NewNoBench().WriteFile("/nonexistent-dir/x.json", 1, 1); err == nil {
 		t.Errorf("bad path accepted")
+	}
+}
+
+// TestWriteDocsMatchesWriteFile: writing generated documents produces the
+// same bytes as streaming them from the source.
+func TestWriteDocsMatchesWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	src := NewTwitter()
+	if err := src.WriteFile(dir+"/a.json", 50, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDocs(dir+"/b.json", src.Generate(50, 9)); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(dir + "/a.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(dir + "/b.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("WriteDocs bytes differ from WriteFile's")
 	}
 }

@@ -1,14 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
-	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/obs"
 	"github.com/joda-explore/betze/internal/runlog"
 )
@@ -72,58 +71,11 @@ type journalRecord struct {
 	// Key identifies a session record.
 	Key *WorkKey `json:"key,omitempty"`
 	// Session is the journaled session result.
-	Session *sessionRecord `json:"session,omitempty"`
+	Session *SessionRecord `json:"session,omitempty"`
 	// Result is the full experiment result (experiment_end), so a resumed
 	// run re-exports completed experiments byte-identically without
 	// re-running them.
 	Result *Result `json:"result,omitempty"`
-}
-
-// sessionRecord mirrors SessionResult with errors flattened to strings —
-// errors survive the JSON round trip as text, and the render layer only
-// branches on their nil-ness.
-type sessionRecord struct {
-	Engine     string             `json:"engine"`
-	Import     engine.ImportStats `json:"import"`
-	QueryTimes []time.Duration    `json:"query_times,omitempty"`
-	Total      time.Duration      `json:"total"`
-	Wall       time.Duration      `json:"wall"`
-	TimedOut   bool               `json:"timed_out,omitempty"`
-	ImportErr  string             `json:"import_err,omitempty"`
-	Err        string             `json:"err,omitempty"`
-	Retries    int                `json:"retries,omitempty"`
-	Skipped    int                `json:"skipped,omitempty"`
-	Recovered  int                `json:"recovered,omitempty"`
-}
-
-func toSessionRecord(r SessionResult) *sessionRecord {
-	rec := &sessionRecord{
-		Engine: r.Engine, Import: r.Import, QueryTimes: r.QueryTimes,
-		Total: r.Total, Wall: r.Wall, TimedOut: r.TimedOut,
-		Retries: r.Retries, Skipped: r.Skipped, Recovered: r.Recovered,
-	}
-	if r.ImportErr != nil {
-		rec.ImportErr = r.ImportErr.Error()
-	}
-	if r.Err != nil {
-		rec.Err = r.Err.Error()
-	}
-	return rec
-}
-
-func (rec *sessionRecord) toResult() SessionResult {
-	r := SessionResult{
-		Engine: rec.Engine, Import: rec.Import, QueryTimes: rec.QueryTimes,
-		Total: rec.Total, Wall: rec.Wall, TimedOut: rec.TimedOut,
-		Retries: rec.Retries, Skipped: rec.Skipped, Recovered: rec.Recovered,
-	}
-	if rec.ImportErr != "" {
-		r.ImportErr = errors.New(rec.ImportErr)
-	}
-	if rec.Err != "" {
-		r.Err = errors.New(rec.Err)
-	}
-	return r
 }
 
 // RunJournal appends checkpoint records to a runlog writer as work units
@@ -181,11 +133,11 @@ func (j *RunJournal) BeginExperiment(id string) {
 }
 
 // Session checkpoints one completed session execution.
-func (j *RunJournal) Session(key WorkKey, res SessionResult) {
+func (j *RunJournal) Session(key WorkKey, rec SessionRecord) {
 	if j == nil {
 		return
 	}
-	j.append(journalRecord{Type: recSession, Key: &key, Session: toSessionRecord(res)})
+	j.append(journalRecord{Type: recSession, Key: &key, Session: &rec})
 	j.obs.Record(obs.Event{
 		Type: obs.EvCheckpoint, Kind: obs.KindSession, Engine: key.Engine,
 		Dataset: key.Dataset, Session: key.String(),
@@ -231,24 +183,31 @@ func (j *RunJournal) Close() error {
 // experiments already completed, keyed for deterministic skipping.
 type Replay struct {
 	fingerprint string
-	sessions    map[WorkKey]SessionResult
+	sessions    map[WorkKey]SessionRecord
 	experiments map[string]*Result
 	records     int
 }
 
 // NewReplay parses recovered journal records. All run_start fingerprints in
 // the journal must agree (each resume generation re-records it); a payload
-// that does not parse as a checkpoint record wraps ErrBadJournalRecord.
+// that does not parse as a checkpoint record — including one carrying
+// fields this version does not write, such as a session in an older record
+// shape — wraps ErrBadJournalRecord.
 func NewReplay(rec *runlog.Recovery) (*Replay, error) {
 	rp := &Replay{
-		sessions:    make(map[WorkKey]SessionResult),
+		sessions:    make(map[WorkKey]SessionRecord),
 		experiments: make(map[string]*Result),
 		records:     len(rec.Records),
 	}
 	for i, payload := range rec.Records {
 		var jr journalRecord
-		if err := json.Unmarshal(payload, &jr); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(payload))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&jr); err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrBadJournalRecord, i, err)
+		}
+		if dec.More() {
+			return nil, fmt.Errorf("%w: record %d: trailing data", ErrBadJournalRecord, i)
 		}
 		switch jr.Type {
 		case recRunStart:
@@ -261,7 +220,7 @@ func NewReplay(rec *runlog.Recovery) (*Replay, error) {
 			if jr.Key == nil || jr.Session == nil {
 				return nil, fmt.Errorf("%w: record %d: session without key or body", ErrBadJournalRecord, i)
 			}
-			rp.sessions[*jr.Key] = jr.Session.toResult()
+			rp.sessions[*jr.Key] = *jr.Session
 		case recExperimentEnd:
 			if jr.Result == nil {
 				return nil, fmt.Errorf("%w: record %d: experiment_end without result", ErrBadJournalRecord, i)
@@ -295,10 +254,10 @@ func (rp *Replay) ExperimentResult(id string) (*Result, bool) {
 	return res, ok
 }
 
-// SessionResult returns the journaled result of a completed session.
-func (rp *Replay) SessionResult(key WorkKey) (SessionResult, bool) {
+// Session returns the journaled result of a completed session.
+func (rp *Replay) Session(key WorkKey) (SessionRecord, bool) {
 	if rp == nil {
-		return SessionResult{}, false
+		return SessionRecord{}, false
 	}
 	res, ok := rp.sessions[key]
 	return res, ok
@@ -370,19 +329,4 @@ func (e *Env) nextKey(engineName, dataset string, seed int64) (WorkKey, bool) {
 		Experiment: id.experiment, Engine: id.engine, Dataset: id.dataset,
 		Seed: id.seed, Occurrence: occ,
 	}, true
-}
-
-// DetImportDuration derives a deterministic stand-in for a measured import
-// duration from the import's deterministic work counters (DetTiming mode).
-// Exported for the service layer (betze-web campaigns), whose byte-identical
-// crash-resume artifacts need the same timing substitution.
-func DetImportDuration(imp engine.ImportStats) time.Duration {
-	return time.Duration(imp.Docs+1) * time.Microsecond
-}
-
-// DetQueryDuration derives a deterministic stand-in for a measured query
-// duration from the execution's deterministic work counters (DetTiming
-// mode): scanning dominates, returning documents costs extra.
-func DetQueryDuration(st engine.ExecStats) time.Duration {
-	return time.Duration(1+st.Scanned+2*st.Returned) * time.Microsecond
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,7 +67,7 @@ func TestRunExperimentWithoutJournal(t *testing.T) {
 	var j *RunJournal
 	j.RunStart("fp")
 	j.BeginExperiment("table2")
-	j.Session(WorkKey{}, SessionResult{})
+	j.Session(WorkKey{}, SessionRecord{})
 	j.EndExperiment("table2", res)
 	j.RunEnd()
 	if err := j.Err(); err != nil {
@@ -350,42 +352,63 @@ func TestReplayRejectsGarbageRecords(t *testing.T) {
 	}
 }
 
+// TestSessionRecordRoundTrip: a journaled record replays as the record
+// that was written, and the render path reads it the same way.
 func TestSessionRecordRoundTrip(t *testing.T) {
-	orig := SessionResult{
-		Engine:     "JODA",
-		QueryTimes: []time.Duration{time.Millisecond, 2 * time.Millisecond},
-		Total:      3 * time.Millisecond,
-		Wall:       5 * time.Millisecond,
-		TimedOut:   true,
-		ImportErr:  errors.New("disk on fire"),
-		Err:        errors.New("q3 failed"),
-		Retries:    2, Skipped: 1, Recovered: 1,
+	orig := SessionRecord{
+		Engine: "JODA", Seed: 7,
+		Import: ImportRecord{Docs: 10, Bytes: 100, DurationUS: 2000},
+		Queries: []QueryRecord{
+			{ID: "q1", Scanned: 10, Matched: 4, Returned: 4, DurationUS: 1000},
+			{ID: "q2", Error: "q2 failed", Skipped: true},
+			{ID: "q3", Scanned: 4, Matched: 1, Returned: 1, DurationUS: 2000},
+		},
+		Completed: 2, Skipped: 1, Retries: 2, Recovered: 1, TimedOut: true,
 	}
-	data, err := json.Marshal(toSessionRecord(orig))
+	key := WorkKey{Experiment: "table2", Engine: "JODA", Dataset: "Twitter", Seed: 7}
+	payload, err := json.Marshal(journalRecord{Type: recSession, Key: &key, Session: &orig})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec sessionRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	rp, err := NewReplay(&runlog.Recovery{Records: [][]byte{payload}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := rec.toResult()
-	if got.Engine != orig.Engine || got.Total != orig.Total || got.Wall != orig.Wall ||
-		!got.TimedOut || got.Retries != 2 || got.Skipped != 1 || got.Recovered != 1 {
-		t.Errorf("round trip lost fields: %+v", got)
+	got, ok := rp.Session(key)
+	if !ok {
+		t.Fatal("journaled session not replayed")
 	}
-	if got.ImportErr == nil || got.ImportErr.Error() != "disk on fire" {
-		t.Errorf("import error lost: %v", got.ImportErr)
+	if !reflect.DeepEqual(got, orig) {
+		t.Errorf("round trip changed the record:\n got %+v\nwant %+v", got, orig)
 	}
-	if got.Err == nil || got.Err.Error() != "q3 failed" {
-		t.Errorf("error lost: %v", got.Err)
+	if got.Total() != 3*time.Millisecond || got.Wall() != 5*time.Millisecond {
+		t.Errorf("total/wall = %v/%v, want 3ms/5ms", got.Total(), got.Wall())
 	}
-	if len(got.QueryTimes) != 2 || got.QueryTimes[1] != 2*time.Millisecond {
-		t.Errorf("query times lost: %v", got.QueryTimes)
+	if times := got.QueryTimes(); len(times) != 2 || times[1] != 2*time.Millisecond {
+		t.Errorf("query times = %v", times)
 	}
-	// cell() is the render path of journaled results.
+	if err := got.Err(); err == nil || !strings.Contains(err.Error(), "q2 failed") {
+		t.Errorf("first query error = %v", err)
+	}
+	if got.cell() != "error" {
+		t.Errorf("cell = %q, want error", got.cell())
+	}
+	got.Error = "import: disk on fire"
 	if got.cell() != "load failed" {
-		t.Errorf("cell = %q", got.cell())
+		t.Errorf("cell = %q, want load failed", got.cell())
+	}
+}
+
+// TestReplayRejectsLegacySessionShape: a session journaled in the record
+// shape before SessionRecord (query_times, total, wall) must fail the
+// resume instead of replaying as an empty session.
+func TestReplayRejectsLegacySessionShape(t *testing.T) {
+	payload := []byte(`{"type":"session","key":{"experiment":"table2","engine":"JODA","dataset":"Twitter","seed":123,"occurrence":0},` +
+		`"session":{"engine":"JODA","import":{"Docs":8,"Bytes":900,"StoredBytes":700,"Duration":9000},` +
+		`"query_times":[1000,2000],"total":3000,"wall":12000}}`)
+	_, err := NewReplay(&runlog.Recovery{Records: [][]byte{payload}})
+	if !errors.Is(err, ErrBadJournalRecord) {
+		t.Errorf("legacy session record: %v, want ErrBadJournalRecord", err)
 	}
 }
 

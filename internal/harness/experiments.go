@@ -83,14 +83,15 @@ func Fig5(ctx context.Context, e *Env) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig5 %s session %d: %w", preset.Name, s, err)
 			}
-			res := e.runSession(ctx, jodaSpec(0), ds, sess)
-			if res.Err != nil || res.ImportErr != nil {
-				return nil, fmt.Errorf("fig5: %v / %v", res.Err, res.ImportErr)
+			res := e.runSession(ctx, systemSpec("joda", 0), ds, sess)
+			if err := res.Err(); err != nil || res.Error != "" {
+				return nil, fmt.Errorf("fig5: %v / %s", err, res.Error)
 			}
-			if len(res.QueryTimes) != n {
+			times := res.QueryTimes()
+			if len(times) != n {
 				continue // timed out; skip this session
 			}
-			for i, d := range res.QueryTimes {
+			for i, d := range times {
 				perQuery[i] += d
 			}
 			runs++
@@ -129,11 +130,11 @@ func Fig6(ctx context.Context, e *Env) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s session %d: %w", preset.Name, s, err)
 			}
-			res := e.runSession(ctx, jodaSpec(0), ds, sess)
-			if res.Err != nil || res.ImportErr != nil {
-				return nil, fmt.Errorf("fig6: %v / %v", res.Err, res.ImportErr)
+			res := e.runSession(ctx, systemSpec("joda", 0), ds, sess)
+			if err := res.Err(); err != nil || res.Error != "" {
+				return nil, fmt.Errorf("fig6: %v / %s", err, res.Error)
 			}
-			totals = append(totals, res.Total)
+			totals = append(totals, res.Total())
 		}
 		b := box(totals)
 		rows = append(rows, []string{preset.Name,
@@ -177,11 +178,11 @@ func Fig7(ctx context.Context, e *Env) (*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("fig7 a=%.1f b=%.1f: %w", alpha, beta, err)
 				}
-				res := e.runSession(ctx, jodaSpec(0), ds, sess)
-				if res.Err != nil || res.ImportErr != nil {
-					return nil, fmt.Errorf("fig7: %v / %v", res.Err, res.ImportErr)
+				res := e.runSession(ctx, systemSpec("joda", 0), ds, sess)
+				if err := res.Err(); err != nil || res.Error != "" {
+					return nil, fmt.Errorf("fig7: %v / %s", err, res.Error)
 				}
-				total += res.Total
+				total += res.Total()
 				runs++
 			}
 			row = append(row, fmt.Sprintf("%.3fs", (total/time.Duration(runs)).Seconds()))
@@ -273,13 +274,13 @@ func Fig9(ctx context.Context, e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat := map[string]SessionResult{}
-	for _, spec := range []engineSpec{mongoSpec(), pgSpec(), jqSpec()} {
+	flat := map[string]SessionRecord{}
+	for _, spec := range systemSpecs(0)[1:] {
 		flat[spec.name] = e.runSession(ctx, spec, ds, sess)
 	}
 	var rows [][]string
 	for _, t := range e.Cfg.Threads {
-		res := e.runSession(ctx, jodaSpec(t), ds, sess)
+		res := e.runSession(ctx, systemSpec("joda", t), ds, sess)
 		rows = append(rows, []string{fmt.Sprintf("%d", t),
 			res.cell(), flat["MongoDB"].cell(), flat["PostgreSQL"].cell(), flat["jq"].cell()})
 	}
@@ -306,11 +307,11 @@ func Fig10(ctx context.Context, e *Env) (*Result, error) {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, spec := range systemSpecs(0) {
 			res := e.runSession(ctx, spec, ds, sess)
-			if res.ImportErr != nil || res.Err != nil || res.TimedOut {
+			if res.Error != "" || res.Err() != nil || res.TimedOut {
 				row = append(row, res.cell())
 				continue
 			}
-			row = append(row, FormatDuration(res.Wall))
+			row = append(row, FormatDuration(res.Wall()))
 		}
 		rows = append(rows, row)
 		if n != e.Cfg.NoBenchDocs {
@@ -332,14 +333,17 @@ func Table2(ctx context.Context, e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := []engineSpec{jodaSpec(0), jodaEvictSpec(), mongoSpec(), pgSpec(), jqSpec()}
-	results := map[string]map[string]SessionResult{}
+	var specs []engineSpec
+	for _, key := range []string{"joda", "joda-evicted", "mongodb", "postgres", "jq"} {
+		specs = append(specs, systemSpec(key, 0))
+	}
+	results := map[string]map[string]SessionRecord{}
 	for label, ds := range map[string]*datasetEnv{"Twitter": tw, "NoBench": nb} {
 		sess, err := ds.generate(core.Options{Seed: 123})
 		if err != nil {
 			return nil, fmt.Errorf("table2 %s: %w", label, err)
 		}
-		results[label] = map[string]SessionResult{}
+		results[label] = map[string]SessionRecord{}
 		for _, spec := range specs {
 			results[label][spec.name] = e.runSession(ctx, spec, ds, sess)
 		}
@@ -583,9 +587,9 @@ func Resilience(ctx context.Context, e *Env) (*Result, error) {
 	for _, rate := range rates {
 		for _, pc := range policies {
 			faults := faultsim.Uniform(rate, e.Cfg.Seed)
-			res := e.runSessionWith(ctx, jodaSpec(0), ds, sess, faults, pc.pol)
-			completed := fmt.Sprintf("%d/%d", len(res.QueryTimes), len(sess.Queries))
-			if res.ImportErr != nil {
+			res := e.runSessionWith(ctx, systemSpec("joda", 0), ds, sess, faults, pc.pol)
+			completed := fmt.Sprintf("%d/%d", res.Completed, len(sess.Queries))
+			if res.Error != "" {
 				completed = "load failed"
 			}
 			rows = append(rows, []string{

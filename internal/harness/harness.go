@@ -8,7 +8,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,11 +20,7 @@ import (
 	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/engine/jodasim"
-	"github.com/joda-explore/betze/internal/engine/jqsim"
-	"github.com/joda-explore/betze/internal/engine/mongosim"
-	"github.com/joda-explore/betze/internal/engine/pgsim"
 	"github.com/joda-explore/betze/internal/faultsim"
-	"github.com/joda-explore/betze/internal/fsatomic"
 	"github.com/joda-explore/betze/internal/jsonstats"
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/obs"
@@ -206,8 +201,8 @@ func (e *Env) dataset(key string, src datasets.Source, n int, seed int64) (*data
 	}
 	docs := src.Generate(n, seed)
 	file := filepath.Join(e.dir, key+".json")
-	if err := writeDocs(file, docs); err != nil {
-		return nil, err
+	if err := datasets.WriteDocs(file, docs); err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
 	start := time.Now()
 	stats := analyze.Values(src.Name, docs, analyze.Options{})
@@ -224,26 +219,6 @@ func (e *Env) dataset(key string, src datasets.Source, n int, seed int64) (*data
 	}
 	e.sets[key] = ds
 	return ds, nil
-}
-
-func writeDocs(path string, docs []jsonval.Value) error {
-	f, err := fsatomic.Create(path)
-	if err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	defer f.Close()
-	var buf []byte
-	for _, d := range docs {
-		buf = jsonval.AppendJSON(buf[:0], d)
-		buf = append(buf, '\n')
-		if _, err := f.Write(buf); err != nil {
-			return fmt.Errorf("harness: %w", err)
-		}
-	}
-	if err := f.Commit(); err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	return nil
 }
 
 // Twitter returns the Twitter-like dataset environment.
@@ -286,90 +261,35 @@ func (ds *datasetEnv) generate(opts core.Options) (*core.Session, error) {
 }
 
 // engineSpec names an engine constructor so experiments can instantiate
-// fresh, cache-cold engines per measurement.
+// fresh, cache-cold engines per measurement; tests substitute their own.
 type engineSpec struct {
 	name string
 	make func(dir string) (engine.Engine, error)
 }
 
-func jodaSpec(threads int) engineSpec {
-	return engineSpec{name: "JODA", make: func(string) (engine.Engine, error) {
-		return jodasim.New(jodasim.Options{Threads: threads}), nil
-	}}
-}
-
-func jodaEvictSpec() engineSpec {
-	return engineSpec{name: "JODA memory evicted", make: func(string) (engine.Engine, error) {
-		return jodasim.New(jodasim.Options{Evict: true}), nil
-	}}
-}
-
-func mongoSpec() engineSpec {
-	return engineSpec{name: "MongoDB", make: func(string) (engine.Engine, error) {
-		return mongosim.New(mongosim.Options{}), nil
-	}}
-}
-
-func pgSpec() engineSpec {
-	return engineSpec{name: "PostgreSQL", make: func(string) (engine.Engine, error) {
-		return pgsim.New(pgsim.Options{}), nil
-	}}
-}
-
-func jqSpec() engineSpec {
-	return engineSpec{name: "jq", make: func(dir string) (engine.Engine, error) {
-		// A per-engine temp subdirectory, not the shared dir: Close
-		// removes it with every store file the session left.
-		return jqsim.NewTempIn(dir)
+// systemSpec binds a Systems entry to a JODA thread count.
+func systemSpec(key string, threads int) engineSpec {
+	sys := Systems[key]
+	return engineSpec{name: sys.Name, make: func(dir string) (engine.Engine, error) {
+		return sys.New(dir, threads)
 	}}
 }
 
 // systemSpecs is the paper's engine line-up.
 func systemSpecs(threads int) []engineSpec {
-	return []engineSpec{jodaSpec(threads), mongoSpec(), pgSpec(), jqSpec()}
-}
-
-// SessionResult reports one session execution on one engine.
-type SessionResult struct {
-	Engine     string
-	Import     engine.ImportStats
-	QueryTimes []time.Duration
-	// Total is the sum of query times (the paper's "w/o import").
-	Total time.Duration
-	// Wall includes the import (the paper's wall clock time).
-	Wall time.Duration
-	// TimedOut is set when the session hit the configured timeout; Total
-	// then covers the completed queries only.
-	TimedOut bool
-	// ImportErr reports a failed import (PostgreSQL on Reddit).
-	ImportErr error
-	// Err reports the first execution failure other than the timeout;
-	// with the resilient executor, later queries still ran (see Skipped).
-	Err error
-	// Retries counts re-attempted operations (imports and queries).
-	Retries int
-	// Skipped counts queries recorded as failed and passed over instead
-	// of aborting the session.
-	Skipped int
-	// Recovered counts crash recoveries that replayed the stored-dataset
-	// lineage mid-session.
-	Recovered int
+	return []engineSpec{systemSpec("joda", threads), systemSpec("mongodb", 0), systemSpec("postgres", 0), systemSpec("jq", 0)}
 }
 
 // runSession imports the dataset into a fresh engine and executes every
-// query of the session through the resilient executor, honouring the
-// configured timeout, fault injection, and retry policy. The configured
-// observability scope receives session_start/session_end bracketing events
-// (plus timeout/retry/skip/breaker/recovery events as they occur); the
-// engines themselves emit the per-import and per-query events through the
-// context.
-func (e *Env) runSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session) SessionResult {
+// query of the session through RunSession, honouring the configured
+// timeout, fault injection, retry policy and observability scope.
+func (e *Env) runSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session) SessionRecord {
 	return e.runSessionWith(ctx, spec, ds, s, e.Cfg.Faults, e.Cfg.Retry)
 }
 
 // runSessionWith is runSession with explicit fault and retry options, so
 // the resilience experiment can sweep them against one Env.
-func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionResult {
+func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionRecord {
 	// Under checkpointing every session gets a deterministic work key; a
 	// resumed run returns the journaled result of a completed key instead
 	// of re-executing, and journals every key it does execute — unless the
@@ -378,7 +298,7 @@ func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEn
 	// genuine result and is journaled.
 	key, tracked := e.nextKey(spec.name, ds.name, s.Seed)
 	if tracked {
-		if prev, ok := e.replay.SessionResult(key); ok {
+		if prev, ok := e.replay.Session(key); ok {
 			e.Cfg.Obs.Record(obs.Event{
 				Type: obs.EvResumeSkip, Kind: obs.KindSession, Engine: key.Engine,
 				Dataset: key.Dataset, Session: key.String(),
@@ -396,73 +316,21 @@ func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEn
 
 // execSession is the execution body of runSessionWith, below the
 // checkpoint/replay layer.
-func (e *Env) execSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionResult {
-	res := SessionResult{Engine: spec.name}
+func (e *Env) execSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionRecord {
 	eng, err := spec.make(e.dir)
 	if err != nil {
-		res.Err = err
-		return res
+		return SessionRecord{Engine: spec.name, Seed: s.Seed, Error: err.Error()}
 	}
 	if faults.Enabled() {
 		eng = faultsim.Wrap(eng, faults)
 	}
 	defer eng.Close()
-	ctx, cancel := context.WithTimeout(ctx, e.Cfg.Timeout)
+	ctx, cancel := context.WithTimeout(obs.With(ctx, e.Cfg.Obs), e.Cfg.Timeout)
 	defer cancel()
-	ctx = obs.With(ctx, e.Cfg.Obs)
-	sc := e.Cfg.Obs
-	// Bracketing events carry eng.Name() — the same label the engine's own
-	// import/query events use — so consumers can join them; spec.name is
-	// only a display name ("JODA memory evicted" vs "JODA (evicted)").
-	engName := eng.Name()
-	label := fmt.Sprintf("%s/seed%d", ds.name, s.Seed)
-	sc.Record(obs.Event{
-		Type: obs.EvSessionStart, Engine: engName, Dataset: ds.name,
-		Session: label, Queries: len(s.Queries),
-	})
-	defer func() {
-		sc.Record(obs.Event{
-			Type: obs.EvSessionEnd, Engine: engName, Dataset: ds.name,
-			Session: label, Duration: res.Total, TimedOut: res.TimedOut,
-		})
-		sc.Observe(obs.MHarnessSession, res.Total)
-		sc.Counter(obs.MHarnessSessions).Inc()
-	}()
-
-	imp, retries, err := RunImport(ctx, eng, ds.name, ds.file, retry)
-	res.Retries += retries
-	if err != nil {
-		if ctx.Err() != nil {
-			res.TimedOut = true
-			sc.Record(obs.Event{
-				Type: obs.EvTimeout, Engine: engName, Dataset: ds.name,
-				Session: label, Duration: e.Cfg.Timeout,
-			})
-			sc.Counter(obs.MHarnessTimeouts).Inc()
-		}
-		res.ImportErr = err
-		return res
-	}
+	rec := RunSession(ctx, eng, []Import{{ds.name, ds.file}}, s.Queries, retry, fmt.Sprintf("%s/seed%d", ds.name, s.Seed))
+	rec.Engine, rec.Seed = spec.name, s.Seed
 	if e.Cfg.DetTiming {
-		imp.Duration = DetImportDuration(imp)
+		rec.DetTiming()
 	}
-	res.Import = imp
-	outcomes, rs := RunQueries(ctx, eng, s.Queries, retry, io.Discard, label)
-	for _, o := range outcomes {
-		if o.Err == nil {
-			d := o.Stats.Duration
-			if e.Cfg.DetTiming {
-				d = DetQueryDuration(o.Stats)
-			}
-			res.QueryTimes = append(res.QueryTimes, d)
-			res.Total += d
-		}
-	}
-	res.TimedOut = rs.TimedOut
-	res.Err = rs.FirstErr // already labelled "<query> on <engine>"
-	res.Retries += rs.Retries
-	res.Skipped = rs.Skipped
-	res.Recovered = rs.Recovered
-	res.Wall = res.Total + imp.Duration
-	return res
+	return rec
 }

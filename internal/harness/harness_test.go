@@ -157,11 +157,11 @@ func TestRunSessionTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := env.runSession(context.Background(), jodaSpec(0), ds, sess)
-	if !res.TimedOut && res.ImportErr == nil {
+	res := env.runSession(context.Background(), systemSpec("joda", 0), ds, sess)
+	if !res.TimedOut && res.Error == "" {
 		t.Errorf("nanosecond timeout did not trip: %+v", res)
 	}
-	if res.cell() != "-" && res.ImportErr == nil {
+	if res.cell() != "-" && res.Error == "" {
 		t.Errorf("timeout cell = %q", res.cell())
 	}
 }
@@ -246,13 +246,13 @@ func TestNewEnvOwnedAndExplicitDirs(t *testing.T) {
 
 func TestResultCellRendering(t *testing.T) {
 	cases := []struct {
-		res  SessionResult
+		res  SessionRecord
 		want string
 	}{
-		{SessionResult{Total: 2 * time.Second}, "2s"},
-		{SessionResult{TimedOut: true}, "-"},
-		{SessionResult{ImportErr: os.ErrNotExist}, "load failed"},
-		{SessionResult{Err: os.ErrInvalid}, "error"},
+		{SessionRecord{Queries: []QueryRecord{{ID: "q1", DurationUS: 2e6}}}, "2s"},
+		{SessionRecord{TimedOut: true}, "-"},
+		{SessionRecord{Error: "import: " + os.ErrNotExist.Error()}, "load failed"},
+		{SessionRecord{Queries: []QueryRecord{{ID: "q1", Error: os.ErrInvalid.Error(), Skipped: true}}}, "error"},
 	}
 	for _, c := range cases {
 		if got := c.res.cell(); got != c.want {

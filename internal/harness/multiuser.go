@@ -14,25 +14,17 @@ import (
 	"github.com/joda-explore/betze/internal/obs"
 )
 
-// userResult is one concurrent user's outcome at one concurrency level.
-type userResult struct {
-	completed int
-	total     time.Duration
-	timedOut  bool
-	err       error
-}
-
 // MultiUser evaluates concurrent exploration sessions against a single
 // shared JODA instance — the multi-user evaluation §III of the paper
 // sketches ("we could generate multiple sessions and execute them
 // simultaneously. Using different configurations for different sessions is
 // also possible."). For each concurrency level it runs a mixed population
 // (novice/intermediate/expert round-robin) and reports wall time, total and
-// completed queries and throughput. A user hitting the timeout or an
-// execution error degrades to a recorded per-user outcome — it does not
-// abort the experiment — and always closes its session trace with
-// EvSessionEnd. With Config.Faults enabled, the shared engine is wrapped
-// with the deterministic fault injector.
+// completed queries and throughput. Each user runs its queries through
+// RunQueries with Config.Retry, so a failed query is retried, then skipped
+// and noted — it does not abort the user or the experiment — and every user
+// closes its session trace with EvSessionEnd. With Config.Faults enabled,
+// the shared engine is wrapped with the deterministic fault injector.
 func MultiUser(ctx context.Context, e *Env) (*Result, error) {
 	ds, err := e.Twitter()
 	if err != nil {
@@ -66,7 +58,7 @@ func MultiUser(ctx context.Context, e *Env) (*Result, error) {
 		ctx = obs.With(ctx, e.Cfg.Obs)
 		start := time.Now()
 		var wg sync.WaitGroup
-		results := make([]userResult, users)
+		results := make([]RunStats, users)
 		queries := 0
 		for u, sess := range sessions {
 			queries += len(sess.Queries)
@@ -78,35 +70,20 @@ func MultiUser(ctx context.Context, e *Env) (*Result, error) {
 					Type: obs.EvSessionStart, Engine: exec.Name(), Dataset: ds.name,
 					Session: label, Queries: len(sess.Queries),
 				})
-				r := &results[u]
-				defer func() {
-					ev := obs.Event{
-						Type: obs.EvSessionEnd, Engine: exec.Name(), Dataset: ds.name,
-						Session: label, Duration: r.total, TimedOut: r.timedOut,
-					}
-					if r.err != nil {
-						ev.Err = r.err.Error()
-					}
-					e.Cfg.Obs.Record(ev)
-				}()
-				for _, q := range sess.Queries {
-					stats, err := exec.Execute(ctx, q, io.Discard)
-					if ctx.Err() != nil {
-						r.timedOut = true
-						e.Cfg.Obs.Record(obs.Event{
-							Type: obs.EvTimeout, Engine: exec.Name(), Dataset: ds.name,
-							Session: label, Query: q.ID,
-						})
-						e.Cfg.Obs.Counter(obs.MHarnessTimeouts).Inc()
-						return
-					}
-					if err != nil {
-						r.err = fmt.Errorf("%s: %w", q.ID, err)
-						return
-					}
-					r.completed++
-					r.total += stats.Duration
+				outcomes, rs := RunQueries(ctx, exec, sess.Queries, e.Cfg.Retry, io.Discard, label)
+				var total time.Duration
+				for _, o := range outcomes {
+					total += o.Stats.Duration
 				}
+				ev := obs.Event{
+					Type: obs.EvSessionEnd, Engine: exec.Name(), Dataset: ds.name,
+					Session: label, Duration: total, TimedOut: rs.TimedOut,
+				}
+				if rs.FirstErr != nil {
+					ev.Err = rs.FirstErr.Error()
+				}
+				e.Cfg.Obs.Record(ev)
+				results[u] = rs
 			}(u, sess)
 		}
 		wg.Wait()
@@ -114,14 +91,16 @@ func MultiUser(ctx context.Context, e *Env) (*Result, error) {
 		cancel()
 		eng.Close()
 		completed := 0
-		for u, r := range results {
-			completed += r.completed
-			if r.err != nil {
-				notes = append(notes, fmt.Sprintf("(%d users: user%d failed at query %d/%d: %v)",
-					users, u, r.completed+1, len(sessions[u].Queries), r.err))
-			} else if r.timedOut {
+		for u, rs := range results {
+			completed += rs.Completed
+			n := len(sessions[u].Queries)
+			if rs.FirstErr != nil {
+				notes = append(notes, fmt.Sprintf("(%d users: user%d skipped %d/%d queries, first: %v)",
+					users, u, rs.Skipped, n, rs.FirstErr))
+			}
+			if rs.TimedOut {
 				notes = append(notes, fmt.Sprintf("(%d users: user%d timed out after %d/%d queries)",
-					users, u, r.completed, len(sessions[u].Queries)))
+					users, u, rs.Completed, n))
 			}
 		}
 		rows = append(rows, []string{

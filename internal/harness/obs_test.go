@@ -60,9 +60,9 @@ func TestRunSessionTimeoutTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := make(chan SessionResult, 1)
+	done := make(chan SessionRecord, 1)
 	go func() { done <- env.runSession(context.Background(), slowSpec(), ds, sess) }()
-	var res SessionResult
+	var res SessionRecord
 	select {
 	case res = <-done:
 	case <-time.After(10 * time.Second):
@@ -104,7 +104,9 @@ func TestRunSessionTimeoutTrace(t *testing.T) {
 
 // TestSessionTraceDurationsSum is the acceptance check of the trace format:
 // the per-query dur_ns values of one session must sum exactly to the
-// session_end duration (both carry the engine-reported query times).
+// session_end duration (both carry the engine-reported query times), and
+// the session record, which keeps whole microseconds per query, must sum
+// the same times truncated.
 func TestSessionTraceDurationsSum(t *testing.T) {
 	cfg := tinyConfig(t)
 	var buf bytes.Buffer
@@ -123,8 +125,8 @@ func TestSessionTraceDurationsSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := env.runSession(context.Background(), jodaSpec(0), ds, sess)
-	if res.Err != nil || res.ImportErr != nil {
+	res := env.runSession(context.Background(), systemSpec("joda", 0), ds, sess)
+	if res.Err() != nil || res.Error != "" {
 		t.Fatalf("session failed: %+v", res)
 	}
 
@@ -133,13 +135,14 @@ func TestSessionTraceDurationsSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	var queries int
-	var execSum time.Duration
+	var execSum, execSumUS time.Duration
 	var end *obs.Event
 	for i, e := range events {
 		switch e.Type {
 		case obs.EvQueryExecute:
 			queries++
 			execSum += e.Duration
+			execSumUS += e.Duration.Truncate(time.Microsecond)
 		case obs.EvSessionEnd:
 			end = &events[i]
 		}
@@ -150,9 +153,9 @@ func TestSessionTraceDurationsSum(t *testing.T) {
 	if end == nil {
 		t.Fatal("no session_end event")
 	}
-	if end.Duration != res.Total || execSum != res.Total {
-		t.Errorf("durations disagree: query sum %v, session_end %v, result %v",
-			execSum, end.Duration, res.Total)
+	if end.Duration != execSum || execSumUS != res.Total() {
+		t.Errorf("durations disagree: query sum %v, session_end %v, result %v (want %v)",
+			execSum, end.Duration, res.Total(), execSumUS)
 	}
 	// The metrics side must agree with the trace side.
 	snap := reg.Snapshot()
@@ -162,8 +165,8 @@ func TestSessionTraceDurationsSum(t *testing.T) {
 	if hist := snap.Histograms["engine.JODA.query"]; hist.Count != int64(queries) || hist.Sum != execSum {
 		t.Errorf("engine.JODA.query histogram = %+v, want count %d sum %v", hist, queries, execSum)
 	}
-	if snap.Histograms["harness.session"].Sum != res.Total {
-		t.Errorf("harness.session sum = %v, want %v", snap.Histograms["harness.session"].Sum, res.Total)
+	if snap.Histograms["harness.session"].Sum != execSum {
+		t.Errorf("harness.session sum = %v, want %v", snap.Histograms["harness.session"].Sum, execSum)
 	}
 }
 

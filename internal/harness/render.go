@@ -118,16 +118,16 @@ func FormatDuration(d time.Duration) string {
 
 // cell renders one result cell: a duration, the paper's dash for timeouts,
 // or a load failure.
-func (r SessionResult) cell() string {
+func (r SessionRecord) cell() string {
 	switch {
-	case r.ImportErr != nil:
+	case r.Error != "":
 		return "load failed"
-	case r.Err != nil:
+	case r.Err() != nil:
 		return "error"
 	case r.TimedOut:
 		return "-"
 	default:
-		return FormatDuration(r.Total)
+		return FormatDuration(r.Total())
 	}
 }
 

@@ -538,3 +538,64 @@ func TestMultiUserDegradesUnderFaults(t *testing.T) {
 		t.Errorf("unbalanced multiuser sessions: %d starts, %d ends\n%s", starts, ends, out)
 	}
 }
+
+// TestMultiUserRetriesFaults: MultiUser runs every user through the
+// resilient executor with Config.Retry, so transient faults below the
+// injector's per-operation bound cost retries, not queries.
+func TestMultiUserRetriesFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full multi-user sweeps")
+	}
+	cfg := tinyConfig(t)
+	cfg.Faults = faultsim.Options{Seed: 77, QueryErrorRate: 0.5}
+	cfg.Retry = DefaultRetryPolicy()
+	env, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	res, err := MultiUser(context.Background(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Tables[0].Rows {
+		if row[1] != row[2] {
+			t.Errorf("%s users completed %s of %s queries", row[0], row[2], row[1])
+		}
+	}
+	if len(res.Notes) != 1 {
+		t.Errorf("failure notes under retried faults:\n%s", res.Text())
+	}
+}
+
+// flakyImportEngine fails its first import with an injected transient
+// fault, then behaves like okEngine.
+type flakyImportEngine struct {
+	okEngine
+	imports int
+}
+
+func (e *flakyImportEngine) ImportFile(ctx context.Context, name, path string) (engine.ImportStats, error) {
+	e.imports++
+	if e.imports == 1 {
+		return engine.ImportStats{}, faultsim.ErrInjected
+	}
+	return engine.ImportStats{Docs: 1}, nil
+}
+
+// TestRunSessionCountsImportRetries: a session record's retries are import
+// retries plus query retries.
+func TestRunSessionCountsImportRetries(t *testing.T) {
+	qs := plainQueries(3)
+	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
+	rec := RunSession(context.Background(), &flakyImportEngine{}, []Import{{Name: "ds", Path: "f"}}, qs, pol, "t")
+	if rec.Error != "" {
+		t.Fatalf("import not retried: %s", rec.Error)
+	}
+	if rec.Retries != 1 || rec.Completed != len(qs) || len(rec.Queries) != len(qs) {
+		t.Errorf("record = %+v, want 1 retry and %d completed queries", rec, len(qs))
+	}
+	if rec.Import.Docs != 1 || len(rec.Imports) != 1 {
+		t.Errorf("import = %+v / %v", rec.Import, rec.Imports)
+	}
+}

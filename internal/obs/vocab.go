@@ -43,10 +43,8 @@ const (
 	MRunlogTruncations = "runlog.truncations"
 )
 
-// Command metrics: the betze run subcommand and the betze-web server.
+// Command metrics: the betze-web server.
 const (
-	// MRunTimeouts counts timed-out sessions of betze run.
-	MRunTimeouts = "run.timeouts"
 	// MWebGenerate is the betze-web session-generation latency histogram.
 	MWebGenerate = "web.generate"
 	// MWebGenerateErrors counts failed betze-web generation requests.
