@@ -140,6 +140,8 @@ func TestCampaignValidation(t *testing.T) {
 		{"bad preset", `{"dataset":{"source":"twitter","docs":300,"seed":1},"preset":"wizard","seeds":[1],"engines":["joda"]}`, "preset"},
 		{"no seeds", `{"dataset":{"source":"twitter","docs":300,"seed":1},"preset":"expert","seeds":[],"engines":["joda"]}`, "seeds"},
 		{"bad engine", `{"dataset":{"source":"twitter","docs":300,"seed":1},"preset":"expert","seeds":[1],"engines":["oracle"]}`, "engines"},
+		{"repeated seed", `{"dataset":{"source":"nobench","docs":300,"seed":1},"preset":"expert","seeds":[1,1],"engines":["joda"]}`, "seeds"},
+		{"repeated engine", `{"dataset":{"source":"nobench","docs":300,"seed":1},"preset":"expert","seeds":[1],"engines":["joda","joda"]}`, "engines"},
 		{"unknown field", `{"dataset":{"source":"twitter","docs":300,"seed":1},"preset":"expert","seeds":[1],"engines":["joda"],"frobnicate":1}`, ""},
 		{"not json", `]]]`, ""},
 	}

@@ -50,9 +50,7 @@ type campaignSpec struct {
 // validate checks every field and returns a field-tagged error suitable for
 // the structured 400 response.
 func (c *campaignSpec) validate() *fieldError {
-	switch c.Dataset.Source {
-	case "twitter", "nobench", "reddit":
-	default:
+	if _, err := datasets.ByName(c.Dataset.Source, datasets.RedditOptions{}); err != nil {
 		return &fieldError{"dataset.source", fmt.Sprintf("unknown source %q (twitter, nobench, reddit)", c.Dataset.Source)}
 	}
 	if c.Dataset.Docs < 100 || c.Dataset.Docs > 200_000 {
@@ -70,6 +68,9 @@ func (c *campaignSpec) validate() *fieldError {
 	if len(c.Seeds) > 32 {
 		return &fieldError{"seeds", fmt.Sprintf("%d seeds exceed the limit of 32", len(c.Seeds))}
 	}
+	if s, ok := repeated(c.Seeds); ok {
+		return &fieldError{"seeds", fmt.Sprintf("seed %d listed twice", s)}
+	}
 	if len(c.Engines) == 0 {
 		return &fieldError{"engines", fmt.Sprintf("at least one engine required (%s)", harness.SystemNames())}
 	}
@@ -78,10 +79,33 @@ func (c *campaignSpec) validate() *fieldError {
 			return &fieldError{"engines", fmt.Sprintf("unknown engine %q (%s)", e, harness.SystemNames())}
 		}
 	}
+	if e, ok := repeated(c.Engines); ok {
+		return &fieldError{"engines", fmt.Sprintf("engine %q listed twice", e)}
+	}
 	if c.FaultRate < 0 || c.FaultRate >= 1 {
 		return &fieldError{"fault_rate", fmt.Sprintf("rate %v outside [0,1)", c.FaultRate)}
 	}
 	return nil
+}
+
+// repeated returns the first element of xs that occurs earlier in xs. Each
+// (seed, engine) pair is one unit with its own checkpoint, so a repeat would
+// run one unit and serve its copies from that unit's checkpoint.
+func repeated[T comparable](xs []T) (T, bool) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	var zero T
+	return zero, false
+}
+
+// unitKey names the checkpoint of one (seed, engine) unit.
+func unitKey(seed int64, engine string) string {
+	return fmt.Sprintf("seed-%d/%s", seed, engine)
 }
 
 // campaignArtifact is the final result document published atomically to
@@ -130,7 +154,7 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 			if err := ctx.Err(); err != nil {
 				return err // drain or cancel: checkpoints cover completed units
 			}
-			key := fmt.Sprintf("seed-%d/%s", seed, engName)
+			key := unitKey(seed, engName)
 			if data, ok := cp.Load(key); ok {
 				var u harness.SessionRecord
 				if err := json.Unmarshal(data, &u); err != nil {
@@ -185,14 +209,9 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 // file from an interrupted attempt is reused: same source, size and seed
 // produce the same bytes.
 func (s *server) materialize(spec campaignSpec, workdir string) (string, *betze.Stats, error) {
-	var src betze.DatasetSource
-	switch spec.Dataset.Source {
-	case "nobench":
-		src = betze.NoBenchSource()
-	case "reddit":
-		src = betze.RedditSource(betze.RedditOptions{})
-	default:
-		src = betze.TwitterSource()
+	src, err := datasets.ByName(spec.Dataset.Source, datasets.RedditOptions{})
+	if err != nil {
+		return "", nil, fmt.Errorf("campaign dataset: %w", err)
 	}
 	docs := src.Generate(spec.Dataset.Docs, spec.Dataset.Seed)
 	stats := betze.AnalyzeValues(src.Name, docs, betze.AnalyzeOptions{})

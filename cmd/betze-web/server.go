@@ -14,6 +14,7 @@ import (
 
 	"github.com/joda-explore/betze"
 	"github.com/joda-explore/betze/internal/core"
+	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/obs"
 )
@@ -254,7 +255,7 @@ type generateForm struct {
 	docs    int
 	seed    int64
 	queries int
-	source  string
+	source  datasets.Source // the synthetic family, unless file is set
 	file    string
 	preset  betze.Preset
 }
@@ -289,12 +290,15 @@ func parseGenerateForm(r *http.Request) (generateForm, *fieldError) {
 		}
 		f.queries = n
 	}
-	f.source = r.FormValue("source")
-	switch f.source {
-	case "", "twitter", "nobench", "reddit":
-	default:
-		return f, &fieldError{"source", fmt.Sprintf("unknown source %q (twitter, nobench, reddit)", f.source)}
+	source := r.FormValue("source")
+	if source == "" {
+		source = "twitter"
 	}
+	src, err := datasets.ByName(source, datasets.RedditOptions{})
+	if err != nil {
+		return f, &fieldError{"source", fmt.Sprintf("unknown source %q (twitter, nobench, reddit)", source)}
+	}
+	f.source = src
 	f.file = strings.TrimSpace(r.FormValue("file"))
 	if v := r.FormValue("preset"); v != "" {
 		p, err := betze.PresetByName(v)
@@ -344,18 +348,9 @@ func (s *server) generate(r *http.Request, form generateForm) (*storedSession, e
 		stats = st
 		datasetName = st.Name
 	} else {
-		var src betze.DatasetSource
-		switch form.source {
-		case "nobench":
-			src = betze.NoBenchSource()
-		case "reddit":
-			src = betze.RedditSource(betze.RedditOptions{})
-		default:
-			src = betze.TwitterSource()
-		}
-		backendDocs = src.Generate(form.docs, form.seed)
-		stats = betze.AnalyzeValues(src.Name, backendDocs, betze.AnalyzeOptions{})
-		datasetName = src.Name
+		backendDocs = form.source.Generate(form.docs, form.seed)
+		stats = betze.AnalyzeValues(form.source.Name, backendDocs, betze.AnalyzeOptions{})
+		datasetName = form.source.Name
 	}
 
 	opts := betze.Options{

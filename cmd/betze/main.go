@@ -84,15 +84,8 @@ func cmdDataset(args []string, out io.Writer) error {
 	if *outPath == "" {
 		return fmt.Errorf("dataset: -out is required")
 	}
-	var src datasets.Source
-	switch *kind {
-	case "twitter":
-		src = datasets.NewTwitter()
-	case "nobench":
-		src = datasets.NewNoBench()
-	case "reddit":
-		src = datasets.NewReddit(datasets.RedditOptions{NullByteFraction: *nullFrac})
-	default:
+	src, err := datasets.ByName(*kind, datasets.RedditOptions{NullByteFraction: *nullFrac})
+	if err != nil {
 		return fmt.Errorf("dataset: unknown kind %q", *kind)
 	}
 	if err := src.WriteFile(*outPath, *n, *seed); err != nil {

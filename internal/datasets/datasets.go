@@ -28,6 +28,20 @@ type Source struct {
 	next func(r *rand.Rand, i int) jsonval.Value
 }
 
+// ByName returns the generator of the dataset family named twitter,
+// nobench or reddit; opts configures reddit and is ignored by the others.
+func ByName(name string, opts RedditOptions) (Source, error) {
+	switch name {
+	case "twitter":
+		return NewTwitter(), nil
+	case "nobench":
+		return NewNoBench(), nil
+	case "reddit":
+		return NewReddit(opts), nil
+	}
+	return Source{}, fmt.Errorf("datasets: unknown family %q (twitter, nobench, reddit)", name)
+}
+
 // Generate materialises n documents with the given seed.
 func (s Source) Generate(n int, seed int64) []jsonval.Value {
 	r := rand.New(rand.NewSource(seed))

@@ -36,9 +36,9 @@ type ImportStats struct {
 type ExecStats struct {
 	// Scanned is the number of documents evaluated.
 	Scanned int64
-	// Skipped is the number of documents proven non-matching without
-	// evaluation — their whole shard was ruled out by its zone map.
-	// Scanned + Skipped is the dataset size a pre-pruning scan walked.
+	// Skipped is always 0: no sim prunes, so Scanned is the size of the
+	// dataset (or cached result) a query starts from. The field stays for
+	// the benchmark ledger, which reads it.
 	Skipped int64
 	// Matched is the number of documents passing the filter.
 	Matched int64

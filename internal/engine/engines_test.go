@@ -332,9 +332,8 @@ func TestJodaResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2raw.Scanned+s2raw.Skipped != int64(len(docs)) {
-		t.Errorf("uncached engine walked %d scanned + %d skipped, want full %d",
-			s2raw.Scanned, s2raw.Skipped, len(docs))
+	if s2raw.Scanned != int64(len(docs)) {
+		t.Errorf("uncached engine scanned %d, want full %d", s2raw.Scanned, len(docs))
 	}
 	if s2raw.Matched != s2.Matched {
 		t.Errorf("cache changed semantics: %d vs %d matches", s2.Matched, s2raw.Matched)
@@ -512,62 +511,33 @@ func TestJodaEvictionFromFile(t *testing.T) {
 	}
 }
 
-// zoneMapped names the engines whose base datasets carry zone maps:
-// mongosim's per-block zones and pgsim's BRIN-range zones, built at import.
-// It covers base datasets only: a stored result is zoneless in every engine.
-// jodasim, like JODA, and jq build none at all, so they never skip a
-// document.
-var zoneMapped = map[string]bool{"MongoDB": true, "PostgreSQL": true}
-
-// TestShardSkipAccounting pins the pruning stats contract across the fleet:
-// Scanned + Skipped always covers the whole dataset, the zone-mapped engines
-// answer a predicate no shard can satisfy without evaluating a single
-// document and skip shards of a clustered selective one, and the zoneless
-// engines (jodasim, jq) skip nothing on either.
+// TestShardSkipAccounting pins the scan stats contract across the fleet: no
+// engine prunes, so every query on a base dataset scans every document and
+// skips none — a predicate no document satisfies and a selective one over
+// clustered ids alike.
 func TestShardSkipAccounting(t *testing.T) {
 	docs := corpus(4000, 77)
 	n := int64(len(docs))
-	// Every /score is below 100, so no zone map can admit this range.
+	// Every /score is below 100, so no document satisfies this range.
 	impossible := query.FloatCmp{Path: "/score", Op: query.Gt, Value: 1000}
-	// The /id values are 0..n-1 in import order, so the clustered minimum
-	// rules out every shard but the first.
+	// The /id values are 0..n-1 in import order.
 	selective := query.FloatCmp{Path: "/id", Op: query.Lt, Value: 10}
 	ctx := context.Background()
 	for _, e := range allEngines(t, "sk", docs) {
-		imp, err := e.Execute(ctx, &query.Query{ID: "imp", Base: "sk", Filter: impossible}, io.Discard)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		if imp.Scanned+imp.Skipped != n {
-			t.Errorf("%s: impossible query scanned %d + skipped %d, want dataset %d",
-				e.Name(), imp.Scanned, imp.Skipped, n)
-		}
-		if imp.Matched != 0 {
-			t.Errorf("%s: impossible query matched %d documents", e.Name(), imp.Matched)
-		}
-		sel, err := e.Execute(ctx, &query.Query{ID: "sel", Base: "sk", Filter: selective}, io.Discard)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		if sel.Scanned+sel.Skipped != n {
-			t.Errorf("%s: selective query scanned %d + skipped %d, want dataset %d",
-				e.Name(), sel.Scanned, sel.Skipped, n)
-		}
-		if sel.Matched != 10 {
-			t.Errorf("%s: selective query matched %d, want 10", e.Name(), sel.Matched)
-		}
-		if !zoneMapped[e.Name()] {
-			if imp.Skipped != 0 || sel.Skipped != 0 {
-				t.Errorf("%s skipped %d/%d documents without any zone maps", e.Name(), imp.Skipped, sel.Skipped)
+		for _, c := range []struct {
+			filter  query.Predicate
+			matched int64
+		}{{impossible, 0}, {selective, 10}} {
+			st, err := e.Execute(ctx, &query.Query{ID: "sk", Base: "sk", Filter: c.filter}, io.Discard)
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
 			}
-			continue
-		}
-		if imp.Skipped != n || imp.Scanned != 0 {
-			t.Errorf("%s: impossible query should prune everything, scanned %d skipped %d",
-				e.Name(), imp.Scanned, imp.Skipped)
-		}
-		if sel.Skipped == 0 {
-			t.Errorf("%s: selective query on clustered ids pruned nothing", e.Name())
+			if st.Scanned != n || st.Skipped != 0 {
+				t.Errorf("%s: %s scanned %d and skipped %d, want %d and 0", e.Name(), c.filter, st.Scanned, st.Skipped, n)
+			}
+			if st.Matched != c.matched {
+				t.Errorf("%s: %s matched %d, want %d", e.Name(), c.filter, st.Matched, c.matched)
+			}
 		}
 	}
 }

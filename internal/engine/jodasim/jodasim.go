@@ -288,7 +288,7 @@ func (e *Engine) scan(ctx context.Context, st *shard.Store, filter query.Predica
 	compiled := query.Compile(filter)
 	evals := make([]*query.Evaluator, e.opts.Threads)
 	kept := make([][]jsonval.Value, st.NumShards())
-	_, err := scan.Shards(ctx, e.scanOptions(), st.NumShards(), query.Prune{}, nil,
+	err := scan.Shards(ctx, e.scanOptions(), st.NumShards(),
 		func(w, i int) (int64, error) {
 			if evals[w] == nil {
 				evals[w] = compiled.Evaluator()
@@ -334,7 +334,7 @@ func (e *Engine) parseAll(ctx context.Context, raw []byte) ([]jsonval.Value, err
 	const chunk = scan.DefaultBatch
 	docs := make([]jsonval.Value, len(spans))
 	parsers := make([]jsonval.Parser, e.opts.Threads)
-	_, err := scan.Shards(ctx, e.scanOptions(), (len(spans)+chunk-1)/chunk, query.Prune{}, nil,
+	err := scan.Shards(ctx, e.scanOptions(), (len(spans)+chunk-1)/chunk,
 		func(w, c int) (int64, error) {
 			start := c * chunk
 			end := min(start+chunk, len(spans))

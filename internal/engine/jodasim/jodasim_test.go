@@ -62,7 +62,7 @@ func TestRejections(t *testing.T) {
 	e.ImportValues("one", []jsonval.Value{simtest.Parse(t, simtest.RejectedDoc)})
 	for _, p := range simtest.Rejections() {
 		stats, err := e.Execute(ctx, &query.Query{Base: "one", Filter: p}, &bytes.Buffer{})
-		if err != nil || stats.Matched != 0 || stats.Scanned+stats.Skipped != 1 {
+		if err != nil || stats.Matched != 0 || stats.Scanned != 1 {
 			t.Errorf("%v: %+v, %v; want a clean rejection of the one document", p, stats, err)
 		}
 	}

@@ -9,10 +9,7 @@
 // files in the engine's working directory, which is how jq materialises
 // datasets; the engine writes and deletes no other file.
 //
-// jqsim is deliberately an unprunable baseline, as jodasim is: with no import
-// phase there is nowhere to build zone maps, so every query walks the whole
-// file and ExecStats.Skipped stays zero. Comparing its scan counts against
-// mongosim's and pgsim's isolates what zone-map skipping buys.
+// Like every sim, jqsim skips nothing: every query walks the whole file.
 package jqsim
 
 import (

@@ -7,8 +7,8 @@
 // document block-decompression overhead dominates on many small shallow
 // ones (NoBench), reproducing the paper's MongoDB/PostgreSQL crossover.
 //
-// What a query pays for is that modelled work — one inflate per unpruned
-// block, one path walk per evaluated leaf, a decode only where a value tree
+// What a query pays for is that modelled work — one inflate per block, one
+// path walk per evaluated leaf, a decode only where a value tree
 // is needed (transform, aggregated attributes). The read path itself
 // allocates nothing per document: blocks inflate into one buffer per
 // Execute, keys are matched in place, the filter is compiled once, and
@@ -28,7 +28,6 @@ import (
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/lz"
 	"github.com/joda-explore/betze/internal/query"
-	"github.com/joda-explore/betze/internal/shard"
 )
 
 // DefaultBlockSize is the uncompressed target size of a storage block.
@@ -53,19 +52,12 @@ type Engine struct {
 type collection struct {
 	blocks []block
 	docs   int64
-	zoned  bool // the blocks carry zone maps; see newBlockWriter
 }
 
 type block struct {
 	data       []byte // compressed unless the engine disables compression
 	compressed bool
 	docCount   int
-	// zone summarises the block's documents for shard pruning: a query
-	// whose compiled predicate proves the block empty skips it without
-	// even decompressing the data. Built at import time by the block
-	// writer, so it rides along with the encode pass; nil in a stored
-	// result.
-	zone *shard.ZoneMap
 }
 
 // New returns an engine with the given options.
@@ -80,38 +72,25 @@ func New(opts Options) *Engine {
 func (*Engine) Name() string { return "MongoDB" }
 
 // blockWriter accumulates BSON documents into a new collection and seals
-// blocks at the target size. A zoned writer folds each document into the
-// pending block's zone map as it goes.
+// blocks at the target size.
 type blockWriter struct {
-	opts  Options
-	coll  *collection
-	zones *shard.ZoneBuilder // nil unless the collection is zoned
-	buf   []byte
-	n     int
+	opts Options
+	coll *collection
+	buf  []byte
+	n    int
 }
 
-// newBlockWriter starts a collection. Only an import asks for zone maps: a
-// stored result is scanned at most a handful of times, so summarising it
-// would cost more than it could ever skip.
-func newBlockWriter(opts Options, zoned bool) *blockWriter {
-	w := &blockWriter{opts: opts, coll: &collection{zoned: zoned}}
-	if zoned {
-		w.zones = shard.NewZoneBuilder()
-	}
-	return w
+func newBlockWriter(opts Options) *blockWriter {
+	return &blockWriter{opts: opts, coll: &collection{}}
 }
 
 // add encodes doc into the pending block.
 func (w *blockWriter) add(doc jsonval.Value) {
 	w.buf = bsonlite.Encode(w.buf, doc)
-	if w.zones != nil {
-		w.zones.Add(doc)
-	}
 	w.next()
 }
 
 // addEncoded copies an encoded document into the pending block as it is.
-// Only a zoneless writer takes one: there is no value tree to summarise.
 func (w *blockWriter) addEncoded(doc []byte) {
 	w.buf = append(w.buf, doc...)
 	w.next()
@@ -131,9 +110,6 @@ func (w *blockWriter) seal() {
 		return
 	}
 	b := block{docCount: w.n}
-	if w.zones != nil {
-		b.zone = w.zones.Finish()
-	}
 	if w.opts.DisableCompression {
 		b.data = append([]byte(nil), w.buf...)
 	} else {
@@ -154,7 +130,7 @@ func (w *blockWriter) finish() *collection {
 // ImportFile implements engine.Engine.
 func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.ImportStats, error) {
 	start := time.Now()
-	w := newBlockWriter(e.opts, true)
+	w := newBlockWriter(e.opts)
 	docs, rawBytes, err := engine.ReadFile(ctx, path, func(doc jsonval.Value) error {
 		w.add(doc)
 		return nil
@@ -177,7 +153,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 
 // ImportValues loads an in-memory document slice as a collection.
 func (e *Engine) ImportValues(name string, docs []jsonval.Value) {
-	w := newBlockWriter(e.opts, true)
+	w := newBlockWriter(e.opts)
 	for _, d := range docs {
 		w.add(d)
 	}
@@ -219,15 +195,13 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	var storeWriter *blockWriter
 	if q.Store != "" {
-		storeWriter = newBlockWriter(e.opts, false)
+		storeWriter = newBlockWriter(e.opts)
 	}
 
 	// MongoDB's modelled execution is single-threaded: the walk runs on the
-	// calling goroutine, one block per step. In a zoned collection, a block
-	// whose zone map rules out every document is skipped without being
-	// decompressed — the pruning win here is the whole flate inflate, not just
-	// the per-document predicate calls. Documents that are scanned evaluate
-	// with one lazy walk over raw BSON per evaluated leaf.
+	// calling goroutine, one block per step. Every block is inflated, as a
+	// collection scan reads every WiredTiger page, and every document
+	// evaluates with one lazy walk over raw BSON per evaluated leaf.
 	filter := matcher(q.Filter)
 	var aggSteps, groupSteps []string
 	if agg != nil {
@@ -236,11 +210,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	// scratch and outBuf belong to this call: concurrent Executes on one
 	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
-	var zone func(i int) (query.Zone, int)
-	if coll.zoned {
-		zone = func(i int) (query.Zone, int) { return coll.blocks[i].zone, coll.blocks[i].docCount }
-	}
-	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks), filter.Prune, zone,
+	err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(coll.blocks),
 		func(_, i int) (int64, error) {
 			raw, oerr := coll.blocks[i].open(&scratch)
 			if oerr != nil {

@@ -123,7 +123,7 @@ func TestConcurrentExecute(t *testing.T) {
 
 // A store without a transform copies the matched documents' encoded bytes
 // as they are: the copy's inflated blocks are the source's encoded documents,
-// byte for byte, empty-key wrappers included, and carry no zone maps.
+// byte for byte, empty-key wrappers included.
 func TestStoreKeepsEncodedBytes(t *testing.T) {
 	docs := datasets.NewNoBench().Generate(50, 4)
 	for _, s := range []string{`{"":{"a":1}}`, `{"":5}`, `{"":1,"b":2}`, `{"":{"":{"a":1}}}`, `{}`, `[1,2]`} {
@@ -152,17 +152,8 @@ func TestStoreKeepsEncodedBytes(t *testing.T) {
 	if src := inflate(mustGet(t, e, "base")); !bytes.Equal(src, want) {
 		t.Fatalf("the source holds %d bytes, its documents encode to %d", len(src), len(want))
 	}
-	copied := mustGet(t, e, "copy")
-	if got := inflate(copied); !bytes.Equal(got, want) {
+	if got := inflate(mustGet(t, e, "copy")); !bytes.Equal(got, want) {
 		t.Errorf("stored %d bytes differ from the source's %d", len(got), len(want))
-	}
-	if copied.zoned {
-		t.Error("a stored result is zoned")
-	}
-	for i, b := range copied.blocks {
-		if b.zone != nil {
-			t.Errorf("stored block %d carries a zone map", i)
-		}
 	}
 }
 

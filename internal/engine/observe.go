@@ -49,7 +49,6 @@ func ObserveExec(ctx context.Context, engineName string, q *query.Query, st Exec
 		Query:    q.ID,
 		Dataset:  q.Base,
 		Scanned:  st.Scanned,
-		Skipped:  st.Skipped,
 		Matched:  st.Matched,
 		Returned: st.Returned,
 		Bytes:    st.OutputBytes,

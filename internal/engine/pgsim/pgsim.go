@@ -47,21 +47,9 @@ type Options struct {
 // Engine implements engine.Engine.
 type Engine struct {
 	opts Options
-	cat  *engine.Catalog[*table]
-}
-
-type table struct {
-	rows []row
-	// shards are BRIN-style block ranges: each covers rows[start:end]. In a
-	// zoned table each carries a zone map summarising those rows, so a scan
-	// can rule out a whole range without detoasting a single row in it.
-	shards []rowShard
-	zoned  bool // the shards carry zone maps; see newTableBuilder
-}
-
-type rowShard struct {
-	start, end int
-	zone       *shard.ZoneMap // nil in a stored result
+	// cat maps a dataset name to its table: the JSONB rows in insertion
+	// order.
+	cat *engine.Catalog[[]row]
 }
 
 type row struct {
@@ -69,60 +57,12 @@ type row struct {
 	compressed bool
 }
 
-// tableBuilder accumulates encoded rows and seals a row shard every
-// shard.DefaultSize rows. A zoned builder folds each row's document into the
-// pending shard's zone map as it goes.
-type tableBuilder struct {
-	tbl   *table
-	zones *shard.ZoneBuilder // nil unless the table is zoned
-	start int
-}
-
-// newTableBuilder starts a table. Only an import asks for zone maps: a
-// stored result is scanned at most a handful of times, so summarising it
-// would cost more than it could ever skip.
-func newTableBuilder(zoned bool) *tableBuilder {
-	b := &tableBuilder{tbl: &table{zoned: zoned}}
-	if zoned {
-		b.zones = shard.NewZoneBuilder()
-	}
-	return b
-}
-
-// add appends row r, whose document is doc.
-func (b *tableBuilder) add(doc jsonval.Value, r row) {
-	b.tbl.rows = append(b.tbl.rows, r)
-	if b.zones != nil {
-		b.zones.Add(doc)
-	}
-	if len(b.tbl.rows)-b.start >= shard.DefaultSize {
-		b.seal()
-	}
-}
-
-func (b *tableBuilder) seal() {
-	if len(b.tbl.rows) == b.start {
-		return
-	}
-	sh := rowShard{start: b.start, end: len(b.tbl.rows)}
-	if b.zones != nil {
-		sh.zone = b.zones.Finish()
-	}
-	b.tbl.shards = append(b.tbl.shards, sh)
-	b.start = len(b.tbl.rows)
-}
-
-func (b *tableBuilder) finish() *table {
-	b.seal()
-	return b.tbl
-}
-
 // New returns an engine with the given options.
 func New(opts Options) *Engine {
 	if opts.ToastThreshold <= 0 {
 		opts.ToastThreshold = DefaultToastThreshold
 	}
-	return &Engine{opts: opts, cat: engine.NewCatalog[*table]("pgsim")}
+	return &Engine{opts: opts, cat: engine.NewCatalog[[]row]("pgsim")}
 }
 
 // Name implements engine.Engine.
@@ -202,7 +142,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (stats engin
 	}
 	dec := json.NewDecoder(bufio.NewReaderSize(f, 256*1024))
 	dec.UseNumber() // numerics stay exact, as PostgreSQL's numeric does
-	tb := newTableBuilder(true)
+	var rows []row
 	var docs int64
 	for {
 		if err := engine.Cancelled(ctx, docs); err != nil {
@@ -222,13 +162,12 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (stats engin
 		if err != nil {
 			return engine.ImportStats{}, fmt.Errorf("pgsim: importing %s (row %d): %w", path, docs+1, err)
 		}
-		tb.add(doc, r)
+		rows = append(rows, r)
 		docs++
 	}
-	tbl := tb.finish()
-	e.cat.Import(name, tbl)
+	e.cat.Import(name, rows)
 	var stored int64
-	for _, r := range tbl.rows {
+	for _, r := range rows {
 		stored += int64(len(r.data))
 	}
 	return engine.ImportStats{Docs: docs, Bytes: info.Size(), StoredBytes: stored, Duration: time.Since(start)}, nil
@@ -283,15 +222,15 @@ func fromGeneric(v any) (jsonval.Value, error) {
 
 // ImportValues loads an in-memory document slice as a table.
 func (e *Engine) ImportValues(name string, docs []jsonval.Value) error {
-	tb := newTableBuilder(true)
+	rows := make([]row, len(docs))
 	for i, d := range docs {
 		r, err := e.encodeRow(d)
 		if err != nil {
 			return fmt.Errorf("pgsim: importing %s (row %d): %w", name, i+1, err)
 		}
-		tb.add(d, r)
+		rows[i] = r
 	}
-	e.cat.Import(name, tb.finish())
+	e.cat.Import(name, rows)
 	return nil
 }
 
@@ -304,7 +243,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	}
 	start := time.Now()
 	defer func() { engine.ObserveExec(ctx, e.Name(), q, stats, err) }()
-	tbl, err := e.cat.Get(q.Base)
+	rows, err := e.cat.Get(q.Base)
 	if err != nil {
 		return engine.ExecStats{}, err
 	}
@@ -313,31 +252,18 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	if q.Agg != nil {
 		agg = query.NewAggregator(*q.Agg)
 	}
-	var storeTB *tableBuilder
-	if q.Store != "" {
-		storeTB = newTableBuilder(false)
-	}
+	var stored []row
 	// scratch and outBuf belong to this call: concurrent Executes on one
 	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
-	// PostgreSQL's modelled execution is single-threaded: the walk runs on
-	// the calling goroutine, one BRIN-style row range per step, and in a zoned
-	// table a range whose zone map rules out every row is skipped without
-	// detoasting any of it.
+	// PostgreSQL's modelled execution is a single-threaded sequential scan:
+	// the walk runs on the calling goroutine over every row, shard.DefaultSize
+	// rows per step.
 	filter := matcher(q.Filter, &scratch)
-	var zone func(i int) (query.Zone, int)
-	if tbl.zoned {
-		zone = func(i int) (query.Zone, int) {
-			sh := tbl.shards[i]
-			return sh.zone, sh.end - sh.start
-		}
-	}
-	stats.Skipped, err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, len(tbl.shards), filter.Prune, zone,
+	err = scan.Shards(ctx, scan.Options{Engine: e.Name()}, (len(rows)+shard.DefaultSize-1)/shard.DefaultSize,
 		func(_, i int) (int64, error) {
-			sh := tbl.shards[i]
 			var walked int64
-			for ri := sh.start; ri < sh.end; ri++ {
-				r := tbl.rows[ri]
+			for _, r := range rows[i*shard.DefaultSize : min((i+1)*shard.DefaultSize, len(rows))] {
 				stats.Scanned++
 				walked++
 				ok, merr := filter.Match(r)
@@ -362,7 +288,7 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 						return walked, fmt.Errorf("pgsim: transforming row: %w", derr)
 					}
 				}
-				if eerr := e.emit(q, doc, r, storeTB, agg, sink, &outBuf, &stats); eerr != nil {
+				if eerr := e.emit(q, doc, r, &stored, agg, sink, &outBuf, &stats); eerr != nil {
 					return walked, eerr
 				}
 			}
@@ -376,21 +302,22 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 			return stats, err
 		}
 	}
-	if storeTB != nil {
-		e.cat.Store(q.Store, storeTB.finish())
+	if q.Store != "" {
+		e.cat.Store(q.Store, stored)
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
 }
 
-// emit handles one matching row: aggregate, store, or output.
-func (e *Engine) emit(q *query.Query, doc jsonval.Value, r row, storeTB *tableBuilder, agg *query.Aggregator, sink io.Writer, outBuf *[]byte, stats *engine.ExecStats) error {
+// emit handles one matching row: aggregate, or output plus a store when the
+// query has one.
+func (e *Engine) emit(q *query.Query, doc jsonval.Value, r row, stored *[]row, agg *query.Aggregator, sink io.Writer, outBuf *[]byte, stats *engine.ExecStats) error {
 	if agg != nil {
 		agg.Add(doc)
 		return nil
 	}
-	if storeTB != nil {
-		storeTB.add(doc, r)
+	if q.Store != "" {
+		*stored = append(*stored, r)
 	}
 	n, err := engine.WriteDoc(sink, outBuf, doc)
 	if err != nil {

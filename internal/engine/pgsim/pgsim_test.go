@@ -88,11 +88,10 @@ func twitterEngine(t testing.TB, opts Options, n int) *Engine {
 // Once the per-Execute scratch has grown to the largest row, a detoast
 // costs no allocation (the gate allows one, amortised).
 func TestRowOpenReusesScratch(t *testing.T) {
-	tbl, err := twitterEngine(t, Options{}, 300).cat.Get("Twitter")
+	rows, err := twitterEngine(t, Options{}, 300).cat.Get("Twitter")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tbl.rows
 	toasted := 0
 	var scratch []byte
 	openAll := func() {

@@ -1,11 +1,12 @@
 // Package scan is the one document walk the engine sims execute on. A sim
 // supplies what differs between the modelled systems — how many shards its
-// storage has, the zone map and size of each, and a body that opens one
-// shard (inflate, detoast, evaluate, emit) — and Shards owns everything the
-// systems share: zone-map pruning, skip accounting, work distribution,
+// storage has and a body that opens one shard (inflate, detoast, evaluate,
+// emit) — and Shards owns everything the systems share: work distribution,
 // per-shard cancellation, deterministic error reporting and the obs
-// accounting. Stream is the same walk for an input whose length is unknown
-// (jqsim's decoder), where there is nothing to cut into shards.
+// accounting. No sim prunes: every shard is handed to its body, as MongoDB,
+// PostgreSQL, JODA and jq all read every document of a filtered scan.
+// Stream is the same walk for an input whose length is unknown (jqsim's
+// decoder), where there is nothing to cut into shards.
 //
 // The parallel walk distributes shards through an atomic cursor instead of
 // one fixed range per worker: under skew (one expensive shard) a fixed range
@@ -25,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"github.com/joda-explore/betze/internal/obs"
-	"github.com/joda-explore/betze/internal/query"
 )
 
 // DefaultBatch is the item count between two cancellation checks of Filter
@@ -73,9 +73,9 @@ func plan(o Options, n int) (workers, batch int) {
 
 // walk is the state the workers of one Shards call share.
 type walk struct {
-	cursor                                      atomic.Int64
-	items, scanned, skippedShards, skippedItems atomic.Int64
-	stop                                        atomic.Bool
+	cursor         atomic.Int64
+	items, scanned atomic.Int64
+	stop           atomic.Bool
 
 	mu    sync.Mutex
 	errAt int
@@ -93,14 +93,8 @@ func (w *walk) fail(at int, err error) {
 	w.stop.Store(true)
 }
 
-// Shards walks the n shards of a sim's storage. prune and zone drive
-// pruning: zone returns shard i's zone map and item count, an adaptive
-// pruner (query.NewAdaptivePruner) probes the deterministic shard prefix
-// before the first claim — so what is skipped never depends on claim order —
-// and a shard the compiled filter's proof rules out is skipped whole, its item
-// count summed into skippedItems. A nil zone is the zoneless case: nothing
-// is skipped. Every surviving shard is handed whole to body exactly once;
-// body returns the item count it consumed.
+// Shards walks the n shards of a sim's storage, handing each shard whole to
+// body exactly once; body returns the item count it consumed.
 //
 // With o.Workers < 1 the walk runs on the calling goroutine in shard order
 // with worker 0, so body may mutate unlocked state; otherwise
@@ -108,19 +102,9 @@ func (w *walk) fail(at int, err error) {
 // worker — stable per goroutine, in [0, o.Workers) — lets body pin
 // per-worker state (an Evaluator, a Parser) without locking. Cancellation is
 // checked once per claimed shard. A body error or cancellation stops the
-// walk; the lowest-index error is returned, together with the items skipped
-// so far. One scan event and the scan.* counters report the pass.
-func Shards(ctx context.Context, o Options, n int, prune query.Prune,
-	zone func(i int) (query.Zone, int),
-	body func(worker, i int) (int64, error),
-) (skippedItems int64, err error) {
-	var pruner *query.AdaptivePruner
-	if zone != nil {
-		pruner = query.NewAdaptivePruner(prune, n, func(i int) query.Zone {
-			z, _ := zone(i)
-			return z
-		})
-	}
+// walk and the lowest-index error is returned. One scan event and the
+// scan.* counters report the pass.
+func Shards(ctx context.Context, o Options, n int, body func(worker, i int) (int64, error)) error {
 	var w walk
 	work := func(worker int) {
 		for !w.stop.Load() {
@@ -131,13 +115,6 @@ func Shards(ctx context.Context, o Options, n int, prune query.Prune,
 			if err := ctx.Err(); err != nil {
 				w.fail(i, err)
 				return
-			}
-			if pruner != nil {
-				if z, size := zone(i); pruner.CanSkip(i, z) {
-					w.skippedShards.Add(1)
-					w.skippedItems.Add(int64(size))
-					continue
-				}
 			}
 			w.scanned.Add(1)
 			items, err := body(worker, i)
@@ -164,9 +141,9 @@ func Shards(ctx context.Context, o Options, n int, prune query.Prune,
 		}
 		wg.Wait()
 	}
-	scanned, skipped := w.scanned.Load(), w.skippedShards.Load()
-	observe(ctx, o, kind, workers, w.items.Load(), scanned+skipped, scanned, skipped, w.err)
-	return w.skippedItems.Load(), w.err
+	scanned := w.scanned.Load()
+	observe(ctx, o, kind, workers, w.items.Load(), scanned, scanned, w.err)
+	return w.err
 }
 
 // Filter returns the items keep accepted, in input order: Shards over the
@@ -179,7 +156,7 @@ func Shards(ctx context.Context, o Options, n int, prune query.Prune,
 func Filter[T any](ctx context.Context, o Options, items []T, keep func(i int, item T) (bool, error)) ([]T, error) {
 	workers, batch := plan(o, len(items))
 	kept := make([][]T, (len(items)+batch-1)/batch)
-	_, err := Shards(ctx, Options{Workers: workers, Engine: o.Engine}, len(kept), query.Prune{}, nil,
+	err := Shards(ctx, Options{Workers: workers, Engine: o.Engine}, len(kept),
 		func(_, b int) (int64, error) {
 			start := b * batch
 			end := min(start+batch, len(items))
@@ -211,7 +188,7 @@ func Filter[T any](ctx context.Context, o Options, items []T, keep func(i int, i
 func Stream(ctx context.Context, o Options, n int, step func(i int) (bool, error)) (done int, err error) {
 	_, batch := plan(Options{Batch: o.Batch}, n)
 	var batches int64
-	defer func() { observe(ctx, o, obs.KindSequential, 1, int64(done), batches, 0, 0, err) }()
+	defer func() { observe(ctx, o, obs.KindSequential, 1, int64(done), batches, 0, err) }()
 	for n < 0 || done < n {
 		if cerr := ctx.Err(); cerr != nil {
 			return done, cerr
@@ -239,7 +216,7 @@ func Stream(ctx context.Context, o Options, n int, step func(i int) (bool, error
 // scan.* counters plus one scan trace event. A cancelled pass also bumps
 // the cancel counter. No Duration is recorded — this package never reads
 // the clock.
-func observe(ctx context.Context, o Options, kind string, workers int, items, batches, shardsScanned, shardsSkipped int64, err error) {
+func observe(ctx context.Context, o Options, kind string, workers int, items, batches, shardsScanned int64, err error) {
 	sc := obs.From(ctx)
 	if !sc.Enabled() {
 		return
@@ -248,13 +225,11 @@ func observe(ctx context.Context, o Options, kind string, workers int, items, ba
 	sc.Counter(obs.MScanBatches).Add(batches)
 	sc.Counter(obs.MScanWorkers).Add(int64(workers))
 	sc.Counter(obs.MScanShardsScanned).Add(shardsScanned)
-	sc.Counter(obs.MScanShardsSkipped).Add(shardsSkipped)
 	ev := obs.Event{
 		Type:    obs.EvScan,
 		Engine:  o.Engine,
 		Kind:    kind,
 		Scanned: items,
-		Skipped: shardsSkipped,
 		Workers: workers,
 	}
 	if err != nil {

@@ -130,9 +130,10 @@ func Conformance(t *testing.T, open func(t *testing.T, dir string) engine.Engine
 			c.missing("out")
 		}},
 		{"scanned_plus_skipped_is_dataset_size", func(c *conformance) {
-			c.imp("ds", a)
+			// No sim skips: every walk scans the whole dataset and skips 0.
 			// No filter repeats or extends an earlier one, so no result
 			// cache shortens a walk.
+			c.imp("ds", a)
 			impossible := query.FloatCmp{Path: "/num", Op: query.Gt, Value: 1e15}
 			for _, w := range []struct {
 				q       *query.Query
@@ -144,8 +145,8 @@ func Conformance(t *testing.T, open func(t *testing.T, dir string) engine.Engine
 				{&query.Query{Base: "ds", Filter: impossible}, 0, int64(len(a))},
 				{&query.Query{Base: "d", Filter: q}, count(a, pq), count(a, p)},
 			} {
-				if st := c.want(w.q, w.n); st.Scanned+st.Skipped != w.size {
-					c.t.Errorf("%s: scanned %d + skipped %d of %d documents", w.q, st.Scanned, st.Skipped, w.size)
+				if st := c.want(w.q, w.n); st.Scanned != w.size || st.Skipped != 0 {
+					c.t.Errorf("%s: scanned %d and skipped %d of %d documents", w.q, st.Scanned, st.Skipped, w.size)
 				}
 			}
 		}},

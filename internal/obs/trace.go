@@ -95,12 +95,9 @@ type Event struct {
 	// Attempt is the zero-based attempt number of retry/fault events.
 	Attempt int `json:"attempt,omitempty"`
 
-	Docs    int64 `json:"docs,omitempty"`
-	Bytes   int64 `json:"bytes,omitempty"`
-	Scanned int64 `json:"scanned,omitempty"`
-	// Skipped counts work proven unnecessary by zone-map pruning: shards
-	// on scan events, documents on query_execute events.
-	Skipped  int64 `json:"skipped,omitempty"`
+	Docs     int64 `json:"docs,omitempty"`
+	Bytes    int64 `json:"bytes,omitempty"`
+	Scanned  int64 `json:"scanned,omitempty"`
 	Matched  int64 `json:"matched,omitempty"`
 	Returned int64 `json:"returned,omitempty"`
 	// Queries is the session's query count on session_start.

@@ -123,8 +123,7 @@ const (
 // Scan metrics: the shared document walk (internal/engine/scan).
 const (
 	// MScanBatches counts units of work between two cancellation checks:
-	// claimed shards (skipped or walked) for scan.Shards, item batches for
-	// scan.Stream.
+	// claimed shards for scan.Shards, item batches for scan.Stream.
 	MScanBatches = "scan.batches"
 	// MScanItems counts items walked.
 	MScanItems = "scan.items"
@@ -134,8 +133,6 @@ const (
 	MScanCancels = "scan.cancels"
 	// MScanShardsScanned counts shards scan.Shards handed to a body.
 	MScanShardsScanned = "scan.shards_scanned"
-	// MScanShardsSkipped counts shards skipped whole by zone-map pruning.
-	MScanShardsSkipped = "scan.shards_skipped"
 )
 
 // EngineMetric resolves a per-engine metric name from the engine's label

@@ -13,6 +13,10 @@
 // AND prunes when either operand prunes, OR only when both do, folded
 // constants prune iff the constant is false, and external (unknown) leaf
 // types never prune. Per-leaf rules live in the zone* constructors below.
+//
+// No production caller: no engine sim builds zone maps, so no scan consults
+// a proof. Kept for benchmark/replay.go (query.prune_skip_share,
+// query.prune_check_ns_per_shard).
 package query
 
 import (
@@ -84,14 +88,15 @@ type zoneTest func(s *PathSummary) bool
 
 // Prune is a compiled predicate's shard-prune proof. It depends on the
 // predicate alone, not on how documents are stored, so every compiled form
-// carries one and scans consult it before touching a shard. The zero Prune
-// never skips.
+// carries one. The zero Prune never skips.
 type Prune struct{ fn pruneFunc }
 
 // CanSkip reports whether the zone map proves that no document of the
 // summarised shard can match. A nil zone, the match-everything compiled
 // form, and predicates with unprunable leaves all answer false — the scan
 // then proceeds normally, which is always correct.
+//
+// No production caller; kept for benchmark/replay.go.
 func (p Prune) CanSkip(z Zone) bool {
 	if p.fn == nil || z == nil {
 		return false

@@ -2,10 +2,12 @@
 // per-shard zone maps: a path-existence index, min/max summaries per numeric
 // leaf path, length bounds for arrays and objects, seen-value bits for
 // booleans, and a small sorted dictionary of the distinct strings at each
-// path. Zone maps are built once at dataset-load time; at query time a
-// compiled predicate (internal/query) consults them through the query.Zone
-// interface and skips whole shards it proves empty. mongosim and pgsim build
-// them per storage block; jodasim, like JODA, keeps none (View).
+// path. A compiled predicate (internal/query) consults them through the
+// query.Zone interface and proves whole shards empty. No engine sim builds
+// zone maps — MongoDB, PostgreSQL, JODA and jq have none — and jodasim cuts
+// its datasets with View. The zone code (Build, ZoneBuilder, ZoneMap) has no
+// production caller; it is kept for benchmark/replay.go, whose
+// shard.build_ns_per_doc and query.prune_* rows replay it.
 //
 // The soundness contract mirrors query.Zone's: a zone map may over-claim
 // (record paths, kinds or values no document actually has — for example two
@@ -78,8 +80,9 @@ type Store struct {
 
 // Build cuts docs into size-length shards (the last one shorter when the
 // dataset is not a multiple) and builds one zone map per shard. size <= 0
-// selects DefaultSize. The docs slice must not be mutated afterwards. Outside
-// tests only benchmark/replay.go calls it, for shard.build_ns_per_doc.
+// selects DefaultSize. The docs slice must not be mutated afterwards.
+//
+// No production caller; kept for benchmark/replay.go (shard.build_ns_per_doc).
 func Build(docs []jsonval.Value, size int) *Store {
 	return build(docs, size, true)
 }
@@ -186,9 +189,9 @@ func (z *ZoneMap) Complete() bool { return z != nil && !z.incomplete }
 
 // ZoneBuilder accumulates documents into a zone map. One builder is reused
 // across the shards of a dataset: Finish seals the current map and resets
-// the builder for the next shard. Engines that buffer documents into their
-// own storage blocks (mongosim, pgsim) feed the builder document-by-document
-// as they go, so zone construction rides along with the import pass.
+// the builder for the next shard.
+//
+// No production caller; kept for benchmark/replay.go through Build.
 type ZoneBuilder struct {
 	z     *ZoneMap
 	gen   int // the current shard; stamps the slots it has touched

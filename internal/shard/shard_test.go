@@ -3,9 +3,11 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
+	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/query"
 )
@@ -436,6 +438,53 @@ func TestPruneDifferentialFuzz(t *testing.T) {
 	}
 	if scans == 0 {
 		t.Fatal("prune differential never scanned a shard")
+	}
+}
+
+// TestClusteredCorpusSkips keeps the profitable case of the zone kernels the
+// benchmark ledger replays: on a Twitter corpus sorted by
+// /user/followers_count, drill-down predicates that band that attribute are
+// proven empty by CanSkip on at least 80 % of the documents' shards.
+func TestClusteredCorpusSkips(t *testing.T) {
+	const seed = 123
+	docs := datasets.NewTwitter().Generate(800, seed)
+	steps := jsonval.Path("/user/followers_count").Segments()
+	followers := func(d jsonval.Value) float64 {
+		v, ok := jsonval.LookupSteps(d, steps)
+		if !ok {
+			return -1
+		}
+		n, _ := v.Number()
+		return n
+	}
+	sort.SliceStable(docs, func(i, j int) bool { return followers(docs[i]) < followers(docs[j]) })
+	st := Build(docs, 64) // a dozen shards
+
+	r := rand.New(rand.NewSource(seed + 1))
+	langs := []string{"en", "de", "ja", "es", "pt"}
+	const preds = 16
+	skipped := 0
+	for range preds {
+		lo := float64(r.Intn(940000))
+		var p query.Predicate = query.And{
+			Left:  query.FloatCmp{Path: "/user/followers_count", Op: query.Ge, Value: lo},
+			Right: query.FloatCmp{Path: "/user/followers_count", Op: query.Lt, Value: lo + float64(10000+r.Intn(50000))},
+		}
+		switch r.Intn(3) {
+		case 1:
+			p = query.And{Left: p, Right: query.BoolEq{Path: "/user/verified", Value: true}}
+		case 2:
+			p = query.And{Left: p, Right: query.StrEq{Path: "/user/lang", Value: langs[r.Intn(len(langs))]}}
+		}
+		c := query.Compile(p)
+		for s := 0; s < st.NumShards(); s++ {
+			if sh := st.Shard(s); c.CanSkip(sh.Zone) {
+				skipped += len(sh.Docs)
+			}
+		}
+	}
+	if share := float64(skipped) / float64(preds*st.Len()); share < 0.8 {
+		t.Errorf("clustered corpus: CanSkip ruled out %.1f%% of documents, want >= 80%%", share*100)
 	}
 }
 
