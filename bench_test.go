@@ -546,7 +546,8 @@ func BenchmarkCompiledEval(b *testing.B) {
 // few-path summary (Twitter, 168 paths) and a many-path one (NoBench, 1013),
 // verified by a JODA backend and from estimates alone. A step's cost follows
 // the paths it touches, so the estimated NoBench row must stay near the
-// Twitter one's order of magnitude; the verified rows are the backend's scans.
+// estimated Twitter row's order of magnitude; the verified rows are the
+// backend's scans.
 func BenchmarkGenerateSession(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -554,6 +555,7 @@ func BenchmarkGenerateSession(b *testing.B) {
 		verified bool
 	}{
 		{"twitter/verified", betze.TwitterSource(), true},
+		{"twitter/estimated", betze.TwitterSource(), false},
 		{"nobench/verified", betze.NoBenchSource(), true},
 		{"nobench/estimated", betze.NoBenchSource(), false},
 	} {

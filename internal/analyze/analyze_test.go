@@ -151,11 +151,11 @@ func TestStatsConfigPropagates(t *testing.T) {
 		t.Errorf("config = %+v, want %+v", d.Config(), want)
 	}
 	st := d.Paths[jsonval.Path("/name")].Str
-	if st == nil || len(st.Prefixes) > 4 || len(st.Values) > 3 {
+	if st == nil || st.Prefixes.Len() > 4 || st.Values.Len() > 3 {
 		t.Errorf("caps not applied: %+v", st)
 	}
-	for pre := range st.Prefixes {
-		if len(pre) > 2 {
+	for i := 0; i < st.Prefixes.Len(); i++ {
+		if pre, _ := st.Prefixes.At(i); len(pre) > 2 {
 			t.Errorf("prefix %q longer than configured", pre)
 		}
 	}
@@ -255,8 +255,8 @@ func TestParallelAnalysisFileRepeats(t *testing.T) {
 		}
 		if run == 0 {
 			first = buf.Bytes()
-			if st := d.Paths["/sparse_000"].Str; !st.ValueOverflow || len(st.Values) != 8 {
-				t.Fatalf("/sparse_000 value table did not overflow: %d values", len(st.Values))
+			if st := d.Paths["/sparse_000"].Str; !st.ValueOverflow || st.Values.Len() != 8 {
+				t.Fatalf("/sparse_000 value table did not overflow: %d values", st.Values.Len())
 			}
 		} else if !bytes.Equal(first, buf.Bytes()) {
 			t.Fatalf("run %d: analysis file differs from run 0", run)

@@ -152,7 +152,7 @@ type strEqFactory struct{}
 func (strEqFactory) Name() string { return "str-eq" }
 
 func (strEqFactory) CanGenerate(_ jsonval.Path, ps *jsonstats.PathStats, _ *jsonstats.Dataset) bool {
-	return ps.Str != nil && len(ps.Str.Values) > 0
+	return ps.Str != nil && ps.Str.Values.Len() > 0
 }
 
 func (strEqFactory) Generate(ctx *FactoryContext) (query.Predicate, float64, bool) {
@@ -176,7 +176,7 @@ type hasPrefixFactory struct{}
 func (hasPrefixFactory) Name() string { return "hasprefix" }
 
 func (hasPrefixFactory) CanGenerate(_ jsonval.Path, ps *jsonstats.PathStats, _ *jsonstats.Dataset) bool {
-	return ps.Str != nil && len(ps.Str.Prefixes) > 0
+	return ps.Str != nil && ps.Str.Prefixes.Len() > 0
 }
 
 func (hasPrefixFactory) Generate(ctx *FactoryContext) (query.Predicate, float64, bool) {

@@ -67,7 +67,7 @@ func TestExistsFactory(t *testing.T) {
 
 func TestIsStringFactory(t *testing.T) {
 	f := isStringFactory{}
-	d := statsFixture(&jsonstats.PathStats{Count: 500, Str: &jsonstats.StringStats{Count: 300, Prefixes: map[string]int64{}, Values: map[string]int64{}}})
+	d := statsFixture(&jsonstats.PathStats{Count: 500, Str: &jsonstats.StringStats{Count: 300}})
 	if !f.CanGenerate("/x", d.Paths["/x"], d) {
 		t.Fatalf("CanGenerate false with string stats")
 	}
@@ -163,9 +163,8 @@ func TestFloatCmpFactoryDegenerateRange(t *testing.T) {
 func TestStrEqFactoryPrefersInRangeValues(t *testing.T) {
 	f := strEqFactory{}
 	d := statsFixture(&jsonstats.PathStats{Count: 1000, Str: &jsonstats.StringStats{
-		Count:    1000,
-		Values:   map[string]int64{"common": 500, "rare": 10, "veryrare": 2},
-		Prefixes: map[string]int64{},
+		Count:  1000,
+		Values: jsonstats.CountedOf(map[string]int64{"common": 500, "rare": 10, "veryrare": 2}),
 	}})
 	for seed := int64(0); seed < 10; seed++ {
 		p, est, ok := f.Generate(ctxFor(d, seed))
@@ -185,8 +184,7 @@ func TestHasPrefixFactory(t *testing.T) {
 	f := hasPrefixFactory{}
 	d := statsFixture(&jsonstats.PathStats{Count: 900, Str: &jsonstats.StringStats{
 		Count:    900,
-		Prefixes: map[string]int64{"http": 600, "xxxx": 5},
-		Values:   map[string]int64{},
+		Prefixes: jsonstats.CountedOf(map[string]int64{"http": 600, "xxxx": 5}),
 	}})
 	p, est, ok := f.Generate(ctxFor(d, 5))
 	if !ok {
@@ -195,7 +193,7 @@ func TestHasPrefixFactory(t *testing.T) {
 	if p.(query.HasPrefix).Prefix != "http" || est != 0.6 {
 		t.Errorf("got %s with est %g", p, est)
 	}
-	noPrefix := statsFixture(&jsonstats.PathStats{Count: 900, Str: &jsonstats.StringStats{Count: 900, Prefixes: map[string]int64{}, Values: map[string]int64{}}})
+	noPrefix := statsFixture(&jsonstats.PathStats{Count: 900, Str: &jsonstats.StringStats{Count: 900}})
 	if f.CanGenerate("/x", noPrefix.Paths["/x"], noPrefix) {
 		t.Errorf("CanGenerate true without prefixes")
 	}

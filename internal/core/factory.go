@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"github.com/joda-explore/betze/internal/jsonstats"
 	"github.com/joda-explore/betze/internal/jsonval"
@@ -155,40 +154,30 @@ func pickTargetFraction(ctx *FactoryContext, typeSel float64) float64 {
 	return lo + ctx.Rng.Float64()*(hi-lo)
 }
 
-// sortedKeys returns map keys in deterministic order so seeded runs are
-// reproducible.
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// chooseCounted picks from a value→count map, preferring entries whose
+// chooseCounted picks from a string table, preferring entries whose
 // selectivity lands in the target range and falling back to a random entry.
-func chooseCounted(ctx *FactoryContext, m map[string]int64) (string, float64, bool) {
-	if len(m) == 0 {
+// It walks the table in key order, so a seeded run draws reproducibly.
+func chooseCounted(ctx *FactoryContext, t jsonstats.Counted) (string, float64, bool) {
+	if t.Len() == 0 {
 		return "", 0, false
 	}
-	keys := sortedKeys(m)
 	doc := ctx.docCount()
-	var inRange []string
-	for _, k := range keys {
-		sel := float64(m[k]) / doc
-		if sel >= ctx.TargetMin && sel <= ctx.TargetMax {
-			inRange = append(inRange, k)
+	var buf [jsonstats.DefaultMaxPrefixes]int // the default tables fit on the stack
+	inRange := buf[:0]
+	for i := 0; i < t.Len(); i++ {
+		_, c := t.At(i)
+		if sel := float64(c) / doc; sel >= ctx.TargetMin && sel <= ctx.TargetMax {
+			inRange = append(inRange, i)
 		}
 	}
-	pool := inRange
-	if len(pool) == 0 {
-		pool = keys
+	var i int
+	if len(inRange) == 0 {
+		i = ctx.Rng.Intn(t.Len())
+	} else {
+		i = inRange[ctx.Rng.Intn(len(inRange))]
 	}
-	// Try a handful of picks to dodge the exclusion list; the caller
-	// re-checks the final predicate.
-	k := pool[ctx.Rng.Intn(len(pool))]
-	return k, float64(m[k]) / doc, true
+	k, c := t.At(i)
+	return k, float64(c) / doc, true
 }
 
 var cmpOps = []query.CmpOp{query.Lt, query.Le, query.Gt, query.Ge}

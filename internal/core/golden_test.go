@@ -222,3 +222,21 @@ func TestGenerationAllocsIndependentOfPathCount(t *testing.T) {
 		t.Errorf("allocations per query grew %.1fx from 100 to 1000 paths, want at most 2x", wide/narrow)
 	}
 }
+
+// TestEstimatedSessionAllocBudget pins the allocations of one estimated
+// intermediate session over a 3,000-document NoBench summary (1,013 paths):
+// about 9,100 with string tables that views share and factories read in key
+// order, about 16,700 when every view copied its string maps and every draw
+// sorted them.
+func TestEstimatedSessionAllocBudget(t *testing.T) {
+	src := datasets.NewNoBench()
+	stats := analyze.Values(src.Name, src.Generate(3000, 29), analyze.Options{Workers: 1})
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Generate(Options{Preset: Intermediate, Seed: 7}, stats); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12000 {
+		t.Errorf("an estimated NoBench session allocates %.0f times, want at most 12000", allocs)
+	}
+}

@@ -117,8 +117,8 @@ func addConstant(d *jsonstats.Dataset, path jsonval.Path, v jsonval.Value) {
 		}
 		ps.Str = &jsonstats.StringStats{
 			Count:    d.DocCount,
-			Prefixes: map[string]int64{pre: d.DocCount},
-			Values:   map[string]int64{s: d.DocCount},
+			Prefixes: jsonstats.CountedOf(map[string]int64{pre: d.DocCount}),
+			Values:   jsonstats.CountedOf(map[string]int64{s: d.DocCount}),
 			MinLen:   len(s),
 			MaxLen:   len(s),
 		}

@@ -153,12 +153,12 @@ func TestNoBenchShape(t *testing.T) {
 	}
 	// Strings share large prefix groups (drives HASPREFIX generation).
 	str1 := stats.Paths[jsonval.Path("/str1")].Str
-	if len(str1.Prefixes) == 0 {
+	if str1.Prefixes.Len() == 0 {
 		t.Fatalf("no prefixes for str1")
 	}
 	var maxPrefix int64
-	for _, c := range str1.Prefixes {
-		if c > maxPrefix {
+	for i := 0; i < str1.Prefixes.Len(); i++ {
+		if _, c := str1.Prefixes.At(i); c > maxPrefix {
 			maxPrefix = c
 		}
 	}

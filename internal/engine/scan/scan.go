@@ -141,8 +141,7 @@ func Shards(ctx context.Context, o Options, n int, body func(worker, i int) (int
 		}
 		wg.Wait()
 	}
-	scanned := w.scanned.Load()
-	observe(ctx, o, kind, workers, w.items.Load(), scanned, scanned, w.err)
+	observe(ctx, o, kind, workers, w.items.Load(), w.scanned.Load(), w.err)
 	return w.err
 }
 
@@ -188,7 +187,7 @@ func Filter[T any](ctx context.Context, o Options, items []T, keep func(i int, i
 func Stream(ctx context.Context, o Options, n int, step func(i int) (bool, error)) (done int, err error) {
 	_, batch := plan(Options{Batch: o.Batch}, n)
 	var batches int64
-	defer func() { observe(ctx, o, obs.KindSequential, 1, int64(done), batches, 0, err) }()
+	defer func() { observe(ctx, o, obs.KindSequential, 1, int64(done), batches, err) }()
 	for n < 0 || done < n {
 		if cerr := ctx.Err(); cerr != nil {
 			return done, cerr
@@ -216,7 +215,7 @@ func Stream(ctx context.Context, o Options, n int, step func(i int) (bool, error
 // scan.* counters plus one scan trace event. A cancelled pass also bumps
 // the cancel counter. No Duration is recorded — this package never reads
 // the clock.
-func observe(ctx context.Context, o Options, kind string, workers int, items, batches, shardsScanned int64, err error) {
+func observe(ctx context.Context, o Options, kind string, workers int, items, batches int64, err error) {
 	sc := obs.From(ctx)
 	if !sc.Enabled() {
 		return
@@ -224,7 +223,6 @@ func observe(ctx context.Context, o Options, kind string, workers int, items, ba
 	sc.Counter(obs.MScanItems).Add(items)
 	sc.Counter(obs.MScanBatches).Add(batches)
 	sc.Counter(obs.MScanWorkers).Add(int64(workers))
-	sc.Counter(obs.MScanShardsScanned).Add(shardsScanned)
 	ev := obs.Event{
 		Type:    obs.EvScan,
 		Engine:  o.Engine,

@@ -237,11 +237,10 @@ func TestShardScansEmitObsVocabulary(t *testing.T) {
 	seq.run(t, ctx)
 
 	for metric, want := range map[string]int64{
-		obs.MScanShardsScanned: 10,
-		obs.MScanItems:         100, // 60 parallel + 40 sequential
-		obs.MScanBatches:       10,  // one claim per shard
-		obs.MScanWorkers:       3,
-		obs.MScanCancels:       0,
+		obs.MScanItems:   100, // 60 parallel + 40 sequential
+		obs.MScanBatches: 10,  // one claim per shard
+		obs.MScanWorkers: 3,
+		obs.MScanCancels: 0,
 	} {
 		if got := reg.Counter(metric).Value(); got != want {
 			t.Errorf("%s = %d, want %d", metric, got, want)

@@ -108,9 +108,9 @@ func (d *Dataset) MarshalJSON() ([]byte, error) {
 		if ps.Str != nil {
 			e.Str = &stringStatsJSON{
 				Count:          ps.Str.Count,
-				Prefixes:       ps.Str.Prefixes,
+				Prefixes:       countedJSON(ps.Str.Prefixes),
 				PrefixOverflow: ps.Str.PrefixOverflow,
-				Values:         ps.Str.Values,
+				Values:         countedJSON(ps.Str.Values),
 				ValueOverflow:  ps.Str.ValueOverflow,
 				MinLen:         ps.Str.MinLen,
 				MaxLen:         ps.Str.MaxLen,
@@ -158,18 +158,18 @@ func (d *Dataset) UnmarshalJSON(data []byte) error {
 		if e.Str != nil {
 			stats.Str = &StringStats{
 				Count:          e.Str.Count,
-				Prefixes:       e.Str.Prefixes,
+				Prefixes:       CountedOf(e.Str.Prefixes),
 				PrefixOverflow: e.Str.PrefixOverflow,
-				Values:         e.Str.Values,
+				Values:         CountedOf(e.Str.Values),
 				ValueOverflow:  e.Str.ValueOverflow,
 				MinLen:         e.Str.MinLen,
 				MaxLen:         e.Str.MaxLen,
 			}
-			if stats.Str.Prefixes == nil {
-				stats.Str.Prefixes = make(map[string]int64)
+			if err := positiveCounts("prefix", stats.Str.Prefixes); err != nil {
+				return fmt.Errorf("jsonstats: decoding analysis file: path %s: %w", ps, err)
 			}
-			if stats.Str.Values == nil {
-				stats.Str.Values = make(map[string]int64)
+			if err := positiveCounts("value", stats.Str.Values); err != nil {
+				return fmt.Errorf("jsonstats: decoding analysis file: path %s: %w", ps, err)
 			}
 		}
 		if e.NumHist != nil {
@@ -181,6 +181,29 @@ func (d *Dataset) UnmarshalJSON(data []byte) error {
 		d.Paths[jsonval.ParsePath(ps)] = stats
 	}
 	return nil
+}
+
+// positiveCounts checks Counted's invariant that every count is at least 1:
+// the analyser counts a string before it keeps it, and a view scales a
+// count of 1 or more to 1 or more, so a summary and its views agree on the
+// keys a table holds.
+func positiveCounts(kind string, c Counted) error {
+	for i, k := range c.keys {
+		if c.counts[i] < 1 {
+			return fmt.Errorf("string %s %q has count %d, want at least 1", kind, k, c.counts[i])
+		}
+	}
+	return nil
+}
+
+// countedJSON returns c as the {key: count} object of the analysis file;
+// encoding/json writes its keys sorted, the table's own order.
+func countedJSON(c Counted) map[string]int64 {
+	m := make(map[string]int64, c.Len())
+	for i, k := range c.keys {
+		m[k] = c.counts[i]
+	}
+	return m
 }
 
 // WriteTo streams the analysis file to w with stable indentation, so files

@@ -96,7 +96,8 @@ func TestCodecListingTwoShape(t *testing.T) {
 
 // TestReadFromRejectsBrokenInvariants: a file whose counts are negative or
 // whose histogram breaks Histogram's invariant is rejected on decode, not
-// left to panic in the generator.
+// left to panic in the generator. So is a string table counting a key fewer
+// than once, which a view would drop while its root can still draw it.
 func TestReadFromRejectsBrokenInvariants(t *testing.T) {
 	file := func(docCount, pathCount, hist string) string {
 		return `{"name":"ds","doc_count":` + docCount + `,"config":{},"paths":{"/n":{"count":` + pathCount +
@@ -119,6 +120,23 @@ func TestReadFromRejectsBrokenInvariants(t *testing.T) {
 	} {
 		if _, err := ReadFrom(strings.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	strs := func(table, counts string) string {
+		return `{"name":"ds","doc_count":2,"config":{},"paths":{"/s":{"count":2,"string":{"count":2,"` + table + `":` + counts + `,"min_len":1,"max_len":1}}}}`
+	}
+	if _, err := ReadFrom(strings.NewReader(strs("values", `{"a":1,"b":1}`))); err != nil {
+		t.Fatalf("valid string table rejected: %v", err)
+	}
+	for name, data := range map[string]string{
+		"zero value count":      strs("values", `{"a":0,"b":2}`),
+		"negative value count":  strs("values", `{"a":3,"b":-1}`),
+		"zero prefix count":     strs("prefixes", `{"a":0}`),
+		"negative prefix count": strs("prefixes", `{"a":-2}`),
+	} {
+		_, err := ReadFrom(strings.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "path /s") {
+			t.Errorf("%s: err = %v, want a rejection naming path /s", name, err)
 		}
 	}
 }

@@ -1,0 +1,123 @@
+package jsonstats
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"unsafe"
+
+	"github.com/joda-explore/betze/internal/jsonval"
+)
+
+// mapTable is a string table as the analyser kept it before Counted: a map
+// that admits a new key only while it holds fewer than the cap, and that
+// folds a full merge in sorted key order.
+type mapTable struct {
+	m    map[string]int64
+	over bool
+}
+
+func (t *mapTable) count(s string, limit int) {
+	if _, ok := t.m[s]; !ok && len(t.m) >= limit {
+		t.over = true
+		return
+	}
+	t.m[s]++
+}
+
+func (t *mapTable) fold(src *mapTable, limit int) {
+	t.over = t.over || src.over
+	if len(t.m)+len(src.m) <= limit {
+		for k, c := range src.m {
+			t.m[k] += c
+		}
+		return
+	}
+	keys := make([]string, 0, len(src.m))
+	for k := range src.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if _, ok := t.m[k]; ok || len(t.m) < limit {
+			t.m[k] += src.m[k]
+		} else {
+			t.over = true
+		}
+	}
+}
+
+// TestCountedTablesMatchMapSemantics feeds random string streams to
+// AddDocument on 1, 3 and 8 shards, merges the shards in order, and requires
+// the same keys, counts and overflow flags as the map tables did. The caps
+// are small, so most merges fill a table part-way through the other side.
+func TestCountedTablesMatchMapSemantics(t *testing.T) {
+	vocab := []string{"", "a", "aa1", "aa2", "ab", "abc", "b", "bé", "é", "ée", "zy", "zz"}
+	cfg := Config{PrefixLen: 2, MaxPrefixes: 4, MaxValues: 3}
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		stream := make([]string, 1+r.Intn(60))
+		for i := range stream {
+			stream[i] = vocab[r.Intn(len(vocab))]
+		}
+		for _, shards := range []int{1, 3, 8} {
+			parts := make([]*Dataset, shards)
+			prefixes, values := make([]*mapTable, shards), make([]*mapTable, shards)
+			for i := range parts {
+				parts[i] = NewDataset("s", cfg)
+				prefixes[i] = &mapTable{m: map[string]int64{}}
+				values[i] = &mapTable{m: map[string]int64{}}
+			}
+			for i, s := range stream {
+				k := i * shards / len(stream)
+				parts[k].AddDocument(jsonval.ObjectValue(jsonval.Member{Key: "s", Value: jsonval.StringValue(s)}))
+				prefixes[k].count(prefixOf(s, cfg.PrefixLen), cfg.MaxPrefixes)
+				values[k].count(s, cfg.MaxValues)
+			}
+			got := NewDataset("s", cfg)
+			wantPre, wantVal := &mapTable{m: map[string]int64{}}, &mapTable{m: map[string]int64{}}
+			for i := range parts {
+				got.Merge(parts[i])
+				wantPre.fold(prefixes[i], cfg.MaxPrefixes)
+				wantVal.fold(values[i], cfg.MaxValues)
+			}
+			st := got.Paths["/s"].Str
+			if !reflect.DeepEqual(countedJSON(st.Prefixes), wantPre.m) || st.PrefixOverflow != wantPre.over {
+				t.Fatalf("seed %d, %d shards: prefixes %v overflow=%v, map reference %v overflow=%v",
+					seed, shards, countedJSON(st.Prefixes), st.PrefixOverflow, wantPre.m, wantPre.over)
+			}
+			if !reflect.DeepEqual(countedJSON(st.Values), wantVal.m) || st.ValueOverflow != wantVal.over {
+				t.Fatalf("seed %d, %d shards: values %v overflow=%v, map reference %v overflow=%v",
+					seed, shards, countedJSON(st.Values), st.ValueOverflow, wantVal.m, wantVal.over)
+			}
+			if !sort.StringsAreSorted(st.Values.keys) || !sort.StringsAreSorted(st.Prefixes.keys) {
+				t.Fatalf("seed %d, %d shards: tables out of key order", seed, shards)
+			}
+		}
+	}
+}
+
+// TestViewSharesStringKeys: a view's string tables point at the root's key
+// slices, however long the chain of views, and scaling one path allocates
+// only the view's statistics and counts, never key storage.
+func TestViewSharesStringKeys(t *testing.T) {
+	root := scaleCorpus(rand.New(rand.NewSource(5)))
+	want := root.Paths["/uniq"].Str
+	if want.Values.Len() != DefaultMaxValues || want.Prefixes.Len() != DefaultMaxPrefixes {
+		t.Fatalf("corpus tables not full: %d values, %d prefixes", want.Values.Len(), want.Prefixes.Len())
+	}
+	got := root.Scale("g1", 0.5).Scale("g2", 0.3).Lookup("/uniq").Str
+	if unsafe.SliceData(got.Values.keys) != unsafe.SliceData(want.Values.keys) ||
+		unsafe.SliceData(got.Prefixes.keys) != unsafe.SliceData(want.Prefixes.keys) {
+		t.Errorf("view copied the root's string keys")
+	}
+	// Scale allocates the view and its map of scaled paths; Lookup the
+	// PathStats, the StringStats, two count slices and the map's storage.
+	allocs := testing.AllocsPerRun(50, func() {
+		root.Scale("v", 0.5).Lookup("/uniq")
+	})
+	if allocs > 7 {
+		t.Errorf("deriving a view and scaling one string path allocates %.0f times, want at most 7", allocs)
+	}
+}

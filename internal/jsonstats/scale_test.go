@@ -44,26 +44,25 @@ func referenceScale(d *Dataset, name string, selectivity float64) *Dataset {
 			nps.Float = &FloatStats{Count: scaleCount(ps.Float.Count, selectivity), Min: ps.Float.Min, Max: ps.Float.Max}
 		}
 		if ps.Str != nil {
-			ns := &StringStats{
+			scaled := func(c Counted) map[string]int64 {
+				m := map[string]int64{}
+				for i := 0; i < c.Len(); i++ {
+					k, n := c.At(i)
+					if sc := scaleCount(n, selectivity); sc > 0 {
+						m[k] = sc
+					}
+				}
+				return m
+			}
+			nps.Str = &StringStats{
 				Count:          scaleCount(ps.Str.Count, selectivity),
-				Prefixes:       make(map[string]int64, len(ps.Str.Prefixes)),
-				Values:         make(map[string]int64, len(ps.Str.Values)),
+				Prefixes:       CountedOf(scaled(ps.Str.Prefixes)),
+				Values:         CountedOf(scaled(ps.Str.Values)),
 				PrefixOverflow: ps.Str.PrefixOverflow,
 				ValueOverflow:  ps.Str.ValueOverflow,
 				MinLen:         ps.Str.MinLen,
 				MaxLen:         ps.Str.MaxLen,
 			}
-			for pre, c := range ps.Str.Prefixes {
-				if sc := scaleCount(c, selectivity); sc > 0 {
-					ns.Prefixes[pre] = sc
-				}
-			}
-			for s, c := range ps.Str.Values {
-				if sc := scaleCount(c, selectivity); sc > 0 {
-					ns.Values[s] = sc
-				}
-			}
-			nps.Str = ns
 		}
 		if ps.Obj != nil {
 			nps.Obj = &ObjectStats{Count: scaleCount(ps.Obj.Count, selectivity), MinChildren: ps.Obj.MinChildren, MaxChildren: ps.Obj.MaxChildren}
@@ -214,8 +213,8 @@ func TestMergeDeterministicPastCaps(t *testing.T) {
 		if run == 0 {
 			first = data
 			st := out.Paths["/uniq"].Str
-			if !st.PrefixOverflow || len(st.Values) != DefaultMaxValues {
-				t.Fatalf("merge did not reach the caps: %d values", len(st.Values))
+			if !st.PrefixOverflow || st.Values.Len() != DefaultMaxValues {
+				t.Fatalf("merge did not reach the caps: %d values", st.Values.Len())
 			}
 		} else if !bytes.Equal(first, data) {
 			t.Fatalf("run %d merged to a different summary", run)

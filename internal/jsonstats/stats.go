@@ -18,14 +18,14 @@
 // Paths, never a PathStats of its own. And whatever outlives its document
 // clones the string it keeps: parsed strings point into slab chunks shared
 // with neighbouring documents (see jsonval.Parser), so the Prefixes and
-// Values tables and the trie hold copies, never a Str or a member Key.
+// Values tables and the trie hold copies, never a Str or a member Key; a
+// table clones a key once, when it admits it.
 package jsonstats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/joda-explore/betze/internal/jsonval"
@@ -179,12 +179,12 @@ type StringStats struct {
 	Count int64
 	// Prefixes counts occurrences per fixed-length prefix. If
 	// PrefixOverflow is set, prefixes beyond the cap were dropped and the
-	// map undercounts the tail.
-	Prefixes       map[string]int64
+	// table undercounts the tail.
+	Prefixes       Counted
 	PrefixOverflow bool
 	// Values samples exact values with their occurrence counts; bounded,
 	// with ValueOverflow marking that the sample is partial.
-	Values        map[string]int64
+	Values        Counted
 	ValueOverflow bool
 	// MinLen/MaxLen bound the observed string lengths in bytes.
 	MinLen, MaxLen int
@@ -281,21 +281,16 @@ func (d *Dataset) observe(node *pathNode, v jsonval.Value) {
 	case jsonval.String:
 		s := v.Str()
 		if ps.Str == nil {
-			ps.Str = &StringStats{
-				Prefixes: make(map[string]int64),
-				Values:   make(map[string]int64),
-				MinLen:   len(s),
-				MaxLen:   len(s),
-			}
+			ps.Str = &StringStats{MinLen: len(s), MaxLen: len(s)}
 		}
 		st := ps.Str
 		st.Count++
 		st.MinLen = min(st.MinLen, len(s))
 		st.MaxLen = max(st.MaxLen, len(s))
-		if !countString(st.Prefixes, prefixOf(s, d.cfg.PrefixLen), d.cfg.MaxPrefixes) {
+		if !st.Prefixes.add(prefixOf(s, d.cfg.PrefixLen), 1, d.cfg.MaxPrefixes) {
 			st.PrefixOverflow = true
 		}
-		if !countString(st.Values, s, d.cfg.MaxValues) {
+		if !st.Values.add(s, 1, d.cfg.MaxValues) {
 			st.ValueOverflow = true
 		}
 	case jsonval.Object:
@@ -330,20 +325,6 @@ func (d *Dataset) observeNumber(ps *PathStats, f float64) {
 		ps.NumHist = NewHistogram(d.cfg.HistogramBuckets)
 	}
 	ps.NumHist.Observe(f)
-}
-
-// countString counts one occurrence of s in m, admitting a new key only while
-// m holds fewer than limit, and reports whether s was counted. It always
-// assigns through a clone, not only on insertion: assigning to a present
-// string key stores the key again ("the backing storage may differ", says the
-// runtime), so m[s]++ would re-point the table at the latest document's slab
-// chunk.
-func countString(m map[string]int64, s string, limit int) bool {
-	if _, ok := m[s]; !ok && len(m) >= limit {
-		return false
-	}
-	m[strings.Clone(s)]++
-	return true
 }
 
 func prefixOf(s string, n int) string {
@@ -393,12 +374,7 @@ func (d *Dataset) Merge(other *Dataset) {
 		}
 		if ops.Str != nil {
 			if ps.Str == nil {
-				ps.Str = &StringStats{
-					Prefixes: make(map[string]int64),
-					Values:   make(map[string]int64),
-					MinLen:   ops.Str.MinLen,
-					MaxLen:   ops.Str.MaxLen,
-				}
+				ps.Str = &StringStats{MinLen: ops.Str.MinLen, MaxLen: ops.Str.MaxLen}
 			}
 			st := ps.Str
 			st.Count += ops.Str.Count
@@ -406,10 +382,10 @@ func (d *Dataset) Merge(other *Dataset) {
 			st.MaxLen = max(st.MaxLen, ops.Str.MaxLen)
 			st.PrefixOverflow = st.PrefixOverflow || ops.Str.PrefixOverflow
 			st.ValueOverflow = st.ValueOverflow || ops.Str.ValueOverflow
-			if foldCounted(st.Prefixes, ops.Str.Prefixes, d.cfg.MaxPrefixes) {
+			if st.Prefixes.merge(ops.Str.Prefixes, d.cfg.MaxPrefixes) {
 				st.PrefixOverflow = true
 			}
-			if foldCounted(st.Values, ops.Str.Values, d.cfg.MaxValues) {
+			if st.Values.merge(ops.Str.Values, d.cfg.MaxValues) {
 				st.ValueOverflow = true
 			}
 		}
@@ -436,32 +412,6 @@ func (d *Dataset) Merge(other *Dataset) {
 			ps.NumHist.Merge(ops.NumHist)
 		}
 	}
-}
-
-// foldCounted adds src's counts to dst, admitting a new key only while dst
-// holds fewer than limit, and reports whether a key was dropped. Where that
-// can happen, keys are folded in sorted order so that the survivors of a
-// full table do not depend on Go's map iteration order.
-func foldCounted(dst, src map[string]int64, limit int) (dropped bool) {
-	if len(dst)+len(src) <= limit {
-		for k, c := range src {
-			dst[k] += c
-		}
-		return false
-	}
-	keys := make([]string, 0, len(src))
-	for k := range src {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, ok := dst[k]; ok || len(dst) < limit {
-			dst[k] += src[k]
-		} else {
-			dropped = true
-		}
-	}
-	return dropped
 }
 
 // Scale derives the summary of a sub-dataset selected with the given
@@ -555,8 +505,8 @@ func scalePathStats(ps *PathStats, selectivity float64) *PathStats {
 	if ps.Str != nil {
 		nps.Str = &StringStats{
 			Count:          scaleCount(ps.Str.Count, selectivity),
-			Prefixes:       scaleCounted(ps.Str.Prefixes, selectivity),
-			Values:         scaleCounted(ps.Str.Values, selectivity),
+			Prefixes:       ps.Str.Prefixes.scale(selectivity),
+			Values:         ps.Str.Values.scale(selectivity),
 			PrefixOverflow: ps.Str.PrefixOverflow,
 			ValueOverflow:  ps.Str.ValueOverflow,
 			MinLen:         ps.Str.MinLen,
@@ -573,16 +523,6 @@ func scalePathStats(ps *PathStats, selectivity float64) *PathStats {
 		nps.NumHist = ps.NumHist.Scale(selectivity)
 	}
 	return nps
-}
-
-func scaleCounted(m map[string]int64, f float64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, c := range m {
-		if sc := scaleCount(c, f); sc > 0 {
-			out[k] = sc
-		}
-	}
-	return out
 }
 
 func scaleCount(c int64, f float64) int64 {

@@ -107,11 +107,11 @@ func TestIntFloatRanges(t *testing.T) {
 func TestStringPrefixesAndValues(t *testing.T) {
 	d := buildDataset(t, `{"s":"alpha"}`, `{"s":"alps"}`, `{"s":"beta"}`, `{"s":"al"}`)
 	st := d.Paths[jsonval.Path("/s")].Str
-	if st.Prefixes["alph"] != 1 || st.Prefixes["alps"] != 1 || st.Prefixes["beta"] != 1 || st.Prefixes["al"] != 1 {
-		t.Errorf("prefixes = %v", st.Prefixes)
+	if got, want := countedJSON(st.Prefixes), map[string]int64{"al": 1, "alph": 1, "alps": 1, "beta": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("prefixes = %v, want %v", got, want)
 	}
-	if st.Values["alpha"] != 1 || st.Values["al"] != 1 {
-		t.Errorf("values = %v", st.Values)
+	if got, want := countedJSON(st.Values), map[string]int64{"al": 1, "alpha": 1, "alps": 1, "beta": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("values = %v, want %v", got, want)
 	}
 	if st.MinLen != 2 || st.MaxLen != 5 {
 		t.Errorf("len bounds = %d..%d", st.MinLen, st.MaxLen)
@@ -121,7 +121,7 @@ func TestStringPrefixesAndValues(t *testing.T) {
 func TestPrefixDoesNotSplitRunes(t *testing.T) {
 	d := buildDataset(t, `{"s":"ééé"}`) // 2-byte runes; prefix len 4 falls mid-rune
 	st := d.Paths[jsonval.Path("/s")].Str
-	for pre := range st.Prefixes {
+	for _, pre := range st.Prefixes.keys {
 		if !strings.HasPrefix("ééé", pre) {
 			t.Errorf("prefix %q splits a rune", pre)
 		}
@@ -135,14 +135,14 @@ func TestStringCapsAndOverflow(t *testing.T) {
 		d.AddDocument(doc(t, `{"s":"`+s+`"}`))
 	}
 	st := d.Paths[jsonval.Path("/s")].Str
-	if len(st.Prefixes) != 3 || !st.PrefixOverflow {
-		t.Errorf("prefixes = %v overflow=%v", st.Prefixes, st.PrefixOverflow)
+	if st.Prefixes.Len() != 3 || !st.PrefixOverflow {
+		t.Errorf("prefixes = %v overflow=%v", countedJSON(st.Prefixes), st.PrefixOverflow)
 	}
-	if st.Prefixes["aa"] != 2 {
-		t.Errorf("existing prefix not counted past cap: %v", st.Prefixes)
+	if k, c := st.Prefixes.At(0); k != "aa" || c != 2 {
+		t.Errorf("existing prefix not counted past cap: %v", countedJSON(st.Prefixes))
 	}
-	if len(st.Values) != 2 || !st.ValueOverflow {
-		t.Errorf("values = %v overflow=%v", st.Values, st.ValueOverflow)
+	if st.Values.Len() != 2 || !st.ValueOverflow {
+		t.Errorf("values = %v overflow=%v", countedJSON(st.Values), st.ValueOverflow)
 	}
 }
 
@@ -204,11 +204,11 @@ func TestStringTablesMatchStringKeyedOracle(t *testing.T) {
 		}
 		for p, tb := range want {
 			st := d.Paths[p].Str
-			if !reflect.DeepEqual(st.Prefixes, tb.prefixes) || st.PrefixOverflow != tb.prefixOver {
-				t.Fatalf("seed %d %+v %s: prefixes %v overflow=%v, oracle %v overflow=%v", seed, cfg, p, st.Prefixes, st.PrefixOverflow, tb.prefixes, tb.prefixOver)
+			if !reflect.DeepEqual(countedJSON(st.Prefixes), tb.prefixes) || st.PrefixOverflow != tb.prefixOver {
+				t.Fatalf("seed %d %+v %s: prefixes %v overflow=%v, oracle %v overflow=%v", seed, cfg, p, countedJSON(st.Prefixes), st.PrefixOverflow, tb.prefixes, tb.prefixOver)
 			}
-			if !reflect.DeepEqual(st.Values, tb.values) || st.ValueOverflow != tb.valOver {
-				t.Fatalf("seed %d %+v %s: values %v overflow=%v, oracle %v overflow=%v", seed, cfg, p, st.Values, st.ValueOverflow, tb.values, tb.valOver)
+			if !reflect.DeepEqual(countedJSON(st.Values), tb.values) || st.ValueOverflow != tb.valOver {
+				t.Fatalf("seed %d %+v %s: values %v overflow=%v, oracle %v overflow=%v", seed, cfg, p, countedJSON(st.Values), st.ValueOverflow, tb.values, tb.valOver)
 			}
 		}
 	}
@@ -219,8 +219,8 @@ func TestStringTablesMatchStringKeyedOracle(t *testing.T) {
 		d.AddDocument(doc(t, s))
 	}
 	st := d.Paths[jsonval.Path("/a/b")].Str
-	if len(st.Values) != 2 || !st.ValueOverflow || len(st.Prefixes) != 2 || !st.PrefixOverflow {
-		t.Errorf("\"\" admitted past the caps: values %v overflow=%v, prefixes %v overflow=%v", st.Values, st.ValueOverflow, st.Prefixes, st.PrefixOverflow)
+	if st.Values.Len() != 2 || !st.ValueOverflow || st.Prefixes.Len() != 2 || !st.PrefixOverflow {
+		t.Errorf("\"\" admitted past the caps: values %v overflow=%v, prefixes %v overflow=%v", countedJSON(st.Values), st.ValueOverflow, countedJSON(st.Prefixes), st.PrefixOverflow)
 	}
 }
 
