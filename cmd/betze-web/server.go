@@ -6,10 +6,12 @@ import (
 	"html/template"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/joda-explore/betze"
@@ -321,9 +323,17 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, http.StatusBadRequest, ferr)
 		return
 	}
+	var data *os.File
+	if form.file != "" {
+		if data, ferr = openDataset(form.file); ferr != nil {
+			s.badRequest(w, http.StatusBadRequest, ferr)
+			return
+		}
+		defer data.Close()
+	}
 	//lint:ignore determinism latency measurement feeds the ops histogram, not benchmark artifacts
 	start := time.Now()
-	stored, err := s.generate(r, form)
+	stored, err := s.generate(r, form, data)
 	s.reg.Histogram(obs.MWebGenerate).Observe(time.Since(start))
 	if err != nil {
 		s.reg.Counter(obs.MWebGenerateErrors).Inc()
@@ -334,14 +344,30 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	http.Redirect(w, r, fmt.Sprintf("/session/%d", stored.id), http.StatusSeeOther)
 }
 
-// generate builds the dataset, analyzes it, runs the generator and
-// translates the session into every language.
-func (s *server) generate(r *http.Request, form generateForm) (*storedSession, error) {
+// openDataset opens the dataset file a form names. O_NONBLOCK keeps open(2)
+// from waiting for a writer when the name is a FIFO, which would hang the
+// request; anything but a regular file is refused.
+func openDataset(path string) (*os.File, *fieldError) {
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil, &fieldError{"file", err.Error()}
+	}
+	if fi, err := f.Stat(); err != nil || !fi.Mode().IsRegular() {
+		f.Close()
+		return nil, &fieldError{"file", fmt.Sprintf("%s is not a regular file", path)}
+	}
+	return f, nil
+}
+
+// generate builds the dataset (or analyzes data, the opened dataset file,
+// when the form names one), runs the generator and translates the session
+// into every language.
+func (s *server) generate(r *http.Request, form generateForm, data *os.File) (*storedSession, error) {
 	var stats *betze.Stats
 	var backendDocs []betze.Value
 	datasetName := ""
-	if form.file != "" {
-		st, err := betze.AnalyzeFile("", form.file, betze.AnalyzeOptions{})
+	if data != nil {
+		st, err := betze.AnalyzeReader(form.file, data, betze.AnalyzeOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // testConfig returns a small, fsync-free service configuration rooted in a
@@ -171,6 +175,36 @@ func TestNotFoundAndErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing dataset file status %d", resp.StatusCode)
+	}
+}
+
+// TestGenerateRefusesNonRegularFile: a form naming a FIFO or a directory is
+// refused with a 400 on field file. Opening a FIFO for reading blocks until
+// a writer appears, so a server that simply opened it would never answer.
+func TestGenerateRefusesNonRegularFile(t *testing.T) {
+	ts := startTestServer(t)
+	fifo := filepath.Join(t.TempDir(), "data.fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	// Release a handler stuck in open(2), so that a failing run can end.
+	t.Cleanup(func() {
+		if w, err := os.OpenFile(fifo, os.O_WRONLY|syscall.O_NONBLOCK, 0); err == nil {
+			w.Close()
+		}
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	for _, file := range []string{fifo, t.TempDir()} {
+		resp, err := client.PostForm(ts.URL+"/generate", url.Values{"file": {file}})
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		var ae apiError
+		err = json.NewDecoder(resp.Body).Decode(&ae)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || ae.Field == nil || ae.Field.Field != "file" {
+			t.Errorf("%s: status %d, body %+v (%v); want 400 on field file", file, resp.StatusCode, ae, err)
+		}
 	}
 }
 

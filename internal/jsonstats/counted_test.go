@@ -1,8 +1,10 @@
 package jsonstats
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -91,16 +93,16 @@ func TestCountedTablesMatchMapSemantics(t *testing.T) {
 				t.Fatalf("seed %d, %d shards: values %v overflow=%v, map reference %v overflow=%v",
 					seed, shards, countedJSON(st.Values), st.ValueOverflow, wantVal.m, wantVal.over)
 			}
-			if !sort.StringsAreSorted(st.Values.keys) || !sort.StringsAreSorted(st.Prefixes.keys) {
+			if !inKeyOrder(st.Values) || !inKeyOrder(st.Prefixes) {
 				t.Fatalf("seed %d, %d shards: tables out of key order", seed, shards)
 			}
 		}
 	}
 }
 
-// TestViewSharesStringKeys: a view's string tables point at the root's key
-// slices, however long the chain of views, and scaling one path allocates
-// only the view's statistics and counts, never key storage.
+// TestViewSharesStringKeys: a view's string tables point at the root's
+// arenas and entries, however long the chain of views, and scaling one path
+// allocates only the view's statistics and counts, never key storage.
 func TestViewSharesStringKeys(t *testing.T) {
 	root := scaleCorpus(rand.New(rand.NewSource(5)))
 	want := root.Paths["/uniq"].Str
@@ -108,8 +110,10 @@ func TestViewSharesStringKeys(t *testing.T) {
 		t.Fatalf("corpus tables not full: %d values, %d prefixes", want.Values.Len(), want.Prefixes.Len())
 	}
 	got := root.Scale("g1", 0.5).Scale("g2", 0.3).Lookup("/uniq").Str
-	if unsafe.SliceData(got.Values.keys) != unsafe.SliceData(want.Values.keys) ||
-		unsafe.SliceData(got.Prefixes.keys) != unsafe.SliceData(want.Prefixes.keys) {
+	if unsafe.SliceData(got.Values.arena) != unsafe.SliceData(want.Values.arena) ||
+		unsafe.SliceData(got.Values.entries) != unsafe.SliceData(want.Values.entries) ||
+		unsafe.SliceData(got.Prefixes.arena) != unsafe.SliceData(want.Prefixes.arena) ||
+		unsafe.SliceData(got.Prefixes.entries) != unsafe.SliceData(want.Prefixes.entries) {
 		t.Errorf("view copied the root's string keys")
 	}
 	// Scale allocates the view and its map of scaled paths; Lookup the
@@ -119,5 +123,83 @@ func TestViewSharesStringKeys(t *testing.T) {
 	})
 	if allocs > 7 {
 		t.Errorf("deriving a view and scaling one string path allocates %.0f times, want at most 7", allocs)
+	}
+}
+
+// keyCount is one entry of a string table as its readers see it.
+type keyCount struct {
+	key string
+	n   int64
+}
+
+// tableOf lists c's entries in key order, through Len and At.
+func tableOf(c Counted) []keyCount {
+	out := make([]keyCount, c.Len())
+	for i := range out {
+		out[i].key, out[i].n = c.At(i)
+	}
+	return out
+}
+
+// inKeyOrder reports whether c's keys are strictly increasing.
+func inKeyOrder(c Counted) bool {
+	t := tableOf(c)
+	for i := 1; i < len(t); i++ {
+		if t[i-1].key >= t[i].key {
+			return false
+		}
+	}
+	return true
+}
+
+// sameStats reports whether a and b hold the same statistics. String tables
+// compare by content — the same keys in key order with the same counts —
+// because an arena lays its keys out in admission order, which depends on
+// the order documents and shards arrived in. Everything else, the overflow
+// flags and histograms included, must be deeply equal.
+func sameStats(a, b *PathStats) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	ac, bc := *a, *b
+	if (a.Str == nil) != (b.Str == nil) {
+		return false
+	}
+	if a.Str != nil {
+		if !slices.Equal(tableOf(a.Str.Prefixes), tableOf(b.Str.Prefixes)) ||
+			!slices.Equal(tableOf(a.Str.Values), tableOf(b.Str.Values)) {
+			return false
+		}
+		as, bs := *a.Str, *b.Str
+		as.Prefixes, as.Values, bs.Prefixes, bs.Values = Counted{}, Counted{}, Counted{}, Counted{}
+		ac.Str, bc.Str = &as, &bs
+	}
+	return reflect.DeepEqual(&ac, &bc)
+}
+
+// TestCountedCopiesKeys: a table keeps no alias of the strings it is handed
+// (a recycling parser rewrites them with the next document), and a key At
+// returned reads the same after later inserts have moved the arena.
+func TestCountedCopiesKeys(t *testing.T) {
+	var c Counted
+	buf := []byte("key-000")
+	alias := unsafe.String(&buf[0], len(buf))
+	if !c.add(alias, 1, 1000) {
+		t.Fatal("first key refused")
+	}
+	copy(buf, "zzz-999") // the document's memory is reused
+	first, _ := c.At(0)
+	for i := 1; i < 500; i++ { // moves the arena several times
+		c.add(fmt.Sprintf("key-%03d", i), 1, 1000)
+	}
+	if first != "key-000" {
+		t.Errorf("a key read before the arena grew now reads %q", first)
+	}
+	want := make([]keyCount, 500)
+	for i := range want {
+		want[i] = keyCount{fmt.Sprintf("key-%03d", i), 1}
+	}
+	if got := tableOf(c); !slices.Equal(got, want) {
+		t.Errorf("table holds %d keys from %v, want key-000..key-499 once each", len(got), got[:min(3, len(got))])
 	}
 }

@@ -225,8 +225,9 @@ func (d *Dataset) child(n *pathNode, name string) *pathNode {
 	if kid := n.kids[name]; kid != nil {
 		return kid
 	}
-	// Child concatenates, so path is a fresh string that pins nothing of the
-	// document; its tail serves as the map key.
+	// Child concatenates, so path is a fresh string that neither pins nor
+	// aliases the document, whose memory a recycling parser reuses for the
+	// next one; its tail serves as the map key.
 	path := n.path.Child(name)
 	kid := &pathNode{path: path, stats: d.stats(path)}
 	if n.kids == nil {

@@ -51,8 +51,9 @@ const (
 	maxKeys, maxKeyLen = 4096, 64
 )
 
-// slab hands out exact-size pieces of chunked backing arrays. Chunks are not
-// reused: they die with the last value that points into them.
+// slab hands out exact-size pieces of chunked backing arrays. A chunk dies
+// with the last value that points into it, unless the parser is recycled:
+// then the current chunk is handed out again from its start.
 type slab[T any] struct {
 	chunk []T // the current chunk; chunk[:used] has been handed out
 	used  int
@@ -78,9 +79,10 @@ func (s *slab[T]) carve(n, room, scale int) []T {
 // carved exact-size out of shared chunks, string payloads are copied into a
 // byte slab, and member names — the same in every document — are interned.
 // Returned values never alias the input and are never overwritten by later
-// calls. A parser's first document, which is all the one-shot Parse and
-// ParsePrefix ever see, is parsed frugally: chunks bounded by what the rest
-// of the input could need, no intern table.
+// calls, unless the caller recycles the parser (see Recycle). A parser's
+// first document, which is all the one-shot Parse and ParsePrefix ever see,
+// is parsed frugally: chunks bounded by what the rest of the input could
+// need, no intern table.
 type Parser struct {
 	data []byte
 	pos  int
@@ -98,6 +100,15 @@ type Parser struct {
 	mems  slab[Member]
 	strs  slab[byte]
 	keys  map[string]string
+}
+
+// Recycle lets the next parse reuse the slab space of every value the parser
+// has returned: a caller that is done with them — it walked each document
+// once and kept copies of what it needed — stops allocating once the
+// parser's chunks fit a document. Those values must not be read again:
+// later parses overwrite their strings and composites.
+func (p *Parser) Recycle() {
+	p.elems.used, p.mems.used, p.strs.used = 0, 0, 0
 }
 
 // Parse decodes a single JSON value from data, like the package-level Parse.
@@ -552,6 +563,10 @@ func (d *Decoder) Decode() (Value, error) {
 		}
 	}
 }
+
+// Recycle lets the next Decode reuse the memory of every document decoded
+// so far, as Parser.Recycle does.
+func (d *Decoder) Recycle() { d.p.Recycle() }
 
 func (d *Decoder) skipBufferedSpace() {
 	for d.start < d.end && isSpace(d.buf[d.start]) {

@@ -2,9 +2,10 @@ package jsonval
 
 // ScanValue reports the length in bytes of the first complete JSON value in
 // data, including leading whitespace, without building a value tree. It
-// returns 0 when data holds only the prefix of a value; atEOF indicates no
-// further input will arrive, which resolves the ambiguity of top-level
-// numbers ("12" may be the prefix of "123").
+// returns 0 when data holds only the prefix of a value, or only whitespace;
+// atEOF indicates no further input will arrive, which resolves the ambiguity
+// of top-level numbers ("12" may be the prefix of "123") and makes the
+// prefix of any other value a SyntaxError at the offset where it starts.
 //
 // The scanner validates only as much structure as boundary detection needs;
 // callers parse the returned chunk for full validation. A chunk that cannot
@@ -19,17 +20,9 @@ func ScanValue(data []byte, atEOF bool) (int, error) {
 	}
 	switch c := data[i]; {
 	case c == '{' || c == '[':
-		n, err := scanComposite(data[i:])
-		if n == 0 || err != nil {
-			return 0, err
-		}
-		return i + n, nil
+		return cut(i, scanComposite(data[i:]), atEOF, "truncated object or array")
 	case c == '"':
-		n, err := scanString(data[i:])
-		if n == 0 || err != nil {
-			return 0, err
-		}
-		return i + n, nil
+		return cut(i, scanString(data[i:]), atEOF, "truncated string")
 	case c == 't':
 		return scanLiteral(data, i, "true", atEOF)
 	case c == 'f':
@@ -50,6 +43,19 @@ func ScanValue(data []byte, atEOF bool) (int, error) {
 	}
 }
 
+// cut turns the length n of the value that starts at offset i into
+// ScanValue's result: a value that has not ended (n == 0) needs more input,
+// and at EOF it never gets any.
+func cut(i, n int, atEOF bool, msg string) (int, error) {
+	switch {
+	case n > 0:
+		return i + n, nil
+	case atEOF:
+		return 0, &SyntaxError{Offset: i, Msg: msg}
+	}
+	return 0, nil
+}
+
 func scanLiteral(data []byte, i int, lit string, atEOF bool) (int, error) {
 	avail := len(data) - i
 	if avail > len(lit) {
@@ -67,9 +73,10 @@ func scanLiteral(data []byte, i int, lit string, atEOF bool) (int, error) {
 	return i + len(lit), nil
 }
 
-// scanComposite walks an object or array, tracking nesting depth and string
-// state. It returns 0 when data ends inside the value.
-func scanComposite(data []byte) (int, error) {
+// scanComposite walks the object or array at the start of data, tracking
+// nesting depth and string state. It returns 0 when data ends inside the
+// value.
+func scanComposite(data []byte) int {
 	depth := 0
 	i := 0
 	for i < len(data) {
@@ -81,39 +88,33 @@ func scanComposite(data []byte) (int, error) {
 			depth--
 			i++
 			if depth == 0 {
-				return i, nil
-			}
-			if depth < 0 {
-				return 0, &SyntaxError{Offset: i, Msg: "unbalanced closing bracket"}
+				return i
 			}
 		case '"':
-			n, err := scanString(data[i:])
-			if err != nil {
-				return 0, err
-			}
+			n := scanString(data[i:])
 			if n == 0 {
-				return 0, nil
+				return 0
 			}
 			i += n
 		default:
 			i++
 		}
 	}
-	return 0, nil
+	return 0
 }
 
 // scanString returns the byte length of the string literal at the start of
 // data (including quotes), or 0 if it is unterminated.
-func scanString(data []byte) (int, error) {
+func scanString(data []byte) int {
 	for i := 1; i < len(data); i++ {
 		switch data[i] {
 		case '\\':
 			i++ // skip escaped character (may be the closing quote)
 		case '"':
-			return i + 1, nil
+			return i + 1
 		}
 	}
-	return 0, nil
+	return 0
 }
 
 func isSpace(c byte) bool {

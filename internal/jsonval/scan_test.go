@@ -27,6 +27,9 @@ func TestScanValueBasics(t *testing.T) {
 		{`"unterm`, false, 0},   // incomplete string
 		{`tr`, false, 0},        // incomplete literal
 		{`{"s":"}"}`, false, 9}, // brace inside string
+		{`["x"`, false, 0},
+		{`"ab\"`, false, 0},
+		{"\n{\"s\":\"}", false, 0},
 	}
 	for _, c := range cases {
 		got, err := ScanValue([]byte(c.in), c.atEOF)
@@ -40,19 +43,35 @@ func TestScanValueBasics(t *testing.T) {
 	}
 }
 
+// TestScanValueErrors: besides input that cannot start a value, at EOF any
+// value that has not ended is an error at the offset where it starts, not
+// the (0, nil) that means "no more values".
 func TestScanValueErrors(t *testing.T) {
 	bad := []struct {
-		in    string
-		atEOF bool
+		in     string
+		atEOF  bool
+		offset int
 	}{
-		{`?`, false},
-		{`}`, false},
-		{`trX`, false},
-		{`tr`, true},
+		{`?`, false, 0},
+		{`}`, false, 0},
+		{`trX`, false, 0},
+		{`tr`, true, 0},
+		{` nul`, true, 1},
+		{`{broken`, true, 0},
+		{`{"a":1`, true, 0},
+		{`["x"`, true, 0},
+		{`"abc`, true, 0},
+		{`"ab\"`, true, 0},
+		{`  [{"a":[1]}`, true, 2},
+		{"\n{\"s\":\"}", true, 1},
 	}
 	for _, c := range bad {
-		if n, err := ScanValue([]byte(c.in), c.atEOF); err == nil {
-			t.Errorf("ScanValue(%q, %v) = %d with no error", c.in, c.atEOF, n)
+		n, err := ScanValue([]byte(c.in), c.atEOF)
+		se, ok := err.(*SyntaxError)
+		if !ok {
+			t.Errorf("ScanValue(%q, %v) = %d, %v; want a SyntaxError", c.in, c.atEOF, n, err)
+		} else if se.Offset != c.offset {
+			t.Errorf("ScanValue(%q, %v): error at offset %d, want %d", c.in, c.atEOF, se.Offset, c.offset)
 		}
 	}
 }

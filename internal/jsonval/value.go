@@ -10,9 +10,10 @@
 // bytes. Strings, arrays and objects are base pointer plus length, rebuilt
 // with unsafe.String / unsafe.Slice inside the accessors; no other package
 // sees the layout, and -race (checkptr) checks every rebuild. The Parser
-// builds values in slabs it never reuses, so a Value stays valid while it is
-// referenced — and keeps the chunks it points into alive: whatever outlives
-// its document must strings.Clone what it keeps of a Str or a member Key.
+// builds values in slabs it reuses only when its caller recycles it, so a
+// Value stays valid while it is referenced — and keeps the chunks it points
+// into alive: whatever outlives its document must copy what it keeps of a
+// Str or a member Key.
 package jsonval
 
 import (
