@@ -127,7 +127,11 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 	// the shard split — and with it the merged summary, including the
 	// approximate histograms — is deterministic for a given input.
 	const batchSize = 64
-	perWorker := make([]chan [][]byte, workers)
+	perWorker := make([]chan *batch, workers)
+	// free returns parsed batches to the scanner. Each worker holds at most
+	// three (two queued, one in hand) and the scanner fills one, so in
+	// steady state every batch is a recycled one.
+	free := make(chan *batch, 3*workers+1)
 	shards := make([]*jsonstats.Dataset, workers)
 	var (
 		wg        sync.WaitGroup
@@ -135,14 +139,14 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 		workerErr error
 	)
 	for w := 0; w < workers; w++ {
-		perWorker[w] = make(chan [][]byte, 2)
+		perWorker[w] = make(chan *batch, 2)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			ds := jsonstats.NewDataset(name, opts.Stats)
 			var parser jsonval.Parser
-			for batch := range perWorker[w] {
-				for _, raw := range batch {
+			for b := range perWorker[w] {
+				for _, raw := range b.docs {
 					parser.Recycle()
 					doc, err := parser.Parse(raw)
 					if err != nil {
@@ -151,6 +155,11 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 					}
 					ds.AddDocument(doc)
 				}
+				// The parser copies what it returns: nothing points into b.
+				select {
+				case free <- b:
+				default:
+				}
 			}
 			shards[w] = ds
 		}(w)
@@ -158,21 +167,25 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 
 	next := 0
 	var docIdx int64
-	scanErr := scanDocuments(r, func(batch [][]byte) {
+	scanErr := scanDocuments(r, free, func(b *batch) {
 		if opts.SampleEvery > 1 {
-			kept := batch[:0]
-			for _, raw := range batch {
+			kept := b.docs[:0]
+			for _, raw := range b.docs {
 				if opts.sampled(docIdx) {
 					kept = append(kept, raw)
 				}
 				docIdx++
 			}
 			if len(kept) == 0 {
+				select {
+				case free <- b:
+				default:
+				}
 				return
 			}
-			batch = kept
+			b.docs = kept
 		}
-		perWorker[next%workers] <- batch
+		perWorker[next%workers] <- b
 		next++
 	}, batchSize)
 	for _, ch := range perWorker {
@@ -192,29 +205,37 @@ func Reader(name string, r io.Reader, opts Options) (*jsonstats.Dataset, error) 
 	return out, nil
 }
 
+// batch is up to batchSize documents, back to back in one buffer.
+type batch struct {
+	buf  []byte
+	docs [][]byte
+}
+
 // scanDocuments splits the stream into documents using jsonval.ScanValue
-// and emits them in groups of batchSize. The documents of a batch are
-// slices of one buffer, which dies with the batch: the parsers copy what
-// they return.
-func scanDocuments(r io.Reader, emit func([][]byte), batchSize int) error {
+// and emits them in batches of batchSize. It fills a batch from free when
+// one is there and allocates one otherwise; a batch it emits is not touched
+// again until it comes back through free.
+func scanDocuments(r io.Reader, free <-chan *batch, emit func(*batch), batchSize int) error {
 	buf := make([]byte, 0, 256*1024)
 	start := 0
 	offset := 0
 	eof := false
-	var docs []byte // the documents of the batch being filled, back to back
+	var b *batch
+	size := 0 // the largest batch buffer yet: a new one starts that big
 	ends := make([]int, 0, batchSize)
 	flush := func() {
 		if len(ends) == 0 {
 			return
 		}
-		batch := make([][]byte, len(ends))
+		b.docs = b.docs[:0]
 		lo := 0
-		for i, hi := range ends {
-			batch[i] = docs[lo:hi:hi]
+		for _, hi := range ends {
+			b.docs = append(b.docs, b.buf[lo:hi:hi])
 			lo = hi
 		}
-		emit(batch)
-		docs, ends = make([]byte, 0, cap(docs)), ends[:0]
+		size = max(size, cap(b.buf))
+		emit(b)
+		b, ends = nil, ends[:0]
 	}
 	for {
 		for {
@@ -228,8 +249,16 @@ func scanDocuments(r io.Reader, emit func([][]byte), batchSize int) error {
 			if n == 0 {
 				break // need more input, or none is left
 			}
-			docs = append(docs, buf[start:start+n]...)
-			ends = append(ends, len(docs))
+			if b == nil {
+				select {
+				case b = <-free:
+					b.buf = b.buf[:0]
+				default:
+					b = &batch{buf: make([]byte, 0, size), docs: make([][]byte, 0, batchSize)}
+				}
+			}
+			b.buf = append(b.buf, buf[start:start+n]...)
+			ends = append(ends, len(b.buf))
 			if len(ends) == batchSize {
 				flush()
 			}

@@ -99,3 +99,29 @@ func TestSteadyStateAnalysisAllocatesNothing(t *testing.T) {
 		t.Fatalf("DocCount = %d", ds.DocCount)
 	}
 }
+
+// TestParallelAnalysisRecyclesBatches: the parallel reader copies every
+// document into its batch's buffer, and a worker hands the buffer back once
+// it has parsed the batch. Allocation then follows the workers and the
+// summary, not the stream: at 2 workers, ten times the documents must
+// allocate less than twice the bytes.
+func TestParallelAnalysisRecyclesBatches(t *testing.T) {
+	allocated := func(docs int) uint64 {
+		var raw bytes.Buffer
+		if err := datasets.NewTwitter().WriteTo(&raw, docs, 7); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Reader("Twitter", bytes.NewReader(raw.Bytes()), Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := allocated(600), allocated(6000)
+	if large >= 2*small {
+		t.Errorf("2 workers: 6000 documents allocated %d bytes, 600 allocated %d; want less than twice", large, small)
+	}
+}

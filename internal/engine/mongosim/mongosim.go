@@ -203,10 +203,6 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	// collection scan reads every WiredTiger page, and every document
 	// evaluates with one lazy walk over raw BSON per evaluated leaf.
 	filter := matcher(q.Filter)
-	var aggSteps, groupSteps []string
-	if agg != nil {
-		aggSteps, groupSteps = q.Agg.Path.Steps(), q.Agg.GroupBy.Steps()
-	}
 	// scratch and outBuf belong to this call: concurrent Executes on one
 	// engine share nothing mutable but the catalog.
 	var scratch, outBuf []byte
@@ -237,7 +233,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 				stats.Matched++
 				switch {
 				case agg != nil && q.Transform == nil:
-					if aerr := addLazy(agg, doc, q.Agg, aggSteps, groupSteps); aerr != nil {
+					// The $group projection path: only the referenced
+					// attributes are materialised.
+					if aerr := query.AddLookup(agg, doc, bsonlite.LookupSteps); aerr != nil {
 						return walked, aerr
 					}
 				case agg != nil:
@@ -315,35 +313,6 @@ func decode(doc []byte) (jsonval.Value, error) {
 		return jsonval.Value{}, fmt.Errorf("mongosim: decoding document: %w", err)
 	}
 	return v, nil
-}
-
-// addLazy folds a matching raw document into the aggregation, materialising
-// only the referenced attributes (the $group projection path).
-func addLazy(agg *query.Aggregator, doc []byte, spec *query.Aggregation, aggSteps, groupSteps []string) error {
-	var v, g jsonval.Value
-	raw, vok, err := bsonlite.LookupSteps(doc, aggSteps)
-	if err != nil {
-		return err
-	}
-	// COUNT only needs existence, not the value.
-	if vok && spec.Func != query.Count {
-		if v, err = raw.Value(); err != nil {
-			return err
-		}
-	}
-	gok := false
-	if spec.Grouped {
-		if raw, gok, err = bsonlite.LookupSteps(doc, groupSteps); err != nil {
-			return err
-		}
-		if gok {
-			if g, err = raw.Value(); err != nil {
-				return err
-			}
-		}
-	}
-	agg.AddValues(v, vok, g, gok)
-	return nil
 }
 
 // docLength reads the header length of the BSON document at the front of

@@ -11,6 +11,16 @@
 // while small NoBench rows stay below the TOAST threshold and evaluate
 // fast: the two halves of the paper's MongoDB/PostgreSQL crossover.
 //
+// What a query pays for is that modelled work — one detoast per evaluated
+// leaf, and one more per returned or aggregated row, whose JSONB is then
+// read in full to print it or probed for the aggregated and grouping
+// attributes. A value tree is built only for a transform, which then
+// re-encodes the row as jsonb_set does. Nothing else costs per row: rows
+// are encoded into one reused buffer and land in shared chunks, detoasting
+// reuses one buffer per Execute, and returned rows are printed straight
+// from their bytes. A stored result shares its untransformed rows with the
+// base table.
+//
 // Strings containing U+0000 cannot be converted to JSONB; the import fails
 // exactly like PostgreSQL's did on the paper's Reddit dataset (Table III).
 package pgsim
@@ -68,15 +78,69 @@ func New(opts Options) *Engine {
 // Name implements engine.Engine.
 func (*Engine) Name() string { return "PostgreSQL" }
 
-func (e *Engine) encodeRow(doc jsonval.Value) (row, error) {
-	data, err := jsonblite.Encode(nil, doc)
+// Rows land back to back in chunks that start small and double up to
+// maxChunk, so a table of small rows costs one allocation per chunk, and a
+// derived table of a few rows does not hold a large one.
+const (
+	minChunk = 4 << 10
+	maxChunk = 64 << 10
+)
+
+// rowWriter builds a table. Every row is encoded into one reused buffer;
+// its stored bytes — plain, or TOAST-compressed above the threshold — are
+// then appended to the current chunk.
+type rowWriter struct {
+	threshold int
+	plain     []byte // the last encoded row
+	chunk     []byte // where rows land; never grown past its capacity
+	rows      []row
+}
+
+func (e *Engine) newRowWriter(rows int) *rowWriter {
+	return &rowWriter{threshold: e.opts.ToastThreshold, rows: make([]row, 0, rows)}
+}
+
+// encode returns doc's JSONB bytes, valid until the next encode.
+func (w *rowWriter) encode(doc jsonval.Value) ([]byte, error) {
+	plain, err := jsonblite.Encode(w.plain[:0], doc)
 	if err != nil {
-		return row{}, err
+		return nil, err
 	}
-	if len(data) <= e.opts.ToastThreshold {
-		return row{data: data}, nil
+	w.plain = plain
+	return plain, nil
+}
+
+// add encodes doc and stores it as the table's next row.
+func (w *rowWriter) add(doc jsonval.Value) error {
+	plain, err := w.encode(doc)
+	if err != nil {
+		return err
 	}
-	return row{data: lz.Compress(nil, data), compressed: true}, nil
+	w.store(plain)
+	return nil
+}
+
+// store copies encoded bytes into the table as its next row, compressing
+// them when they exceed the TOAST threshold.
+func (w *rowWriter) store(plain []byte) {
+	toast := len(plain) > w.threshold
+	need := len(plain)
+	if toast {
+		// lz output exceeds its n input bytes by at most n/20+11: a length
+		// header, and up to three more header bytes per literal run longer
+		// than 60 bytes.
+		need += need/16 + 16
+	}
+	if cap(w.chunk)-len(w.chunk) < need {
+		w.chunk = make([]byte, 0, max(need, min(2*cap(w.chunk), maxChunk), minChunk))
+	}
+	start := len(w.chunk)
+	if toast {
+		w.chunk = lz.Compress(w.chunk, plain)
+	} else {
+		w.chunk = append(w.chunk, plain...)
+	}
+	w.rows = append(w.rows, row{data: w.chunk[start:len(w.chunk):len(w.chunk)], compressed: toast})
 }
 
 // open detoasts the row: a fresh decompression per call, as PostgreSQL's
@@ -95,7 +159,8 @@ func (r row) open(scratch *[]byte) ([]byte, error) {
 	return data, nil
 }
 
-// decode detoasts the row and rebuilds its value tree.
+// decode detoasts the row and rebuilds its value tree: for a transform, and
+// for a leaf type the compiled filter cannot resolve in place.
 func (r row) decode(scratch *[]byte) (jsonval.Value, error) {
 	data, err := r.open(scratch)
 	if err != nil {
@@ -142,7 +207,7 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (stats engin
 	}
 	dec := json.NewDecoder(bufio.NewReaderSize(f, 256*1024))
 	dec.UseNumber() // numerics stay exact, as PostgreSQL's numeric does
-	var rows []row
+	w := e.newRowWriter(0)
 	var docs int64
 	for {
 		if err := engine.Cancelled(ctx, docs); err != nil {
@@ -158,16 +223,14 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (stats engin
 		if err != nil {
 			return engine.ImportStats{}, fmt.Errorf("pgsim: importing %s (row %d): %w", path, docs+1, err)
 		}
-		r, err := e.encodeRow(doc)
-		if err != nil {
+		if err := w.add(doc); err != nil {
 			return engine.ImportStats{}, fmt.Errorf("pgsim: importing %s (row %d): %w", path, docs+1, err)
 		}
-		rows = append(rows, r)
 		docs++
 	}
-	e.cat.Import(name, rows)
+	e.cat.Import(name, w.rows)
 	var stored int64
-	for _, r := range rows {
+	for _, r := range w.rows {
 		stored += int64(len(r.data))
 	}
 	return engine.ImportStats{Docs: docs, Bytes: info.Size(), StoredBytes: stored, Duration: time.Since(start)}, nil
@@ -222,21 +285,24 @@ func fromGeneric(v any) (jsonval.Value, error) {
 
 // ImportValues loads an in-memory document slice as a table.
 func (e *Engine) ImportValues(name string, docs []jsonval.Value) error {
-	rows := make([]row, len(docs))
+	w := e.newRowWriter(len(docs))
 	for i, d := range docs {
-		r, err := e.encodeRow(d)
-		if err != nil {
+		if err := w.add(d); err != nil {
 			return fmt.Errorf("pgsim: importing %s (row %d): %w", name, i+1, err)
 		}
-		rows[i] = r
 	}
-	e.cat.Import(name, rows)
+	e.cat.Import(name, w.rows)
 	return nil
 }
 
 // Execute implements engine.Engine: a sequential scan that evaluates the
 // filter per row with one detoast per evaluated leaf (the jsonb
-// function-call behaviour) and binary-searched path lookups.
+// function-call behaviour) and binary-searched path lookups. A matching row
+// is detoasted once more: a returned row is printed from its JSONB bytes and
+// an aggregated one reads only the aggregated and grouping attributes. Only
+// a transform rebuilds the row's value tree, and then its JSONB, as
+// jsonb_set does. A stored row that was not transformed is shared with the
+// base table, as its bytes are immutable.
 func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (stats engine.ExecStats, err error) {
 	if err := q.Validate(); err != nil {
 		return engine.ExecStats{}, fmt.Errorf("pgsim: %w", err)
@@ -252,9 +318,9 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 	if q.Agg != nil {
 		agg = query.NewAggregator(*q.Agg)
 	}
-	var stored []row
-	// scratch and outBuf belong to this call: concurrent Executes on one
-	// engine share nothing mutable but the catalog.
+	// The writer, scratch and outBuf belong to this call: concurrent
+	// Executes on one engine share nothing mutable but the catalog.
+	w := e.newRowWriter(0)
 	var scratch, outBuf []byte
 	// PostgreSQL's modelled execution is a single-threaded sequential scan:
 	// the walk runs on the calling goroutine over every row, shard.DefaultSize
@@ -274,22 +340,30 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 					continue
 				}
 				stats.Matched++
-				// Producing output (or aggregating) accesses the whole value:
-				// one more detoast plus a decode, as returning jsonb does.
-				doc, derr := r.decode(&scratch)
-				if derr != nil {
-					return walked, derr
-				}
-				if q.Transform != nil {
-					doc = q.Transform.Apply(doc)
-					// The stored/output value is rebuilt, as jsonb_set does.
-					r, derr = e.encodeRow(doc)
-					if derr != nil {
-						return walked, fmt.Errorf("pgsim: transforming row: %w", derr)
+				switch {
+				case agg != nil && q.Transform == nil:
+					// One detoast, then only the referenced attributes are
+					// materialised.
+					data, oerr := r.open(&scratch)
+					if oerr != nil {
+						return walked, oerr
 					}
-				}
-				if eerr := e.emit(q, doc, r, &stored, agg, sink, &outBuf, &stats); eerr != nil {
-					return walked, eerr
+					if aerr := query.AddLookup(agg, data, jsonblite.LookupSteps); aerr != nil {
+						return walked, aerr
+					}
+				case agg != nil:
+					doc, _, terr := transform(q, r, w, &scratch)
+					if terr != nil {
+						return walked, terr
+					}
+					agg.Add(doc)
+				default:
+					n, werr := emit(q, r, w, sink, &scratch, &outBuf)
+					if werr != nil {
+						return walked, werr
+					}
+					stats.Returned++
+					stats.OutputBytes += n
 				}
 			}
 			return walked, nil
@@ -303,29 +377,56 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (s
 		}
 	}
 	if q.Store != "" {
-		e.cat.Store(q.Store, stored)
+		e.cat.Store(q.Store, w.rows)
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
 }
 
-// emit handles one matching row: aggregate, or output plus a store when the
-// query has one.
-func (e *Engine) emit(q *query.Query, doc jsonval.Value, r row, stored *[]row, agg *query.Aggregator, sink io.Writer, outBuf *[]byte, stats *engine.ExecStats) error {
-	if agg != nil {
-		agg.Add(doc)
-		return nil
+// transform rebuilds the row's value tree, applies the query's transform and
+// encodes the result, as jsonb_set builds a new jsonb value. The encoded
+// bytes are valid until w's next encode.
+func transform(q *query.Query, r row, w *rowWriter, scratch *[]byte) (jsonval.Value, []byte, error) {
+	doc, err := r.decode(scratch)
+	if err != nil {
+		return jsonval.Value{}, nil, err
+	}
+	doc = q.Transform.Apply(doc)
+	plain, err := w.encode(doc)
+	if err != nil {
+		return jsonval.Value{}, nil, fmt.Errorf("pgsim: transforming row: %w", err)
+	}
+	return doc, plain, nil
+}
+
+// emit returns one matching row: to the sink, and to the store when the
+// query has one. Without a transform the detoasted bytes are printed as
+// they are, and a store shares the row.
+func emit(q *query.Query, r row, w *rowWriter, sink io.Writer, scratch, outBuf *[]byte) (int64, error) {
+	if q.Transform != nil {
+		doc, plain, err := transform(q, r, w, scratch)
+		if err != nil {
+			return 0, err
+		}
+		if q.Store != "" {
+			w.store(plain)
+		}
+		return engine.WriteDoc(sink, outBuf, doc)
+	}
+	data, err := r.open(scratch)
+	if err != nil {
+		return 0, err
+	}
+	out, err := jsonblite.AppendJSON((*outBuf)[:0], data)
+	if err != nil {
+		return 0, fmt.Errorf("pgsim: decoding row: %w", err)
 	}
 	if q.Store != "" {
-		*stored = append(*stored, r)
+		w.rows = append(w.rows, r)
 	}
-	n, err := engine.WriteDoc(sink, outBuf, doc)
-	if err != nil {
-		return err
-	}
-	stats.Returned++
-	stats.OutputBytes += n
-	return nil
+	*outBuf = append(out, '\n')
+	n, err := sink.Write(*outBuf)
+	return int64(n), err
 }
 
 // Reset implements engine.Engine.

@@ -2,7 +2,9 @@ package pgsim
 
 import (
 	"context"
+	"io"
 	"testing"
+	"unsafe"
 
 	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/engine"
@@ -12,14 +14,13 @@ import (
 )
 
 func encodeRows(t testing.TB, e *Engine, docs []jsonval.Value) []row {
-	rows := make([]row, len(docs))
-	for i, d := range docs {
-		var err error
-		if rows[i], err = e.encodeRow(d); err != nil {
+	w := e.newRowWriter(len(docs))
+	for _, d := range docs {
+		if err := w.add(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return rows
+	return w.rows
 }
 
 func TestMatcherEqualsPredicateEval(t *testing.T) {
@@ -159,4 +160,70 @@ func TestMatcherReportsCorruptRows(t *testing.T) {
 
 func TestConformance(t *testing.T) {
 	simtest.Conformance(t, func(*testing.T, string) engine.Engine { return New(Options{}) })
+}
+
+// A returned row is printed from its JSONB bytes, so returning ten times the
+// rows costs no more allocations. The base table repeats one set of 100
+// NoBench rows, all below the TOAST threshold, so the output buffer grows
+// the same way for both sizes.
+func TestReturnedRowsAllocateNothingPerRow(t *testing.T) {
+	base := datasets.NewNoBench().Generate(100, 3)
+	allocs := func(k int) float64 {
+		docs := make([]jsonval.Value, k)
+		for i := range docs {
+			docs[i] = base[i%len(base)]
+		}
+		e := New(Options{})
+		if err := e.ImportValues("NoBench", docs); err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := e.cat.Get("NoBench")
+		for _, r := range rows {
+			if r.compressed {
+				t.Fatalf("a NoBench row of %d bytes is TOASTed", len(r.data))
+			}
+		}
+		q := &query.Query{Base: "NoBench", Filter: query.Exists{Path: "/str1"}}
+		return testing.AllocsPerRun(20, func() {
+			stats, err := e.Execute(context.Background(), q, io.Discard)
+			if err != nil || stats.Returned != int64(k) {
+				t.Fatalf("Execute = %+v, %v; want %d rows", stats, err, k)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(1000); small != large {
+		t.Errorf("returning 100 rows allocates %v times, 1000 rows %v times; want the same", small, large)
+	}
+}
+
+// The row writer copies every row into shared chunks: a table costs about
+// one allocation per chunk, not one per row.
+func TestRowWriterAllocatesPerChunk(t *testing.T) {
+	docs := datasets.NewNoBench().Generate(3000, 7)
+	e := New(Options{})
+	var rows []row
+	allocs := testing.AllocsPerRun(5, func() {
+		w := e.newRowWriter(len(docs))
+		for _, d := range docs {
+			if err := w.add(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows = w.rows
+	})
+	// A row starts a chunk unless it begins where the previous row ends.
+	chunks := 1
+	for i := 1; i < len(rows); i++ {
+		prev := unsafe.Pointer(unsafe.SliceData(rows[i-1].data))
+		if unsafe.Pointer(unsafe.SliceData(rows[i].data)) != unsafe.Add(prev, len(rows[i-1].data)) {
+			chunks++
+		}
+	}
+	if chunks > len(rows)/50 {
+		t.Fatalf("%d rows in %d chunks", len(rows), chunks)
+	}
+	// One allocation for the row slice, a few for the encode buffer's growth.
+	if max := float64(chunks + 8); allocs > max {
+		t.Errorf("writing %d rows in %d chunks allocates %v times, want <= %v", len(rows), chunks, allocs, max)
+	}
 }

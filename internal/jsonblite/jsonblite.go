@@ -10,8 +10,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"github.com/joda-explore/betze/internal/jsonval"
 )
@@ -73,7 +74,7 @@ func Encode(dst []byte, v jsonval.Value) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(elems)))
 		// Fixed-size offset index, then the encoded elements.
 		idxStart := len(dst)
-		dst = append(dst, make([]byte, 4*len(elems))...)
+		dst = extend(dst, 4*len(elems))
 		bodyStart := len(dst)
 		var err error
 		for i, e := range elems {
@@ -85,27 +86,39 @@ func Encode(dst []byte, v jsonval.Value) ([]byte, error) {
 		}
 		return dst, nil
 	case jsonval.Object:
-		members := append([]jsonval.Member(nil), v.Members()...)
-		sort.SliceStable(members, func(i, j int) bool { return members[i].Key < members[j].Key })
+		members := v.Members()
+		// Members are written in key order, duplicates in document order:
+		// a stable sort of their positions, on the stack for all but wide
+		// objects.
+		var stack [32]int32
+		order := stack[:0]
+		if len(members) > len(stack) {
+			order = make([]int32, 0, len(members))
+		}
+		for i := range members {
+			order = append(order, int32(i))
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(members[a].Key, members[b].Key) })
 		dst = append(dst, tagObject)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(members)))
 		// Per-member index entry: key offset, key length, value offset.
 		idxStart := len(dst)
-		dst = append(dst, make([]byte, 12*len(members))...)
+		dst = extend(dst, 12*len(members))
 		keysStart := len(dst)
-		for i, m := range members {
-			if strings.IndexByte(m.Key, 0) >= 0 {
+		for i, m := range order {
+			key := members[m].Key
+			if strings.IndexByte(key, 0) >= 0 {
 				return nil, ErrNullByte
 			}
 			binary.LittleEndian.PutUint32(dst[idxStart+12*i:], uint32(len(dst)-keysStart))
-			binary.LittleEndian.PutUint32(dst[idxStart+12*i+4:], uint32(len(m.Key)))
-			dst = append(dst, m.Key...)
+			binary.LittleEndian.PutUint32(dst[idxStart+12*i+4:], uint32(len(key)))
+			dst = append(dst, key...)
 		}
 		valsStart := len(dst)
 		var err error
-		for i, m := range members {
+		for i, m := range order {
 			binary.LittleEndian.PutUint32(dst[idxStart+12*i+8:], uint32(len(dst)-valsStart))
-			dst, err = Encode(dst, m.Value)
+			dst, err = Encode(dst, members[m].Value)
 			if err != nil {
 				return nil, err
 			}
@@ -116,9 +129,15 @@ func Encode(dst []byte, v jsonval.Value) ([]byte, error) {
 	}
 }
 
-// Decode materialises the whole document — what the PostgreSQL stand-in pays
-// per returned or aggregated row, rebuilding the value tree as returning a
-// detoasted JSONB does. Filters go through LookupSteps instead.
+// extend lengthens b by n bytes for an index that Encode then writes in
+// full, without zeroing them first.
+func extend(b []byte, n int) []byte {
+	return slices.Grow(b, n)[:len(b)+n]
+}
+
+// Decode materialises the whole document. The PostgreSQL stand-in builds a
+// tree only for a row it transforms; filters and aggregates go through
+// LookupSteps, and returned rows through AppendJSON.
 func Decode(data []byte) (jsonval.Value, error) {
 	v, n, err := decode(data, 0)
 	if err != nil {
@@ -152,15 +171,11 @@ func decode(data []byte, off int) (jsonval.Value, int, error) {
 		}
 		return jsonval.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data[off+1:]))), off + 9, nil
 	case tagString:
-		if off+5 > len(data) {
-			return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: "truncated string header"}
+		s, end, err := stringAt(data, off)
+		if err != nil {
+			return jsonval.Value{}, 0, err
 		}
-		n := int(binary.LittleEndian.Uint32(data[off+1:]))
-		start := off + 5
-		if start+n > len(data) {
-			return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: "string out of bounds"}
-		}
-		return jsonval.StringValue(string(data[start : start+n])), start + n, nil
+		return jsonval.StringValue(string(s)), end, nil
 	case tagArray:
 		count, pos, err := index(data, off, 4)
 		if err != nil {
@@ -199,6 +214,107 @@ func decode(data []byte, off int) (jsonval.Value, int, error) {
 	default:
 		return jsonval.Value{}, 0, &CorruptError{Offset: off, Msg: fmt.Sprintf("unknown tag 0x%02x", tag)}
 	}
+}
+
+// stringAt returns the payload of the string at off, in place, and the
+// offset just past it.
+func stringAt(data []byte, off int) (s []byte, end int, err error) {
+	if off+5 > len(data) {
+		return nil, 0, &CorruptError{Offset: off, Msg: "truncated string header"}
+	}
+	start := off + 5
+	end = start + int(binary.LittleEndian.Uint32(data[off+1:]))
+	if end > len(data) {
+		return nil, 0, &CorruptError{Offset: off, Msg: "string out of bounds"}
+	}
+	return data[start:end], end, nil
+}
+
+// AppendJSON appends the JSON text of the encoded value to dst, byte for
+// byte what jsonval.AppendJSON(dst, v) appends for the v that Decode(data)
+// returns, and fails exactly when Decode fails — without building the value
+// tree. On error dst is returned unextended.
+func AppendJSON(dst, data []byte) ([]byte, error) {
+	base := len(dst)
+	dst, n, err := appendValue(dst, data, 0)
+	if err == nil && n != len(data) {
+		err = &CorruptError{Offset: n, Msg: "trailing bytes"}
+	}
+	if err != nil {
+		return dst[:base], err
+	}
+	return dst, nil
+}
+
+// appendValue mirrors decode.
+func appendValue(dst, data []byte, off int) ([]byte, int, error) {
+	if off >= len(data) {
+		return dst, 0, &CorruptError{Offset: off, Msg: "truncated value"}
+	}
+	switch data[off] {
+	case tagString:
+		s, end, err := stringAt(data, off)
+		if err != nil {
+			return dst, 0, err
+		}
+		return jsonval.AppendQuoted(dst, inPlace(s)), end, nil
+	case tagArray:
+		count, pos, err := index(data, off, 4)
+		if err != nil {
+			return dst, 0, err
+		}
+		dst = append(dst, '[')
+		for i := 0; i < count; i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, pos, err = appendValue(dst, data, pos); err != nil {
+				return dst, 0, err
+			}
+		}
+		return append(dst, ']'), pos, nil
+	case tagObject:
+		count, keysStart, err := index(data, off, 12)
+		if err != nil {
+			return dst, 0, err
+		}
+		// The values section starts where the last key ends.
+		pos := keysStart
+		if count > 0 {
+			if _, pos, err = objectKey(data, off+5, keysStart, count-1); err != nil {
+				return dst, 0, err
+			}
+		}
+		dst = append(dst, '{')
+		for i := 0; i < count; i++ {
+			key, _, err := objectKey(data, off+5, keysStart, i)
+			if err != nil {
+				return dst, 0, err
+			}
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(jsonval.AppendQuoted(dst, inPlace(key)), ':')
+			if dst, pos, err = appendValue(dst, data, pos); err != nil {
+				return dst, 0, err
+			}
+		}
+		return append(dst, '}'), pos, nil
+	default:
+		// Scalars carry no bytes worth streaming: decode the fixed-size
+		// payload and let jsonval format it.
+		v, n, err := decode(data, off)
+		if err != nil {
+			return dst, 0, err
+		}
+		return jsonval.AppendJSON(dst, v), n, nil
+	}
+}
+
+// inPlace views b as a string without copying, for callees that only read
+// their argument for the duration of the call.
+func inPlace(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // index validates the header of the array or object at off, whose index
@@ -341,15 +457,11 @@ func (r Raw) Bool() (bool, bool) {
 
 // str returns the string payload in place.
 func (r Raw) str() ([]byte, bool) {
-	if r.data[r.off] != tagString || r.off+5 > len(r.data) {
+	if r.data[r.off] != tagString {
 		return nil, false
 	}
-	start := r.off + 5
-	end := start + int(binary.LittleEndian.Uint32(r.data[r.off+1:]))
-	if end > len(r.data) {
-		return nil, false
-	}
-	return r.data[start:end], true
+	s, _, err := stringAt(r.data, r.off)
+	return s, err == nil
 }
 
 // EqualString reports whether the value is a string equal to s, comparing

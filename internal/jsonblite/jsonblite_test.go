@@ -2,12 +2,15 @@ package jsonblite
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
+	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/jsonval"
 )
 
@@ -152,13 +155,16 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// decodeSeeds are FuzzDecode's in-code seeds, as JSON text.
+var decodeSeeds = []string{`{"user":{"screen_name":"a","n":[1,2.5,null]},"b":true}`, `{}`, `"s"`}
+
 // FuzzDecode: Decode may reject arbitrary bytes but never panics, and every
 // value it accepts round-trips — its encoding decodes to a value that
 // encodes to the same bytes. The checked-in corpus under testdata/fuzz holds
 // hostile shapes: a forged container count, a truncated string, a key range
 // past the end, an unknown tag and trailing bytes.
 func FuzzDecode(f *testing.F) {
-	for _, s := range []string{`{"user":{"screen_name":"a","n":[1,2.5,null]},"b":true}`, `{}`, `"s"`} {
+	for _, s := range decodeSeeds {
 		f.Add(mustEncode(f, doc(f, s)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -231,4 +237,144 @@ func randomObj(r *rand.Rand, depth int) jsonval.Value {
 		members = append(members, jsonval.Member{Key: k, Value: v})
 	}
 	return jsonval.ObjectValue(members...)
+}
+
+// legacyEncode is Encode as it was before it sorted member positions in
+// place: it copies an object's members and sorts the copy with
+// sort.SliceStable. Encode must produce its bytes exactly.
+func legacyEncode(dst []byte, v jsonval.Value) ([]byte, error) {
+	switch v.Kind() {
+	case jsonval.Null:
+		return append(dst, tagNull), nil
+	case jsonval.Bool:
+		if v.Bool() {
+			return append(dst, tagTrue), nil
+		}
+		return append(dst, tagFalse), nil
+	case jsonval.Int:
+		dst = append(dst, tagInt)
+		return binary.LittleEndian.AppendUint64(dst, uint64(v.Int())), nil
+	case jsonval.Float:
+		dst = append(dst, tagFloat)
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float())), nil
+	case jsonval.String:
+		s := v.Str()
+		if strings.IndexByte(s, 0) >= 0 {
+			return nil, ErrNullByte
+		}
+		dst = append(dst, tagString)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+		return append(dst, s...), nil
+	case jsonval.Array:
+		elems := v.Array()
+		dst = append(dst, tagArray)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(elems)))
+		idxStart := len(dst)
+		dst = append(dst, make([]byte, 4*len(elems))...)
+		bodyStart := len(dst)
+		var err error
+		for i, e := range elems {
+			binary.LittleEndian.PutUint32(dst[idxStart+4*i:], uint32(len(dst)-bodyStart))
+			if dst, err = legacyEncode(dst, e); err != nil {
+				return nil, err
+			}
+		}
+		return dst, nil
+	case jsonval.Object:
+		members := append([]jsonval.Member(nil), v.Members()...)
+		sort.SliceStable(members, func(i, j int) bool { return members[i].Key < members[j].Key })
+		dst = append(dst, tagObject)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(members)))
+		idxStart := len(dst)
+		dst = append(dst, make([]byte, 12*len(members))...)
+		keysStart := len(dst)
+		for i, m := range members {
+			if strings.IndexByte(m.Key, 0) >= 0 {
+				return nil, ErrNullByte
+			}
+			binary.LittleEndian.PutUint32(dst[idxStart+12*i:], uint32(len(dst)-keysStart))
+			binary.LittleEndian.PutUint32(dst[idxStart+12*i+4:], uint32(len(m.Key)))
+			dst = append(dst, m.Key...)
+		}
+		valsStart := len(dst)
+		var err error
+		for i, m := range members {
+			binary.LittleEndian.PutUint32(dst[idxStart+12*i+8:], uint32(len(dst)-valsStart))
+			if dst, err = legacyEncode(dst, m.Value); err != nil {
+				return nil, err
+			}
+		}
+		return dst, nil
+	default:
+		return append(dst, tagNull), nil
+	}
+}
+
+// wideObject draws an object of n members over few keys, so duplicates are
+// many and their document order decides the bytes; values nest up to depth.
+func wideObject(r *rand.Rand, n, depth int) jsonval.Value {
+	keys := []string{"a", "b", "bb", "c", "", "é", "Z", "k9", "k10"}
+	members := make([]jsonval.Member, n)
+	for i := range members {
+		// Values tell duplicates apart: a swapped pair changes the bytes.
+		v := jsonval.IntValue(int64(i))
+		if depth > 0 && r.Intn(4) == 0 {
+			v = wideObject(r, r.Intn(40), depth-1)
+		}
+		members[i] = jsonval.Member{Key: keys[r.Intn(len(keys))], Value: v}
+	}
+	return jsonval.ObjectValue(members...)
+}
+
+// TestEncodeMatchesLegacyEncoder: Encode's bytes are those of legacyEncode
+// on every document of the three generators at seed 7, on Reddit bodies with
+// U+0000 (both refuse them), on objects with duplicate keys, on objects
+// wider than Encode's 32-entry stack buffer, and on nested ones.
+func TestEncodeMatchesLegacyEncoder(t *testing.T) {
+	var docs []jsonval.Value
+	for _, src := range []datasets.Source{datasets.NewTwitter(), datasets.NewNoBench(), datasets.NewReddit(datasets.RedditOptions{}),
+		datasets.NewReddit(datasets.RedditOptions{NullByteFraction: 0.05})} {
+		docs = append(docs, src.Generate(1000, 7)...)
+	}
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 5, 31, 32, 33, 64, 200} {
+		for i := 0; i < 20; i++ {
+			docs = append(docs, wideObject(r, n, 2))
+		}
+	}
+	for i := 0; i < 200; i++ {
+		docs = append(docs, randomObj(r, 4))
+	}
+	refused := 0
+	// Encode writes into a reused buffer whose spare capacity holds the
+	// bytes of earlier documents: it must overwrite every byte it claims.
+	var buf []byte
+	for _, d := range docs {
+		got, err := Encode(append(buf[:0], "prefix"...), d)
+		want, wantErr := legacyEncode([]byte("prefix"), d)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Encode err = %v, legacy err = %v on %s", err, wantErr, d)
+		}
+		if err != nil {
+			refused++
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Encode differs from the legacy encoder on %.200s:\n got %x\nwant %x", d, got, want)
+		}
+		buf = got
+	}
+	if refused == 0 {
+		t.Errorf("no Reddit body with U+0000 among the generated documents")
+	}
+}
+
+// TestEncodeAllocatesNothing: into a buffer that fits, an object no wider
+// than 32 members encodes without allocating.
+func TestEncodeAllocatesNothing(t *testing.T) {
+	d := datasets.NewTwitter().Generate(1, 2)[0]
+	buf := mustEncode(t, d)
+	if n := testing.AllocsPerRun(50, func() { buf, _ = Encode(buf[:0], d) }); n != 0 {
+		t.Errorf("Encode into a warm buffer: %v allocs per document, want 0", n)
+	}
 }

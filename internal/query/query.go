@@ -149,6 +149,8 @@ func (q *Query) Paths() []jsonval.Path {
 // the documents that pass the filter and call Result once.
 type Aggregator struct {
 	agg Aggregation
+	// The pre-split aggregated and grouping paths, for AddLookup.
+	steps, groupSteps []string
 
 	// ungrouped state
 	count    int64
@@ -173,7 +175,7 @@ type groupState struct {
 
 // NewAggregator returns an aggregator for agg.
 func NewAggregator(agg Aggregation) *Aggregator {
-	a := &Aggregator{agg: agg}
+	a := &Aggregator{agg: agg, steps: agg.Path.Steps(), groupSteps: agg.GroupBy.Steps()}
 	if agg.Grouped {
 		a.groups = make(map[string]*groupState)
 	}
@@ -188,6 +190,36 @@ func (a *Aggregator) Add(doc jsonval.Value) {
 		group, gok = a.agg.GroupBy.Lookup(doc)
 	}
 	a.AddValues(v, vok, group, gok)
+}
+
+// AddLookup folds one matching binary document into the aggregate without
+// materialising it: lookup resolves pre-split path steps in place (ok false
+// when absent), and only the aggregated value — none for COUNT, which needs
+// existence alone — and the group key are decoded.
+func AddLookup[T any, V interface{ Value() (jsonval.Value, error) }](a *Aggregator, doc T, lookup func(T, []string) (V, bool, error)) error {
+	var v, g jsonval.Value
+	raw, vok, err := lookup(doc, a.steps)
+	if err != nil {
+		return err
+	}
+	if vok && a.agg.Func != Count {
+		if v, err = raw.Value(); err != nil {
+			return err
+		}
+	}
+	gok := false
+	if a.agg.Grouped {
+		if raw, gok, err = lookup(doc, a.groupSteps); err != nil {
+			return err
+		}
+		if gok {
+			if g, err = raw.Value(); err != nil {
+				return err
+			}
+		}
+	}
+	a.AddValues(v, vok, g, gok)
+	return nil
 }
 
 // AddValues folds pre-extracted attribute values into the aggregate: v is
