@@ -8,6 +8,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -305,6 +308,38 @@ func TestCampaignCancel(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown cancel status %d, want 404", resp3.StatusCode)
+	}
+}
+
+// A campaign cancelled while it runs leaves no workdir behind: the engines'
+// scratch goes on every exit, not only after the artifact is published.
+func TestCancelledCampaignLeavesNoWorkdir(t *testing.T) {
+	srv, ts := startService(t, testConfig(t))
+	seeds := make([]string, 32)
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(i + 1)
+	}
+	spec := `{"dataset": {"source": "nobench", "docs": 300, "seed": 1}, "preset": "expert",
+		"seeds": [` + strings.Join(seeds, ",") + `], "engines": ["joda", "mongodb", "postgres", "jq"]}`
+	id := decodeSnapshot(t, postCampaign(t, ts, spec, nil)).ID
+	workdir := filepath.Join(srv.cfg.dataDir, "work", id)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(workdir); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the campaign never made its workdir")
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/campaigns/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitCampaign(t, ts, id, jobqueue.StateCancelled)
+	if _, err := os.Stat(workdir); !os.IsNotExist(err) {
+		t.Errorf("cancelled campaign's workdir: %v, want it gone", err)
 	}
 }
 

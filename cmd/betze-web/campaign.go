@@ -23,14 +23,7 @@ import (
 // checkpointed independently so a killed server resumes a campaign at unit
 // granularity.
 type campaignSpec struct {
-	Dataset struct {
-		// Source is a synthetic dataset: twitter, nobench or reddit.
-		Source string `json:"source"`
-		// Docs is the dataset size (100..200000 for the service).
-		Docs int `json:"docs"`
-		// Seed drives dataset generation.
-		Seed int64 `json:"seed"`
-	} `json:"dataset"`
+	Dataset datasetSpec `json:"dataset"`
 	// Preset is the explorer configuration: novice, intermediate, expert.
 	Preset string `json:"preset"`
 	// Queries overrides the preset's query count (0 = preset default).
@@ -119,12 +112,13 @@ type campaignArtifact struct {
 	Units    []harness.SessionRecord `json:"units"`
 }
 
-// runCampaign is the jobqueue executor: it materialises the dataset,
-// generates one session per seed, and executes every (seed, engine) unit
-// through the resilient executor, checkpointing each completed unit. On
-// resume (after a crash, drain or requeue) completed units are loaded from
-// their checkpoints and skipped. The final artifact is written atomically;
-// a campaign is only Done once the artifact is durable.
+// runCampaign is the jobqueue executor: it acquires the dataset from the
+// store (materialising it on a miss), generates one session per seed, and
+// executes every (seed, engine) unit through the resilient executor,
+// checkpointing each completed unit. On resume (after a crash, drain or
+// requeue) completed units are loaded from their checkpoints and skipped.
+// The final artifact is written atomically; a campaign is only Done once
+// the artifact is durable.
 func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *jobqueue.Checkpoints) error {
 	//lint:ignore determinism latency measurement feeds the ops histogram, not benchmark artifacts
 	start := time.Now()
@@ -138,14 +132,19 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 		return fmt.Errorf("invalid campaign spec: %s: %s", ferr.Field, ferr.Message)
 	}
 
+	ds, err := s.store.acquire(ctx, spec.Dataset)
+	if err != nil {
+		return err
+	}
+	defer s.store.release(ds)
+	stats := ds.stats
+	// The workdir holds the engines' scratch (jqsim's stored results) and
+	// nothing a resume needs, so every exit removes it.
 	workdir := filepath.Join(s.cfg.dataDir, "work", job.ID)
 	if err := os.MkdirAll(workdir, 0o755); err != nil {
 		return fmt.Errorf("campaign workdir: %w", err)
 	}
-	dataPath, stats, err := s.materialize(spec, workdir)
-	if err != nil {
-		return err
-	}
+	defer os.RemoveAll(workdir)
 
 	units := make([]harness.SessionRecord, 0, len(spec.Seeds)*len(spec.Engines))
 	for _, seed := range spec.Seeds {
@@ -172,7 +171,7 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 					return fmt.Errorf("generating session seed %d: %w", seed, err)
 				}
 			}
-			u, err := s.runUnit(ctx, spec, engName, seed, stats.Name, dataPath, session, workdir)
+			u, err := s.runUnit(ctx, spec, engName, seed, stats.Name, ds.path, session, workdir)
 			if err != nil {
 				return err
 			}
@@ -198,31 +197,7 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 	if err := fsatomic.WriteFile(path, append(artifact, '\n'), 0o644); err != nil {
 		return fmt.Errorf("publishing artifact: %w", err)
 	}
-	// The campaign workdir is scratch; the artifact is the durable output.
-	os.RemoveAll(workdir)
 	return nil
-}
-
-// materialize generates the campaign's dataset deterministically from its
-// seed, writes it as newline-delimited JSON (atomically, so a crash cannot
-// leave a half file a resume would import), and analyzes it. An existing
-// file from an interrupted attempt is reused: same source, size and seed
-// produce the same bytes.
-func (s *server) materialize(spec campaignSpec, workdir string) (string, *betze.Stats, error) {
-	src, err := datasets.ByName(spec.Dataset.Source, datasets.RedditOptions{})
-	if err != nil {
-		return "", nil, fmt.Errorf("campaign dataset: %w", err)
-	}
-	docs := src.Generate(spec.Dataset.Docs, spec.Dataset.Seed)
-	stats := betze.AnalyzeValues(src.Name, docs, betze.AnalyzeOptions{})
-	path := filepath.Join(workdir, "dataset.ndjson")
-	if _, err := os.Stat(path); err == nil {
-		return path, stats, nil
-	}
-	if err := datasets.WriteDocs(path, docs); err != nil {
-		return "", nil, fmt.Errorf("campaign dataset: %w", err)
-	}
-	return path, stats, nil
 }
 
 // runUnit executes one session on one fresh engine through

@@ -126,15 +126,21 @@ const crashSpec = `{
 	"engines": ["joda", "jq"]
 }`
 
-// submitCrashCampaign posts the spec and returns the campaign ID.
+// submitCrashCampaign posts crashSpec and returns the campaign ID.
 func submitCrashCampaign(t *testing.T, baseURL string) string {
+	t.Helper()
+	return submitChildCampaign(t, baseURL, crashSpec)
+}
+
+// submitChildCampaign posts spec and returns the campaign ID.
+func submitChildCampaign(t *testing.T, baseURL, spec string) string {
 	t.Helper()
 	// The server listens before journal recovery finishes and sheds with
 	// 503 + Retry-After in the window between; behave like a well-mannered
 	// client and retry.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Post(baseURL+"/api/campaigns", "application/json", strings.NewReader(crashSpec))
+		resp, err := http.Post(baseURL+"/api/campaigns", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,5 +289,65 @@ func TestServeCrashResume(t *testing.T) {
 	if records := journalOf(t, crashDir, id); len(records) == 0 ||
 		!strings.HasPrefix(records[len(records)-1], `{"type":"done"`) {
 		t.Errorf("campaign's last journal record is not done: %v", records)
+	}
+}
+
+// TestServeCrashResumeAfterDatasetCommit SIGKILLs the server in the window
+// between the dataset store's commit and the campaign's first unit
+// checkpoint. The restart empties the store, so the resumed campaign
+// materialises the dataset again; its artifact must still equal an
+// uninterrupted run's byte for byte. Analysing the 2000 documents after
+// the commit keeps the window tens of milliseconds wide.
+func TestServeCrashResumeAfterDatasetCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs one campaign twice across subprocesses")
+	}
+	const spec = `{
+		"dataset": {"source": "twitter", "docs": 2000, "seed": 11},
+		"preset": "expert", "seeds": [1], "engines": ["joda"]
+	}`
+	baseDir := t.TempDir()
+	base := startChild(t, baseDir)
+	baseID := submitChildCampaign(t, base.url, spec)
+	waitChildCampaignDone(t, base, baseID)
+	baseArtifact, err := os.ReadFile(filepath.Join(baseDir, "artifacts", baseID+".json"))
+	if err != nil {
+		t.Fatalf("baseline artifact: %v", err)
+	}
+	base.cmd.Process.Kill()
+	<-base.exited
+
+	crashDir := t.TempDir()
+	victim := startChild(t, crashDir)
+	id := submitChildCampaign(t, victim.url, spec)
+	committed := filepath.Join(crashDir, "datasets", "*.ndjson")
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(time.Millisecond) {
+		if files, _ := filepath.Glob(committed); len(files) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no dataset committed:\n%s", victim.out)
+		}
+	}
+	if err := victim.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-victim.exited
+	for _, r := range journalOf(t, crashDir, id) {
+		if strings.HasPrefix(r, `{"type":"checkpoint"`) {
+			t.Log("a unit checkpoint landed before the kill; the resume is still checked")
+			break
+		}
+	}
+
+	revived := startChild(t, crashDir)
+	waitChildCampaignDone(t, revived, id)
+	crashArtifact, err := os.ReadFile(filepath.Join(crashDir, "artifacts", id+".json"))
+	if err != nil {
+		t.Fatalf("resumed artifact: %v", err)
+	}
+	if !bytes.Equal(baseArtifact, crashArtifact) {
+		t.Errorf("resumed artifact differs from uninterrupted baseline (%d vs %d bytes)",
+			len(crashArtifact), len(baseArtifact))
 	}
 }

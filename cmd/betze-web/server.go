@@ -46,6 +46,9 @@ type server struct {
 	queue      *jobqueue.Queue
 	pool       *jobqueue.Pool
 	poolCancel context.CancelFunc
+	// store holds the campaigns' materialised datasets, at most one per
+	// worker.
+	store *datasetStore
 
 	mu       sync.Mutex
 	nextID   int
@@ -105,6 +108,7 @@ func newServerHandler(cfg config) *server {
 		sessions: make(map[int]*storedSession),
 		nextID:   1,
 	}
+	s.store = newDatasetStore(filepath.Join(cfg.dataDir, "datasets"), cfg.workers, s.reg)
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	s.mux.HandleFunc("POST /generate", s.handleGenerate)
 	s.mux.HandleFunc("GET /session/{id}", s.handleSession)
@@ -129,10 +133,13 @@ func newServerHandler(cfg config) *server {
 	return s
 }
 
-// recoverQueue opens the campaign queue, replaying its journal. Until this
-// returns, campaignQueue sheds; afterwards the campaign endpoints serve
-// normally.
+// recoverQueue empties the dataset store and opens the campaign queue,
+// replaying its journal. Until this returns, campaignQueue sheds;
+// afterwards the campaign endpoints serve normally.
 func (s *server) recoverQueue() error {
+	if err := s.store.reset(); err != nil {
+		return err
+	}
 	q, err := jobqueue.Open(s.queueDir(), jobqueue.Options{
 		MaxQueued:   s.cfg.maxQueued,
 		TenantRate:  s.cfg.quotaRate,

@@ -29,6 +29,10 @@ const (
 	tagBool   = 0x08
 	tagNull   = 0x0A
 	tagInt64  = 0x12
+
+	// tagRoot marks the one element of a root wrapper (see Encode). Real
+	// BSON tags stay below it, so no object encodes to a wrapper.
+	tagRoot = 0x80
 )
 
 // CorruptError reports a structurally invalid document.
@@ -42,13 +46,18 @@ func (e *CorruptError) Error() string {
 }
 
 // Encode appends the binary encoding of doc to dst. Any JSON value is
-// encodable; non-object roots are wrapped as single-element documents with
-// an empty key, like the MongoDB shell does.
+// encodable; a non-object root is wrapped, like the MongoDB shell does, as a
+// single-element document with an empty key whose tag carries tagRoot. The
+// mark tells the wrapper from an object that holds one empty-key member,
+// such as {"":{"a":1}}, which encodes as it reads.
 func Encode(dst []byte, doc jsonval.Value) []byte {
 	if doc.Kind() == jsonval.Object {
 		return encodeDoc(dst, doc.Members())
 	}
-	return encodeDoc(dst, []jsonval.Member{{Key: "", Value: doc}})
+	start := len(dst)
+	dst = encodeDoc(dst, []jsonval.Member{{Key: "", Value: doc}})
+	dst[start+4] |= tagRoot
+	return dst
 }
 
 func encodeDoc(dst []byte, members []jsonval.Member) []byte {
@@ -128,20 +137,51 @@ func appendCString(dst []byte, s string) []byte {
 
 // Decode materialises a full document.
 func Decode(data []byte) (jsonval.Value, error) {
-	v, n, err := decodeDoc(data, 0, false)
+	r, end, err := root(data)
 	if err != nil {
 		return jsonval.Value{}, err
 	}
-	if n != len(data) {
-		return jsonval.Value{}, &CorruptError{Offset: n, Msg: "trailing bytes"}
+	v, n, err := decodeValue(data, r.off, r.Tag)
+	if err != nil {
+		return jsonval.Value{}, err
 	}
-	// Unwrap the single-element empty-key wrapper for non-object roots.
-	if v.Kind() == jsonval.Object {
-		if m := v.Members(); len(m) == 1 && m[0].Key == "" {
-			return m[0].Value, nil
-		}
+	if end < 0 {
+		end = n
+	}
+	if end != len(data) {
+		return jsonval.Value{}, &CorruptError{Offset: end, Msg: "trailing bytes"}
 	}
 	return v, nil
+}
+
+// root returns the root value of doc: the document itself, or the value
+// its root wrapper holds. For a wrapper it also returns the offset just past
+// the document, whose terminator it has checked; for a plain document end
+// is -1 and nothing is checked yet.
+func root(doc []byte) (r Raw, end int, err error) {
+	if len(doc) < 5 || doc[4]&tagRoot == 0 {
+		return Raw{Tag: tagDoc, data: doc}, -1, nil
+	}
+	i, end, err := docBounds(doc, 0)
+	if err != nil {
+		return Raw{}, 0, err
+	}
+	key, val, err := elementKey(doc, i, end)
+	if err != nil {
+		return Raw{}, 0, err
+	}
+	tag := doc[i] &^ tagRoot
+	if len(key) != 0 || tag == tagDoc {
+		return Raw{}, 0, &CorruptError{Offset: i, Msg: "malformed root wrapper"}
+	}
+	n, err := skipValue(doc, val, tag)
+	if err != nil {
+		return Raw{}, 0, err
+	}
+	if n != end-1 || doc[n] != 0 {
+		return Raw{}, 0, &CorruptError{Offset: n, Msg: "root wrapper holds more than one value"}
+	}
+	return Raw{Tag: tag, data: doc, off: val}, end, nil
 }
 
 func decodeDoc(data []byte, off int, asArray bool) (jsonval.Value, int, error) {
@@ -296,7 +336,10 @@ func Lookup(doc []byte, path jsonval.Path) (Raw, bool, error) {
 // LookupSteps is Lookup over a pre-split step slice (from Path.Steps). Keys
 // are matched in place, so the walk allocates nothing.
 func LookupSteps(doc []byte, steps []string) (Raw, bool, error) {
-	cur := Raw{Tag: tagDoc, data: doc}
+	cur, _, err := root(doc)
+	if err != nil {
+		return Raw{}, false, err
+	}
 	for _, seg := range steps {
 		if cur.Tag != tagDoc {
 			return Raw{}, false, nil
@@ -438,9 +481,16 @@ func (r Raw) Value() (jsonval.Value, error) {
 // tree. On error dst is returned unextended.
 func AppendJSON(dst, doc []byte) ([]byte, error) {
 	base := len(dst)
-	dst, n, err := appendDoc(dst, doc, 0, false, true)
-	if err == nil && n != len(doc) {
-		err = &CorruptError{Offset: n, Msg: "trailing bytes"}
+	r, end, err := root(doc)
+	n := 0
+	if err == nil {
+		dst, n, err = appendValue(dst, doc, r.off, r.Tag)
+	}
+	if end < 0 {
+		end = n
+	}
+	if err == nil && end != len(doc) {
+		err = &CorruptError{Offset: end, Msg: "trailing bytes"}
 	}
 	if err != nil {
 		return dst[:base], err
@@ -448,26 +498,17 @@ func AppendJSON(dst, doc []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// appendDoc mirrors decodeDoc. At the root, a document whose only element
-// has the empty key is written as that element's bare value, the unwrap
-// Decode applies to non-object roots.
-func appendDoc(dst, data []byte, off int, asArray, root bool) ([]byte, int, error) {
+// appendDoc mirrors decodeDoc.
+func appendDoc(dst, data []byte, off int, asArray bool) ([]byte, int, error) {
 	i, end, err := docBounds(data, off)
 	if err != nil {
 		return dst, 0, err
-	}
-	bare := false
-	if root && i+1 < end && data[i] != 0 && data[i+1] == 0 {
-		p, err := skipValue(data, i+2, data[i])
-		bare = err == nil && p == end-1
 	}
 	open, close := byte('{'), byte('}')
 	if asArray {
 		open, close = '[', ']'
 	}
-	if !bare {
-		dst = append(dst, open)
-	}
+	dst = append(dst, open)
 	for first := true; ; first = false {
 		if i >= end {
 			return dst, 0, &CorruptError{Offset: i, Msg: "missing terminator"}
@@ -486,17 +527,14 @@ func appendDoc(dst, data []byte, off int, asArray, root bool) ([]byte, int, erro
 		if !first {
 			dst = append(dst, ',')
 		}
-		if !asArray && !bare {
+		if !asArray {
 			dst = append(jsonval.AppendQuoted(dst, inPlace(key)), ':')
 		}
 		if dst, i, err = appendValue(dst, data, val, tag); err != nil {
 			return dst, 0, err
 		}
 	}
-	if !bare {
-		dst = append(dst, close)
-	}
-	return dst, end, nil
+	return append(dst, close), end, nil
 }
 
 // appendValue mirrors decodeValue.
@@ -510,9 +548,9 @@ func appendValue(dst, data []byte, off int, tag byte) ([]byte, int, error) {
 		}
 		return jsonval.AppendQuoted(dst, inPlace(s)), off + 4 + len(s) + 1, nil
 	case tagDoc:
-		return appendDoc(dst, data, off, false, false)
+		return appendDoc(dst, data, off, false)
 	case tagArray:
-		return appendDoc(dst, data, off, true, false)
+		return appendDoc(dst, data, off, true)
 	default:
 		// Scalars carry no bytes worth streaming: decode the fixed-size
 		// payload and let jsonval format it.

@@ -42,8 +42,8 @@ func TestMatcherEqualsPredicateEval(t *testing.T) {
 	if len(preds) < 300 {
 		t.Fatalf("only %d predicates derived", len(preds))
 	}
-	// LeafPredicates leaves the root to the binary formats' wrappers; a boxed
-	// document's root is the document.
+	// Root predicates whose constants fit documents outside the sample: the
+	// bare 7 and the empty object.
 	preds = append(preds, nil,
 		query.Exists{Path: jsonval.RootPath}, query.IsString{Path: jsonval.RootPath},
 		query.IntEq{Path: jsonval.RootPath, Value: 7}, query.FloatCmp{Path: jsonval.RootPath, Op: query.Ge, Value: 7},

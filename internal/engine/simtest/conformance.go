@@ -86,6 +86,41 @@ func Conformance(t *testing.T, open func(t *testing.T, dir string) engine.Engine
 				}
 			}
 		}},
+		{"root_wrapper_shapes_match_reference", func(c *conformance) {
+			// An object whose one member has the empty key is an object,
+			// not the wrapper of a non-object root: a transform and a store
+			// over these print what the query does to the parsed documents.
+			var docs []jsonval.Value
+			for _, s := range []string{`{"":{"a":1}}`, `{"":5}`, `[1,2]`} {
+				docs = append(docs, Parse(c.t, s))
+			}
+			add := &query.Transform{Ops: []query.TransformOp{{Kind: query.TransformAdd, Path: "/b", Value: jsonval.IntValue(2)}}}
+			reference := func(tr *query.Transform) string {
+				var out []byte
+				for _, d := range docs {
+					if tr != nil {
+						d = tr.Apply(d)
+					}
+					out = append(jsonval.AppendJSON(out, d), '\n')
+				}
+				return string(out)
+			}
+			c.imp("base", docs)
+			for _, w := range []struct {
+				q    *query.Query
+				want string
+			}{
+				{&query.Query{Base: "base"}, reference(nil)},
+				{&query.Query{Base: "base", Transform: add, Store: "added"}, reference(add)},
+				{&query.Query{Base: "added"}, reference(add)},
+				{&query.Query{Base: "base", Store: "copy"}, reference(nil)},
+				{&query.Query{Base: "copy"}, reference(nil)},
+			} {
+				if got := c.output(w.q); got != w.want {
+					c.t.Errorf("%s printed\n%s; the reference prints\n%s", w.q, got, w.want)
+				}
+			}
+		}},
 		{"reset_drops_derived_only", func(c *conformance) {
 			c.imp("ds", a)
 			c.imp("other", b)

@@ -69,14 +69,6 @@ func LeafPredicates(sample []jsonval.Value) []query.Predicate {
 		if len(preds) > 700 {
 			return
 		}
-		if path == jsonval.RootPath {
-			// The root of a binary document is its wrapper, not a value a
-			// generated predicate ever addresses.
-			for _, m := range v.Members() {
-				walk(path.Child(m.Key), m.Value)
-			}
-			return
-		}
 		everyKind(path)
 		switch v.Kind() {
 		case jsonval.Int, jsonval.Float:

@@ -21,6 +21,8 @@ package lz
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"sync"
 )
 
 const (
@@ -34,29 +36,55 @@ const (
 
 // Compress appends the compressed form of src to dst and returns the
 // extended slice. Compress(nil, nil) yields the encoding of an empty input.
+// Safe for concurrent use: each call borrows its own match table.
 func Compress(dst, src []byte) []byte {
+	t := tables.Get().(*matchTable)
+	dst = t.compress(dst, src)
+	tables.Put(t)
+	return dst
+}
+
+// matchTable maps a 4-byte hash to base+position+1 of the last occurrence
+// of those bytes. Every call moves base past the positions it wrote, so
+// what earlier calls left reads as empty: a reused table needs no clearing,
+// and compressing a 2 KB row no longer zeroes 64 KB first.
+type matchTable struct {
+	pos  [1 << 14]uint32
+	base uint32
+}
+
+var tables = sync.Pool{New: func() any { return new(matchTable) }}
+
+func (t *matchTable) compress(dst, src []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return dst
 	}
-	var table [1 << 14]int32 // position+1 of the last occurrence per hash
+	if uint64(len(src)) > math.MaxUint32-uint64(t.base) {
+		*t = matchTable{} // base would overflow: start from an empty table
+	}
+	base := t.base
+	t.base += uint32(len(src))
 	litStart := 0
 	i := 0
 	for i+minMatch <= len(src) {
 		h := hash4(src[i:])
-		cand := int(table[h]) - 1
-		table[h] = int32(i + 1)
-		if cand >= 0 && i-cand <= maxOffset && match4(src, cand, i) {
-			// Extend the match.
-			length := minMatch
-			for i+length < len(src) && length < 64 && src[cand+length] == src[i+length] {
-				length++
+		e := t.pos[h]
+		t.pos[h] = base + uint32(i) + 1
+		if e > base { // written by this call
+			cand := int(e-base) - 1
+			if i-cand <= maxOffset && match4(src, cand, i) {
+				// Extend the match.
+				length := minMatch
+				for i+length < len(src) && length < 64 && src[cand+length] == src[i+length] {
+					length++
+				}
+				dst = emitLiterals(dst, src[litStart:i])
+				dst = emitCopy(dst, i-cand, length)
+				i += length
+				litStart = i
+				continue
 			}
-			dst = emitLiterals(dst, src[litStart:i])
-			dst = emitCopy(dst, i-cand, length)
-			i += length
-			litStart = i
-			continue
 		}
 		i++
 	}

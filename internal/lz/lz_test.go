@@ -2,11 +2,14 @@ package lz
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/joda-explore/betze/internal/datasets"
+	"github.com/joda-explore/betze/internal/jsonblite"
 	"github.com/joda-explore/betze/internal/jsonval"
 )
 
@@ -170,4 +173,112 @@ func TestOverlappingCopies(t *testing.T) {
 	roundTrip(t, src)
 	src2 := []byte("abab" + strings.Repeat("ab", 200))
 	roundTrip(t, src2)
+}
+
+// legacyCompress is Compress as it was before match tables were reused:
+// a zeroed table per call. The output of Compress must not depend on what
+// earlier calls left in a table.
+func legacyCompress(dst, src []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	if len(src) == 0 {
+		return dst
+	}
+	var table [1 << 14]int32 // position+1 of the last occurrence per hash
+	litStart := 0
+	i := 0
+	for i+minMatch <= len(src) {
+		h := hash4(src[i:])
+		cand := int(table[h]) - 1
+		table[h] = int32(i + 1)
+		if cand >= 0 && i-cand <= maxOffset && match4(src, cand, i) {
+			length := minMatch
+			for i+length < len(src) && length < 64 && src[cand+length] == src[i+length] {
+				length++
+			}
+			dst = emitLiterals(dst, src[litStart:i])
+			dst = emitCopy(dst, i-cand, length)
+			i += length
+			litStart = i
+			continue
+		}
+		i++
+	}
+	return emitLiterals(dst, src[litStart:])
+}
+
+// twinInputs are generator JSONB rows, 64 KB blocks of them, and random,
+// run and motif inputs of 0–128 KB, in an order that alternates sizes so a
+// reused table carries entries from longer and shorter inputs alike.
+func twinInputs() [][]byte {
+	var inputs [][]byte
+	var block []byte
+	for _, src := range []datasets.Source{datasets.NewTwitter(), datasets.NewNoBench(), datasets.NewReddit(datasets.RedditOptions{NullByteFraction: -1})} {
+		for _, d := range src.Generate(60, 5) {
+			row, err := jsonblite.Encode(nil, d)
+			if err != nil {
+				panic(err)
+			}
+			inputs = append(inputs, row)
+			if block = append(block, row...); len(block) >= 64<<10 {
+				inputs = append(inputs, block[:64<<10])
+				block = nil
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(43))
+	for k := 0; k < 60; k++ {
+		src := make([]byte, r.Intn(128<<10+1))
+		switch k % 3 {
+		case 0:
+			r.Read(src)
+		case 1:
+			for i := 0; i < len(src); {
+				run := min(r.Intn(300)+1, len(src)-i)
+				b := byte(r.Intn(4))
+				for j := 0; j < run; j++ {
+					src[i+j] = b
+				}
+				i += run
+			}
+		default:
+			motif := []byte(`{"key":"value","n":123},`)
+			for i := range src {
+				src[i] = motif[i%len(motif)] ^ byte(r.Intn(64)/63)
+			}
+		}
+		inputs = append(inputs, src)
+	}
+	r.Shuffle(len(inputs), func(i, j int) { inputs[i], inputs[j] = inputs[j], inputs[i] })
+	return inputs
+}
+
+func TestCompressMatchesLegacy(t *testing.T) {
+	inputs := twinInputs()
+	// One table for the whole sequence, the way a pooled table is reused;
+	// a second pass starts just below the base's overflow, which resets it.
+	for _, tab := range []*matchTable{{}, {base: math.MaxUint32 - 100_000}} {
+		for i, src := range inputs {
+			if got, want := tab.compress([]byte("x"), src), legacyCompress([]byte("x"), src); !bytes.Equal(got, want) {
+				t.Fatalf("input %d (%d bytes, table base %d): %d bytes compressed, legacy %d", i, len(src), tab.base, len(got), len(want))
+			}
+		}
+	}
+	for i, src := range inputs {
+		if got, want := Compress(nil, src), legacyCompress(nil, src); !bytes.Equal(got, want) {
+			t.Fatalf("Compress of input %d (%d bytes) differs from legacy", i, len(src))
+		}
+	}
+}
+
+// A warm Compress allocates nothing: the match table comes from the pool
+// and the output fits dst.
+func TestCompressAllocatesNothing(t *testing.T) {
+	row, err := jsonblite.Encode(nil, datasets.NewTwitter().Generate(1, 2)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := Compress(nil, row)
+	if n := testing.AllocsPerRun(50, func() { buf = Compress(buf[:0], row) }); n != 0 {
+		t.Errorf("warm Compress: %v allocs per call, want 0", n)
+	}
 }
