@@ -7,6 +7,7 @@
 package betze_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -132,16 +133,25 @@ func BenchmarkAblationResultCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAnalyzeParallel compares the sequential and parallel
-// analyzer paths.
+// BenchmarkAblationAnalyzeParallel compares the analyzer's serial decoder
+// loop (one worker) with its parse/fold pipeline (two parsing workers) on
+// serialised datasets; the summaries are identical, only the time differs.
 func BenchmarkAblationAnalyzeParallel(b *testing.B) {
-	docs := betze.TwitterSource().Generate(4000, 13)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				analyze.Values("tw", docs, analyze.Options{Workers: workers})
-			}
-		})
+	for _, src := range []betze.DatasetSource{betze.TwitterSource(), betze.NoBenchSource()} {
+		var raw bytes.Buffer
+		if err := src.WriteTo(&raw, 4000, 13); err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", src.Name, workers), func(b *testing.B) {
+				b.SetBytes(int64(raw.Len()))
+				for i := 0; i < b.N; i++ {
+					if _, err := analyze.Reader(src.Name, bytes.NewReader(raw.Bytes()), analyze.Options{Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -117,10 +117,12 @@ func startChild(t *testing.T, dataDir string) *webChild {
 	return c
 }
 
-// crashSpec is the campaign both runs execute: several units so the kill
-// lands between checkpoints, deterministic in every field.
+// crashSpec is the campaign both runs execute: six units (three seeds × two
+// engines), so the kill lands between checkpoints, deterministic in every
+// field. 400 documents keep a unit tens of milliseconds long under -race,
+// far longer than the victim's 2 ms poll.
 const crashSpec = `{
-	"dataset": {"source": "twitter", "docs": 2000, "seed": 11},
+	"dataset": {"source": "twitter", "docs": 400, "seed": 11},
 	"preset": "expert",
 	"seeds": [1, 2, 3],
 	"engines": ["joda", "jq"]
@@ -223,33 +225,34 @@ func TestServeCrashResume(t *testing.T) {
 	base.cmd.Process.Kill()
 	<-base.exited
 
-	// Victim: SIGKILL once at least one unit checkpoint is durable.
+	// Victim: SIGKILL once at least one unit checkpoint is durable, and
+	// before the last.
 	crashDir := t.TempDir()
 	victim := startChild(t, crashDir)
 	id := submitCrashCampaign(t, victim.url)
 	if id != baseID {
 		t.Fatalf("campaign IDs diverge: %s vs %s", id, baseID)
 	}
-	deadline := time.Now().Add(2 * time.Minute)
-	killedMidway := false
-	for time.Now().Before(deadline) {
-		snap, ok := campaignSnapshot(victim.url, id)
-		if ok && snap.State == jobqueue.StateDone {
-			t.Log("campaign finished before the kill; resume still must replay the journal")
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(2 * time.Millisecond) {
+		if snap, ok := campaignSnapshot(victim.url, id); ok && (snap.Checkpoints >= 1 || snap.State.Terminal()) {
 			break
 		}
-		if ok && snap.Checkpoints >= 1 {
-			killedMidway = true
-			break
+		if time.Now().After(deadline) {
+			t.Fatalf("no unit checkpoint within 2 minutes:\n%s", victim.out)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	if err := victim.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	<-victim.exited
-	if killedMidway {
-		t.Log("SIGKILLed the server mid-campaign")
+	checkpoints := 0
+	for _, r := range journalOf(t, crashDir, id) {
+		if strings.HasPrefix(r, `{"type":"checkpoint"`) {
+			checkpoints++
+		}
+	}
+	if checkpoints < 1 || checkpoints >= 6 {
+		t.Fatalf("the kill left %d of the campaign's 6 unit checkpoints in the journal; want it between the first and the last", checkpoints)
 	}
 
 	// Restart over the same data directory: recovery must requeue the

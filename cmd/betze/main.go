@@ -100,7 +100,7 @@ func cmdAnalyze(args []string, out io.Writer) error {
 	in := fs.String("in", "", "input dataset file (newline-delimited JSON)")
 	name := fs.String("name", "", "dataset name (default: file name)")
 	outPath := fs.String("out", "", "output analysis file")
-	workers := fs.Int("workers", 0, "analysis workers (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "goroutines that parse documents (0 = all CPUs); the analysis file is the same for any value")
 	sampleEvery := fs.Int("sample-every", 0, "analyze every k-th document only (faster, slightly less accurate)")
 	if err := fs.Parse(args); err != nil {
 		return err

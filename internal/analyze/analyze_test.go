@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -26,8 +25,6 @@ func genDocs(t *testing.T, n int, seed int64) ([]jsonval.Value, []byte) {
 		members := []jsonval.Member{
 			{Key: "id", Value: jsonval.IntValue(int64(i))},
 			{Key: "score", Value: jsonval.FloatValue(r.Float64() * 100)},
-			// Distinct-value count stays under jsonstats.DefaultMaxValues:
-			// which strings survive an overflow depends on the shard split.
 			{Key: "name", Value: jsonval.StringValue(fmt.Sprintf("user_%03d", r.Intn(30)))},
 		}
 		if r.Intn(3) == 0 {
@@ -90,15 +87,20 @@ func TestReaderHandlesConcatenatedDocs(t *testing.T) {
 
 // TestReaderPropagatesSyntaxErrors: a malformed document, and a stream that
 // ends inside its last document whatever kind of value was cut, is a syntax
-// error on both paths.
+// error on both paths, and the same one.
 func TestReaderPropagatesSyntaxErrors(t *testing.T) {
 	for _, stream := range []string{`{"a":1}{"broken`, `{"a":1}{"a":`, `{"a":1}{"b":[1,2`, `{"a":1}["x"`,
-		`{"a":1}"abc`, `{"a":1}tr`, `{"a":1}{"s":"}`, `{"a":1}{"a":?}`} {
+		`{"a":1}"abc`, `{"a":1}tr`, `{"a":1}{"s":"}`, `{"a":1}{"a":?}`, `{"a":1} x`} {
+		var first error
 		for _, workers := range []int{1, 4} {
 			_, err := Reader("d", strings.NewReader(stream), Options{Workers: workers})
 			var se *jsonval.SyntaxError
 			if !errors.As(err, &se) {
 				t.Errorf("%q, workers=%d: err = %v, want a syntax error", stream, workers, err)
+			} else if first == nil {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Errorf("%q, workers=%d: err = %v, one worker reports %v", stream, workers, err, first)
 			}
 		}
 	}
@@ -170,69 +172,21 @@ func TestStatsConfigPropagates(t *testing.T) {
 	}
 }
 
+// compareDatasets requires want and got to encode to the same bytes.
 func compareDatasets(t *testing.T, want, got *jsonstats.Dataset) {
 	t.Helper()
-	if want.DocCount != got.DocCount {
-		t.Fatalf("DocCount %d != %d", got.DocCount, want.DocCount)
-	}
-	if len(want.Paths) != len(got.Paths) {
-		t.Fatalf("paths %d != %d", len(got.Paths), len(want.Paths))
-	}
-	for p, wps := range want.Paths {
-		gps := got.Paths[p]
-		if gps == nil {
-			t.Fatalf("missing path %s", p)
-		}
-		// Merge order may differ, but all exact aggregates must agree.
-		// String caps can differ between shard splits only if overflow
-		// occurred (the test data stays under the default caps), and
-		// histograms are rebinned on merge, so only their totals are
-		// exact.
-		wc, gc := *wps, *gps
-		wc.NumHist, gc.NumHist = nil, nil
-		if !samePathStats(&wc, &gc) {
-			t.Fatalf("path %s differs:\n got %+v str=%+v\nwant %+v str=%+v", p, gps, gps.Str, wps, wps.Str)
-		}
-		if (wps.NumHist == nil) != (gps.NumHist == nil) {
-			t.Fatalf("path %s: histogram presence differs", p)
-		}
-		if wps.NumHist != nil && wps.NumHist.Total != gps.NumHist.Total {
-			t.Fatalf("path %s: histogram totals %d != %d", p, gps.NumHist.Total, wps.NumHist.Total)
-		}
+	if w, g := encode(t, want), encode(t, got); !bytes.Equal(w, g) {
+		t.Fatalf("summaries differ (%d vs %d bytes)", len(g), len(w))
 	}
 }
 
-// samePathStats reports whether a and b hold the same statistics, comparing
-// string tables by content (the same keys in key order with the same
-// counts): a table's memory layout follows the order its keys arrived in.
-func samePathStats(a, b *jsonstats.PathStats) bool {
-	ac, bc := *a, *b
-	if (a.Str == nil) != (b.Str == nil) {
-		return false
+func encode(t *testing.T, d *jsonstats.Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if a.Str != nil {
-		if !slices.Equal(tableOf(a.Str.Prefixes), tableOf(b.Str.Prefixes)) ||
-			!slices.Equal(tableOf(a.Str.Values), tableOf(b.Str.Values)) {
-			return false
-		}
-		as, bs := *a.Str, *b.Str
-		as.Prefixes, as.Values, bs.Prefixes, bs.Values = jsonstats.Counted{}, jsonstats.Counted{}, jsonstats.Counted{}, jsonstats.Counted{}
-		ac.Str, bc.Str = &as, &bs
-	}
-	return reflect.DeepEqual(&ac, &bc)
-}
-
-type keyCount struct {
-	key string
-	n   int64
-}
-
-func tableOf(c jsonstats.Counted) []keyCount {
-	out := make([]keyCount, c.Len())
-	for i := range out {
-		out[i].key, out[i].n = c.At(i)
-	}
-	return out
+	return buf.Bytes()
 }
 
 func TestSampling(t *testing.T) {
@@ -274,34 +228,110 @@ func TestSampling(t *testing.T) {
 	}
 }
 
-// TestParallelAnalysisFileRepeats: the shard split is deterministic, so the
-// merged summary must be too. In 1100 NoBench documents every sparse
-// attribute holds eleven distinct strings, about three per shard, so a value
-// table capped at eight fills part-way through folding the third shard in
-// and the rest of that shard's strings are dropped. (At the default cap of
-// 32 the same happens from 4400 documents on.)
+// TestParallelAnalysisFileRepeats: in 1100 NoBench documents every sparse
+// attribute holds eleven distinct strings, so a value table capped at eight
+// overflows, and which strings it keeps depends on the order documents are
+// folded in. Run after run, four workers must write the analysis file of one.
 func TestParallelAnalysisFileRepeats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nobench.json")
 	if err := datasets.NewNoBench().WriteFile(path, 1100, 17); err != nil {
 		t.Fatal(err)
 	}
-	var first []byte
+	opts := Options{Workers: 1, Stats: jsonstats.Config{MaxValues: 8}}
+	serial, err := File("NoBench", path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := serial.Paths["/sparse_000"].Str; !st.ValueOverflow || st.Values.Len() != 8 {
+		t.Fatalf("/sparse_000 value table did not overflow: %d values", st.Values.Len())
+	}
+	want := encode(t, serial)
+	opts.Workers = 4
 	for run := 0; run < 20; run++ {
-		d, err := File("NoBench", path, Options{Workers: 4, Stats: jsonstats.Config{MaxValues: 8}})
+		d, err := File("NoBench", path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := d.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(encode(t, d), want) {
+			t.Fatalf("run %d: analysis file differs from one worker's", run)
 		}
-		if run == 0 {
-			first = buf.Bytes()
-			if st := d.Paths["/sparse_000"].Str; !st.ValueOverflow || st.Values.Len() != 8 {
-				t.Fatalf("/sparse_000 value table did not overflow: %d values", st.Values.Len())
+	}
+}
+
+// TestSummaryIndependentOfWorkers: the summary depends on the data alone.
+// For every dataset family, with and without sampling, Reader at any worker
+// count and Values at any worker count encode to the bytes of Reader with one
+// worker.
+func TestSummaryIndependentOfWorkers(t *testing.T) {
+	sources := []datasets.Source{
+		datasets.NewTwitter(),
+		datasets.NewNoBench(),
+		datasets.NewReddit(datasets.RedditOptions{}),
+	}
+	for _, src := range sources {
+		for _, n := range []int{150, 3000} {
+			var raw bytes.Buffer
+			if err := src.WriteTo(&raw, n, 5); err != nil {
+				t.Fatal(err)
 			}
-		} else if !bytes.Equal(first, buf.Bytes()) {
-			t.Fatalf("run %d: analysis file differs from run 0", run)
+			var docs []jsonval.Value
+			dec := jsonval.NewDecoder(bytes.NewReader(raw.Bytes()))
+			for {
+				v, err := dec.Decode()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				docs = append(docs, v)
+			}
+			for _, every := range []int{1, 3} {
+				reader := func(workers int) []byte {
+					d, err := Reader(src.Name, bytes.NewReader(raw.Bytes()), Options{Workers: workers, SampleEvery: every})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return encode(t, d)
+				}
+				want := reader(1)
+				for _, workers := range []int{2, 3, 8} {
+					if !bytes.Equal(reader(workers), want) {
+						t.Errorf("%s, %d docs, every %d: Reader with %d workers differs from one worker", src.Name, n, every, workers)
+					}
+				}
+				for _, workers := range []int{1, 4} {
+					if got := encode(t, Values(src.Name, docs, Options{Workers: workers, SampleEvery: every})); !bytes.Equal(got, want) {
+						t.Errorf("%s, %d docs, every %d: Values with %d workers differs from Reader", src.Name, n, every, workers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReaderReportsFirstBrokenDocument: with several malformed documents in
+// different batches (40 KB of documents make three), every worker count
+// reports the first in stream order, at its offset in the stream, as one
+// worker does.
+func TestReaderReportsFirstBrokenDocument(t *testing.T) {
+	var raw strings.Builder
+	for i := 0; i < 401; i++ {
+		switch i {
+		case 200:
+			raw.WriteString(`{"a":1,"b":tru}`)
+		case 330:
+			raw.WriteString(`{"a":?}`)
+		default:
+			fmt.Fprintf(&raw, `{"a":%d,"b":"x%d","pad":"%s"}`, i, i%9, strings.Repeat("p", 80))
+		}
+		raw.WriteByte('\n')
+	}
+	want := fmt.Sprintf("analyze: jsonval: syntax error at offset %d: invalid literal, expected \"true\"", strings.Index(raw.String(), "tru}"))
+	for _, workers := range []int{1, 2, 3, 8} {
+		_, err := Reader("d", strings.NewReader(raw.String()), Options{Workers: workers})
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %s", workers, err, want)
 		}
 	}
 }

@@ -125,25 +125,6 @@ func (c *Counted) add(key string, n int64, limit int) bool {
 	return true
 }
 
-// merge adds src's counts to c in key order under add's admission rule, and
-// reports whether a key was dropped. Key order makes the survivors of a full
-// table independent of how the documents were split into shards.
-func (c *Counted) merge(src Counted, limit int) (dropped bool) {
-	for i, e := range src.entries {
-		k := src.key(i)
-		j, found := c.search(k, e.head)
-		switch {
-		case found:
-			c.counts[j] += src.counts[i]
-		case len(c.entries) < limit:
-			c.insert(j, k, e.head, src.counts[i])
-		default:
-			dropped = true
-		}
-	}
-	return dropped
-}
-
 // scale returns the table of a view selecting fraction f of the documents:
 // the same keys, each count scaled by scaleCount. With f > 0 every count
 // stays at least 1, so no key is dropped.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 	"unsafe"
 
@@ -13,8 +12,7 @@ import (
 )
 
 // mapTable is a string table as the analyser kept it before Counted: a map
-// that admits a new key only while it holds fewer than the cap, and that
-// folds a full merge in sorted key order.
+// that admits a new key only while it holds fewer than the cap.
 type mapTable struct {
 	m    map[string]int64
 	over bool
@@ -28,74 +26,33 @@ func (t *mapTable) count(s string, limit int) {
 	t.m[s]++
 }
 
-func (t *mapTable) fold(src *mapTable, limit int) {
-	t.over = t.over || src.over
-	if len(t.m)+len(src.m) <= limit {
-		for k, c := range src.m {
-			t.m[k] += c
-		}
-		return
-	}
-	keys := make([]string, 0, len(src.m))
-	for k := range src.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, ok := t.m[k]; ok || len(t.m) < limit {
-			t.m[k] += src.m[k]
-		} else {
-			t.over = true
-		}
-	}
-}
-
 // TestCountedTablesMatchMapSemantics feeds random string streams to
-// AddDocument on 1, 3 and 8 shards, merges the shards in order, and requires
-// the same keys, counts and overflow flags as the map tables did. The caps
-// are small, so most merges fill a table part-way through the other side.
+// AddDocument and requires the same keys, counts and overflow flags as the
+// map tables did. The caps are small, so most streams fill the tables.
 func TestCountedTablesMatchMapSemantics(t *testing.T) {
 	vocab := []string{"", "a", "aa1", "aa2", "ab", "abc", "b", "bé", "é", "ée", "zy", "zz"}
 	cfg := Config{PrefixLen: 2, MaxPrefixes: 4, MaxValues: 3}
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		stream := make([]string, 1+r.Intn(60))
-		for i := range stream {
-			stream[i] = vocab[r.Intn(len(vocab))]
+		got := NewDataset("s", cfg)
+		wantPre, wantVal := &mapTable{m: map[string]int64{}}, &mapTable{m: map[string]int64{}}
+		for i, n := 0, 1+r.Intn(60); i < n; i++ {
+			s := vocab[r.Intn(len(vocab))]
+			got.AddDocument(jsonval.ObjectValue(jsonval.Member{Key: "s", Value: jsonval.StringValue(s)}))
+			wantPre.count(prefixOf(s, cfg.PrefixLen), cfg.MaxPrefixes)
+			wantVal.count(s, cfg.MaxValues)
 		}
-		for _, shards := range []int{1, 3, 8} {
-			parts := make([]*Dataset, shards)
-			prefixes, values := make([]*mapTable, shards), make([]*mapTable, shards)
-			for i := range parts {
-				parts[i] = NewDataset("s", cfg)
-				prefixes[i] = &mapTable{m: map[string]int64{}}
-				values[i] = &mapTable{m: map[string]int64{}}
-			}
-			for i, s := range stream {
-				k := i * shards / len(stream)
-				parts[k].AddDocument(jsonval.ObjectValue(jsonval.Member{Key: "s", Value: jsonval.StringValue(s)}))
-				prefixes[k].count(prefixOf(s, cfg.PrefixLen), cfg.MaxPrefixes)
-				values[k].count(s, cfg.MaxValues)
-			}
-			got := NewDataset("s", cfg)
-			wantPre, wantVal := &mapTable{m: map[string]int64{}}, &mapTable{m: map[string]int64{}}
-			for i := range parts {
-				got.Merge(parts[i])
-				wantPre.fold(prefixes[i], cfg.MaxPrefixes)
-				wantVal.fold(values[i], cfg.MaxValues)
-			}
-			st := got.Paths["/s"].Str
-			if !reflect.DeepEqual(countedJSON(st.Prefixes), wantPre.m) || st.PrefixOverflow != wantPre.over {
-				t.Fatalf("seed %d, %d shards: prefixes %v overflow=%v, map reference %v overflow=%v",
-					seed, shards, countedJSON(st.Prefixes), st.PrefixOverflow, wantPre.m, wantPre.over)
-			}
-			if !reflect.DeepEqual(countedJSON(st.Values), wantVal.m) || st.ValueOverflow != wantVal.over {
-				t.Fatalf("seed %d, %d shards: values %v overflow=%v, map reference %v overflow=%v",
-					seed, shards, countedJSON(st.Values), st.ValueOverflow, wantVal.m, wantVal.over)
-			}
-			if !inKeyOrder(st.Values) || !inKeyOrder(st.Prefixes) {
-				t.Fatalf("seed %d, %d shards: tables out of key order", seed, shards)
-			}
+		st := got.Paths["/s"].Str
+		if !reflect.DeepEqual(countedJSON(st.Prefixes), wantPre.m) || st.PrefixOverflow != wantPre.over {
+			t.Fatalf("seed %d: prefixes %v overflow=%v, map reference %v overflow=%v",
+				seed, countedJSON(st.Prefixes), st.PrefixOverflow, wantPre.m, wantPre.over)
+		}
+		if !reflect.DeepEqual(countedJSON(st.Values), wantVal.m) || st.ValueOverflow != wantVal.over {
+			t.Fatalf("seed %d: values %v overflow=%v, map reference %v overflow=%v",
+				seed, countedJSON(st.Values), st.ValueOverflow, wantVal.m, wantVal.over)
+		}
+		if !inKeyOrder(st.Values) || !inKeyOrder(st.Prefixes) {
+			t.Fatalf("seed %d: tables out of key order", seed)
 		}
 	}
 }

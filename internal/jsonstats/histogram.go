@@ -182,68 +182,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// Merge folds other into h. Merging into an empty histogram copies the
-// other side exactly; otherwise both sides are reduced to weighted bucket
-// midpoints and a fresh equi-depth histogram is built over their union —
-// a symmetric construction, so the two-way merge is commutative.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.Total == 0 {
-		return
-	}
-	if h.Total == 0 {
-		c := other.clone()
-		c.finalize()
-		*h = *c
-		return
-	}
-	h.finalize()
-	oc := other.clone()
-	oc.finalize()
-
-	type weighted struct {
-		v float64
-		c int64
-	}
-	var points []weighted
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, src := range []*Histogram{h, oc} {
-		lo = math.Min(lo, src.Bounds[0])
-		hi = math.Max(hi, src.Bounds[len(src.Bounds)-1])
-		for i, c := range src.Counts {
-			if c == 0 {
-				continue
-			}
-			points = append(points, weighted{v: (src.Bounds[i] + src.Bounds[i+1]) / 2, c: c})
-		}
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].v < points[j].v })
-
-	buckets := len(h.Counts)
-	total := h.Total + oc.Total
-	bounds := make([]float64, buckets+1)
-	bounds[0], bounds[buckets] = lo, hi
-	// Interior bounds at the weighted quantiles of the midpoint mass.
-	var cum int64
-	pi := 0
-	for b := 1; b < buckets; b++ {
-		target := int64(math.Round(float64(b) * float64(total) / float64(buckets)))
-		for pi < len(points) && cum < target {
-			cum += points[pi].c
-			pi++
-		}
-		if pi > 0 {
-			bounds[b] = points[pi-1].v
-		} else {
-			bounds[b] = lo
-		}
-	}
-	merged := &Histogram{Bounds: bounds, Counts: make([]int64, buckets), Total: total, buckets: buckets}
-	for _, p := range points {
-		merged.Counts[merged.bucket(p.v)] += p.c
-	}
-	*h = *merged
-}
-
 // clone copies the histogram (pending buffer included).
 func (h *Histogram) clone() *Histogram {
 	c := &Histogram{Total: h.Total, buckets: h.buckets}

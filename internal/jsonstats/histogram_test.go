@@ -95,78 +95,6 @@ func TestHistogramIgnoresNonFinite(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeCommutative(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	build := func(seed int64, n int, scale float64) *Histogram {
-		rr := rand.New(rand.NewSource(seed))
-		h := NewHistogram(16)
-		for i := 0; i < n; i++ {
-			h.Observe(rr.Float64() * scale)
-		}
-		return h
-	}
-	_ = r
-	a := build(1, 1000, 50)
-	b := build(2, 500, 500)
-	ab := NewHistogram(16)
-	ab.Merge(a)
-	ab.Merge(b)
-	ba := NewHistogram(16)
-	ba.Merge(b)
-	ba.Merge(a)
-	if ab.Total != ba.Total || ab.Lo() != ba.Lo() || ab.Hi() != ba.Hi() {
-		t.Fatalf("merge headers differ: %+v vs %+v", ab, ba)
-	}
-	for i := range ab.Counts {
-		if ab.Counts[i] != ba.Counts[i] {
-			t.Fatalf("merge not commutative at bucket %d: %d vs %d", i, ab.Counts[i], ba.Counts[i])
-		}
-	}
-}
-
-func TestHistogramMergePreservesTotalsAndApproximatesShape(t *testing.T) {
-	a := NewHistogram(16)
-	b := NewHistogram(16)
-	whole := NewHistogram(16)
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 20000; i++ {
-		v := r.Float64() * 100
-		whole.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	a.Merge(b)
-	if a.Total != whole.Total {
-		t.Fatalf("merged total %d != %d", a.Total, whole.Total)
-	}
-	for _, q := range []float64{0.25, 0.5, 0.75} {
-		if d := math.Abs(a.Quantile(q) - whole.Quantile(q)); d > 15 {
-			t.Errorf("merged quantile %g off by %.1f", q, d)
-		}
-	}
-}
-
-func TestHistogramMergeIntoEmptyCopies(t *testing.T) {
-	src := NewHistogram(16)
-	for i := 0; i < 100; i++ {
-		src.Observe(float64(i))
-	}
-	dst := NewHistogram(16)
-	dst.Merge(src)
-	if dst.Total != 100 || dst.Lo() != src.Lo() || dst.Hi() != src.Hi() {
-		t.Errorf("empty-merge copy wrong: %+v", dst)
-	}
-	// nil and empty merges are no-ops.
-	dst.Merge(nil)
-	dst.Merge(NewHistogram(16))
-	if dst.Total != 100 {
-		t.Errorf("no-op merges changed total: %d", dst.Total)
-	}
-}
-
 func TestHistogramScale(t *testing.T) {
 	h := NewHistogram(8)
 	for i := 0; i < 1000; i++ {

@@ -191,39 +191,3 @@ func TestViewEncodesMaterialized(t *testing.T) {
 		t.Errorf("view encodes differently from the eager reference")
 	}
 }
-
-// TestMergeDeterministicPastCaps: once a string table is full, which of the
-// other side's strings survive must not depend on map iteration order.
-func TestMergeDeterministicPastCaps(t *testing.T) {
-	// Three shards of 25 distinct strings each: the second merge fills the
-	// tables (32 values, 64 prefixes) part-way through the other side.
-	shards := make([]*Dataset, 3)
-	for i := range shards {
-		shards[i] = NewDataset("root", DefaultConfig())
-		for j := 0; j < 25; j++ {
-			shards[i].AddDocument(jsonval.ObjectValue(jsonval.Member{
-				Key: "uniq", Value: jsonval.StringValue(fmt.Sprintf("%04d-%d", 7919*(25*i+j)%10000, i)),
-			}))
-		}
-	}
-	var first []byte
-	for run := 0; run < 20; run++ {
-		out := NewDataset("root", DefaultConfig())
-		for _, s := range shards {
-			out.Merge(s)
-		}
-		data, err := out.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run == 0 {
-			first = data
-			st := out.Paths["/uniq"].Str
-			if !st.PrefixOverflow || st.Values.Len() != DefaultMaxValues {
-				t.Fatalf("merge did not reach the caps: %d values", st.Values.Len())
-			}
-		} else if !bytes.Equal(first, data) {
-			t.Fatalf("run %d merged to a different summary", run)
-		}
-	}
-}

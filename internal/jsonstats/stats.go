@@ -100,9 +100,9 @@ type Dataset struct {
 	// Paths maps every attribute path seen in the dataset to its
 	// statistics. The root path is present whenever DocCount > 0 and
 	// describes the documents themselves. Paths is nil on a view returned
-	// by Scale: read a view through Lookup, or Materialize it. Between
-	// AddDocument calls entries may be added (Merge does) but not replaced
-	// or deleted: the trie caches them.
+	// by Scale: read a view through Lookup, or Materialize it. Entries must
+	// not be replaced or deleted between AddDocument calls: the trie caches
+	// them.
 	Paths map[jsonval.Path]*PathStats
 
 	cfg Config
@@ -337,82 +337,6 @@ func prefixOf(s string, n int) string {
 		n--
 	}
 	return s[:n]
-}
-
-// Merge folds other into d. The receiving summary must have been built with
-// the same Config for the string-stat bounds to remain meaningful; counts
-// are combined regardless. Merge supports the parallel analyzer: workers
-// build shard summaries that are merged pairwise.
-func (d *Dataset) Merge(other *Dataset) {
-	d.attrsOnce = sync.Once{}
-	d.DocCount += other.DocCount
-	for p, ops := range other.Paths {
-		ps := d.stats(p)
-		ps.Count += ops.Count
-		ps.NullCount += ops.NullCount
-		if ops.Bool != nil {
-			if ps.Bool == nil {
-				ps.Bool = &BoolStats{}
-			}
-			ps.Bool.Count += ops.Bool.Count
-			ps.Bool.TrueCount += ops.Bool.TrueCount
-		}
-		if ops.Int != nil {
-			if ps.Int == nil {
-				ps.Int = &IntStats{Min: ops.Int.Min, Max: ops.Int.Max}
-			}
-			ps.Int.Count += ops.Int.Count
-			ps.Int.Min = min(ps.Int.Min, ops.Int.Min)
-			ps.Int.Max = max(ps.Int.Max, ops.Int.Max)
-		}
-		if ops.Float != nil {
-			if ps.Float == nil {
-				ps.Float = &FloatStats{Min: ops.Float.Min, Max: ops.Float.Max}
-			}
-			ps.Float.Count += ops.Float.Count
-			ps.Float.Min = math.Min(ps.Float.Min, ops.Float.Min)
-			ps.Float.Max = math.Max(ps.Float.Max, ops.Float.Max)
-		}
-		if ops.Str != nil {
-			if ps.Str == nil {
-				ps.Str = &StringStats{MinLen: ops.Str.MinLen, MaxLen: ops.Str.MaxLen}
-			}
-			st := ps.Str
-			st.Count += ops.Str.Count
-			st.MinLen = min(st.MinLen, ops.Str.MinLen)
-			st.MaxLen = max(st.MaxLen, ops.Str.MaxLen)
-			st.PrefixOverflow = st.PrefixOverflow || ops.Str.PrefixOverflow
-			st.ValueOverflow = st.ValueOverflow || ops.Str.ValueOverflow
-			if st.Prefixes.merge(ops.Str.Prefixes, d.cfg.MaxPrefixes) {
-				st.PrefixOverflow = true
-			}
-			if st.Values.merge(ops.Str.Values, d.cfg.MaxValues) {
-				st.ValueOverflow = true
-			}
-		}
-		if ops.Obj != nil {
-			if ps.Obj == nil {
-				ps.Obj = &ObjectStats{MinChildren: ops.Obj.MinChildren, MaxChildren: ops.Obj.MaxChildren}
-			}
-			ps.Obj.Count += ops.Obj.Count
-			ps.Obj.MinChildren = min(ps.Obj.MinChildren, ops.Obj.MinChildren)
-			ps.Obj.MaxChildren = max(ps.Obj.MaxChildren, ops.Obj.MaxChildren)
-		}
-		if ops.Arr != nil {
-			if ps.Arr == nil {
-				ps.Arr = &ArrayStats{MinSize: ops.Arr.MinSize, MaxSize: ops.Arr.MaxSize}
-			}
-			ps.Arr.Count += ops.Arr.Count
-			ps.Arr.MinSize = min(ps.Arr.MinSize, ops.Arr.MinSize)
-			ps.Arr.MaxSize = max(ps.Arr.MaxSize, ops.Arr.MaxSize)
-		}
-		if ops.NumHist != nil {
-			if ps.NumHist == nil {
-				ps.NumHist = NewHistogram(d.cfg.HistogramBuckets)
-			}
-			ps.NumHist.Merge(ops.NumHist)
-		}
-	}
 }
 
 // Scale derives the summary of a sub-dataset selected with the given

@@ -53,24 +53,60 @@ const (
 
 // slab hands out exact-size pieces of chunked backing arrays. A chunk dies
 // with the last value that points into it, unless the parser is recycled:
-// then the current chunk is handed out again from its start.
+// from its first recycle on, a slab keeps every chunk it starts, and each
+// recycle hands them out again from the first, so values that spanned
+// several chunks before a recycle fit in the same chunks after it.
 type slab[T any] struct {
 	chunk []T // the current chunk; chunk[:used] has been handed out
 	used  int
 	mark  int // where the parse in progress started in chunk; a failed one resets used to it
 	next  int // nominal size of the current chunk; the next one doubles it
+
+	keep   bool  // the parser has been recycled: chunks lists every chunk
+	chunks [][]T // with keep, the chunks in the order they were started
+	cur    int   // with keep, the index of chunk in chunks
 }
 
-// carve returns n elements with cap == len, starting a new chunk when the
-// current one is too short; room bounds how many more the caller can still
-// need, so that no chunk is larger than its input could fill.
+// carve returns n elements with cap == len, moving on to the next kept chunk
+// or starting a new one when the current one is too short; room bounds how
+// many more the caller can still need, so that no chunk is larger than its
+// input could fill.
 func (s *slab[T]) carve(n, room, scale int) []T {
 	if n > len(s.chunk)-s.used {
-		s.next = min(max(2*s.next, minChunk*scale), maxChunk*scale)
-		s.chunk, s.used, s.mark = make([]T, max(n, min(s.next, n+room))), 0, 0
+		s.advance(n, room, scale)
 	}
 	s.used += n
 	return s.chunk[s.used-n : s.used : s.used]
+}
+
+func (s *slab[T]) advance(n, room, scale int) {
+	s.used, s.mark = 0, 0
+	for s.cur+1 < len(s.chunks) {
+		s.cur++
+		if s.chunk = s.chunks[s.cur]; n <= len(s.chunk) {
+			return
+		}
+	}
+	s.next = min(max(2*s.next, minChunk*scale), maxChunk*scale)
+	s.chunk = make([]T, max(n, min(s.next, n+room)))
+	if s.keep {
+		s.chunks = append(s.chunks, s.chunk)
+		s.cur = len(s.chunks) - 1
+	}
+}
+
+// recycle starts handing out the kept chunks again from the first.
+func (s *slab[T]) recycle() {
+	if !s.keep {
+		s.keep = true
+		if s.chunk != nil {
+			s.chunks = append(s.chunks, s.chunk)
+		}
+	}
+	if len(s.chunks) > 0 {
+		s.chunk, s.cur = s.chunks[0], 0
+	}
+	s.used = 0
 }
 
 // Parser decodes JSON values into slab-backed trees. The zero value is ready;
@@ -105,10 +141,13 @@ type Parser struct {
 // Recycle lets the next parse reuse the slab space of every value the parser
 // has returned: a caller that is done with them — it walked each document
 // once and kept copies of what it needed — stops allocating once the
-// parser's chunks fit a document. Those values must not be read again:
-// later parses overwrite their strings and composites.
+// parser's chunks fit what it parses between recycles, be that one document
+// or a batch of them. Those values must not be read again: later parses
+// overwrite their strings and composites.
 func (p *Parser) Recycle() {
-	p.elems.used, p.mems.used, p.strs.used = 0, 0, 0
+	p.elems.recycle()
+	p.mems.recycle()
+	p.strs.recycle()
 }
 
 // Parse decodes a single JSON value from data, like the package-level Parse.

@@ -242,6 +242,43 @@ func TestFailedParsesHandBackTheirSlabSpace(t *testing.T) {
 	}
 }
 
+// TestRecycledParserKeepsEveryChunk: values parsed between two recycles
+// may span several chunks of each slab, as a batch of documents does (here
+// over 64 KiB of strings and 1024 members, the largest chunks). A
+// recycle must keep them all, so that parsing the same batch again
+// allocates nothing: keeping only the current chunk costs every other chunk
+// anew on each round.
+func TestRecycledParserKeepsEveryChunk(t *testing.T) {
+	var docs [][]byte
+	for i := 0; i < 64; i++ {
+		docs = append(docs, []byte(fmt.Sprintf(`{"id":%d,"text":"%s","tags":["a","b%d","c","d"],"user":{"name":"u%d","langs":["en","de"],"f":1,"g":2,"h":3,"i":4,"j":5,"k":6,"l":7,"m":8,"n":9,"o":10,"p":11,"q":12,"r":13}}`,
+			i, strings.Repeat("payload ", 200+i%7), i, i)))
+	}
+	var p Parser
+	round := func() {
+		p.Recycle()
+		for _, doc := range docs {
+			if _, err := p.Parse(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round()
+	if chunks := len(p.strs.chunks); chunks < 2 {
+		t.Fatalf("the batch filled %d string chunk(s); want several", chunks)
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+		t.Errorf("10 recycled rounds of %d documents allocated %d bytes, want none", len(docs), got)
+	}
+}
+
 // TestParserInternsKeys: from the second document on, equal member names
 // are one string.
 func TestParserInternsKeys(t *testing.T) {
