@@ -72,7 +72,7 @@ race-cover:
 crashfuzz:
 	$(GO) run ./cmd/betze-bench -crashfuzz
 
-# Exhaustive enumeration of every crash point in every trace (397 at seed 1;
+# Exhaustive enumeration of every crash point in every trace (402 at seed 1;
 # the runlog trace is one journal file: appends, a close/reopen, a final
 # close), plus more campaign resume points. Not part of `make check`; run
 # before touching runlog/fsatomic/jobqueue internals.

@@ -20,8 +20,9 @@
 //
 //	betze-bench -exp resilience -faults 0.3 -fault-seed 7 -retries 3
 //
-// Durability: -journal writes a crash-safe run journal (a write-ahead log
-// checkpointing every completed session and experiment), and -resume
+// Durability: -journal writes a crash-safe run journal — the jobqueue
+// journal betze-web's campaigns use, holding the run as one job that
+// checkpoints every completed session and experiment — and -resume
 // replays such a journal after a crash or kill, skipping completed work and
 // re-executing only the tail. With -det-timing, measured durations are
 // replaced by deterministic functions of each operation's work counters, so
@@ -34,6 +35,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,6 +49,7 @@ import (
 	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/fsatomic"
 	"github.com/joda-explore/betze/internal/harness"
+	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/obs"
 	"github.com/joda-explore/betze/internal/runlog"
 )
@@ -58,7 +61,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("betze-bench", flag.ContinueOnError)
 	var cfg harness.Config
 	experiments := harness.Experiments()
@@ -100,7 +103,6 @@ func run(args []string, out io.Writer) error {
 		return runCrashFuzz(out, *errfsSeed, *crashfuzzDeep)
 	}
 
-	var err error
 	if cfg.NoBenchSweep, err = parseInts(*sweep); err != nil {
 		return fmt.Errorf("-nobench-sweep: %w", err)
 	}
@@ -147,39 +149,46 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var journal *harness.RunJournal
-	var replay *harness.Replay
+	// The experiment layer is fully context-plumbed: one interrupt-aware
+	// root context cancels every in-flight session, import and query
+	// cleanly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	var job *runJob
 	switch {
 	case *journalDir != "":
-		w, err := runlog.Create(*journalDir, runlog.Options{})
-		if err != nil {
+		// Starting over beside an interrupted run would bury its
+		// checkpoints: an existing journal is resumed, never reused.
+		if _, err := runlog.Recover(*journalDir); !errors.Is(err, runlog.ErrNoJournal) {
+			if err == nil {
+				err = fmt.Errorf("%w in %s", runlog.ErrExists, *journalDir)
+			}
 			return fmt.Errorf("-journal: %w", err)
 		}
-		journal = harness.NewRunJournal(w, cfg.Obs)
+		if job, err = openRunJob(ctx, *journalDir, jobqueue.Options{Obs: cfg.Obs}, fingerprint); err != nil {
+			return fmt.Errorf("-journal: %w", err)
+		}
 	case *resumeDir != "":
 		recovery, err := runlog.Recover(*resumeDir)
 		if err != nil {
 			return fmt.Errorf("-resume: %w", err)
 		}
 		reportRecovery(cfg.Obs, recovery)
-		replay, err = harness.NewReplay(recovery)
-		if err != nil {
+		if job, err = openRunJob(ctx, *resumeDir, jobqueue.Options{Obs: cfg.Obs}, fingerprint); err != nil {
 			return fmt.Errorf("-resume: %w", err)
 		}
-		if fp := replay.Fingerprint(); fp != "" && fp != fingerprint {
-			return fmt.Errorf("-resume: %w (journal: %s, flags: %s)", harness.ErrJournalMismatch, fp, fingerprint)
-		}
-		w, err := runlog.Open(*resumeDir, runlog.Options{})
-		if err != nil {
-			return fmt.Errorf("-resume: %w", err)
-		}
-		journal = harness.NewRunJournal(w, cfg.Obs)
-		fmt.Fprintf(out, "resuming: journal holds %d records, %d completed sessions\n",
-			replay.Records(), replay.Sessions())
+		fmt.Fprintf(out, "resuming: journal holds %d records, %d checkpoints\n",
+			len(recovery.Records), job.snap.Checkpoints)
 	}
-	if journal != nil {
-		defer journal.Close()
-		journal.RunStart(fingerprint)
+
+	if job != nil {
+		// A run that fails or is interrupted is released for -resume.
+		defer func() {
+			if ferr := job.finish(err); err == nil && ferr != nil {
+				err = fmt.Errorf("journal: %w", ferr)
+			}
+		}()
 	}
 
 	env, err := harness.NewEnv(cfg)
@@ -187,13 +196,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer env.Close()
-	env.SetJournal(journal, replay)
-
-	// The experiment layer is fully context-plumbed: one interrupt-aware
-	// root context cancels every in-flight session, import and query
-	// cleanly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	if job != nil {
+		env.SetCheckpoints(job.checkpoints())
+	}
 
 	if *exp != "all" {
 		e, err := harness.ByID(*exp)
@@ -232,11 +237,8 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "(%s took %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if journal != nil {
-		journal.RunEnd()
-		if err := journal.Close(); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
+	if err := env.CheckpointErr(); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	if rec != nil {
 		if err := rec.Err(); err != nil {

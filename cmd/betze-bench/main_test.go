@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/joda-explore/betze/internal/errfs"
 	"github.com/joda-explore/betze/internal/harness"
+	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/runlog"
 )
 
@@ -48,8 +50,9 @@ func workFlags() []string {
 	}
 }
 
-// journalSessionCount recovers the journal and tallies session records and
-// their keys (duplicate keys mean completed work was re-executed).
+// journalSessionCount recovers the journal and tallies table2's session
+// checkpoints and their keys (duplicate keys mean completed work was
+// re-executed).
 func journalSessionCount(t *testing.T, dir string) (int, map[string]int) {
 	t.Helper()
 	rec, err := runlog.Recover(dir)
@@ -59,16 +62,13 @@ func journalSessionCount(t *testing.T, dir string) (int, map[string]int) {
 	keys := map[string]int{}
 	n := 0
 	for _, payload := range rec.Records {
-		var jr struct {
-			Type string          `json:"type"`
-			Key  json.RawMessage `json:"key"`
-		}
-		if err := json.Unmarshal(payload, &jr); err != nil {
+		var r struct{ Type, Key string }
+		if err := json.Unmarshal(payload, &r); err != nil {
 			t.Fatalf("bad journal payload %q: %v", payload, err)
 		}
-		if jr.Type == "session" {
+		if r.Type == jobqueue.RecCheckpoint && strings.HasPrefix(r.Key, "table2/") {
 			n++
-			keys[string(jr.Key)]++
+			keys[r.Key]++
 		}
 	}
 	return n, keys
@@ -107,7 +107,7 @@ func TestKillAndResume(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 
-	// Kill as soon as two sessions are durably journaled. Reading a journal
+	// Kill as soon as two sessions are durably checkpointed. Reading a journal
 	// under active writes legitimately sees a torn tail; only completed
 	// records count.
 	deadline := time.After(2 * time.Minute)
@@ -127,7 +127,7 @@ poll:
 		if rec, err := runlog.Recover(childJournal); err == nil {
 			sessions := 0
 			for _, payload := range rec.Records {
-				if bytes.Contains(payload, []byte(`"type":"session"`)) {
+				if bytes.Contains(payload, []byte(`"key":"table2/`)) {
 					sessions++
 				}
 			}
@@ -227,6 +227,119 @@ func TestJournalRefusesExistingJournal(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Errorf("existing journal accepted: %v", err)
 	}
+}
+
+// TestResumeRefusesOldJournalFormat: a journal of the record format
+// betze-bench wrote before its runs became jobqueue jobs (run_start,
+// experiment_start, session, … records) is refused, and left as it was:
+// nothing of it is replayed and nothing is appended to it.
+func TestResumeRefusesOldJournalFormat(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	w, err := runlog.Create(jdir, runlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{
+		`{"type":"run_start","fingerprint":"{\"exp\":\"table1\"}"}`,
+		`{"type":"experiment_start","experiment":"table2"}`,
+		`{"type":"session","key":{"experiment":"table2","engine":"JODA","dataset":"Twitter","seed":123,"occurrence":0},` +
+			`"session":{"engine":"JODA","seed":123,"import":{"docs":8,"bytes":900,"duration_us":9},"completed":0,"skipped":0}}`,
+	} {
+		if err := w.AppendSync([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(jdir, "current.wal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run([]string{"-exp", "table1", "-resume", jdir, "-dir", t.TempDir()}, &out)
+	if err == nil {
+		t.Fatalf("old-format journal resumed:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "===") {
+		t.Errorf("an experiment ran before the refusal:\n%s", out.String())
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("refused journal changed: %d bytes before, %d after", len(before), len(after))
+	}
+}
+
+// TestThreeResumesInARow: a run killed after one more session checkpoint
+// each time, and resumed after every kill, still finishes with the
+// uninterrupted run's exports. Every resume claims the run's job once
+// more, so this fails if the run journal keeps jobqueue's default claim
+// bound, which abandons a job claimed three times.
+func TestThreeResumesInARow(t *testing.T) {
+	cfg, exp, err := crashFuzzWork(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fsys errfs.FS = errfs.NewMem()
+	want, err := runJournaled(fsys, cfg, exp)
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	if n, err := sessionCheckpoints(fsys, exp); err != nil || n < 3 {
+		t.Fatalf("uninterrupted run checkpointed %d sessions (%v), want at least 3", n, err)
+	}
+	for kill := 1; kill <= 3; kill++ {
+		fsys = killedAfterSessions(t, fsys, exp, kill)
+		got, err := runJournaled(fsys, cfg, exp)
+		if err != nil {
+			t.Fatalf("resume %d: %v", kill, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("resume %d exports differ:\n--- uninterrupted\n%s\n--- resumed\n%s", kill, want, got)
+		}
+	}
+}
+
+// killedAfterSessions returns a new in-memory filesystem holding the run
+// journal on fsys up to and including its k-th session checkpoint: the
+// state a SIGKILL leaves once that checkpoint is durable.
+func killedAfterSessions(t *testing.T, fsys errfs.FS, exp harness.Experiment, k int) errfs.FS {
+	t.Helper()
+	rec, err := runlog.RecoverFS(fsys, crashFuzzJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := errfs.NewMem()
+	w, err := runlog.Create(crashFuzzJournal, runlog.Options{FS: killed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := 0
+	for _, payload := range rec.Records {
+		if err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		var r struct{ Type, Key string }
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Type == jobqueue.RecCheckpoint && strings.HasPrefix(r.Key, exp.ID+"/") {
+			if sessions++; sessions == k {
+				break
+			}
+		}
+	}
+	if sessions != k {
+		t.Fatalf("journal holds %d session checkpoints, want %d", sessions, k)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return killed
 }
 
 func TestResumeMissingJournal(t *testing.T) {

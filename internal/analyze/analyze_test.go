@@ -106,6 +106,37 @@ func TestReaderPropagatesSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestReaderCutsNumbersLikeTheParser: a top-level number ends where the
+// parser ends it, not at the end of its run of number characters, so every
+// worker count reads the same documents, or reports the same error.
+func TestReaderCutsNumbersLikeTheParser(t *testing.T) {
+	for _, tc := range []struct {
+		stream string
+		docs   int64  // when err is empty
+		err    string // the error every worker count reports
+	}{
+		{stream: `12-3`, docs: 2},
+		{stream: `-1-2`, docs: 2},
+		{stream: `1.5e3-2`, docs: 2},
+		{stream: `{"a":1}12-3`, docs: 3},
+		{stream: `1e5e5`, err: `analyze: jsonval: syntax error at offset 3: unexpected character 'e'`},
+	} {
+		for _, workers := range []int{1, 2, 3} {
+			d, err := Reader("d", strings.NewReader(tc.stream), Options{Workers: workers})
+			switch {
+			case tc.err != "":
+				if err == nil || err.Error() != tc.err {
+					t.Errorf("%q, workers=%d: err = %v, want %s", tc.stream, workers, err, tc.err)
+				}
+			case err != nil:
+				t.Errorf("%q, workers=%d: %v", tc.stream, workers, err)
+			case d.DocCount != tc.docs:
+				t.Errorf("%q, workers=%d: %d documents, want %d", tc.stream, workers, d.DocCount, tc.docs)
+			}
+		}
+	}
+}
+
 func TestReaderEmptyStream(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		d, err := Reader("d", strings.NewReader(""), Options{Workers: workers})

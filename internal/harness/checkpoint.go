@@ -4,30 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"sync"
 
+	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/obs"
-	"github.com/joda-explore/betze/internal/runlog"
 )
 
-// This file is the durability layer above the runlog write-ahead journal:
-// every completed work unit (a session on one engine, a whole experiment) is
-// appended as one JSON record, and a resumed run replays the journal to skip
-// work it already holds. Session generation is deterministic per seed, so
-// the same configuration always enumerates the same work keys — the skip set
-// of a resume is exactly the completed prefix of the interrupted run.
+// This file checkpoints experiments through the checkpoints of a jobqueue
+// job, the journal betze-web's campaigns use: every completed work unit (a
+// session on one engine, a whole experiment) is saved under its own key,
+// and a resumed run loads what an earlier attempt saved instead of running
+// it again. Session generation is deterministic per seed, so the same
+// configuration always enumerates the same work keys — the skip set of a
+// resume is exactly the completed prefix of the interrupted run.
 
-// ErrJournalMismatch reports a -resume against a journal whose recorded
-// configuration fingerprint differs from the current run's.
-var ErrJournalMismatch = errors.New("harness: journal written by a different configuration")
-
-// ErrBadJournalRecord reports a journal payload that is not a valid
-// checkpoint record (foreign journal, or corruption the checksum missed).
-var ErrBadJournalRecord = errors.New("harness: malformed journal record")
-
-// WorkKey identifies one journaled session execution. Occurrence
+// WorkKey identifies one checkpointed session execution. Occurrence
 // disambiguates repeats of the same (experiment, engine, dataset, seed)
 // tuple — Fig. 9 runs the identical JODA session once per thread count, and
 // the resilience experiment sweeps fault rates over one session. Repeats are
@@ -52,274 +43,114 @@ type workIdentity struct {
 	seed                        int64
 }
 
-// Journal record types.
-const (
-	recRunStart      = "run_start"
-	recExperimentBeg = "experiment_start"
-	recSession       = "session"
-	recExperimentEnd = "experiment_end"
-	recRunEnd        = "run_end"
-)
+// resultKey is the checkpoint key of a finished experiment's Result. Every
+// session key ends in "#<occurrence>", so "#result" never names a session.
+func resultKey(id string) string { return id + "#result" }
 
-// journalRecord is the JSON payload of one runlog record.
-type journalRecord struct {
-	Type string `json:"type"`
-	// Fingerprint is the canonical configuration fingerprint (run_start).
-	Fingerprint string `json:"fingerprint,omitempty"`
-	// Experiment is the experiment ID (experiment_start/experiment_end).
-	Experiment string `json:"experiment,omitempty"`
-	// Key identifies a session record.
-	Key *WorkKey `json:"key,omitempty"`
-	// Session is the journaled session result.
-	Session *SessionRecord `json:"session,omitempty"`
-	// Result is the full experiment result (experiment_end), so a resumed
-	// run re-exports completed experiments byte-identically without
-	// re-running them.
-	Result *Result `json:"result,omitempty"`
+// SetCheckpoints attaches the checkpoints of the job this environment's
+// experiments run as. Every completed session and experiment is then saved,
+// and a unit an earlier attempt saved is loaded instead of run. A nil cp
+// tracks nothing.
+func (e *Env) SetCheckpoints(cp *jobqueue.Checkpoints) {
+	e.cp = cp
 }
 
-// RunJournal appends checkpoint records to a runlog writer as work units
-// complete. It is safe for concurrent use; like the trace recorder, the
-// first append failure is retained and later appends become no-ops, so a
-// full disk degrades durability instead of crashing the benchmark.
-type RunJournal struct {
-	mu  sync.Mutex
-	w   *runlog.Writer
-	obs obs.Scope
-	err error
-}
+// CheckpointErr reports the first checkpoint that could not be saved. A
+// failed save does not stop the run, whose results are still correct; it
+// only leaves a resume less to skip. Later saves are not attempted.
+func (e *Env) CheckpointErr() error { return e.cpErr }
 
-// NewRunJournal wraps a runlog writer. Checkpoint appends and their
-// failures are reported through scope.
-func NewRunJournal(w *runlog.Writer, scope obs.Scope) *RunJournal {
-	return &RunJournal{w: w, obs: scope}
-}
-
-// append marshals and durably appends one record (fsync per work unit).
-func (j *RunJournal) append(rec journalRecord) {
-	if j == nil {
-		return
+// load decodes the checkpoint saved under key into v, and reports whether
+// there was one. A checkpoint that does not decode strictly — one carrying
+// a field this version does not write, such as a session in the record
+// shape before SessionRecord — is an error: replaying it would report a
+// result nothing measured.
+func (e *Env) load(key string, v any) (bool, error) {
+	data, ok := e.cp.Load(key)
+	if !ok {
+		return false, nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return true, fmt.Errorf("checkpoint %s: %w", key, err)
 	}
-	payload, err := json.Marshal(rec)
+	if dec.More() {
+		return true, fmt.Errorf("checkpoint %s: trailing data", key)
+	}
+	return true, nil
+}
+
+// save checkpoints v under key and reports whether it did. The first
+// failure is kept for CheckpointErr, and no save is attempted after it.
+func (e *Env) save(key string, v any) bool {
+	if e.cpErr != nil {
+		return false
+	}
+	data, err := json.Marshal(v)
+	if err == nil {
+		err = e.cp.Save(key, data)
+	}
 	if err != nil {
-		j.err = fmt.Errorf("harness: encoding journal record: %w", err)
-		return
+		e.cpErr = fmt.Errorf("harness: checkpoint %s: %w", key, err)
+		return false
 	}
-	// The mutex exists precisely to serialise appends: every writer must
-	// queue behind the fsync, and the journal has no other critical section
-	// to stall. Holding it across AppendSync is the design, not an accident.
-	if err := j.w.AppendSync(payload); err != nil {
-		j.err = fmt.Errorf("harness: appending journal record: %w", err)
-		return
-	}
-	j.obs.Counter(obs.MRunlogAppends).Inc()
-}
-
-// RunStart records the configuration fingerprint opening this run (or
-// resume generation — a resumed journal holds one run_start per attempt,
-// all with the same fingerprint).
-func (j *RunJournal) RunStart(fingerprint string) {
-	j.append(journalRecord{Type: recRunStart, Fingerprint: fingerprint})
-}
-
-// BeginExperiment records an experiment starting.
-func (j *RunJournal) BeginExperiment(id string) {
-	j.append(journalRecord{Type: recExperimentBeg, Experiment: id})
-}
-
-// Session checkpoints one completed session execution.
-func (j *RunJournal) Session(key WorkKey, rec SessionRecord) {
-	if j == nil {
-		return
-	}
-	j.append(journalRecord{Type: recSession, Key: &key, Session: &rec})
-	j.obs.Record(obs.Event{
-		Type: obs.EvCheckpoint, Kind: obs.KindSession, Engine: key.Engine,
-		Dataset: key.Dataset, Session: key.String(),
-	})
-}
-
-// EndExperiment checkpoints a completed experiment with its full result.
-func (j *RunJournal) EndExperiment(id string, res *Result) {
-	if j == nil {
-		return
-	}
-	j.append(journalRecord{Type: recExperimentEnd, Experiment: id, Result: res})
-	j.obs.Record(obs.Event{Type: obs.EvCheckpoint, Kind: obs.KindExperiment, Session: id})
-}
-
-// RunEnd records the run completing every requested experiment.
-func (j *RunJournal) RunEnd() {
-	j.append(journalRecord{Type: recRunEnd})
-}
-
-// Err reports the first append failure the journal suppressed, if any.
-func (j *RunJournal) Err() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Close syncs and closes the journal.
-func (j *RunJournal) Close() error {
-	if j == nil {
-		return nil
-	}
-	if err := j.w.Close(); err != nil {
-		return err
-	}
-	return j.Err()
-}
-
-// Replay is the parsed state of a recovered journal: which sessions and
-// experiments already completed, keyed for deterministic skipping.
-type Replay struct {
-	fingerprint string
-	sessions    map[WorkKey]SessionRecord
-	experiments map[string]*Result
-	records     int
-}
-
-// NewReplay parses recovered journal records. All run_start fingerprints in
-// the journal must agree (each resume generation re-records it); a payload
-// that does not parse as a checkpoint record — including one carrying
-// fields this version does not write, such as a session in an older record
-// shape — wraps ErrBadJournalRecord.
-func NewReplay(rec *runlog.Recovery) (*Replay, error) {
-	rp := &Replay{
-		sessions:    make(map[WorkKey]SessionRecord),
-		experiments: make(map[string]*Result),
-		records:     len(rec.Records),
-	}
-	for i, payload := range rec.Records {
-		var jr journalRecord
-		dec := json.NewDecoder(bytes.NewReader(payload))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&jr); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrBadJournalRecord, i, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("%w: record %d: trailing data", ErrBadJournalRecord, i)
-		}
-		switch jr.Type {
-		case recRunStart:
-			if rp.fingerprint == "" {
-				rp.fingerprint = jr.Fingerprint
-			} else if jr.Fingerprint != rp.fingerprint {
-				return nil, fmt.Errorf("%w: record %d changes the fingerprint", ErrJournalMismatch, i)
-			}
-		case recSession:
-			if jr.Key == nil || jr.Session == nil {
-				return nil, fmt.Errorf("%w: record %d: session without key or body", ErrBadJournalRecord, i)
-			}
-			rp.sessions[*jr.Key] = *jr.Session
-		case recExperimentEnd:
-			if jr.Result == nil {
-				return nil, fmt.Errorf("%w: record %d: experiment_end without result", ErrBadJournalRecord, i)
-			}
-			rp.experiments[jr.Experiment] = jr.Result
-		case recExperimentBeg, recRunEnd:
-			// Markers only; carry no replayable state.
-		default:
-			return nil, fmt.Errorf("%w: record %d: unknown type %q", ErrBadJournalRecord, i, jr.Type)
-		}
-	}
-	return rp, nil
-}
-
-// Fingerprint returns the configuration fingerprint the journal was written
-// under (empty for an empty journal).
-func (rp *Replay) Fingerprint() string { return rp.fingerprint }
-
-// Records returns how many journal records were replayed.
-func (rp *Replay) Records() int { return rp.records }
-
-// Sessions returns how many completed sessions the journal holds.
-func (rp *Replay) Sessions() int { return len(rp.sessions) }
-
-// ExperimentResult returns the journaled result of a completed experiment.
-func (rp *Replay) ExperimentResult(id string) (*Result, bool) {
-	if rp == nil {
-		return nil, false
-	}
-	res, ok := rp.experiments[id]
-	return res, ok
-}
-
-// Session returns the journaled result of a completed session.
-func (rp *Replay) Session(key WorkKey) (SessionRecord, bool) {
-	if rp == nil {
-		return SessionRecord{}, false
-	}
-	res, ok := rp.sessions[key]
-	return res, ok
-}
-
-// SetJournal attaches a checkpoint journal and an optional replay of a
-// prior interrupted run to the environment. With a journal, every completed
-// session and experiment is appended durably; with a replay, work units the
-// journal already holds are skipped and their journaled results returned.
-func (e *Env) SetJournal(j *RunJournal, rp *Replay) {
-	e.journal = j
-	e.replay = rp
+	return true
 }
 
 // RunExperiment executes one experiment under checkpointing: a completed
-// experiment found in the replay is returned without running (resumed=true),
-// otherwise the experiment runs with session-granular journaling and its
-// result is checkpointed on success. An experiment whose context ends while
-// it runs (Ctrl-C) returns the context's error and is not checkpointed: its
-// sessions failed because of the interruption, not because of the engines,
-// and a resume must re-run them.
+// experiment found in the checkpoints is returned without running
+// (resumed=true), otherwise the experiment runs with session-granular
+// checkpoints and its result is saved on success. An experiment whose
+// context ends while it runs (Ctrl-C) returns the context's error and saves
+// nothing more: its sessions failed because of the interruption, not
+// because of the engines, and a resume must re-run them. A checkpoint that
+// does not decode stops the experiment the same way.
 func (e *Env) RunExperiment(ctx context.Context, exp Experiment) (res *Result, resumed bool, err error) {
-	if e.replay != nil {
-		if res, ok := e.replay.ExperimentResult(exp.ID); ok {
+	key := resultKey(exp.ID)
+	if e.cp != nil {
+		res = new(Result)
+		found, err := e.load(key, res)
+		if err != nil {
+			return nil, false, fmt.Errorf("harness: %w", err)
+		}
+		if found {
 			e.Cfg.Obs.Record(obs.Event{Type: obs.EvResumeSkip, Kind: obs.KindExperiment, Session: exp.ID})
 			e.Cfg.Obs.Counter(obs.MHarnessResumeSkips).Inc()
 			return res, true, nil
 		}
 	}
-	e.beginExperiment(exp.ID)
-	defer e.beginExperiment("")
-	e.journal.BeginExperiment(exp.ID)
+	ctx, abort := context.WithCancelCause(ctx)
+	defer abort(nil)
+	e.beginExperiment(exp.ID, abort)
+	defer e.beginExperiment("", nil)
 	res, err = exp.Run(ctx, e)
+	if ctx.Err() != nil {
+		return nil, false, fmt.Errorf("harness: %s interrupted: %w", exp.ID, context.Cause(ctx))
+	}
 	if err != nil {
 		return nil, false, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("harness: %s interrupted: %w", exp.ID, err)
+	if e.cp != nil && e.save(key, res) {
+		e.Cfg.Obs.Record(obs.Event{Type: obs.EvCheckpoint, Kind: obs.KindExperiment, Session: exp.ID})
 	}
-	e.journal.EndExperiment(exp.ID, res)
 	return res, false, nil
 }
 
-// beginExperiment scopes subsequent session keys to an experiment and
-// resets the per-identity repeat counters.
-func (e *Env) beginExperiment(id string) {
-	e.keyMu.Lock()
+// beginExperiment scopes subsequent session keys to an experiment, resets
+// the per-identity repeat counters, and sets what stops the experiment when
+// one of its checkpoints does not decode.
+func (e *Env) beginExperiment(id string, abort context.CancelCauseFunc) {
 	e.curExperiment = id
 	e.occurrences = make(map[workIdentity]int)
-	e.keyMu.Unlock()
+	e.abort = abort
 }
 
 // nextKey assigns the work key for a session execution about to run. The
 // second return is false when the environment is not running under
 // RunExperiment-with-checkpointing, in which case sessions are not tracked.
 func (e *Env) nextKey(engineName, dataset string, seed int64) (WorkKey, bool) {
-	if e.journal == nil && e.replay == nil {
-		return WorkKey{}, false
-	}
-	e.keyMu.Lock()
-	defer e.keyMu.Unlock()
-	if e.curExperiment == "" {
+	if e.cp == nil || e.curExperiment == "" {
 		return WorkKey{}, false
 	}
 	id := workIdentity{experiment: e.curExperiment, engine: engineName, dataset: dataset, seed: seed}

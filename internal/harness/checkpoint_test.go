@@ -6,354 +6,396 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/joda-explore/betze/internal/errfs"
+	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/obs"
 	"github.com/joda-explore/betze/internal/runlog"
 )
 
-const testFingerprint = "test-fingerprint"
+// testJournal is the run journal's directory on the in-memory filesystem.
+const testJournal = "journal"
 
-// journaledRun executes one experiment with checkpointing into jdir and an
-// optional replay, returning the result and whether it was resumed whole.
-func journaledRun(t *testing.T, cfg Config, exp Experiment, jdir string, rp *Replay) (*Result, bool) {
+var table2 = Experiment{ID: "table2", Run: Table2}
+
+// checkpointedRun runs exp as the one job of the jobqueue journal on fsys:
+// it submits the job to an empty journal, claims it unless it is done, and
+// marks it done when the experiment succeeds. A run that fails leaves the
+// job claimed, as a killed process would.
+func checkpointedRun(ctx context.Context, t *testing.T, cfg Config, exp Experiment, fsys errfs.FS) (*Result, bool, error) {
 	t.Helper()
-	var w *runlog.Writer
-	var err error
-	if rp == nil {
-		w, err = runlog.Create(jdir, runlog.Options{NoSync: true})
-	} else {
-		w, err = runlog.Open(jdir, runlog.Options{NoSync: true})
-	}
+	q, err := jobqueue.Open(testJournal, jobqueue.Options{FS: fsys, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := NewRunJournal(w, cfg.Obs)
-	j.RunStart(testFingerprint)
+	defer q.Close()
+	var job jobqueue.Snapshot
+	if jobs := q.List(); len(jobs) > 0 {
+		job = jobs[0]
+	} else if job, err = q.Submit("test", json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	done := job.State == jobqueue.StateDone
+	if !done {
+		if job, err = q.Claim(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	env, err := NewEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	env.SetJournal(j, rp)
-	res, resumed, err := env.RunExperiment(context.Background(), exp)
-	if err != nil {
-		t.Fatalf("%s: %v", exp.ID, err)
+	env.SetCheckpoints(q.Checkpoints(job.ID))
+	res, resumed, err := env.RunExperiment(ctx, exp)
+	if err == nil {
+		err = env.CheckpointErr()
 	}
-	j.RunEnd()
-	if err := j.Close(); err != nil {
-		t.Fatalf("journal close: %v", err)
+	if err == nil && !done {
+		if err := q.Done(job.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return res, resumed
-}
-
-// TestRunExperimentWithoutJournal pins the un-journaled path: RunExperiment
-// with no SetJournal must execute normally — every RunJournal method is
-// nil-receiver safe, not just append.
-func TestRunExperimentWithoutJournal(t *testing.T) {
-	env := newTinyEnv(t)
-	exp := Experiment{ID: "table2", Run: Table2}
-	res, resumed, err := env.RunExperiment(context.Background(), exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed {
-		t.Error("un-journaled run reported as resumed")
-	}
-	if res == nil || len(res.Tables) == 0 {
-		t.Fatalf("empty result: %+v", res)
-	}
-	var j *RunJournal
-	j.RunStart("fp")
-	j.BeginExperiment("table2")
-	j.Session(WorkKey{}, SessionRecord{})
-	j.EndExperiment("table2", res)
-	j.RunEnd()
-	if err := j.Err(); err != nil {
-		t.Errorf("nil journal Err: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Errorf("nil journal Close: %v", err)
-	}
+	return res, resumed, err
 }
 
 // exports renders a result in every machine- and human-readable form.
-func exports(t *testing.T, res *Result) (string, string, string) {
+func exports(t *testing.T, res *Result) [3]string {
 	t.Helper()
 	js, err := res.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Text(), res.CSV(), string(js)
+	return [3]string{res.Text(), res.CSV(), string(js)}
 }
 
-// countRecords tallies journal record types in jdir.
-func countRecords(t *testing.T, jdir string) map[string]int {
+// journalRecords returns the records of the run journal on fsys.
+func journalRecords(t *testing.T, fsys errfs.FS) [][]byte {
 	t.Helper()
-	rec, err := runlog.Recover(jdir)
+	rec, err := runlog.RecoverFS(fsys, testJournal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	for _, payload := range rec.Records {
-		var jr struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(payload, &jr); err != nil {
-			t.Fatalf("bad journal payload: %v", err)
-		}
-		counts[jr.Type]++
-	}
-	return counts
+	return rec.Records
 }
 
-// TestResumeDeterminism is the satellite acceptance test at unit scale: run
-// an experiment journaled, cut the journal after k completed sessions (the
-// effect of a crash), resume into a fresh environment, and assert the merged
-// result is byte-identical to the uninterrupted run for every exporter.
-func TestResumeDeterminism(t *testing.T) {
+// checkpointKey returns the key of a checkpoint record, or "" for any
+// other record.
+func checkpointKey(t *testing.T, payload []byte) string {
+	t.Helper()
+	var r struct{ Type, Key string }
+	if err := json.Unmarshal(payload, &r); err != nil {
+		t.Fatalf("bad journal payload: %v", err)
+	}
+	if r.Type != jobqueue.RecCheckpoint {
+		return ""
+	}
+	return r.Key
+}
+
+// countCheckpoints tallies a run journal's session checkpoints by key and
+// its experiment result checkpoints.
+func countCheckpoints(t *testing.T, records [][]byte, exp Experiment) (sessions map[string]int, results int) {
+	t.Helper()
+	sessions = map[string]int{}
+	for _, payload := range records {
+		switch key := checkpointKey(t, payload); {
+		case key == resultKey(exp.ID):
+			results++
+		case key != "":
+			sessions[key]++
+		}
+	}
+	return sessions, results
+}
+
+// total sums a checkpoint tally.
+func total(counts map[string]int) int {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
+
+// uninterrupted is table2 at tiny scale with det-timing, run once,
+// checkpointed, and shared by every test that compares against an
+// uninterrupted run.
+var uninterrupted struct {
+	once    sync.Once
+	exports [3]string
+	records [][]byte // the run journal's
+}
+
+func uninterruptedTable2(t *testing.T) ([3]string, [][]byte) {
+	t.Helper()
+	uninterrupted.once.Do(func() {
+		cfg := tinyConfig(t)
+		cfg.DetTiming = true
+		fsys := errfs.NewMem()
+		res, resumed, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
+		if err != nil || resumed {
+			t.Fatalf("uninterrupted table2: resumed=%v err=%v", resumed, err)
+		}
+		uninterrupted.exports = exports(t, res)
+		uninterrupted.records = journalRecords(t, fsys)
+	})
+	if uninterrupted.records == nil {
+		t.Fatal("the uninterrupted table2 run failed")
+	}
+	return uninterrupted.exports, uninterrupted.records
+}
+
+// diffExports reports every export of got that differs from want.
+func diffExports(t *testing.T, what string, want, got [3]string) {
+	t.Helper()
+	for i, form := range []string{"Text", "CSV", "JSON"} {
+		if got[i] != want[i] {
+			t.Errorf("%s: %s export differs:\n--- want\n%s\n--- got\n%s", what, form, want[i], got[i])
+		}
+	}
+}
+
+// TestRunExperimentWithoutJournal pins the untracked path: RunExperiment
+// with no SetCheckpoints runs normally, and exports exactly what a
+// checkpointed run exports.
+func TestRunExperimentWithoutJournal(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs table2 twice at tiny scale")
+		t.Skip("runs table2 at tiny scale")
 	}
-	exp, err := ByID("table2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := uninterruptedTable2(t)
 	cfg := tinyConfig(t)
 	cfg.DetTiming = true
-
-	fullDir := t.TempDir()
-	baseline, resumed := journaledRun(t, cfg, exp, fullDir, nil)
-	if resumed {
-		t.Fatal("fresh run reported resumed")
-	}
-	wantText, wantCSV, wantJSON := exports(t, baseline)
-	full := countRecords(t, fullDir)
-	totalSessions := full[recSession]
-	if totalSessions != 10 { // 5 engine specs x 2 datasets
-		t.Fatalf("table2 journaled %d sessions, want 10", totalSessions)
-	}
-
-	// Cut the journal after the 3rd completed session — the on-disk state a
-	// SIGKILL mid-experiment leaves behind.
-	const keep = 3
-	rec, err := runlog.Recover(fullDir)
+	env, err := NewEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cutDir := t.TempDir()
-	cw, err := runlog.Create(cutDir, runlog.Options{NoSync: true})
+	defer env.Close()
+	res, resumed, err := env.RunExperiment(context.Background(), table2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed {
+		t.Error("untracked run reported as resumed")
+	}
+	if res == nil || len(res.Tables) == 0 {
+		t.Fatalf("empty result: %+v", res)
+	}
+	if err := env.CheckpointErr(); err != nil {
+		t.Errorf("untracked CheckpointErr: %v", err)
+	}
+	diffExports(t, "untracked run", want, exports(t, res))
+}
+
+// cutAfterSessions writes the first records of a run journal, through its
+// k-th session checkpoint, as the journal of a new in-memory filesystem:
+// the state a SIGKILL leaves once that checkpoint is durable.
+func cutAfterSessions(t *testing.T, records [][]byte, exp Experiment, k int) *errfs.Mem {
+	t.Helper()
+	fsys := errfs.NewMem()
+	w, err := runlog.Create(testJournal, runlog.Options{FS: fsys, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sessions := 0
-	for _, payload := range rec.Records {
-		var jr struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(payload, &jr); err != nil {
+	for _, payload := range records {
+		if err := w.Append(payload); err != nil {
 			t.Fatal(err)
 		}
-		if jr.Type == recRunEnd || jr.Type == recExperimentEnd {
-			continue
-		}
-		if err := cw.Append(payload); err != nil {
-			t.Fatal(err)
-		}
-		if jr.Type == recSession {
-			if sessions++; sessions == keep {
+		if key := checkpointKey(t, payload); key != "" && key != resultKey(exp.ID) {
+			if sessions++; sessions == k {
 				break
 			}
 		}
 	}
-	if err := cw.Close(); err != nil {
+	if sessions != k {
+		t.Fatalf("journal holds %d session checkpoints, want at least %d", sessions, k)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	return fsys
+}
+
+// TestResumeDeterminism is the acceptance test at unit scale: cut the
+// journal of an uninterrupted run after k session checkpoints (the effect
+// of a crash), resume into a fresh environment, and assert the merged
+// result is byte-identical to the uninterrupted run for every exporter.
+func TestResumeDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs table2 at tiny scale")
+	}
+	want, records := uninterruptedTable2(t)
+	sessions, results := countCheckpoints(t, records, table2)
+	full := total(sessions)
+	if full != 10 || results != 1 { // 5 engine specs x 2 datasets
+		t.Fatalf("table2 checkpointed %d sessions and %d results, want 10 and 1", full, results)
 	}
 
-	cutRec, err := runlog.Recover(cutDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := NewReplay(cutRec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Fingerprint() != testFingerprint {
-		t.Fatalf("replay fingerprint = %q", rp.Fingerprint())
-	}
-	if rp.Sessions() != keep {
-		t.Fatalf("replay holds %d sessions, want %d", rp.Sessions(), keep)
-	}
-
-	// Resume in a fresh environment (different dataset dir): deterministic
-	// generation must reproduce the identical work keys and skip the prefix.
-	resumeCfg := cfg
-	resumeCfg.Dir = t.TempDir()
+	// Resume in a fresh environment (different dataset dir) from the
+	// journal cut after the 3rd session checkpoint: deterministic
+	// generation must reproduce the identical work keys and skip them.
+	const keep = 3
+	cut := cutAfterSessions(t, records, table2, keep)
+	cfg := tinyConfig(t)
+	cfg.DetTiming = true
 	reg := obs.NewRegistry()
-	resumeCfg.Obs = obs.Scope{Metrics: reg}
-	got, resumed := journaledRun(t, resumeCfg, exp, cutDir, rp)
+	cfg.Obs = obs.Scope{Metrics: reg}
+	got, resumed, err := checkpointedRun(context.Background(), t, cfg, table2, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resumed {
 		t.Fatal("partially-complete experiment reported resumed whole")
 	}
-	gotText, gotCSV, gotJSON := exports(t, got)
-	if gotText != wantText {
-		t.Errorf("Text export differs after resume:\n--- want\n%s\n--- got\n%s", wantText, gotText)
-	}
-	if gotCSV != wantCSV {
-		t.Errorf("CSV export differs after resume:\n--- want\n%s\n--- got\n%s", wantCSV, gotCSV)
-	}
-	if gotJSON != wantJSON {
-		t.Errorf("JSON export differs after resume:\n--- want\n%s\n--- got\n%s", wantJSON, gotJSON)
-	}
+	diffExports(t, "resumed run", want, exports(t, got))
 	if skips := reg.Counter(obs.MHarnessResumeSkips).Value(); skips != keep {
 		t.Errorf("resume skips = %d, want %d", skips, keep)
 	}
 	// The merged journal holds every session exactly once: the skipped
 	// prefix from before the cut plus only the re-executed tail.
-	merged := countRecords(t, cutDir)
-	if merged[recSession] != totalSessions {
-		t.Errorf("merged journal has %d session records, want %d", merged[recSession], totalSessions)
-	}
-	if merged[recExperimentEnd] != 1 || merged[recRunEnd] != 1 {
-		t.Errorf("merged journal counts: %v", merged)
+	sessions, results = countCheckpoints(t, journalRecords(t, cut), table2)
+	if total(sessions) != full || len(sessions) != full || results != 1 {
+		t.Errorf("merged journal: %d session checkpoints over %d keys and %d results, want %d, %d and 1",
+			total(sessions), len(sessions), results, full, full)
 	}
 
 	// A second resume finds the completed experiment and skips it whole,
-	// re-exporting the journaled result byte-identically.
-	rec2, err := runlog.Recover(cutDir)
+	// re-exporting the checkpointed result byte-identically.
+	again, resumed, err := checkpointedRun(context.Background(), t, cfg, table2, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp2, err := NewReplay(rec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, resumed := journaledRun(t, resumeCfg, exp, cutDir, rp2)
 	if !resumed {
 		t.Fatal("completed experiment not skipped whole")
 	}
-	againText, againCSV, againJSON := exports(t, again)
-	if againText != wantText || againCSV != wantCSV || againJSON != wantJSON {
-		t.Error("whole-experiment resume exports differ from baseline")
-	}
+	diffExports(t, "whole-experiment resume", want, exports(t, again))
 }
 
 // TestInterruptedRunCheckpointsNothing pins the Ctrl-C path: an experiment
 // run under an already-cancelled context fails every session at once, and
-// none of those failures may reach the journal — otherwise a resume would
+// none of those failures may be checkpointed — otherwise a resume would
 // replay a table of "load failed" cells as a completed result. Resuming
 // from what the interrupted run left must reproduce the uninterrupted
 // exports byte for byte.
 func TestInterruptedRunCheckpointsNothing(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs table2 twice at tiny scale")
+		t.Skip("runs table2 at tiny scale")
 	}
-	exp, err := ByID("table2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := uninterruptedTable2(t)
 	cfg := tinyConfig(t)
 	cfg.DetTiming = true
-	baseline, _ := journaledRun(t, cfg, exp, t.TempDir(), nil)
-	wantText, wantCSV, wantJSON := exports(t, baseline)
-
-	jdir := t.TempDir()
-	w, err := runlog.Create(jdir, runlog.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := NewRunJournal(w, cfg.Obs)
-	j.RunStart(testFingerprint)
-	cancelledCfg := cfg
-	cancelledCfg.Dir = t.TempDir()
-	env, err := NewEnv(cancelledCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.SetJournal(j, nil)
+	fsys := errfs.NewMem()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := env.RunExperiment(ctx, exp)
-	env.Close()
+	res, _, err := checkpointedRun(ctx, t, cfg, table2, fsys)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: res=%v err=%v, want context.Canceled", res, err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("journal close: %v", err)
-	}
-	if got := countRecords(t, jdir); got[recSession] != 0 || got[recExperimentEnd] != 0 {
-		t.Fatalf("interrupted run checkpointed work: %v", got)
+	if sessions, results := countCheckpoints(t, journalRecords(t, fsys), table2); len(sessions) != 0 || results != 0 {
+		t.Fatalf("interrupted run checkpointed work: %v sessions, %d results", sessions, results)
 	}
 
-	rec, err := runlog.Recover(jdir)
+	cfg.Dir = t.TempDir()
+	got, resumed, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewReplay(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumeCfg := cfg
-	resumeCfg.Dir = t.TempDir()
-	got, resumed := journaledRun(t, resumeCfg, exp, jdir, rp)
 	if resumed {
 		t.Fatal("interrupted experiment replayed as complete")
 	}
-	gotText, gotCSV, gotJSON := exports(t, got)
-	if gotText != wantText || gotCSV != wantCSV || gotJSON != wantJSON {
-		t.Errorf("resumed exports differ from the uninterrupted run:\n--- want\n%s\n--- got\n%s", wantText, gotText)
-	}
+	diffExports(t, "resume after the interruption", want, exports(t, got))
 }
 
 // TestSessionTimeoutIsJournaled is the other side of the same line: a
 // session that hit only its own Cfg.Timeout, not a cancelled parent
 // context, is a genuine result and is checkpointed like any other.
 func TestSessionTimeoutIsJournaled(t *testing.T) {
-	exp, err := ByID("table2")
+	cfg := tinyConfig(t)
+	cfg.Timeout = time.Nanosecond
+	fsys := errfs.NewMem()
+	res, _, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tinyConfig(t)
-	cfg.Timeout = time.Nanosecond
-	jdir := t.TempDir()
-	res, _ := journaledRun(t, cfg, exp, jdir, nil)
 	if cell := res.Tables[0].Rows[0][1]; cell != "load failed" {
 		t.Errorf("timed-out session cell = %q, want load failed", cell)
 	}
-	if got := countRecords(t, jdir); got[recSession] != 10 || got[recExperimentEnd] != 1 {
-		t.Errorf("journal counts %v, want 10 sessions and 1 experiment_end", got)
+	if sessions, results := countCheckpoints(t, journalRecords(t, fsys), table2); total(sessions) != 10 || results != 1 {
+		t.Errorf("journal holds %d session and %d result checkpoints, want 10 and 1", total(sessions), results)
 	}
 }
 
-func TestReplayRejectsFingerprintChange(t *testing.T) {
-	mk := func(fp string) []byte {
-		b, _ := json.Marshal(journalRecord{Type: recRunStart, Fingerprint: fp})
-		return b
+// fig5Key is the key of the first session fig5 runs at seed 123.
+var fig5Key = WorkKey{Experiment: "fig5", Engine: "JODA", Dataset: "Twitter", Seed: 123}.String()
+
+// runPlanted runs fig5 at a small scale against a journal holding one
+// checkpoint, payload under key, and returns the run's error. It fails the
+// test if the run replayed a result or saved any checkpoint.
+func runPlanted(t *testing.T, key, payload string) error {
+	t.Helper()
+	fsys := errfs.NewMem()
+	q, err := jobqueue.Open(testJournal, jobqueue.Options{FS: fsys, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := NewReplay(&runlog.Recovery{Records: [][]byte{mk("a"), mk("b")}})
-	if !errors.Is(err, ErrJournalMismatch) {
-		t.Errorf("fingerprint change: %v, want ErrJournalMismatch", err)
+	job, err := q.Submit("test", json.RawMessage(`{}`))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := q.Checkpoints(job.ID).Save(key, []byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Dir: t.TempDir(), TwitterDocs: 300, Sessions: 1, Seed: 123}
+	exp := Experiment{ID: "fig5", Run: Fig5}
+	res, _, err := checkpointedRun(context.Background(), t, cfg, exp, fsys)
+	if res != nil {
+		t.Errorf("checkpoint %s: replayed a result", payload)
+	}
+	if sessions, results := countCheckpoints(t, journalRecords(t, fsys), exp); total(sessions)+results != 1 {
+		t.Errorf("checkpoint %s: the run saved %d sessions and %d results beside it", payload, total(sessions), results)
+	}
+	return err
 }
 
+// TestReplayRejectsGarbageRecords: a checkpoint that does not strictly
+// decode, as a session or as an experiment's result, fails the run with an
+// error naming its key instead of being replayed.
 func TestReplayRejectsGarbageRecords(t *testing.T) {
-	cases := [][]byte{
-		[]byte("not json"),
-		[]byte(`{"type":"alien"}`),
-		[]byte(`{"type":"session"}`),
-		[]byte(`{"type":"experiment_end","experiment":"x"}`),
-	}
-	for _, payload := range cases {
-		_, err := NewReplay(&runlog.Recovery{Records: [][]byte{payload}})
-		if !errors.Is(err, ErrBadJournalRecord) {
-			t.Errorf("payload %q: %v, want ErrBadJournalRecord", payload, err)
+	for _, tc := range []struct{ key, payload string }{
+		{fig5Key, `{"engine":"JODA","alien":1}`},
+		{fig5Key, `{"engine":5}`},
+		{fig5Key, `[1,2]`},
+		{resultKey("fig5"), `{"tables":[],"alien":1}`},
+		{resultKey("fig5"), `"table"`},
+	} {
+		err := runPlanted(t, tc.key, tc.payload)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint "+tc.key) {
+			t.Errorf("checkpoint %s under %s: err = %v, want one naming the key", tc.payload, tc.key, err)
 		}
 	}
 }
 
-// TestSessionRecordRoundTrip: a journaled record replays as the record
-// that was written, and the render path reads it the same way.
+// TestReplayRejectsLegacySessionShape: a session checkpointed in the record
+// shape before SessionRecord (query_times, total, wall) must fail the
+// resume instead of replaying as an empty session.
+func TestReplayRejectsLegacySessionShape(t *testing.T) {
+	payload := `{"engine":"JODA","import":{"Docs":8,"Bytes":900,"StoredBytes":700,"Duration":9000},` +
+		`"query_times":[1000,2000],"total":3000,"wall":12000}`
+	err := runPlanted(t, fig5Key, payload)
+	if err == nil || !strings.Contains(err.Error(), fig5Key) || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("legacy session checkpoint: %v, want an unknown-field error naming %s", err, fig5Key)
+	}
+}
+
+// TestSessionRecordRoundTrip: a checkpointed record loads as the record
+// that was saved, and the render path reads it the same way.
 func TestSessionRecordRoundTrip(t *testing.T) {
 	orig := SessionRecord{
 		Engine: "JODA", Seed: 7,
@@ -365,18 +407,23 @@ func TestSessionRecordRoundTrip(t *testing.T) {
 		},
 		Completed: 2, Skipped: 1, Retries: 2, Recovered: 1, TimedOut: true,
 	}
-	key := WorkKey{Experiment: "table2", Engine: "JODA", Dataset: "Twitter", Seed: 7}
-	payload, err := json.Marshal(journalRecord{Type: recSession, Key: &key, Session: &orig})
+	q, err := jobqueue.Open(testJournal, jobqueue.Options{FS: errfs.NewMem(), NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewReplay(&runlog.Recovery{Records: [][]byte{payload}})
+	defer q.Close()
+	job, err := q.Submit("test", json.RawMessage(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := rp.Session(key)
-	if !ok {
-		t.Fatal("journaled session not replayed")
+	env := &Env{cp: q.Checkpoints(job.ID)}
+	key := WorkKey{Experiment: "table2", Engine: "JODA", Dataset: "Twitter", Seed: 7}.String()
+	if !env.save(key, orig) {
+		t.Fatal(env.CheckpointErr())
+	}
+	var got SessionRecord
+	if found, err := env.load(key, &got); !found || err != nil {
+		t.Fatalf("checkpointed session not loaded: found=%v err=%v", found, err)
 	}
 	if !reflect.DeepEqual(got, orig) {
 		t.Errorf("round trip changed the record:\n got %+v\nwant %+v", got, orig)
@@ -399,42 +446,29 @@ func TestSessionRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsLegacySessionShape: a session journaled in the record
-// shape before SessionRecord (query_times, total, wall) must fail the
-// resume instead of replaying as an empty session.
-func TestReplayRejectsLegacySessionShape(t *testing.T) {
-	payload := []byte(`{"type":"session","key":{"experiment":"table2","engine":"JODA","dataset":"Twitter","seed":123,"occurrence":0},` +
-		`"session":{"engine":"JODA","import":{"Docs":8,"Bytes":900,"StoredBytes":700,"Duration":9000},` +
-		`"query_times":[1000,2000],"total":3000,"wall":12000}}`)
-	_, err := NewReplay(&runlog.Recovery{Records: [][]byte{payload}})
-	if !errors.Is(err, ErrBadJournalRecord) {
-		t.Errorf("legacy session record: %v, want ErrBadJournalRecord", err)
-	}
-}
-
 // TestWorkKeyOccurrences pins the repeat-disambiguation rule: identical
 // identities get increasing occurrences, scoped per experiment.
 func TestWorkKeyOccurrences(t *testing.T) {
-	env := &Env{journal: &RunJournal{}}
-	env.beginExperiment("fig9")
+	env := &Env{cp: &jobqueue.Checkpoints{}}
+	env.beginExperiment("fig9", nil)
 	k1, ok := env.nextKey("JODA", "twitter", 123)
 	k2, _ := env.nextKey("JODA", "twitter", 123)
 	k3, _ := env.nextKey("MongoDB", "twitter", 123)
 	if !ok || k1.Occurrence != 0 || k2.Occurrence != 1 || k3.Occurrence != 0 {
 		t.Errorf("occurrences: %v %v %v", k1, k2, k3)
 	}
-	env.beginExperiment("table2")
+	env.beginExperiment("table2", nil)
 	k4, _ := env.nextKey("JODA", "twitter", 123)
 	if k4.Occurrence != 0 || k4.Experiment != "table2" {
 		t.Errorf("experiment scoping: %v", k4)
 	}
 	// Outside RunExperiment nothing is tracked.
-	env.beginExperiment("")
+	env.beginExperiment("", nil)
 	if _, ok := env.nextKey("JODA", "twitter", 123); ok {
 		t.Error("tracked outside an experiment")
 	}
 	untracked := &Env{}
 	if _, ok := untracked.nextKey("JODA", "twitter", 123); ok {
-		t.Error("tracked without journal or replay")
+		t.Error("tracked without checkpoints")
 	}
 }

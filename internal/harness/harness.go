@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/joda-explore/betze/internal/analyze"
@@ -21,6 +20,7 @@ import (
 	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/engine/jodasim"
 	"github.com/joda-explore/betze/internal/faultsim"
+	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/jsonstats"
 	"github.com/joda-explore/betze/internal/jsonval"
 	"github.com/joda-explore/betze/internal/obs"
@@ -130,7 +130,8 @@ func defaultThreadSweep(ncpu int) []int {
 }
 
 // Env prepares and caches datasets, their analysis summaries, and the
-// generation backend across experiments.
+// generation backend across experiments. It is used by one goroutine at a
+// time.
 type Env struct {
 	Cfg Config
 
@@ -138,14 +139,14 @@ type Env struct {
 	ownsDir bool
 	sets    map[string]*datasetEnv
 
-	// Checkpointing state (see checkpoint.go): the write-ahead run journal,
-	// the replay of a prior interrupted run, and the work-key assignment for
-	// the experiment currently executing under RunExperiment.
-	journal       *RunJournal
-	replay        *Replay
-	keyMu         sync.Mutex
+	// Checkpointing state (see checkpoint.go): the running job's
+	// checkpoints, the first that could not be saved, and the work-key
+	// assignment for the experiment currently executing under RunExperiment.
+	cp            *jobqueue.Checkpoints
+	cpErr         error
 	curExperiment string
 	occurrences   map[workIdentity]int
+	abort         context.CancelCauseFunc
 }
 
 // datasetEnv is one materialised dataset.
@@ -291,14 +292,20 @@ func (e *Env) runSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s
 // the resilience experiment can sweep them against one Env.
 func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionRecord {
 	// Under checkpointing every session gets a deterministic work key; a
-	// resumed run returns the journaled result of a completed key instead
-	// of re-executing, and journals every key it does execute — unless the
-	// caller's context ended, which makes the result an artifact of the
+	// resumed run returns the checkpointed result of a completed key instead
+	// of re-executing, and checkpoints every key it does execute — unless
+	// the caller's context ended, which makes the result an artifact of the
 	// interruption. A session that hit only its own Cfg.Timeout is a
-	// genuine result and is journaled.
+	// genuine result and is checkpointed.
 	key, tracked := e.nextKey(spec.name, ds.name, s.Seed)
 	if tracked {
-		if prev, ok := e.replay.Session(key); ok {
+		var prev SessionRecord
+		found, err := e.load(key.String(), &prev)
+		if err != nil {
+			e.abort(err)
+			return SessionRecord{Engine: spec.name, Seed: s.Seed, Error: err.Error()}
+		}
+		if found {
 			e.Cfg.Obs.Record(obs.Event{
 				Type: obs.EvResumeSkip, Kind: obs.KindSession, Engine: key.Engine,
 				Dataset: key.Dataset, Session: key.String(),
@@ -308,14 +315,17 @@ func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEn
 		}
 	}
 	res := e.execSession(ctx, spec, ds, s, faults, retry)
-	if tracked && ctx.Err() == nil {
-		e.journal.Session(key, res)
+	if tracked && ctx.Err() == nil && e.save(key.String(), res) {
+		e.Cfg.Obs.Record(obs.Event{
+			Type: obs.EvCheckpoint, Kind: obs.KindSession, Engine: key.Engine,
+			Dataset: key.Dataset, Session: key.String(),
+		})
 	}
 	return res
 }
 
 // execSession is the execution body of runSessionWith, below the
-// checkpoint/replay layer.
+// checkpoint layer.
 func (e *Env) execSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionRecord {
 	eng, err := spec.make(e.dir)
 	if err != nil {

@@ -15,6 +15,12 @@ type Checkpoints struct {
 	id string
 }
 
+// Checkpoints returns the checkpoint window of job id, for an executor that
+// runs the job outside a Pool.
+func (q *Queue) Checkpoints(id string) *Checkpoints {
+	return &Checkpoints{q: q, id: id}
+}
+
 // Save durably records one completed work unit under key.
 func (c *Checkpoints) Save(key string, data []byte) error {
 	return c.q.Checkpoint(c.id, key, data)
@@ -83,7 +89,7 @@ func (p *Pool) run(ctx context.Context, job Snapshot) {
 		p.q.Release(job.ID)
 		return
 	}
-	err := p.exec(jctx, job, &Checkpoints{q: p.q, id: job.ID})
+	err := p.exec(jctx, job, p.q.Checkpoints(job.ID))
 	switch {
 	case p.q.CancelRequested(job.ID):
 		p.q.Cancelled(job.ID)

@@ -30,14 +30,14 @@ func ScanValue(data []byte, atEOF bool) (int, error) {
 	case c == 'n':
 		return scanLiteral(data, i, "null", atEOF)
 	case c == '-' || (c >= '0' && c <= '9'):
-		j := i
-		for j < len(data) && isNumberChar(data[j]) {
-			j++
-		}
-		if j == len(data) && !atEOF {
+		n, ok := scanNumber(data[i:])
+		switch {
+		case i+n == len(data) && !atEOF:
 			return 0, nil // may continue in the next read
+		case !ok:
+			return 0, &SyntaxError{Offset: i, Msg: "invalid number"}
 		}
-		return j, nil
+		return i + n, nil
 	default:
 		return 0, &SyntaxError{Offset: i, Msg: "unexpected character at document start"}
 	}
@@ -121,6 +121,32 @@ func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
-func isNumberChar(c byte) bool {
-	return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
+// scanNumber returns the byte length of the number at the start of data,
+// ending it where the parser does: after the digits of its integer part,
+// fraction and exponent, so "12-3" is 12 followed by another value. ok is
+// false when a part lacks its digits; n is then where scanning stopped.
+func scanNumber(data []byte) (n int, ok bool) {
+	digits := func() bool {
+		start := n
+		for n < len(data) && data[n] >= '0' && data[n] <= '9' {
+			n++
+		}
+		return n > start
+	}
+	if data[0] == '-' {
+		n++
+	}
+	ok = digits()
+	if ok && n < len(data) && data[n] == '.' {
+		n++
+		ok = digits()
+	}
+	if ok && n < len(data) && (data[n] == 'e' || data[n] == 'E') {
+		n++
+		if n < len(data) && (data[n] == '+' || data[n] == '-') {
+			n++
+		}
+		ok = digits()
+	}
+	return n, ok
 }

@@ -23,6 +23,11 @@ func TestScanValueBasics(t *testing.T) {
 		{`123`, false, 0}, // number may continue
 		{`123`, true, 3},
 		{`-1.5e3,`, false, 6},
+		{`12-3`, false, 2}, // a number ends where the parser ends it
+		{`-1-2`, true, 2},
+		{`1.5e3-2`, false, 5},
+		{`1e5e5`, false, 3},
+		{`1.`, false, 0},        // the fraction's digits may follow
 		{`{"a":`, false, 0},     // incomplete object
 		{`"unterm`, false, 0},   // incomplete string
 		{`tr`, false, 0},        // incomplete literal
@@ -43,9 +48,10 @@ func TestScanValueBasics(t *testing.T) {
 	}
 }
 
-// TestScanValueErrors: besides input that cannot start a value, at EOF any
-// value that has not ended is an error at the offset where it starts, not
-// the (0, nil) that means "no more values".
+// TestScanValueErrors: besides input that cannot start a value and a
+// number missing the digits of one of its parts, at EOF any value that has
+// not ended is an error at the offset where it starts, not the (0, nil)
+// that means "no more values".
 func TestScanValueErrors(t *testing.T) {
 	bad := []struct {
 		in     string
@@ -64,6 +70,10 @@ func TestScanValueErrors(t *testing.T) {
 		{`"ab\"`, true, 0},
 		{`  [{"a":[1]}`, true, 2},
 		{"\n{\"s\":\"}", true, 1},
+		{`-`, true, 0},
+		{`1.x`, false, 0},
+		{` 1e+`, true, 1},
+		{`-a`, false, 0},
 	}
 	for _, c := range bad {
 		n, err := ScanValue([]byte(c.in), c.atEOF)

@@ -34,8 +34,6 @@ const (
 
 // Run-journal metrics: the write-ahead runlog behind -resume.
 const (
-	// MRunlogAppends counts records appended to the run journal.
-	MRunlogAppends = "runlog.appends"
 	// MRunlogRecovered counts records replayed from a journal on resume.
 	MRunlogRecovered = "runlog.recovered"
 	// MRunlogTruncations counts recoveries that dropped a torn or corrupt
