@@ -116,8 +116,7 @@ func runJournaled(fsys errfs.FS, cfg harness.Config, exp harness.Experiment) ([]
 }
 
 // sessionCheckpoints counts the session checkpoints of exp that survive in
-// the run journal on fsys. Session keys are harness.WorkKey strings, which
-// start with the experiment ID and a slash.
+// the run journal on fsys. Session keys are "<experiment>/<unit key>".
 func sessionCheckpoints(fsys errfs.FS, exp harness.Experiment) (int, error) {
 	rec, err := runlog.RecoverFS(fsys, crashFuzzJournal)
 	if err != nil {

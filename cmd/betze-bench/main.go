@@ -33,6 +33,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -109,7 +110,10 @@ func run(args []string, out io.Writer) (err error) {
 	if cfg.Threads, err = parseInts(*threads); err != nil {
 		return fmt.Errorf("-threads: %w", err)
 	}
-	if cfg.Faults, cfg.Retry, err = resilienceConfig(*faults, *faultSeed, cfg.Seed, *retries); err != nil {
+	// The fault seed defaults to the base seed (123 when that is unset
+	// too), so plain -faults runs are already reproducible.
+	fseed := cmp.Or(*faultSeed, cfg.Seed, 123)
+	if cfg.Faults, cfg.Retry, err = harness.FaultFlags(*faults, fseed, *retries); err != nil {
 		return err
 	}
 	switch *format {
@@ -121,24 +125,12 @@ func run(args []string, out io.Writer) (err error) {
 		return fmt.Errorf("-journal and -resume are mutually exclusive (resume appends to the existing journal)")
 	}
 
-	var rec *obs.Recorder
-	if *tracePath != "" {
-		// The trace is an append stream whose partial content is the point
-		// of a crash investigation, so it is not published atomically.
-		//lint:ignore atomicwrite trace is an append stream, partial content is wanted after a crash
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return fmt.Errorf("-trace: %w", err)
-		}
-		defer f.Close()
-		rec = obs.NewRecorder(f)
-		cfg.Obs.Trace = rec
+	outputs, err := harness.OpenOutputs(*tracePath, *metricsPath)
+	if err != nil {
+		return err
 	}
-	var reg *obs.Registry
-	if *metricsPath != "" {
-		reg = obs.NewRegistry()
-		cfg.Obs.Metrics = reg
-	}
+	defer outputs.Close()
+	cfg.Obs = outputs.Scope
 	if *exportDir != "" {
 		if err := os.MkdirAll(*exportDir, 0o755); err != nil {
 			return fmt.Errorf("-export-dir: %w", err)
@@ -240,25 +232,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err := env.CheckpointErr(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if rec != nil {
-		if err := rec.Err(); err != nil {
-			return err
-		}
-	}
-	if reg != nil {
-		f, err := fsatomic.Create(*metricsPath)
-		if err != nil {
-			return fmt.Errorf("-metrics-out: %w", err)
-		}
-		defer f.Close()
-		if err := reg.WriteJSON(f); err != nil {
-			return fmt.Errorf("-metrics-out: %w", err)
-		}
-		if err := f.Commit(); err != nil {
-			return fmt.Errorf("-metrics-out: %w", err)
-		}
-	}
-	return nil
+	return outputs.Close()
 }
 
 // configFingerprint canonically encodes the work-shaping configuration: the
@@ -302,32 +276,6 @@ func reportRecovery(scope obs.Scope, rec *runlog.Recovery) {
 	}
 	scope.Record(e)
 	scope.Counter(obs.MRunlogRecovered).Add(int64(len(rec.Records)))
-}
-
-// resilienceConfig maps the -faults/-fault-seed/-retries flags onto the
-// harness options. The fault seed defaults to the base seed (123 when that
-// is unset too), so plain -faults runs are already reproducible.
-func resilienceConfig(rate float64, faultSeed, baseSeed int64, retries int) (faultsim.Options, harness.RetryPolicy, error) {
-	if rate < 0 || rate > 1 {
-		return faultsim.Options{}, harness.RetryPolicy{}, fmt.Errorf("-faults: rate %v outside [0,1]", rate)
-	}
-	if retries < 0 {
-		return faultsim.Options{}, harness.RetryPolicy{}, fmt.Errorf("-retries: negative count %d", retries)
-	}
-	if faultSeed == 0 {
-		faultSeed = baseSeed
-	}
-	if faultSeed == 0 {
-		faultSeed = 123
-	}
-	faults := faultsim.Uniform(rate, faultSeed)
-	var pol harness.RetryPolicy
-	if retries > 0 {
-		pol = harness.DefaultRetryPolicy()
-		pol.MaxAttempts = retries + 1
-		pol.Seed = faultSeed
-	}
-	return faults, pol, nil
 }
 
 // exportResult writes one experiment's machine-readable forms atomically:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"github.com/joda-explore/betze/internal/harness"
 	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/obs"
+	"github.com/joda-explore/betze/internal/query"
 )
 
 // campaignSpec is the POST /api/campaigns request body: a full benchmark
@@ -96,9 +98,21 @@ func repeated[T comparable](xs []T) (T, bool) {
 	return zero, false
 }
 
-// unitKey names the checkpoint of one (seed, engine) unit.
-func unitKey(seed int64, engine string) string {
-	return fmt.Sprintf("seed-%d/%s", seed, engine)
+// unit is the campaign's (seed, engine) unit: the session's queries over
+// the imported dataset on a fresh engine, through the resilient executor
+// with det-timing durations. Artifacts name engines by their campaign
+// names. The unit coordinates are mixed into the fault schedule's seed, so
+// each unit sees its own (still deterministic) fault pattern.
+func (c *campaignSpec) unit(seed int64, engName string, data harness.Import, queries []*query.Query, workdir string) harness.Unit {
+	sys := harness.Systems[engName]
+	sys.Name = engName
+	u := harness.Unit{
+		System: sys, Imports: []harness.Import{data}, DataKey: c.Dataset.key(), Queries: queries,
+		Seed: seed, Retry: harness.DefaultRetryPolicy(), DetTiming: true, Dir: workdir,
+		Faults: faultsim.Uniform(c.FaultRate, cmp.Or(c.FaultSeed, c.Dataset.Seed)+seed*31+int64(len(engName))),
+	}
+	u.Retry.Seed = seed
+	return u
 }
 
 // campaignArtifact is the final result document published atomically to
@@ -137,7 +151,6 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 		return err
 	}
 	defer s.store.release(ds)
-	stats := ds.stats
 	// The workdir holds the engines' scratch (jqsim's stored results) and
 	// nothing a resume needs, so every exit removes it.
 	workdir := filepath.Join(s.cfg.dataDir, "work", job.ID)
@@ -146,43 +159,26 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 	}
 	defer os.RemoveAll(workdir)
 
+	// Import under the analyzer's dataset name: the generated queries
+	// reference it.
+	data := harness.Import{Name: ds.stats.Name, Path: ds.path}
+	preset, _ := betze.PresetByName(spec.Preset)
 	units := make([]harness.SessionRecord, 0, len(spec.Seeds)*len(spec.Engines))
 	for _, seed := range spec.Seeds {
-		var session *betze.Session
+		session, err := betze.Generate(betze.Options{Preset: preset, Seed: seed, Queries: spec.Queries}, ds.stats)
+		if err != nil {
+			return fmt.Errorf("generating session seed %d: %w", seed, err)
+		}
 		for _, engName := range spec.Engines {
+			u := spec.unit(seed, engName, data, session.Queries, workdir)
+			rec, _, err := harness.RunUnit(ctx, cp, u.Key(), u)
+			if err != nil {
+				return err
+			}
 			if err := ctx.Err(); err != nil {
 				return err // drain or cancel: checkpoints cover completed units
 			}
-			key := unitKey(seed, engName)
-			if data, ok := cp.Load(key); ok {
-				var u harness.SessionRecord
-				if err := json.Unmarshal(data, &u); err != nil {
-					return fmt.Errorf("checkpoint %s: %w", key, err)
-				}
-				units = append(units, u)
-				continue
-			}
-			if session == nil {
-				preset, _ := betze.PresetByName(spec.Preset)
-				session, err = betze.Generate(betze.Options{
-					Preset: preset, Seed: seed, Queries: spec.Queries,
-				}, stats)
-				if err != nil {
-					return fmt.Errorf("generating session seed %d: %w", seed, err)
-				}
-			}
-			u, err := s.runUnit(ctx, spec, engName, seed, stats.Name, ds.path, session, workdir)
-			if err != nil {
-				return err
-			}
-			data, err := json.Marshal(u)
-			if err != nil {
-				return fmt.Errorf("encoding unit %s: %w", key, err)
-			}
-			if err := cp.Save(key, data); err != nil {
-				return err
-			}
-			units = append(units, u)
+			units = append(units, rec)
 		}
 	}
 
@@ -198,38 +194,4 @@ func (s *server) runCampaign(ctx context.Context, job jobqueue.Snapshot, cp *job
 		return fmt.Errorf("publishing artifact: %w", err)
 	}
 	return nil
-}
-
-// runUnit executes one session on one fresh engine through
-// harness.RunSession and returns its record with det-timing durations.
-// Engine-level failures (an import the retry loop gave up on) land in the
-// record's Error field — one broken engine does not fail the campaign.
-func (s *server) runUnit(ctx context.Context, spec campaignSpec, engName string, seed int64, dsName, dataPath string, session *betze.Session, workdir string) (harness.SessionRecord, error) {
-	eng, err := harness.Systems[engName].New(workdir, 0)
-	if err != nil {
-		return harness.SessionRecord{}, fmt.Errorf("engine %s: %w", engName, err)
-	}
-	defer eng.Close()
-	if spec.FaultRate > 0 {
-		fseed := spec.FaultSeed
-		if fseed == 0 {
-			fseed = spec.Dataset.Seed
-		}
-		// Mix the unit coordinates into the schedule seed so each unit
-		// sees its own (still deterministic) fault pattern.
-		eng = faultsim.Wrap(eng, faultsim.Uniform(spec.FaultRate, fseed+seed*31+int64(len(engName))))
-	}
-
-	pol := harness.DefaultRetryPolicy()
-	pol.Seed = seed
-	// Import under the analyzer's dataset name: the generated queries
-	// reference it.
-	u := harness.RunSession(ctx, eng, []harness.Import{{Name: dsName, Path: dataPath}}, session.Queries, pol,
-		fmt.Sprintf("%s seed %d", engName, seed))
-	if ctx.Err() != nil {
-		return u, ctx.Err()
-	}
-	u.Engine, u.Seed = engName, seed
-	u.DetTiming()
-	return u, nil
 }

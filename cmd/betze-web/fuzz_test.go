@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/joda-explore/betze/internal/core"
+	"github.com/joda-explore/betze/internal/harness"
 )
 
 // FuzzCampaignSpec feeds arbitrary bodies through the submit path's decode
@@ -31,7 +32,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		keys := make(map[string]bool)
 		for _, seed := range spec.Seeds {
 			for _, eng := range spec.Engines {
-				keys[unitKey(seed, eng)] = true
+				keys[spec.unit(seed, eng, harness.Import{Name: "Twitter"}, nil, "").Key()] = true
 			}
 		}
 		if want := len(spec.Seeds) * len(spec.Engines); len(keys) != want {

@@ -2,12 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/joda-explore/betze"
 	"github.com/joda-explore/betze/internal/harness"
 	"github.com/joda-explore/betze/internal/jobqueue"
 )
@@ -116,4 +120,70 @@ func TestUnitCheckpointShapeIsStable(t *testing.T) {
 			t.Errorf("checkpoint changed in a round trip:\n got %s\nwant %s", again, checkpoint)
 		}
 	}
+}
+
+// TestCampaignRefusesForeignCheckpoint: a unit checkpoint that does not
+// strictly decode as a SessionRecord — a field this version does not write,
+// or the record shape before SessionRecord — fails the campaign with an
+// error naming its key, instead of being published as a measured unit.
+func TestCampaignRefusesForeignCheckpoint(t *testing.T) {
+	for _, payload := range []string{
+		`{"engine":"joda","seed":1,"alien":1}`,
+		`{"engine":"joda","import":{"Docs":8,"Bytes":900,"StoredBytes":700,"Duration":9000},` +
+			`"query_times":[1000,2000],"total":3000,"wall":12000}`,
+	} {
+		srv, err := newServer(testConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec campaignSpec
+		if err := json.Unmarshal([]byte(smallCampaign()), &spec); err != nil {
+			t.Fatal(err)
+		}
+		key := firstUnitKey(t, srv, spec)
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := srv.queue.Submit("default", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.queue.Checkpoint(snap.ID, key, json.RawMessage(payload)); err != nil {
+			t.Fatal(err)
+		}
+		srv.start(t.Context())
+		t.Cleanup(srv.drain)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		failed := waitCampaign(t, ts, snap.ID, jobqueue.StateFailed)
+		if !strings.Contains(failed.Error, "checkpoint "+key) {
+			t.Errorf("checkpoint %s: campaign error %q does not name key %s", payload, failed.Error, key)
+		}
+		if _, err := os.Stat(srv.artifactPath(snap.ID)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("checkpoint %s: artifact published (stat: %v)", payload, err)
+		}
+	}
+}
+
+// firstUnitKey is the checkpoint key of spec's first (seed, engine) unit on
+// srv, whose store then holds the dataset.
+func firstUnitKey(t *testing.T, srv *server, spec campaignSpec) string {
+	t.Helper()
+	ds, err := srv.store.acquire(t.Context(), spec.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.store.release(ds)
+	preset, err := betze.PresetByName(spec.Preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := spec.Seeds[0]
+	session, err := betze.Generate(betze.Options{Preset: preset, Seed: seed, Queries: spec.Queries}, ds.stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := harness.Import{Name: ds.stats.Name, Path: ds.path}
+	return spec.unit(seed, spec.Engines[0], data, session.Queries, "").Key()
 }

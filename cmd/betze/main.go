@@ -31,7 +31,6 @@ import (
 	"github.com/joda-explore/betze/internal/core"
 	"github.com/joda-explore/betze/internal/datasets"
 	"github.com/joda-explore/betze/internal/engine/jodasim"
-	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/fsatomic"
 	"github.com/joda-explore/betze/internal/harness"
 	"github.com/joda-explore/betze/internal/jsonstats"
@@ -244,18 +243,15 @@ func cmdGenerate(args []string, out io.Writer) error {
 			selected = append(selected, l)
 		}
 	}
-	var rec *obs.Recorder
-	var closeTrace func() error
-	if *tracePath != "" {
-		rec, closeTrace, err = newTraceRecorder(*tracePath)
-		if err != nil {
-			return fmt.Errorf("generate: -trace: %w", err)
-		}
+	outputs, err := harness.OpenOutputs(*tracePath, "")
+	if err != nil {
+		return fmt.Errorf("generate: %w", err)
 	}
+	defer outputs.Close()
 	for _, l := range selected {
 		start := time.Now()
 		script := langs.Script(l, session.Queries)
-		rec.Record(obs.Event{
+		outputs.Record(obs.Event{
 			Type: obs.EvQueryTranslate, Lang: l.ShortName(),
 			Queries: len(session.Queries), Duration: time.Since(start),
 		})
@@ -264,10 +260,8 @@ func cmdGenerate(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if closeTrace != nil {
-		if err := closeTrace(); err != nil {
-			return fmt.Errorf("generate: -trace: %w", err)
-		}
+	if err := outputs.Close(); err != nil {
+		return fmt.Errorf("generate: %w", err)
 	}
 	fmt.Fprintf(out, "generated %d queries (preset %s, seed %d) into %s\n",
 		len(session.Queries), session.Preset.Name, session.Seed, *outDir)
@@ -295,18 +289,9 @@ func cmdRun(args []string, out io.Writer) error {
 	if *sessionPath == "" || *data == "" {
 		return fmt.Errorf("run: -session and -data are required")
 	}
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("run: -faults rate %v outside [0,1]", *faultRate)
-	}
-	if *retries < 0 {
-		return fmt.Errorf("run: -retries negative count %d", *retries)
-	}
-	faults := faultsim.Uniform(*faultRate, *faultSeed)
-	var pol harness.RetryPolicy
-	if *retries > 0 {
-		pol = harness.DefaultRetryPolicy()
-		pol.MaxAttempts = *retries + 1
-		pol.Seed = *faultSeed
+	faults, pol, err := harness.FaultFlags(*faultRate, *faultSeed, *retries)
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
 	}
 	file, err := core.ReadSessionFile(*sessionPath)
 	if err != nil {
@@ -320,79 +305,29 @@ func cmdRun(args []string, out io.Writer) error {
 		return err
 	}
 
-	var sc obs.Scope
-	var closeTrace func() error
-	if *tracePath != "" {
-		rec, cf, err := newTraceRecorder(*tracePath)
-		if err != nil {
-			return fmt.Errorf("run: -trace: %w", err)
-		}
-		sc.Trace = rec
-		closeTrace = cf
+	outputs, err := harness.OpenOutputs(*tracePath, *metricsPath)
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
 	}
-	var reg *obs.Registry
-	if *metricsPath != "" {
-		reg = obs.NewRegistry()
-		sc.Metrics = reg
-	}
-
+	defer outputs.Close()
+	ctx := obs.With(context.Background(), outputs.Scope)
 	for _, name := range strings.Split(*systems, ",") {
 		sys, ok := harness.Systems[strings.TrimSpace(name)]
 		if !ok {
 			return fmt.Errorf("run: unknown system %q (have %s)", name, harness.SystemNames())
 		}
-		eng, err := sys.New("", *threads)
-		if err != nil {
-			return err
-		}
-		if faults.Enabled() {
-			eng = faultsim.Wrap(eng, faults)
-		}
-		ctx, cancel := context.WithTimeout(obs.With(context.Background(), sc), *timeout)
-		rec := harness.RunSession(ctx, eng, imports, file.Queries, pol, "run")
-		cancel()
-		eng.Close()
+		// Records name engines by their own names, as the trace does.
+		sys.Name = ""
+		rec := harness.Unit{
+			System: sys, Threads: *threads, Imports: imports, Queries: file.Queries, Seed: file.Seed,
+			Faults: faults, Retry: pol, Timeout: *timeout,
+		}.Run(ctx)
 		printRecord(out, rec, imports, *timeout)
 	}
-	if closeTrace != nil {
-		if err := closeTrace(); err != nil {
-			return fmt.Errorf("run: -trace: %w", err)
-		}
-	}
-	if reg != nil {
-		f, err := fsatomic.Create(*metricsPath)
-		if err != nil {
-			return fmt.Errorf("run: -metrics-out: %w", err)
-		}
-		defer f.Close()
-		if err := reg.WriteJSON(f); err != nil {
-			return fmt.Errorf("run: -metrics-out: %w", err)
-		}
-		if err := f.Commit(); err != nil {
-			return fmt.Errorf("run: -metrics-out: %w", err)
-		}
+	if err := outputs.Close(); err != nil {
+		return fmt.Errorf("run: %w", err)
 	}
 	return nil
-}
-
-// newTraceRecorder opens path for a JSON-lines trace and returns the
-// recorder plus a close func that surfaces any deferred write error. The
-// trace is an append stream whose partial content is the point of a crash
-// investigation, so it is not published atomically.
-func newTraceRecorder(path string) (*obs.Recorder, func() error, error) {
-	//lint:ignore atomicwrite trace is an append stream, partial content is wanted after a crash
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := obs.NewRecorder(f)
-	return rec, func() error {
-		if err := rec.Err(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}, nil
 }
 
 // resolveDatasets maps the session's root dataset names to files, sorted by

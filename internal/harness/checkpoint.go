@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"github.com/joda-explore/betze/internal/jobqueue"
@@ -11,40 +9,15 @@ import (
 )
 
 // This file checkpoints experiments through the checkpoints of a jobqueue
-// job, the journal betze-web's campaigns use: every completed work unit (a
-// session on one engine, a whole experiment) is saved under its own key,
-// and a resumed run loads what an earlier attempt saved instead of running
-// it again. Session generation is deterministic per seed, so the same
-// configuration always enumerates the same work keys — the skip set of a
-// resume is exactly the completed prefix of the interrupted run.
+// job, the journal betze-web's campaigns use: every completed session is
+// saved under "<experiment>/<Unit.Key>" and every finished experiment under
+// "<experiment>#result", and a resumed run loads what an earlier attempt
+// saved instead of running it again. A session's key is derived from what
+// it computes, so the same configuration always produces the same keys and
+// a changed flag produces different ones.
 
-// WorkKey identifies one checkpointed session execution. Occurrence
-// disambiguates repeats of the same (experiment, engine, dataset, seed)
-// tuple — Fig. 9 runs the identical JODA session once per thread count, and
-// the resilience experiment sweeps fault rates over one session. Repeats are
-// counted per identity, so experiments that iterate datasets in map order
-// still produce a stable key for every unit.
-type WorkKey struct {
-	Experiment string `json:"experiment"`
-	Engine     string `json:"engine"`
-	Dataset    string `json:"dataset"`
-	Seed       int64  `json:"seed"`
-	Occurrence int    `json:"occurrence"`
-}
-
-func (k WorkKey) String() string {
-	return fmt.Sprintf("%s/%s/%s/seed%d#%d", k.Experiment, k.Engine, k.Dataset, k.Seed, k.Occurrence)
-}
-
-// workIdentity is a WorkKey without the occurrence — the map key of the
-// per-identity repeat counters.
-type workIdentity struct {
-	experiment, engine, dataset string
-	seed                        int64
-}
-
-// resultKey is the checkpoint key of a finished experiment's Result. Every
-// session key ends in "#<occurrence>", so "#result" never names a session.
+// resultKey is the checkpoint key of a finished experiment's Result. Session
+// keys continue the experiment ID with "/", so "#result" never names one.
 func resultKey(id string) string { return id + "#result" }
 
 // SetCheckpoints attaches the checkpoints of the job this environment's
@@ -60,44 +33,6 @@ func (e *Env) SetCheckpoints(cp *jobqueue.Checkpoints) {
 // only leaves a resume less to skip. Later saves are not attempted.
 func (e *Env) CheckpointErr() error { return e.cpErr }
 
-// load decodes the checkpoint saved under key into v, and reports whether
-// there was one. A checkpoint that does not decode strictly — one carrying
-// a field this version does not write, such as a session in the record
-// shape before SessionRecord — is an error: replaying it would report a
-// result nothing measured.
-func (e *Env) load(key string, v any) (bool, error) {
-	data, ok := e.cp.Load(key)
-	if !ok {
-		return false, nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return true, fmt.Errorf("checkpoint %s: %w", key, err)
-	}
-	if dec.More() {
-		return true, fmt.Errorf("checkpoint %s: trailing data", key)
-	}
-	return true, nil
-}
-
-// save checkpoints v under key and reports whether it did. The first
-// failure is kept for CheckpointErr, and no save is attempted after it.
-func (e *Env) save(key string, v any) bool {
-	if e.cpErr != nil {
-		return false
-	}
-	data, err := json.Marshal(v)
-	if err == nil {
-		err = e.cp.Save(key, data)
-	}
-	if err != nil {
-		e.cpErr = fmt.Errorf("harness: checkpoint %s: %w", key, err)
-		return false
-	}
-	return true
-}
-
 // RunExperiment executes one experiment under checkpointing: a completed
 // experiment found in the checkpoints is returned without running
 // (resumed=true), otherwise the experiment runs with session-granular
@@ -110,7 +45,7 @@ func (e *Env) RunExperiment(ctx context.Context, exp Experiment) (res *Result, r
 	key := resultKey(exp.ID)
 	if e.cp != nil {
 		res = new(Result)
-		found, err := e.load(key, res)
+		found, err := loadCheckpoint(e.cp, key, res)
 		if err != nil {
 			return nil, false, fmt.Errorf("harness: %w", err)
 		}
@@ -131,33 +66,39 @@ func (e *Env) RunExperiment(ctx context.Context, exp Experiment) (res *Result, r
 	if err != nil {
 		return nil, false, err
 	}
-	if e.cp != nil && e.save(key, res) {
-		e.Cfg.Obs.Record(obs.Event{Type: obs.EvCheckpoint, Kind: obs.KindExperiment, Session: exp.ID})
+	if e.cp != nil && e.cpErr == nil {
+		if err := saveCheckpoint(e.cp, key, res); err != nil {
+			e.cpErr = fmt.Errorf("harness: %w", err)
+		} else {
+			e.Cfg.Obs.Record(obs.Event{Type: obs.EvCheckpoint, Kind: obs.KindExperiment, Session: exp.ID})
+		}
 	}
 	return res, false, nil
 }
 
-// beginExperiment scopes subsequent session keys to an experiment, resets
-// the per-identity repeat counters, and sets what stops the experiment when
-// one of its checkpoints does not decode.
+// beginExperiment scopes subsequent session keys to an experiment and sets
+// what stops the experiment when one of its checkpoints does not decode.
 func (e *Env) beginExperiment(id string, abort context.CancelCauseFunc) {
-	e.curExperiment = id
-	e.occurrences = make(map[workIdentity]int)
-	e.abort = abort
+	e.curExperiment, e.abort = id, abort
 }
 
-// nextKey assigns the work key for a session execution about to run. The
-// second return is false when the environment is not running under
-// RunExperiment-with-checkpointing, in which case sessions are not tracked.
-func (e *Env) nextKey(engineName, dataset string, seed int64) (WorkKey, bool) {
-	if e.cp == nil || e.curExperiment == "" {
-		return WorkKey{}, false
+// run executes u, checkpointed under the running experiment when the
+// environment has checkpoints. A checkpoint that does not decode stops the
+// experiment; a failed save is kept for CheckpointErr, and no later save is
+// attempted. A session that hit only its own Timeout, not the end of ctx, is
+// a genuine result and is checkpointed.
+func (e *Env) run(ctx context.Context, u Unit) SessionRecord {
+	ctx = obs.With(ctx, e.Cfg.Obs)
+	if e.cp == nil || e.cpErr != nil || e.curExperiment == "" {
+		return u.Run(ctx)
 	}
-	id := workIdentity{experiment: e.curExperiment, engine: engineName, dataset: dataset, seed: seed}
-	occ := e.occurrences[id]
-	e.occurrences[id] = occ + 1
-	return WorkKey{
-		Experiment: id.experiment, Engine: id.engine, Dataset: id.dataset,
-		Seed: id.seed, Occurrence: occ,
-	}, true
+	rec, resumed, err := RunUnit(ctx, e.cp, e.curExperiment+"/"+u.Key(), u)
+	switch {
+	case err != nil && resumed:
+		e.abort(err)
+		return SessionRecord{Engine: u.System.Name, Seed: u.Seed, Error: err.Error()}
+	case err != nil:
+		e.cpErr = fmt.Errorf("harness: %w", err)
+	}
+	return rec
 }

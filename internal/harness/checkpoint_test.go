@@ -10,9 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/joda-explore/betze/internal/core"
 	"github.com/joda-explore/betze/internal/errfs"
+	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/jobqueue"
 	"github.com/joda-explore/betze/internal/obs"
+	"github.com/joda-explore/betze/internal/query"
 	"github.com/joda-explore/betze/internal/runlog"
 )
 
@@ -329,8 +332,29 @@ func TestSessionTimeoutIsJournaled(t *testing.T) {
 	}
 }
 
-// fig5Key is the key of the first session fig5 runs at seed 123.
-var fig5Key = WorkKey{Experiment: "fig5", Engine: "JODA", Dataset: "Twitter", Seed: 123}.String()
+// plantedConfig is the small fig5 run of runPlanted.
+func plantedConfig(t *testing.T) Config {
+	return Config{Dir: t.TempDir(), TwitterDocs: 300, Sessions: 1, Seed: 123}
+}
+
+// fig5Key is the key of the first session fig5 runs under plantedConfig.
+func fig5Key(t *testing.T) string {
+	t.Helper()
+	env, err := NewEnv(plantedConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	ds, err := env.Twitter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := ds.generate(core.Options{Preset: core.Presets()[0], Queries: 20, Seed: 123})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return "fig5/" + env.unit(Systems["joda"], 0, ds, sess).Key()
+}
 
 // runPlanted runs fig5 at a small scale against a journal holding one
 // checkpoint, payload under key, and returns the run's error. It fails the
@@ -352,9 +376,8 @@ func runPlanted(t *testing.T, key, payload string) error {
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Dir: t.TempDir(), TwitterDocs: 300, Sessions: 1, Seed: 123}
 	exp := Experiment{ID: "fig5", Run: Fig5}
-	res, _, err := checkpointedRun(context.Background(), t, cfg, exp, fsys)
+	res, _, err := checkpointedRun(context.Background(), t, plantedConfig(t), exp, fsys)
 	if res != nil {
 		t.Errorf("checkpoint %s: replayed a result", payload)
 	}
@@ -368,6 +391,7 @@ func runPlanted(t *testing.T, key, payload string) error {
 // decode, as a session or as an experiment's result, fails the run with an
 // error naming its key instead of being replayed.
 func TestReplayRejectsGarbageRecords(t *testing.T) {
+	fig5Key := fig5Key(t)
 	for _, tc := range []struct{ key, payload string }{
 		{fig5Key, `{"engine":"JODA","alien":1}`},
 		{fig5Key, `{"engine":5}`},
@@ -388,6 +412,7 @@ func TestReplayRejectsGarbageRecords(t *testing.T) {
 func TestReplayRejectsLegacySessionShape(t *testing.T) {
 	payload := `{"engine":"JODA","import":{"Docs":8,"Bytes":900,"StoredBytes":700,"Duration":9000},` +
 		`"query_times":[1000,2000],"total":3000,"wall":12000}`
+	fig5Key := fig5Key(t)
 	err := runPlanted(t, fig5Key, payload)
 	if err == nil || !strings.Contains(err.Error(), fig5Key) || !strings.Contains(err.Error(), "unknown field") {
 		t.Errorf("legacy session checkpoint: %v, want an unknown-field error naming %s", err, fig5Key)
@@ -416,13 +441,13 @@ func TestSessionRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &Env{cp: q.Checkpoints(job.ID)}
-	key := WorkKey{Experiment: "table2", Engine: "JODA", Dataset: "Twitter", Seed: 7}.String()
-	if !env.save(key, orig) {
-		t.Fatal(env.CheckpointErr())
+	cp := q.Checkpoints(job.ID)
+	const key = "table2/session"
+	if err := saveCheckpoint(cp, key, orig); err != nil {
+		t.Fatal(err)
 	}
 	var got SessionRecord
-	if found, err := env.load(key, &got); !found || err != nil {
+	if found, err := loadCheckpoint(cp, key, &got); !found || err != nil {
 		t.Fatalf("checkpointed session not loaded: found=%v err=%v", found, err)
 	}
 	if !reflect.DeepEqual(got, orig) {
@@ -446,29 +471,46 @@ func TestSessionRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorkKeyOccurrences pins the repeat-disambiguation rule: identical
-// identities get increasing occurrences, scoped per experiment.
-func TestWorkKeyOccurrences(t *testing.T) {
-	env := &Env{cp: &jobqueue.Checkpoints{}}
-	env.beginExperiment("fig9", nil)
-	k1, ok := env.nextKey("JODA", "twitter", 123)
-	k2, _ := env.nextKey("JODA", "twitter", 123)
-	k3, _ := env.nextKey("MongoDB", "twitter", 123)
-	if !ok || k1.Occurrence != 0 || k2.Occurrence != 1 || k3.Occurrence != 0 {
-		t.Errorf("occurrences: %v %v %v", k1, k2, k3)
+// TestUnitKey pins what a unit's key covers: everything that shapes the
+// record, and nothing that only says where bytes are stored.
+func TestUnitKey(t *testing.T) {
+	base := Unit{
+		System: Systems["joda"], Threads: 2,
+		Imports: []Import{{Name: "Twitter", Path: "/data/a.json"}}, DataKey: "twitter",
+		Queries: plainQueries(3), Seed: 7,
+		Faults: faultsim.Uniform(0.2, 5), Retry: DefaultRetryPolicy(),
+		Timeout: time.Minute, DetTiming: true, Dir: "/tmp/work-a",
 	}
-	env.beginExperiment("table2", nil)
-	k4, _ := env.nextKey("JODA", "twitter", 123)
-	if k4.Occurrence != 0 || k4.Experiment != "table2" {
-		t.Errorf("experiment scoping: %v", k4)
+	key := base.Key()
+	if len(key) != 64 || key != base.Key() {
+		t.Fatalf("key %q is not a stable hex SHA-256", key)
 	}
-	// Outside RunExperiment nothing is tracked.
-	env.beginExperiment("", nil)
-	if _, ok := env.nextKey("JODA", "twitter", 123); ok {
-		t.Error("tracked outside an experiment")
+	for _, tc := range []struct {
+		name   string
+		change func(*Unit)
+	}{
+		{"system", func(u *Unit) { u.System = Systems["joda-evicted"] }},
+		{"threads", func(u *Unit) { u.Threads = 4 }},
+		{"import", func(u *Unit) { u.Imports = []Import{{Name: "NoBench", Path: "/data/a.json"}} }},
+		{"data key", func(u *Unit) { u.DataKey = "nobench_1000" }},
+		{"seed", func(u *Unit) { u.Seed = 8 }},
+		{"query", func(u *Unit) { u.Queries = append(plainQueries(2), &query.Query{ID: "q3", Base: "other"}) }},
+		{"faults", func(u *Unit) { u.Faults = faultsim.Uniform(0.5, 5) }},
+		{"fault seed", func(u *Unit) { u.Faults.Seed = 6 }},
+		{"retry", func(u *Unit) { u.Retry.MaxAttempts = 2 }},
+		{"timeout", func(u *Unit) { u.Timeout = time.Second }},
+		{"det-timing", func(u *Unit) { u.DetTiming = false }},
+	} {
+		u := base
+		tc.change(&u)
+		if u.Key() == key {
+			t.Errorf("changing the %s keeps the key", tc.name)
+		}
 	}
-	untracked := &Env{}
-	if _, ok := untracked.nextKey("JODA", "twitter", 123); ok {
-		t.Error("tracked without checkpoints")
+	u := base
+	u.Imports = []Import{{Name: "Twitter", Path: "/elsewhere/b.json"}}
+	u.Dir = "/tmp/work-b"
+	if u.Key() != key {
+		t.Error("moving the import file or the scratch dir changes the key")
 	}
 }

@@ -83,7 +83,7 @@ func Fig5(ctx context.Context, e *Env) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig5 %s session %d: %w", preset.Name, s, err)
 			}
-			res := e.runSession(ctx, systemSpec("joda", 0), ds, sess)
+			res := e.run(ctx, e.unit(Systems["joda"], 0, ds, sess))
 			if err := res.Err(); err != nil || res.Error != "" {
 				return nil, fmt.Errorf("fig5: %v / %s", err, res.Error)
 			}
@@ -130,7 +130,7 @@ func Fig6(ctx context.Context, e *Env) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s session %d: %w", preset.Name, s, err)
 			}
-			res := e.runSession(ctx, systemSpec("joda", 0), ds, sess)
+			res := e.run(ctx, e.unit(Systems["joda"], 0, ds, sess))
 			if err := res.Err(); err != nil || res.Error != "" {
 				return nil, fmt.Errorf("fig6: %v / %s", err, res.Error)
 			}
@@ -178,7 +178,7 @@ func Fig7(ctx context.Context, e *Env) (*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("fig7 a=%.1f b=%.1f: %w", alpha, beta, err)
 				}
-				res := e.runSession(ctx, systemSpec("joda", 0), ds, sess)
+				res := e.run(ctx, e.unit(Systems["joda"], 0, ds, sess))
 				if err := res.Err(); err != nil || res.Error != "" {
 					return nil, fmt.Errorf("fig7: %v / %s", err, res.Error)
 				}
@@ -275,14 +275,14 @@ func Fig9(ctx context.Context, e *Env) (*Result, error) {
 		return nil, err
 	}
 	flat := map[string]SessionRecord{}
-	for _, spec := range systemSpecs(0)[1:] {
-		flat[spec.name] = e.runSession(ctx, spec, ds, sess)
+	for _, key := range paperSystems[1:] {
+		flat[key] = e.run(ctx, e.unit(Systems[key], 0, ds, sess))
 	}
 	var rows [][]string
 	for _, t := range e.Cfg.Threads {
-		res := e.runSession(ctx, systemSpec("joda", t), ds, sess)
+		res := e.run(ctx, e.unit(Systems["joda"], t, ds, sess))
 		rows = append(rows, []string{fmt.Sprintf("%d", t),
-			res.cell(), flat["MongoDB"].cell(), flat["PostgreSQL"].cell(), flat["jq"].cell()})
+			res.cell(), flat["mongodb"].cell(), flat["postgres"].cell(), flat["jq"].cell()})
 	}
 	res := tableResult("fig9", []string{"threads", "JODA", "MongoDB", "PostgreSQL", "jq"}, rows)
 	res.note("(single-threaded systems measured once; they do not scale with threads)")
@@ -305,8 +305,8 @@ func Fig10(ctx context.Context, e *Env) (*Result, error) {
 			return nil, fmt.Errorf("fig10 n=%d: %w", n, err)
 		}
 		row := []string{fmt.Sprintf("%d", n)}
-		for _, spec := range systemSpecs(0) {
-			res := e.runSession(ctx, spec, ds, sess)
+		for _, key := range paperSystems {
+			res := e.run(ctx, e.unit(Systems[key], 0, ds, sess))
 			if res.Error != "" || res.Err() != nil || res.TimedOut {
 				row = append(row, res.cell())
 				continue
@@ -333,10 +333,7 @@ func Table2(ctx context.Context, e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var specs []engineSpec
-	for _, key := range []string{"joda", "joda-evicted", "mongodb", "postgres", "jq"} {
-		specs = append(specs, systemSpec(key, 0))
-	}
+	systems := []string{"joda", "joda-evicted", "mongodb", "postgres", "jq"}
 	results := map[string]map[string]SessionRecord{}
 	for label, ds := range map[string]*datasetEnv{"Twitter": tw, "NoBench": nb} {
 		sess, err := ds.generate(core.Options{Seed: 123})
@@ -344,15 +341,15 @@ func Table2(ctx context.Context, e *Env) (*Result, error) {
 			return nil, fmt.Errorf("table2 %s: %w", label, err)
 		}
 		results[label] = map[string]SessionRecord{}
-		for _, spec := range specs {
-			results[label][spec.name] = e.runSession(ctx, spec, ds, sess)
+		for _, key := range systems {
+			results[label][key] = e.run(ctx, e.unit(Systems[key], 0, ds, sess))
 		}
 	}
 	var rows [][]string
-	for _, spec := range specs {
-		rows = append(rows, []string{spec.name,
-			results["Twitter"][spec.name].cell(),
-			results["NoBench"][spec.name].cell()})
+	for _, key := range systems {
+		rows = append(rows, []string{Systems[key].Name,
+			results["Twitter"][key].cell(),
+			results["NoBench"][key].cell()})
 	}
 	return tableResult("table2", []string{"system", "Twitter", "NoBench"}, rows), nil
 }
@@ -395,8 +392,8 @@ func Table3(ctx context.Context, e *Env) (*Result, error) {
 	}
 	var rows [][]string
 	for _, dc := range dsCases {
-		for _, spec := range systemSpecs(0) {
-			row := []string{dc.label, spec.name}
+		for _, key := range paperSystems {
+			row := []string{dc.label, Systems[key].Name}
 			for _, preset := range core.Presets() {
 				for _, c := range configs {
 					opts := c.opts
@@ -406,7 +403,7 @@ func Table3(ctx context.Context, e *Env) (*Result, error) {
 					if err != nil {
 						return nil, fmt.Errorf("table3 %s/%s/%s: %w", dc.label, preset.Name, c.label, err)
 					}
-					res := e.runSession(ctx, spec, dc.ds, sess)
+					res := e.run(ctx, e.unit(Systems[key], 0, dc.ds, sess))
 					row = append(row, res.cell())
 				}
 			}
@@ -586,8 +583,9 @@ func Resilience(ctx context.Context, e *Env) (*Result, error) {
 	var rows [][]string
 	for _, rate := range rates {
 		for _, pc := range policies {
-			faults := faultsim.Uniform(rate, e.Cfg.Seed)
-			res := e.runSessionWith(ctx, systemSpec("joda", 0), ds, sess, faults, pc.pol)
+			u := e.unit(Systems["joda"], 0, ds, sess)
+			u.Faults, u.Retry = faultsim.Uniform(rate, e.Cfg.Seed), pc.pol
+			res := e.run(ctx, u)
 			completed := fmt.Sprintf("%d/%d", res.Completed, len(sess.Queries))
 			if res.Error != "" {
 				completed = "load failed"

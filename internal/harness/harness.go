@@ -17,7 +17,6 @@ import (
 	"github.com/joda-explore/betze/internal/analyze"
 	"github.com/joda-explore/betze/internal/core"
 	"github.com/joda-explore/betze/internal/datasets"
-	"github.com/joda-explore/betze/internal/engine"
 	"github.com/joda-explore/betze/internal/engine/jodasim"
 	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/jobqueue"
@@ -140,17 +139,18 @@ type Env struct {
 	sets    map[string]*datasetEnv
 
 	// Checkpointing state (see checkpoint.go): the running job's
-	// checkpoints, the first that could not be saved, and the work-key
-	// assignment for the experiment currently executing under RunExperiment.
+	// checkpoints, the first that could not be saved, and the experiment
+	// currently executing under RunExperiment with what stops it.
 	cp            *jobqueue.Checkpoints
 	cpErr         error
 	curExperiment string
-	occurrences   map[workIdentity]int
 	abort         context.CancelCauseFunc
 }
 
 // datasetEnv is one materialised dataset.
 type datasetEnv struct {
+	// key is the cache key, the dataset's identity in unit keys.
+	key   string
 	name  string
 	file  string
 	docs  []jsonval.Value
@@ -211,6 +211,7 @@ func (e *Env) dataset(key string, src datasets.Source, n int, seed int64) (*data
 	backend := jodasim.New(jodasim.Options{})
 	backend.ImportValues(src.Name, docs)
 	ds := &datasetEnv{
+		key:      key,
 		name:     src.Name,
 		file:     file,
 		docs:     docs,
@@ -261,86 +262,15 @@ func (ds *datasetEnv) generate(opts core.Options) (*core.Session, error) {
 	return core.Generate(opts, ds.stats)
 }
 
-// engineSpec names an engine constructor so experiments can instantiate
-// fresh, cache-cold engines per measurement; tests substitute their own.
-type engineSpec struct {
-	name string
-	make func(dir string) (engine.Engine, error)
-}
+// paperSystems is the paper's engine line-up, as Systems keys.
+var paperSystems = []string{"joda", "mongodb", "postgres", "jq"}
 
-// systemSpec binds a Systems entry to a JODA thread count.
-func systemSpec(key string, threads int) engineSpec {
-	sys := Systems[key]
-	return engineSpec{name: sys.Name, make: func(dir string) (engine.Engine, error) {
-		return sys.New(dir, threads)
-	}}
-}
-
-// systemSpecs is the paper's engine line-up.
-func systemSpecs(threads int) []engineSpec {
-	return []engineSpec{systemSpec("joda", threads), systemSpec("mongodb", 0), systemSpec("postgres", 0), systemSpec("jq", 0)}
-}
-
-// runSession imports the dataset into a fresh engine and executes every
-// query of the session through RunSession, honouring the configured
-// timeout, fault injection, retry policy and observability scope.
-func (e *Env) runSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session) SessionRecord {
-	return e.runSessionWith(ctx, spec, ds, s, e.Cfg.Faults, e.Cfg.Retry)
-}
-
-// runSessionWith is runSession with explicit fault and retry options, so
-// the resilience experiment can sweep them against one Env.
-func (e *Env) runSessionWith(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionRecord {
-	// Under checkpointing every session gets a deterministic work key; a
-	// resumed run returns the checkpointed result of a completed key instead
-	// of re-executing, and checkpoints every key it does execute — unless
-	// the caller's context ended, which makes the result an artifact of the
-	// interruption. A session that hit only its own Cfg.Timeout is a
-	// genuine result and is checkpointed.
-	key, tracked := e.nextKey(spec.name, ds.name, s.Seed)
-	if tracked {
-		var prev SessionRecord
-		found, err := e.load(key.String(), &prev)
-		if err != nil {
-			e.abort(err)
-			return SessionRecord{Engine: spec.name, Seed: s.Seed, Error: err.Error()}
-		}
-		if found {
-			e.Cfg.Obs.Record(obs.Event{
-				Type: obs.EvResumeSkip, Kind: obs.KindSession, Engine: key.Engine,
-				Dataset: key.Dataset, Session: key.String(),
-			})
-			e.Cfg.Obs.Counter(obs.MHarnessResumeSkips).Inc()
-			return prev
-		}
+// unit is session s over ds on sys, with threads JODA workers and the
+// configured faults, retry policy, timeout and timing.
+func (e *Env) unit(sys System, threads int, ds *datasetEnv, s *core.Session) Unit {
+	return Unit{
+		System: sys, Threads: threads, Imports: []Import{{ds.name, ds.file}}, DataKey: ds.key,
+		Queries: s.Queries, Seed: s.Seed, Faults: e.Cfg.Faults, Retry: e.Cfg.Retry,
+		Timeout: e.Cfg.Timeout, DetTiming: e.Cfg.DetTiming, Dir: e.dir,
 	}
-	res := e.execSession(ctx, spec, ds, s, faults, retry)
-	if tracked && ctx.Err() == nil && e.save(key.String(), res) {
-		e.Cfg.Obs.Record(obs.Event{
-			Type: obs.EvCheckpoint, Kind: obs.KindSession, Engine: key.Engine,
-			Dataset: key.Dataset, Session: key.String(),
-		})
-	}
-	return res
-}
-
-// execSession is the execution body of runSessionWith, below the
-// checkpoint layer.
-func (e *Env) execSession(ctx context.Context, spec engineSpec, ds *datasetEnv, s *core.Session, faults faultsim.Options, retry RetryPolicy) SessionRecord {
-	eng, err := spec.make(e.dir)
-	if err != nil {
-		return SessionRecord{Engine: spec.name, Seed: s.Seed, Error: err.Error()}
-	}
-	if faults.Enabled() {
-		eng = faultsim.Wrap(eng, faults)
-	}
-	defer eng.Close()
-	ctx, cancel := context.WithTimeout(obs.With(ctx, e.Cfg.Obs), e.Cfg.Timeout)
-	defer cancel()
-	rec := RunSession(ctx, eng, []Import{{ds.name, ds.file}}, s.Queries, retry, fmt.Sprintf("%s/seed%d", ds.name, s.Seed))
-	rec.Engine, rec.Seed = spec.name, s.Seed
-	if e.Cfg.DetTiming {
-		rec.DetTiming()
-	}
-	return rec
 }

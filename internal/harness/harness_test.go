@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,9 @@ import (
 	"time"
 
 	"github.com/joda-explore/betze/internal/core"
+	"github.com/joda-explore/betze/internal/errfs"
+	"github.com/joda-explore/betze/internal/jobqueue"
+	"github.com/joda-explore/betze/internal/obs"
 )
 
 // tinyConfig keeps harness tests fast.
@@ -93,11 +97,33 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRunAtTinyScale runs every experiment under checkpoints
+// and checks its output. It is also the collision check of session keys:
+// each experiment saves one distinct key per session it runs (a repeated
+// key would replay a checkpoint of the same run as a resume skip), as many
+// as the occurrence-counted keys that preceded content keys.
 func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny-scale full sweep still takes a few seconds")
 	}
 	env := newTinyEnv(t)
+	reg := obs.NewRegistry()
+	env.Cfg.Obs = obs.Scope{Metrics: reg}
+	fsys := errfs.NewMem()
+	q, err := jobqueue.Open(testJournal, jobqueue.Options{FS: fsys, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	job, err := q.Submit("test", json.RawMessage(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.SetCheckpoints(q.Checkpoints(job.ID))
+	sessions := map[string]int{
+		"fig5": 6, "fig6": 6, "fig7": 64, "fig9": 5, "fig10": 8,
+		"table2": 10, "table3": 108, "resilience": 6,
+	}
 	checks := map[string][]string{
 		"table1": {"novice", "0.50", "0.30", "20", "expert", "0.05"},
 		"fig5":   {"q1", "q20", "novice", "intermediate", "expert"},
@@ -117,7 +143,7 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 		"resilience": {"fault rate", "retried", "recovered", "0%", "50%"},
 	}
 	for _, exp := range Experiments() {
-		res, err := exp.Run(context.Background(), env)
+		res, _, err := env.RunExperiment(context.Background(), exp)
 		if err != nil {
 			t.Fatalf("%s: %v", exp.ID, err)
 		}
@@ -139,6 +165,28 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 		}
 		t.Logf("%s:\n%s", exp.Title, out)
 	}
+	if err := env.CheckpointErr(); err != nil {
+		t.Fatal(err)
+	}
+	if skips := reg.Counter(obs.MHarnessResumeSkips).Value(); skips != 0 {
+		t.Errorf("%d sessions replayed another's checkpoint", skips)
+	}
+	records := journalRecords(t, fsys)
+	for _, exp := range Experiments() {
+		keys, results := countCheckpoints(t, records, exp)
+		ran := 0
+		for key, n := range keys {
+			if strings.HasPrefix(key, exp.ID+"/") {
+				ran += n
+				if n != 1 {
+					t.Errorf("%s saved key %s %d times", exp.ID, key, n)
+				}
+			}
+		}
+		if ran != sessions[exp.ID] || results != 1 {
+			t.Errorf("%s saved %d session keys and %d results, want %d and 1", exp.ID, ran, results, sessions[exp.ID])
+		}
+	}
 }
 
 func TestRunSessionTimeout(t *testing.T) {
@@ -157,7 +205,7 @@ func TestRunSessionTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := env.runSession(context.Background(), systemSpec("joda", 0), ds, sess)
+	res := env.run(context.Background(), env.unit(Systems["joda"], 0, ds, sess))
 	if !res.TimedOut && res.Error == "" {
 		t.Errorf("nanosecond timeout did not trip: %+v", res)
 	}

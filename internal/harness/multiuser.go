@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -21,10 +20,11 @@ import (
 // also possible."). For each concurrency level it runs a mixed population
 // (novice/intermediate/expert round-robin) and reports wall time, total and
 // completed queries and throughput. Each user runs its queries through
-// RunQueries with Config.Retry, so a failed query is retried, then skipped
-// and noted — it does not abort the user or the experiment — and every user
-// closes its session trace with EvSessionEnd. With Config.Faults enabled,
-// the shared engine is wrapped with the deterministic fault injector.
+// RunSession, without imports, with Config.Retry, so a failed query is
+// retried, then skipped and noted — it does not abort the user or the
+// experiment — and every user's session is bracketed by EvSessionStart and
+// EvSessionEnd. With Config.Faults enabled, the shared engine is wrapped
+// with the deterministic fault injector.
 func MultiUser(ctx context.Context, e *Env) (*Result, error) {
 	ds, err := e.Twitter()
 	if err != nil {
@@ -58,7 +58,7 @@ func MultiUser(ctx context.Context, e *Env) (*Result, error) {
 		ctx = obs.With(ctx, e.Cfg.Obs)
 		start := time.Now()
 		var wg sync.WaitGroup
-		results := make([]RunStats, users)
+		results := make([]SessionRecord, users)
 		queries := 0
 		for u, sess := range sessions {
 			queries += len(sess.Queries)
@@ -66,24 +66,7 @@ func MultiUser(ctx context.Context, e *Env) (*Result, error) {
 			go func(u int, sess *core.Session) {
 				defer wg.Done()
 				label := fmt.Sprintf("%s/user%d", ds.name, u)
-				e.Cfg.Obs.Record(obs.Event{
-					Type: obs.EvSessionStart, Engine: exec.Name(), Dataset: ds.name,
-					Session: label, Queries: len(sess.Queries),
-				})
-				outcomes, rs := RunQueries(ctx, exec, sess.Queries, e.Cfg.Retry, io.Discard, label)
-				var total time.Duration
-				for _, o := range outcomes {
-					total += o.Stats.Duration
-				}
-				ev := obs.Event{
-					Type: obs.EvSessionEnd, Engine: exec.Name(), Dataset: ds.name,
-					Session: label, Duration: total, TimedOut: rs.TimedOut,
-				}
-				if rs.FirstErr != nil {
-					ev.Err = rs.FirstErr.Error()
-				}
-				e.Cfg.Obs.Record(ev)
-				results[u] = rs
+				results[u] = RunSession(ctx, exec, nil, sess.Queries, e.Cfg.Retry, label)
 			}(u, sess)
 		}
 		wg.Wait()
@@ -91,16 +74,16 @@ func MultiUser(ctx context.Context, e *Env) (*Result, error) {
 		cancel()
 		eng.Close()
 		completed := 0
-		for u, rs := range results {
-			completed += rs.Completed
+		for u, rec := range results {
+			completed += rec.Completed
 			n := len(sessions[u].Queries)
-			if rs.FirstErr != nil {
+			if err := rec.Err(); err != nil {
 				notes = append(notes, fmt.Sprintf("(%d users: user%d skipped %d/%d queries, first: %v)",
-					users, u, rs.Skipped, n, rs.FirstErr))
+					users, u, rec.Skipped, n, err))
 			}
-			if rs.TimedOut {
+			if rec.TimedOut {
 				notes = append(notes, fmt.Sprintf("(%d users: user%d timed out after %d/%d queries)",
-					users, u, rs.Completed, n))
+					users, u, rec.Completed, n))
 			}
 		}
 		rows = append(rows, []string{

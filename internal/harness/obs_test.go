@@ -31,11 +31,9 @@ func (slowEngine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (
 func (slowEngine) Reset() error { return nil }
 func (slowEngine) Close() error { return nil }
 
-func slowSpec() engineSpec {
-	return engineSpec{name: "slow", make: func(string) (engine.Engine, error) {
-		return slowEngine{}, nil
-	}}
-}
+var slowSystem = System{Name: "slow", New: func(string, int) (engine.Engine, error) {
+	return slowEngine{}, nil
+}}
 
 // TestRunSessionTimeoutTrace is the hang-vs-timeout regression: a query that
 // exceeds the deadline must return promptly with a timeout trace event, not
@@ -61,12 +59,12 @@ func TestRunSessionTimeoutTrace(t *testing.T) {
 	}
 
 	done := make(chan SessionRecord, 1)
-	go func() { done <- env.runSession(context.Background(), slowSpec(), ds, sess) }()
+	go func() { done <- env.run(context.Background(), env.unit(slowSystem, 0, ds, sess)) }()
 	var res SessionRecord
 	select {
 	case res = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("runSession hung on a query exceeding its deadline")
+		t.Fatal("the session hung on a query exceeding its deadline")
 	}
 	if !res.TimedOut {
 		t.Fatalf("session did not report timeout: %+v", res)
@@ -125,7 +123,7 @@ func TestSessionTraceDurationsSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := env.runSession(context.Background(), systemSpec("joda", 0), ds, sess)
+	res := env.run(context.Background(), env.unit(Systems["joda"], 0, ds, sess))
 	if res.Err() != nil || res.Error != "" {
 		t.Fatalf("session failed: %+v", res)
 	}

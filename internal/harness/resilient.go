@@ -58,6 +58,26 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
+// FaultFlags maps the CLIs' -faults, -fault-seed and -retries flags onto
+// fault injection and a retry policy: faults at rate in [0,1] seeded by
+// seed, and retries > 0 re-attempts per operation on the default profile,
+// jittered from the same seed. Zero retries is the zero policy.
+func FaultFlags(rate float64, seed int64, retries int) (faultsim.Options, RetryPolicy, error) {
+	if !(rate >= 0 && rate <= 1) {
+		return faultsim.Options{}, RetryPolicy{}, fmt.Errorf("-faults: rate %v outside [0,1]", rate)
+	}
+	if retries < 0 {
+		return faultsim.Options{}, RetryPolicy{}, fmt.Errorf("-retries: negative count %d", retries)
+	}
+	var pol RetryPolicy
+	if retries > 0 {
+		pol = DefaultRetryPolicy()
+		pol.MaxAttempts = retries + 1
+		pol.Seed = seed
+	}
+	return faultsim.Uniform(rate, seed), pol, nil
+}
+
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 1

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -235,9 +237,10 @@ func TestCrashRecoveryOnRealSims(t *testing.T) {
 		{ID: "q3", Base: "d2"},
 	}
 	ctx := context.Background()
-	for _, spec := range systemSpecs(2) {
+	for _, key := range paperSystems {
+		sys := Systems[key]
 		run := func(faults faultsim.Options) ([]Outcome, RunStats) {
-			inner, err := spec.make(t.TempDir())
+			inner, err := sys.New(t.TempDir(), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,12 +254,12 @@ func TestCrashRecoveryOnRealSims(t *testing.T) {
 		want, _ := run(faultsim.Options{})
 		got, rs := run(faultsim.Options{Seed: 5, CrashRate: 1, MaxFaultsPerOp: 1})
 		if rs.Completed != len(qs) || rs.Recovered == 0 {
-			t.Fatalf("%s: crashing session: %+v", spec.name, rs)
+			t.Fatalf("%s: crashing session: %+v", sys.Name, rs)
 		}
 		for i, w := range want {
 			g := got[i].Stats
 			if w.Err != nil || w.Stats.Matched == 0 || g.Matched != w.Stats.Matched || g.Returned != w.Stats.Returned || g.OutputBytes != w.Stats.OutputBytes {
-				t.Errorf("%s %s: crashing run %+v, fault-free run %+v (%v)", spec.name, qs[i].ID, g, w.Stats, w.Err)
+				t.Errorf("%s %s: crashing run %+v, fault-free run %+v (%v)", sys.Name, qs[i].ID, g, w.Stats, w.Err)
 			}
 		}
 	}
@@ -565,6 +568,32 @@ func TestMultiUserRetriesFaults(t *testing.T) {
 	}
 	if len(res.Notes) != 1 {
 		t.Errorf("failure notes under retried faults:\n%s", res.Text())
+	}
+}
+
+// TestFaultFlags pins the CLIs' mapping of -faults, -fault-seed and
+// -retries.
+func TestFaultFlags(t *testing.T) {
+	for _, tc := range []struct {
+		rate    float64
+		retries int
+		bad     string
+	}{
+		{-0.1, 0, "-faults"}, {1.5, 0, "-faults"}, {math.NaN(), 0, "-faults"}, {0.2, -1, "-retries"},
+	} {
+		if _, _, err := FaultFlags(tc.rate, 9, tc.retries); err == nil || !strings.HasPrefix(err.Error(), tc.bad+": ") {
+			t.Errorf("FaultFlags(%v, 9, %d) = %v, want a %s error", tc.rate, tc.retries, err, tc.bad)
+		}
+	}
+	faults, pol, err := FaultFlags(0.5, 9, 0)
+	if err != nil || pol != (RetryPolicy{}) || faults != faultsim.Uniform(0.5, 9) {
+		t.Errorf("0 retries: %+v %+v %v, want the zero policy", faults, pol, err)
+	}
+	faults, pol, err = FaultFlags(0.5, 9, 3)
+	want := DefaultRetryPolicy()
+	want.MaxAttempts, want.Seed = 4, 9
+	if err != nil || pol != want || faults != faultsim.Uniform(0.5, 9) {
+		t.Errorf("3 retries: %+v %+v %v, want %+v", faults, pol, err, want)
 	}
 }
 

@@ -158,14 +158,19 @@ func (r *SessionRecord) DetTiming() {
 // order with RunImport, stopping at the first failure, then runs the
 // queries with RunQueries. The obs scope of ctx receives session_start and
 // session_end around it (plus timeout, retry, skip and recovery events as
-// they occur); label tags those events. The caller owns eng, its deadline
-// and the record's Engine and Seed, which default to eng.Name() and 0.
+// they occur); label tags those events, and session_end carries the first
+// query error. The caller owns eng, its deadline and the record's Engine and
+// Seed, which default to eng.Name() and 0. A session without imports runs
+// on data eng already holds; its events name the first query's dataset.
 func RunSession(ctx context.Context, eng engine.Engine, imports []Import, queries []*query.Query, pol RetryPolicy, label string) SessionRecord {
 	rec := SessionRecord{Engine: eng.Name()}
 	sc := obs.From(ctx)
 	var names []string
 	for _, imp := range imports {
 		names = append(names, imp.Name)
+	}
+	if len(imports) == 0 && len(queries) > 0 {
+		names = append(names, queries[0].Base)
 	}
 	dataset := strings.Join(names, ",")
 	// The bracketing events carry eng.Name(), the label the engine's own
@@ -178,10 +183,14 @@ func RunSession(ctx context.Context, eng engine.Engine, imports []Import, querie
 	// session_end duration equals the sum of the query_execute durations.
 	var total time.Duration
 	defer func() {
-		sc.Record(obs.Event{
+		ev := obs.Event{
 			Type: obs.EvSessionEnd, Engine: eng.Name(), Dataset: dataset,
 			Session: label, Duration: total, TimedOut: rec.TimedOut,
-		})
+		}
+		if err := rec.Err(); err != nil {
+			ev.Err = err.Error()
+		}
+		sc.Record(ev)
 		sc.Observe(obs.MHarnessSession, total)
 		sc.Counter(obs.MHarnessSessions).Inc()
 	}()
