@@ -1,8 +1,10 @@
 // Command betze-bench regenerates every table and figure of the paper's
 // evaluation (§VI) at a configurable scale. Run it without flags for a
-// laptop-sized pass over all experiments, or select one with -exp.
+// laptop-sized pass over all experiments, or select some with -exp, a
+// comma-separated list of experiment IDs run in list order.
 //
 //	betze-bench -exp fig10 -nobench-sweep 1000,10000,100000,1000000
+//	betze-bench -exp table2,table3 -twitter-docs 1500 -nobench-docs 1500
 //	betze-bench -exp all -twitter-docs 50000 -sessions 30
 //
 // Observability: -trace streams per-session/per-query JSON-lines events,
@@ -13,10 +15,13 @@
 //	betze-bench -exp table2 -trace trace.jsonl -metrics-out metrics.json
 //	betze-bench -exp fig10 -format csv -export-dir results/
 //
-// Robustness: -faults injects deterministic transient errors, latency
-// spikes and engine crashes at the given rate (seeded by -fault-seed), and
-// -retries enables the resilient executor — retry with backoff, circuit
-// breaking and crash recovery.
+// Robustness: -faults injects deterministic faults seeded by -fault-seed:
+// transient query errors at the given rate, import errors and 2 ms latency
+// spikes at half of it, engine crashes at a fifth, and at most two faulted
+// attempts per operation. -retries n enables the resilient executor: n+1
+// attempts per operation with jittered backoff (2 ms doubling to 50 ms),
+// a circuit breaker (opens after 5 consecutive failed queries, half-open
+// after 100 ms) and crash recovery.
 //
 //	betze-bench -exp resilience -faults 0.3 -fault-seed 7 -retries 3
 //
@@ -70,7 +75,7 @@ func run(args []string, out io.Writer) (err error) {
 	for i, e := range experiments {
 		ids[i] = e.ID
 	}
-	exp := fs.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
+	exp := fs.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+"), a comma-separated list of them, or 'all'")
 	fs.StringVar(&cfg.Dir, "dir", "", "working directory for dataset files (default: temp)")
 	fs.IntVar(&cfg.TwitterDocs, "twitter-docs", 0, "Twitter-like dataset size (default 8000; paper 29.6M)")
 	fs.IntVar(&cfg.NoBenchDocs, "nobench-docs", 0, "NoBench dataset size (default 20000; paper 10M)")
@@ -102,6 +107,9 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if *crashfuzz || *crashfuzzDeep {
 		return runCrashFuzz(out, *errfsSeed, *crashfuzzDeep)
+	}
+	if experiments, err = selectExperiments(*exp, experiments); err != nil {
+		return err
 	}
 
 	if cfg.NoBenchSweep, err = parseInts(*sweep); err != nil {
@@ -192,13 +200,6 @@ func run(args []string, out io.Writer) (err error) {
 		env.SetCheckpoints(job.checkpoints())
 	}
 
-	if *exp != "all" {
-		e, err := harness.ByID(*exp)
-		if err != nil {
-			return err
-		}
-		experiments = []harness.Experiment{e}
-	}
 	for _, e := range experiments {
 		fmt.Fprintf(out, "=== %s: %s ===\n", e.ID, e.Title)
 		start := time.Now()
@@ -233,6 +234,28 @@ func run(args []string, out io.Writer) (err error) {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return outputs.Close()
+}
+
+// selectExperiments resolves -exp: all of them, or a comma-separated list
+// of IDs, each at most once, in list order.
+func selectExperiments(exp string, all []harness.Experiment) ([]harness.Experiment, error) {
+	if exp == "all" {
+		return all, nil
+	}
+	var sel []harness.Experiment
+	seen := make(map[string]bool)
+	for _, id := range strings.Split(exp, ",") {
+		if seen[id] {
+			return nil, fmt.Errorf("-exp: experiment %q listed twice", id)
+		}
+		seen[id] = true
+		e, err := harness.ByID(id)
+		if err != nil {
+			return nil, err
+		}
+		sel = append(sel, e)
+	}
+	return sel, nil
 }
 
 // configFingerprint canonically encodes the work-shaping configuration: the

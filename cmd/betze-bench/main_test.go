@@ -218,6 +218,46 @@ func TestJournalAndResumeMutuallyExclusive(t *testing.T) {
 	}
 }
 
+// TestExpList: -exp takes a comma-separated list, run in list order in one
+// process and one journal; an unknown or repeated ID is refused, naming it,
+// before any work or journal.
+func TestExpList(t *testing.T) {
+	for _, tc := range []struct{ exp, want string }{
+		{"table1,nope", `unknown experiment "nope"`},
+		{"table1,table4,table1", `"table1" listed twice`},
+	} {
+		jdir := filepath.Join(t.TempDir(), "journal")
+		var out bytes.Buffer
+		err := run([]string{"-exp", tc.exp, "-journal", jdir, "-dir", t.TempDir()}, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-exp %s: %v, want an error containing %s", tc.exp, err, tc.want)
+		}
+		if _, serr := os.Stat(jdir); out.Len() != 0 || serr == nil {
+			t.Errorf("-exp %s did work before rejecting it:\n%s", tc.exp, out.String())
+		}
+	}
+
+	jdir := filepath.Join(t.TempDir(), "journal")
+	args := []string{"-exp", "table4,table1", "-twitter-docs", "300", "-dir", t.TempDir()}
+	var out bytes.Buffer
+	if err := run(append(args, "-journal", jdir), &out); err != nil {
+		t.Fatal(err)
+	}
+	first, second := strings.Index(out.String(), "=== table4:"), strings.Index(out.String(), "=== table1:")
+	if first < 0 || second < first {
+		t.Errorf("experiments not run in list order:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run(append(args, "-resume", jdir), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"table4", "table1"} {
+		if !strings.Contains(out.String(), "("+id+" replayed from journal)") {
+			t.Errorf("%s not replayed from the shared journal:\n%s", id, out.String())
+		}
+	}
+}
+
 func TestJournalRefusesExistingJournal(t *testing.T) {
 	jdir := filepath.Join(t.TempDir(), "journal")
 	if err := run([]string{"-exp", "table1", "-journal", jdir, "-dir", t.TempDir()}, io.Discard); err != nil {

@@ -109,7 +109,7 @@ func (c *campaignSpec) unit(seed int64, engName string, data harness.Import, que
 	u := harness.Unit{
 		System: sys, Imports: []harness.Import{data}, DataKey: c.Dataset.key(), Queries: queries,
 		Seed: seed, Retry: harness.DefaultRetryPolicy(), DetTiming: true, Dir: workdir,
-		Faults: faultsim.Uniform(c.FaultRate, cmp.Or(c.FaultSeed, c.Dataset.Seed)+seed*31+int64(len(engName))),
+		Faults: faultsim.Options{Seed: cmp.Or(c.FaultSeed, c.Dataset.Seed) + seed*31 + int64(len(engName)), Rate: c.FaultRate},
 	}
 	u.Retry.Seed = seed
 	return u

@@ -48,61 +48,32 @@ const (
 	KindCrash       = "crash"
 )
 
-// Options configures the injector. All rates are probabilities in [0, 1]
+// Options configures the injector: one rate, split across the fault kinds
+// as the CLIs' -faults flag documents. Transient query errors fire at Rate,
+// import errors and latency spikes at Rate/2, and crashes at Rate/5, each
 // evaluated independently per operation attempt.
 type Options struct {
 	// Seed fixes the fault schedule; the same seed injects the same
 	// faults at the same operations and attempts.
 	Seed int64
-	// QueryErrorRate injects transient Execute errors.
-	QueryErrorRate float64
-	// ImportErrorRate injects transient ImportFile errors.
-	ImportErrorRate float64
-	// LatencyRate injects latency spikes: Execute sleeps for Latency
-	// (honouring the context) before running normally.
-	LatencyRate float64
-	// Latency is the spike duration (default 2ms).
-	Latency time.Duration
-	// CrashRate injects engine crashes: derived datasets are dropped and
-	// Execute fails with ErrCrash.
-	CrashRate float64
-	// MaxFaultsPerOp bounds how many attempts of one operation can fault
-	// (default 2). Attempts beyond the bound never fault, so an executor
-	// retrying more than MaxFaultsPerOp times is guaranteed to get
-	// through — the property the resilience experiments rely on.
-	MaxFaultsPerOp int
+	// Rate is the query-error probability in [0, 1]; the other kinds
+	// fire at the fractions above.
+	Rate float64
 }
 
 // Enabled reports whether any fault kind can fire.
-func (o Options) Enabled() bool {
-	return o.QueryErrorRate > 0 || o.ImportErrorRate > 0 || o.LatencyRate > 0 || o.CrashRate > 0
-}
+func (o Options) Enabled() bool { return o.Rate > 0 }
 
-func (o Options) withDefaults() Options {
-	if o.Latency <= 0 {
-		o.Latency = 2 * time.Millisecond
-	}
-	if o.MaxFaultsPerOp <= 0 {
-		o.MaxFaultsPerOp = 2
-	}
-	return o
-}
-
-// Uniform builds the single-knob fault profile behind the CLIs' -faults
-// flag: transient query errors at rate, import errors and latency spikes at
-// half of it, crashes at a fifth.
-func Uniform(rate float64, seed int64) Options {
-	if rate <= 0 {
-		return Options{Seed: seed}
-	}
-	return Options{
-		Seed:            seed,
-		QueryErrorRate:  rate,
-		ImportErrorRate: rate / 2,
-		LatencyRate:     rate / 2,
-		CrashRate:       rate / 5,
-	}
-}
+const (
+	// latency is the duration of an injected latency spike: Execute
+	// sleeps for it (honouring the context) before running normally.
+	latency = 2 * time.Millisecond
+	// maxFaultsPerOp bounds how many attempts of one operation can fault.
+	// Attempts beyond the bound never fault, so an executor retrying more
+	// than maxFaultsPerOp times is guaranteed to get through — the
+	// property the resilience experiments rely on.
+	maxFaultsPerOp = 2
+)
 
 // Fault is one entry of the injected-fault schedule.
 type Fault struct {
@@ -131,7 +102,7 @@ type Engine struct {
 func Wrap(inner engine.Engine, opts Options) *Engine {
 	return &Engine{
 		inner:    inner,
-		opts:     opts.withDefaults(),
+		opts:     opts,
 		attempts: make(map[string]int),
 	}
 }
@@ -156,11 +127,19 @@ func (e *Engine) nextAttempt(op string) int {
 }
 
 // decide is the pure injection decision: the shared errfs.Chance hash of
-// (seed, kind, op, attempt) mapped to [0, 1) and compared against the rate
-// — byte-identical to the original in-package hash, so existing seeds keep
-// their fault schedules. Attempts at or beyond MaxFaultsPerOp never fault.
-func (e *Engine) decide(kind, op string, attempt int, rate float64) bool {
-	if rate <= 0 || attempt >= e.opts.MaxFaultsPerOp {
+// (seed, kind, op, attempt) mapped to [0, 1) and compared against kind's
+// share of the rate — byte-identical to the original in-package hash, so
+// existing seeds keep their fault schedules. Attempts at or beyond
+// maxFaultsPerOp never fault.
+func (e *Engine) decide(kind, op string, attempt int) bool {
+	rate := e.opts.Rate
+	switch kind {
+	case KindImportError, KindLatency:
+		rate /= 2
+	case KindCrash:
+		rate /= 5
+	}
+	if rate <= 0 || attempt >= maxFaultsPerOp {
 		return false
 	}
 	return errfs.Chance(e.opts.Seed, kind, op, attempt) < rate
@@ -189,7 +168,7 @@ func (e *Engine) Name() string { return e.inner.Name() }
 func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.ImportStats, error) {
 	op := "import:" + name
 	attempt := e.nextAttempt(op)
-	if e.decide(KindImportError, op, attempt, e.opts.ImportErrorRate) {
+	if e.decide(KindImportError, op, attempt) {
 		e.inject(ctx, KindImportError, op, attempt, name, "")
 		return engine.ImportStats{}, fmt.Errorf("importing %q (attempt %d): %w", name, attempt, ErrInjected)
 	}
@@ -203,9 +182,9 @@ func (e *Engine) ImportFile(ctx context.Context, name, path string) (engine.Impo
 func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (engine.ExecStats, error) {
 	op := "exec:" + q.ID
 	attempt := e.nextAttempt(op)
-	if e.decide(KindLatency, op, attempt, e.opts.LatencyRate) {
+	if e.decide(KindLatency, op, attempt) {
 		e.inject(ctx, KindLatency, op, attempt, q.Base, q.ID)
-		t := time.NewTimer(e.opts.Latency)
+		t := time.NewTimer(latency)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
@@ -213,14 +192,14 @@ func (e *Engine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (e
 			return engine.ExecStats{}, ctx.Err()
 		}
 	}
-	if e.decide(KindCrash, op, attempt, e.opts.CrashRate) {
+	if e.decide(KindCrash, op, attempt) {
 		e.inject(ctx, KindCrash, op, attempt, q.Base, q.ID)
 		if err := e.inner.Reset(); err != nil {
 			return engine.ExecStats{}, fmt.Errorf("crash during %s: reset: %w (%w)", q.ID, err, ErrCrash)
 		}
 		return engine.ExecStats{}, fmt.Errorf("crash during %s (attempt %d): %w", q.ID, attempt, ErrCrash)
 	}
-	if e.decide(KindQueryError, op, attempt, e.opts.QueryErrorRate) {
+	if e.decide(KindQueryError, op, attempt) {
 		e.inject(ctx, KindQueryError, op, attempt, q.Base, q.ID)
 		return engine.ExecStats{}, fmt.Errorf("executing %s (attempt %d): %w", q.ID, attempt, ErrInjected)
 	}

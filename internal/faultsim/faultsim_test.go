@@ -66,7 +66,7 @@ func driveUntilDone(t *testing.T, e *Engine, qs []*query.Query) []int {
 }
 
 func TestScheduleDeterminism(t *testing.T) {
-	opts := Options{Seed: 42, QueryErrorRate: 0.5, LatencyRate: 0.3, CrashRate: 0.2, Latency: time.Microsecond}
+	opts := Options{Seed: 42, Rate: 0.5}
 	run := func() []Fault {
 		e := Wrap(&stubEngine{}, opts)
 		driveUntilDone(t, e, testQueries(20))
@@ -79,7 +79,7 @@ func TestScheduleDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("same seed, different schedules:\n%v\n%v", first, second)
 	}
-	other := Wrap(&stubEngine{}, Options{Seed: 43, QueryErrorRate: 0.5, LatencyRate: 0.3, CrashRate: 0.2, Latency: time.Microsecond})
+	other := Wrap(&stubEngine{}, Options{Seed: 43, Rate: 0.5})
 	driveUntilDone(t, other, testQueries(20))
 	if reflect.DeepEqual(first, other.Schedule()) {
 		t.Errorf("different seeds produced identical schedules: %v", first)
@@ -90,7 +90,7 @@ func TestScheduleDeterminism(t *testing.T) {
 // same fault seed emit identical fault events on the trace (modulo sequence
 // numbers and timestamps).
 func TestScheduleDeterminismInTrace(t *testing.T) {
-	opts := Options{Seed: 7, QueryErrorRate: 0.6, CrashRate: 0.1}
+	opts := Options{Seed: 7, Rate: 0.6}
 	type faultKey struct {
 		Engine, Dataset, Query, Kind string
 		Attempt                      int
@@ -131,7 +131,7 @@ func TestScheduleDeterminismInTrace(t *testing.T) {
 
 func TestMaxFaultsPerOpBoundsInjection(t *testing.T) {
 	stub := &stubEngine{}
-	e := Wrap(stub, Options{Seed: 1, QueryErrorRate: 1, MaxFaultsPerOp: 2})
+	e := Wrap(stub, Options{Seed: 1, Rate: 1})
 	attempts := driveUntilDone(t, e, testQueries(5))
 	for i, n := range attempts {
 		if n != 3 { // two injected failures, then guaranteed success
@@ -143,9 +143,12 @@ func TestMaxFaultsPerOpBoundsInjection(t *testing.T) {
 	}
 }
 
+// At seed 7 and rate 1 (TestSchedulePinned), q2's first attempt draws a
+// query error, q7's a crash, and q1's a latency spike followed by a query
+// error; at seed 123, nobench's first import draws an import error.
 func TestErrorClassification(t *testing.T) {
-	e := Wrap(&stubEngine{}, Options{Seed: 1, QueryErrorRate: 1})
-	_, err := e.Execute(context.Background(), &query.Query{ID: "q1", Base: "ds"}, io.Discard)
+	e := Wrap(&stubEngine{}, Options{Seed: 7, Rate: 1})
+	_, err := e.Execute(context.Background(), &query.Query{ID: "q2", Base: "ds"}, io.Discard)
 	if !IsTransient(err) {
 		t.Errorf("query-error injection not transient: %v", err)
 	}
@@ -154,8 +157,8 @@ func TestErrorClassification(t *testing.T) {
 	}
 
 	stub := &stubEngine{}
-	c := Wrap(stub, Options{Seed: 1, CrashRate: 1})
-	_, err = c.Execute(context.Background(), &query.Query{ID: "q1", Base: "ds"}, io.Discard)
+	c := Wrap(stub, Options{Seed: 7, Rate: 1})
+	_, err = c.Execute(context.Background(), &query.Query{ID: "q7", Base: "ds"}, io.Discard)
 	if !IsCrash(err) {
 		t.Errorf("crash injection not a crash: %v", err)
 	}
@@ -163,8 +166,8 @@ func TestErrorClassification(t *testing.T) {
 		t.Errorf("crash did not reset the inner engine (resets=%d)", stub.resets)
 	}
 
-	i := Wrap(&stubEngine{}, Options{Seed: 1, ImportErrorRate: 1})
-	_, err = i.ImportFile(context.Background(), "ds", "nowhere.json")
+	i := Wrap(&stubEngine{}, Options{Seed: 123, Rate: 1})
+	_, err = i.ImportFile(context.Background(), "nobench", "nowhere.json")
 	if !IsTransient(err) {
 		t.Errorf("import-error injection not transient: %v", err)
 	}
@@ -173,25 +176,33 @@ func TestErrorClassification(t *testing.T) {
 	}
 }
 
+// TestLatencyHonoursContext: a spike under an expired context returns the
+// context's error at once instead of running the query.
 func TestLatencyHonoursContext(t *testing.T) {
-	e := Wrap(&stubEngine{}, Options{Seed: 1, LatencyRate: 1, Latency: time.Minute})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	stub := &stubEngine{}
+	e := Wrap(stub, Options{Seed: 7, Rate: 1})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	start := time.Now()
 	_, err := e.Execute(ctx, &query.Query{ID: "q1", Base: "ds"}, io.Discard)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("latency spike under cancelled context returned %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("latency spike ignored the context for %v", elapsed)
+	if sched := e.Schedule(); len(sched) != 1 || sched[0].Kind != KindLatency || stub.execs != 0 {
+		t.Errorf("schedule = %v, inner executions %d; want one latency fault and none", sched, stub.execs)
 	}
 }
 
+// TestLatencyDelaysButSucceeds: at seed 7 and rate 0.2, q8's first attempt
+// draws a latency spike and nothing else.
 func TestLatencyDelaysButSucceeds(t *testing.T) {
 	stub := &stubEngine{}
-	e := Wrap(stub, Options{Seed: 1, LatencyRate: 1, Latency: time.Millisecond})
-	if _, err := e.Execute(context.Background(), &query.Query{ID: "q1", Base: "ds"}, io.Discard); err != nil {
+	e := Wrap(stub, Options{Seed: 7, Rate: 0.2})
+	start := time.Now()
+	if _, err := e.Execute(context.Background(), &query.Query{ID: "q8", Base: "ds"}, io.Discard); err != nil {
 		t.Fatalf("latency-only injection failed the query: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < latency {
+		t.Errorf("query returned after %v, within the %v spike", elapsed, latency)
 	}
 	if stub.execs != 1 {
 		t.Errorf("query did not reach the inner engine")
@@ -202,19 +213,12 @@ func TestLatencyDelaysButSucceeds(t *testing.T) {
 	}
 }
 
-func TestUniformAndEnabled(t *testing.T) {
-	if (Options{}).Enabled() {
-		t.Error("zero options enabled")
+func TestEnabled(t *testing.T) {
+	if (Options{}).Enabled() || (Options{Seed: 9}).Enabled() {
+		t.Error("zero-rate options enabled")
 	}
-	if Uniform(0, 9).Enabled() {
-		t.Error("zero-rate uniform profile enabled")
-	}
-	u := Uniform(0.5, 9)
-	if !u.Enabled() || u.Seed != 9 {
-		t.Errorf("uniform profile: %+v", u)
-	}
-	if u.QueryErrorRate != 0.5 || u.ImportErrorRate != 0.25 || u.LatencyRate != 0.25 || u.CrashRate != 0.1 {
-		t.Errorf("uniform rates: %+v", u)
+	if !(Options{Seed: 9, Rate: 0.5}).Enabled() {
+		t.Error("positive rate not enabled")
 	}
 }
 
@@ -238,5 +242,46 @@ func TestPassThrough(t *testing.T) {
 	}
 	if len(e.Schedule()) != 0 {
 		t.Errorf("disabled injector recorded faults: %v", e.Schedule())
+	}
+}
+
+// TestSchedulePinned pins the exact fault schedule of a fixed sequence of
+// imports and executions, each retried up to four times, for two seeds and
+// three rates: the split of the rate over the fault kinds, the per-operation
+// bound and the hash behind them all show in it. The expected schedules
+// were captured from the injector before its options were reduced to a
+// seed and a rate.
+func TestSchedulePinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		rate float64
+		want []Fault
+	}{
+		{7, 0.2, []Fault{{KindQueryError, "exec:q2", 0}, {KindQueryError, "exec:q7", 0}, {KindLatency, "exec:q8", 0}}},
+		{7, 0.5, []Fault{{KindLatency, "exec:q1", 0}, {KindQueryError, "exec:q2", 0}, {KindQueryError, "exec:q3", 0}, {KindQueryError, "exec:q5", 0}, {KindCrash, "exec:q5", 1}, {KindLatency, "exec:q6", 0}, {KindCrash, "exec:q7", 0}, {KindQueryError, "exec:q7", 1}, {KindLatency, "exec:q8", 0}}},
+		{7, 1, []Fault{{KindLatency, "exec:q1", 0}, {KindQueryError, "exec:q1", 0}, {KindLatency, "exec:q1", 1}, {KindQueryError, "exec:q1", 1}, {KindQueryError, "exec:q2", 0}, {KindCrash, "exec:q2", 1}, {KindLatency, "exec:q3", 0}, {KindQueryError, "exec:q3", 0}, {KindLatency, "exec:q3", 1}, {KindQueryError, "exec:q3", 1}, {KindQueryError, "exec:q4", 0}, {KindLatency, "exec:q4", 1}, {KindQueryError, "exec:q4", 1}, {KindQueryError, "exec:q5", 0}, {KindLatency, "exec:q5", 1}, {KindCrash, "exec:q5", 1}, {KindLatency, "exec:q6", 0}, {KindQueryError, "exec:q6", 0}, {KindLatency, "exec:q6", 1}, {KindQueryError, "exec:q6", 1}, {KindCrash, "exec:q7", 0}, {KindCrash, "exec:q7", 1}, {KindLatency, "exec:q8", 0}, {KindQueryError, "exec:q8", 0}, {KindLatency, "exec:q8", 1}, {KindQueryError, "exec:q8", 1}}},
+		{123, 0.2, []Fault{{KindImportError, "import:nobench", 0}, {KindLatency, "exec:q3", 0}, {KindQueryError, "exec:q7", 0}, {KindQueryError, "exec:q8", 0}, {KindQueryError, "exec:q8", 1}}},
+		{123, 0.5, []Fault{{KindImportError, "import:nobench", 0}, {KindImportError, "import:nobench", 1}, {KindQueryError, "exec:q2", 0}, {KindQueryError, "exec:q2", 1}, {KindLatency, "exec:q3", 0}, {KindCrash, "exec:q4", 0}, {KindLatency, "exec:q4", 1}, {KindQueryError, "exec:q5", 0}, {KindQueryError, "exec:q5", 1}, {KindLatency, "exec:q6", 0}, {KindQueryError, "exec:q7", 0}, {KindQueryError, "exec:q7", 1}, {KindQueryError, "exec:q8", 0}, {KindQueryError, "exec:q8", 1}}},
+		{123, 1, []Fault{{KindImportError, "import:nobench", 0}, {KindImportError, "import:nobench", 1}, {KindQueryError, "exec:q1", 0}, {KindQueryError, "exec:q1", 1}, {KindLatency, "exec:q2", 0}, {KindQueryError, "exec:q2", 0}, {KindQueryError, "exec:q2", 1}, {KindLatency, "exec:q3", 0}, {KindQueryError, "exec:q3", 0}, {KindCrash, "exec:q3", 1}, {KindCrash, "exec:q4", 0}, {KindLatency, "exec:q4", 1}, {KindQueryError, "exec:q4", 1}, {KindQueryError, "exec:q5", 0}, {KindLatency, "exec:q5", 1}, {KindQueryError, "exec:q5", 1}, {KindLatency, "exec:q6", 0}, {KindQueryError, "exec:q6", 0}, {KindLatency, "exec:q6", 1}, {KindCrash, "exec:q6", 1}, {KindQueryError, "exec:q7", 0}, {KindQueryError, "exec:q7", 1}, {KindQueryError, "exec:q8", 0}, {KindQueryError, "exec:q8", 1}}},
+	} {
+		e := Wrap(&stubEngine{}, Options{Seed: tc.seed, Rate: tc.rate})
+		ctx := context.Background()
+		for _, name := range []string{"twitter", "nobench"} {
+			for a := 0; a < 4; a++ {
+				if _, err := e.ImportFile(ctx, name, "unused"); err == nil {
+					break
+				}
+			}
+		}
+		for _, q := range testQueries(8) {
+			for a := 0; a < 4; a++ {
+				if _, err := e.Execute(ctx, q, io.Discard); err == nil {
+					break
+				}
+			}
+		}
+		if got := e.Schedule(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("seed %d rate %v: schedule\n%v\nwant\n%v", tc.seed, tc.rate, got, tc.want)
+		}
 	}
 }

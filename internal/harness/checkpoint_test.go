@@ -478,7 +478,7 @@ func TestUnitKey(t *testing.T) {
 		System: Systems["joda"], Threads: 2,
 		Imports: []Import{{Name: "Twitter", Path: "/data/a.json"}}, DataKey: "twitter",
 		Queries: plainQueries(3), Seed: 7,
-		Faults: faultsim.Uniform(0.2, 5), Retry: DefaultRetryPolicy(),
+		Faults: faultsim.Options{Seed: 5, Rate: 0.2}, Retry: RetryPolicy{MaxAttempts: 4, Seed: 5},
 		Timeout: time.Minute, DetTiming: true, Dir: "/tmp/work-a",
 	}
 	key := base.Key()
@@ -495,9 +495,10 @@ func TestUnitKey(t *testing.T) {
 		{"data key", func(u *Unit) { u.DataKey = "nobench_1000" }},
 		{"seed", func(u *Unit) { u.Seed = 8 }},
 		{"query", func(u *Unit) { u.Queries = append(plainQueries(2), &query.Query{ID: "q3", Base: "other"}) }},
-		{"faults", func(u *Unit) { u.Faults = faultsim.Uniform(0.5, 5) }},
+		{"fault rate", func(u *Unit) { u.Faults.Rate = 0.5 }},
 		{"fault seed", func(u *Unit) { u.Faults.Seed = 6 }},
-		{"retry", func(u *Unit) { u.Retry.MaxAttempts = 2 }},
+		{"retry attempts", func(u *Unit) { u.Retry.MaxAttempts = 2 }},
+		{"retry seed", func(u *Unit) { u.Retry.Seed = 6 }},
 		{"timeout", func(u *Unit) { u.Timeout = time.Second }},
 		{"det-timing", func(u *Unit) { u.DetTiming = false }},
 	} {

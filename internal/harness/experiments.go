@@ -334,22 +334,22 @@ func Table2(ctx context.Context, e *Env) (*Result, error) {
 		return nil, err
 	}
 	systems := []string{"joda", "joda-evicted", "mongodb", "postgres", "jq"}
-	results := map[string]map[string]SessionRecord{}
-	for label, ds := range map[string]*datasetEnv{"Twitter": tw, "NoBench": nb} {
-		sess, err := ds.generate(core.Options{Seed: 123})
-		if err != nil {
-			return nil, fmt.Errorf("table2 %s: %w", label, err)
-		}
-		results[label] = map[string]SessionRecord{}
-		for _, key := range systems {
-			results[label][key] = e.run(ctx, e.unit(Systems[key], 0, ds, sess))
-		}
+	dsCases := []struct {
+		label string
+		ds    *datasetEnv
+	}{{"Twitter", tw}, {"NoBench", nb}}
+	rows := make([][]string, len(systems))
+	for i, key := range systems {
+		rows[i] = []string{Systems[key].Name}
 	}
-	var rows [][]string
-	for _, key := range systems {
-		rows = append(rows, []string{Systems[key].Name,
-			results["Twitter"][key].cell(),
-			results["NoBench"][key].cell()})
+	for _, dc := range dsCases {
+		sess, err := dc.ds.generate(core.Options{Seed: 123})
+		if err != nil {
+			return nil, fmt.Errorf("table2 %s: %w", dc.label, err)
+		}
+		for i, key := range systems {
+			rows[i] = append(rows[i], e.run(ctx, e.unit(Systems[key], 0, dc.ds, sess)).cell())
+		}
 	}
 	return tableResult("table2", []string{"system", "Twitter", "NoBench"}, rows), nil
 }
@@ -584,7 +584,7 @@ func Resilience(ctx context.Context, e *Env) (*Result, error) {
 	for _, rate := range rates {
 		for _, pc := range policies {
 			u := e.unit(Systems["joda"], 0, ds, sess)
-			u.Faults, u.Retry = faultsim.Uniform(rate, e.Cfg.Seed), pc.pol
+			u.Faults, u.Retry = faultsim.Options{Seed: e.Cfg.Seed, Rate: rate}, pc.pol
 			res := e.run(ctx, u)
 			completed := fmt.Sprintf("%d/%d", res.Completed, len(sess.Queries))
 			if res.Error != "" {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -186,6 +187,40 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 		if ran != sessions[exp.ID] || results != 1 {
 			t.Errorf("%s saved %d session keys and %d results, want %d and 1", exp.ID, ran, results, sessions[exp.ID])
 		}
+	}
+}
+
+// TestTable2SessionOrder: Table2 runs its five Twitter sessions before its
+// five NoBench sessions on every run, so its trace and the subset of
+// sessions a crash leaves done are the same from run to run.
+func TestTable2SessionOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs table2 at tiny scale")
+	}
+	cfg := tinyConfig(t)
+	sc, buf, _ := traceScope()
+	cfg.Obs = sc
+	env, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	if _, err := Table2(context.Background(), env); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range events {
+		if e.Type == obs.EvSessionStart {
+			got = append(got, e.Dataset)
+		}
+	}
+	want := "Twitter Twitter Twitter Twitter Twitter NoBench NoBench NoBench NoBench NoBench"
+	if strings.Join(got, " ") != want {
+		t.Errorf("session_start datasets %v, want %s", got, want)
 	}
 }
 

@@ -15,53 +15,41 @@ import (
 )
 
 // RetryPolicy configures the resilient executor: bounded retries with
-// exponential backoff and full jitter, an optional per-query deadline on top
-// of the session timeout, and a per-engine circuit breaker. The zero value
-// executes every operation exactly once with no breaker — the seed
-// behaviour, minus aborting the session on the first error.
+// exponential backoff and full jitter, and, when the policy retries, a
+// per-engine circuit breaker. The zero value executes every operation
+// exactly once with no breaker — the seed behaviour, minus aborting the
+// session on the first error.
 type RetryPolicy struct {
 	// MaxAttempts bounds the executions of one operation, including the
-	// first (<= 0 means 1, i.e. no retries).
+	// first (<= 0 means 1, i.e. no retries). Above 1 the breaker is on.
 	MaxAttempts int
-	// BaseBackoff is the backoff cap before the first retry; it doubles
-	// per attempt up to MaxBackoff, and the actual sleep is drawn
-	// uniformly from [0, cap) — "full jitter" (default 2ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff growth (default 50ms).
-	MaxBackoff time.Duration
-	// QueryDeadline bounds one execution attempt, in addition to the
-	// session timeout; an attempt exceeding it is retried while the
-	// session deadline allows. Zero disables the per-query deadline.
-	QueryDeadline time.Duration
-	// BreakerThreshold is the number of consecutive failed queries that
-	// opens the circuit breaker; while open, queries are skipped without
-	// touching the engine. Zero disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before allowing
-	// a half-open trial query (default 100ms).
-	BreakerCooldown time.Duration
-	// Seed fixes the jitter sequence (default 1), keeping backoff
+	// Seed fixes the jitter sequence (0 means 1), keeping backoff
 	// schedules reproducible alongside the fault schedule.
 	Seed int64
 }
 
+const (
+	// baseBackoff is the backoff cap before the first retry; it doubles
+	// per attempt up to maxBackoff, and the actual sleep is drawn
+	// uniformly from [0, cap) — "full jitter".
+	baseBackoff = 2 * time.Millisecond
+	maxBackoff  = 50 * time.Millisecond
+	// breakerThreshold consecutive failed queries open the circuit
+	// breaker; while open, queries are skipped without touching the
+	// engine until breakerCooldown has passed and a half-open trial runs.
+	breakerThreshold = 5
+	breakerCooldown  = 100 * time.Millisecond
+)
+
 // DefaultRetryPolicy is the profile behind the CLIs' -retries flag: four
-// attempts per operation, which out-lasts faultsim's default MaxFaultsPerOp
-// of two, and a breaker for persistently failing engines.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:      4,
-		BaseBackoff:      2 * time.Millisecond,
-		MaxBackoff:       50 * time.Millisecond,
-		BreakerThreshold: 5,
-		BreakerCooldown:  100 * time.Millisecond,
-	}
-}
+// attempts per operation, which out-lasts faultsim's bound of two faults per
+// operation, and so a breaker for persistently failing engines.
+func DefaultRetryPolicy() RetryPolicy { return RetryPolicy{MaxAttempts: 4} }
 
 // FaultFlags maps the CLIs' -faults, -fault-seed and -retries flags onto
 // fault injection and a retry policy: faults at rate in [0,1] seeded by
-// seed, and retries > 0 re-attempts per operation on the default profile,
-// jittered from the same seed. Zero retries is the zero policy.
+// seed, and retries > 0 re-attempts per operation, jittered from the same
+// seed. Zero retries is the zero policy.
 func FaultFlags(rate float64, seed int64, retries int) (faultsim.Options, RetryPolicy, error) {
 	if !(rate >= 0 && rate <= 1) {
 		return faultsim.Options{}, RetryPolicy{}, fmt.Errorf("-faults: rate %v outside [0,1]", rate)
@@ -71,25 +59,14 @@ func FaultFlags(rate float64, seed int64, retries int) (faultsim.Options, RetryP
 	}
 	var pol RetryPolicy
 	if retries > 0 {
-		pol = DefaultRetryPolicy()
-		pol.MaxAttempts = retries + 1
-		pol.Seed = seed
+		pol = RetryPolicy{MaxAttempts: retries + 1, Seed: seed}
 	}
-	return faultsim.Uniform(rate, seed), pol, nil
+	return faultsim.Options{Seed: seed, Rate: rate}, pol, nil
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 1
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 2 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 50 * time.Millisecond
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = 100 * time.Millisecond
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -98,13 +75,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // backoff draws the full-jitter sleep before retrying attempt+1.
-func (p RetryPolicy) backoff(rng *rand.Rand, attempt int) time.Duration {
-	cap := p.BaseBackoff
-	for i := 1; i < attempt && cap < p.MaxBackoff; i++ {
+func backoff(rng *rand.Rand, attempt int) time.Duration {
+	cap := baseBackoff
+	for i := 1; i < attempt && cap < maxBackoff; i++ {
 		cap *= 2
 	}
-	if cap > p.MaxBackoff {
-		cap = p.MaxBackoff
+	if cap > maxBackoff {
+		cap = maxBackoff
 	}
 	return time.Duration(rng.Float64() * float64(cap))
 }
@@ -122,24 +99,16 @@ func sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// retryable reports whether an operation error is worth re-attempting:
-// injected transient faults and per-attempt deadline trips are; structural
-// errors (unknown datasets, parse failures) fail the same way every time.
-func retryable(err error) bool {
-	return faultsim.IsTransient(err) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // errBreakerOpen marks queries skipped by an open circuit breaker.
 var errBreakerOpen = errors.New("harness: circuit breaker open")
 
-// breaker is a consecutive-failure circuit breaker. Closed it passes
-// everything; after threshold consecutive query failures it opens and
-// rejects queries until the cooldown elapses, then admits one half-open
-// trial whose outcome closes or re-opens it.
+// breaker is a consecutive-failure circuit breaker. Off, or closed, it
+// passes everything; after breakerThreshold consecutive query failures it
+// opens and rejects queries until breakerCooldown elapses, then admits one
+// half-open trial whose outcome closes or re-opens it.
 type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	on  bool
+	now func() time.Time
 
 	consecutive int
 	open        bool
@@ -147,32 +116,32 @@ type breaker struct {
 	openedAt    time.Time
 }
 
-func newBreaker(p RetryPolicy) *breaker {
-	return &breaker{threshold: p.BreakerThreshold, cooldown: p.BreakerCooldown, now: time.Now}
-}
-
 // allow reports whether the next query may run.
 func (b *breaker) allow() bool {
-	if b.threshold <= 0 || !b.open {
+	if !b.on || !b.open {
 		return true
 	}
-	if b.now().Sub(b.openedAt) >= b.cooldown {
+	if b.now().Sub(b.openedAt) >= breakerCooldown {
 		b.halfOpen = true
 		return true
 	}
 	return false
 }
 
-func (b *breaker) success() {
+// success records a completed query and reports whether it was the
+// half-open trial that closed the breaker.
+func (b *breaker) success() bool {
+	closed := b.halfOpen
 	b.consecutive = 0
 	b.open = false
 	b.halfOpen = false
+	return closed
 }
 
 // failure records a failed query and reports whether this failure opened
 // (or re-opened) the breaker.
 func (b *breaker) failure() bool {
-	if b.threshold <= 0 {
+	if !b.on {
 		return false
 	}
 	b.consecutive++
@@ -181,7 +150,7 @@ func (b *breaker) failure() bool {
 		b.openedAt = b.now()
 		return true
 	}
-	if !b.open && b.consecutive >= b.threshold {
+	if !b.open && b.consecutive >= breakerThreshold {
 		b.open = true
 		b.openedAt = b.now()
 		return true
@@ -231,7 +200,7 @@ func RunImport(ctx context.Context, eng engine.Engine, name, path string, pol Re
 	sc := obs.From(ctx)
 	for attempt := 1; ; attempt++ {
 		imp, err := eng.ImportFile(ctx, name, path)
-		if err == nil || ctx.Err() != nil || attempt >= pol.MaxAttempts || !retryable(err) {
+		if err == nil || ctx.Err() != nil || attempt >= pol.MaxAttempts || !faultsim.IsTransient(err) {
 			return imp, attempt - 1, err
 		}
 		sc.Counter(obs.MHarnessRetries).Inc()
@@ -239,18 +208,26 @@ func RunImport(ctx context.Context, eng engine.Engine, name, path string, pol Re
 			Type: obs.EvRetry, Engine: eng.Name(), Dataset: name,
 			Attempt: attempt, Err: err.Error(),
 		})
-		sleep(ctx, pol.backoff(rng, attempt))
+		sleep(ctx, backoff(rng, attempt))
 	}
 }
 
-// RunQueries executes a query sequence against one engine with retries,
-// per-query deadlines, a circuit breaker, skip-and-record degradation, and
+// RunQueries executes a query sequence against one engine with retries of
+// transient faults, a circuit breaker, skip-and-record degradation, and
 // crash recovery: when the engine loses its derived (stored) datasets — an
 // injected crash, or an unknown-dataset error on a name the session stored
 // earlier — the executor replays the stored-dataset lineage to rebuild them
-// and re-attempts the query. One failed query no longer aborts the rest of
-// the session. The session label tags emitted trace events.
+// and re-attempts the query. Structural errors (unknown datasets, parse
+// failures) fail the same way every time and are not retried. One failed
+// query no longer aborts the rest of the session. The session label tags
+// emitted trace events.
 func RunQueries(ctx context.Context, eng engine.Engine, queries []*query.Query, pol RetryPolicy, sink io.Writer, session string) ([]Outcome, RunStats) {
+	return runQueries(ctx, eng, queries, pol, sink, session, time.Now)
+}
+
+// runQueries is RunQueries with the breaker's clock as a parameter, so a
+// test can step through cooldowns.
+func runQueries(ctx context.Context, eng engine.Engine, queries []*query.Query, pol RetryPolicy, sink io.Writer, session string, now func() time.Time) ([]Outcome, RunStats) {
 	pol = pol.withDefaults()
 	st := &runner{
 		eng:     eng,
@@ -258,7 +235,7 @@ func RunQueries(ctx context.Context, eng engine.Engine, queries []*query.Query, 
 		sc:      obs.From(ctx),
 		session: session,
 		rng:     rand.New(rand.NewSource(pol.Seed)),
-		br:      newBreaker(pol),
+		br:      &breaker{on: pol.MaxAttempts > 1, now: now},
 	}
 	var outcomes []Outcome
 	var rs RunStats
@@ -295,7 +272,12 @@ func RunQueries(ctx context.Context, eng engine.Engine, queries []*query.Query, 
 		outcomes = append(outcomes, o)
 		if o.Err == nil {
 			rs.Completed++
-			st.br.success()
+			if st.br.success() {
+				st.sc.Record(obs.Event{
+					Type: obs.EvBreaker, Engine: eng.Name(), Session: session,
+					Kind: obs.KindClosed, Query: q.ID,
+				})
+			}
 			if q.Store != "" {
 				st.lineage = append(st.lineage, q)
 			}
@@ -341,13 +323,7 @@ func (st *runner) runQuery(ctx context.Context, q *query.Query, sink io.Writer, 
 	o := Outcome{Query: q}
 	for attempt := 1; attempt <= st.pol.MaxAttempts; attempt++ {
 		o.Attempts = attempt
-		actx := ctx
-		cancel := context.CancelFunc(func() {})
-		if st.pol.QueryDeadline > 0 {
-			actx, cancel = context.WithTimeout(ctx, st.pol.QueryDeadline)
-		}
-		stats, err := st.eng.Execute(actx, q, sink)
-		cancel()
+		stats, err := st.eng.Execute(ctx, q, sink)
 		if err == nil {
 			o.Stats = stats
 			o.Err = nil
@@ -365,7 +341,7 @@ func (st *runner) runQuery(ctx context.Context, q *query.Query, sink io.Writer, 
 			o.Skipped = true
 			return o
 		}
-		if !retryable(err) || attempt >= st.pol.MaxAttempts {
+		if !faultsim.IsTransient(err) || attempt >= st.pol.MaxAttempts {
 			o.Skipped = true
 			return o
 		}
@@ -375,7 +351,7 @@ func (st *runner) runQuery(ctx context.Context, q *query.Query, sink io.Writer, 
 			Type: obs.EvRetry, Engine: st.eng.Name(), Dataset: q.Base,
 			Query: q.ID, Session: st.session, Attempt: attempt, Err: err.Error(),
 		})
-		sleep(ctx, st.pol.backoff(st.rng, attempt))
+		sleep(ctx, backoff(st.rng, attempt))
 	}
 	o.Skipped = true
 	return o
@@ -418,10 +394,10 @@ func (st *runner) recover(ctx context.Context, rs *RunStats) bool {
 				return false
 			}
 			_, err = st.eng.Execute(ctx, q, io.Discard)
-			if err == nil || !retryable(err) {
+			if err == nil || !faultsim.IsTransient(err) {
 				break
 			}
-			sleep(ctx, st.pol.backoff(st.rng, attempt))
+			sleep(ctx, backoff(st.rng, attempt))
 		}
 		if err == nil {
 			continue

@@ -61,7 +61,7 @@ func (e *permFailEngine) Execute(ctx context.Context, q *query.Query, sink io.Wr
 func (*permFailEngine) Reset() error { return nil }
 func (*permFailEngine) Close() error { return nil }
 
-// slowOnceEngine blocks its first execution until the (attempt) context
+// slowOnceEngine blocks its first execution until the (session) context
 // expires, then answers instantly — the shape of one stuck query.
 type slowOnceEngine struct{ execs int }
 
@@ -130,6 +130,30 @@ func (e *amnesiacEngine) Reset() error {
 
 func (*amnesiacEngine) Close() error { return nil }
 
+// crashFirstEngine crashes the first execution of every query the way
+// faultsim does — it resets the inner engine, dropping its derived
+// datasets, and fails with faultsim.ErrCrash — and passes later ones
+// through.
+type crashFirstEngine struct {
+	engine.Engine
+	crashed map[string]bool
+}
+
+func crashFirst(inner engine.Engine) *crashFirstEngine {
+	return &crashFirstEngine{Engine: inner, crashed: make(map[string]bool)}
+}
+
+func (e *crashFirstEngine) Execute(ctx context.Context, q *query.Query, sink io.Writer) (engine.ExecStats, error) {
+	if e.crashed[q.ID] {
+		return e.Engine.Execute(ctx, q, sink)
+	}
+	e.crashed[q.ID] = true
+	if err := e.Engine.Reset(); err != nil {
+		return engine.ExecStats{}, err
+	}
+	return engine.ExecStats{}, fmt.Errorf("crash during %s: %w", q.ID, faultsim.ErrCrash)
+}
+
 func plainQueries(n int) []*query.Query {
 	qs := make([]*query.Query, n)
 	for i := range qs {
@@ -148,7 +172,7 @@ func traceScope() (obs.Scope, *bytes.Buffer, *obs.Registry) {
 // fault seed and rate, the retrying executor completes every query the
 // no-retry run drops.
 func TestRetryCompletesWhatNoRetryDrops(t *testing.T) {
-	opts := faultsim.Options{Seed: 99, QueryErrorRate: 0.6}
+	opts := faultsim.Options{Seed: 99, Rate: 0.6}
 	qs := plainQueries(20)
 
 	noRetry, rs1 := RunQueries(context.Background(),
@@ -180,8 +204,8 @@ func TestRetryCompletesWhatNoRetryDrops(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryReplaysLineage injects crashes on every first attempt:
-// the executor must rebuild the derived datasets and finish the session.
+// TestCrashRecoveryReplaysLineage crashes every query's first attempt: the
+// executor must rebuild the derived datasets and finish the session.
 func TestCrashRecoveryReplaysLineage(t *testing.T) {
 	qs := []*query.Query{
 		{ID: "q1", Base: "base", Store: "d1"},
@@ -189,7 +213,7 @@ func TestCrashRecoveryReplaysLineage(t *testing.T) {
 		{ID: "q3", Base: "d2"},
 	}
 	inner := newAmnesiac(0)
-	eng := faultsim.Wrap(inner, faultsim.Options{Seed: 5, CrashRate: 1, MaxFaultsPerOp: 1})
+	eng := crashFirst(inner)
 	ctx := context.Background()
 	if _, _, err := RunImport(ctx, eng, "base", "f", DefaultRetryPolicy()); err != nil {
 		t.Fatal(err)
@@ -239,20 +263,22 @@ func TestCrashRecoveryOnRealSims(t *testing.T) {
 	ctx := context.Background()
 	for _, key := range paperSystems {
 		sys := Systems[key]
-		run := func(faults faultsim.Options) ([]Outcome, RunStats) {
-			inner, err := sys.New(t.TempDir(), 2)
+		run := func(crash bool) ([]Outcome, RunStats) {
+			eng, err := sys.New(t.TempDir(), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := faultsim.Wrap(inner, faults)
+			if crash {
+				eng = crashFirst(eng)
+			}
 			defer eng.Close()
 			if _, _, err := RunImport(ctx, eng, "base", path, DefaultRetryPolicy()); err != nil {
 				t.Fatal(err)
 			}
 			return RunQueries(ctx, eng, qs, DefaultRetryPolicy(), io.Discard, "t")
 		}
-		want, _ := run(faultsim.Options{})
-		got, rs := run(faultsim.Options{Seed: 5, CrashRate: 1, MaxFaultsPerOp: 1})
+		want, _ := run(false)
+		got, rs := run(true)
 		if rs.Completed != len(qs) || rs.Recovered == 0 {
 			t.Fatalf("%s: crashing session: %+v", sys.Name, rs)
 		}
@@ -309,22 +335,28 @@ func TestUnknownBaseIsNotACrash(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndSkips: consecutive failures open the breaker; while
-// open, queries are skipped without touching the engine.
+// TestBreakerOpensAndSkips: when the policy retries, consecutive failures
+// open the breaker; while open, queries are skipped without touching the
+// engine. The zero policy has no breaker.
 func TestBreakerOpensAndSkips(t *testing.T) {
+	noBreaker := &permFailEngine{fails: 1000}
+	if _, rs := RunQueries(context.Background(), noBreaker, plainQueries(10), RetryPolicy{}, io.Discard, "t"); rs.BreakerOpens != 0 || noBreaker.execs != 10 {
+		t.Errorf("zero policy: %d breaker opens, %d executions; want 0 and 10", rs.BreakerOpens, noBreaker.execs)
+	}
+
 	eng := &permFailEngine{fails: 1000}
-	pol := RetryPolicy{MaxAttempts: 1, BreakerThreshold: 3, BreakerCooldown: time.Hour}
+	stopped := func() time.Time { return time.Time{} } // the cooldown never ends
 	sc, buf, reg := traceScope()
-	outcomes, rs := RunQueries(obs.With(context.Background(), sc), eng, plainQueries(10), pol, io.Discard, "t")
+	outcomes, rs := runQueries(obs.With(context.Background(), sc), eng, plainQueries(10), RetryPolicy{MaxAttempts: 2}, io.Discard, "t", stopped)
 	if rs.BreakerOpens != 1 || rs.Skipped != 10 || rs.Completed != 0 {
 		t.Fatalf("stats = %+v", rs)
 	}
-	if eng.execs != 3 {
-		t.Errorf("engine executed %d times, want 3 (breaker must short-circuit)", eng.execs)
+	if eng.execs != breakerThreshold {
+		t.Errorf("engine executed %d times, want %d (breaker must short-circuit)", eng.execs, breakerThreshold)
 	}
-	for i, o := range outcomes[3:] {
+	for i, o := range outcomes[breakerThreshold:] {
 		if o.Attempts != 0 || !o.Skipped {
-			t.Errorf("outcome %d not short-circuited: %+v", i+3, o)
+			t.Errorf("outcome %d not short-circuited: %+v", i+breakerThreshold, o)
 		}
 	}
 	if got := reg.Counter("harness.breaker_opens").Value(); got != 1 {
@@ -344,17 +376,22 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 			sawOpen = true
 		}
 	}
-	if breakerSkips != 7 || !sawOpen {
-		t.Errorf("breaker trace: %d breaker_open skips (want 7), open event %v", breakerSkips, sawOpen)
+	if breakerSkips != 10-breakerThreshold || !sawOpen {
+		t.Errorf("breaker trace: %d breaker_open skips (want %d), open event %v", breakerSkips, 10-breakerThreshold, sawOpen)
 	}
 }
 
 // TestBreakerHalfOpenRecovers: after the cooldown a trial query runs; its
-// failure re-opens the breaker, its success closes it for good.
+// failure re-opens the breaker, its success closes it for good, and the
+// trace shows each transition.
 func TestBreakerHalfOpenRecovers(t *testing.T) {
 	eng := &permFailEngine{fails: 6}
-	pol := RetryPolicy{MaxAttempts: 1, BreakerThreshold: 5, BreakerCooldown: time.Nanosecond}
-	_, rs := RunQueries(context.Background(), eng, plainQueries(10), pol, io.Discard, "t")
+	// Each clock reading is one cooldown after the last, so every query
+	// after the breaker opens is a half-open trial.
+	var clock time.Time
+	step := func() time.Time { clock = clock.Add(breakerCooldown); return clock }
+	sc, buf, _ := traceScope()
+	_, rs := runQueries(obs.With(context.Background(), sc), eng, plainQueries(10), RetryPolicy{MaxAttempts: 2}, io.Discard, "t", step)
 	// q1–q5 fail and open the breaker; q6 is a failing half-open trial that
 	// re-opens it; q7 is a succeeding trial that closes it; q8–q10 pass.
 	if rs.BreakerOpens != 2 {
@@ -366,19 +403,18 @@ func TestBreakerHalfOpenRecovers(t *testing.T) {
 	if eng.execs != 10 {
 		t.Errorf("engine executed %d times, want 10", eng.execs)
 	}
-}
-
-// TestQueryDeadlineRetries: an attempt exceeding the per-query deadline is
-// retried while the session deadline allows.
-func TestQueryDeadlineRetries(t *testing.T) {
-	eng := &slowOnceEngine{}
-	pol := RetryPolicy{MaxAttempts: 3, QueryDeadline: 20 * time.Millisecond, BaseBackoff: time.Millisecond}
-	outcomes, rs := RunQueries(context.Background(), eng, plainQueries(1), pol, io.Discard, "t")
-	if rs.Completed != 1 || rs.Retries != 1 {
-		t.Fatalf("stats = %+v", rs)
+	events, err := obs.ReadEvents(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if outcomes[0].Err != nil || outcomes[0].Attempts != 2 {
-		t.Errorf("outcome = %+v", outcomes[0])
+	var transitions []string
+	for _, e := range events {
+		if e.Type == obs.EvBreaker {
+			transitions = append(transitions, e.Query+":"+e.Kind)
+		}
+	}
+	if got := strings.Join(transitions, " "); got != "q5:open q6:open q7:closed" {
+		t.Errorf("breaker transitions %q, want q5:open q6:open q7:closed", got)
 	}
 }
 
@@ -414,12 +450,9 @@ func TestSessionDeadlineStillWins(t *testing.T) {
 	}
 }
 
-// TestRunImportRetries: transient import faults are retried; the bounded
-// injector guarantees eventual success.
+// TestRunImportRetries: a transient import fault is retried.
 func TestRunImportRetries(t *testing.T) {
-	eng := faultsim.Wrap(&okEngine{}, faultsim.Options{Seed: 3, ImportErrorRate: 1, MaxFaultsPerOp: 1})
-	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
-	imp, retries, err := RunImport(context.Background(), eng, "ds", "f", pol)
+	imp, retries, err := RunImport(context.Background(), &flakyImportEngine{}, "ds", "f", RetryPolicy{MaxAttempts: 3})
 	if err != nil {
 		t.Fatalf("import did not recover: %v", err)
 	}
@@ -510,7 +543,7 @@ func TestMultiUserDegradesUnderFaults(t *testing.T) {
 	cfg := tinyConfig(t)
 	sc, buf, _ := traceScope()
 	cfg.Obs = sc
-	cfg.Faults = faultsim.Uniform(0.8, 77)
+	cfg.Faults = faultsim.Options{Seed: 77, Rate: 0.8}
 	env, err := NewEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +583,7 @@ func TestMultiUserRetriesFaults(t *testing.T) {
 		t.Skip("runs full multi-user sweeps")
 	}
 	cfg := tinyConfig(t)
-	cfg.Faults = faultsim.Options{Seed: 77, QueryErrorRate: 0.5}
+	cfg.Faults = faultsim.Options{Seed: 77, Rate: 0.5}
 	cfg.Retry = DefaultRetryPolicy()
 	env, err := NewEnv(cfg)
 	if err != nil {
@@ -586,13 +619,12 @@ func TestFaultFlags(t *testing.T) {
 		}
 	}
 	faults, pol, err := FaultFlags(0.5, 9, 0)
-	if err != nil || pol != (RetryPolicy{}) || faults != faultsim.Uniform(0.5, 9) {
+	if err != nil || pol != (RetryPolicy{}) || faults != (faultsim.Options{Seed: 9, Rate: 0.5}) {
 		t.Errorf("0 retries: %+v %+v %v, want the zero policy", faults, pol, err)
 	}
 	faults, pol, err = FaultFlags(0.5, 9, 3)
-	want := DefaultRetryPolicy()
-	want.MaxAttempts, want.Seed = 4, 9
-	if err != nil || pol != want || faults != faultsim.Uniform(0.5, 9) {
+	want := RetryPolicy{MaxAttempts: 4, Seed: 9}
+	if err != nil || pol != want || faults != (faultsim.Options{Seed: 9, Rate: 0.5}) {
 		t.Errorf("3 retries: %+v %+v %v, want %+v", faults, pol, err, want)
 	}
 }
@@ -616,7 +648,7 @@ func (e *flakyImportEngine) ImportFile(ctx context.Context, name, path string) (
 // retries plus query retries.
 func TestRunSessionCountsImportRetries(t *testing.T) {
 	qs := plainQueries(3)
-	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
+	pol := RetryPolicy{MaxAttempts: 3}
 	rec := RunSession(context.Background(), &flakyImportEngine{}, []Import{{Name: "ds", Path: "f"}}, qs, pol, "t")
 	if rec.Error != "" {
 		t.Fatalf("import not retried: %s", rec.Error)
