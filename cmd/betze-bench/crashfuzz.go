@@ -71,8 +71,8 @@ func runCrashFuzz(out io.Writer, seed int64, deep bool) error {
 }
 
 // crashFuzzWork is the checkpointed run behind invariant 4: Fig. 5 on 300
-// Twitter documents with one session per preset checkpoints three sessions
-// before its result, so a crash can fall between two session checkpoints.
+// Twitter documents with one session per preset checkpoints three sessions,
+// so a crash can fall between two session checkpoints.
 // Deterministic timing makes byte equality of the exports the meaningful
 // equality.
 func crashFuzzWork(dataDir string) (harness.Config, harness.Experiment, error) {
@@ -97,12 +97,12 @@ func runJournaled(fsys errfs.FS, cfg harness.Config, exp harness.Experiment) ([]
 	}
 	defer env.Close()
 	ctx := context.Background()
-	job, err := openRunJob(ctx, crashFuzzJournal, jobqueue.Options{FS: fsys}, `{"crashfuzz":"`+exp.ID+`"}`)
+	job, err := openRunJob(ctx, crashFuzzJournal, jobqueue.Options{FS: fsys})
 	if err != nil {
 		return nil, err
 	}
 	env.SetCheckpoints(job.checkpoints())
-	res, _, err := env.RunExperiment(ctx, exp)
+	res, err := env.RunExperiment(ctx, exp)
 	if err == nil {
 		err = env.CheckpointErr()
 	}

@@ -10,14 +10,11 @@ import (
 	"github.com/joda-explore/betze/internal/jobqueue"
 )
 
-// ErrJournalMismatch reports a -resume against a journal whose run was
-// started under a different configuration fingerprint.
-var ErrJournalMismatch = errors.New("journal written by a different configuration")
-
 // runJob is a betze-bench run kept as the one job of a jobqueue journal,
-// the format betze-web's campaigns use: the job's payload is the
-// configuration fingerprint, and its checkpoints are the run's completed
-// sessions and experiments.
+// the format betze-web's campaigns use: its checkpoints are the run's
+// completed sessions, each keyed by what it computes, so the job needs no
+// payload beyond a constant and a resume under any flags replays exactly
+// the sessions the journal already holds.
 type runJob struct {
 	q    *jobqueue.Queue
 	snap jobqueue.Snapshot
@@ -25,8 +22,8 @@ type runJob struct {
 
 // openRunJob opens (or creates) the run journal in dir and returns its job,
 // submitting one to a journal that holds none and claiming one that is not
-// done yet. A job submitted under another fingerprint is ErrJournalMismatch.
-func openRunJob(ctx context.Context, dir string, opts jobqueue.Options, fingerprint string) (*runJob, error) {
+// done yet.
+func openRunJob(ctx context.Context, dir string, opts jobqueue.Options) (*runJob, error) {
 	// Open fails a job claimed MaxAttempts times as a poison pill, and
 	// every resume claims the run's job once more. A run may be killed and
 	// resumed any number of times, each resume asked for, so the bound
@@ -37,30 +34,28 @@ func openRunJob(ctx context.Context, dir string, opts jobqueue.Options, fingerpr
 		return nil, err
 	}
 	r := &runJob{q: q}
-	if err := r.start(ctx, fingerprint); err != nil {
+	if err := r.start(ctx); err != nil {
 		q.Close()
 		return nil, err
 	}
 	return r, nil
 }
 
-func (r *runJob) start(ctx context.Context, fingerprint string) (err error) {
+func (r *runJob) start(ctx context.Context) (err error) {
 	switch jobs := r.q.List(); len(jobs) {
 	case 0:
-		r.snap, err = r.q.Submit("betze-bench", json.RawMessage(fingerprint))
+		r.snap, err = r.q.Submit("betze-bench", json.RawMessage(`{}`))
 		if err != nil {
 			return err
 		}
 	case 1:
-		if r.snap = jobs[0]; string(r.snap.Payload) != fingerprint {
-			return fmt.Errorf("%w (journal: %s, flags: %s)", ErrJournalMismatch, r.snap.Payload, fingerprint)
-		}
+		r.snap = jobs[0]
 	default:
 		return fmt.Errorf("journal holds %d jobs, a betze-bench run holds one", len(jobs))
 	}
 	switch r.snap.State {
 	case jobqueue.StateDone:
-		return nil // every experiment replays from its checkpoint
+		return nil // a done job still takes the checkpoints of new sessions
 	case jobqueue.StateQueued:
 		if r.snap, err = r.q.Claim(ctx); err != nil {
 			return err

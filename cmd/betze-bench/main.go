@@ -27,11 +27,12 @@
 //
 // Durability: -journal writes a crash-safe run journal — the jobqueue
 // journal betze-web's campaigns use, holding the run as one job that
-// checkpoints every completed session and experiment — and -resume
-// replays such a journal after a crash or kill, skipping completed work and
-// re-executing only the tail. With -det-timing, measured durations are
-// replaced by deterministic functions of each operation's work counters, so
-// an interrupted-and-resumed run exports byte-identical results.
+// checkpoints every completed session under the hash of what it computes —
+// and -resume continues such a journal under any flags: a session whose
+// hash the journal holds is replayed, every other one runs and is saved.
+// With -det-timing, measured durations are replaced by deterministic
+// functions of each operation's work counters, so an interrupted-and-resumed
+// run exports byte-identical results.
 //
 //	betze-bench -exp all -journal run.journal -export-dir results/
 //	betze-bench -exp all -resume run.journal -export-dir results/
@@ -40,7 +41,6 @@ package main
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,7 +52,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/joda-explore/betze/internal/faultsim"
 	"github.com/joda-explore/betze/internal/fsatomic"
 	"github.com/joda-explore/betze/internal/harness"
 	"github.com/joda-explore/betze/internal/jobqueue"
@@ -94,7 +93,7 @@ func run(args []string, out io.Writer) (err error) {
 	faultSeed := fs.Int64("fault-seed", 0, "fault-schedule seed (default: the base seed)")
 	retries := fs.Int("retries", 0, "retries per failed operation (0 disables the resilient executor's retry loop)")
 	journalDir := fs.String("journal", "", "write a crash-safe run journal to this directory (must not already hold one)")
-	resumeDir := fs.String("resume", "", "resume from the run journal in this directory, skipping completed work")
+	resumeDir := fs.String("resume", "", "resume from the run journal in this directory, replaying every session it holds")
 	fs.BoolVar(&cfg.DetTiming, "det-timing", false, "replace measured durations with deterministic work-counter timings")
 	crashfuzz := fs.Bool("crashfuzz", false, "run the bounded crash-point consistency harness over the durability stack and exit")
 	crashfuzzDeep := fs.Bool("crashfuzz-deep", false, "exhaustive crash-point enumeration (slow); implies -crashfuzz")
@@ -145,10 +144,6 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	fingerprint, err := configFingerprint(*exp, cfg)
-	if err != nil {
-		return err
-	}
 	// The experiment layer is fully context-plumbed: one interrupt-aware
 	// root context cancels every in-flight session, import and query
 	// cleanly.
@@ -166,7 +161,7 @@ func run(args []string, out io.Writer) (err error) {
 			}
 			return fmt.Errorf("-journal: %w", err)
 		}
-		if job, err = openRunJob(ctx, *journalDir, jobqueue.Options{Obs: cfg.Obs}, fingerprint); err != nil {
+		if job, err = openRunJob(ctx, *journalDir, jobqueue.Options{Obs: cfg.Obs}); err != nil {
 			return fmt.Errorf("-journal: %w", err)
 		}
 	case *resumeDir != "":
@@ -175,7 +170,7 @@ func run(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("-resume: %w", err)
 		}
 		reportRecovery(cfg.Obs, recovery)
-		if job, err = openRunJob(ctx, *resumeDir, jobqueue.Options{Obs: cfg.Obs}, fingerprint); err != nil {
+		if job, err = openRunJob(ctx, *resumeDir, jobqueue.Options{Obs: cfg.Obs}); err != nil {
 			return fmt.Errorf("-resume: %w", err)
 		}
 		fmt.Fprintf(out, "resuming: journal holds %d records, %d checkpoints\n",
@@ -203,7 +198,7 @@ func run(args []string, out io.Writer) (err error) {
 	for _, e := range experiments {
 		fmt.Fprintf(out, "=== %s: %s ===\n", e.ID, e.Title)
 		start := time.Now()
-		res, resumed, err := env.RunExperiment(ctx, e)
+		res, err := env.RunExperiment(ctx, e)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
@@ -224,11 +219,7 @@ func run(args []string, out io.Writer) (err error) {
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
 		}
-		if resumed {
-			fmt.Fprintf(out, "(%s replayed from journal)\n\n", e.ID)
-		} else {
-			fmt.Fprintf(out, "(%s took %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		}
+		fmt.Fprintf(out, "(%s took %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if err := env.CheckpointErr(); err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -258,38 +249,6 @@ func selectExperiments(exp string, all []harness.Experiment) ([]harness.Experime
 	return sel, nil
 }
 
-// configFingerprint canonically encodes the work-shaping configuration: the
-// fields that determine which work units a run enumerates and what they
-// compute. Artifact destinations (-dir, -trace, -export-dir, …) are
-// deliberately excluded — a resume may write its outputs elsewhere.
-func configFingerprint(exp string, cfg harness.Config) (string, error) {
-	fp := struct {
-		Exp       string              `json:"exp"`
-		Twitter   int                 `json:"twitter"`
-		NoBench   int                 `json:"nobench"`
-		Sweep     []int               `json:"sweep,omitempty"`
-		Reddit    int                 `json:"reddit"`
-		Sessions  int                 `json:"sessions"`
-		Grid      int                 `json:"grid"`
-		Threads   []int               `json:"threads,omitempty"`
-		Timeout   time.Duration       `json:"timeout"`
-		Seed      int64               `json:"seed"`
-		Faults    faultsim.Options    `json:"faults"`
-		Retry     harness.RetryPolicy `json:"retry"`
-		DetTiming bool                `json:"det_timing"`
-	}{
-		Exp: exp, Twitter: cfg.TwitterDocs, NoBench: cfg.NoBenchDocs,
-		Sweep: cfg.NoBenchSweep, Reddit: cfg.RedditDocs, Sessions: cfg.Sessions,
-		Grid: cfg.GridSessions, Threads: cfg.Threads, Timeout: cfg.Timeout,
-		Seed: cfg.Seed, Faults: cfg.Faults, Retry: cfg.Retry, DetTiming: cfg.DetTiming,
-	}
-	data, err := json.Marshal(fp)
-	if err != nil {
-		return "", fmt.Errorf("fingerprint: %w", err)
-	}
-	return string(data), nil
-}
-
 // reportRecovery surfaces the journal replay through the obs scope.
 func reportRecovery(scope obs.Scope, rec *runlog.Recovery) {
 	e := obs.Event{Type: obs.EvJournalRecover, Records: int64(len(rec.Records))}
@@ -314,6 +273,7 @@ func exportResult(dir, id string, res *harness.Result) error {
 	return fsatomic.WriteFile(filepath.Join(dir, id+".json"), data, 0o644)
 }
 
+// parseInts parses a comma-separated list of counts, each at least 1.
 func parseInts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
@@ -324,6 +284,9 @@ func parseInts(s string) ([]int, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return nil, err
+		}
+		if n < 1 {
+			return nil, fmt.Errorf("count %d below 1", n)
 		}
 		out = append(out, n)
 	}

@@ -39,8 +39,8 @@ func TestMain(m *testing.M) {
 }
 
 // workFlags are the work-shaping flags shared by every run of the
-// integration test: the configuration fingerprint covers exactly these, so
-// baseline, child and resume must agree on them while artifact directories
+// integration test: baseline, child and resume agree on them, so the
+// resume replays every session the child saved, while artifact directories
 // differ per run.
 func workFlags() []string {
 	return []string{
@@ -188,26 +188,109 @@ poll:
 	}
 }
 
-// TestResumeRejectsChangedFlags pins the fingerprint guard: resuming a
-// journal under different work-shaping flags must fail loudly instead of
-// silently mixing incompatible results.
-func TestResumeRejectsChangedFlags(t *testing.T) {
-	jdir := filepath.Join(t.TempDir(), "journal")
-	args := []string{"-exp", "table1", "-journal", jdir, "-dir", t.TempDir()}
-	if err := run(args, io.Discard); err != nil {
+// tinyTable2 are the flags of a table2 run small enough to repeat per case.
+func tinyTable2() []string {
+	return []string{"-exp", "table2", "-det-timing", "-twitter-docs", "100", "-nobench-docs", "100"}
+}
+
+// copyJournal copies the run journal in dir (one flat directory) to a new
+// directory and returns it, so each case resumes the same journal.
+func copyJournal(t *testing.T, dir string) string {
+	t.Helper()
+	dst := filepath.Join(t.TempDir(), "journal")
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// resumeSkips reads harness.resume_skips from a -metrics-out snapshot.
+func resumeSkips(t *testing.T, path string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Counters["harness.resume_skips"]
+}
+
+// TestResumeWithChangedFlags: -resume accepts any flags. It replays every
+// session whose key the journal holds and runs the rest, so the exports are
+// byte-identical to a fresh run under the new flags, whether the journal's
+// run finished or not. A changed dataset or seed is a different key; a
+// setting that changes nothing (a fault seed without faults) is not.
+func TestResumeWithChangedFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs table2 eleven times at tiny scale")
+	}
+	journal := filepath.Join(t.TempDir(), "journal")
+	if err := run(append(tinyTable2(), "-journal", journal, "-dir", t.TempDir()), io.Discard); err != nil {
 		t.Fatalf("journaled run: %v", err)
 	}
-	err := run([]string{"-exp", "table1", "-seed", "999", "-resume", jdir, "-dir", t.TempDir()}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "different configuration") {
-		t.Errorf("changed-flags resume: %v", err)
-	}
-	// Unchanged flags resume cleanly and replay the completed experiment.
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "table1", "-resume", jdir, "-dir", t.TempDir()}, &out); err != nil {
-		t.Fatalf("same-flags resume: %v", err)
-	}
-	if !strings.Contains(out.String(), "replayed from journal") {
-		t.Errorf("completed experiment not replayed:\n%s", out.String())
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		skips int64
+	}{
+		{"nobench docs", []string{"-nobench-docs", "150"}, 5},
+		{"seed", []string{"-seed", "999"}, 0},
+		{"faults and retries", []string{"-faults", "0.3", "-retries", "2"}, 0},
+		{"fault seed without faults", []string{"-fault-seed", "5"}, 10},
+		{"another experiment", []string{"-exp", "table2,table4"}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(tinyTable2(), tc.flags...)
+			fresh := t.TempDir()
+			if err := run(append(args, "-export-dir", fresh, "-dir", t.TempDir()), io.Discard); err != nil {
+				t.Fatalf("fresh run: %v", err)
+			}
+			resumed, metrics := t.TempDir(), filepath.Join(t.TempDir(), "metrics.json")
+			var out bytes.Buffer
+			err := run(append(args, "-resume", copyJournal(t, journal),
+				"-export-dir", resumed, "-metrics-out", metrics, "-dir", t.TempDir()), &out)
+			if err != nil {
+				t.Fatalf("resume: %v\n%s", err, out.String())
+			}
+			if skips := resumeSkips(t, metrics); skips != tc.skips {
+				t.Errorf("resume skipped %d sessions, want %d", skips, tc.skips)
+			}
+			entries, err := os.ReadDir(fresh)
+			if err != nil || len(entries) == 0 {
+				t.Fatalf("fresh run exported nothing (%v)", err)
+			}
+			for _, e := range entries {
+				want, err := os.ReadFile(filepath.Join(fresh, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(resumed, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, got) {
+					t.Errorf("%s differs from a fresh run:\n--- fresh\n%s\n--- resumed\n%s", e.Name(), want, got)
+				}
+			}
+		})
 	}
 }
 
@@ -251,10 +334,9 @@ func TestExpList(t *testing.T) {
 	if err := run(append(args, "-resume", jdir), &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"table4", "table1"} {
-		if !strings.Contains(out.String(), "("+id+" replayed from journal)") {
-			t.Errorf("%s not replayed from the shared journal:\n%s", id, out.String())
-		}
+	first, second = strings.Index(out.String(), "=== table4:"), strings.Index(out.String(), "=== table1:")
+	if first < 0 || second < first {
+		t.Errorf("resume did not run the experiments in list order:\n%s", out.String())
 	}
 }
 
@@ -411,8 +493,9 @@ func captureStderr(t *testing.T, fn func()) string {
 
 // TestArgumentErrors pins the CLI's rejections: a positional argument (a
 // forgotten -exp used to run every experiment, and flag parsing stops at the
-// first positional, silently dropping the flags after it) and the retired
-// -perf flag.
+// first positional, silently dropping the flags after it), the retired
+// -perf flag, and counts below 1 (a negative sweep size used to panic in the
+// dataset generator). Each is refused before the journal is opened.
 func TestArgumentErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -424,16 +507,21 @@ func TestArgumentErrors(t *testing.T) {
 		{"positional after flags", []string{"-exp", "table1", "stray"}, `unexpected argument "stray"`},
 		{"positional with crashfuzz", []string{"-crashfuzz", "stray"}, `unexpected argument "stray"`},
 		{"retired perf flag", []string{"-perf"}, "flag provided but not defined: -perf"},
+		{"negative sweep size", []string{"-exp", "fig10", "-nobench-sweep", "-5"}, "-nobench-sweep: count -5 below 1"},
+		{"thread counts below 1", []string{"-exp", "fig9", "-threads", "-3,0"}, "-threads: count -3 below 1"},
+		{"zero thread count", []string{"-exp", "fig9", "-threads", "2,0"}, "-threads: count 0 below 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			jdir := filepath.Join(t.TempDir(), "journal")
+			args := append([]string{"-journal", jdir}, tc.args...)
 			var out bytes.Buffer
 			var err error
-			captureStderr(t, func() { err = run(tc.args, &out) })
+			captureStderr(t, func() { err = run(args, &out) })
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+				t.Errorf("run(%q) = %v, want an error containing %q", args, err, tc.want)
 			}
-			if out.Len() != 0 {
-				t.Errorf("run(%q) did work before rejecting its arguments:\n%s", tc.args, out.String())
+			if _, serr := os.Stat(jdir); out.Len() != 0 || serr == nil {
+				t.Errorf("run(%q) did work before rejecting its arguments:\n%s", args, out.String())
 			}
 		})
 	}
@@ -470,5 +558,8 @@ func TestParseInts(t *testing.T) {
 	}
 	if _, err := parseInts("12,abc"); err == nil {
 		t.Errorf("malformed spec accepted")
+	}
+	if _, err := parseInts("4,-1"); err == nil {
+		t.Errorf("negative count accepted")
 	}
 }

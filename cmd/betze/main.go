@@ -83,6 +83,9 @@ func cmdDataset(args []string, out io.Writer) error {
 	if *outPath == "" {
 		return fmt.Errorf("dataset: -out is required")
 	}
+	if *n < 1 {
+		return fmt.Errorf("dataset: -n: document count %d below 1", *n)
+	}
 	src, err := datasets.ByName(*kind, datasets.RedditOptions{NullByteFraction: *nullFrac})
 	if err != nil {
 		return fmt.Errorf("dataset: unknown kind %q", *kind)

@@ -113,6 +113,21 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestDatasetRejectsCountsBelowOne: -n below 1 is refused, naming the
+// flag, and writes no file (it used to write an empty one and report
+// "wrote -5 Twitter documents").
+func TestDatasetRejectsCountsBelowOne(t *testing.T) {
+	for _, n := range []string{"-5", "0"} {
+		out := filepath.Join(t.TempDir(), "d.json")
+		if _, err := runCmd(t, "dataset", "-n", n, "-out", out); err == nil || !strings.Contains(err.Error(), "-n") {
+			t.Errorf("dataset -n %s: %v, want an error naming -n", n, err)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("dataset -n %s wrote %s", n, out)
+		}
+	}
+}
+
 func TestRunUnknownSystem(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "d.json")

@@ -10,20 +10,17 @@ import (
 
 // This file checkpoints experiments through the checkpoints of a jobqueue
 // job, the journal betze-web's campaigns use: every completed session is
-// saved under "<experiment>/<Unit.Key>" and every finished experiment under
-// "<experiment>#result", and a resumed run loads what an earlier attempt
-// saved instead of running it again. A session's key is derived from what
-// it computes, so the same configuration always produces the same keys and
-// a changed flag produces different ones.
-
-// resultKey is the checkpoint key of a finished experiment's Result. Session
-// keys continue the experiment ID with "/", so "#result" never names one.
-func resultKey(id string) string { return id + "#result" }
+// saved under "<experiment>/<Unit.Key>", and a resumed run loads what an
+// earlier attempt saved instead of running it again. A session's key is
+// derived from what it computes, so the same configuration always produces
+// the same keys and a changed flag produces different ones. An experiment
+// itself is never saved: on resume it runs again, its sessions replayed
+// from their checkpoints.
 
 // SetCheckpoints attaches the checkpoints of the job this environment's
-// experiments run as. Every completed session and experiment is then saved,
-// and a unit an earlier attempt saved is loaded instead of run. A nil cp
-// tracks nothing.
+// experiments run as. Every completed session is then saved, and a session
+// an earlier attempt saved is loaded instead of run. A nil cp tracks
+// nothing.
 func (e *Env) SetCheckpoints(cp *jobqueue.Checkpoints) {
 	e.cp = cp
 }
@@ -33,47 +30,21 @@ func (e *Env) SetCheckpoints(cp *jobqueue.Checkpoints) {
 // only leaves a resume less to skip. Later saves are not attempted.
 func (e *Env) CheckpointErr() error { return e.cpErr }
 
-// RunExperiment executes one experiment under checkpointing: a completed
-// experiment found in the checkpoints is returned without running
-// (resumed=true), otherwise the experiment runs with session-granular
-// checkpoints and its result is saved on success. An experiment whose
-// context ends while it runs (Ctrl-C) returns the context's error and saves
-// nothing more: its sessions failed because of the interruption, not
-// because of the engines, and a resume must re-run them. A checkpoint that
+// RunExperiment executes one experiment with session-granular checkpoints.
+// An experiment whose context ends while it runs (Ctrl-C) returns the
+// context's error: its sessions failed because of the interruption, not
+// because of the engines, and none of them was saved. A checkpoint that
 // does not decode stops the experiment the same way.
-func (e *Env) RunExperiment(ctx context.Context, exp Experiment) (res *Result, resumed bool, err error) {
-	key := resultKey(exp.ID)
-	if e.cp != nil {
-		res = new(Result)
-		found, err := loadCheckpoint(e.cp, key, res)
-		if err != nil {
-			return nil, false, fmt.Errorf("harness: %w", err)
-		}
-		if found {
-			e.Cfg.Obs.Record(obs.Event{Type: obs.EvResumeSkip, Kind: obs.KindExperiment, Session: exp.ID})
-			e.Cfg.Obs.Counter(obs.MHarnessResumeSkips).Inc()
-			return res, true, nil
-		}
-	}
+func (e *Env) RunExperiment(ctx context.Context, exp Experiment) (*Result, error) {
 	ctx, abort := context.WithCancelCause(ctx)
 	defer abort(nil)
 	e.beginExperiment(exp.ID, abort)
 	defer e.beginExperiment("", nil)
-	res, err = exp.Run(ctx, e)
+	res, err := exp.Run(ctx, e)
 	if ctx.Err() != nil {
-		return nil, false, fmt.Errorf("harness: %s interrupted: %w", exp.ID, context.Cause(ctx))
+		return nil, fmt.Errorf("harness: %s interrupted: %w", exp.ID, context.Cause(ctx))
 	}
-	if err != nil {
-		return nil, false, err
-	}
-	if e.cp != nil && e.cpErr == nil {
-		if err := saveCheckpoint(e.cp, key, res); err != nil {
-			e.cpErr = fmt.Errorf("harness: %w", err)
-		} else {
-			e.Cfg.Obs.Record(obs.Event{Type: obs.EvCheckpoint, Kind: obs.KindExperiment, Session: exp.ID})
-		}
-	}
-	return res, false, nil
+	return res, err
 }
 
 // beginExperiment scopes subsequent session keys to an experiment and sets

@@ -28,7 +28,7 @@ var table2 = Experiment{ID: "table2", Run: Table2}
 // it submits the job to an empty journal, claims it unless it is done, and
 // marks it done when the experiment succeeds. A run that fails leaves the
 // job claimed, as a killed process would.
-func checkpointedRun(ctx context.Context, t *testing.T, cfg Config, exp Experiment, fsys errfs.FS) (*Result, bool, error) {
+func checkpointedRun(ctx context.Context, t *testing.T, cfg Config, exp Experiment, fsys errfs.FS) (*Result, error) {
 	t.Helper()
 	q, err := jobqueue.Open(testJournal, jobqueue.Options{FS: fsys, NoSync: true})
 	if err != nil {
@@ -53,7 +53,7 @@ func checkpointedRun(ctx context.Context, t *testing.T, cfg Config, exp Experime
 	}
 	defer env.Close()
 	env.SetCheckpoints(q.Checkpoints(job.ID))
-	res, resumed, err := env.RunExperiment(ctx, exp)
+	res, err := env.RunExperiment(ctx, exp)
 	if err == nil {
 		err = env.CheckpointErr()
 	}
@@ -62,7 +62,7 @@ func checkpointedRun(ctx context.Context, t *testing.T, cfg Config, exp Experime
 			t.Fatal(err)
 		}
 	}
-	return res, resumed, err
+	return res, err
 }
 
 // exports renders a result in every machine- and human-readable form.
@@ -99,20 +99,16 @@ func checkpointKey(t *testing.T, payload []byte) string {
 	return r.Key
 }
 
-// countCheckpoints tallies a run journal's session checkpoints by key and
-// its experiment result checkpoints.
-func countCheckpoints(t *testing.T, records [][]byte, exp Experiment) (sessions map[string]int, results int) {
+// countCheckpoints tallies a run journal's session checkpoints by key.
+func countCheckpoints(t *testing.T, records [][]byte) map[string]int {
 	t.Helper()
-	sessions = map[string]int{}
+	sessions := map[string]int{}
 	for _, payload := range records {
-		switch key := checkpointKey(t, payload); {
-		case key == resultKey(exp.ID):
-			results++
-		case key != "":
+		if key := checkpointKey(t, payload); key != "" {
 			sessions[key]++
 		}
 	}
-	return sessions, results
+	return sessions
 }
 
 // total sums a checkpoint tally.
@@ -139,9 +135,9 @@ func uninterruptedTable2(t *testing.T) ([3]string, [][]byte) {
 		cfg := tinyConfig(t)
 		cfg.DetTiming = true
 		fsys := errfs.NewMem()
-		res, resumed, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
-		if err != nil || resumed {
-			t.Fatalf("uninterrupted table2: resumed=%v err=%v", resumed, err)
+		res, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
+		if err != nil {
+			t.Fatalf("uninterrupted table2: %v", err)
 		}
 		uninterrupted.exports = exports(t, res)
 		uninterrupted.records = journalRecords(t, fsys)
@@ -177,12 +173,9 @@ func TestRunExperimentWithoutJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	res, resumed, err := env.RunExperiment(context.Background(), table2)
+	res, err := env.RunExperiment(context.Background(), table2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if resumed {
-		t.Error("untracked run reported as resumed")
 	}
 	if res == nil || len(res.Tables) == 0 {
 		t.Fatalf("empty result: %+v", res)
@@ -196,7 +189,7 @@ func TestRunExperimentWithoutJournal(t *testing.T) {
 // cutAfterSessions writes the first records of a run journal, through its
 // k-th session checkpoint, as the journal of a new in-memory filesystem:
 // the state a SIGKILL leaves once that checkpoint is durable.
-func cutAfterSessions(t *testing.T, records [][]byte, exp Experiment, k int) *errfs.Mem {
+func cutAfterSessions(t *testing.T, records [][]byte, k int) *errfs.Mem {
 	t.Helper()
 	fsys := errfs.NewMem()
 	w, err := runlog.Create(testJournal, runlog.Options{FS: fsys, NoSync: true})
@@ -208,7 +201,7 @@ func cutAfterSessions(t *testing.T, records [][]byte, exp Experiment, k int) *er
 		if err := w.Append(payload); err != nil {
 			t.Fatal(err)
 		}
-		if key := checkpointKey(t, payload); key != "" && key != resultKey(exp.ID) {
+		if checkpointKey(t, payload) != "" {
 			if sessions++; sessions == k {
 				break
 			}
@@ -232,27 +225,23 @@ func TestResumeDeterminism(t *testing.T) {
 		t.Skip("runs table2 at tiny scale")
 	}
 	want, records := uninterruptedTable2(t)
-	sessions, results := countCheckpoints(t, records, table2)
-	full := total(sessions)
-	if full != 10 || results != 1 { // 5 engine specs x 2 datasets
-		t.Fatalf("table2 checkpointed %d sessions and %d results, want 10 and 1", full, results)
+	full := total(countCheckpoints(t, records))
+	if full != 10 { // 5 engine specs x 2 datasets
+		t.Fatalf("table2 checkpointed %d sessions, want 10", full)
 	}
 
 	// Resume in a fresh environment (different dataset dir) from the
 	// journal cut after the 3rd session checkpoint: deterministic
 	// generation must reproduce the identical work keys and skip them.
 	const keep = 3
-	cut := cutAfterSessions(t, records, table2, keep)
+	cut := cutAfterSessions(t, records, keep)
 	cfg := tinyConfig(t)
 	cfg.DetTiming = true
 	reg := obs.NewRegistry()
 	cfg.Obs = obs.Scope{Metrics: reg}
-	got, resumed, err := checkpointedRun(context.Background(), t, cfg, table2, cut)
+	got, err := checkpointedRun(context.Background(), t, cfg, table2, cut)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if resumed {
-		t.Fatal("partially-complete experiment reported resumed whole")
 	}
 	diffExports(t, "resumed run", want, exports(t, got))
 	if skips := reg.Counter(obs.MHarnessResumeSkips).Value(); skips != keep {
@@ -260,22 +249,25 @@ func TestResumeDeterminism(t *testing.T) {
 	}
 	// The merged journal holds every session exactly once: the skipped
 	// prefix from before the cut plus only the re-executed tail.
-	sessions, results = countCheckpoints(t, journalRecords(t, cut), table2)
-	if total(sessions) != full || len(sessions) != full || results != 1 {
-		t.Errorf("merged journal: %d session checkpoints over %d keys and %d results, want %d, %d and 1",
-			total(sessions), len(sessions), results, full, full)
+	sessions := countCheckpoints(t, journalRecords(t, cut))
+	if total(sessions) != full || len(sessions) != full {
+		t.Errorf("merged journal: %d session checkpoints over %d keys, want %d and %d",
+			total(sessions), len(sessions), full, full)
 	}
 
-	// A second resume finds the completed experiment and skips it whole,
-	// re-exporting the checkpointed result byte-identically.
-	again, resumed, err := checkpointedRun(context.Background(), t, cfg, table2, cut)
+	// A second resume of the finished run replays every session and
+	// re-exports the result byte-identically, saving nothing more.
+	again, err := checkpointedRun(context.Background(), t, cfg, table2, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed {
-		t.Fatal("completed experiment not skipped whole")
+	diffExports(t, "finished-run resume", want, exports(t, again))
+	if skips := reg.Counter(obs.MHarnessResumeSkips).Value(); skips != int64(keep+full) {
+		t.Errorf("resume skips = %d after the second resume, want %d", skips, keep+full)
 	}
-	diffExports(t, "whole-experiment resume", want, exports(t, again))
+	if n := total(countCheckpoints(t, journalRecords(t, cut))); n != full {
+		t.Errorf("second resume left %d session checkpoints, want %d", n, full)
+	}
 }
 
 // TestInterruptedRunCheckpointsNothing pins the Ctrl-C path: an experiment
@@ -294,21 +286,18 @@ func TestInterruptedRunCheckpointsNothing(t *testing.T) {
 	fsys := errfs.NewMem()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := checkpointedRun(ctx, t, cfg, table2, fsys)
+	res, err := checkpointedRun(ctx, t, cfg, table2, fsys)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: res=%v err=%v, want context.Canceled", res, err)
 	}
-	if sessions, results := countCheckpoints(t, journalRecords(t, fsys), table2); len(sessions) != 0 || results != 0 {
-		t.Fatalf("interrupted run checkpointed work: %v sessions, %d results", sessions, results)
+	if sessions := countCheckpoints(t, journalRecords(t, fsys)); len(sessions) != 0 {
+		t.Fatalf("interrupted run checkpointed sessions: %v", sessions)
 	}
 
 	cfg.Dir = t.TempDir()
-	got, resumed, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
+	got, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if resumed {
-		t.Fatal("interrupted experiment replayed as complete")
 	}
 	diffExports(t, "resume after the interruption", want, exports(t, got))
 }
@@ -320,15 +309,15 @@ func TestSessionTimeoutIsJournaled(t *testing.T) {
 	cfg := tinyConfig(t)
 	cfg.Timeout = time.Nanosecond
 	fsys := errfs.NewMem()
-	res, _, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
+	res, err := checkpointedRun(context.Background(), t, cfg, table2, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cell := res.Tables[0].Rows[0][1]; cell != "load failed" {
 		t.Errorf("timed-out session cell = %q, want load failed", cell)
 	}
-	if sessions, results := countCheckpoints(t, journalRecords(t, fsys), table2); total(sessions) != 10 || results != 1 {
-		t.Errorf("journal holds %d session and %d result checkpoints, want 10 and 1", total(sessions), results)
+	if n := total(countCheckpoints(t, journalRecords(t, fsys))); n != 10 {
+		t.Errorf("journal holds %d session checkpoints, want 10", n)
 	}
 }
 
@@ -358,7 +347,7 @@ func fig5Key(t *testing.T) string {
 
 // runPlanted runs fig5 at a small scale against a journal holding one
 // checkpoint, payload under key, and returns the run's error. It fails the
-// test if the run replayed a result or saved any checkpoint.
+// test if the run returned a result or saved any checkpoint.
 func runPlanted(t *testing.T, key, payload string) error {
 	t.Helper()
 	fsys := errfs.NewMem()
@@ -377,27 +366,25 @@ func runPlanted(t *testing.T, key, payload string) error {
 		t.Fatal(err)
 	}
 	exp := Experiment{ID: "fig5", Run: Fig5}
-	res, _, err := checkpointedRun(context.Background(), t, plantedConfig(t), exp, fsys)
+	res, err := checkpointedRun(context.Background(), t, plantedConfig(t), exp, fsys)
 	if res != nil {
-		t.Errorf("checkpoint %s: replayed a result", payload)
+		t.Errorf("checkpoint %s: returned a result", payload)
 	}
-	if sessions, results := countCheckpoints(t, journalRecords(t, fsys), exp); total(sessions)+results != 1 {
-		t.Errorf("checkpoint %s: the run saved %d sessions and %d results beside it", payload, total(sessions), results)
+	if n := total(countCheckpoints(t, journalRecords(t, fsys))); n != 1 {
+		t.Errorf("checkpoint %s: the run saved %d sessions beside it", payload, n-1)
 	}
 	return err
 }
 
-// TestReplayRejectsGarbageRecords: a checkpoint that does not strictly
-// decode, as a session or as an experiment's result, fails the run with an
-// error naming its key instead of being replayed.
+// TestReplayRejectsGarbageRecords: a session checkpoint that does not
+// strictly decode fails the run with an error naming its key instead of
+// being replayed.
 func TestReplayRejectsGarbageRecords(t *testing.T) {
 	fig5Key := fig5Key(t)
 	for _, tc := range []struct{ key, payload string }{
 		{fig5Key, `{"engine":"JODA","alien":1}`},
 		{fig5Key, `{"engine":5}`},
 		{fig5Key, `[1,2]`},
-		{resultKey("fig5"), `{"tables":[],"alien":1}`},
-		{resultKey("fig5"), `"table"`},
 	} {
 		err := runPlanted(t, tc.key, tc.payload)
 		if err == nil || !strings.Contains(err.Error(), "checkpoint "+tc.key) {
@@ -513,5 +500,66 @@ func TestUnitKey(t *testing.T) {
 	u.Dir = "/tmp/work-b"
 	if u.Key() != key {
 		t.Error("moving the import file or the scratch dir changes the key")
+	}
+
+	// Settings that change nothing key alike.
+	for _, tc := range []struct {
+		name string
+		a, b func(*Unit)
+	}{
+		{"fault seed at rate 0",
+			func(u *Unit) { u.Faults = faultsim.Options{Seed: 5} },
+			func(u *Unit) { u.Faults = faultsim.Options{} }},
+		{"retry seed at one attempt",
+			func(u *Unit) { u.Retry = RetryPolicy{MaxAttempts: 1, Seed: 9} },
+			func(u *Unit) { u.Retry = RetryPolicy{} }},
+		{"retry seed at no attempts",
+			func(u *Unit) { u.Retry = RetryPolicy{Seed: 9} },
+			func(u *Unit) { u.Retry = RetryPolicy{MaxAttempts: -2} }},
+		{"retry seed 0 and 1",
+			func(u *Unit) { u.Retry.Seed = 0 },
+			func(u *Unit) { u.Retry.Seed = 1 }},
+	} {
+		a, b := base, base
+		tc.a(&a)
+		tc.b(&b)
+		if a.Key() != b.Key() {
+			t.Errorf("%s: keys differ", tc.name)
+		}
+	}
+}
+
+// TestDataKey: two environments that differ only in a dataset's document
+// count, or only in the base seed, give the same session different unit
+// keys, so a resume under a changed -twitter-docs or -seed replays nothing
+// of the other run even where the queries happen to match.
+func TestDataKey(t *testing.T) {
+	sess := &core.Session{Queries: plainQueries(3), Seed: 7}
+	key := func(cfg Config) string {
+		t.Helper()
+		env, err := NewEnv(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		ds, err := env.Twitter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.unit(Systems["joda"], 0, ds, sess).Key()
+	}
+	base := Config{Dir: t.TempDir(), TwitterDocs: 100, Seed: 3}
+	for _, tc := range []struct {
+		name   string
+		change func(*Config)
+	}{
+		{"document count", func(c *Config) { c.TwitterDocs = 101 }},
+		{"seed", func(c *Config) { c.Seed = 4 }},
+	} {
+		cfg := base
+		tc.change(&cfg)
+		if key(base) == key(cfg) {
+			t.Errorf("changing the %s keeps the unit key", tc.name)
+		}
 	}
 }

@@ -149,7 +149,7 @@ type Env struct {
 
 // datasetEnv is one materialised dataset.
 type datasetEnv struct {
-	// key is the cache key, the dataset's identity in unit keys.
+	// key is Env.datasetKey, the dataset's identity in unit keys.
 	key   string
 	name  string
 	file  string
@@ -195,12 +195,20 @@ func (e *Env) Close() error {
 	return nil
 }
 
-// dataset materialises a dataset once and caches it under key.
-func (e *Env) dataset(key string, src datasets.Source, n int, seed int64) (*datasetEnv, error) {
+// datasetKey names n documents of a dataset family generated from the base
+// seed: the dataset's cache key, file name and identity in unit keys.
+func (e *Env) datasetKey(family string, n int) string {
+	return fmt.Sprintf("%s_%d_seed%d", family, n, e.Cfg.Seed)
+}
+
+// dataset materialises n documents of src once and caches them under the
+// family's key.
+func (e *Env) dataset(family string, src datasets.Source, n int) (*datasetEnv, error) {
+	key := e.datasetKey(family, n)
 	if ds, ok := e.sets[key]; ok {
 		return ds, nil
 	}
-	docs := src.Generate(n, seed)
+	docs := src.Generate(n, e.Cfg.Seed)
 	file := filepath.Join(e.dir, key+".json")
 	if err := datasets.WriteDocs(file, docs); err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
@@ -225,18 +233,18 @@ func (e *Env) dataset(key string, src datasets.Source, n int, seed int64) (*data
 
 // Twitter returns the Twitter-like dataset environment.
 func (e *Env) Twitter() (*datasetEnv, error) {
-	return e.dataset("twitter", datasets.NewTwitter(), e.Cfg.TwitterDocs, e.Cfg.Seed)
+	return e.dataset("twitter", datasets.NewTwitter(), e.Cfg.TwitterDocs)
 }
 
 // NoBench returns a NoBench dataset environment with n documents.
 func (e *Env) NoBench(n int) (*datasetEnv, error) {
-	return e.dataset(fmt.Sprintf("nobench_%d", n), datasets.NewNoBench(), n, e.Cfg.Seed)
+	return e.dataset("nobench", datasets.NewNoBench(), n)
 }
 
 // ReleaseNoBench drops a sweep-size NoBench dataset from the cache so large
 // Fig. 10 sweeps do not accumulate resident document sets.
 func (e *Env) ReleaseNoBench(n int) {
-	key := fmt.Sprintf("nobench_%d", n)
+	key := e.datasetKey("nobench", n)
 	if ds, ok := e.sets[key]; ok {
 		if ds.backend != nil {
 			ds.backend.Close()
@@ -250,7 +258,7 @@ func (e *Env) ReleaseNoBench(n int) {
 // import (Table III).
 func (e *Env) Reddit() (*datasetEnv, error) {
 	src := datasets.NewReddit(datasets.RedditOptions{NullByteFraction: 0.002})
-	return e.dataset("reddit", src, e.Cfg.RedditDocs, e.Cfg.Seed)
+	return e.dataset("reddit", src, e.Cfg.RedditDocs)
 }
 
 // generate builds one session over the dataset using its verification

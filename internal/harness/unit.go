@@ -22,8 +22,9 @@ type Unit struct {
 	System  System // its Name is the record's Engine ("" = the engine's own)
 	Threads int    // JODA's worker pool (0 = all CPUs)
 	Imports []Import
-	// DataKey identifies the imported documents: Fig. 10's NoBench sizes
-	// share the import name "NoBench".
+	// DataKey identifies the imported documents, by what generated them
+	// (family, document count and seed): Fig. 10's NoBench sizes share
+	// the import name "NoBench".
 	DataKey   string
 	Queries   []*query.Query
 	Seed      int64
@@ -37,8 +38,17 @@ type Unit struct {
 // Key is the hex SHA-256 of the unit's canonical JSON: two units with the
 // same key compute the same record. Import paths and Dir say where bytes
 // are stored, not what is computed, so they are left out; DataKey stands
-// for the imported bytes.
+// for the imported bytes. Settings that change nothing key as their zero
+// value: faults at rate 0 inject nothing whatever their seed, a policy of
+// at most one attempt never draws jitter, and a jitter seed of 0 means 1.
 func (u Unit) Key() string {
+	faults, retry := u.Faults, u.Retry.withDefaults()
+	if !faults.Enabled() {
+		faults = faultsim.Options{}
+	}
+	if retry.MaxAttempts == 1 {
+		retry = RetryPolicy{}
+	}
 	canon, err := json.Marshal(struct {
 		System    string           `json:"system"`
 		Threads   int              `json:"threads"`
@@ -50,7 +60,7 @@ func (u Unit) Key() string {
 		Retry     RetryPolicy      `json:"retry"`
 		Timeout   time.Duration    `json:"timeout"`
 		DetTiming bool             `json:"det_timing"`
-	}{u.System.Name, u.Threads, u.importNames(), u.DataKey, u.Queries, u.Seed, u.Faults, u.Retry, u.Timeout, u.DetTiming})
+	}{u.System.Name, u.Threads, u.importNames(), u.DataKey, u.Queries, u.Seed, faults, retry, u.Timeout, u.DetTiming})
 	if err != nil { // only NaN or infinite floats, which no input parses to
 		panic(fmt.Sprintf("harness: unit key: %v", err))
 	}
@@ -105,7 +115,7 @@ func (u Unit) Run(ctx context.Context) SessionRecord {
 // decides what either error costs.
 func RunUnit(ctx context.Context, cp *jobqueue.Checkpoints, key string, u Unit) (rec SessionRecord, resumed bool, err error) {
 	sc := obs.From(ctx)
-	ev := obs.Event{Kind: obs.KindSession, Engine: u.System.Name, Dataset: strings.Join(u.importNames(), ","), Session: key}
+	ev := obs.Event{Engine: u.System.Name, Dataset: strings.Join(u.importNames(), ","), Session: key}
 	if found, err := loadCheckpoint(cp, key, &rec); found {
 		if err == nil {
 			ev.Type = obs.EvResumeSkip

@@ -681,7 +681,9 @@ func (q *Queue) CancelRequested(id string) bool {
 	return ok && j.cancelReq
 }
 
-// Checkpoint durably records one completed work unit of a running job.
+// Checkpoint durably records one completed work unit of a job in any state,
+// a done one included: a finished run resumed under changed flags adds the
+// units it had not run yet.
 func (q *Queue) Checkpoint(id, key string, data json.RawMessage) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()

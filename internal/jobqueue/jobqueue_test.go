@@ -66,6 +66,10 @@ func TestLifecycleJournaledAndRecovered(t *testing.T) {
 	if err := q.Done(claimed.ID); err != nil {
 		t.Fatal(err)
 	}
+	// A done job still takes checkpoints.
+	if err := q.Checkpoint(claimed.ID, "unit-2", json.RawMessage(`"late"`)); err != nil {
+		t.Fatal(err)
+	}
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +81,11 @@ func TestLifecycleJournaledAndRecovered(t *testing.T) {
 	if err != nil || gotA.State != StateDone {
 		t.Fatalf("after recovery job A = %+v, %v; want done", gotA, err)
 	}
-	if gotA.Checkpoints != 1 {
-		t.Fatalf("job A checkpoints = %d, want 1", gotA.Checkpoints)
+	if gotA.Checkpoints != 2 {
+		t.Fatalf("job A checkpoints = %d, want 2", gotA.Checkpoints)
+	}
+	if data, ok := q2.LoadCheckpoint(snapA.ID, "unit-2"); !ok || string(data) != `"late"` {
+		t.Fatalf("checkpoint saved after done = %s, %v", data, ok)
 	}
 	gotB, err := q2.Get(snapB.ID)
 	if err != nil || gotB.State != StateQueued {

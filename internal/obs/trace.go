@@ -51,11 +51,11 @@ const (
 	// EvRecovery records a crash recovery replaying the stored-dataset
 	// lineage; Queries is the lineage length.
 	EvRecovery = "recovery"
-	// EvCheckpoint records a completed work unit appended to the run
-	// journal; Kind is the unit granularity ("experiment", "session").
+	// EvCheckpoint records a completed session appended to the run
+	// journal; Session is its checkpoint key.
 	EvCheckpoint = "checkpoint"
-	// EvResumeSkip records a work unit skipped on resume because the
-	// journal already holds its result; Kind is the unit granularity.
+	// EvResumeSkip records a session skipped on resume because the
+	// journal already holds its record under the key in Session.
 	EvResumeSkip = "resume_skip"
 	// EvJournalRecover records replaying a run journal; Records is the
 	// record count and Err the truncation reason when a torn tail was
@@ -89,8 +89,8 @@ type Event struct {
 	Session string `json:"session,omitempty"`
 	// Lang is the target language of a query_translate event.
 	Lang string `json:"lang,omitempty"`
-	// Kind subtypes fault, skip, breaker, checkpoint, resume_skip and scan
-	// events (see each Ev* constant for its kinds).
+	// Kind subtypes fault, skip, breaker and scan events (see each Ev*
+	// constant for its kinds).
 	Kind string `json:"kind,omitempty"`
 	// Attempt is the zero-based attempt number of retry/fault events.
 	Attempt int `json:"attempt,omitempty"`
