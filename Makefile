@@ -1,10 +1,10 @@
 # Developer targets for the BETZE reproduction. Everything is stdlib-only Go;
 # `make check` is the full CI gate (gofmt + vet + race-enabled tests, the
-# lint suite among them).
+# lint suite and the exhaustive crash-point checks among them).
 
 GO ?= go
 
-.PHONY: all build test fmt vet lint race race-core race-engine race-service race-tools race-cover crashfuzz crashfuzz-deep check bench-paper clean
+.PHONY: all build test fmt vet lint race race-core race-engine race-service race-tools race-cover check bench-paper clean
 
 all: build
 
@@ -60,28 +60,13 @@ race-cover:
 	@missing=$$($(GO) list ./... | grep -vxF "$$($(GO) list $(RACE_CORE) $(RACE_ENGINE) $(RACE_SERVICE) $(RACE_TOOLS))"); \
 	if [ -n "$$missing" ]; then echo "packages in no race shard:"; echo "$$missing"; exit 1; fi
 
-# Crash-point consistency harness: record the durability stack's op traces
-# over the in-memory errfs, simulate power loss at every sync boundary (and
-# between them, under torn/keep-all policies), re-run recovery at each point
-# and check the four invariants: no acked record lost, no torn artifact
-# under a final name, jobqueue replay consistent with the ack history, and
-# byte-identical exports from a resumed campaign. Bounded sampling; the
-# schedule derives from -errfs-seed (default 1) and is fully reproducible.
-# On demand: `make check` already runs this bounded harness under -race in
-# race-tools (TestCrashFuzzBoundedPasses, TestCrashFuzzCLIDispatch).
-crashfuzz:
-	$(GO) run ./cmd/betze-bench -crashfuzz
-
-# Exhaustive enumeration of every crash point in every trace (402 at seed 1;
-# the runlog trace is one journal file: appends, a close/reopen, a final
-# close), plus more campaign resume points. Not part of `make check`; run
-# before touching runlog/fsatomic/jobqueue internals.
-crashfuzz-deep:
-	$(GO) run ./cmd/betze-bench -crashfuzz-deep
-
-# The gate. Fault injection, journal/crash recovery, the betze-web
-# SIGKILL-and-resume test and the tree-is-lint-clean test are ordinary tests
-# of their packages, so `race` runs each of them once, under -race.
+# The gate. Fault injection, journal/crash recovery, the crash-point
+# enumeration (TestFuzzWorkloadsPass in internal/errfs/crashpoint, every
+# crash point of the runlog, fsatomic and jobqueue traces;
+# TestResumeAtEveryFsync in cmd/betze-bench, a resume at every fsync of a
+# betze-bench journal), the betze-web SIGKILL-and-resume test and the
+# tree-is-lint-clean test are ordinary tests of their packages, so `race`
+# runs each of them once, under -race.
 check: fmt vet race-cover race
 
 # A quick laptop-scale pass over every experiment of the paper.

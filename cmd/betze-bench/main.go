@@ -95,17 +95,18 @@ func run(args []string, out io.Writer) (err error) {
 	journalDir := fs.String("journal", "", "write a crash-safe run journal to this directory (must not already hold one)")
 	resumeDir := fs.String("resume", "", "resume from the run journal in this directory, replaying every session it holds")
 	fs.BoolVar(&cfg.DetTiming, "det-timing", false, "replace measured durations with deterministic work-counter timings")
-	crashfuzz := fs.Bool("crashfuzz", false, "run the bounded crash-point consistency harness over the durability stack and exit")
-	crashfuzzDeep := fs.Bool("crashfuzz-deep", false, "exhaustive crash-point enumeration (slow); implies -crashfuzz")
-	errfsSeed := fs.Int64("errfs-seed", 1, "seed for the storage-fault schedule and torn-crash choices (crashfuzz)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (experiments are selected with -exp)", fs.Arg(0))
 	}
-	if *crashfuzz || *crashfuzzDeep {
-		return runCrashFuzz(out, *errfsSeed, *crashfuzzDeep)
+	// harness.Config reads 0 as "use the default", and so would it read a
+	// negative size or timeout: refuse those rather than run at the default.
+	for _, name := range []string{"twitter-docs", "nobench-docs", "reddit-docs", "sessions", "grid-sessions", "timeout"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s: negative value %s", name, v)
+		}
 	}
 	if experiments, err = selectExperiments(*exp, experiments); err != nil {
 		return err

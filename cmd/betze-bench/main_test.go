@@ -402,10 +402,7 @@ func TestResumeRefusesOldJournalFormat(t *testing.T) {
 // more, so this fails if the run journal keeps jobqueue's default claim
 // bound, which abandons a job claimed three times.
 func TestThreeResumesInARow(t *testing.T) {
-	cfg, exp, err := crashFuzzWork(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg, exp := crashFuzzWork(t)
 	var fsys errfs.FS = errfs.NewMem()
 	want, err := runJournaled(fsys, cfg, exp)
 	if err != nil {
@@ -494,8 +491,9 @@ func captureStderr(t *testing.T, fn func()) string {
 // TestArgumentErrors pins the CLI's rejections: a positional argument (a
 // forgotten -exp used to run every experiment, and flag parsing stops at the
 // first positional, silently dropping the flags after it), the retired
-// -perf flag, and counts below 1 (a negative sweep size used to panic in the
-// dataset generator). Each is refused before the journal is opened.
+// -perf and -crashfuzz flags, counts below 1 (a negative sweep size used to
+// panic in the dataset generator) and negative sizes and timeouts (they used
+// to run at the defaults). Each is refused before the journal is opened.
 func TestArgumentErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -505,8 +503,14 @@ func TestArgumentErrors(t *testing.T) {
 		{"positional", []string{"table2"}, `unexpected argument "table2"`},
 		{"positional before flags", []string{"table2", "-det-timing"}, `unexpected argument "table2"`},
 		{"positional after flags", []string{"-exp", "table1", "stray"}, `unexpected argument "stray"`},
-		{"positional with crashfuzz", []string{"-crashfuzz", "stray"}, `unexpected argument "stray"`},
 		{"retired perf flag", []string{"-perf"}, "flag provided but not defined: -perf"},
+		{"retired crashfuzz flag", []string{"-crashfuzz"}, "flag provided but not defined: -crashfuzz"},
+		{"negative twitter docs", []string{"-twitter-docs", "-5"}, "-twitter-docs: negative value -5"},
+		{"negative nobench docs", []string{"-nobench-docs", "-1"}, "-nobench-docs: negative value -1"},
+		{"negative reddit docs", []string{"-reddit-docs", "-2"}, "-reddit-docs: negative value -2"},
+		{"negative sessions", []string{"-sessions", "-3"}, "-sessions: negative value -3"},
+		{"negative grid sessions", []string{"-grid-sessions", "-4"}, "-grid-sessions: negative value -4"},
+		{"negative timeout", []string{"-timeout", "-5s"}, "-timeout: negative value -5s"},
 		{"negative sweep size", []string{"-exp", "fig10", "-nobench-sweep", "-5"}, "-nobench-sweep: count -5 below 1"},
 		{"thread counts below 1", []string{"-exp", "fig9", "-threads", "-3,0"}, "-threads: count -3 below 1"},
 		{"zero thread count", []string{"-exp", "fig9", "-threads", "2,0"}, "-threads: count 0 below 1"},

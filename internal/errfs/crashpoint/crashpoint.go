@@ -79,7 +79,7 @@ func (p Point) String() string {
 }
 
 // Points enumerates the crash points to check for a trace: every operation
-// index under every policy. Callers with a budget sample the result.
+// index under every policy.
 func Points(trace []errfs.TraceOp, seed int64) []Point {
 	out := make([]Point, 0, 3*(len(trace)+1))
 	for i := 0; i <= len(trace); i++ {

@@ -3,6 +3,7 @@ package crashpoint
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"testing"
 
 	"github.com/joda-explore/betze/internal/errfs"
@@ -142,32 +143,37 @@ func TestMaterializeTornDeterministic(t *testing.T) {
 	}
 }
 
+// TestFuzzWorkloadsPass enumerates every crash point of each workload's
+// trace under every policy, at the seeds that vary the Torn choices, and
+// pins the enumeration's size so a shrunken workload cannot pass quietly.
 func TestFuzzWorkloadsPass(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		run  func(int64, int) Report
+		name   string
+		run    func(int64) Report
+		points int
 	}{
-		{"runlog", FuzzRunlog},
-		{"fsatomic", FuzzFsatomic},
-		{"jobqueue", FuzzJobqueue},
+		{"runlog", FuzzRunlog, 219},
+		{"fsatomic", FuzzFsatomic, 51},
+		{"jobqueue", FuzzJobqueue, 123},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := tc.run(1, 0) // exhaustive
-			if rep.Points == 0 {
-				t.Fatal("no crash points enumerated")
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("%s", v)
+			for _, seed := range []int64{1, 7, 11} {
+				rep := tc.run(seed)
+				if rep.Points < tc.points {
+					t.Errorf("seed %d: %d crash points enumerated, want >= %d", seed, rep.Points, tc.points)
+				}
+				for _, v := range rep.Violations {
+					t.Errorf("seed %d: %s", seed, v)
+				}
 			}
 		})
 	}
 }
 
 func TestFuzzDeterministic(t *testing.T) {
-	a := FuzzRunlog(7, 60)
-	b := FuzzRunlog(7, 60)
-	if a.Points != b.Points || len(a.Violations) != len(b.Violations) {
-		t.Fatalf("same seed produced different verdicts: %d/%d points, %d/%d violations",
+	a, b := FuzzRunlog(7), FuzzRunlog(7)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed produced different reports: %d/%d points, %d/%d violations",
 			a.Points, b.Points, len(a.Violations), len(b.Violations))
 	}
 }

@@ -29,34 +29,14 @@ func (v Violation) String() string {
 // Report is the outcome of one fuzz workload: how many crash points were
 // enumerated and which invariants broke where.
 type Report struct {
-	Workload   string
 	Points     int
 	Violations []Violation
-}
-
-// Merge folds another report into r.
-func (r *Report) Merge(o Report) {
-	r.Points += o.Points
-	r.Violations = append(r.Violations, o.Violations...)
 }
 
 func (r *Report) violate(pt Point, invariant, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{
 		Point: pt, Invariant: invariant, Detail: fmt.Sprintf(format, args...),
 	})
-}
-
-// sample bounds points to at most limit entries, evenly spaced, always
-// keeping the last (the fullest trace prefix). limit <= 0 keeps all.
-func sample(points []Point, limit int) []Point {
-	if limit <= 0 || len(points) <= limit {
-		return points
-	}
-	out := make([]Point, 0, limit)
-	for i := 0; i < limit; i++ {
-		out = append(out, points[i*(len(points)-1)/(limit-1)])
-	}
-	return out
 }
 
 // ackMark pairs a trace cursor (Mem.TraceLen at the moment a durability
@@ -70,10 +50,9 @@ type ackMark struct {
 // close/reopen, a final close — over a recording filesystem, then
 // re-runs Recover at every crash point and checks the write-ahead-log
 // contract: recovered records are a prefix of the appended ones, and no
-// record acked (AppendSync'd) before the crash is lost. maxPoints bounds
-// the enumeration (<= 0: all points).
-func FuzzRunlog(seed int64, maxPoints int) Report {
-	rep := Report{Workload: "runlog"}
+// record acked (AppendSync'd) before the crash is lost.
+func FuzzRunlog(seed int64) Report {
+	var rep Report
 	fs := errfs.NewMem()
 	const dir = "journal"
 	opts := runlog.Options{FS: fs}
@@ -131,7 +110,7 @@ func FuzzRunlog(seed int64, maxPoints int) Report {
 	ack()
 
 	trace := fs.Trace()
-	for _, pt := range sample(Points(trace, seed), maxPoints) {
+	for _, pt := range Points(trace, seed) {
 		rep.Points++
 		mem, err := Materialize(trace, pt)
 		if err != nil {
@@ -183,9 +162,9 @@ func FuzzRunlog(seed int64, maxPoints int) Report {
 // fsatomic.WriteFileFS over a recording filesystem, then checks at every
 // crash point that the final name is never torn: it is either absent or
 // holds exactly one complete version, and never a version older than the
-// last committed (acked) one. maxPoints bounds the enumeration (<= 0: all).
-func FuzzFsatomic(seed int64, maxPoints int) Report {
-	rep := Report{Workload: "fsatomic"}
+// last committed (acked) one.
+func FuzzFsatomic(seed int64) Report {
+	var rep Report
 	fs := errfs.NewMem()
 	const dir, final = "out", "out/artifact.json"
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
@@ -207,7 +186,7 @@ func FuzzFsatomic(seed int64, maxPoints int) Report {
 	}
 
 	trace := fs.Trace()
-	for _, pt := range sample(Points(trace, seed), maxPoints) {
+	for _, pt := range Points(trace, seed) {
 		rep.Points++
 		mem, err := Materialize(trace, pt)
 		if err != nil {
@@ -260,9 +239,9 @@ type qSnapshot struct {
 // the queue at every crash point and checks replay consistency with the ack
 // history: recovery never errors, acked jobs still exist, acked terminal
 // states never change, acked checkpoints are never lost, and no phantom
-// jobs appear. maxPoints bounds the enumeration (<= 0: all points).
-func FuzzJobqueue(seed int64, maxPoints int) Report {
-	rep := Report{Workload: "jobqueue"}
+// jobs appear.
+func FuzzJobqueue(seed int64) Report {
+	var rep Report
 	fs := errfs.NewMem()
 	const dir = "queue"
 	t0 := time.Unix(1700000000, 0)
@@ -357,7 +336,7 @@ func FuzzJobqueue(seed int64, maxPoints int) Report {
 	ack()
 
 	trace := fs.Trace()
-	for _, pt := range sample(Points(trace, seed), maxPoints) {
+	for _, pt := range Points(trace, seed) {
 		rep.Points++
 		mem, err := Materialize(trace, pt)
 		if err != nil {

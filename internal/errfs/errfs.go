@@ -14,11 +14,11 @@
 //     every mutating operation (see TraceOp); the crashpoint sub-package
 //     replays such a trace to materialise the durable state a power loss at
 //     any point would have left behind.
-//   - NewFaulty(inner, schedule) wraps any FS and injects faults decided by
-//     a deterministic, seed-driven Schedule at precise operation counts.
+//   - NewFaulty(inner, plan) wraps any FS and injects the faults a Plan
+//     names at precise operation counts.
 //
-// The fault-decision hash (Chance) is shared with internal/faultsim so both
-// injectors derive their schedules from a seed the same way.
+// The seeded decision hash (Chance) is shared with internal/faultsim's
+// engine-fault schedule and with crashpoint's torn-write choices.
 package errfs
 
 import (
@@ -97,9 +97,9 @@ func (osFS) SyncDir(dir string) error {
 }
 
 // Chance maps (seed, kind, op, attempt) to a uniform float in [0, 1) — the
-// pure decision function both faultsim and the seeded errfs schedules use,
-// byte-compatible with faultsim's original hash so existing fault schedules
-// are unchanged.
+// pure decision function faultsim's fault schedule and crashpoint's Torn
+// policy use, byte-compatible with faultsim's original hash so existing
+// fault schedules are unchanged.
 func Chance(seed int64, kind, op string, attempt int) float64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -1,7 +1,6 @@
 package errfs
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -149,31 +148,6 @@ func TestFaultySyncLostSkipsInnerSync(t *testing.T) {
 	for _, op := range m.Trace() {
 		if op.Kind == OpFsync {
 			t.Fatal("sync-lost leaked a real fsync into the trace")
-		}
-	}
-}
-
-func TestSeededDeterministic(t *testing.T) {
-	run := func() []Injection {
-		m := NewMem()
-		faulty := NewFaulty(m, Seeded{Seed: 99, Rate: 0.3})
-		f, _ := faulty.OpenFile("f", os.O_CREATE|os.O_WRONLY, 0o644)
-		for i := 0; i < 50; i++ {
-			f.Write(bytes.Repeat([]byte("x"), 8))
-			f.Sync()
-		}
-		return faulty.Injections()
-	}
-	a, b := run(), run()
-	if len(a) == 0 {
-		t.Fatal("rate 0.3 over 100 ops injected nothing")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different schedules: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schedule diverges at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // ErrInjected marks every error produced by a Faulty filesystem, so tests
-// and the crashfuzz harness can tell injected faults from genuine bugs.
+// can tell injected faults from genuine bugs.
 var ErrInjected = errors.New("errfs: injected fault")
 
 // Fault enumerates the storage faults a Faulty filesystem can inject.
@@ -77,54 +77,10 @@ func injected(fault Fault, cause error) error {
 	return &injectedErr{fault: fault, cause: cause}
 }
 
-// Schedule decides which fault (if any) to inject for the n-th faultable
-// operation. Implementations must be deterministic in their inputs.
-type Schedule interface {
-	Decide(n int64, op, path string) Fault
-}
-
 // Plan injects faults at precise operation counts: Plan{17: FaultENOSPC}
 // fails the 17th faultable operation. Operations count from 0 in the order
 // write, read, sync, rename, syncdir calls reach the Faulty wrapper.
 type Plan map[int64]Fault
-
-// Decide implements Schedule.
-func (p Plan) Decide(n int64, op, path string) Fault { return p[n] }
-
-// Seeded injects faults at a fixed Rate, choosing deterministically from the
-// faults applicable to each operation via the shared Chance hash — the same
-// seed always yields the same schedule.
-type Seeded struct {
-	Seed int64
-	Rate float64
-}
-
-// Decide implements Schedule.
-func (s Seeded) Decide(n int64, op, path string) Fault {
-	if Chance(s.Seed, "errfs."+op, path, int(n)) >= s.Rate {
-		return FaultNone
-	}
-	pick := Chance(s.Seed, "errfs.pick."+op, path, int(n))
-	switch op {
-	case "write":
-		if pick < 0.5 {
-			return FaultENOSPC
-		}
-		return FaultShortWrite
-	case "read":
-		return FaultReadErr
-	case "sync":
-		if pick < 0.5 {
-			return FaultSyncFail
-		}
-		return FaultSyncLost
-	case "rename":
-		return FaultRenameErr
-	case "syncdir":
-		return FaultDirSyncLost
-	}
-	return FaultNone
-}
 
 // Injection records one injected fault, for reports and assertions.
 type Injection struct {
@@ -134,21 +90,21 @@ type Injection struct {
 	Fault Fault
 }
 
-// Faulty wraps an FS and injects the faults its Schedule decides. The
-// operation counter is global across the wrapped filesystem, so a Plan pins
-// faults to exact points in a workload.
+// Faulty wraps an FS and injects the faults its Plan names. The operation
+// counter is global across the wrapped filesystem, so a Plan pins faults to
+// exact points in a workload.
 type Faulty struct {
 	inner FS
-	sched Schedule
+	plan  Plan
 
 	mu  sync.Mutex
 	n   int64
 	log []Injection
 }
 
-// NewFaulty wraps inner with the given fault schedule.
-func NewFaulty(inner FS, sched Schedule) *Faulty {
-	return &Faulty{inner: inner, sched: sched}
+// NewFaulty wraps inner with the given fault plan.
+func NewFaulty(inner FS, plan Plan) *Faulty {
+	return &Faulty{inner: inner, plan: plan}
 }
 
 // Injections returns a copy of the faults injected so far.
@@ -165,13 +121,13 @@ func (f *Faulty) OpCount() int64 {
 	return f.n
 }
 
-// decide advances the operation counter and returns the scheduled fault.
+// decide advances the operation counter and returns the planned fault.
 func (f *Faulty) decide(op, path string) Fault {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := f.n
 	f.n++
-	fault := f.sched.Decide(n, op, path)
+	fault := f.plan[n]
 	if fault != FaultNone {
 		f.log = append(f.log, Injection{N: n, Op: op, Path: path, Fault: fault})
 	}

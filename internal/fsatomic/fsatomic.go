@@ -37,23 +37,18 @@ type File struct {
 	closed    bool
 }
 
-// Create stages a new artifact for path with default permissions 0o644.
+// Create stages a new artifact for path with permissions 0o644.
 func Create(path string) (*File, error) {
-	return CreateMode(path, 0o644)
-}
-
-// CreateMode stages a new artifact for path with the given final mode.
-func CreateMode(path string, perm os.FileMode) (*File, error) {
-	return CreateModeFS(errfs.OS(), path, perm)
+	return createFS(errfs.OS(), path, 0o644)
 }
 
 // CreateFS is Create over an explicit filesystem.
 func CreateFS(fsys errfs.FS, path string) (*File, error) {
-	return CreateModeFS(fsys, path, 0o644)
+	return createFS(fsys, path, 0o644)
 }
 
-// CreateModeFS is CreateMode over an explicit filesystem.
-func CreateModeFS(fsys errfs.FS, path string, perm os.FileMode) (*File, error) {
+// createFS stages a new artifact for path with the given final mode.
+func createFS(fsys errfs.FS, path string, perm os.FileMode) (*File, error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -109,7 +104,11 @@ func (w *File) Commit() error {
 		return fmt.Errorf("fsatomic: publishing %s: %w", w.path, err)
 	}
 	w.committed = true
-	return syncDirFS(w.fsys, filepath.Dir(w.path))
+	dir := filepath.Dir(w.path)
+	if err := w.fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("fsatomic: syncing dir %s: %w", dir, err)
+	}
+	return nil
 }
 
 // Close discards the staged content unless Commit already published it.
@@ -135,7 +134,7 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 
 // WriteFileFS is WriteFile over an explicit filesystem.
 func WriteFileFS(fsys errfs.FS, path string, data []byte, perm os.FileMode) error {
-	f, err := CreateModeFS(fsys, path, perm)
+	f, err := createFS(fsys, path, perm)
 	if err != nil {
 		return err
 	}
@@ -144,19 +143,4 @@ func WriteFileFS(fsys errfs.FS, path string, data []byte, perm os.FileMode) erro
 		return err
 	}
 	return f.Commit()
-}
-
-// SyncDir fsyncs a directory, making recent creates/renames inside it
-// durable. Errors from platforms that refuse directory fsync are ignored —
-// the rename itself is still atomic, only its durability window widens.
-func SyncDir(dir string) error { return syncDirFS(errfs.OS(), dir) }
-
-// SyncDirFS is SyncDir over an explicit filesystem.
-func SyncDirFS(fsys errfs.FS, dir string) error { return syncDirFS(fsys, dir) }
-
-func syncDirFS(fsys errfs.FS, dir string) error {
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("fsatomic: syncing dir %s: %w", dir, err)
-	}
-	return nil
 }

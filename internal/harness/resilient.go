@@ -187,8 +187,6 @@ type RunStats struct {
 	// TimedOut is set when the session deadline expired mid-run; queries
 	// after the expiry were not attempted.
 	TimedOut bool
-	// FirstErr is the first query failure, for result tables.
-	FirstErr error
 }
 
 // RunImport imports one dataset with the policy's retry loop. Only
@@ -252,9 +250,6 @@ func runQueries(ctx context.Context, eng engine.Engine, queries []*query.Query, 
 			})
 			outcomes = append(outcomes, Outcome{Query: q, Err: errBreakerOpen, Skipped: true})
 			rs.Skipped++
-			if rs.FirstErr == nil {
-				rs.FirstErr = fmt.Errorf("%s on %s: %w", q.ID, eng.Name(), errBreakerOpen)
-			}
 			continue
 		}
 		o := st.runQuery(ctx, q, sink, &rs)
@@ -284,9 +279,6 @@ func runQueries(ctx context.Context, eng engine.Engine, queries []*query.Query, 
 			continue
 		}
 		rs.Skipped++
-		if rs.FirstErr == nil {
-			rs.FirstErr = fmt.Errorf("%s on %s: %w", q.ID, eng.Name(), o.Err)
-		}
 		st.sc.Counter(obs.MHarnessSkips).Inc()
 		st.sc.Record(obs.Event{
 			Type: obs.EvSkip, Engine: eng.Name(), Dataset: q.Base,

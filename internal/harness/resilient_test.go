@@ -330,9 +330,6 @@ func TestUnknownBaseIsNotACrash(t *testing.T) {
 	if outcomes[1].Err == nil || !errors.Is(outcomes[1].Err, engine.ErrUnknownDataset) || outcomes[1].Attempts != 1 {
 		t.Errorf("ghost outcome = %+v", outcomes[1])
 	}
-	if rs.FirstErr == nil || !errors.Is(rs.FirstErr, engine.ErrUnknownDataset) {
-		t.Errorf("FirstErr = %v", rs.FirstErr)
-	}
 }
 
 // TestBreakerOpensAndSkips: when the policy retries, consecutive failures

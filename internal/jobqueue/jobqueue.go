@@ -112,7 +112,7 @@ type Options struct {
 	// NoSync skips journal fsync (tests only).
 	NoSync bool
 	// FS is the filesystem the journal lives on. Defaults to the
-	// passthrough errfs.OS(); the crashfuzz harness substitutes an
+	// passthrough errfs.OS(); tests and the crash-point checks substitute an
 	// in-memory or fault-injecting filesystem.
 	FS errfs.FS
 	// Obs receives queue metrics (depth/in-flight gauges, wait-time

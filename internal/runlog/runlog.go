@@ -91,7 +91,7 @@ type Options struct {
 	// durability they came for).
 	NoSync bool
 	// FS is the filesystem all journal I/O goes through. Defaults to the
-	// passthrough errfs.OS(); tests and the crashfuzz harness substitute
+	// passthrough errfs.OS(); tests and the crash-point checks substitute
 	// an in-memory or fault-injecting filesystem.
 	FS errfs.FS
 }
